@@ -11,8 +11,6 @@ from .binary import (
     check_normalized_pm1,
     classify as classify_binary,
     discriminant_parts,
-    is_positive_definite,
-    is_positive_semidefinite,
     prefilter_zero_diagonal,
 )
 from .cyclic import (
@@ -67,8 +65,6 @@ __all__ = [
     "discriminant_parts",
     "embed",
     "exact_spot_check",
-    "is_positive_definite",
-    "is_positive_semidefinite",
     "multiplicity",
     "necessity_bound_check",
     "prefilter_zero_diagonal",

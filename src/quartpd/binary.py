@@ -7,14 +7,17 @@ every radical comparison is rewritten as an exact rational predicate in
 Q[sqrt(a0*a4)], so all branch decisions are exact.
 
 The radical criterion assumes strictly positive diagonal entries; zero or
-negative diagonals are decided directly from the residual form.
+negative diagonals are decided directly from the residual form.  Every
+indefinite verdict carries an exact rational witness, found by isolating the
+real roots of q(t, 1) with a Sturm sequence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .quadext import QuadExt
 from .verdict import Kind, PatternMismatchError, Verdict, as_fraction
@@ -172,44 +175,12 @@ def _quadratic_psd(A: Fraction, B: Fraction, C: Fraction) -> bool:
     return A == 0 and B == 0 and C >= 0
 
 
-def _grow(predicate) -> Fraction:
-    """First value t = +-2^k (k = 0..64) satisfying the predicate."""
-    for k in range(65):
-        for t in (Fraction(2) ** k, -(Fraction(2) ** k)):
-            if predicate(t):
-                return t
-    raise ArithmeticError("witness search exhausted")  # pragma: no cover
-
-
-def _shrink(predicate) -> Fraction:
-    """First value t = +-2^-k (k = 0..64) satisfying the predicate."""
-    for k in range(65):
-        for t in (Fraction(1, 2**k), -Fraction(1, 2**k)):
-            if predicate(t):
-                return t
-    raise ArithmeticError("witness search exhausted")  # pragma: no cover
-
-
 def _classify_zero_a0(q: BinaryQuartic) -> Verdict:
-    """a0 = 0, a4 >= 0: the form is x2^2 * (6*a2*x1^2 + 4*a3*x1*x2 + a4*x2^2)
-    once the necessary condition a1 = 0 holds."""
-    a0, a1, a2, a3, a4 = q
-    rule = "zero-diagonal"
-    if a1 != 0:
-        # dominant odd term: x = (t, 1) with |t| large and sign against a1
-        t = _grow(lambda t: q.value((t, 1)) < 0)
-        return Verdict(Kind.INDEFINITE, rule, witness=(t, Fraction(1)))
-    if _quadratic_psd(6 * a2, 4 * a3, a4):
-        return Verdict(Kind.PSD_NOT_PD, rule, witness=(Fraction(1), Fraction(0)))
-    # residual quadratic takes a negative value somewhere
-    if a2 > 0:
-        w = (-a3 / (3 * a2), Fraction(1))
-    elif a2 < 0:
-        w = (Fraction(1), _shrink(lambda t: q.value((1, t)) < 0 and t != 0))
-    else:  # a2 == 0, a3 != 0 or a4 < 0
-        w = (_grow(lambda t: q.value((t, 1)) < 0), Fraction(1))
-    assert q.value(w) < 0
-    return Verdict(Kind.INDEFINITE, rule, witness=w)
+    """a0 = a1 = 0 with a2, a4 >= 0, as the prefilter leaves it: the form is
+    x2^2 * (6*a2*x1^2 + 4*a3*x1*x2 + a4*x2^2)."""
+    if _quadratic_psd(6 * q.a2, 4 * q.a3, q.a4):
+        return Verdict(Kind.PSD_NOT_PD, "zero-diagonal", witness=(Fraction(1), Fraction(0)))
+    return Verdict(Kind.INDEFINITE, "zero-diagonal", witness=_witness(q))
 
 
 def prefilter_zero_diagonal(q: BinaryQuartic) -> PrefilterResult:
@@ -235,38 +206,150 @@ def prefilter_zero_diagonal(q: BinaryQuartic) -> PrefilterResult:
     return PrefilterResult(True)
 
 
-# -- witness search for the nondegenerate indefinite case ----------------
+# -- exact witness search ------------------------------------------------
+#
+# Polynomials in t are lists of ints, leading coefficient first and nonzero.
+# Only signs matter on this path, so every polynomial is kept as a primitive
+# integer multiple (by a positive factor) of the rational one it stands for.
 
 
-def _negative_witness(q: BinaryQuartic) -> Optional[Tuple[Fraction, Fraction]]:
-    best_t, best_v = None, Fraction(0)
-    for num in range(-64, 65):
-        for den in (1, 3, 8):
-            t = Fraction(num, den)
-            v = q.value((t, 1))
-            if v < best_v:
-                best_t, best_v = t, v
-    if best_t is None:
-        # golden-section refinement around the float minimum of q(t, 1)
-        f = lambda t: float(q.value((Fraction(t).limit_denominator(10**12), 1)))
-        import math
+def _primitive(p: List[int]) -> List[int]:
+    """p without leading zeros, divided by the gcd of its coefficients."""
+    while p and p[0] == 0:
+        p = p[1:]
+    g = math.gcd(*p) if p else 1
+    return [c // g for c in p] if g > 1 else p
 
-        grid = [i / 64 for i in range(-64 * 8, 64 * 8 + 1)]
-        t0 = min(grid, key=f)
-        a, b = t0 - 0.2, t0 + 0.2
-        inv = (math.sqrt(5) - 1) / 2
-        for _ in range(80):
-            c, d = b - inv * (b - a), a + inv * (b - a)
-            if f(c) < f(d):
-                b = d
-            else:
-                a = c
-        for den in (10**3, 10**6, 10**9, 10**12):
-            t = Fraction((a + b) / 2).limit_denominator(den)
-            if q.value((t, 1)) < 0:
-                return (t, Fraction(1))
+
+def _scaled_value(p: List[int], x: Fraction) -> int:
+    """den(x)^deg(p) * p(x), which has the sign of p(x)."""
+    n, d = x.numerator, x.denominator
+    v, dk = p[0], 1
+    for c in p[1:]:
+        dk *= d
+        v = v * n + c * dk
+    return v
+
+
+def _sturm_chain(p: List[int]) -> List[List[int]]:
+    """p, p' and the negated remainders of Euclid's algorithm on them,
+    each scaled by a positive factor (pseudo-division keeps it in integers)."""
+    deg = len(p) - 1
+    chain = [p, _primitive([c * (deg - i) for i, c in enumerate(p[:-1])])]
+    while len(chain[-1]) > 1:
+        f, g = chain[-2], chain[-1]
+        steps = len(f) - len(g) + 1
+        r = f
+        for _ in range(steps):
+            c = r[0]
+            r = [g[0] * a - c * (g[i] if i < len(g) else 0) for i, a in enumerate(r)][1:]
+        r = _primitive(r)  # r = g[0]^steps * (f mod g), up to a positive factor
+        if not r:
+            break
+        chain.append([-c for c in r] if g[0] > 0 or steps % 2 == 0 else r)
+    return chain
+
+
+def _variations(chain: List[List[int]], x: Fraction) -> int:
+    """Sign changes along the chain at x, zeros skipped."""
+    count, prev = 0, 0
+    for f in chain:
+        v = _scaled_value(f, x)
+        if v:
+            if prev and (v < 0) != (prev < 0):
+                count += 1
+            prev = v
+    return count
+
+
+def _split(p: List[int], a: Fraction, b: Fraction) -> Fraction:
+    """A point of (a, b) where p is not zero.  p has at most four roots, so
+    one of five candidates will do; the midpoint alone can be a root."""
+    for k in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(3, 8), Fraction(5, 8)):
+        m = a + (b - a) * k
+        if _scaled_value(p, m):
+            return m
+    raise AssertionError("a polynomial of degree <= 4 vanished at five points")  # pragma: no cover
+
+
+def _simplest_between(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
+    """The rational of least denominator, then least modulus, in [lo, hi];
+    None stands for an infinite end."""
+    if (lo is None or lo <= 0) and (hi is None or hi >= 0):
+        return Fraction(0)
+    if lo is None or lo < 0:
+        return -_simplest_between(-hi, None if lo is None else -lo)
+    if hi is None or lo.denominator == 1:
+        return Fraction(math.ceil(lo))
+    n = math.floor(lo)
+    if n + 1 <= hi:
+        return Fraction(n + 1)
+    # continued fraction step: both ends lie in (n, n + 1)
+    return n + 1 / _simplest_between(1 / (hi - n), 1 / (lo - n))
+
+
+def _negative_point(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
+    """An exact rational t with p(t) < 0, where p(t) = sum_i coeffs[i] *
+    t^(k - i) has degree k <= 4, or None when p >= 0 on the whole line.
+
+    The distinct real roots of p are isolated by bisection on Sturm sign
+    variation counts, never splitting at a root.  p keeps one sign between
+    adjacent roots, and the isolating interval endpoints sample every such
+    stretch.  The stretch found negative is bracketed between the isolating
+    intervals of the roots that end it, which are refined until they are no
+    wider than the bracket (than 1 if the stretch is unbounded), and the
+    simplest rational in the bracket is returned, so witnesses stay short.
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    p = _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+    if len(p) <= 1:
+        return Fraction(0) if p and p[0] < 0 else None
+    chain = _sturm_chain(p)
+    # Cauchy: every real root lies strictly inside (-2^k, 2^k)
+    lead = abs(p[0])
+    bound = Fraction(2 ** ((lead + max(abs(c) for c in p[1:])) // lead).bit_length())
+    # (a, b, V(a), V(b)) with V(a) - V(b) distinct roots in (a, b), a and b not roots
+    todo = [(-bound, bound, _variations(chain, -bound), _variations(chain, bound))]
+    roots = []  # isolating intervals, one root in each
+    while todo:
+        a, b, va, vb = todo.pop()
+        if va - vb == 1:
+            roots.append([a, b])
+        elif va - vb > 1:
+            m = _split(p, a, b)
+            vm = _variations(chain, m)
+            todo += [(a, m, va, vm), (m, b, vm, vb)]
+    if not roots:
+        return Fraction(0) if p[-1] < 0 else None
+    roots.sort()
+    # the stretch left of root j starts at roots[j - 1][1] and ends at roots[j][0]
+    samples = [roots[0][0]] + [b for _, b in roots]
+    j = next((j for j, x in enumerate(samples) if _scaled_value(p, x) < 0), None)
+    if j is None:
         return None
-    return (best_t, Fraction(1))
+    left = roots[j - 1] if j > 0 else None
+    right = roots[j] if j < len(roots) else None
+
+    def gap():
+        return right[0] - left[1] if left and right else Fraction(1)
+
+    for iv in (left, right):
+        while iv is not None and iv[1] - iv[0] > gap():
+            m = _split(p, iv[0], iv[1])
+            if _variations(chain, iv[0]) - _variations(chain, m) == 1:
+                iv[1] = m
+            else:
+                iv[0] = m
+    return _simplest_between(left[1] if left else None, right[0] if right else None)
+
+
+def _witness(q: BinaryQuartic) -> Tuple[Fraction, Fraction]:
+    """(t, 1) with q(t, 1) < 0, for a form that takes a negative value with
+    x2 != 0, which every indefinite form with a0 >= 0 does."""
+    t = _negative_point((q.a0, 4 * q.a1, 6 * q.a2, 4 * q.a3, q.a4))
+    if t is None:
+        raise ArithmeticError(f"q(t, 1) >= 0 for every t, yet {q} was found indefinite")
+    return (t, Fraction(1))
 
 
 # -- public entry points -------------------------------------------------
@@ -281,13 +364,7 @@ def classify(q: BinaryQuartic) -> Verdict:
     if a0 == 0 or a4 == 0:
         pre = prefilter_zero_diagonal(q)
         if not pre.passed:
-            if "t1112" in pre.reason:
-                w = (_grow(lambda t: q.value((t, 1)) < 0), Fraction(1))
-            elif "t1222" in pre.reason:
-                w = (Fraction(1), _grow(lambda t: q.value((1, t)) < 0))
-            else:
-                w = (_grow(lambda t: q.value((t, 1)) < 0), Fraction(1))
-            return Verdict(Kind.INDEFINITE, "zero-diagonal", witness=w)
+            return Verdict(Kind.INDEFINITE, "zero-diagonal", witness=_witness(q))
         return pre.residual
     parts = discriminant_parts(q)
     s = a0 * a4
@@ -297,15 +374,7 @@ def classify(q: BinaryQuartic) -> Verdict:
     rule = _psd_rule(q, parts, s)
     if rule is not None:
         return Verdict(Kind.PSD_NOT_PD, rule)
-    return Verdict(Kind.INDEFINITE, "criterion-failed", witness=_negative_witness(q))
-
-
-def is_positive_definite(q: BinaryQuartic) -> Verdict:
-    return classify(q)
-
-
-def is_positive_semidefinite(q: BinaryQuartic) -> Verdict:
-    return classify(q)
+    return Verdict(Kind.INDEFINITE, "criterion-failed", witness=_witness(q))
 
 
 def check_normalized_pm1(q: BinaryQuartic) -> Verdict:
@@ -322,11 +391,11 @@ def check_normalized_pm1(q: BinaryQuartic) -> Verdict:
     if a2 != 1 and not pm1_case:
         raise PatternMismatchError("fast path needs a2 = 1 or all entries of modulus 1")
     if a2 == -1:
-        return Verdict(Kind.INDEFINITE, "fast-path", witness=_negative_witness(q))
+        return Verdict(Kind.INDEFINITE, "fast-path", witness=_witness(q))
     lhs = 27 * (a3 - a1) ** 4
     rhs = 64 * (1 - a1 * a3) ** 3
     if lhs < rhs:
         return Verdict(Kind.POSITIVE_DEFINITE, "fast-path")
     if lhs == rhs:
         return Verdict(Kind.PSD_NOT_PD, "fast-path")
-    return Verdict(Kind.INDEFINITE, "fast-path", witness=_negative_witness(q))
+    return Verdict(Kind.INDEFINITE, "fast-path", witness=_witness(q))

@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import click
 
@@ -75,23 +75,29 @@ def _detect_cyclic(T: SymmetricTensor4):
     return cycmod.RelaxedCyclicTernary(vals["a"], vals["b"], vals["c"], vals["d"], *e)
 
 
-def _stage_prefilter(T: SymmetricTensor4) -> Verdict:
+def _stage_prefilter(T: SymmetricTensor4) -> Tuple[Verdict, Dict[Tuple[int, int], Verdict]]:
     """Exact principal-subtensor screen: semidefiniteness is inherited by
-    principal subtensors, so any indefinite 2-dim restriction refutes it."""
+    principal subtensors, so any indefinite 2-dim restriction refutes it.
+
+    Also returns the verdict of every principal binary it classified; for
+    dim 2 the (1,2) binary is the whole form, which the analytic stage reuses.
+    """
     pairs = [(i, j) for i in range(1, T.dim + 1) for j in range(i + 1, T.dim + 1)]
+    binaries: Dict[Tuple[int, int], Verdict] = {}
     for i in range(1, T.dim + 1):
         if T[(i, i, i, i)] < 0:
             w = tuple(Fraction(int(k == i)) for k in range(1, T.dim + 1))
-            return Verdict(Kind.INDEFINITE, f"negative-diagonal t{i}{i}{i}{i}", witness=w)
+            return Verdict(Kind.INDEFINITE, f"negative-diagonal t{i}{i}{i}{i}", witness=w), binaries
     for i, j in pairs:
-        v = binmod.classify(_principal_binary(T, i, j))
-        if v.kind is Kind.INDEFINITE and v.witness is not None:
+        v = binaries[(i, j)] = binmod.classify(_principal_binary(T, i, j))
+        if v.kind is Kind.INDEFINITE:
             w = [Fraction(0)] * T.dim
             w[i - 1], w[j - 1] = v.witness
-            return Verdict(
+            verdict = Verdict(
                 Kind.INDEFINITE, f"principal-subtensor({i},{j}):{v.rule}", witness=tuple(w)
             )
-    return Verdict(Kind.UNDETERMINED, "prefilter-passed")
+            return verdict, binaries
+    return Verdict(Kind.UNDETERMINED, "prefilter-passed"), binaries
 
 
 def _stage_family(T: SymmetricTensor4, trace: List[dict]) -> Verdict:
@@ -116,12 +122,6 @@ def _stage_family(T: SymmetricTensor4, trace: List[dict]) -> Verdict:
         return Verdict(Kind.UNDETERMINED, "outside-family-hypotheses")
 
 
-def _stage_analytic(T: SymmetricTensor4) -> Verdict:
-    if T.dim != 2:
-        return Verdict(Kind.UNDETERMINED, "analytic-path-is-binary-only")
-    return binmod.classify(_principal_binary(T, 1, 2))
-
-
 def run_check(parsed, cfg: OracleConfig, oracle_only: bool, analytic_only: bool) -> dict:
     T = to_tensor(parsed)
     desc = describe(parsed)
@@ -138,11 +138,13 @@ def run_check(parsed, cfg: OracleConfig, oracle_only: bool, analytic_only: bool)
 
     if not oracle_only:
         t0 = time.perf_counter()
-        record("prefilter", _stage_prefilter(T))
+        verdict, binaries = _stage_prefilter(T)
+        record("prefilter", verdict)
         if final is None and T.dim == 3:
             record("family", _stage_family(T, trace))
         if final is None and T.dim == 2:
-            record("analytic", _stage_analytic(T))
+            # the exact binary criterion, already run on the (1,2) binary
+            record("analytic", binaries[(1, 2)])
         timings["analytic_s"] = time.perf_counter() - t0
     if final is None and not analytic_only:
         t0 = time.perf_counter()

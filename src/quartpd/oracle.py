@@ -17,12 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the functions that use it, so that importing the
+# package (and every decision the exact stages settle) leaves it unloaded.
 
 _GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -66,6 +70,8 @@ def _canonical_sign(x: np.ndarray) -> np.ndarray:
 
 
 def _grid(dim: int, n_points: int, seed: int) -> np.ndarray:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     if dim == 2:
         theta = np.linspace(0.0, 2 * math.pi, n_points, endpoint=False)
@@ -84,6 +90,8 @@ def _grid(dim: int, n_points: int, seed: int) -> np.ndarray:
 
 def _forms_and_cubics(Td: np.ndarray, X: np.ndarray):
     """Values Tx^4 and vectors Tx^3 for a batch of points (rows of X)."""
+    import numpy as np
+
     A = np.einsum("ijkl,pl->pijk", Td, X)
     B = np.einsum("pijk,pk->pij", A, X)
     C = np.einsum("pij,pj->pi", B, X)  # rows are Tx^3
@@ -97,6 +105,8 @@ def _refine_batch(Td: np.ndarray, X0: np.ndarray, cfg: OracleConfig):
     Returns refined points, values and the iteration count of the longest
     running candidate.
     """
+    import numpy as np
+
     X = X0 / np.linalg.norm(X0, axis=1, keepdims=True)
     vals, cub = _forms_and_cubics(Td, X)
     alpha = np.full(len(X), 0.1)
@@ -135,6 +145,8 @@ def _refine_batch(Td: np.ndarray, X0: np.ndarray, cfg: OracleConfig):
 
 
 def sphere_minimize(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> OracleResult:
+    import numpy as np
+
     if T.dim not in (2, 3):
         raise ValueError(f"oracle supports dim 2 or 3, got {T.dim}")
     Td = T.dense()
@@ -198,6 +210,8 @@ def classify_numeric(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) ->
 
 def _positivity_witness(T: SymmetricTensor4, cfg: OracleConfig) -> Optional[tuple]:
     """Some grid direction with a clearly positive form value, if any."""
+    import numpy as np
+
     Td = T.dense()
     X = _grid(T.dim, min(cfg.effective_grid(T.dim), 512), cfg.seed)
     vals, _ = _forms_and_cubics(Td, X)
@@ -216,6 +230,8 @@ def zero_set_probe(
     cluster is returned, sorted lexicographically.  Antipodal zeros appear
     as separate clusters (the form is even, so they come in pairs).
     """
+    import numpy as np
+
     if T.dim not in (2, 3):
         raise ValueError(f"oracle supports dim 2 or 3, got {T.dim}")
     Td = T.dense()

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quartpd.binary import (
     BinaryQuartic,
+    _negative_point,
     check_normalized_pm1,
     classify,
     discriminant_parts,
@@ -172,3 +174,207 @@ class TestProperties:
                 for num in range(-12, 13):
                     assert q.value((Fraction(num, 4), 1)) >= 0
                     assert q.value((1, Fraction(num, 4))) >= 0
+
+
+# -- exact witnesses on boundary families ---------------------------------
+#
+# The reference below decides a binary quartic from the real roots of
+# p(t) = q(t, 1) alone, independently of the radical criterion: with a0 >= 0,
+# q is PSD iff p >= 0 on the line, i.e. p has a positive leading coefficient
+# and no real root of odd multiplicity, and PD iff moreover a0 > 0 and p has
+# no real root.  Roots are counted with Sturm's theorem over Fraction; a root
+# of multiplicity >= k is a root of gcd(p, p', ..., p^(k-1)).
+
+
+def _trim(p):
+    while p and p[0] == 0:
+        p = p[1:]
+    return p
+
+
+def _deriv(p):
+    n = len(p) - 1
+    return _trim([c * (n - i) for i, c in enumerate(p[:-1])])
+
+
+def _rem(f, g):
+    while len(f) >= len(g):
+        c = f[0] / g[0]
+        f = _trim([a - c * b for a, b in zip(f, g + [0] * (len(f) - len(g)))][1:])
+    return f
+
+
+def _gcd(f, g):
+    while g:
+        f, g = g, _rem(f, g)
+    return [c / f[0] for c in f]
+
+
+def _distinct_real_roots(p):
+    chain = [p, _deriv(p)]
+    while chain[-1]:
+        chain.append([-c for c in _rem(chain[-2], chain[-1])])
+    chain = [f for f in chain if f]
+
+    def changes(signs):
+        signs = [s for s in signs if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    at_plus = [1 if f[0] > 0 else -1 for f in chain]
+    at_minus = [s * (-1) ** (len(f) - 1) for s, f in zip(at_plus, chain)]
+    return changes(at_minus) - changes(at_plus)
+
+
+def reference_kind(q: BinaryQuartic) -> Kind:
+    if q.a0 < 0:
+        return Kind.INDEFINITE
+    p = _trim([q.a0, 4 * q.a1, 6 * q.a2, 4 * q.a3, q.a4])
+    if not p:
+        return Kind.PSD_NOT_PD
+    counts, g = [], p  # counts[k]: distinct real roots of multiplicity > k
+    while len(g) > 1:
+        counts.append(_distinct_real_roots(g))
+        g = _gcd(g, _deriv(g))
+    counts += [0] * (5 - len(counts))
+    odd = sum(counts[k] - counts[k + 1] for k in (0, 2))
+    if p[0] < 0 or odd:
+        return Kind.INDEFINITE
+    return Kind.POSITIVE_DEFINITE if q.a0 > 0 and counts[0] == 0 else Kind.PSD_NOT_PD
+
+
+def form(*factors):
+    """The binary quartic that is the product of binary forms given by
+    their coefficient lists [c_x^k, ..., c_y^k]."""
+    prod = [Fraction(1)]
+    for f in factors:
+        out = [Fraction(0)] * (len(prod) + len(f) - 1)
+        for i, a in enumerate(prod):
+            for j, b in enumerate(f):
+                out[i + j] += a * Fraction(b)
+        prod = out
+    assert len(prod) == 5
+    c0, c1, c2, c3, c4 = prod
+    return BinaryQuartic(c0, c1 / 4, c2 / 6, c3 / 4, c4)
+
+
+def lin(r):
+    """x - r*y"""
+    return [1, -Fraction(r)]
+
+
+def pd_quad(alpha, beta, gamma):
+    """alpha*(x + beta*y)^2 + gamma*y^2"""
+    alpha, beta, gamma = (Fraction(v) for v in (alpha, beta, gamma))
+    return [alpha, 2 * alpha * beta, alpha * beta * beta + gamma]
+
+
+def minus_delta(q, delta):
+    delta = Fraction(delta)
+    return BinaryQuartic(q.a0 - delta, q.a1, q.a2, q.a3, q.a4 - delta)
+
+
+def assert_exact(q, expected=None):
+    """classify agrees with the root-count reference (and with ``expected``),
+    and an indefinite verdict carries an exactly negative witness."""
+    v = classify(q)
+    assert v.kind is reference_kind(q), (q, v)
+    if expected is not None:
+        assert v.kind is expected, (q, v)
+    if v.kind is Kind.INDEFINITE:
+        assert v.witness is not None, (q, v)
+        assert q.value(v.witness) < 0, (q, v)
+    return v
+
+
+ROOTS = [Fraction(r) for r in (0, 1, -1, "1/2", "-3/4", "5/7", "-9/5", "1/1024", 3)]
+PD_QUADS = [(1, 0, 1), ("1/3", "-2", "1/5"), (2, "3/7", "1/100"), ("1/4", 1, 4)]
+SCALES = [1, "7/3", Fraction(10) ** 12, Fraction(10) ** -12]
+
+
+class TestExactWitness:
+    def test_dyadic_roots(self):
+        # every root is dyadic, so the midpoint of the root bound hits one
+        q = bq("9/20", "9/80", "-7/45", "1/5", "26/15")
+        assert_exact(q, Kind.INDEFINITE)
+
+    def test_irrational_double_root_perturbed(self):
+        # (t^2 - 2)^2 - 10^-40: negative only within 1e-20 of sqrt(2)
+        q = bq(1, 0, "-2/3", 0, 4 - Fraction(1, 10**40))
+        assert_exact(q, Kind.INDEFINITE)
+        assert_exact(bq(1, 0, "-2/3", 0, 4), Kind.PSD_NOT_PD)
+
+    def test_tiny_odd_term(self):
+        # negative only for t below about -1.5e30
+        q = bq(0, Fraction(1, 10**30), 1, 0, 1)
+        assert_exact(q, Kind.INDEFINITE)
+        assert_exact(q.swapped(), Kind.INDEFINITE)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_perfect_squares_and_double_roots(self, scale):
+        for r in ROOTS:
+            for s in ROOTS:
+                q = form([scale], lin(r), lin(r), lin(s), lin(s))
+                assert_exact(q, Kind.PSD_NOT_PD)
+                assert_exact(q.swapped(), Kind.PSD_NOT_PD)
+            # a double root with a sign change elsewhere
+            assert_exact(form([scale], lin(r), lin(r), lin(r + Fraction(1, 3)), lin(-2)), Kind.INDEFINITE)
+            for quad in PD_QUADS:
+                assert_exact(form([scale], lin(r), lin(r), pd_quad(*quad)), Kind.PSD_NOT_PD)
+                # the double root pushed below zero
+                q = form([scale], lin(r), lin(r), pd_quad(*quad))
+                for delta in (Fraction(1, 10**4), Fraction(1, 10**16)):
+                    assert_exact(minus_delta(q, delta * Fraction(scale)), Kind.INDEFINITE)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_products_of_pd_quadratics(self, scale):
+        for f in PD_QUADS:
+            for g in PD_QUADS:
+                q = form([scale], pd_quad(*f), pd_quad(*g))
+                assert_exact(q, Kind.POSITIVE_DEFINITE)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_simple_real_roots(self, scale):
+        for r in ROOTS:
+            for s in ROOTS:
+                if r != s:
+                    q = form([scale], lin(r), lin(s), pd_quad(1, 0, 1))
+                    assert_exact(q, Kind.INDEFINITE)
+                    assert_exact(q.swapped(), Kind.INDEFINITE)
+
+    def test_all_zero_diagonal_shapes(self):
+        vals = [-1, 0, "1/3", 1, 2]
+        for a1 in vals:
+            for a2 in vals:
+                for a3 in vals:
+                    for a4 in (0, "1/2", 1):
+                        q = bq(0, a1, a2, a3, a4)
+                        assert_exact(q)
+                        assert_exact(q.swapped())
+
+    def test_fast_path_witnesses(self):
+        for a1 in (-1, "-1/2", 0, "1/3", 1):
+            for a3 in (-1, "-2/3", 0, "1/2", 1):
+                q = bq(1, a1, 1, a3, 1)
+                v = check_normalized_pm1(q)
+                assert v.kind is reference_kind(q)
+                if v.kind is Kind.INDEFINITE:
+                    assert q.value(v.witness) < 0
+        for a1 in (-1, 1):
+            for a3 in (-1, 1):
+                q = bq(1, a1, -1, a3, 1)
+                v = check_normalized_pm1(q)
+                assert v.kind is Kind.INDEFINITE
+                assert q.value(v.witness) < 0
+
+    def test_negative_point_none_when_nonnegative(self):
+        F = Fraction
+        assert _negative_point([F(1), F(0), F(-4), F(0), F(4)]) is None  # (t^2 - 2)^2
+        assert _negative_point([F(1), F(0), F(0), F(0), F(1)]) is None
+        assert _negative_point([F(0)] * 5) is None
+        assert _negative_point([F(0), F(0), F(0), F(0), F(-1)]) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12), min_size=5, max_size=5))
+def test_random_rational_quartics_have_exact_witnesses(coeffs):
+    assert_exact(BinaryQuartic(*coeffs))
