@@ -1,8 +1,8 @@
 """Positive definiteness of 4th-order symmetric tensors (quartic forms).
 
 Exact analytic criteria for binary quartics and a cyclic ternary family,
-a numeric sphere-minimization oracle, and a verification harness for a
-catalog of ternary quartic inequalities.
+a numeric sphere-minimization oracle, the staged pipeline ``classify``
+over them, and a verification harness for ternary quartic inequalities.
 """
 
 from .binary import (
@@ -36,6 +36,7 @@ from .oracle import (
     sphere_minimize,
     zero_set_probe,
 )
+from .pipeline import classify
 from .quadext import QuadExt, sqrt_eq, sqrt_leq, sqrt_lt
 from .tensor import SymmetricTensor4, diag_ones, multiplicity, rank_one, symmetrize
 from .verdict import Kind, PatternMismatchError, Verdict
@@ -57,6 +58,7 @@ __all__ = [
     "WeightedInequality",
     "builtin_catalog",
     "check_normalized_pm1",
+    "classify",
     "classify_binary",
     "classify_cyclic",
     "classify_numeric",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .quadext import QuadExt
+from .quadext import QuadExt, _sign
 from .verdict import Kind, PatternMismatchError, Verdict, as_fraction
 
 
@@ -82,35 +82,18 @@ def discriminant_parts(q: BinaryQuartic) -> DiscriminantParts:
     a0, a1, a2, a3, a4 = q
     eta = a0 * a4 - 4 * a1 * a3 + 3 * a2 * a2
     chi = a0 * a2 * a4 + 2 * a1 * a2 * a3 - a2**3 - a0 * a3 * a3 - a1 * a1 * a4
-    d = eta**3 - 27 * chi * chi
-    return DiscriminantParts(eta, chi, (d > 0) - (d < 0))
-
-
-def _sign(v: Fraction) -> int:
-    return (v > 0) - (v < 0)
+    return DiscriminantParts(eta, chi, _sign(eta**3 - 27 * chi * chi))
 
 
 # -- the radical criterion (positive diagonals only) ---------------------
 
 
-def _difference_bound(q: BinaryQuartic, s: Fraction) -> bool:
-    """|a1*sqrt(a4) - a3*sqrt(a0)| <= sqrt(6*a0*a2*a4 + 2*sqrt(s^3))."""
+def _radical_bound(q: BinaryQuartic, s: Fraction, sign: int) -> bool:
+    """|a1*sqrt(a4) - sign*a3*sqrt(a0)| <= sqrt(6*a0*a2*a4 + sign*2*sqrt(s^3)),
+    both sides multiplied by sqrt(a0) > 0 so that they lie in Q[sqrt(s)]."""
     a0, a1, a2, a3, a4 = q
-    lhs_sq = QuadExt(a1 * a1 * a4 + a3 * a3 * a0, -2 * a1 * a3, s)
-    radicand = QuadExt(6 * a0 * a2 * a4, 2 * s, s)
-    if radicand.sign() < 0:
-        return False
-    return (radicand - lhs_sq).sign() >= 0
-
-
-def _sum_bound(q: BinaryQuartic, s: Fraction) -> bool:
-    """|a1*sqrt(a4) + a3*sqrt(a0)| <= sqrt(6*a0*a2*a4 - 2*sqrt(s^3))."""
-    a0, a1, a2, a3, a4 = q
-    lhs_sq = QuadExt(a1 * a1 * a4 + a3 * a3 * a0, 2 * a1 * a3, s)
-    radicand = QuadExt(6 * a0 * a2 * a4, -2 * s, s)
-    if radicand.sign() < 0:
-        return False
-    return (radicand - lhs_sq).sign() >= 0
+    lhs = QuadExt(-sign * a0 * a3, a1, s)
+    return lhs.abs_le_sqrt_of(QuadExt(6 * a0 * a2 * s, sign * 2 * a0 * s, s))
 
 
 def _case_i(q: BinaryQuartic, s: Fraction, strict_lower: bool) -> bool:
@@ -122,7 +105,7 @@ def _case_i(q: BinaryQuartic, s: Fraction, strict_lower: bool) -> bool:
 
 def _case_ii(q: BinaryQuartic, s: Fraction) -> bool:
     """a2 > sqrt(s) together with the sum-radical bound."""
-    return QuadExt(q.a2, -1, s).sign() > 0 and _sum_bound(q, s)
+    return QuadExt(q.a2, -1, s).sign() > 0 and _radical_bound(q, s, -1)
 
 
 def _pd_rule(q: BinaryQuartic, parts: DiscriminantParts, s: Fraction) -> Optional[str]:
@@ -137,7 +120,7 @@ def _pd_rule(q: BinaryQuartic, parts: DiscriminantParts, s: Fraction) -> Optiona
         return None
     if parts.delta_sign < 0:
         return None
-    if not _difference_bound(q, s):
+    if not _radical_bound(q, s, 1):
         return None
     if _case_i(q, s, strict_lower=True):
         return "positive-discriminant(i)"
@@ -149,7 +132,7 @@ def _pd_rule(q: BinaryQuartic, parts: DiscriminantParts, s: Fraction) -> Optiona
 def _psd_rule(q: BinaryQuartic, parts: DiscriminantParts, s: Fraction) -> Optional[str]:
     if parts.delta_sign < 0:
         return None
-    if not _difference_bound(q, s):
+    if not _radical_bound(q, s, 1):
         return None
     if _case_i(q, s, strict_lower=False):
         return "nonnegative-discriminant(i)"

@@ -32,6 +32,15 @@ _PD_HI_CORE = Fraction(-1, 6)
 _SPLIT = Fraction(-5, 18)
 _SPLIT_CORE = Fraction(-1, 4)
 
+# orbit name -> its canonical slots; the e-slots are e123, e223, e233 in order
+_ORBITS = {
+    "a": ((1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3)),
+    "b": ((1, 1, 1, 2), (2, 2, 2, 3), (1, 3, 3, 3)),
+    "c": ((1, 1, 1, 3), (1, 2, 2, 2), (2, 3, 3, 3)),
+    "d": ((1, 1, 2, 2), (1, 1, 3, 3), (2, 2, 3, 3)),
+    "e": ((1, 1, 2, 3), (1, 2, 2, 3), (1, 2, 3, 3)),
+}
+
 
 @dataclass(frozen=True)
 class CyclicTernary:
@@ -78,26 +87,24 @@ def embed(ct: Union[CyclicTernary, RelaxedCyclicTernary]) -> SymmetricTensor4:
     """Populate all 15 canonical entries of the n=3 tensor."""
     if isinstance(ct, CyclicTernary):
         ct = ct.relaxed()
-    return SymmetricTensor4(
-        3,
-        {
-            (1, 1, 1, 1): ct.a,
-            (2, 2, 2, 2): ct.a,
-            (3, 3, 3, 3): ct.a,
-            (1, 1, 1, 2): ct.b,
-            (2, 2, 2, 3): ct.b,
-            (1, 3, 3, 3): ct.b,
-            (1, 1, 1, 3): ct.c,
-            (1, 2, 2, 2): ct.c,
-            (2, 3, 3, 3): ct.c,
-            (1, 1, 2, 2): ct.d,
-            (1, 1, 3, 3): ct.d,
-            (2, 2, 3, 3): ct.d,
-            (1, 1, 2, 3): ct.e123,
-            (1, 2, 2, 3): ct.e223,
-            (1, 2, 3, 3): ct.e233,
-        },
-    )
+    entries = {idx: getattr(ct, name) for name in "abcd" for idx in _ORBITS[name]}
+    entries.update(zip(_ORBITS["e"], (ct.e123, ct.e223, ct.e233)))
+    return SymmetricTensor4(3, entries)
+
+
+def detect(T: SymmetricTensor4) -> Optional[Union[CyclicTernary, RelaxedCyclicTernary]]:
+    """Recognize the cyclic orbit pattern in a dim-3 tensor, allowing the
+    three x1*x2*x3-type slots to differ (relaxed pattern)."""
+    if T.dim != 3:
+        return None
+    orbits = [{T[idx] for idx in _ORBITS[name]} for name in "abcd"]
+    if any(len(vs) != 1 for vs in orbits):
+        return None
+    vals = [vs.pop() for vs in orbits]
+    e = [T[idx] for idx in _ORBITS["e"]]
+    if e[0] == e[1] == e[2]:
+        return CyclicTernary(*vals, e[0])
+    return RelaxedCyclicTernary(*vals, *e)
 
 
 def _require_normalized(ct: CyclicTernary) -> None:

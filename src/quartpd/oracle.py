@@ -15,7 +15,7 @@ analytic modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -77,15 +77,13 @@ def _grid(dim: int, n_points: int, seed: int) -> np.ndarray:
         theta = np.linspace(0.0, 2 * math.pi, n_points, endpoint=False)
         theta = theta + rng.uniform(-0.5, 0.5, n_points) * (2 * math.pi / n_points)
         return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    if dim == 3:
-        i = np.arange(n_points)
-        z = 1.0 - 2.0 * (i + 0.5) / n_points
-        phi = 2 * math.pi * i / _GOLDEN
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-        pts = pts + rng.normal(0.0, 0.2 / math.sqrt(n_points), pts.shape)
-        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    raise ValueError(f"oracle supports dim 2 or 3, got {dim}")
+    i = np.arange(n_points)
+    z = 1.0 - 2.0 * (i + 0.5) / n_points
+    phi = 2 * math.pi * i / _GOLDEN
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    pts = pts + rng.normal(0.0, 0.2 / math.sqrt(n_points), pts.shape)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def _forms_and_cubics(Td: np.ndarray, X: np.ndarray):
@@ -144,17 +142,29 @@ def _refine_batch(Td: np.ndarray, X0: np.ndarray, cfg: OracleConfig):
     return X, vals, iters
 
 
-def sphere_minimize(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> OracleResult:
-    import numpy as np
-
+def _sample(T: SymmetricTensor4, n_points: int, seed: int):
+    """The dense tensor, an n_points grid and the form's values on it."""
     if T.dim not in (2, 3):
         raise ValueError(f"oracle supports dim 2 or 3, got {T.dim}")
     Td = T.dense()
-    X = _grid(T.dim, cfg.effective_grid(T.dim), cfg.seed)
+    X = _grid(T.dim, n_points, seed)
     vals, _ = _forms_and_cubics(Td, X)
-    k = min(cfg.refine_top_k, len(X))
-    order = np.argsort(vals, kind="stable")[:k]
-    refined, rvals, iters = _refine_batch(Td, X[order], cfg)
+    return Td, X, vals
+
+
+def _polish(Td: np.ndarray, X: np.ndarray, keys: np.ndarray, k: int, cfg: OracleConfig):
+    """Refine the k grid points with the smallest keys (ties by grid order)."""
+    import numpy as np
+
+    order = np.argsort(keys, kind="stable")[:k]
+    return _refine_batch(Td, X[order], cfg)
+
+
+def sphere_minimize(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> OracleResult:
+    import numpy as np
+
+    Td, X, vals = _sample(T, cfg.effective_grid(T.dim), cfg.seed)
+    refined, rvals, iters = _polish(Td, X, vals, min(cfg.refine_top_k, len(X)), cfg)
     best = int(np.lexsort((*(refined.T[::-1]), rvals))[0])
     min_value = float(rvals[best])
     minimizer = _canonical_sign(refined[best] / np.linalg.norm(refined[best]))
@@ -212,9 +222,7 @@ def _positivity_witness(T: SymmetricTensor4, cfg: OracleConfig) -> Optional[tupl
     """Some grid direction with a clearly positive form value, if any."""
     import numpy as np
 
-    Td = T.dense()
-    X = _grid(T.dim, min(cfg.effective_grid(T.dim), 512), cfg.seed)
-    vals, _ = _forms_and_cubics(Td, X)
+    _, X, vals = _sample(T, min(cfg.effective_grid(T.dim), 512), cfg.seed)
     i = int(np.argmax(vals))
     if vals[i] > cfg.classify_margin:
         return tuple(float(v) for v in _canonical_sign(X[i]))
@@ -232,14 +240,9 @@ def zero_set_probe(
     """
     import numpy as np
 
-    if T.dim not in (2, 3):
-        raise ValueError(f"oracle supports dim 2 or 3, got {T.dim}")
-    Td = T.dense()
-    X = _grid(T.dim, cfg.effective_grid(T.dim), cfg.seed)
-    vals, _ = _forms_and_cubics(Td, X)
+    Td, X, vals = _sample(T, cfg.effective_grid(T.dim), cfg.seed)
     k = min(max(cfg.refine_top_k, 200), len(X))
-    order = np.argsort(np.abs(vals), kind="stable")[:k]
-    refined, rvals, _ = _refine_batch(Td, X[order], cfg)
+    refined, rvals, _ = _polish(Td, X, np.abs(vals), k, cfg)
     zeros = refined[np.abs(rvals) <= cfg.classify_margin]
     reps: List[np.ndarray] = []
     for z in zeros:

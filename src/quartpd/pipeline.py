@@ -1,0 +1,121 @@
+"""Classification as a staged pipeline: an exact necessary-condition
+prefilter, then family rules for cyclic patterns, then the exact binary
+criterion, and finally the numeric sphere oracle.  The final verdict is
+the first decisive stage's verdict.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import time
+from dataclasses import astuple
+from fractions import Fraction
+from typing import Dict, List, Optional, Tuple
+
+from . import binary as binmod
+from .cyclic import CyclicTernary, classify_cyclic, classify_relaxed, detect
+from .oracle import OracleConfig, classify_numeric
+from .tensor import SymmetricTensor4
+from .tensorio import ParsedInput, describe, to_tensor
+from .verdict import Kind, PatternMismatchError, Verdict
+
+
+def _principal_binary(T: SymmetricTensor4, i: int, j: int) -> binmod.BinaryQuartic:
+    return binmod.BinaryQuartic(
+        T[(i, i, i, i)], T[(i, i, i, j)], T[(i, i, j, j)], T[(i, j, j, j)], T[(j, j, j, j)]
+    )
+
+
+def _stage_prefilter(T: SymmetricTensor4) -> Tuple[Verdict, Dict[Tuple[int, int], Verdict]]:
+    """Exact principal-subtensor screen: semidefiniteness is inherited by
+    principal subtensors, so any indefinite 2-dim restriction refutes it.
+
+    Also returns the verdict of every principal binary it classified; for
+    dim 2 the (1,2) binary is the whole form, which the analytic stage reuses.
+    """
+    pairs = [(i, j) for i in range(1, T.dim + 1) for j in range(i + 1, T.dim + 1)]
+    binaries: Dict[Tuple[int, int], Verdict] = {}
+    for i in range(1, T.dim + 1):
+        if T[(i, i, i, i)] < 0:
+            w = tuple(Fraction(int(k == i)) for k in range(1, T.dim + 1))
+            return Verdict(Kind.INDEFINITE, f"negative-diagonal t{i}{i}{i}{i}", witness=w), binaries
+    if T.dim == 1:  # the form is t1111 * x^4
+        if T[(1, 1, 1, 1)] > 0:
+            return Verdict(Kind.POSITIVE_DEFINITE, "positive-diagonal t1111"), binaries
+        return Verdict(Kind.PSD_NOT_PD, "zero-diagonal t1111", witness=(Fraction(1),)), binaries
+    for i, j in pairs:
+        v = binaries[(i, j)] = binmod.classify(_principal_binary(T, i, j))
+        if v.kind is Kind.INDEFINITE:
+            w = [Fraction(0)] * T.dim
+            w[i - 1], w[j - 1] = v.witness
+            verdict = Verdict(
+                Kind.INDEFINITE, f"principal-subtensor({i},{j}):{v.rule}", witness=tuple(w)
+            )
+            return verdict, binaries
+    return Verdict(Kind.UNDETERMINED, "prefilter-passed"), binaries
+
+
+def _stage_family(T: SymmetricTensor4, trace: List[dict]) -> Verdict:
+    ct = detect(T)
+    if ct is None:
+        return Verdict(Kind.UNDETERMINED, "no-cyclic-pattern")
+    if ct.a > 0 and ct.a != 1:
+        # verdicts are invariant under positive scaling; normalize to a = 1
+        scale = 1 / ct.a
+        trace.append({"stage": "rescale", "factor": str(scale)})
+        ct = type(ct)(*(scale * v for v in astuple(ct)))
+    classifier = classify_cyclic if isinstance(ct, CyclicTernary) else classify_relaxed
+    try:
+        return classifier(ct).verdict
+    except PatternMismatchError:
+        return Verdict(Kind.UNDETERMINED, "outside-family-hypotheses")
+
+
+def classify(
+    parsed: ParsedInput,
+    cfg: OracleConfig = OracleConfig(),
+    oracle_only: bool = False,
+    analytic_only: bool = False,
+) -> dict:
+    """Run the pipeline on a parsed input and return the schema-1 report:
+    the input and its digest, one trace entry per stage run, the final
+    verdict and stage timings.  The prefilter decides dim 1 outright; the
+    oracle covers dims 2 and 3 only, so dim >= 4 can end undetermined."""
+    T = to_tensor(parsed)
+    desc = describe(parsed)
+    digest = hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()
+    trace: List[dict] = []
+    final: Optional[Verdict] = None
+    timings = {}
+
+    def record(stage: str, verdict: Verdict):
+        nonlocal final
+        trace.append({"stage": stage, **verdict.to_dict()})
+        if final is None and verdict.kind is not Kind.UNDETERMINED:
+            final = verdict
+
+    if not oracle_only:
+        t0 = time.perf_counter()
+        verdict, binaries = _stage_prefilter(T)
+        record("prefilter", verdict)
+        if final is None and T.dim == 3:
+            record("family", _stage_family(T, trace))
+        if final is None and T.dim == 2:
+            # the exact binary criterion, already run on the (1,2) binary
+            record("analytic", binaries[(1, 2)])
+        timings["analytic_s"] = time.perf_counter() - t0
+    if final is None and not analytic_only and T.dim in (2, 3):
+        t0 = time.perf_counter()
+        record("oracle", classify_numeric(T, cfg))
+        timings["oracle_s"] = time.perf_counter() - t0
+    if final is None:
+        final = Verdict(Kind.UNDETERMINED, "no-decisive-stage")
+    return {
+        "schema": 1,
+        "input": desc,
+        "digest": digest,
+        "trace": trace,
+        "verdict": final.to_dict(),
+        "timings": timings,
+    }

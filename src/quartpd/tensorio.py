@@ -19,15 +19,21 @@ A shorthand JSON form is also accepted:
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .binary import BinaryQuartic
-from .cyclic import CyclicTernary, RelaxedCyclicTernary
+from .cyclic import CyclicTernary, RelaxedCyclicTernary, embed
 from .tensor import SymmetricTensor4
 from .verdict import as_fraction
 
 ParsedInput = Union[BinaryQuartic, CyclicTernary, RelaxedCyclicTernary, SymmetricTensor4]
+
+
+# shorthand family name -> its class, whose fields are the coefficients in order
+_FAMILIES = {"binary": BinaryQuartic, "cyclic": CyclicTernary, "relaxed": RelaxedCyclicTernary}
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _FAMILIES.values()}
 
 
 class InputError(ValueError):
@@ -39,19 +45,13 @@ def parse_shorthand(family: str, coeffs: Sequence[str]) -> ParsedInput:
         vals = [as_fraction(c) for c in coeffs]
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError(f"coefficient: {exc}") from exc
-    if family == "binary":
-        if len(vals) != 5:
-            raise InputError(f"family 'binary' needs 5 coefficients, got {len(vals)}")
-        return BinaryQuartic(*vals)
-    if family == "cyclic":
-        if len(vals) != 5:
-            raise InputError(f"family 'cyclic' needs 5 coefficients, got {len(vals)}")
-        return CyclicTernary(*vals)
-    if family == "relaxed":
-        if len(vals) != 7:
-            raise InputError(f"family 'relaxed' needs 7 coefficients, got {len(vals)}")
-        return RelaxedCyclicTernary(*vals)
-    raise InputError(f"family: unknown family {family!r}")
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise InputError(f"family: unknown family {family!r}")
+    arity = len(_FIELD_NAMES[cls])
+    if len(vals) != arity:
+        raise InputError(f"family {family!r} needs {arity} coefficients, got {len(vals)}")
+    return cls(*vals)
 
 
 def parse_document(doc: dict) -> ParsedInput:
@@ -104,8 +104,6 @@ def load(path: str) -> ParsedInput:
 
 
 def to_tensor(parsed: ParsedInput) -> SymmetricTensor4:
-    from .cyclic import embed
-
     if isinstance(parsed, SymmetricTensor4):
         return parsed
     if isinstance(parsed, BinaryQuartic):
@@ -114,29 +112,10 @@ def to_tensor(parsed: ParsedInput) -> SymmetricTensor4:
 
 
 def describe(parsed: ParsedInput) -> dict:
-    if isinstance(parsed, BinaryQuartic):
-        return {"family": "binary", "coeffs": [str(v) for v in parsed]}
-    if isinstance(parsed, CyclicTernary):
-        return {
-            "family": "cyclic",
-            "coeffs": [str(v) for v in (parsed.a, parsed.b, parsed.c, parsed.d, parsed.e)],
-        }
-    if isinstance(parsed, RelaxedCyclicTernary):
-        return {
-            "family": "relaxed",
-            "coeffs": [
-                str(v)
-                for v in (
-                    parsed.a,
-                    parsed.b,
-                    parsed.c,
-                    parsed.d,
-                    parsed.e123,
-                    parsed.e223,
-                    parsed.e233,
-                )
-            ],
-        }
+    for family, cls in _FAMILIES.items():
+        if isinstance(parsed, cls):
+            coeffs = [str(getattr(parsed, name)) for name in _FIELD_NAMES[cls]]
+            return {"family": family, "coeffs": coeffs}
     return {
         "dim": parsed.dim,
         "entries": [

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import quartpd
 from quartpd.binary import BinaryQuartic
-from quartpd.cli import main, run_check
+from quartpd.cli import main
 from quartpd.cyclic import CyclicTernary, RelaxedCyclicTernary, embed
 from quartpd.oracle import OracleConfig
 from quartpd.tensor import SymmetricTensor4
@@ -78,7 +83,7 @@ class TestPipeline:
     CFG = OracleConfig(grid_points=2000)
 
     def test_family_stage_decides(self):
-        rep = run_check(
+        rep = quartpd.classify(
             CyclicTernary.of(1, -1, 1, 1, "-1/6"), self.CFG, False, False
         )
         assert rep["verdict"]["kind"] == "positive-definite"
@@ -86,7 +91,7 @@ class TestPipeline:
         assert stages == ["prefilter", "family"]
 
     def test_rescale_stage(self):
-        rep = run_check(CyclicTernary.of(2, -2, 2, 2, "-1/3"), self.CFG, False, False)
+        rep = quartpd.classify(CyclicTernary.of(2, -2, 2, 2, "-1/3"), self.CFG, False, False)
         assert rep["verdict"]["kind"] == "positive-definite"
         assert any(s.get("stage") == "rescale" for s in rep["trace"])
 
@@ -96,29 +101,72 @@ class TestPipeline:
             BinaryQuartic.of(1, -1, 1, 1, 1),
             CyclicTernary.of(1, 1, 1, 1, "-7/12"),
         ):
-            a = run_check(parsed, self.CFG, False, False)
-            b = run_check(parsed, self.CFG, True, False)
+            a = quartpd.classify(parsed, self.CFG, False, False)
+            b = quartpd.classify(parsed, self.CFG, True, False)
             margin = b["verdict"]["margin"]
             if margin is not None and abs(margin) > 1e-6:
                 assert a["verdict"]["kind"] == b["verdict"]["kind"]
 
     def test_analytic_only_undetermined(self):
-        rep = run_check(CyclicTernary.of(1, -1, 1, 1, 0), self.CFG, False, True)
+        rep = quartpd.classify(CyclicTernary.of(1, -1, 1, 1, 0), self.CFG, False, True)
         assert rep["verdict"]["kind"] == "undetermined"
 
     def test_prefilter_catches_bad_subtensor(self):
         T = SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
                                  (1, 1, 1, 2): 5})
-        rep = run_check(T, self.CFG, False, False)
+        rep = quartpd.classify(T, self.CFG, False, False)
         assert rep["verdict"]["kind"] == "indefinite"
         assert rep["trace"][0]["stage"] == "prefilter"
 
     def test_determinism(self):
-        a = run_check(CyclicTernary.of(1, 1, -1, "3/2", 0), self.CFG, False, False)
-        b = run_check(CyclicTernary.of(1, 1, -1, "3/2", 0), self.CFG, False, False)
+        a = quartpd.classify(CyclicTernary.of(1, 1, -1, "3/2", 0), self.CFG, False, False)
+        b = quartpd.classify(CyclicTernary.of(1, 1, -1, "3/2", 0), self.CFG, False, False)
         a.pop("timings")
         b.pop("timings")
         assert a == b
+
+    @pytest.mark.parametrize(
+        "args, stage",
+        [
+            (["binary", "-1", "0", "1", "0", "1"], "prefilter"),  # negative diagonal
+            ([{(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1, (1, 1, 1, 2): 5}], "prefilter"),
+            (["cyclic", "2", "-2", "2", "2", "-1/3"], "family"),  # after a rescale
+            (["binary", "1", "0", "-1/3", "0", "1"], "analytic"),
+            (["cyclic", "1", "-1", "1", "1", "0"], "oracle"),
+        ],
+    )
+    def test_classify_matches_cli_report(self, runner, tmp_path, args, stage):
+        if isinstance(args[0], dict):
+            args = [write_tensor(tmp_path, 3, args[0])]
+        res = runner.invoke(main, ["check", *args, "--json", "--grid", "2000"])
+        cli_report = json.loads(res.output)
+        parsed = load(args[0]) if len(args) == 1 else parse_shorthand(args[0], args[1:])
+        report = quartpd.classify(parsed, self.CFG)
+        undecided = (None, "undetermined")
+        assert next(s["stage"] for s in report["trace"] if s.get("kind") not in undecided) == stage
+        cli_report.pop("timings")
+        report.pop("timings")
+        assert report == cli_report
+
+    def test_library_call_loads_neither_numpy_nor_click(self):
+        code = (
+            "import sys, quartpd; "
+            "quartpd.classify(quartpd.BinaryQuartic.of(1, 0, 1, 0, 1)); "
+            "print(sorted(m for m in ('numpy', 'click') if m in sys.modules))"
+        )
+        src = str(Path(quartpd.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+
+def write_tensor(tmp_path, dim, entries):
+    p = tmp_path / f"t{dim}.json"
+    doc = {"dim": dim, "entries": [{"index": list(i), "value": str(v)} for i, v in entries.items()]}
+    p.write_text(json.dumps(doc))
+    return str(p)
 
 
 class TestCli:
@@ -207,3 +255,62 @@ class TestCli:
     def test_inequalities_unknown_label(self, runner):
         res = runner.invoke(main, ["inequalities", "--only", "nope"])
         assert res.exit_code == 64
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "binary", "1", "0", "1", "0", "1", "--grid", "0"],
+            ["check", "binary", "1", "0", "1", "0", "1", "--margin", "2"],
+            ["minimize", "binary", "1", "0", "1", "0", "1", "--grid", "-5"],
+            ["check", "binary", "1", "0", "1", "0", "1", "--grid", "abc"],
+            ["inequalities", "--bogus"],
+        ],
+    )
+    def test_option_and_usage_errors_exit_64(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 64
+        assert isinstance(res.exception, SystemExit)
+        assert "input error:" in res.output or "Error:" in res.output
+
+
+class TestDimensions:
+    def test_dim1_decided_exactly(self, runner, tmp_path):
+        for value, code, kind, witness in (
+            (1, 0, "positive-definite", None),
+            (0, 1, "positive-semidefinite-not-definite", ["1"]),
+            (-2, 2, "indefinite", ["1"]),
+        ):
+            path = write_tensor(tmp_path, 1, {(1, 1, 1, 1): value})
+            res = runner.invoke(main, ["check", path, "--json"])
+            assert res.exit_code == code
+            doc = json.loads(res.output)
+            assert doc["verdict"]["kind"] == kind
+            assert doc["verdict"]["witness"] == witness
+            assert [s["stage"] for s in doc["trace"]] == ["prefilter"]
+
+    def test_dim1_oracle_only_undetermined(self, runner, tmp_path):
+        path = write_tensor(tmp_path, 1, {(1, 1, 1, 1): 1})
+        res = runner.invoke(main, ["check", path, "--oracle-only"])
+        assert res.exit_code == 3
+
+    def test_dim4_skips_the_oracle(self, runner, tmp_path):
+        path = write_tensor(tmp_path, 4, {(i, i, i, i): 1 for i in range(1, 5)})
+        res = runner.invoke(main, ["check", path, "--json"])
+        assert res.exit_code == 3
+        doc = json.loads(res.output)
+        assert [s["stage"] for s in doc["trace"]] == ["prefilter"]
+        assert doc["verdict"]["rule"] == "no-decisive-stage"
+
+    def test_dim4_prefilter_still_refutes(self, runner, tmp_path):
+        path = write_tensor(tmp_path, 4, {(i, i, i, i): 1 for i in range(1, 5)} | {(3, 3, 3, 4): 5})
+        res = runner.invoke(main, ["check", path, "--json"])
+        assert res.exit_code == 2
+        doc = json.loads(res.output)
+        assert doc["verdict"]["rule"].startswith("principal-subtensor(3,4)")
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_minimize_other_dims_exit_64(self, runner, tmp_path, dim):
+        path = write_tensor(tmp_path, dim, {(i, i, i, i): 1 for i in range(1, dim + 1)})
+        res = runner.invoke(main, ["minimize", path])
+        assert res.exit_code == 64
+        assert isinstance(res.exception, SystemExit)
