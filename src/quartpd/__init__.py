@@ -11,7 +11,6 @@ from .binary import (
     check_normalized_pm1,
     classify as classify_binary,
     discriminant_parts,
-    prefilter_zero_diagonal,
 )
 from .cyclic import (
     CyclicTernary,
@@ -69,7 +68,6 @@ __all__ = [
     "exact_spot_check",
     "multiplicity",
     "necessity_bound_check",
-    "prefilter_zero_diagonal",
     "rank_one",
     "sphere_minimize",
     "sqrt_eq",

@@ -6,8 +6,9 @@ case split on the sign of eta^3 - 27*chi^2 together with radical bounds;
 every radical comparison is rewritten as an exact rational predicate in
 Q[sqrt(a0*a4)], so all branch decisions are exact.
 
-The radical criterion assumes strictly positive diagonal entries; zero or
-negative diagonals are decided directly from the residual form.  Every
+The radical criterion assumes strictly positive diagonal entries.  A negative
+diagonal entry is its own witness; a zero one is decided by the exact root
+search below, which finds a t with q(t, 1) < 0 or proves there is none.  Every
 indefinite verdict carries an exact rational witness, found by isolating the
 real roots of q(t, 1) with a Sturm sequence.
 """
@@ -96,97 +97,40 @@ def _radical_bound(q: BinaryQuartic, s: Fraction, sign: int) -> bool:
     return lhs.abs_le_sqrt_of(QuadExt(6 * a0 * a2 * s, sign * 2 * a0 * s, s))
 
 
-def _case_i(q: BinaryQuartic, s: Fraction, strict_lower: bool) -> bool:
-    """-sqrt(s) (<|<=) 3*a2 <= 3*sqrt(s)."""
-    lower = QuadExt(3 * q.a2, 1, s).sign()
-    upper = QuadExt(q.a2, -1, s).sign()
-    return (lower > 0 if strict_lower else lower >= 0) and upper <= 0
+def _criterion(q: BinaryQuartic, s: Fraction) -> Optional[Verdict]:
+    """The PD or PSD verdict of the radical criterion for a0, a4 > 0 and
+    s = a0*a4, or None when it fails.
 
-
-def _case_ii(q: BinaryQuartic, s: Fraction) -> bool:
-    """a2 > sqrt(s) together with the sum-radical bound."""
-    return QuadExt(q.a2, -1, s).sign() > 0 and _radical_bound(q, s, -1)
-
-
-def _pd_rule(q: BinaryQuartic, parts: DiscriminantParts, s: Fraction) -> Optional[str]:
+    Past the boundary branch both kinds need delta >= 0, the difference-radical
+    bound and one of two cases: (i) -sqrt(s) <= 3*a2 <= 3*sqrt(s), or (ii)
+    a2 > sqrt(s) with the sum-radical bound.  PD needs delta > 0 and, in case
+    (i), -sqrt(s) < 3*a2.  The cases exclude each other, so each is tested once.
+    """
     a0, a1, a2, a3, a4 = q
-    if parts.delta_sign == 0:
+    delta_sign = discriminant_parts(q).delta_sign
+    if delta_sign < 0:
+        return None
+    upper = QuadExt(a2, -1, s).sign()
+    if delta_sign == 0:
         # boundary branch: double root of the resolvent, still definite
         slope_match = _sign(a1) == _sign(a3) and a1 * a1 * a4 == a3 * a3 * a0
         middle = QuadExt(3 * a0 * a2 - 2 * a1 * a1, -a0, s).sign() == 0
-        strict_top = QuadExt(a2, -1, s).sign() < 0
-        if slope_match and middle and strict_top:
-            return "boundary-discriminant"
-        return None
-    if parts.delta_sign < 0:
-        return None
+        if slope_match and middle and upper < 0:
+            return Verdict(Kind.POSITIVE_DEFINITE, "boundary-discriminant")
     if not _radical_bound(q, s, 1):
         return None
-    if _case_i(q, s, strict_lower=True):
-        return "positive-discriminant(i)"
-    if _case_ii(q, s):
-        return "positive-discriminant(ii)"
-    return None
-
-
-def _psd_rule(q: BinaryQuartic, parts: DiscriminantParts, s: Fraction) -> Optional[str]:
-    if parts.delta_sign < 0:
+    if upper <= 0:
+        lower = QuadExt(3 * a2, 1, s).sign()
+        if lower > 0 and delta_sign > 0:
+            return Verdict(Kind.POSITIVE_DEFINITE, "positive-discriminant(i)")
+        if lower >= 0:
+            return Verdict(Kind.PSD_NOT_PD, "nonnegative-discriminant(i)")
         return None
-    if not _radical_bound(q, s, 1):
+    if not _radical_bound(q, s, -1):
         return None
-    if _case_i(q, s, strict_lower=False):
-        return "nonnegative-discriminant(i)"
-    if _case_ii(q, s):
-        return "nonnegative-discriminant(ii)"
-    return None
-
-
-# -- degenerate diagonals ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrefilterResult:
-    passed: bool
-    reason: Optional[str] = None
-    residual: Optional[Verdict] = None
-
-
-def _quadratic_psd(A: Fraction, B: Fraction, C: Fraction) -> bool:
-    """A*u^2 + B*u + C >= 0 for all real u."""
-    if A > 0:
-        return B * B <= 4 * A * C
-    return A == 0 and B == 0 and C >= 0
-
-
-def _classify_zero_a0(q: BinaryQuartic) -> Verdict:
-    """a0 = a1 = 0 with a2, a4 >= 0, as the prefilter leaves it: the form is
-    x2^2 * (6*a2*x1^2 + 4*a3*x1*x2 + a4*x2^2)."""
-    if _quadratic_psd(6 * q.a2, 4 * q.a3, q.a4):
-        return Verdict(Kind.PSD_NOT_PD, "zero-diagonal", witness=(Fraction(1), Fraction(0)))
-    return Verdict(Kind.INDEFINITE, "zero-diagonal", witness=_witness(q))
-
-
-def prefilter_zero_diagonal(q: BinaryQuartic) -> PrefilterResult:
-    """Necessary conditions when a diagonal entry is nonpositive, plus the
-    direct verdict for the residual form when they pass."""
-    a0, a1, a2, a3, a4 = q
-    if a0 < 0:
-        return PrefilterResult(False, "t1111 < 0")
-    if a4 < 0:
-        return PrefilterResult(False, "t2222 < 0")
-    if a0 == 0 and a1 != 0:
-        return PrefilterResult(False, "t1111 = 0 but t1112 != 0")
-    if a4 == 0 and a3 != 0:
-        return PrefilterResult(False, "t2222 = 0 but t1222 != 0")
-    if (a0 == 0 or a4 == 0) and a2 < 0:
-        return PrefilterResult(False, "zero diagonal with t1122 < 0")
-    if a0 == 0:
-        return PrefilterResult(True, residual=_classify_zero_a0(q))
-    if a4 == 0:
-        v = _classify_zero_a0(q.swapped())
-        w = tuple(reversed(v.witness)) if v.witness else None
-        return PrefilterResult(True, residual=Verdict(v.kind, v.rule, witness=w))
-    return PrefilterResult(True)
+    if delta_sign > 0:
+        return Verdict(Kind.POSITIVE_DEFINITE, "positive-discriminant(ii)")
+    return Verdict(Kind.PSD_NOT_PD, "nonnegative-discriminant(ii)")
 
 
 # -- exact witness search ------------------------------------------------
@@ -345,18 +289,16 @@ def classify(q: BinaryQuartic) -> Verdict:
     if a4 < 0:
         return Verdict(Kind.INDEFINITE, "negative-diagonal", witness=(Fraction(0), Fraction(1)))
     if a0 == 0 or a4 == 0:
-        pre = prefilter_zero_diagonal(q)
-        if not pre.passed:
-            return Verdict(Kind.INDEFINITE, "zero-diagonal", witness=_witness(q))
-        return pre.residual
-    parts = discriminant_parts(q)
-    s = a0 * a4
-    rule = _pd_rule(q, parts, s)
-    if rule is not None:
-        return Verdict(Kind.POSITIVE_DEFINITE, rule)
-    rule = _psd_rule(q, parts, s)
-    if rule is not None:
-        return Verdict(Kind.PSD_NOT_PD, rule)
+        # q(x1, 0) = a0*x1^4 >= 0 and q = x2^4 * q(x1/x2, 1) otherwise, so q
+        # is PSD iff q(t, 1) >= 0 for all t; it vanishes on an axis, so never PD
+        t = _negative_point((a0, 4 * a1, 6 * a2, 4 * a3, a4))
+        if t is not None:
+            return Verdict(Kind.INDEFINITE, "zero-diagonal", witness=(t, Fraction(1)))
+        zero = (Fraction(1), Fraction(0)) if a0 == 0 else (Fraction(0), Fraction(1))
+        return Verdict(Kind.PSD_NOT_PD, "zero-diagonal", witness=zero)
+    verdict = _criterion(q, a0 * a4)
+    if verdict is not None:
+        return verdict
     return Verdict(Kind.INDEFINITE, "criterion-failed", witness=_witness(q))
 
 

@@ -16,7 +16,7 @@ from typing import NoReturn, Tuple
 import click
 
 from .inequalities import builtin_catalog, exact_spot_check, verify
-from .oracle import OracleConfig, sphere_minimize, zero_set_probe
+from .oracle import ConfigError, OracleConfig, sphere_minimize, zero_set_probe
 from .pipeline import classify
 from .tensorio import InputError, describe, load, parse_shorthand, to_tensor
 from .verdict import Kind
@@ -29,6 +29,9 @@ _EXIT = {
     Kind.UNDETERMINED: 3,
 }
 EXIT_INPUT_ERROR = 64
+
+# the OracleConfig field each oracle flag sets
+_FLAGS = {"grid_points": "--grid", "seed": "--seed", "classify_margin": "--margin"}
 
 
 def _input_error(message) -> NoReturn:
@@ -69,8 +72,8 @@ def _oracle_options(fn):
     def cmd(grid, seed, margin, **kwargs):
         try:
             cfg = OracleConfig(grid_points=grid, seed=seed, classify_margin=margin)
-        except ValueError as exc:
-            _input_error(exc)
+        except ConfigError as exc:
+            _input_error(f"{_FLAGS[exc.field]} {exc.requirement}")
         return fn(cfg=cfg, **kwargs)
 
     cmd = click.option("--grid", type=int, default=None, help="grid point count")(cmd)

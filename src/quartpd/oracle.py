@@ -31,6 +31,15 @@ if TYPE_CHECKING:
 _GOLDEN = (1 + math.sqrt(5)) / 2
 
 
+class ConfigError(ValueError):
+    """An out-of-range ``OracleConfig`` value; ``field`` names the field."""
+
+    def __init__(self, field: str, requirement: str):
+        super().__init__(f"{field} {requirement}")
+        self.field = field
+        self.requirement = requirement
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     grid_points: Optional[int] = None  # defaults: 4096 (n=2), 20000 (n=3)
@@ -42,11 +51,15 @@ class OracleConfig:
 
     def __post_init__(self):
         if self.grid_points is not None and self.grid_points <= 0:
-            raise ValueError("grid_points must be positive")
-        if self.refine_max_iters <= 0 or self.grad_tol <= 0:
-            raise ValueError("refinement parameters must be positive")
+            raise ConfigError("grid_points", "must be positive")
+        if self.refine_max_iters <= 0:
+            raise ConfigError("refine_max_iters", "must be positive")
+        if self.grad_tol <= 0:
+            raise ConfigError("grad_tol", "must be positive")
         if not 0 < self.classify_margin < 1:
-            raise ValueError("classify_margin must lie in (0, 1)")
+            raise ConfigError("classify_margin", "must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be nonnegative")
 
     def effective_grid(self, dim: int) -> int:
         if self.grid_points is not None:

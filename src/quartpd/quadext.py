@@ -43,16 +43,9 @@ class QuadExt:
             return 0
         return sp if d > 0 else sq
 
-    def __add__(self, other: "QuadExt") -> "QuadExt":
-        assert self.s == other.s
-        return QuadExt(self.p + other.p, self.q + other.q, self.s)
-
     def __sub__(self, other: "QuadExt") -> "QuadExt":
         assert self.s == other.s
         return QuadExt(self.p - other.p, self.q - other.q, self.s)
-
-    def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.p, -self.q, self.s)
 
     def square(self) -> "QuadExt":
         return QuadExt(

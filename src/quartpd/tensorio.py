@@ -40,6 +40,11 @@ class InputError(ValueError):
     """Malformed input file or shorthand; message names the offending field."""
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; JSON true and false load as bools, which are ints too."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_shorthand(family: str, coeffs: Sequence[str]) -> ParsedInput:
     try:
         vals = [as_fraction(c) for c in coeffs]
@@ -65,7 +70,7 @@ def parse_document(doc: dict) -> ParsedInput:
     if "dim" not in doc:
         raise InputError("dim: missing")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise InputError(f"dim: positive integer expected, got {dim!r}")
     entries = {}
     for i, ent in enumerate(doc.get("entries", [])):
@@ -75,7 +80,7 @@ def parse_document(doc: dict) -> ParsedInput:
         if (
             not isinstance(idx, list)
             or len(idx) != 4
-            or not all(isinstance(j, int) and 1 <= j <= dim for j in idx)
+            or not all(_is_int(j) and 1 <= j <= dim for j in idx)
         ):
             raise InputError(f"entries[{i}].index: 4 indices in 1..{dim} expected")
         try:

@@ -68,11 +68,12 @@ def as_fraction(value) -> Fraction:
     """Exact conversion of ints, Fractions and decimal/rational strings.
 
     Decimal strings are expanded in base 10 ("-1.2" -> -6/5); binary floats
-    are rejected so no rounding artifact can enter the exact path.
+    are rejected so no rounding artifact can enter the exact path, and so are
+    booleans, which Python counts as ints.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

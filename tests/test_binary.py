@@ -10,7 +10,6 @@ from quartpd.binary import (
     check_normalized_pm1,
     classify,
     discriminant_parts,
-    prefilter_zero_diagonal,
 )
 from quartpd.verdict import Kind, PatternMismatchError
 
@@ -73,21 +72,28 @@ class TestClassify:
         assert v.witness == (1, 0)
 
 
+def assert_zero_diagonal(q, expected):
+    """A zero-diagonal verdict: an INDEFINITE witness is (t, 1) with q < 0,
+    a PSD_NOT_PD witness is a nonzero root of q."""
+    v = classify(q)
+    assert (v.kind, v.rule) == (expected, "zero-diagonal"), (q, v)
+    if v.kind is Kind.INDEFINITE:
+        assert v.witness[1] == 1 and q.value(v.witness) < 0, (q, v)
+    else:
+        assert any(v.witness) and q.value(v.witness) == 0, (q, v)
+    return v
+
+
 class TestPrefilter:
     def test_pass_residual_psd(self):
-        res = prefilter_zero_diagonal(bq(0, 0, 1, 0, 1))
-        assert res.passed
-        assert res.residual.kind is Kind.PSD_NOT_PD
+        v = assert_zero_diagonal(bq(0, 0, 1, 0, 1), Kind.PSD_NOT_PD)
+        assert v.witness == (1, 0)
 
     def test_zero_diag_with_cubic_term(self):
-        res = prefilter_zero_diagonal(bq(0, 1, 1, 0, 1))
-        assert not res.passed
-        assert "t1112" in res.reason
+        assert_zero_diagonal(bq(0, 1, 1, 0, 1), Kind.INDEFINITE)
 
     def test_both_diags_zero_with_odd_term(self):
-        res = prefilter_zero_diagonal(bq(0, 0, 1, 1, 0))
-        assert not res.passed
-        assert "t1222" in res.reason
+        assert_zero_diagonal(bq(0, 0, 1, 1, 0), Kind.INDEFINITE)
 
     def test_classify_agrees_with_prefilter(self):
         assert classify(bq(0, 1, 1, 0, 1)).kind is Kind.INDEFINITE
@@ -374,7 +380,24 @@ class TestExactWitness:
         assert _negative_point([F(0), F(0), F(0), F(0), F(-1)]) == 0
 
 
+_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12), min_size=5, max_size=5))
+@given(st.lists(_coeff, min_size=5, max_size=5))
 def test_random_rational_quartics_have_exact_witnesses(coeffs):
     assert_exact(BinaryQuartic(*coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["a0", "a4", "both"]),
+    st.one_of(st.just(Fraction(0)), _coeff),
+    _coeff,
+    st.one_of(st.just(Fraction(0)), _coeff),
+    st.fractions(min_value=0, max_value=3, max_denominator=12),
+)
+def test_zero_diagonals_match_reference(zero, a1, a2, a3, diag):
+    a0, a4 = {"a0": (0, diag), "a4": (diag, 0), "both": (0, 0)}[zero]
+    q = BinaryQuartic(Fraction(a0), a1, a2, a3, Fraction(a4))
+    assert_zero_diagonal(q, reference_kind(q))

@@ -63,6 +63,20 @@ class TestParsing:
         with pytest.raises(InputError, match="5 coefficients"):
             parse_shorthand("binary", ["1", "2"])
 
+    def test_json_booleans_rejected(self, runner, tmp_path):
+        # JSON true/false load as Python bools, which are ints too
+        for doc, field in (
+            ({"dim": True, "entries": [{"index": [True, 1, 1, 1], "value": True}]}, "dim"),
+            ({"dim": 1, "entries": [{"index": [True, 1, 1, 1], "value": "1"}]}, "entries[0].index"),
+            ({"dim": 1, "entries": [{"index": [1, 1, 1, 1], "value": False}]}, "entries[0].value"),
+            ({"family": "binary", "coeffs": [True, 0, 1, 0, 1]}, "coefficient"),
+        ):
+            p = tmp_path / "bool.json"
+            p.write_text(json.dumps(doc))
+            res = runner.invoke(main, ["check", str(p)])
+            assert res.exit_code == 64
+            assert f"input error: {field}:" in res.output
+
     def test_conflicting_slot_values(self):
         doc = {
             "dim": 2,
@@ -264,6 +278,10 @@ class TestCli:
             ["minimize", "binary", "1", "0", "1", "0", "1", "--grid", "-5"],
             ["check", "binary", "1", "0", "1", "0", "1", "--grid", "abc"],
             ["inequalities", "--bogus"],
+            ["check", "binary", "1", "0", "1", "0", "1", "--margin", "nan"],
+            ["check", "binary", "1", "0", "1", "0", "1", "--oracle-only", "--seed", "-1"],
+            ["minimize", "binary", "1", "0", "1", "0", "1", "--seed", "-1"],
+            ["inequalities", "--only", "19u", "--seed", "-2"],
         ],
     )
     def test_option_and_usage_errors_exit_64(self, runner, args):
@@ -271,6 +289,9 @@ class TestCli:
         assert res.exit_code == 64
         assert isinstance(res.exception, SystemExit)
         assert "input error:" in res.output or "Error:" in res.output
+        # the offending flag is the last option of each argv, and is named
+        flag = next(a for a in reversed(args) if a.startswith("--"))
+        assert flag in res.output
 
 
 class TestDimensions:

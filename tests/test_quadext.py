@@ -49,10 +49,11 @@ def test_quadext_sign_matches_float(p, q, s):
 @settings(max_examples=200, deadline=None)
 def test_arithmetic(p1, q1, p2, q2, s):
     a, b = QuadExt(p1, q1, s), QuadExt(p2, q2, s)
-    total = a + b
-    assert total.p == p1 + p2 and total.q == q1 + q2
+    diff = a - b
+    assert diff.p == p1 - p2 and diff.q == q1 - q2
     assert (a - a).sign() == 0
-    assert (-a).sign() == -a.sign()
+    zero = QuadExt(Fraction(0), Fraction(0), s)
+    assert (zero - a).sign() == -a.sign()
 
 
 @given(q=fr, s=nonneg)
