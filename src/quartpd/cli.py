@@ -2,7 +2,8 @@
 :func:`quartpd.classify`.
 
 Exit codes: 0 positive definite, 1 positive semidefinite (strict or not),
-2 indefinite, 3 undetermined, 64 input error (also a bad option or usage).
+2 indefinite, 3 undetermined, 64 input error (also a bad option or usage),
+70 internal error (an unexpected exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ _EXIT = {
     Kind.UNDETERMINED: 3,
 }
 EXIT_INPUT_ERROR = 64
+EXIT_INTERNAL_ERROR = 70  # EX_SOFTWARE; 1 would read as a PSD verdict
 
 # the OracleConfig field each oracle flag sets
 _FLAGS = {"grid_points": "--grid", "seed": "--seed", "classify_margin": "--margin"}
@@ -85,7 +87,8 @@ def _oracle_options(fn):
 class _Group(click.Group):
     """A command group whose usage errors (unknown option, bad option value,
     unknown command) exit with the input-error code instead of click's 2,
-    which is the code of an indefinite verdict."""
+    which is the code of an indefinite verdict, and whose unexpected
+    exceptions exit with the internal-error code instead of a traceback."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -100,6 +103,11 @@ class _Group(click.Group):
         except click.UsageError as exc:
             exc.exit_code = EXIT_INPUT_ERROR
             raise
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise  # click's own control flow (Exit and Abort are RuntimeErrors)
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(EXIT_INTERNAL_ERROR)
 
 
 @click.group(cls=_Group)
@@ -134,8 +142,11 @@ def minimize(inputs, cfg, as_json):
     if T.dim not in (2, 3):
         _input_error(f"dim: minimize supports dim 2 or 3, got {T.dim}")
     t0 = time.perf_counter()
-    res = sphere_minimize(T, cfg)
-    zeros = zero_set_probe(T, cfg)
+    try:
+        res = sphere_minimize(T, cfg)
+        zeros = zero_set_probe(T, cfg)
+    except OverflowError as exc:  # an entry the float oracle cannot take
+        _input_error(exc)
     elapsed = time.perf_counter() - t0
     degenerate = T.is_zero()
     report = {

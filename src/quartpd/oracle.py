@@ -2,9 +2,15 @@
 
 Candidates come from a deterministic low-discrepancy grid (uniform angles
 on the circle for n=2, a spherical Fibonacci lattice for n=3) with seeded
-jitter.  The best candidates are polished by projected gradient descent
-with backtracking, the gradient step having its radial component removed
-and the iterate renormalized each step.
+jitter; a grid is built once per (dim, size, seed) and shared read-only.
+The best candidates are polished by projected gradient descent with
+backtracking, the gradient step having its radial component removed and
+the iterate renormalized each step.  Backtracking is a ladder: the trial
+steps alpha, alpha/2, alpha/4, ... of every active candidate are evaluated
+together in a few batched passes (4, then 12, then 24 rungs), and each
+candidate takes its first rung that passes the Armijo test.  Halving is
+exact in binary floating point, so this gives bit for bit the iterates of
+trying one halving at a time.
 
 A strictly positive sphere minimum certifies positive definiteness; a
 strictly negative value refutes semidefiniteness; values inside the
@@ -14,6 +20,7 @@ analytic modules.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +36,10 @@ if TYPE_CHECKING:
 # package (and every decision the exact stages settle) leaves it unloaded.
 
 _GOLDEN = (1 + math.sqrt(5)) / 2
+
+# rungs of the backtracking ladder evaluated per batch: most candidates
+# pass in the first, and the sum is the cap of 40 halvings per iteration
+_RUNG_BATCHES = (4, 12, 24)
 
 
 class ConfigError(ValueError):
@@ -83,6 +94,7 @@ def _canonical_sign(x: np.ndarray) -> np.ndarray:
 
 
 def _grid(dim: int, n_points: int, seed: int) -> np.ndarray:
+    """The jittered sphere grid; deterministic in (dim, n_points, seed)."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -99,6 +111,14 @@ def _grid(dim: int, n_points: int, seed: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+@functools.lru_cache(maxsize=8)
+def _cached_grid(dim: int, n_points: int, seed: int) -> np.ndarray:
+    """``_grid``, built once per argument triple and shared read-only."""
+    X = _grid(dim, n_points, seed)
+    X.flags.writeable = False
+    return X
+
+
 def _forms_and_cubics(Td: np.ndarray, X: np.ndarray):
     """Values Tx^4 and vectors Tx^3 for a batch of points (rows of X)."""
     import numpy as np
@@ -113,8 +133,12 @@ def _forms_and_cubics(Td: np.ndarray, X: np.ndarray):
 def _refine_batch(Td: np.ndarray, X0: np.ndarray, cfg: OracleConfig):
     """Projected gradient with per-candidate backtracking on the sphere.
 
-    Returns refined points, values and the iteration count of the longest
-    running candidate.
+    Each iteration tries the steps alpha, alpha/2, alpha/4, ... (at most
+    40 halvings, none below 1e-18) and takes the first that passes Armijo;
+    the rungs of all active candidates are evaluated together, in batches
+    of _RUNG_BATCHES rungs.  A candidate whose rungs all fail with the next
+    step below 1e-18 has stalled and stops.  Returns refined points, values
+    and the iteration count of the longest running candidate.
     """
     import numpy as np
 
@@ -131,27 +155,33 @@ def _refine_batch(Td: np.ndarray, X0: np.ndarray, cfg: OracleConfig):
         if not active.any():
             break
         iters = it + 1
-        moved = np.zeros(len(X), dtype=bool)
-        for _ in range(40):
-            idx = active & ~moved
-            if not idx.any():
+        pending = np.flatnonzero(active)
+        for width in _RUNG_BATCHES:
+            if pending.size == 0:
                 break
-            trial = X[idx] - alpha[idx, None] * gt[idx]
+            # halving is exact, so rung j is alpha * 2**-j to the last bit
+            steps = np.ldexp(alpha[pending, None], -np.arange(width))
+            trial = X[pending, None] - steps[..., None] * gt[pending, None]
+            trial = trial.reshape(-1, X.shape[1])
             trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
             tvals, tcub = _forms_and_cubics(Td, trial)
-            ok = tvals < vals[idx] - 1e-4 * alpha[idx] * gnorm2[idx]
-            sel = np.flatnonzero(idx)
-            good = sel[ok]
-            X[good] = trial[ok]
-            vals[good] = tvals[ok]
-            cub[good] = tcub[ok]
-            moved[good] = True
-            alpha[good] = np.minimum(alpha[good] * 2.0, 1.0)
-            bad = sel[~ok]
-            alpha[bad] *= 0.5
-            stuck = bad[alpha[bad] < 1e-18]
-            active[stuck] = False
-            moved[stuck] = True
+            bound = vals[pending, None] - 1e-4 * steps * gnorm2[pending, None]
+            # a rung below 1e-18 is never tried; valid rungs are a prefix
+            valid = steps >= 1e-18
+            ok = (tvals.reshape(steps.shape) < bound) & valid
+            hit = ok.any(axis=1)
+            first = ok.argmax(axis=1)[hit]
+            take = np.flatnonzero(hit) * width + first
+            good = pending[hit]
+            X[good] = trial[take]
+            vals[good] = tvals[take]
+            cub[good] = tcub[take]
+            alpha[good] = np.minimum(steps[hit, first] * 2.0, 1.0)
+            missed = pending[~hit]
+            alpha[missed] = np.ldexp(alpha[missed], -valid[~hit].sum(axis=1))
+            stalled = alpha[missed] < 1e-18
+            active[missed[stalled]] = False
+            pending = missed[~stalled]
     return X, vals, iters
 
 
@@ -160,17 +190,27 @@ def _sample(T: SymmetricTensor4, n_points: int, seed: int):
     if T.dim not in (2, 3):
         raise ValueError(f"oracle supports dim 2 or 3, got {T.dim}")
     Td = T.dense()
-    X = _grid(T.dim, n_points, seed)
+    X = _cached_grid(T.dim, n_points, seed)
     vals, _ = _forms_and_cubics(Td, X)
     return Td, X, vals
 
 
 def _polish(Td: np.ndarray, X: np.ndarray, keys: np.ndarray, k: int, cfg: OracleConfig):
     """Refine the k grid points with the smallest keys (ties by grid order)."""
+    return _refine_batch(Td, X[_top_k(keys, k)], cfg)
+
+
+def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")[:k]``, sorting only the keys at or
+    below the k-th smallest (NaN sorts last, as in argsort)."""
     import numpy as np
 
-    order = np.argsort(keys, kind="stable")[:k]
-    return _refine_batch(Td, X[order], cfg)
+    if 0 < k < len(keys):
+        kth = np.partition(keys, k - 1)[k - 1]
+        if not np.isnan(kth):
+            head = np.flatnonzero(keys <= kth)
+            return head[np.argsort(keys[head], kind="stable")][:k]
+    return np.argsort(keys, kind="stable")[:k]
 
 
 def sphere_minimize(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> OracleResult:

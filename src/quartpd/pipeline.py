@@ -81,7 +81,9 @@ def classify(
     """Run the pipeline on a parsed input and return the schema-1 report:
     the input and its digest, one trace entry per stage run, the final
     verdict and stage timings.  The prefilter decides dim 1 outright; the
-    oracle covers dims 2 and 3 only, so dim >= 4 can end undetermined."""
+    oracle covers dims 2 and 3 only, so dim >= 4 can end undetermined, as
+    does a tensor with an entry beyond float range that no exact stage
+    decides."""
     T = to_tensor(parsed)
     desc = describe(parsed)
     digest = hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()
@@ -107,7 +109,11 @@ def classify(
         timings["analytic_s"] = time.perf_counter() - t0
     if final is None and not analytic_only and T.dim in (2, 3):
         t0 = time.perf_counter()
-        record("oracle", classify_numeric(T, cfg))
+        try:
+            verdict = classify_numeric(T, cfg)
+        except OverflowError as exc:  # an entry the float oracle cannot take
+            verdict = Verdict(Kind.UNDETERMINED, f"oracle-skipped: {exc}")
+        record("oracle", verdict)
         timings["oracle_s"] = time.perf_counter() - t0
     if final is None:
         final = Verdict(Kind.UNDETERMINED, "no-decisive-stage")

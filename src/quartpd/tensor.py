@@ -157,13 +157,20 @@ class SymmetricTensor4:
         )
 
     def dense(self):
-        """Dense float array (0-indexed) for the numeric oracle."""
+        """Dense float array (0-indexed) for the numeric oracle.
+
+        Raises ``OverflowError`` naming the first entry a float cannot hold.
+        """
         import numpy as np
 
         n = self.dim
         out = np.zeros((n, n, n, n))
         for idx, v in self._entries.items():
-            fv = float(v)
+            try:
+                fv = float(v)
+            except OverflowError:
+                name = "t" + "".join(map(str, idx))
+                raise OverflowError(f"{name} is beyond float range") from None
             for perm in set(itertools.permutations(idx)):
                 out[tuple(i - 1 for i in perm)] = fv
         return out

@@ -72,8 +72,11 @@ def parse_document(doc: dict) -> ParsedInput:
     dim = doc["dim"]
     if not _is_int(dim) or dim < 1:
         raise InputError(f"dim: positive integer expected, got {dim!r}")
+    listed = doc.get("entries", [])
+    if not isinstance(listed, list):
+        raise InputError("entries: list expected")
     entries = {}
-    for i, ent in enumerate(doc.get("entries", [])):
+    for i, ent in enumerate(listed):
         if not isinstance(ent, dict) or "index" not in ent or "value" not in ent:
             raise InputError(f"entries[{i}]: object with 'index' and 'value' expected")
         idx = ent["index"]

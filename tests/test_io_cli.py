@@ -77,6 +77,15 @@ class TestParsing:
             assert res.exit_code == 64
             assert f"input error: {field}:" in res.output
 
+    def test_entries_must_be_a_list(self, runner, tmp_path):
+        with pytest.raises(InputError, match="entries: list expected"):
+            parse_document({"dim": 2, "entries": 5})
+        p = tmp_path / "entries.json"
+        p.write_text(json.dumps({"dim": 2, "entries": 5}))
+        res = runner.invoke(main, ["check", str(p)])
+        assert res.exit_code == 64
+        assert "input error: entries: list expected" in res.output
+
     def test_conflicting_slot_values(self):
         doc = {
             "dim": 2,
@@ -335,3 +344,50 @@ class TestDimensions:
         res = runner.invoke(main, ["minimize", path])
         assert res.exit_code == 64
         assert isinstance(res.exception, SystemExit)
+
+
+class TestBeyondFloatRange:
+    """Exact stages take any rational; the float oracle cannot take an entry
+    a float cannot hold, and says so instead of crashing."""
+
+    HUGE = 10**400
+
+    def tensor_file(self, tmp_path):
+        # passes the prefilter, has no cyclic pattern: only the oracle is left
+        path = tmp_path / "huge.json"
+        entries = {(1, 1, 1, 1): self.HUGE, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1, (1, 1, 2, 3): 1}
+        path.write_text(json.dumps({
+            "dim": 3, "entries": [{"index": list(i), "value": v} for i, v in entries.items()]
+        }))
+        return str(path)
+
+    def test_check_ends_undetermined(self, runner, tmp_path):
+        res = runner.invoke(main, ["check", self.tensor_file(tmp_path), "--json"])
+        assert res.exit_code == 3
+        doc = json.loads(res.output)
+        assert doc["verdict"]["kind"] == "undetermined"
+        assert doc["trace"][-1]["stage"] == "oracle"
+        assert doc["trace"][-1]["rule"] == "oracle-skipped: t1111 is beyond float range"
+
+    def test_oracle_only_binary_ends_undetermined(self, runner):
+        res = runner.invoke(
+            main, ["check", "binary", "1", "0", str(self.HUGE), "0", "-1", "--oracle-only"]
+        )
+        assert res.exit_code == 3
+        assert "oracle-skipped: t1122 is beyond float range" in res.output
+
+    def test_minimize_is_an_input_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["minimize", self.tensor_file(tmp_path)])
+        assert res.exit_code == 64
+        assert "input error: t1111 is beyond float range" in res.output
+
+
+def test_unexpected_exception_exits_70(runner, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("stage blew up")
+
+    monkeypatch.setattr("quartpd.cli.classify", broken)
+    res = runner.invoke(main, ["check", "binary", "1", "0", "1", "0", "1"])
+    assert res.exit_code == 70
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == "internal error: RuntimeError: stage blew up\n"

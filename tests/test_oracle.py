@@ -1,13 +1,18 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from quartpd import oracle
 from quartpd.binary import BinaryQuartic
 from quartpd.cyclic import CyclicTernary, embed
 from quartpd.oracle import OracleConfig, classify_numeric, sphere_minimize, zero_set_probe
 from quartpd.tensor import SymmetricTensor4, diag_ones
 from quartpd.verdict import Kind
+
+from conftest import rand_tensor
 
 BOUNDARY = embed(CyclicTernary.of(1, -1, 1, 1, "-7/12"))
 INDEF = embed(CyclicTernary.of(1, 1, 1, 1, "-7/12"))
@@ -123,3 +128,114 @@ def test_agreement_with_cyclic_rules():
         T = embed(CyclicTernary.of(1, -1, 1, 1, e))
         res = sphere_minimize(T)
         assert res.min_value > 1e-8, e
+
+
+def _reference_refine(Td, X0, cfg, stats):
+    """The sequential backtracking loop the ladder in ``_refine_batch``
+    replaced: one numpy pass per halving round.  ``stats`` counts candidates
+    that stalled (step below 1e-18) and iterations where a candidate failed
+    all 40 rounds and stayed active."""
+    X = X0 / np.linalg.norm(X0, axis=1, keepdims=True)
+    vals, cub = oracle._forms_and_cubics(Td, X)
+    alpha = np.full(len(X), 0.1)
+    active = np.ones(len(X), dtype=bool)
+    iters = 0
+    for it in range(cfg.refine_max_iters):
+        grad = 4.0 * cub
+        gt = grad - (np.einsum("pi,pi->p", grad, X))[:, None] * X
+        gnorm2 = np.einsum("pi,pi->p", gt, gt)
+        active = active & (np.sqrt(gnorm2) > cfg.grad_tol)
+        if not active.any():
+            break
+        iters = it + 1
+        moved = np.zeros(len(X), dtype=bool)
+        for _ in range(40):
+            idx = active & ~moved
+            if not idx.any():
+                break
+            trial = X[idx] - alpha[idx, None] * gt[idx]
+            trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
+            tvals, tcub = oracle._forms_and_cubics(Td, trial)
+            ok = tvals < vals[idx] - 1e-4 * alpha[idx] * gnorm2[idx]
+            sel = np.flatnonzero(idx)
+            good = sel[ok]
+            X[good] = trial[ok]
+            vals[good] = tvals[ok]
+            cub[good] = tcub[ok]
+            moved[good] = True
+            alpha[good] = np.minimum(alpha[good] * 2.0, 1.0)
+            bad = sel[~ok]
+            alpha[bad] *= 0.5
+            stuck = bad[alpha[bad] < 1e-18]
+            active[stuck] = False
+            moved[stuck] = True
+            stats["stalled"] += len(stuck)
+        stats["all_rungs_failed"] += int((active & ~moved).sum())
+    return X, vals, iters
+
+
+REFINE_CONFIGS = {
+    "default": OracleConfig(),
+    "one-iteration": OracleConfig(refine_max_iters=1),
+    "stall": OracleConfig(grad_tol=1e-300),  # converged candidates stall
+    "top-k-covers-grid": OracleConfig(grid_points=40, refine_top_k=64, seed=3),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", list(REFINE_CONFIGS))
+def test_refine_ladder_matches_sequential_reference(dim, name):
+    cfg = REFINE_CONFIGS[name]
+    rng = random.Random(f"{dim}:{name}")
+    stats = {"stalled": 0, "all_rungs_failed": 0}
+    for case in range(5):
+        T = rand_tensor(rng, dim)
+        if case % 2:  # shift towards PD so that minima sit near the boundary too
+            T = SymmetricTensor4(dim, {
+                idx: v + (rng.randint(0, 3) if len(set(idx)) == 1 else 0)
+                for idx, v in T.entries().items()
+            })
+        Td, X, vals = oracle._sample(T, cfg.effective_grid(dim), cfg.seed)
+        starts = [X[np.argsort(vals, kind="stable")[: cfg.refine_top_k]]]
+        starts.append(np.random.default_rng(case).normal(size=(7, dim)))
+        for X0 in starts:
+            got = oracle._refine_batch(Td, X0, cfg)
+            want = _reference_refine(Td, X0, cfg, stats)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+    if name == "stall":
+        assert stats["stalled"] > 0 and stats["all_rungs_failed"] > 0
+
+
+def test_top_k_matches_stable_argsort():
+    rng = np.random.default_rng(11)
+    ties = rng.integers(0, 6, 300).astype(float)
+    with_nan = ties.copy()
+    with_nan[rng.choice(300, 40, replace=False)] = np.nan
+    mostly_nan = np.full(300, np.nan)
+    mostly_nan[[5, 17, 200]] = [2.0, -1.0, 2.0]
+    signed_zeros = np.where(rng.random(300) < 0.5, -0.0, 0.0)
+    signed_zeros[[3, 9]] = [np.inf, -np.inf]
+    for keys in (ties, with_nan, mostly_nan, signed_zeros, rng.normal(size=300)):
+        for k in (0, 1, 2, 3, 4, 7, 50, 61, 299, 300, 400):
+            want = np.argsort(keys, kind="stable")[:k]
+            assert np.array_equal(oracle._top_k(keys, k), want), k
+
+
+@pytest.mark.parametrize("T", [INDEF, BinaryQuartic.of(1, 0, "-1/3", 0, 1).to_tensor()])
+def test_sample_grid_is_cached_read_only(T):
+    n = OracleConfig().effective_grid(T.dim)
+    fresh = {m: oracle._grid(T.dim, m, 0) for m in (n, 512)}
+    _, X, _ = oracle._sample(T, n, 0)
+    assert not X.flags.writeable
+    assert np.array_equal(X, fresh[n])
+    with pytest.raises(ValueError):
+        X[0, 0] = 2.0
+    sphere_minimize(T)
+    zero_set_probe(T)
+    classify_numeric(T)
+    for m, grid in fresh.items():
+        _, again, _ = oracle._sample(T, m, 0)
+        assert np.array_equal(again, grid)
+    assert oracle._sample(T, n, 0)[1] is X
