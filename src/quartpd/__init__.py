@@ -19,7 +19,6 @@ from .cyclic import (
     classify_cyclic,
     classify_relaxed,
     embed,
-    necessity_bound_check,
 )
 from .inequalities import (
     InequalityReport,
@@ -67,7 +66,6 @@ __all__ = [
     "embed",
     "exact_spot_check",
     "multiplicity",
-    "necessity_bound_check",
     "rank_one",
     "sphere_minimize",
     "sqrt_eq",

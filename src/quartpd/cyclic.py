@@ -10,8 +10,9 @@ The cyclic family has five orbit parameters (a, b, c, d, e):
 
 For the normalized family (a = 1, |b| = |c| = 1) a decision ladder covers
 the analytically settled cases: the -7/12 boundary, the PD interval
-(-7/12, -5/36] lifted to d >= 1, and the necessity bound below -7/12.
-Everything outside the settled cases defers to the numeric oracle.
+(-7/12, -5/36], closed at -7/12 once it is lifted to d > 1, and the
+necessity bound below -7/12.  Everything outside the settled cases defers
+to the numeric oracle.
 
 A relaxed variant allows the three e-slots to differ; it is PD whenever
 all three lie in (-7/12, -5/18] or all three lie in [-5/18, -1/6].
@@ -78,9 +79,17 @@ class RelaxedCyclicTernary:
 
 @dataclass(frozen=True)
 class FamilyVerdict:
+    """The verdict of a family classifier."""
+
     verdict: Verdict
-    rule: str
-    witness: Optional[Tuple[Fraction, ...]] = None
+
+    @property
+    def rule(self) -> str:
+        return self.verdict.rule
+
+    @property
+    def witness(self) -> Optional[Tuple[Fraction, ...]]:
+        return self.verdict.witness
 
 
 def embed(ct: Union[CyclicTernary, RelaxedCyclicTernary]) -> SymmetricTensor4:
@@ -115,59 +124,33 @@ def _require_normalized(ct: CyclicTernary) -> None:
         )
 
 
-def necessity_bound_check(ct: CyclicTernary) -> bool:
-    """Necessary condition for semidefiniteness on the sign-alternating
-    boundary pattern (a = d = 1, b*c = -1): the triple-product coefficient
-    must satisfy e >= -7/12.  Returns False when the tensor cannot be PSD.
-    """
-    _require_normalized(ct)
-    if not (ct.d == 1 and ct.b * ct.c == -1):
-        raise PatternMismatchError(
-            "necessity bound needs d = 1 and b*c = -1; use the numeric oracle"
-        )
-    return ct.e >= _LO
-
-
 def classify_cyclic(ct: CyclicTernary) -> FamilyVerdict:
     _require_normalized(ct)
     b, c, d, e = ct.b, ct.c, ct.d, ct.e
+    ones = (Fraction(1), Fraction(1), Fraction(1))
 
     if b * c == 1 and d == 1 and e == _LO:
-        w = (1, 1, -5) if b == 1 else (1, 1, 1)
-        w = tuple(Fraction(v) for v in w)
-        return FamilyVerdict(
-            Verdict(Kind.INDEFINITE, "boundary-matched-signs", witness=w),
-            "boundary-matched-signs",
-            witness=w,
-        )
+        w = tuple(Fraction(v) for v in (1, 1, -5)) if b == 1 else ones
+        return FamilyVerdict(Verdict(Kind.INDEFINITE, "boundary-matched-signs", witness=w))
     if b * c == -1 and d == 1 and e == _LO:
-        w = (Fraction(1), Fraction(1), Fraction(1))  # direction of the form's zero
-        return FamilyVerdict(
-            Verdict(Kind.PSD_NOT_PD, "boundary-alternating-signs", witness=w),
-            "boundary-alternating-signs",
-            witness=w,
-        )
-    if b * c == -1 and d >= 1 and _LO < e <= _PD_HI:
+        # (1, 1, 1) is the direction of the form's zero
+        return FamilyVerdict(Verdict(Kind.PSD_NOT_PD, "boundary-alternating-signs", witness=ones))
+    if b * c == -1 and d >= 1 and _LO <= e <= _PD_HI:
+        # e = -7/12 has d > 1 here: d = 1 was caught by the boundary rung
         if d > 1:
+            # f_d = f_1 + 6(d - 1)*(x1^2 x2^2 + x1^2 x3^2 + x2^2 x3^2), where
+            # f_1 is PSD on the closed interval (PD inside, PSD at -7/12 by
+            # the rung above); the sum vanishes only on the axes, where
+            # f_d = x_i^4 > 0, so f_d is PD for every e in [-7/12, -5/36]
             rule = "pd-interval-lifted-offdiag"
         elif e <= _PD_HI_CORE:
             rule = "pd-interval"
         else:
             rule = "pd-interval-extended"
-        return FamilyVerdict(Verdict(Kind.POSITIVE_DEFINITE, rule), rule)
-    if b * c == -1 and d >= 1 and e == _LO:
-        # d > 1 here; d = 1 was caught by the boundary rung above
-        rule = "psd-closed-interval"
-        return FamilyVerdict(Verdict(Kind.POSITIVE_SEMIDEFINITE, rule), rule)
+        return FamilyVerdict(Verdict(Kind.POSITIVE_DEFINITE, rule))
     if e < _LO and d == 1 and b * c == -1:
-        w = (Fraction(1), Fraction(1), Fraction(1))
-        return FamilyVerdict(
-            Verdict(Kind.INDEFINITE, "necessity-bound", witness=w),
-            "necessity-bound",
-            witness=w,
-        )
-    rule = "outside-settled-family"
-    return FamilyVerdict(Verdict(Kind.UNDETERMINED, rule), rule)
+        return FamilyVerdict(Verdict(Kind.INDEFINITE, "necessity-bound", witness=ones))
+    return FamilyVerdict(Verdict(Kind.UNDETERMINED, "outside-settled-family"))
 
 
 def classify_relaxed(rt: RelaxedCyclicTernary) -> FamilyVerdict:
@@ -194,6 +177,5 @@ def classify_relaxed(rt: RelaxedCyclicTernary) -> FamilyVerdict:
     elif all(_SPLIT <= e <= _PD_HI_CORE for e in es):
         rule = "pd-upper-band-widened"
     else:
-        rule = "outside-bands"
-        return FamilyVerdict(Verdict(Kind.UNDETERMINED, rule), rule)
-    return FamilyVerdict(Verdict(Kind.POSITIVE_DEFINITE, rule), rule)
+        return FamilyVerdict(Verdict(Kind.UNDETERMINED, "outside-bands"))
+    return FamilyVerdict(Verdict(Kind.POSITIVE_DEFINITE, rule))

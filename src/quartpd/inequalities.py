@@ -9,9 +9,11 @@ with rational weights.  Uniform weight c means w1 = w2 = w3 = c.  The
 "exchanged" variant swaps each cubic monomial with its mirror
 (x1^3*x2 <-> x1*x2^3 and so on) simultaneously.
 
-Entries are verified, not proven: the numeric oracle supplies sphere-
-minimum evidence, while every named boundary or counterexample point is
-certified in exact rational arithmetic.
+Entries are verified, not proven: the numeric oracle's classification of
+the sphere minimum decides whether an entry holds (strict entries need
+positive definite, non-strict ones anything but indefinite), while every
+named counterexample point is certified in exact rational arithmetic and
+its exact value is carried in the report.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 from .cyclic import RelaxedCyclicTernary, embed
 from .oracle import OracleConfig, sphere_minimize, zero_set_probe
 from .tensor import SymmetricTensor4
-from .verdict import as_fraction, as_fraction_vector
+from .verdict import Kind, as_fraction, as_fraction_vector
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,10 @@ class InequalityReport:
     holds: bool
     expected_fail: bool
     as_expected: bool
+    exact_counterexample_value: Optional[Fraction] = None  # P at the fail point
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "label": self.label,
             "sphere_min": self.sphere_min,
             "min_point": list(self.min_point),
@@ -104,6 +107,9 @@ class InequalityReport:
             "expected_fail": self.expected_fail,
             "as_expected": self.as_expected,
         }
+        if self.exact_counterexample_value is not None:
+            d["exact_counterexample_value"] = str(self.exact_counterexample_value)
+        return d
 
 
 _FAIL_POINT_A = (Fraction(-6, 5), Fraction(5), Fraction(1))  # (-1.2, 5, 1)
@@ -148,16 +154,17 @@ def exact_spot_check(ineq: WeightedInequality, x: Sequence) -> Fraction:
 def verify(ineq: WeightedInequality, cfg: OracleConfig = OracleConfig()) -> InequalityReport:
     T = ineq.to_tensor()
     res = sphere_minimize(T, cfg)
-    equality_points = (
-        zero_set_probe(T, cfg) if abs(res.min_value) <= cfg.classify_margin else []
-    )
+    # a minimum inside the margin is the boundary case: look for its zeros
+    equality_points = zero_set_probe(T, cfg) if res.classification is Kind.UNDETERMINED else []
     if ineq.strict:
-        holds = res.min_value > cfg.classify_margin
+        holds = res.classification is Kind.POSITIVE_DEFINITE
     else:
-        holds = res.min_value >= -cfg.classify_margin
+        holds = res.classification is not Kind.INDEFINITE
+    exact = None
     if ineq.expected_fail and ineq.fail_point is not None:
         # the float verdict must be backed by the exact counterexample
-        holds = holds and not exact_spot_check(ineq, ineq.fail_point) < 0
+        exact = exact_spot_check(ineq, ineq.fail_point)
+        holds = holds and not exact < 0
     as_expected = holds != ineq.expected_fail
     return InequalityReport(
         label=ineq.label,
@@ -167,4 +174,5 @@ def verify(ineq: WeightedInequality, cfg: OracleConfig = OracleConfig()) -> Ineq
         holds=holds,
         expected_fail=ineq.expected_fail,
         as_expected=as_expected,
+        exact_counterexample_value=exact,
     )

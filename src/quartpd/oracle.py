@@ -12,10 +12,10 @@ candidate takes its first rung that passes the Armijo test.  Halving is
 exact in binary floating point, so this gives bit for bit the iterates of
 trying one halving at a time.
 
-A strictly positive sphere minimum certifies positive definiteness; a
-strictly negative value refutes semidefiniteness; values inside the
-classification margin are reported as boundary and left to the exact
-analytic modules.
+A sphere minimum above the classification margin classifies the form as
+positive definite, one below minus the margin as indefinite; a value
+inside the margin is UNDETERMINED (the boundary case) and left to the
+exact analytic modules.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ class OracleConfig:
             raise ConfigError("classify_margin", "must lie in (0, 1)")
         if self.seed < 0:
             raise ConfigError("seed", "must be nonnegative")
+        if self.refine_top_k <= 0:
+            raise ConfigError("refine_top_k", "must be positive")
 
     def effective_grid(self, dim: int) -> int:
         if self.grid_points is not None:
@@ -82,7 +84,7 @@ class OracleConfig:
 class OracleResult:
     min_value: float
     minimizer: Tuple[float, ...]  # unit norm, first nonzero coordinate positive
-    classification: str  # "pd" | "indefinite" | "boundary"
+    classification: Kind  # POSITIVE_DEFINITE, INDEFINITE or UNDETERMINED
     iterations_used: int
 
 
@@ -222,11 +224,11 @@ def sphere_minimize(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> 
     min_value = float(rvals[best])
     minimizer = _canonical_sign(refined[best] / np.linalg.norm(refined[best]))
     if min_value > cfg.classify_margin:
-        classification = "pd"
+        classification = Kind.POSITIVE_DEFINITE
     elif min_value < -cfg.classify_margin:
-        classification = "indefinite"
+        classification = Kind.INDEFINITE
     else:
-        classification = "boundary"
+        classification = Kind.UNDETERMINED
     return OracleResult(min_value, tuple(float(v) for v in minimizer), classification, iters)
 
 
@@ -240,35 +242,23 @@ def _exact_negative(T: SymmetricTensor4, point) -> Optional[tuple]:
 
 
 def classify_numeric(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> Verdict:
-    """Margin-guarded classification from the sphere minimum.
+    """The sphere minimum's classification as a verdict.
 
     Indefinite witnesses are re-verified in exact rational arithmetic; if
-    the exact check fails the verdict degrades to boundary.  A positivity
-    witness (some direction with a clearly positive value) is recorded for
-    non-indefinite outcomes when one exists.
+    the exact check fails the verdict degrades to UNDETERMINED, under the
+    rule ``oracle-boundary`` like every minimum inside the margin.  A
+    positivity witness (some direction with a clearly positive value) is
+    recorded when one exists.
     """
     res = sphere_minimize(T, cfg)
     pos = _positivity_witness(T, cfg)
-    if res.classification == "pd":
-        return Verdict(
-            Kind.POSITIVE_DEFINITE,
-            "oracle-sphere-minimum",
-            margin=res.min_value,
-            positivity_witness=pos,
-        )
-    if res.classification == "indefinite":
-        w = _exact_negative(T, res.minimizer)
-        if w is not None:
-            return Verdict(
-                Kind.INDEFINITE,
-                "oracle-sphere-minimum",
-                witness=w,
-                margin=res.min_value,
-                positivity_witness=pos,
-            )
-    return Verdict(
-        Kind.UNDETERMINED, "oracle-boundary", margin=res.min_value, positivity_witness=pos
-    )
+    kind, witness = res.classification, None
+    if kind is Kind.INDEFINITE:
+        witness = _exact_negative(T, res.minimizer)
+        if witness is None:
+            kind = Kind.UNDETERMINED
+    rule = "oracle-boundary" if kind is Kind.UNDETERMINED else "oracle-sphere-minimum"
+    return Verdict(kind, rule, witness=witness, margin=res.min_value, positivity_witness=pos)
 
 
 def _positivity_witness(T: SymmetricTensor4, cfg: OracleConfig) -> Optional[tuple]:

@@ -11,7 +11,6 @@ from typing import Optional, Sequence
 class Kind(Enum):
     POSITIVE_DEFINITE = "positive-definite"
     PSD_NOT_PD = "positive-semidefinite-not-definite"
-    POSITIVE_SEMIDEFINITE = "positive-semidefinite"  # strictness unknown
     INDEFINITE = "indefinite"
     UNDETERMINED = "undetermined"
 
@@ -21,11 +20,12 @@ class Kind(Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """A classification together with the rule that produced it.
+    """A classification together with the rule that produced it; every
+    stage of the library, exact or numeric, reports one of these.
 
     ``witness`` is a vector certifying the verdict: a point with strictly
     negative form value for INDEFINITE, or a nonzero root of the form for
-    the boundary PSD kinds.  ``margin`` is only set on numeric verdicts.
+    PSD_NOT_PD.  ``margin`` is only set on numeric verdicts.
     """
 
     kind: Kind
@@ -35,16 +35,8 @@ class Verdict:
     positivity_witness: Optional[tuple] = None
 
     @property
-    def is_pd(self) -> bool:
-        return self.kind is Kind.POSITIVE_DEFINITE
-
-    @property
     def is_psd(self) -> bool:
-        return self.kind in (
-            Kind.POSITIVE_DEFINITE,
-            Kind.PSD_NOT_PD,
-            Kind.POSITIVE_SEMIDEFINITE,
-        )
+        return self.kind in (Kind.POSITIVE_DEFINITE, Kind.PSD_NOT_PD)
 
     def to_dict(self) -> dict:
         return {

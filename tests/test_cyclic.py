@@ -2,15 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+from quartpd.cli import main
 from quartpd.cyclic import (
     CyclicTernary,
     RelaxedCyclicTernary,
     classify_cyclic,
     classify_relaxed,
     embed,
-    necessity_bound_check,
 )
+from quartpd.oracle import sphere_minimize
 from quartpd.tensor import diag_ones
 from quartpd.verdict import Kind, PatternMismatchError
 
@@ -70,21 +72,6 @@ class TestEmbed:
 
 
 class TestNecessityBound:
-    def test_boundary_passes(self):
-        assert necessity_bound_check(ct(1, -1, 1, 1, "-7/12"))
-
-    def test_below_boundary_fails(self):
-        assert not necessity_bound_check(ct(1, -1, 1, 1, -1))
-
-    def test_zero_passes(self):
-        assert necessity_bound_check(ct(1, -1, 1, 1, 0))
-
-    def test_pattern_mismatch(self):
-        with pytest.raises(PatternMismatchError):
-            necessity_bound_check(ct(1, 1, 1, 1, 0))
-        with pytest.raises(PatternMismatchError):
-            necessity_bound_check(ct(2, -1, 1, 1, 0))
-
     def test_exact_value_below_boundary(self, rng):
         # on the alternating pattern the value at (1,1,1) is 21 + 36e
         for _ in range(50):
@@ -133,7 +120,8 @@ class TestClassifyCyclic:
 
     def test_closed_interval_psd_with_lifted_offdiag(self):
         fv = classify_cyclic(ct(1, -1, 1, 2, "-7/12"))
-        assert fv.verdict.kind is Kind.POSITIVE_SEMIDEFINITE
+        assert fv.verdict.kind is Kind.POSITIVE_DEFINITE
+        assert fv.rule == "pd-interval-lifted-offdiag"
 
     def test_outside_family_undetermined(self):
         assert classify_cyclic(ct(1, -1, 1, 1, 0)).verdict.kind is Kind.UNDETERMINED
@@ -146,6 +134,33 @@ class TestClassifyCyclic:
             classify_cyclic(ct(2, -1, 1, 1, 0))
         with pytest.raises(PatternMismatchError):
             classify_cyclic(ct(1, "1/2", 1, 1, 0))
+
+
+class TestClosedLiftedInterval:
+    """For b*c = -1 and d > 1 the lifted interval is closed at e = -7/12:
+    f_d = f_1 + 6(d - 1)*(x1^2 x2^2 + x1^2 x3^2 + x2^2 x3^2) with f_1 PSD,
+    and the sum vanishes only on the axes, where f_d = x_i^4 > 0."""
+
+    SIGNS = [(-1, 1), (1, -1)]
+
+    @pytest.mark.parametrize("b, c", SIGNS)
+    def test_lift_identity(self, rng, b, c):
+        for _ in range(50):
+            d, e = rand_fraction(rng), rand_fraction(rng)
+            x1, x2, x3 = x = rand_vector(rng, 3)
+            lift = embed(ct(1, b, c, d, e)).evaluate_form(x) - embed(ct(1, b, c, 1, e)).evaluate_form(x)
+            assert lift == 6 * (d - 1) * (x1**2 * x2**2 + x1**2 * x3**2 + x2**2 * x3**2)
+
+    @pytest.mark.parametrize("b, c", SIGNS)
+    def test_sphere_minimum_positive(self, b, c):
+        res = sphere_minimize(embed(ct(1, b, c, "101/100", "-7/12")))
+        assert res.min_value > 1e-8
+
+    @pytest.mark.parametrize("args", [["1", "-1", "1", "2"], ["1", "1", "-1", "101/100"]])
+    def test_cli_exit_0(self, args):
+        res = CliRunner().invoke(main, ["check", "cyclic", *args, "-7/12"])
+        assert res.exit_code == 0
+        assert "positive-definite (pd-interval-lifted-offdiag)" in res.output
 
 
 class TestClassifyRelaxed:

@@ -87,6 +87,18 @@ class TestVerify:
         assert not rep.holds and rep.as_expected
         assert rep.sphere_min < -1e-8
 
+    def test_report_carries_exact_counterexample_value(self):
+        # the value is exact and needs no oracle precision: a small grid will do
+        cfg = OracleConfig(grid_points=500)
+        carried = set()
+        for q in builtin_catalog():
+            d = verify(q, cfg).to_dict()
+            if "exact_counterexample_value" in d:
+                assert d["exact_counterexample_value"] == str(q.value(q.fail_point))
+                carried.add(q.label)
+        assert carried == {q.label for q in builtin_catalog() if q.expected_fail}
+        assert len(carried) == 5
+
     def test_all_catalog_as_expected(self):
         for q in builtin_catalog():
             assert verify(q).as_expected, q.label

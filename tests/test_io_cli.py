@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import quartpd
+from quartpd import cli
 from quartpd.binary import BinaryQuartic
 from quartpd.cli import main
 from quartpd.cyclic import CyclicTernary, RelaxedCyclicTernary, embed
@@ -380,6 +381,15 @@ class TestBeyondFloatRange:
         res = runner.invoke(main, ["minimize", self.tensor_file(tmp_path)])
         assert res.exit_code == 64
         assert "input error: t1111 is beyond float range" in res.output
+
+
+def test_every_kind_has_an_exit_code():
+    assert set(cli._EXIT) == set(Kind)
+
+
+def test_every_export_resolves():
+    for name in quartpd.__all__:
+        assert hasattr(quartpd, name), name
 
 
 def test_unexpected_exception_exits_70(runner, monkeypatch):

@@ -8,7 +8,13 @@ import pytest
 from quartpd import oracle
 from quartpd.binary import BinaryQuartic
 from quartpd.cyclic import CyclicTernary, embed
-from quartpd.oracle import OracleConfig, classify_numeric, sphere_minimize, zero_set_probe
+from quartpd.oracle import (
+    ConfigError,
+    OracleConfig,
+    classify_numeric,
+    sphere_minimize,
+    zero_set_probe,
+)
 from quartpd.tensor import SymmetricTensor4, diag_ones
 from quartpd.verdict import Kind
 
@@ -25,7 +31,7 @@ def test_diag_ones_minimum():
     assert sorted(abs(v) for v in res.minimizer) == pytest.approx(
         [1 / math.sqrt(3)] * 3, abs=1e-6
     )
-    assert res.classification == "pd"
+    assert res.classification is Kind.POSITIVE_DEFINITE
 
 
 def test_minimizer_contract():
@@ -42,7 +48,7 @@ def test_minimizer_contract():
 def test_boundary_tensor():
     res = sphere_minimize(BOUNDARY)
     assert abs(res.min_value) <= 1e-8
-    assert res.classification == "boundary"
+    assert res.classification is Kind.UNDETERMINED
 
 
 def test_indefinite_witness_bound():
@@ -120,6 +126,15 @@ def test_config_validation():
         OracleConfig(grid_points=0)
     with pytest.raises(ValueError):
         OracleConfig(classify_margin=2.0)
+
+
+def test_refine_top_k_must_be_positive():
+    for k in (0, -3):
+        with pytest.raises(ConfigError) as exc:
+            OracleConfig(refine_top_k=k)
+        assert (exc.value.field, exc.value.requirement) == ("refine_top_k", "must be positive")
+    res = sphere_minimize(diag_ones(2), OracleConfig(refine_top_k=1, grid_points=64))
+    assert res.min_value == pytest.approx(0.5, abs=1e-9)
 
 
 def test_agreement_with_cyclic_rules():
