@@ -35,8 +35,8 @@ from .oracle import (
     zero_set_probe,
 )
 from .pipeline import classify
-from .quadext import QuadExt, sqrt_eq, sqrt_leq, sqrt_lt
-from .tensor import SymmetricTensor4, diag_ones, multiplicity, rank_one, symmetrize
+from .quadext import QuadExt
+from .tensor import SymmetricTensor4, diag_ones, multiplicity, rank_one
 from .verdict import Kind, PatternMismatchError, Verdict
 
 __all__ = [
@@ -68,10 +68,6 @@ __all__ = [
     "multiplicity",
     "rank_one",
     "sphere_minimize",
-    "sqrt_eq",
-    "sqrt_leq",
-    "sqrt_lt",
-    "symmetrize",
     "verify",
     "zero_set_probe",
 ]

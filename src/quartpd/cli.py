@@ -17,7 +17,7 @@ from typing import NoReturn, Tuple
 import click
 
 from .inequalities import builtin_catalog, verify
-from .oracle import ConfigError, OracleConfig, sphere_minimize, zero_set_probe
+from .oracle import ORACLE_DIMS, ConfigError, OracleConfig, sphere_minimize, zero_set_probe
 from .pipeline import classify
 from .tensorio import InputError, describe, load, parse_shorthand, to_tensor
 from .verdict import Kind
@@ -122,6 +122,8 @@ def main() -> None:
 @_oracle_options
 def check(inputs, psd, oracle_only, analytic_only, cfg, as_json):
     """Classify a tensor given as a JSON file or a '<family> c1 ...' shorthand."""
+    if oracle_only and analytic_only:
+        _input_error("--oracle-only and --analytic-only exclude each other")
     report = classify(_parse_inputs(inputs), cfg, oracle_only, analytic_only)
     kind = Kind(report["verdict"]["kind"])
     if psd:
@@ -138,7 +140,7 @@ def minimize(inputs, cfg, as_json):
     """Minimize the form over the unit sphere and probe its zero set."""
     parsed = _parse_inputs(inputs)
     T = to_tensor(parsed)
-    if T.dim not in (2, 3):
+    if T.dim not in ORACLE_DIMS:
         _input_error(f"dim: minimize supports dim 2 or 3, got {T.dim}")
     t0 = time.perf_counter()
     try:

@@ -36,7 +36,6 @@ class WeightedInequality:
     exchanged: bool = False
     expected_fail: bool = False
     fail_point: Optional[Tuple[Fraction, Fraction, Fraction]] = None
-    equality_line: Optional[Tuple[int, int, int]] = None  # known equality direction
 
     @classmethod
     def uniform(cls, c, strict: bool, label: Optional[str] = None, **kw):
@@ -118,7 +117,7 @@ _FAIL_POINT_B = (Fraction(-47, 5), Fraction(-2), Fraction(23, 10))  # (-9.4, -2,
 
 def builtin_catalog() -> List[WeightedInequality]:
     cat: List[WeightedInequality] = [
-        WeightedInequality.uniform(19, strict=False, equality_line=(1, 1, 1)),
+        WeightedInequality.uniform(19, strict=False),
         WeightedInequality.uniform(14, strict=True),
         WeightedInequality.uniform(15, strict=True),
         WeightedInequality.uniform(16, strict=True),

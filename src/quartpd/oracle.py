@@ -41,6 +41,12 @@ _GOLDEN = (1 + math.sqrt(5)) / 2
 # pass in the first, and the sum is the cap of 40 halvings per iteration
 _RUNG_BATCHES = (4, 12, 24)
 
+# the dimensions the oracle samples; every caller gates on this one set
+ORACLE_DIMS = (2, 3)
+
+# zero_set_probe merges refined zeros closer than this (Euclidean distance)
+_CLUSTER_TOL = 1e-4
+
 
 class ConfigError(ValueError):
     """An out-of-range ``OracleConfig`` value; ``field`` names the field."""
@@ -189,7 +195,7 @@ def _refine_batch(Td: np.ndarray, X0: np.ndarray, cfg: OracleConfig):
 
 def _sample(T: SymmetricTensor4, n_points: int, seed: int):
     """The dense tensor, an n_points grid and the form's values on it."""
-    if T.dim not in (2, 3):
+    if T.dim not in ORACLE_DIMS:
         raise ValueError(f"oracle supports dim 2 or 3, got {T.dim}")
     Td = T.dense()
     X = _cached_grid(T.dim, n_points, seed)
@@ -273,13 +279,14 @@ def _positivity_witness(T: SymmetricTensor4, cfg: OracleConfig) -> Optional[tupl
 
 
 def zero_set_probe(
-    T: SymmetricTensor4, cfg: OracleConfig = OracleConfig(), cluster_tol: float = 1e-4
+    T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()
 ) -> List[Tuple[float, ...]]:
     """Refined sphere points where |Tx^4| falls inside the margin.
 
-    Points are clustered with the given tolerance; one representative per
-    cluster is returned, sorted lexicographically.  Antipodal zeros appear
-    as separate clusters (the form is even, so they come in pairs).
+    A point within _CLUSTER_TOL of a kept representative joins its cluster;
+    one representative per cluster is returned, sorted lexicographically.
+    Antipodal zeros appear as separate clusters (the form is even, so they
+    come in pairs).
     """
     import numpy as np
 
@@ -290,7 +297,7 @@ def zero_set_probe(
     reps: List[np.ndarray] = []
     for z in zeros:
         z = z / np.linalg.norm(z)
-        if not any(np.linalg.norm(z - r) <= cluster_tol for r in reps):
+        if not any(np.linalg.norm(z - r) <= _CLUSTER_TOL for r in reps):
             reps.append(z)
     reps.sort(key=lambda r: tuple(r))
     return [tuple(float(v) for v in r) for r in reps]

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import binary as binmod
 from .cyclic import CyclicTernary, classify_cyclic, classify_relaxed, detect
-from .oracle import OracleConfig, classify_numeric
+from .oracle import ORACLE_DIMS, OracleConfig, classify_numeric
 from .tensor import SymmetricTensor4
 from .tensorio import ParsedInput, describe, to_tensor
 from .verdict import Kind, PatternMismatchError, Verdict
@@ -31,20 +31,28 @@ def _stage_prefilter(T: SymmetricTensor4) -> Tuple[Verdict, Dict[Tuple[int, int]
     """Exact principal-subtensor screen: semidefiniteness is inherited by
     principal subtensors, so any indefinite 2-dim restriction refutes it.
 
-    Also returns the verdict of every principal binary it classified; for
-    dim 2 the (1,2) binary is the whole form, which the analytic stage reuses.
+    Reads only the stored entries.  Once no diagonal is negative, a pair
+    (i, j) with none of t_iiij, t_iijj and t_ijjj stored restricts to
+    t_iiii*x^4 + t_jjjj*y^4, which cannot refute, so only the other pairs
+    are classified, in lexicographic order.  Also returns the verdict of
+    every principal binary it classified; for dim 2 the (1,2) binary is the
+    whole form, which the analytic stage reuses, so it is always classified.
     """
-    pairs = [(i, j) for i in range(1, T.dim + 1) for j in range(i + 1, T.dim + 1)]
+    stored = T.entries()
     binaries: Dict[Tuple[int, int], Verdict] = {}
-    for i in range(1, T.dim + 1):
-        if T[(i, i, i, i)] < 0:
-            w = tuple(Fraction(int(k == i)) for k in range(1, T.dim + 1))
-            return Verdict(Kind.INDEFINITE, f"negative-diagonal t{i}{i}{i}{i}", witness=w), binaries
+    negative = [idx[0] for idx, v in stored.items() if idx[0] == idx[3] and v < 0]
+    if negative:
+        i = min(negative)
+        w = tuple(Fraction(int(k == i)) for k in range(1, T.dim + 1))
+        return Verdict(Kind.INDEFINITE, f"negative-diagonal t{i}{i}{i}{i}", witness=w), binaries
     if T.dim == 1:  # the form is t1111 * x^4
         if T[(1, 1, 1, 1)] > 0:
             return Verdict(Kind.POSITIVE_DEFINITE, "positive-diagonal t1111"), binaries
         return Verdict(Kind.PSD_NOT_PD, "zero-diagonal t1111", witness=(Fraction(1),)), binaries
-    for i, j in pairs:
+    pairs = {(idx[0], idx[3]) for idx in stored if len(set(idx)) == 2}
+    if T.dim == 2:
+        pairs.add((1, 2))
+    for i, j in sorted(pairs):
         v = binaries[(i, j)] = binmod.classify(_principal_binary(T, i, j))
         if v.kind is Kind.INDEFINITE:
             w = [Fraction(0)] * T.dim
@@ -83,7 +91,10 @@ def classify(
     verdict and stage timings.  The prefilter decides dim 1 outright; the
     oracle covers dims 2 and 3 only, so dim >= 4 can end undetermined, as
     does a tensor with an entry beyond float range that no exact stage
-    decides."""
+    decides.  ``oracle_only`` and ``analytic_only`` each skip the other
+    stages; setting both raises ``ValueError``, since no stage would run."""
+    if oracle_only and analytic_only:
+        raise ValueError("oracle_only and analytic_only exclude each other")
     T = to_tensor(parsed)
     desc = describe(parsed)
     digest = hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()
@@ -107,7 +118,7 @@ def classify(
             # the exact binary criterion, already run on the (1,2) binary
             record("analytic", binaries[(1, 2)])
         timings["analytic_s"] = time.perf_counter() - t0
-    if final is None and not analytic_only and T.dim in (2, 3):
+    if final is None and not analytic_only and T.dim in ORACLE_DIMS:
         t0 = time.perf_counter()
         try:
             verdict = classify_numeric(T, cfg)

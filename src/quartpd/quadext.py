@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .verdict import as_fraction
-
 
 def _sign(v: Fraction) -> int:
     return (v > 0) - (v < 0)
@@ -59,28 +57,3 @@ class QuadExt:
             return False
         return (radicand - self.square()).sign() >= 0
 
-
-def sqrt_cmp(lhs, rhs_coeff, rhs_radicand) -> int:
-    """Exact sign of lhs - rhs_coeff*sqrt(rhs_radicand).
-
-    Raises on a negative radicand; never evaluates the square root.
-    """
-    lhs = as_fraction(lhs)
-    rhs_coeff = as_fraction(rhs_coeff)
-    rhs_radicand = as_fraction(rhs_radicand)
-    if rhs_radicand < 0:
-        raise ValueError(f"negative radicand: {rhs_radicand}")
-    return QuadExt(lhs, -rhs_coeff, rhs_radicand).sign()
-
-
-def sqrt_leq(lhs, rhs_coeff, rhs_radicand) -> bool:
-    """lhs <= rhs_coeff * sqrt(rhs_radicand), decided exactly."""
-    return sqrt_cmp(lhs, rhs_coeff, rhs_radicand) <= 0
-
-
-def sqrt_lt(lhs, rhs_coeff, rhs_radicand) -> bool:
-    return sqrt_cmp(lhs, rhs_coeff, rhs_radicand) < 0
-
-
-def sqrt_eq(lhs, rhs_coeff, rhs_radicand) -> bool:
-    return sqrt_cmp(lhs, rhs_coeff, rhs_radicand) == 0

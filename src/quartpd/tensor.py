@@ -102,22 +102,6 @@ class SymmetricTensor4:
             total += prod
         return total
 
-    def evaluate_gradient(self, x: Sequence) -> tuple:
-        """Tx^3: component k is the sum of t_{k i j l} x_i x_j x_l."""
-        x = self._check_vector(x)
-        grad = []
-        for k in range(1, self.dim + 1):
-            acc = 0
-            for rest in itertools.product(range(1, self.dim + 1), repeat=3):
-                t = self[(k, *rest)]
-                if t:
-                    p = t
-                    for i in rest:
-                        p = p * x[i - 1]
-                    acc += p
-            grad.append(acc)
-        return tuple(grad)
-
     def evaluate_mixed(self, x: Sequence, k: int, y: Sequence) -> Fraction:
         """Tx^k y^(4-k): k slots hold x, the remaining 4-k hold y."""
         if not 0 <= k <= 4:
@@ -146,9 +130,6 @@ class SymmetricTensor4:
 
     def frobenius_norm_squared(self) -> Fraction:
         return self.inner_product(self)
-
-    def frobenius_norm(self) -> float:
-        return math.sqrt(self.frobenius_norm_squared())
 
     def scale(self, c) -> "SymmetricTensor4":
         c = as_fraction(c)
@@ -190,27 +171,3 @@ def rank_one(x: Sequence) -> SymmetricTensor4:
         entries[idx] = xs[idx[0] - 1] * xs[idx[1] - 1] * xs[idx[2] - 1] * xs[idx[3] - 1]
     return SymmetricTensor4(n, entries)
 
-
-def symmetrize(raw: Mapping[Sequence[int], object], dim: int):
-    """Average a full (possibly asymmetric) entry table over permutations.
-
-    Returns ``(tensor, diagnostic)`` where the diagnostic is the largest
-    deviation of any raw entry from its canonical average.
-    """
-    groups: Dict[Index4, list] = {}
-    for idx, val in raw.items():
-        if len(idx) != 4:
-            raise ValueError(f"order-4 index expected, got {idx!r}")
-        groups.setdefault(canonical_index(idx), []).append(as_fraction(val))
-    entries = {}
-    diagnostic = Fraction(0)
-    for cidx, vals in groups.items():
-        m = multiplicity(cidx)
-        # unspecified permutations of a partially supplied orbit read as zero
-        avg = sum(vals, Fraction(0)) / m
-        entries[cidx] = avg
-        worst = max(abs(v - avg) for v in vals)
-        if len(vals) < m:
-            worst = max(worst, abs(avg))
-        diagnostic = max(diagnostic, worst)
-    return SymmetricTensor4(dim, entries), diagnostic

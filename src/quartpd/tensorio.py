@@ -36,6 +36,10 @@ _FAMILIES = {"binary": BinaryQuartic, "cyclic": CyclicTernary, "relaxed": Relaxe
 _FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _FAMILIES.values()}
 
 
+# the largest accepted dim: a refuting witness holds one entry per dimension
+MAX_DIM = 10_000
+
+
 class InputError(ValueError):
     """Malformed input file or shorthand; message names the offending field."""
 
@@ -72,6 +76,8 @@ def parse_document(doc: dict) -> ParsedInput:
     dim = doc["dim"]
     if not _is_int(dim) or dim < 1:
         raise InputError(f"dim: positive integer expected, got {dim!r}")
+    if dim > MAX_DIM:
+        raise InputError(f"dim: at most {MAX_DIM} supported, got {dim}")
     listed = doc.get("entries", [])
     if not isinstance(listed, list):
         raise InputError("entries: list expected")
@@ -108,6 +114,8 @@ def load(path: str) -> ParsedInput:
         raise InputError(f"path: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"document: invalid JSON ({exc})") from exc
+    except ValueError as exc:  # not UTF-8, or an integer beyond the int-string digit limit
+        raise InputError(f"document: {exc}") from exc
     return parse_document(doc)
 
 

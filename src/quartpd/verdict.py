@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -56,18 +58,41 @@ class PatternMismatchError(ValueError):
     """Input does not satisfy the hypothesis pattern of an analytic rule."""
 
 
+# the digits and exponent of a decimal string ("-1.25e3"), as Fraction reads it
+_DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
+
+
+def _check_digits(text: str) -> None:
+    """Reject a decimal string whose numerator or denominator could have more
+    digits than the interpreter converts to a string: such a value could not
+    be printed, and a large exponent takes seconds to expand.  Digits in a
+    "p/q" string are bounded by ``int`` itself."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    m = _DECIMAL.fullmatch(text)
+    if not (limit and m):
+        return
+    digits = len(m.group(1).replace("_", ""))
+    places = len((m.group(2) or "").replace("_", ""))
+    exp = int(m.group(3) or 0)
+    if digits + places + max(exp, 0) > limit or places + max(-exp, 0) + 1 > limit:
+        raise ValueError(f"decimal value exceeds the {limit}-digit limit")
+
+
 def as_fraction(value) -> Fraction:
     """Exact conversion of ints, Fractions and decimal/rational strings.
 
     Decimal strings are expanded in base 10 ("-1.2" -> -6/5); binary floats
     are rejected so no rounding artifact can enter the exact path, and so are
-    booleans, which Python counts as ints.
+    booleans, which Python counts as ints.  A decimal string whose numerator
+    or denominator could exceed the int-string digit limit raises
+    ``ValueError`` before any expansion.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        _check_digits(value)
         return Fraction(value)
     raise TypeError(f"exact scalar expected, got {type(value).__name__}: {value!r}")
 

@@ -20,21 +20,6 @@ def dense_form_reference(T: SymmetricTensor4, x):
     return total
 
 
-def dense_gradient_reference(T: SymmetricTensor4, x):
-    grads = []
-    for k in range(1, T.dim + 1):
-        acc = Fraction(0)
-        for rest in itertools.product(range(1, T.dim + 1), repeat=3):
-            t = T[(k, *rest)]
-            if t:
-                p = t
-                for i in rest:
-                    p = p * Fraction(x[i - 1])
-                acc += p
-        grads.append(acc)
-    return tuple(grads)
-
-
 def rand_fraction(rng: random.Random, lo=-2, hi=2, max_den=8) -> Fraction:
     den = rng.randint(1, max_den)
     return Fraction(rng.randint(lo * den, hi * den), den)

@@ -9,14 +9,14 @@ import pytest
 from click.testing import CliRunner
 
 import quartpd
-from quartpd import cli
+from quartpd import binary, cli, tensorio
 from quartpd.binary import BinaryQuartic
 from quartpd.cli import main
 from quartpd.cyclic import CyclicTernary, RelaxedCyclicTernary, embed
 from quartpd.oracle import OracleConfig
 from quartpd.tensor import SymmetricTensor4
 from quartpd.tensorio import InputError, load, parse_document, parse_shorthand, to_tensor
-from quartpd.verdict import Kind
+from quartpd.verdict import Kind, as_fraction
 
 
 @pytest.fixture
@@ -98,6 +98,32 @@ class TestParsing:
         with pytest.raises(InputError, match="conflicting"):
             parse_document(doc)
 
+    def test_json_integer_beyond_digit_limit(self, runner, tmp_path):
+        # json.dumps cannot write it either, so the document is spelled out
+        p = tmp_path / "long.json"
+        p.write_text('{"dim": 1, "entries": [{"index": [1, 1, 1, 1], "value": 1%s}]}' % ("0" * 5000))
+        with pytest.raises(InputError, match="document:"):
+            load(str(p))
+        res = runner.invoke(main, ["check", str(p)])
+        assert res.exit_code == 64
+        assert res.output.startswith("input error: document:")
+
+    def test_decimal_digit_limit(self, runner, tmp_path):
+        # 10**4299 and its inverse have 4300 digits, the interpreter's limit
+        assert as_fraction("1_0e4_298") == 10**4299
+        assert as_fraction("1e-4299") == Fraction(1, 10**4299)
+        assert as_fraction("-1.25e3") == -1250
+        for value in ("1e1000000", "-2.5E+10000000", "1e-1000000", "1e4300", "." + "1" * 4300):
+            with pytest.raises(ValueError, match="4300-digit limit"):
+                as_fraction(value)
+            path = write_tensor(tmp_path, 1, {(1, 1, 1, 1): value})
+            res = runner.invoke(main, ["check", path])
+            assert res.exit_code == 64
+            assert res.output.startswith("input error: entries[0].value:")
+            res = runner.invoke(main, ["check", "binary", "1", "0", value, "0", "1"])
+            assert res.exit_code == 64
+            assert res.output.startswith("input error: coefficient:")
+
     def test_to_tensor_roundtrip(self):
         ct = CyclicTernary.of(1, -1, 1, 1, "-1/6")
         assert to_tensor(ct) == embed(ct)
@@ -130,6 +156,16 @@ class TestPipeline:
             margin = b["verdict"]["margin"]
             if margin is not None and abs(margin) > 1e-6:
                 assert a["verdict"]["kind"] == b["verdict"]["kind"]
+
+    def test_both_stage_flags_are_a_usage_error(self, runner):
+        with pytest.raises(ValueError, match="oracle_only and analytic_only"):
+            quartpd.classify(BinaryQuartic.of(1, 0, 1, 0, 1), oracle_only=True, analytic_only=True)
+        res = runner.invoke(
+            main, ["check", "binary", "1", "0", "1", "0", "1", "--oracle-only", "--analytic-only"]
+        )
+        assert res.exit_code == 64
+        assert res.output.startswith("input error:")
+        assert "--oracle-only" in res.output and "--analytic-only" in res.output
 
     def test_analytic_only_undetermined(self):
         rep = quartpd.classify(CyclicTernary.of(1, -1, 1, 1, 0), self.CFG, False, True)
@@ -338,6 +374,38 @@ class TestDimensions:
         assert res.exit_code == 2
         doc = json.loads(res.output)
         assert doc["verdict"]["rule"].startswith("principal-subtensor(3,4)")
+
+    def test_prefilter_reads_only_stored_pairs(self, monkeypatch):
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return classify_binary(q)
+
+        classify_binary = binary.classify
+        monkeypatch.setattr(binary, "classify", counted)
+        entries = {(i, i, i, i): 1 for i in range(1, 41)}
+        entries.update({(2, 2, 7, 7): 1, (3, 9, 9, 9): Fraction(1, 10)})
+        rep = quartpd.classify(SymmetricTensor4(40, entries))
+        assert len(calls) == 2  # one per pair with a stored entry; all 780 before
+        assert rep["trace"][0]["rule"] == "prefilter-passed"
+        assert rep["verdict"]["rule"] == "no-decisive-stage"
+
+    def test_dim_bound(self, runner, tmp_path):
+        bound = tensorio.MAX_DIM
+        with pytest.raises(InputError, match=f"dim: at most {bound}"):
+            parse_document({"dim": bound + 1, "entries": []})
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"dim": bound + 1, "entries": []}))
+        res = runner.invoke(main, ["check", str(path)])
+        assert res.exit_code == 64
+        assert res.output.startswith("input error: dim:")
+        # at the bound an input is read and decided in time linear in its entries
+        entries = [{"index": [bound, bound, bound, bound], "value": "-1"}]
+        path.write_text(json.dumps({"dim": bound, "entries": entries}))
+        res = runner.invoke(main, ["check", str(path)])
+        assert res.exit_code == 2
+        assert f"negative-diagonal t{bound}" in res.output
 
     @pytest.mark.parametrize("dim", [1, 4])
     def test_minimize_other_dims_exit_64(self, runner, tmp_path, dim):

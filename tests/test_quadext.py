@@ -5,33 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartpd.quadext import QuadExt, sqrt_cmp, sqrt_eq, sqrt_leq, sqrt_lt
+from quartpd.quadext import QuadExt
 
 fr = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 nonneg = st.fractions(min_value=0, max_value=10, max_denominator=12)
 
 
+def _sign(p, q, s):
+    return QuadExt(Fraction(p), Fraction(q), Fraction(s)).sign()
+
+
 def test_examples():
-    assert sqrt_leq(-5, 1, 0)
-    assert not sqrt_leq(3, 2, 2)  # 3 > 2*sqrt(2) since 9 > 8
-    assert sqrt_leq(2, 1, 4) and sqrt_eq(2, 1, 4)
-    assert sqrt_lt(2, 2, 2)
+    assert _sign(-5, -1, 0) < 0
+    assert _sign(3, -2, 2) > 0  # 3 > 2*sqrt(2) since 9 > 8
+    assert _sign(2, -1, 4) == 0
+    assert _sign(2, -2, 2) < 0
 
 
 def test_negative_radicand_rejected():
     with pytest.raises(ValueError):
-        sqrt_leq(0, 1, -1)
-    with pytest.raises(ValueError):
         QuadExt(Fraction(0), Fraction(1), Fraction(-1))
-
-
-@given(lhs=fr, coeff=fr, rad=nonneg)
-@settings(max_examples=300, deadline=None)
-def test_sign_matches_float(lhs, coeff, rad):
-    exact = sqrt_cmp(lhs, coeff, rad)
-    approx = float(lhs) - float(coeff) * math.sqrt(float(rad))
-    if abs(approx) > 1e-9:
-        assert exact == (1 if approx > 0 else -1)
 
 
 @given(p=fr, q=fr, s=nonneg)

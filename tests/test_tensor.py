@@ -12,7 +12,6 @@ from quartpd.tensor import (
     diag_ones,
     multiplicity,
     rank_one,
-    symmetrize,
 )
 
 from conftest import dense_form_reference, rand_fraction, rand_tensor, rand_vector
@@ -68,30 +67,6 @@ def test_dimension_mismatch():
         diag_ones(2).inner_product(diag_ones(3))
 
 
-def test_gradient_trivial():
-    assert diag_ones(3).evaluate_gradient((1, 0, 0)) == (1, 0, 0)
-    T = rand_tensor(random.Random(2), 3)
-    assert T.evaluate_gradient((0, 0, 0)) == (0, 0, 0)
-
-
-def test_gradient_euler_identity(rng):
-    # sum_k (Tx^3)_k x_k = Tx^4
-    for _ in range(30):
-        n = rng.choice([2, 3])
-        T = rand_tensor(rng, n)
-        x = rand_vector(rng, n)
-        g = T.evaluate_gradient(x)
-        assert sum(gk * xk for gk, xk in zip(g, x)) == T.evaluate_form(x)
-
-
-def test_gradient_boundary_tensor():
-    T = embed(CyclicTernary.of(1, -1, -1, 1, "-7/12"))
-    g = T.evaluate_gradient((1, 1, 1))
-    assert sum(g) == -24
-    # totally symmetric tensor at a symmetric point: equal components
-    assert g == (Fraction(-8), Fraction(-8), Fraction(-8))
-
-
 def test_mixed_collapses_to_form(rng):
     T = rand_tensor(rng, 3)
     x = rand_vector(rng, 3)
@@ -118,8 +93,8 @@ def test_inner_product_examples(rng):
 
 
 def test_frobenius():
-    assert SymmetricTensor4(3, {}).frobenius_norm() == 0
-    assert diag_ones(3).frobenius_norm() == pytest.approx(3**0.5)
+    assert SymmetricTensor4(3, {}).frobenius_norm_squared() == 0
+    assert diag_ones(3).frobenius_norm_squared() == 3
     x = (Fraction(1, 2), Fraction(-2), Fraction(3))
     norm_sq = sum(v * v for v in x) ** 4
     assert rank_one(x).frobenius_norm_squared() == norm_sq
@@ -156,31 +131,3 @@ def test_homogeneity(lam, seed):
     x = rand_vector(rng, 3)
     assert T.evaluate_form(tuple(lam * v for v in x)) == lam**4 * T.evaluate_form(x)
 
-
-def test_symmetrize_identity(rng):
-    T = rand_tensor(rng, 2)
-    raw = {}
-    for idx, v in T.entries().items():
-        for perm in set(itertools.permutations(idx)):
-            raw[perm] = v
-    S, diag = symmetrize(raw, 2)
-    assert S == T
-    assert diag == 0
-
-
-def test_symmetrize_averages():
-    raw = {(1, 1, 1, 2): 2, (1, 1, 2, 1): 0, (1, 2, 1, 1): 0, (2, 1, 1, 1): 0}
-    S, diag = symmetrize(raw, 2)
-    assert S[(1, 1, 1, 2)] == Fraction(1, 2)
-    assert diag == Fraction(3, 2)
-
-
-def test_symmetrize_random_permuted(rng):
-    for _ in range(20):
-        T = rand_tensor(rng, 3)
-        raw = {}
-        for idx, v in T.entries().items():
-            for perm in set(itertools.permutations(idx)):
-                raw[perm] = v
-        S, diag = symmetrize(raw, 3)
-        assert S == T and diag == 0
