@@ -12,6 +12,20 @@ candidate takes its first rung that passes the Armijo test.  Halving is
 exact in binary floating point, so this gives bit for bit the iterates of
 trying one halving at a time.
 
+The form is evaluated through its monomials, from coefficients built once
+per tensor (``_kernel``).  A quartic form is a quadratic form in its
+quadratic monomials, Tx^4 = q^T S q with q = (x_i x_j)_{i <= j} (the Gram
+representation of Choi, Lam and Reznick), so the grid values cost a
+6x6 (n=3) or 3x3 (n=2) matrix product per point.  The refine needs Tx^3
+for the gradient: it is M W, with M the 10 (n=3) or 4 (n=2) cubic
+monomials x_a x_b x_c (a <= b <= c) and W[m, i] the multiplicity of m
+times t_{i,m}, and Tx^4 is its dot with x.  The ladder's identity with
+one halving at a time needs every row of that contraction to come out the
+same whatever other rows share its batch; ``einsum`` gives that, while a
+BLAS ``@`` takes another kernel for a one-row batch and changes the last
+bits.  The grid values only rank grid points (the starting points, the
+positivity witness), so they use ``@``.
+
 A sphere minimum above the classification margin classifies the form as
 positive definite, one below minus the margin as indefinite; a value
 inside the margin is UNDETERMINED (the boundary case) and left to the
@@ -21,6 +35,7 @@ exact analytic modules.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -127,18 +142,86 @@ def _cached_grid(dim: int, n_points: int, seed: int) -> np.ndarray:
     return X
 
 
-def _forms_and_cubics(Td: np.ndarray, X: np.ndarray):
-    """Values Tx^4 and vectors Tx^3 for a batch of points (rows of X)."""
+@dataclass(frozen=True)
+class _Kernel:
+    """The form's float coefficients on its monomials: the Gram matrix S
+    over the quadratic monomials ``pairs`` and the matrix W over the cubic
+    monomials ``triples`` (see the module docstring)."""
+
+    pairs: np.ndarray  # (n(n+1)/2, 2)
+    gram: np.ndarray  # (n(n+1)/2, n(n+1)/2)
+    triples: np.ndarray  # (n(n+1)(n+2)/6, 3)
+    cubic: np.ndarray  # (n(n+1)(n+2)/6, n)
+    shift: int  # S and W hold T / 2^shift; results are scaled back
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials(dim: int):
+    """Index arrays of the quadratic (i <= j) and cubic (a <= b <= c)
+    monomials in dim variables, each followed by the number of index orders
+    a monomial stands for: 1 or 2 for x_i x_j, 1, 3 or 6 for x_a x_b x_c."""
     import numpy as np
 
-    A = np.einsum("ijkl,pl->pijk", Td, X)
-    B = np.einsum("pijk,pk->pij", A, X)
-    C = np.einsum("pij,pj->pi", B, X)  # rows are Tx^3
+    out = []
+    for degree in (2, 3):
+        monos = list(itertools.combinations_with_replacement(range(dim), degree))
+        orders = [len(set(itertools.permutations(m))) for m in monos]
+        out += [np.array(monos), np.array(orders, dtype=float)]
+    for a in out:
+        a.flags.writeable = False
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=1)
+def _kernel(T: SymmetricTensor4) -> _Kernel:
+    """The monomial kernel of T, built from ``T.dense()`` (which raises
+    ``OverflowError`` naming an entry beyond float range).  Cached for the
+    last tensor, so that the calls of one ``classify_numeric`` (or one
+    catalog entry) share a single build."""
+    import numpy as np
+
+    pairs, fold, triples, orders = _monomials(T.dim)
+    Td = T.dense()
+    # S and W hold up to 6|t|: entries near float range are scaled down by
+    # a power of two, which is exact, so that no coefficient overflows
+    top = float(np.abs(Td).max())
+    shift = math.frexp(top)[1] if top > 2.0**1000 else 0
+    Td = np.ldexp(Td, -shift)
+    i, j = pairs.T
+    # q^T S q runs over unordered pairs: fold weights restore the orders
+    gram = fold[:, None] * Td[i, j][:, i, j] * fold
+    # t_{i,a,b,c} = t_{a,b,c,i}, so the rows of Td[a, b, c] are the t_{.,m}
+    cubic = orders[:, None] * Td[tuple(triples.T)]
+    gram.flags.writeable = cubic.flags.writeable = False  # shared by the cache
+    return _Kernel(pairs, gram, triples, cubic, shift)
+
+
+def _values(K: _Kernel, X: np.ndarray) -> np.ndarray:
+    """Tx^4 for the rows of X as q^T S q.  Uses BLAS, so a row's last bits
+    may depend on its batch: fit for ranking grid points only."""
+    import numpy as np
+
+    Q = X[:, K.pairs].prod(axis=2)
+    return np.ldexp(np.einsum("pi,pi->p", Q @ K.gram, Q), K.shift)
+
+
+def _forms_and_cubics(K: _Kernel, X: np.ndarray):
+    """Values Tx^4 and vectors Tx^3 for a batch of points (rows of X).
+
+    Every row gets the same bits whatever other rows share its batch (the
+    refine ladder relies on it), which ``einsum`` gives and ``@`` does not.
+    """
+    import numpy as np
+
+    M = X[:, K.triples].prod(axis=2)
+    C = np.einsum("pm,mi->pi", M, K.cubic)  # rows are Tx^3 / 2^shift
     vals = np.einsum("pi,pi->p", C, X)
+    if K.shift:
+        return np.ldexp(vals, K.shift), np.ldexp(C, K.shift)
     return vals, C
 
 
-def _refine_batch(Td: np.ndarray, X0: np.ndarray, cfg: OracleConfig):
+def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
     """Projected gradient with per-candidate backtracking on the sphere.
 
     Each iteration tries the steps alpha, alpha/2, alpha/4, ... (at most
@@ -151,7 +234,7 @@ def _refine_batch(Td: np.ndarray, X0: np.ndarray, cfg: OracleConfig):
     import numpy as np
 
     X = X0 / np.linalg.norm(X0, axis=1, keepdims=True)
-    vals, cub = _forms_and_cubics(Td, X)
+    vals, cub = _forms_and_cubics(K, X)
     alpha = np.full(len(X), 0.1)
     active = np.ones(len(X), dtype=bool)
     iters = 0
@@ -172,7 +255,7 @@ def _refine_batch(Td: np.ndarray, X0: np.ndarray, cfg: OracleConfig):
             trial = X[pending, None] - steps[..., None] * gt[pending, None]
             trial = trial.reshape(-1, X.shape[1])
             trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
-            tvals, tcub = _forms_and_cubics(Td, trial)
+            tvals, tcub = _forms_and_cubics(K, trial)
             bound = vals[pending, None] - 1e-4 * steps * gnorm2[pending, None]
             # a rung below 1e-18 is never tried; valid rungs are a prefix
             valid = steps >= 1e-18
@@ -194,18 +277,17 @@ def _refine_batch(Td: np.ndarray, X0: np.ndarray, cfg: OracleConfig):
 
 
 def _sample(T: SymmetricTensor4, n_points: int, seed: int):
-    """The dense tensor, an n_points grid and the form's values on it."""
+    """The kernel, an n_points grid and the form's values on it."""
     if T.dim not in ORACLE_DIMS:
         raise ValueError(f"oracle supports dim 2 or 3, got {T.dim}")
-    Td = T.dense()
+    K = _kernel(T)
     X = _cached_grid(T.dim, n_points, seed)
-    vals, _ = _forms_and_cubics(Td, X)
-    return Td, X, vals
+    return K, X, _values(K, X)
 
 
-def _polish(Td: np.ndarray, X: np.ndarray, keys: np.ndarray, k: int, cfg: OracleConfig):
+def _polish(K: _Kernel, X: np.ndarray, keys: np.ndarray, k: int, cfg: OracleConfig):
     """Refine the k grid points with the smallest keys (ties by grid order)."""
-    return _refine_batch(Td, X[_top_k(keys, k)], cfg)
+    return _refine_batch(K, X[_top_k(keys, k)], cfg)
 
 
 def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
@@ -224,8 +306,8 @@ def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
 def sphere_minimize(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> OracleResult:
     import numpy as np
 
-    Td, X, vals = _sample(T, cfg.effective_grid(T.dim), cfg.seed)
-    refined, rvals, iters = _polish(Td, X, vals, min(cfg.refine_top_k, len(X)), cfg)
+    K, X, vals = _sample(T, cfg.effective_grid(T.dim), cfg.seed)
+    refined, rvals, iters = _polish(K, X, vals, min(cfg.refine_top_k, len(X)), cfg)
     best = int(np.lexsort((*(refined.T[::-1]), rvals))[0])
     min_value = float(rvals[best])
     minimizer = _canonical_sign(refined[best] / np.linalg.norm(refined[best]))
@@ -290,14 +372,13 @@ def zero_set_probe(
     """
     import numpy as np
 
-    Td, X, vals = _sample(T, cfg.effective_grid(T.dim), cfg.seed)
+    K, X, vals = _sample(T, cfg.effective_grid(T.dim), cfg.seed)
     k = min(max(cfg.refine_top_k, 200), len(X))
-    refined, rvals, _ = _polish(Td, X, np.abs(vals), k, cfg)
+    refined, rvals, _ = _polish(K, X, np.abs(vals), k, cfg)
     zeros = refined[np.abs(rvals) <= cfg.classify_margin]
-    reps: List[np.ndarray] = []
-    for z in zeros:
-        z = z / np.linalg.norm(z)
-        if not any(np.linalg.norm(z - r) <= _CLUSTER_TOL for r in reps):
-            reps.append(z)
-    reps.sort(key=lambda r: tuple(r))
-    return [tuple(float(v) for v in r) for r in reps]
+    zeros = zeros / np.linalg.norm(zeros, axis=1, keepdims=True)
+    reps: List[int] = []
+    for i, z in enumerate(zeros):
+        if not (np.linalg.norm(zeros[reps] - z, axis=1) <= _CLUSTER_TOL).any():
+            reps.append(i)
+    return sorted(tuple(float(v) for v in zeros[i]) for i in reps)

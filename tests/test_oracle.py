@@ -15,7 +15,7 @@ from quartpd.oracle import (
     sphere_minimize,
     zero_set_probe,
 )
-from quartpd.tensor import SymmetricTensor4, diag_ones
+from quartpd.tensor import SymmetricTensor4, diag_ones, multiplicity
 from quartpd.verdict import Kind
 
 from conftest import rand_tensor
@@ -254,3 +254,75 @@ def test_sample_grid_is_cached_read_only(T):
         _, again, _ = oracle._sample(T, m, 0)
         assert np.array_equal(again, grid)
     assert oracle._sample(T, n, 0)[1] is X
+
+
+def _exact_cubic(T, x):
+    """Tx^3 in exact arithmetic: (Tx^3)_i = sum over j, k, l of t_ijkl x_j x_k x_l."""
+    n = T.dim
+    return [
+        sum(T[(i, j, k, l)] * x[j - 1] * x[k - 1] * x[l - 1]
+            for j in range(1, n + 1) for k in range(1, n + 1) for l in range(1, n + 1))
+        for i in range(1, n + 1)
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kernel_matches_exact_evaluation(dim):
+    # the Gram-form grid values and the cubic-monomial Tx^4 and Tx^3 agree
+    # with Fraction evaluation at the float points, to 1e-12 of the scale
+    # sum |t| * |x|^k over all index orders
+    rng = random.Random(f"kernel:{dim}")
+    for case in range(20):
+        T = rand_tensor(rng, dim, lo=-10 ** (case % 4), hi=10 ** (case % 4))
+        K = oracle._kernel(T)
+        X = np.random.default_rng(case).normal(size=(25, dim)) * (0.5 + case % 3)
+        grid_vals = oracle._values(K, X)
+        vals, cub = oracle._forms_and_cubics(K, X)
+        abs_sum = sum(abs(v) * multiplicity(idx) for idx, v in T.entries().items())
+        for p, row in enumerate(X):
+            x = [Fraction(float(v)) for v in row]
+            norm = float(np.linalg.norm(row))
+            exact = T.evaluate_form(x)
+            tol = 1e-12 * float(abs_sum) * norm**4
+            assert abs(Fraction(float(grid_vals[p])) - exact) <= tol
+            assert abs(Fraction(float(vals[p])) - exact) <= tol
+            for got, want in zip(cub[p], _exact_cubic(T, x)):
+                assert abs(Fraction(float(got)) - want) <= 1e-12 * float(abs_sum) * norm**3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_refine_contraction_is_row_independent(dim):
+    # each row of _forms_and_cubics has the same bits alone and in any
+    # batch; the ladder's identity with one halving at a time rests on it
+    rng = np.random.default_rng(dim)
+    T = rand_tensor(random.Random(f"rows:{dim}"), dim)
+    K = oracle._kernel(T)
+    X = rng.normal(size=(1200, dim))
+    vals, cub = oracle._forms_and_cubics(K, X)
+    for p in range(len(X)):
+        v1, c1 = oracle._forms_and_cubics(K, X[p : p + 1])
+        assert np.array_equal(v1, vals[p : p + 1]) and np.array_equal(c1, cub[p : p + 1])
+    sizes = [*range(1, 40), 63, 64, 65, 127, 128, 129, 200, 511, 512, 513, 1000, 1199, 1200]
+    sizes += rng.integers(1, 1201, 20).tolist()
+    for size in sizes:
+        rows = rng.choice(len(X), size, replace=False)
+        v, c = oracle._forms_and_cubics(K, X[rows])
+        assert np.array_equal(v, vals[rows]) and np.array_equal(c, cub[rows]), size
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kernel_entries_near_float_range(dim):
+    # the kernel holds up to 6|t|, so entries near float range are computed
+    # at a power-of-two scale: the values are the small tensor's, to the bit
+    T = rand_tensor(random.Random(f"big:{dim}"), dim)
+    big = T.scale(Fraction(2) ** 1000)
+    X = np.random.default_rng(dim).normal(size=(50, dim))
+    K, Kbig = oracle._kernel(T), oracle._kernel(big)
+    for got, want in zip(oracle._forms_and_cubics(Kbig, X), oracle._forms_and_cubics(K, X)):
+        assert np.array_equal(got, np.ldexp(want, 1000))
+    assert np.array_equal(oracle._values(Kbig, X), np.ldexp(oracle._values(K, X), 1000))
+    # 4 t1122 and 6 t1122 overflow a float, the form's values do not
+    near_max = {(1, 1, 1, 1): 10**308, (2, 2, 2, 2): 10**308, (1, 1, 2, 2): -9 * 10**307}
+    with np.errstate(over="ignore", invalid="ignore"):  # the refine's 4 Tx^3 overflows
+        v = classify_numeric(SymmetricTensor4(dim, near_max))
+    assert v.kind is Kind.INDEFINITE and v.witness is not None

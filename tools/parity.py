@@ -1,6 +1,7 @@
 """Record the CLI's output on every benchmark input, to compare two commits.
 
 Usage: python tools/parity.py SEED [SEED ...] > out.json
+       python tools/parity.py --compare PARENT.json CHANGE.json
 
 For each seed and each workload of ``perfbench/gen.py`` it runs every
 distinct argv of ``generate(workload, seed)`` through ``quartpd.cli.main``
@@ -9,7 +10,19 @@ inputs are written to a temporary directory, as the benchmark child does.
 The output is one JSON object, keys sorted, mapping each input (its argv,
 with a tensor file's document in place of its path) to
 ``[exit code, stdout, stderr]``; a JSON report's ``timings`` are removed.
-Two checkouts agree when their outputs compare equal with ``cmp``.
+Two checkouts whose outputs should agree to the bit agree when the files
+compare equal with ``cmp``.
+
+A change to the oracle's float arithmetic moves the last bits of its
+results, so ``--compare`` checks two recorded files at a tolerance.  It
+fails on a differing input set, exit code, stderr, or any field of a JSON
+report other than a float, and on a value float (``margin``,
+``sphere_min``) that differs by more than 1e-12 times max(1, max |t|) of
+the input's tensor.  Point floats (``minimizer``, ``min_point``,
+``equality_points``, ``positivity_witness``) may move to another of
+several tied minima, so their differences are counted and reported but do
+not fail the compare; any other float must be equal.  It prints a summary
+and exits 0 when the files agree, 1 when they do not.
 """
 
 from __future__ import annotations
@@ -29,6 +42,9 @@ import gen  # noqa: E402  (perfbench/gen.py)
 from quartpd.cli import main as cli_main  # noqa: E402
 
 WORKLOADS = ("binary-mix", "ternary-oracle", "catalog")
+
+VALUE_FLOATS = ("margin", "sphere_min")
+POINT_FLOATS = ("minimizer", "min_point", "equality_points", "positivity_witness")
 
 
 def _run(argv):
@@ -70,8 +86,91 @@ def record(seeds, tmp: str) -> dict:
     return results
 
 
+def _max_entry(argv) -> float:
+    """max(1, max |t|) over the tensor of the input ``argv`` (as keyed)."""
+    from quartpd.inequalities import builtin_catalog
+    from quartpd.tensorio import parse_document, parse_shorthand, to_tensor
+
+    if argv[0] == "inequalities":
+        label = argv[argv.index("--only") + 1]
+        T = next(q for q in builtin_catalog() if q.label == label).to_tensor()
+    elif isinstance(argv[1], dict):
+        T = to_tensor(parse_document(argv[1]))
+    else:
+        coeffs = [a for a in argv[2:] if not a.startswith("--")]
+        T = to_tensor(parse_shorthand(argv[1], coeffs))
+    return max([1.0, *(abs(float(v)) for v in T.entries().values())])
+
+
+def _float_diffs(a, b, field=None, path=""):
+    """(path, field, a, b) for each float that differs between two parsed
+    reports; raises ValueError at the first other difference."""
+    if isinstance(a, float) and isinstance(b, float):
+        return [] if a == b else [(path, field, a, b)]
+    if type(a) is not type(b):
+        raise ValueError(f"{path}: {a!r} != {b!r}")
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            raise ValueError(f"{path}: keys {sorted(a)} != {sorted(b)}")
+        return [d for k in sorted(a) for d in _float_diffs(a[k], b[k], k, f"{path}/{k}")]
+    if isinstance(a, list):
+        if len(a) != len(b):
+            raise ValueError(f"{path}: length {len(a)} != {len(b)}")
+        pairs = enumerate(zip(a, b))
+        return [d for i, (x, y) in pairs for d in _float_diffs(x, y, field, f"{path}/{i}")]
+    if a != b:
+        raise ValueError(f"{path}: {a!r} != {b!r}")
+    return []
+
+
+def _compare_one(key, old, new, stats) -> list:
+    """The failures of one input; updates the float statistics in ``stats``."""
+    if old[0] != new[0] or old[2] != new[2]:
+        return [f"exit code or stderr: {old[0]} {old[2]!r} != {new[0]} {new[2]!r}"]
+    if old[1] == new[1]:
+        return []
+    try:
+        diffs = _float_diffs(json.loads(old[1]), json.loads(new[1]))
+    except ValueError as exc:
+        return [f"stdout: {exc}"]
+    failures, scale = [], None
+    for path, field, a, b in diffs:
+        if field in POINT_FLOATS:
+            stats["point_floats"] += 1
+        elif field in VALUE_FLOATS:
+            scale = scale or _max_entry(json.loads(key))
+            stats["value_floats"] += 1
+            stats["max_value_diff"] = max(stats["max_value_diff"], abs(a - b))
+            stats["max_scaled_diff"] = max(stats["max_scaled_diff"], abs(a - b) / scale)
+            if abs(a - b) > 1e-12 * scale:
+                failures.append(f"{path}: {a!r} != {b!r} (tolerance {1e-12 * scale:.3g})")
+        else:
+            failures.append(f"{path}: {a!r} != {b!r}")
+    return failures
+
+
+def compare(old: dict, new: dict) -> int:
+    failures = [f"input only in one file: {k}" for k in sorted(old.keys() ^ new.keys())]
+    stats = {"point_floats": 0, "value_floats": 0, "max_value_diff": 0.0, "max_scaled_diff": 0.0}
+    differing = 0
+    for key in sorted(old.keys() & new.keys()):
+        differing += old[key] != new[key]
+        failures += [f"{key}: {f}" for f in _compare_one(key, old[key], new[key], stats)]
+    print(f"{len(old.keys() & new.keys())} inputs in both files, {differing} with differing output")
+    print(f"value floats differing: {stats['value_floats']}, largest difference "
+          f"{stats['max_value_diff']:.3g} ({stats['max_scaled_diff']:.3g} of max(1, max |t|))")
+    print(f"point floats differing: {stats['point_floats']} (not failing)")
+    for f in failures:
+        print(f"FAIL {f}")
+    print("agree within tolerance" if not failures else f"{len(failures)} failures")
+    return 1 if failures else 0
+
+
 def main(args) -> int:
-    if not args:
+    if args[:1] == ["--compare"] and len(args) == 3:
+        with open(args[1]) as fa, open(args[2]) as fb:
+            return compare(json.load(fa), json.load(fb))
+    if not args or args[0].startswith("--"):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 64
     seeds = [int(s) for s in args]
