@@ -3,28 +3,46 @@
 Candidates come from a deterministic low-discrepancy grid (uniform angles
 on the circle for n=2, a spherical Fibonacci lattice for n=3) with seeded
 jitter; a grid is built once per (dim, size, seed) and shared read-only.
-The best candidates are polished by projected gradient descent with
-backtracking, the gradient step having its radial component removed and
-the iterate renormalized each step.  Backtracking is a ladder: the trial
-steps alpha, alpha/2, alpha/4, ... of every active candidate are evaluated
-together in a few batched passes (4, then 12, then 24 rungs), and each
-candidate takes its first rung that passes the Armijo test.  Halving is
-exact in binary floating point, so this gives bit for bit the iterates of
-trying one halving at a time.
+The best candidates are polished by a safeguarded Riemannian Newton method
+(Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds,
+2008, ch. 6).  At a unit x, with P = I - x x^T, the Riemannian gradient is
+g = 4 (Tx^3 - Tx^4 x) and the Riemannian Hessian Hr = P (12 Tx^2) P -
+4 Tx^4 P.  Where Hr is positive definite on the tangent plane, the
+direction d is the Newton direction, the tangent solution of Hr d = -g,
+which converges quadratically near a nondegenerate minimum; elsewhere (near
+a saddle or a maximum) it is the projected gradient -g.  The trial point
+x + step d is renormalized onto the sphere.
+
+Each candidate carries one step per kind of direction: it starts at 1 for
+Newton and 0.1 for the gradient, doubles (up to 1) after a success and
+halves on each failed rung, and a candidate whose step falls below 1e-18
+has stalled and stops.  Carrying the Newton step over, rather than starting
+every iteration at 1, matters: a candidate already at its minimum keeps
+failing its full step on float noise, so its step halves until it stalls,
+where a restart at 1 lets such candidates wander on noise to the iteration
+cap.  Backtracking is a ladder: the trial steps s, s/2, s/4, ... of every
+active candidate are evaluated together in a few batched passes (4, then
+12, then 24 rungs), and each candidate takes its first rung that passes the
+Armijo test Tx^4 + 1e-4 step (g . d).  The direction is fixed for the
+iteration and halving is exact in binary floating point, so this gives bit
+for bit the iterates of trying one halving at a time.
 
 The form is evaluated through its monomials, from coefficients built once
 per tensor (``_kernel``).  A quartic form is a quadratic form in its
 quadratic monomials, Tx^4 = q^T S q with q = (x_i x_j)_{i <= j} (the Gram
 representation of Choi, Lam and Reznick), so the grid values cost a
-6x6 (n=3) or 3x3 (n=2) matrix product per point.  The refine needs Tx^3
-for the gradient: it is M W, with M the 10 (n=3) or 4 (n=2) cubic
-monomials x_a x_b x_c (a <= b <= c) and W[m, i] the multiplicity of m
-times t_{i,m}, and Tx^4 is its dot with x.  The ladder's identity with
-one halving at a time needs every row of that contraction to come out the
-same whatever other rows share its batch; ``einsum`` gives that, while a
-BLAS ``@`` takes another kernel for a one-row batch and changes the last
-bits.  The grid values only rank grid points (the starting points, the
-positivity witness), so they use ``@``.
+6x6 (n=3) or 3x3 (n=2) matrix product per point.  The refine needs Tx^2
+for the Hessian: it is the sum over p of q_p H_p, with H_p the fold weight
+of the quadratic monomial p times the matrix t_{.,.,i_p,j_p}; then Tx^3 is
+Tx^2 x, for the gradient, and Tx^4 is Tx^3 . x.  The ladder's identity
+with one halving at a time needs every row of these contractions to come
+out the same whatever other rows share its batch; ``einsum`` gives that,
+while a BLAS ``@`` takes another kernel for a one-row batch and changes the
+last bits.  The grid values only rank grid points (the starting points,
+the positivity witness), so they use ``@``.  The kernel holds T / 2^shift, a
+power of two that keeps tensors with entries near float range in range;
+the grid values and the refine stay at that scale, and only the values
+returned are scaled back.
 
 A sphere minimum above the classification margin classifies the form as
 positive definite, one below minus the margin as indefinite; a value
@@ -144,32 +162,25 @@ def _cached_grid(dim: int, n_points: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Kernel:
-    """The form's float coefficients on its monomials: the Gram matrix S
-    over the quadratic monomials ``pairs`` and the matrix W over the cubic
-    monomials ``triples`` (see the module docstring)."""
+    """The form's float coefficients on its quadratic monomials ``pairs``:
+    the Gram matrix S and the Hessian rows H (see the module docstring)."""
 
     pairs: np.ndarray  # (n(n+1)/2, 2)
     gram: np.ndarray  # (n(n+1)/2, n(n+1)/2)
-    triples: np.ndarray  # (n(n+1)(n+2)/6, 3)
-    cubic: np.ndarray  # (n(n+1)(n+2)/6, n)
-    shift: int  # S and W hold T / 2^shift; results are scaled back
+    hessian: np.ndarray  # (n(n+1)/2, n*n)
+    shift: int  # S and H hold T / 2^shift, and so do the values computed from them
 
 
 @functools.lru_cache(maxsize=None)
 def _monomials(dim: int):
-    """Index arrays of the quadratic (i <= j) and cubic (a <= b <= c)
-    monomials in dim variables, each followed by the number of index orders
-    a monomial stands for: 1 or 2 for x_i x_j, 1, 3 or 6 for x_a x_b x_c."""
+    """The index pairs (i, j), i <= j, of the quadratic monomials in dim
+    variables, and the number of index orders each stands for (1 or 2)."""
     import numpy as np
 
-    out = []
-    for degree in (2, 3):
-        monos = list(itertools.combinations_with_replacement(range(dim), degree))
-        orders = [len(set(itertools.permutations(m))) for m in monos]
-        out += [np.array(monos), np.array(orders, dtype=float)]
-    for a in out:
-        a.flags.writeable = False
-    return tuple(out)
+    pairs = np.array(list(itertools.combinations_with_replacement(range(dim), 2)))
+    fold = np.where(pairs[:, 0] == pairs[:, 1], 1.0, 2.0)
+    pairs.flags.writeable = fold.flags.writeable = False
+    return pairs, fold
 
 
 @functools.lru_cache(maxsize=1)
@@ -180,99 +191,161 @@ def _kernel(T: SymmetricTensor4) -> _Kernel:
     catalog entry) share a single build."""
     import numpy as np
 
-    pairs, fold, triples, orders = _monomials(T.dim)
+    pairs, fold = _monomials(T.dim)
     Td = T.dense()
-    # S and W hold up to 6|t|: entries near float range are scaled down by
-    # a power of two, which is exact, so that no coefficient overflows
+    # S and H hold up to 4|t|, and Tx^4 on the sphere reaches n^2 max|t|:
+    # entries near float range are scaled down by a power of two, which is
+    # exact, so that no coefficient or value overflows
     top = float(np.abs(Td).max())
     shift = math.frexp(top)[1] if top > 2.0**1000 else 0
     Td = np.ldexp(Td, -shift)
     i, j = pairs.T
     # q^T S q runs over unordered pairs: fold weights restore the orders
     gram = fold[:, None] * Td[i, j][:, i, j] * fold
-    # t_{i,a,b,c} = t_{a,b,c,i}, so the rows of Td[a, b, c] are the t_{.,m}
-    cubic = orders[:, None] * Td[tuple(triples.T)]
-    gram.flags.writeable = cubic.flags.writeable = False  # shared by the cache
-    return _Kernel(pairs, gram, triples, cubic, shift)
+    # (Tx^2)_{kl} = sum over pairs p of q_p fold_p t_{i_p,j_p,k,l}
+    hessian = fold[:, None] * Td[i, j].reshape(len(pairs), -1)
+    gram.flags.writeable = hessian.flags.writeable = False  # shared by the cache
+    return _Kernel(pairs, gram, hessian, shift)
+
+
+def _unscale(K: _Kernel, v):
+    """Kernel-scale values back at the tensor's scale (beyond float range: inf)."""
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        return np.ldexp(v, K.shift)
 
 
 def _values(K: _Kernel, X: np.ndarray) -> np.ndarray:
-    """Tx^4 for the rows of X as q^T S q.  Uses BLAS, so a row's last bits
-    may depend on its batch: fit for ranking grid points only."""
+    """Tx^4 / 2^shift for the rows of X as q^T S q.  Uses BLAS, so a row's
+    last bits may depend on its batch: fit for ranking grid points only."""
     import numpy as np
 
     Q = X[:, K.pairs].prod(axis=2)
-    return np.ldexp(np.einsum("pi,pi->p", Q @ K.gram, Q), K.shift)
+    return np.einsum("pi,pi->p", Q @ K.gram, Q)
 
 
 def _forms_and_cubics(K: _Kernel, X: np.ndarray):
-    """Values Tx^4 and vectors Tx^3 for a batch of points (rows of X).
+    """Values Tx^4, vectors Tx^3 and matrices Tx^2 for a batch of points
+    (rows of X), all divided by 2^shift: Tx^2 from the Hessian rows, Tx^3
+    as Tx^2 x and Tx^4 as Tx^3 . x.
 
     Every row gets the same bits whatever other rows share its batch (the
     refine ladder relies on it), which ``einsum`` gives and ``@`` does not.
     """
     import numpy as np
 
-    M = X[:, K.triples].prod(axis=2)
-    C = np.einsum("pm,mi->pi", M, K.cubic)  # rows are Tx^3 / 2^shift
-    vals = np.einsum("pi,pi->p", C, X)
-    if K.shift:
-        return np.ldexp(vals, K.shift), np.ldexp(C, K.shift)
-    return vals, C
+    n = X.shape[1]
+    Q = X[:, K.pairs].prod(axis=2)
+    H = np.einsum("pm,mi->pi", Q, K.hessian).reshape(-1, n, n)
+    C = np.einsum("pij,pj->pi", H, X)
+    return np.einsum("pi,pi->p", C, X), C, H
+
+
+def _newton_directions(X: np.ndarray, vals: np.ndarray, g: np.ndarray, hess: np.ndarray):
+    """The search direction at each row of X, given Tx^4, the Riemannian
+    gradient g and Tx^2 there.
+
+    Where the Riemannian Hessian Hr is positive definite on the tangent
+    plane, d solves (Hr + s x x^T) d = -g with s the mean tangent
+    eigenvalue (the trace of Hr over n - 1): x is an eigenvector of that
+    matrix, so d is tangent, and s keeps the system's scale.  Elsewhere
+    d = -g.  The 2x2 or 3x3 system is solved by its adjugate, and
+    definiteness read from its leading minors.  Returns d and the mask of
+    the Newton rows.
+    """
+    import numpy as np
+
+    n = X.shape[1]
+    xx = X[:, :, None] * X[:, None, :]
+    P = np.eye(n) - xx
+    Hr = P @ (12.0 * hess) @ P - (4.0 * vals)[:, None, None] * P
+    trace = np.einsum("pii->p", Hr)
+    B = Hr + (trace / (n - 1))[:, None, None] * xx
+    # the adjugate and the determinant multiply up to n entries: one power
+    # of two per row brings B near 1 and leaves d the same to the bit
+    e = -np.frexp(np.abs(B).max(axis=(1, 2)))[1]
+    B = np.ldexp(B, e[:, None, None])
+    if n == 2:
+        adj = np.einsum("pii->p", B)[:, None, None] * np.eye(2) - B
+    else:
+        # cofactor (i, j) is B[i+1, j+1] B[i+2, j+2] - B[i+1, j+2] B[i+2, j+1],
+        # indices mod 3; the adjugate is its transpose
+        u, v = np.array([[1, 2, 0], [2, 0, 1]])  # i + 1 and i + 2 (mod 3)
+        cof = B[:, u[:, None], u] * B[:, v[:, None], v] - B[:, u[:, None], v] * B[:, v[:, None], u]
+        adj = cof.transpose(0, 2, 1)
+    det = np.einsum("pi,pi->p", B[:, 0], adj[:, :, 0])
+    newton = (B[:, 0, 0] > 0) & (adj[:, -1, -1] > 0) & (det > 0)
+    d = -g
+    num = np.einsum("pij,pj->pi", adj, np.ldexp(d, e[:, None]))
+    np.divide(num, det[:, None], out=d, where=newton[:, None])
+    return d, newton
 
 
 def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
-    """Projected gradient with per-candidate backtracking on the sphere.
+    """Safeguarded Newton descent with per-candidate backtracking on the
+    sphere, at the kernel's scale (see the module docstring).
 
-    Each iteration tries the steps alpha, alpha/2, alpha/4, ... (at most
-    40 halvings, none below 1e-18) and takes the first that passes Armijo;
-    the rungs of all active candidates are evaluated together, in batches
-    of _RUNG_BATCHES rungs.  A candidate whose rungs all fail with the next
-    step below 1e-18 has stalled and stops.  Returns refined points, values
+    Each iteration tries the steps s, s/2, s/4, ... (at most 40 halvings,
+    none below 1e-18) from the candidate's step s for its direction's kind
+    and takes the first that passes Armijo; the rungs of all active
+    candidates are evaluated together, in batches of _RUNG_BATCHES rungs.  A
+    candidate whose rungs all fail with the next step below 1e-18 has
+    stalled and stops.  Returns refined points, values (divided by 2^shift)
     and the iteration count of the longest running candidate.
     """
     import numpy as np
 
     X = X0 / np.linalg.norm(X0, axis=1, keepdims=True)
-    vals, cub = _forms_and_cubics(K, X)
-    alpha = np.full(len(X), 0.1)
+    vals, cub, hess = _forms_and_cubics(K, X)
+    # per candidate, the step of the gradient (column 0) and Newton (1) directions
+    step = np.tile([0.1, 1.0], (len(X), 1))
     active = np.ones(len(X), dtype=bool)
+    grad_tol = math.ldexp(cfg.grad_tol, -K.shift)
     iters = 0
     for it in range(cfg.refine_max_iters):
         grad = 4.0 * cub
         gt = grad - (np.einsum("pi,pi->p", grad, X))[:, None] * X
         gnorm2 = np.einsum("pi,pi->p", gt, gt)
-        active = active & (np.sqrt(gnorm2) > cfg.grad_tol)
+        active = active & (np.sqrt(gnorm2) > grad_tol)
         if not active.any():
             break
         iters = it + 1
-        pending = np.flatnonzero(active)
+        rows = np.flatnonzero(active)
+        d, newton = _newton_directions(X[rows], vals[rows], gt[rows], hess[rows])
+        slope = np.einsum("pi,pi->p", gt[rows], d)
+        kind = newton.astype(int)
+        s = step[rows, kind]
+        pending = np.arange(len(rows))  # positions in rows
         for width in _RUNG_BATCHES:
             if pending.size == 0:
                 break
-            # halving is exact, so rung j is alpha * 2**-j to the last bit
-            steps = np.ldexp(alpha[pending, None], -np.arange(width))
-            trial = X[pending, None] - steps[..., None] * gt[pending, None]
+            # halving is exact, so rung j is s * 2**-j to the last bit
+            steps = np.ldexp(s[pending, None], -np.arange(width))
+            at = rows[pending]
+            trial = X[at, None] + steps[..., None] * d[pending, None]
             trial = trial.reshape(-1, X.shape[1])
             trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
-            tvals, tcub = _forms_and_cubics(K, trial)
-            bound = vals[pending, None] - 1e-4 * steps * gnorm2[pending, None]
+            tvals, tcub, thess = _forms_and_cubics(K, trial)
+            bound = vals[at, None] + 1e-4 * steps * slope[pending, None]
             # a rung below 1e-18 is never tried; valid rungs are a prefix
             valid = steps >= 1e-18
             ok = (tvals.reshape(steps.shape) < bound) & valid
             hit = ok.any(axis=1)
             first = ok.argmax(axis=1)[hit]
             take = np.flatnonzero(hit) * width + first
-            good = pending[hit]
+            good = at[hit]
             X[good] = trial[take]
             vals[good] = tvals[take]
             cub[good] = tcub[take]
-            alpha[good] = np.minimum(steps[hit, first] * 2.0, 1.0)
+            hess[good] = thess[take]
+            s[pending[hit]] = np.minimum(steps[hit, first] * 2.0, 1.0)
             missed = pending[~hit]
-            alpha[missed] = np.ldexp(alpha[missed], -valid[~hit].sum(axis=1))
-            stalled = alpha[missed] < 1e-18
-            active[missed[stalled]] = False
+            s[missed] = np.ldexp(s[missed], -valid[~hit].sum(axis=1))
+            stalled = s[missed] < 1e-18
+            active[rows[missed[stalled]]] = False
             pending = missed[~stalled]
+        step[rows, kind] = s
     return X, vals, iters
 
 
@@ -309,7 +382,7 @@ def sphere_minimize(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> 
     K, X, vals = _sample(T, cfg.effective_grid(T.dim), cfg.seed)
     refined, rvals, iters = _polish(K, X, vals, min(cfg.refine_top_k, len(X)), cfg)
     best = int(np.lexsort((*(refined.T[::-1]), rvals))[0])
-    min_value = float(rvals[best])
+    min_value = float(_unscale(K, rvals[best]))
     minimizer = _canonical_sign(refined[best] / np.linalg.norm(refined[best]))
     if min_value > cfg.classify_margin:
         classification = Kind.POSITIVE_DEFINITE
@@ -353,9 +426,9 @@ def _positivity_witness(T: SymmetricTensor4, cfg: OracleConfig) -> Optional[tupl
     """Some grid direction with a clearly positive form value, if any."""
     import numpy as np
 
-    _, X, vals = _sample(T, min(cfg.effective_grid(T.dim), 512), cfg.seed)
+    K, X, vals = _sample(T, min(cfg.effective_grid(T.dim), 512), cfg.seed)
     i = int(np.argmax(vals))
-    if vals[i] > cfg.classify_margin:
+    if _unscale(K, vals[i]) > cfg.classify_margin:
         return tuple(float(v) for v in _canonical_sign(X[i]))
     return None
 
@@ -375,7 +448,7 @@ def zero_set_probe(
     K, X, vals = _sample(T, cfg.effective_grid(T.dim), cfg.seed)
     k = min(max(cfg.refine_top_k, 200), len(X))
     refined, rvals, _ = _polish(K, X, np.abs(vals), k, cfg)
-    zeros = refined[np.abs(rvals) <= cfg.classify_margin]
+    zeros = refined[np.abs(_unscale(K, rvals)) <= cfg.classify_margin]
     zeros = zeros / np.linalg.norm(zeros, axis=1, keepdims=True)
     reps: List[int] = []
     for i, z in enumerate(zeros):

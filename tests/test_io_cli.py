@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -449,6 +450,24 @@ class TestBeyondFloatRange:
         res = runner.invoke(main, ["minimize", self.tensor_file(tmp_path)])
         assert res.exit_code == 64
         assert "input error: t1111 is beyond float range" in res.output
+
+
+def test_entries_near_float_range_check_without_warnings(runner, tmp_path):
+    # the oracle ranks and refines at its kernel's power-of-two scale, so no
+    # step overflows: no numpy warning, and the witness is still exact
+    path = tmp_path / "near.json"
+    entries = {(1, 1, 1, 1): "1.7e308", (2, 2, 2, 2): "1.7e308", (3, 3, 3, 3): "1.7e308",
+               (1, 2, 2, 3): "1e308"}
+    path.write_text(json.dumps({
+        "dim": 3, "entries": [{"index": list(i), "value": v} for i, v in entries.items()]
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = runner.invoke(main, ["check", str(path), "--json"])
+    assert (res.exit_code, res.stderr) == (2, "")
+    verdict = json.loads(res.stdout)["verdict"]
+    assert (verdict["kind"], verdict["rule"]) == ("indefinite", "oracle-sphere-minimum")
+    assert load(str(path)).evaluate_form([Fraction(w) for w in verdict["witness"]]) < 0
 
 
 def test_every_kind_has_an_exit_code():

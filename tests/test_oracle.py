@@ -8,6 +8,7 @@ import pytest
 from quartpd import oracle
 from quartpd.binary import BinaryQuartic
 from quartpd.cyclic import CyclicTernary, embed
+from quartpd.inequalities import builtin_catalog
 from quartpd.oracle import (
     ConfigError,
     OracleConfig,
@@ -145,13 +146,13 @@ def test_agreement_with_cyclic_rules():
         assert res.min_value > 1e-8, e
 
 
-def _reference_refine(Td, X0, cfg, stats):
-    """The sequential backtracking loop the ladder in ``_refine_batch``
-    replaced: one numpy pass per halving round.  ``stats`` counts candidates
-    that stalled (step below 1e-18) and iterations where a candidate failed
-    all 40 rounds and stayed active."""
+def _gradient_reference(K, X0, cfg, stats):
+    """Projected gradient descent with the refine's backtracking, one numpy
+    pass per halving round: the cross-check for the Newton refine's minima.
+    ``stats`` counts candidates that stalled (step below 1e-18) and
+    iterations where a candidate failed all 40 rounds and stayed active."""
     X = X0 / np.linalg.norm(X0, axis=1, keepdims=True)
-    vals, cub = oracle._forms_and_cubics(Td, X)
+    vals, cub, _ = oracle._forms_and_cubics(K, X)
     alpha = np.full(len(X), 0.1)
     active = np.ones(len(X), dtype=bool)
     iters = 0
@@ -170,7 +171,7 @@ def _reference_refine(Td, X0, cfg, stats):
                 break
             trial = X[idx] - alpha[idx, None] * gt[idx]
             trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
-            tvals, tcub = oracle._forms_and_cubics(Td, trial)
+            tvals, tcub, _ = oracle._forms_and_cubics(K, trial)
             ok = tvals < vals[idx] - 1e-4 * alpha[idx] * gnorm2[idx]
             sel = np.flatnonzero(idx)
             good = sel[ok]
@@ -189,6 +190,56 @@ def _reference_refine(Td, X0, cfg, stats):
     return X, vals, iters
 
 
+def _newton_reference(K, X0, cfg, stats):
+    """The refine of ``_refine_batch`` with one numpy pass per halving
+    round: Newton or gradient directions from ``_newton_directions``, each
+    kind with its own step per candidate.  ``stats`` as in
+    ``_gradient_reference``."""
+    X = X0 / np.linalg.norm(X0, axis=1, keepdims=True)
+    vals, cub, hess = oracle._forms_and_cubics(K, X)
+    step = np.tile([0.1, 1.0], (len(X), 1))
+    active = np.ones(len(X), dtype=bool)
+    grad_tol = math.ldexp(cfg.grad_tol, -K.shift)
+    iters = 0
+    for it in range(cfg.refine_max_iters):
+        grad = 4.0 * cub
+        gt = grad - (np.einsum("pi,pi->p", grad, X))[:, None] * X
+        gnorm2 = np.einsum("pi,pi->p", gt, gt)
+        active = active & (np.sqrt(gnorm2) > grad_tol)
+        if not active.any():
+            break
+        iters = it + 1
+        rows = np.flatnonzero(active)
+        d, slope, kind = np.zeros_like(X), np.zeros(len(X)), np.zeros(len(X), dtype=int)
+        d[rows], kind[rows] = oracle._newton_directions(X[rows], vals[rows], gt[rows], hess[rows])
+        slope[rows] = np.einsum("pi,pi->p", gt[rows], d[rows])
+        moved = np.zeros(len(X), dtype=bool)
+        for _ in range(40):
+            sel = np.flatnonzero(active & ~moved)
+            if not sel.size:
+                break
+            s = step[sel, kind[sel]]
+            trial = X[sel] + s[:, None] * d[sel]
+            trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
+            tvals, tcub, thess = oracle._forms_and_cubics(K, trial)
+            ok = tvals < vals[sel] + 1e-4 * s * slope[sel]
+            good = sel[ok]
+            X[good] = trial[ok]
+            vals[good] = tvals[ok]
+            cub[good] = tcub[ok]
+            hess[good] = thess[ok]
+            moved[good] = True
+            step[good, kind[good]] = np.minimum(s[ok] * 2.0, 1.0)
+            bad = sel[~ok]
+            step[bad, kind[bad]] = s[~ok] * 0.5
+            stuck = bad[step[bad, kind[bad]] < 1e-18]
+            active[stuck] = False
+            moved[stuck] = True
+            stats["stalled"] += len(stuck)
+        stats["all_rungs_failed"] += int((active & ~moved).sum())
+    return X, vals, iters
+
+
 REFINE_CONFIGS = {
     "default": OracleConfig(),
     "one-iteration": OracleConfig(refine_max_iters=1),
@@ -200,6 +251,8 @@ REFINE_CONFIGS = {
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("name", list(REFINE_CONFIGS))
 def test_refine_ladder_matches_sequential_reference(dim, name):
+    # the batched ladder gives the sequential iterates to the bit; under the
+    # default config its best value is never above the gradient loop's
     cfg = REFINE_CONFIGS[name]
     rng = random.Random(f"{dim}:{name}")
     stats = {"stalled": 0, "all_rungs_failed": 0}
@@ -210,17 +263,33 @@ def test_refine_ladder_matches_sequential_reference(dim, name):
                 idx: v + (rng.randint(0, 3) if len(set(idx)) == 1 else 0)
                 for idx, v in T.entries().items()
             })
-        Td, X, vals = oracle._sample(T, cfg.effective_grid(dim), cfg.seed)
+        scale = max(1.0, *(abs(float(v)) for v in T.entries().values()))
+        K, X, vals = oracle._sample(T, cfg.effective_grid(dim), cfg.seed)
         starts = [X[np.argsort(vals, kind="stable")[: cfg.refine_top_k]]]
         starts.append(np.random.default_rng(case).normal(size=(7, dim)))
         for X0 in starts:
-            got = oracle._refine_batch(Td, X0, cfg)
-            want = _reference_refine(Td, X0, cfg, stats)
+            got = oracle._refine_batch(K, X0, cfg)
+            want = _newton_reference(K, X0, cfg, stats)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             assert got[2] == want[2]
+            if name == "default":
+                spare = {"stalled": 0, "all_rungs_failed": 0}
+                gradient = _gradient_reference(K, X0, cfg, spare)
+                assert got[1].min() <= gradient[1].min() + 1e-12 * scale
     if name == "stall":
         assert stats["stalled"] > 0 and stats["all_rungs_failed"] > 0
+
+
+@pytest.mark.parametrize("T", [
+    pytest.param(diag_ones(3), id="diag_ones"),
+    pytest.param(INDEF, id="INDEF"),
+    *(pytest.param(q.to_tensor(), id=q.label) for q in builtin_catalog()),
+])
+def test_newton_refine_converges_quickly(T):
+    # gradient steps alone take up to 27 iterations on the catalog; a silent
+    # fall back to them fails this bound
+    assert sphere_minimize(T).iterations_used <= 15
 
 
 def test_top_k_matches_stable_argsort():
@@ -268,7 +337,7 @@ def _exact_cubic(T, x):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_kernel_matches_exact_evaluation(dim):
-    # the Gram-form grid values and the cubic-monomial Tx^4 and Tx^3 agree
+    # the Gram-form grid values and the refine's Tx^4 and Tx^3 agree
     # with Fraction evaluation at the float points, to 1e-12 of the scale
     # sum |t| * |x|^k over all index orders
     rng = random.Random(f"kernel:{dim}")
@@ -277,7 +346,7 @@ def test_kernel_matches_exact_evaluation(dim):
         K = oracle._kernel(T)
         X = np.random.default_rng(case).normal(size=(25, dim)) * (0.5 + case % 3)
         grid_vals = oracle._values(K, X)
-        vals, cub = oracle._forms_and_cubics(K, X)
+        vals, cub, _ = oracle._forms_and_cubics(K, X)
         abs_sum = sum(abs(v) * multiplicity(idx) for idx, v in T.entries().items())
         for p, row in enumerate(X):
             x = [Fraction(float(v)) for v in row]
@@ -290,6 +359,68 @@ def test_kernel_matches_exact_evaluation(dim):
                 assert abs(Fraction(float(got)) - want) <= 1e-12 * float(abs_sum) * norm**3
 
 
+def _exact_hessian(T, x):
+    """Tx^2 in exact arithmetic: (Tx^2)_ij = sum over k, l of t_ijkl x_k x_l."""
+    r = range(1, T.dim + 1)
+    return [[sum(T[(i, j, k, l)] * x[k - 1] * x[l - 1] for k in r for l in r) for j in r]
+            for i in r]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scale", [1, 2**1010])
+def test_kernel_hessian_matches_exact_evaluation(dim, scale):
+    # Tx^2 from the Hessian rows, times 2^shift, agrees with Fraction
+    # evaluation at dyadic points, to 1e-12 of sum |t| * |x|^2
+    rng = random.Random(f"hessian:{dim}")
+    for case in range(20):
+        T = rand_tensor(rng, dim, lo=-10 ** (case % 4), hi=10 ** (case % 4)).scale(Fraction(scale))
+        K = oracle._kernel(T)
+        assert (K.shift > 0) == (scale > 1)
+        x = [Fraction(rng.randint(-16, 16), 8) for _ in range(dim)]
+        hess = oracle._forms_and_cubics(K, np.array([x], dtype=float))[2][0]
+        abs_sum = sum(abs(v) * multiplicity(idx) for idx, v in T.entries().items())
+        tol = abs_sum * sum(v * v for v in x) / 10**12
+        for got_row, want_row in zip(hess, _exact_hessian(T, x)):
+            for got, want in zip(got_row, want_row):
+                assert abs(Fraction(float(got)) * 2**K.shift - want) <= tol
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_newton_direction_solves_the_tangent_system(dim):
+    # a Newton row has a Riemannian Hessian Hr = P (12 Tx^2) P - 4 Tx^4 P
+    # positive definite on the tangent plane, and a tangent d with Hr d = -g;
+    # every other row has a tangent eigenvalue <= 0 and d = -g
+    T = rand_tensor(random.Random(f"newton:{dim}"), dim)
+    K = oracle._kernel(T)
+    X = np.random.default_rng(dim).normal(size=(200, dim))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    vals, cub, hess = oracle._forms_and_cubics(K, X)
+    P = np.eye(dim) - X[:, :, None] * X[:, None, :]
+    g = np.einsum("pij,pj->pi", P, 4.0 * cub)
+    d, newton = oracle._newton_directions(X, vals, g, hess)
+    assert 0 < newton.sum() < len(X)
+    for x, Pi, f, H, gi, di, nt in zip(X, P, vals, hess, g, d, newton):
+        Hr = Pi @ (12.0 * H) @ Pi - 4.0 * f * Pi
+        tangent = np.linalg.svd(Pi)[0][:, : dim - 1]  # orthonormal basis of x's complement
+        lam = np.linalg.eigvalsh(tangent.T @ Hr @ tangent)
+        size = np.abs(lam).max()
+        if nt:
+            assert lam.min() > -1e-12 * size
+            assert abs(x @ di) <= 1e-12 * np.linalg.norm(di)
+            residual = np.linalg.norm(Hr @ di + gi)
+            assert residual <= 1e-9 * (size * np.linalg.norm(di) + np.linalg.norm(gi))
+        else:
+            assert lam.min() <= 1e-12 * size
+            assert np.array_equal(di, -gi)
+    # the direction does not depend on the form's scale, and its adjugate
+    # neither overflows nor underflows anywhere in float range
+    with np.errstate(all="raise"):
+        for k in (-1000, -300, 300, 1000):
+            scaled = (np.ldexp(a, k) for a in (vals, g, hess))
+            dk, nk = oracle._newton_directions(X, *scaled)
+            assert np.array_equal(nk, newton) and np.array_equal(dk[newton], d[newton])
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_refine_contraction_is_row_independent(dim):
     # each row of _forms_and_cubics has the same bits alone and in any
@@ -298,31 +429,33 @@ def test_refine_contraction_is_row_independent(dim):
     T = rand_tensor(random.Random(f"rows:{dim}"), dim)
     K = oracle._kernel(T)
     X = rng.normal(size=(1200, dim))
-    vals, cub = oracle._forms_and_cubics(K, X)
+    full = oracle._forms_and_cubics(K, X)
     for p in range(len(X)):
-        v1, c1 = oracle._forms_and_cubics(K, X[p : p + 1])
-        assert np.array_equal(v1, vals[p : p + 1]) and np.array_equal(c1, cub[p : p + 1])
+        one = oracle._forms_and_cubics(K, X[p : p + 1])
+        assert all(np.array_equal(a, b[p : p + 1]) for a, b in zip(one, full))
     sizes = [*range(1, 40), 63, 64, 65, 127, 128, 129, 200, 511, 512, 513, 1000, 1199, 1200]
     sizes += rng.integers(1, 1201, 20).tolist()
     for size in sizes:
         rows = rng.choice(len(X), size, replace=False)
-        v, c = oracle._forms_and_cubics(K, X[rows])
-        assert np.array_equal(v, vals[rows]) and np.array_equal(c, cub[rows]), size
+        part = oracle._forms_and_cubics(K, X[rows])
+        assert all(np.array_equal(a, b[rows]) for a, b in zip(part, full)), size
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_kernel_entries_near_float_range(dim):
-    # the kernel holds up to 6|t|, so entries near float range are computed
+    # the kernel holds up to 4|t|, so entries near float range are computed
     # at a power-of-two scale: the values are the small tensor's, to the bit
     T = rand_tensor(random.Random(f"big:{dim}"), dim)
     big = T.scale(Fraction(2) ** 1000)
     X = np.random.default_rng(dim).normal(size=(50, dim))
     K, Kbig = oracle._kernel(T), oracle._kernel(big)
     for got, want in zip(oracle._forms_and_cubics(Kbig, X), oracle._forms_and_cubics(K, X)):
-        assert np.array_equal(got, np.ldexp(want, 1000))
-    assert np.array_equal(oracle._values(Kbig, X), np.ldexp(oracle._values(K, X), 1000))
-    # 4 t1122 and 6 t1122 overflow a float, the form's values do not
+        assert np.array_equal(got, np.ldexp(want, 1000 - Kbig.shift))
+    want = np.ldexp(oracle._values(K, X), 1000 - Kbig.shift)
+    assert np.array_equal(oracle._values(Kbig, X), want)
+    # 4 t1122 overflows a float, the form's values do not; the
+    # refine runs at the kernel's scale, so no step overflows either
     near_max = {(1, 1, 1, 1): 10**308, (2, 2, 2, 2): 10**308, (1, 1, 2, 2): -9 * 10**307}
-    with np.errstate(over="ignore", invalid="ignore"):  # the refine's 4 Tx^3 overflows
+    with np.errstate(all="raise"):
         v = classify_numeric(SymmetricTensor4(dim, near_max))
     assert v.kind is Kind.INDEFINITE and v.witness is not None
