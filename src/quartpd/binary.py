@@ -89,7 +89,7 @@ def discriminant_parts(q: BinaryQuartic) -> DiscriminantParts:
 # -- the radical criterion (positive diagonals only) ---------------------
 
 
-def _radical_bound(q: BinaryQuartic, s: Fraction, sign: int) -> bool:
+def _radical_bound(q: Sequence[int], s: int, sign: int) -> bool:
     """|a1*sqrt(a4) - sign*a3*sqrt(a0)| <= sqrt(6*a0*a2*a4 + sign*2*sqrt(s^3)),
     both sides multiplied by sqrt(a0) > 0 so that they lie in Q[sqrt(s)]."""
     a0, a1, a2, a3, a4 = q
@@ -97,16 +97,20 @@ def _radical_bound(q: BinaryQuartic, s: Fraction, sign: int) -> bool:
     return lhs.abs_le_sqrt_of(QuadExt(6 * a0 * a2 * s, sign * 2 * a0 * s, s))
 
 
-def _criterion(q: BinaryQuartic, s: Fraction) -> Optional[Verdict]:
-    """The PD or PSD verdict of the radical criterion for a0, a4 > 0 and
-    s = a0*a4, or None when it fails.
+def _criterion(q: Sequence[int]) -> Optional[Verdict]:
+    """The PD or PSD verdict of the radical criterion for integer
+    coefficients q with a0, a4 > 0, or None when it fails.  Every test is
+    invariant under positive scaling, so q is the form's coefficients with
+    the denominators cleared, which spares the gcds of ``Fraction``.
 
-    Past the boundary branch both kinds need delta >= 0, the difference-radical
-    bound and one of two cases: (i) -sqrt(s) <= 3*a2 <= 3*sqrt(s), or (ii)
-    a2 > sqrt(s) with the sum-radical bound.  PD needs delta > 0 and, in case
-    (i), -sqrt(s) < 3*a2.  The cases exclude each other, so each is tested once.
+    With s = a0*a4, past the boundary branch both kinds need delta >= 0, the
+    difference-radical bound and one of two cases: (i) -sqrt(s) <= 3*a2 <=
+    3*sqrt(s), or (ii) a2 > sqrt(s) with the sum-radical bound.  PD needs
+    delta > 0 and, in case (i), -sqrt(s) < 3*a2.  The cases exclude each
+    other, so each is tested once.
     """
     a0, a1, a2, a3, a4 = q
+    s = a0 * a4
     delta_sign = discriminant_parts(q).delta_sign
     if delta_sign < 0:
         return None
@@ -146,6 +150,13 @@ def _primitive(p: List[int]) -> List[int]:
         p = p[1:]
     g = math.gcd(*p) if p else 1
     return [c // g for c in p] if g > 1 else p
+
+
+def _cleared(coeffs: Sequence[Fraction]) -> List[int]:
+    """The primitive integer multiple of coeffs by a positive factor, as in
+    ``_primitive`` without leading zeros."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
 
 
 def _scaled_value(p: List[int], x: Fraction) -> int:
@@ -227,8 +238,7 @@ def _negative_point(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
     wider than the bracket (than 1 if the stretch is unbounded), and the
     simplest rational in the bracket is returned, so witnesses stay short.
     """
-    den = math.lcm(*(c.denominator for c in coeffs))
-    p = _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+    p = _cleared(coeffs)
     if len(p) <= 1:
         return Fraction(0) if p and p[0] < 0 else None
     chain = _sturm_chain(p)
@@ -296,7 +306,7 @@ def classify(q: BinaryQuartic) -> Verdict:
             return Verdict(Kind.INDEFINITE, "zero-diagonal", witness=(t, Fraction(1)))
         zero = (Fraction(1), Fraction(0)) if a0 == 0 else (Fraction(0), Fraction(1))
         return Verdict(Kind.PSD_NOT_PD, "zero-diagonal", witness=zero)
-    verdict = _criterion(q, a0 * a4)
+    verdict = _criterion(_cleared(q))
     if verdict is not None:
         return verdict
     return Verdict(Kind.INDEFINITE, "criterion-failed", witness=_witness(q))

@@ -17,21 +17,30 @@ Each candidate carries one step per kind of direction: it starts at 1 for
 Newton and 0.1 for the gradient, doubles (up to 1) after a success and
 halves on each failed rung, and a candidate whose step falls below 1e-18
 has stalled and stops.  Carrying the Newton step over, rather than starting
-every iteration at 1, matters: a candidate already at its minimum keeps
-failing its full step on float noise, so its step halves until it stalls,
-where a restart at 1 lets such candidates wander on noise to the iteration
-cap.  Backtracking is a ladder: the trial steps s, s/2, s/4, ... of every
-active candidate are evaluated together in a few batched passes (4, then
-12, then 24 rungs), and each candidate takes its first rung that passes the
-Armijo test Tx^4 + 1e-4 step (g . d).  The direction is fixed for the
-iteration and halving is exact in binary floating point, so this gives bit
-for bit the iterates of trying one halving at a time.
+every iteration at 1, matters: a step that cannot lower the form halves
+until it stalls, where a restart at 1 would try it again every iteration.
+Backtracking is a ladder: the trial steps s, s/2, s/4, ... of every active
+candidate are evaluated together in a few batched passes (4, then 12, then
+24 rungs), and each candidate takes its first rung y that passes the Armijo
+test f(y) - f(x) < 1e-4 step (g . d), with f = Tx^4 / |x|^4 the form on
+the sphere.  The direction is fixed for the iteration and halving is exact
+in binary floating point, so this gives bit for bit the iterates of trying
+one halving at a time.
+
+The Armijo test does not subtract two float values of the form: a Newton
+step from a gradient near 1e-8 lowers f by about 1e-17, below one ulp of
+f, where the difference of the rounded values has no sign, and a test on
+it would fail such steps until the candidate stalls above ``grad_tol``.
+``_decrease`` computes the change itself from the step y - x (times
+|x|^4 |y|^4, which is 1 to rounding), so it keeps its digits down to the
+smallest step the ladder tries.
 
 The form is evaluated through its monomials, from coefficients built once
 per tensor (``_kernel``).  A quartic form is a quadratic form in its
 quadratic monomials, Tx^4 = q^T S q with q = (x_i x_j)_{i <= j} (the Gram
 representation of Choi, Lam and Reznick), so the grid values cost a
-6x6 (n=3) or 3x3 (n=2) matrix product per point.  The refine needs Tx^2
+6x6 (n=3) or 3x3 (n=2) matrix product per point; each grid's monomials q
+are built with the grid and cached with it.  The refine needs Tx^2
 for the Hessian: it is the sum over p of q_p H_p, with H_p the fold weight
 of the quadratic monomial p times the matrix t_{.,.,i_p,j_p}; then Tx^3 is
 Tx^2 x, for the gradient, and Tx^4 is Tx^3 . x.  The ladder's identity
@@ -153,11 +162,13 @@ def _grid(dim: int, n_points: int, seed: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_grid(dim: int, n_points: int, seed: int) -> np.ndarray:
-    """``_grid``, built once per argument triple and shared read-only."""
+def _cached_grid(dim: int, n_points: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``_grid`` and its quadratic monomials, built once per argument triple
+    and shared read-only."""
     X = _grid(dim, n_points, seed)
-    X.flags.writeable = False
-    return X
+    Q = X[:, _monomials(dim)[0]].prod(axis=2)
+    X.flags.writeable = Q.flags.writeable = False
+    return X, Q
 
 
 @dataclass(frozen=True)
@@ -216,12 +227,12 @@ def _unscale(K: _Kernel, v):
         return np.ldexp(v, K.shift)
 
 
-def _values(K: _Kernel, X: np.ndarray) -> np.ndarray:
-    """Tx^4 / 2^shift for the rows of X as q^T S q.  Uses BLAS, so a row's
-    last bits may depend on its batch: fit for ranking grid points only."""
+def _values(K: _Kernel, Q: np.ndarray) -> np.ndarray:
+    """Tx^4 / 2^shift as q^T S q, for the rows q of Q, the quadratic
+    monomials of the points.  Uses BLAS, so a row's last bits may depend
+    on its batch: fit for ranking grid points only."""
     import numpy as np
 
-    Q = X[:, K.pairs].prod(axis=2)
     return np.einsum("pi,pi->p", Q @ K.gram, Q)
 
 
@@ -240,6 +251,29 @@ def _forms_and_cubics(K: _Kernel, X: np.ndarray):
     H = np.einsum("pm,mi->pi", Q, K.hessian).reshape(-1, n, n)
     C = np.einsum("pij,pj->pi", H, X)
     return np.einsum("pi,pi->p", C, X), C, H
+
+
+def _decrease(K: _Kernel, X: np.ndarray, f: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(Ty^4 |x|^4 - Tx^4 |y|^4) / 2^shift for the rows x of X and y of Y,
+    given f = Tx^4 / 2^shift at X: the change of the form on the sphere,
+    Tx^4 / |x|^4, times |x|^4 |y|^4.
+
+    It is computed from the step d = y - x, so that it keeps its digits
+    where the values themselves agree to the last bit: with dq = q(y) - q(x)
+    = (d_i y_j + x_i d_j)_p, Ty^4 - Tx^4 = dq^T S (q(y) + q(x)), and
+    |x|^4 - |y|^4 = -(d . (x + y)) (|x|^2 + |y|^2).  Every row gets the same
+    bits whatever other rows share its batch, as in ``_forms_and_cubics``.
+    """
+    import numpy as np
+
+    i, j = K.pairs.T
+    D = Y - X
+    dq = D[:, i] * Y[:, j] + X[:, i] * D[:, j]
+    qsum = Y[:, i] * Y[:, j] + X[:, i] * X[:, j]
+    df = np.einsum("pm,pm->p", (dq[:, :, None] * K.gram).sum(axis=1), qsum)
+    xx = np.einsum("pi,pi->p", X, X)
+    yy = np.einsum("pi,pi->p", Y, Y)
+    return df * (xx * xx) - f * np.einsum("pi,pi->p", D, X + Y) * (xx + yy)
 
 
 def _newton_directions(X: np.ndarray, vals: np.ndarray, g: np.ndarray, hess: np.ndarray):
@@ -326,19 +360,18 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
             trial = X[at, None] + steps[..., None] * d[pending, None]
             trial = trial.reshape(-1, X.shape[1])
             trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
-            tvals, tcub, thess = _forms_and_cubics(K, trial)
-            bound = vals[at, None] + 1e-4 * steps * slope[pending, None]
+            base = np.repeat(at, width)
+            drop = _decrease(K, X[base], vals[base], trial).reshape(steps.shape)
             # a rung below 1e-18 is never tried; valid rungs are a prefix
             valid = steps >= 1e-18
-            ok = (tvals.reshape(steps.shape) < bound) & valid
+            ok = (drop < 1e-4 * steps * slope[pending, None]) & valid
             hit = ok.any(axis=1)
             first = ok.argmax(axis=1)[hit]
             take = np.flatnonzero(hit) * width + first
             good = at[hit]
             X[good] = trial[take]
-            vals[good] = tvals[take]
-            cub[good] = tcub[take]
-            hess[good] = thess[take]
+            # only the rungs taken need the form and its derivatives
+            vals[good], cub[good], hess[good] = _forms_and_cubics(K, trial[take])
             s[pending[hit]] = np.minimum(steps[hit, first] * 2.0, 1.0)
             missed = pending[~hit]
             s[missed] = np.ldexp(s[missed], -valid[~hit].sum(axis=1))
@@ -354,8 +387,8 @@ def _sample(T: SymmetricTensor4, n_points: int, seed: int):
     if T.dim not in ORACLE_DIMS:
         raise ValueError(f"oracle supports dim 2 or 3, got {T.dim}")
     K = _kernel(T)
-    X = _cached_grid(T.dim, n_points, seed)
-    return K, X, _values(K, X)
+    X, Q = _cached_grid(T.dim, n_points, seed)
+    return K, X, _values(K, Q)
 
 
 def _polish(K: _Kernel, X: np.ndarray, keys: np.ndarray, k: int, cfg: OracleConfig):

@@ -222,7 +222,7 @@ def _newton_reference(K, X0, cfg, stats):
             trial = X[sel] + s[:, None] * d[sel]
             trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
             tvals, tcub, thess = oracle._forms_and_cubics(K, trial)
-            ok = tvals < vals[sel] + 1e-4 * s * slope[sel]
+            ok = oracle._decrease(K, X[sel], vals[sel], trial) < 1e-4 * s * slope[sel]
             good = sel[ok]
             X[good] = trial[ok]
             vals[good] = tvals[ok]
@@ -292,6 +292,53 @@ def test_newton_refine_converges_quickly(T):
     assert sphere_minimize(T).iterations_used <= 15
 
 
+def test_decrease_keeps_its_sign_at_small_steps():
+    # 1e-9 from a minimum (gradients of 1e-9 to 1e-7, as refined candidates
+    # have) the change of Tx^4 / |x|^4 along -g falls below one ulp of the
+    # values at small steps: the difference of the float values loses its
+    # sign there, _decrease keeps its digits against the exact
+    # f(y)|x|^4 - f(x)|y|^4 at the float points
+    tensors = [diag_ones(3), *(rand_tensor(random.Random(f"decrease:{n}"), n) for n in (2, 3))]
+    tensors += [q.to_tensor() for q in builtin_catalog()]
+    naive_wrong = 0
+    for T in tensors:
+        K = oracle._kernel(T)
+        x = np.array(sphere_minimize(T).minimizer)
+        x = x + 1e-9 * np.random.default_rng(T.dim).normal(size=T.dim)
+        X = (x / np.linalg.norm(x))[None]
+        vals, cub, _ = oracle._forms_and_cubics(K, X)
+        g = 4.0 * cub[0] - 4.0 * vals[0] * X[0]
+        d = -g / np.linalg.norm(g)
+        abs_sum = float(sum(abs(v) * multiplicity(idx) for idx, v in T.entries().items()))
+        xf = [Fraction(float(v)) for v in X[0]]
+        fx, xx = T.evaluate_form(xf), sum(v * v for v in xf)
+        for e in range(13):
+            Y = X + 10.0**-e * d
+            Y = Y / np.linalg.norm(Y)
+            yf = [Fraction(float(v)) for v in Y[0]]
+            exact = T.evaluate_form(yf) * xx**2 - fx * sum(v * v for v in yf) ** 2
+            got = oracle._decrease(K, X, vals, Y)[0]
+            tol = 1e-14 * abs_sum * float(np.linalg.norm(Y - X))
+            assert abs(Fraction(float(got)) - exact) <= tol, (T, e)
+            assert np.sign(got) == np.sign(exact) != 0, (T, e)
+            naive = oracle._forms_and_cubics(K, Y)[0][0] - vals[0]
+            naive_wrong += bool(np.sign(naive) != np.sign(exact))
+    assert naive_wrong > 0
+
+
+@pytest.mark.parametrize("q", builtin_catalog(), ids=lambda q: q.label)
+def test_catalog_candidates_all_converge(q):
+    # every refined candidate reaches grad_tol: none stalls on a decrease
+    # below the values' rounding
+    T, cfg = q.to_tensor(), OracleConfig()
+    K, X, vals = oracle._sample(T, cfg.effective_grid(T.dim), cfg.seed)
+    R, _, _ = oracle._polish(K, X, vals, cfg.refine_top_k, cfg)
+    grad = 4.0 * oracle._forms_and_cubics(K, R)[1]
+    g = grad - np.einsum("pi,pi->p", grad, R)[:, None] * R  # as in the refine
+    assert len(R) == cfg.refine_top_k
+    assert np.sqrt(np.einsum("pi,pi->p", g, g)).max() <= math.ldexp(cfg.grad_tol, -K.shift)
+
+
 def test_top_k_matches_stable_argsort():
     rng = np.random.default_rng(11)
     ties = rng.integers(0, 6, 300).astype(float)
@@ -345,7 +392,7 @@ def test_kernel_matches_exact_evaluation(dim):
         T = rand_tensor(rng, dim, lo=-10 ** (case % 4), hi=10 ** (case % 4))
         K = oracle._kernel(T)
         X = np.random.default_rng(case).normal(size=(25, dim)) * (0.5 + case % 3)
-        grid_vals = oracle._values(K, X)
+        grid_vals = oracle._values(K, X[:, K.pairs].prod(axis=2))
         vals, cub, _ = oracle._forms_and_cubics(K, X)
         abs_sum = sum(abs(v) * multiplicity(idx) for idx, v in T.entries().items())
         for p, row in enumerate(X):
@@ -451,8 +498,9 @@ def test_kernel_entries_near_float_range(dim):
     K, Kbig = oracle._kernel(T), oracle._kernel(big)
     for got, want in zip(oracle._forms_and_cubics(Kbig, X), oracle._forms_and_cubics(K, X)):
         assert np.array_equal(got, np.ldexp(want, 1000 - Kbig.shift))
-    want = np.ldexp(oracle._values(K, X), 1000 - Kbig.shift)
-    assert np.array_equal(oracle._values(Kbig, X), want)
+    Q = X[:, K.pairs].prod(axis=2)
+    want = np.ldexp(oracle._values(K, Q), 1000 - Kbig.shift)
+    assert np.array_equal(oracle._values(Kbig, Q), want)
     # 4 t1122 overflows a float, the form's values do not; the
     # refine runs at the kernel's scale, so no step overflows either
     near_max = {(1, 1, 1, 1): 10**308, (2, 2, 2, 2): 10**308, (1, 1, 2, 2): -9 * 10**307}
