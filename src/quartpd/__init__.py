@@ -37,7 +37,7 @@ from .oracle import (
 from .pipeline import classify
 from .quadext import QuadExt
 from .tensor import SymmetricTensor4, diag_ones, multiplicity, rank_one
-from .verdict import Kind, PatternMismatchError, Verdict
+from .verdict import Kind, Verdict
 
 __all__ = [
     "BinaryQuartic",
@@ -48,7 +48,6 @@ __all__ = [
     "Kind",
     "OracleConfig",
     "OracleResult",
-    "PatternMismatchError",
     "QuadExt",
     "RelaxedCyclicTernary",
     "SymmetricTensor4",

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .quadext import QuadExt, _sign
-from .verdict import Kind, PatternMismatchError, Verdict, as_fraction
+from .verdict import Kind, Verdict, as_fraction
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,11 @@ def _criterion(q: Sequence[int]) -> Optional[Verdict]:
     if not _radical_bound(q, s, 1):
         return None
     if upper <= 0:
-        lower = QuadExt(3 * a2, 1, s).sign()
-        if lower > 0 and delta_sign > 0:
+        # the difference-radical bound's radicand is 2*a0*s*(3*a2 + sqrt(s))
+        # with a0*s > 0, so once it holds -sqrt(s) <= 3*a2: case (i) is met
+        if delta_sign > 0 and QuadExt(3 * a2, 1, s).sign() > 0:
             return Verdict(Kind.POSITIVE_DEFINITE, "positive-discriminant(i)")
-        if lower >= 0:
-            return Verdict(Kind.PSD_NOT_PD, "nonnegative-discriminant(i)")
-        return None
+        return Verdict(Kind.PSD_NOT_PD, "nonnegative-discriminant(i)")
     if not _radical_bound(q, s, -1):
         return None
     if delta_sign > 0:
@@ -317,14 +316,14 @@ def check_normalized_pm1(q: BinaryQuartic) -> Verdict:
     either a2 = 1 or all entries of modulus 1.
 
     With a2 = 1 the criterion collapses to comparing 27*(a3-a1)^4 against
-    64*(1-a1*a3)^3; with a2 = -1 the form is never PSD.
+    64*(1-a1*a3)^3; with a2 = -1 the form is never PSD.  Any other form is
+    undetermined here.
     """
     a0, a1, a2, a3, a4 = q
+    unit = a0 == 1 and a4 == 1 and abs(a1) <= 1 and abs(a3) <= 1
     pm1_case = abs(a1) == 1 and abs(a3) == 1 and abs(a2) == 1
-    if not (a0 == 1 and a4 == 1 and abs(a1) <= 1 and abs(a3) <= 1):
-        raise PatternMismatchError("fast path needs unit diagonals and |a1|,|a3| <= 1")
-    if a2 != 1 and not pm1_case:
-        raise PatternMismatchError("fast path needs a2 = 1 or all entries of modulus 1")
+    if not (unit and (a2 == 1 or pm1_case)):
+        return Verdict(Kind.UNDETERMINED, "outside-fast-path")
     if a2 == -1:
         return Verdict(Kind.INDEFINITE, "fast-path", witness=_witness(q))
     lhs = 27 * (a3 - a1) ** 4

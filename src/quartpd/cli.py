@@ -57,8 +57,7 @@ def _emit(report: dict, as_json: bool) -> None:
         return
     v = report["verdict"]
     for step in report["trace"]:
-        if "stage" in step and "kind" in step:
-            click.echo(f"  [{step['stage']}] {step['kind']} ({step['rule']})")
+        click.echo(f"  [{step['stage']}] {step['kind']} ({step['rule']})")
     click.echo(f"verdict: {v['kind']} ({v['rule']})")
     if v.get("witness"):
         click.echo(f"witness: ({', '.join(v['witness'])})")
@@ -116,21 +115,16 @@ def main() -> None:
 
 @main.command(context_settings={"ignore_unknown_options": True})
 @click.argument("inputs", nargs=-1)
-@click.option("--psd", is_flag=True, help="ask for semidefiniteness instead of definiteness")
 @click.option("--oracle-only", is_flag=True)
 @click.option("--analytic-only", is_flag=True)
 @_oracle_options
-def check(inputs, psd, oracle_only, analytic_only, cfg, as_json):
+def check(inputs, oracle_only, analytic_only, cfg, as_json):
     """Classify a tensor given as a JSON file or a '<family> c1 ...' shorthand."""
     if oracle_only and analytic_only:
         _input_error("--oracle-only and --analytic-only exclude each other")
     report = classify(_parse_inputs(inputs), cfg, oracle_only, analytic_only)
-    kind = Kind(report["verdict"]["kind"])
-    if psd:
-        report["question"] = "positive-semidefinite"
-        report["answer"] = kind not in (Kind.INDEFINITE, Kind.UNDETERMINED)
     _emit(report, as_json)
-    sys.exit(_EXIT[kind])
+    sys.exit(_EXIT[Kind(report["verdict"]["kind"])])
 
 
 @main.command(context_settings={"ignore_unknown_options": True})

@@ -16,6 +16,12 @@ to the numeric oracle.
 
 A relaxed variant allows the three e-slots to differ; it is PD whenever
 all three lie in (-7/12, -5/18] or all three lie in [-5/18, -1/6].
+
+The rules hold up to positive scaling, since a form and its positive
+multiples share their kind and their witnesses: both classifiers read the
+orbit values divided by a, for a > 0.  Outside their hypotheses (a <= 0,
+|b| != a or |c| != a, and for the relaxed rule d != a or c != -b) they
+return the undetermined verdict ``outside-family-hypotheses``.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .tensor import SymmetricTensor4
-from .verdict import Kind, PatternMismatchError, Verdict, as_fraction
+from .verdict import Kind, Verdict, as_fraction
 
 _LO = Fraction(-7, 12)
 _PD_HI = Fraction(-5, 36)
@@ -116,17 +122,14 @@ def detect(T: SymmetricTensor4) -> Optional[Union[CyclicTernary, RelaxedCyclicTe
     return RelaxedCyclicTernary(*vals, *e)
 
 
-def _require_normalized(ct: CyclicTernary) -> None:
-    if not (ct.a == 1 and abs(ct.b) == 1 and abs(ct.c) == 1):
-        raise PatternMismatchError(
-            "cyclic classifier needs a = 1 and |b| = |c| = 1; "
-            "rescale by 1/a or use the numeric oracle"
-        )
+_OUTSIDE = FamilyVerdict(Verdict(Kind.UNDETERMINED, "outside-family-hypotheses"))
 
 
 def classify_cyclic(ct: CyclicTernary) -> FamilyVerdict:
-    _require_normalized(ct)
-    b, c, d, e = ct.b, ct.c, ct.d, ct.e
+    a = ct.a
+    if a <= 0 or abs(ct.b) != a or abs(ct.c) != a:
+        return _OUTSIDE
+    b, c, d, e = (v / a for v in (ct.b, ct.c, ct.d, ct.e))
     ones = (Fraction(1), Fraction(1), Fraction(1))
 
     if b * c == 1 and d == 1 and e == _LO:
@@ -154,17 +157,10 @@ def classify_cyclic(ct: CyclicTernary) -> FamilyVerdict:
 
 
 def classify_relaxed(rt: RelaxedCyclicTernary) -> FamilyVerdict:
-    if not (
-        rt.a == 1
-        and rt.d == 1
-        and abs(rt.b) == 1
-        and abs(rt.c) == 1
-        and rt.b * rt.c == -1
-    ):
-        raise PatternMismatchError(
-            "relaxed classifier needs a = d = 1, |b| = |c| = 1 and b*c = -1"
-        )
-    es = (rt.e123, rt.e223, rt.e233)
+    a = rt.a
+    if a <= 0 or rt.d != a or abs(rt.b) != a or rt.c != -rt.b:
+        return _OUTSIDE
+    es = (rt.e123 / a, rt.e223 / a, rt.e233 / a)
     # The PD region is a union of all-three-in-one-band conditions.  The
     # widened split point -5/18 strictly enlarges the upper band; its lower
     # band is contained in the original (-7/12, -1/4], so only three rules

@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import astuple
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -18,7 +17,7 @@ from .cyclic import CyclicTernary, classify_cyclic, classify_relaxed, detect
 from .oracle import ORACLE_DIMS, OracleConfig, classify_numeric
 from .tensor import SymmetricTensor4
 from .tensorio import ParsedInput, describe, to_tensor
-from .verdict import Kind, PatternMismatchError, Verdict
+from .verdict import Kind, Verdict
 
 
 def _principal_binary(T: SymmetricTensor4, i: int, j: int) -> binmod.BinaryQuartic:
@@ -64,20 +63,12 @@ def _stage_prefilter(T: SymmetricTensor4) -> Tuple[Verdict, Dict[Tuple[int, int]
     return Verdict(Kind.UNDETERMINED, "prefilter-passed"), binaries
 
 
-def _stage_family(T: SymmetricTensor4, trace: List[dict]) -> Verdict:
+def _stage_family(T: SymmetricTensor4) -> Verdict:
     ct = detect(T)
     if ct is None:
         return Verdict(Kind.UNDETERMINED, "no-cyclic-pattern")
-    if ct.a > 0 and ct.a != 1:
-        # verdicts are invariant under positive scaling; normalize to a = 1
-        scale = 1 / ct.a
-        trace.append({"stage": "rescale", "factor": str(scale)})
-        ct = type(ct)(*(scale * v for v in astuple(ct)))
     classifier = classify_cyclic if isinstance(ct, CyclicTernary) else classify_relaxed
-    try:
-        return classifier(ct).verdict
-    except PatternMismatchError:
-        return Verdict(Kind.UNDETERMINED, "outside-family-hypotheses")
+    return classifier(ct).verdict
 
 
 def classify(
@@ -113,7 +104,7 @@ def classify(
         verdict, binaries = _stage_prefilter(T)
         record("prefilter", verdict)
         if final is None and T.dim == 3:
-            record("family", _stage_family(T, trace))
+            record("family", _stage_family(T))
         if final is None and T.dim == 2:
             # the exact binary criterion, already run on the (1,2) binary
             record("analytic", binaries[(1, 2)])

@@ -54,10 +54,6 @@ class Verdict:
         }
 
 
-class PatternMismatchError(ValueError):
-    """Input does not satisfy the hypothesis pattern of an analytic rule."""
-
-
 # the digits and exponent of a decimal string ("-1.25e3"), as Fraction reads it
 _DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
 

@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from quartpd.binary import (
     BinaryQuartic,
+    _cleared,
     _negative_point,
+    _radical_bound,
     check_normalized_pm1,
     classify,
     discriminant_parts,
 )
-from quartpd.verdict import Kind, PatternMismatchError
+from quartpd.quadext import QuadExt
+from quartpd.verdict import Kind, Verdict
 
 from conftest import rand_fraction
 
@@ -136,10 +139,10 @@ class TestFastPath:
         assert v.kind is Kind.INDEFINITE
 
     def test_precondition_violation(self):
-        with pytest.raises(PatternMismatchError):
-            check_normalized_pm1(bq(2, 0, 1, 0, 1))
-        with pytest.raises(PatternMismatchError):
-            check_normalized_pm1(bq(1, 0, "1/2", 0, 1))
+        # a non-unit diagonal, and a2 != 1 outside the all-modulus-1 case
+        declined = Verdict(Kind.UNDETERMINED, "outside-fast-path")
+        assert check_normalized_pm1(bq(2, 0, 1, 0, 1)) == declined
+        assert check_normalized_pm1(bq(1, 0, "1/2", 0, 1)) == declined
 
     def test_consistency_with_general_path(self, rng):
         for _ in range(1000):
@@ -165,6 +168,22 @@ class TestProperties:
             q = self._random_quartic(rng)
             c = abs(rand_fraction(rng, max_den=5)) + Fraction(1, 7)
             assert classify(q).kind is classify(q.scaled(c)).kind
+
+    def test_difference_bound_implies_case_i_lower_end(self, rng):
+        # the bound's radicand is 2*a0*s*(3*a2 + sqrt(s)), so wherever it
+        # holds 3*a2 >= -sqrt(s), which _criterion's case (i) relies on
+        cases = [_cleared((9, 1, -3, 1, 9))]  # radicand 0: 3*a2 = -sqrt(s)
+        for _ in range(5000):
+            a0, a4 = (abs(rand_fraction(rng)) + Fraction(1, 8) for _ in range(2))
+            q = (a0, *(rand_fraction(rng, -3, 3) for _ in range(3)), a4)
+            cases.append(_cleared(q))
+        held = 0
+        for q in cases:
+            s = q[0] * q[4]
+            if _radical_bound(q, s, 1):
+                held += 1
+                assert QuadExt(3 * q[2], 1, s).sign() >= 0
+        assert held > 500
 
     def test_swap_symmetry(self, rng):
         for _ in range(1000):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from click.testing import CliRunner
 from quartpd.cli import main
 from quartpd.cyclic import (
     CyclicTernary,
+    FamilyVerdict,
     RelaxedCyclicTernary,
     classify_cyclic,
     classify_relaxed,
@@ -14,9 +16,12 @@ from quartpd.cyclic import (
 )
 from quartpd.oracle import sphere_minimize
 from quartpd.tensor import diag_ones
-from quartpd.verdict import Kind, PatternMismatchError
+from quartpd.verdict import Kind, Verdict
 
 from conftest import dense_form_reference, rand_fraction, rand_vector
+
+
+DECLINED = FamilyVerdict(Verdict(Kind.UNDETERMINED, "outside-family-hypotheses"))
 
 
 def ct(a, b, c, d, e):
@@ -130,10 +135,13 @@ class TestClassifyCyclic:
         )
 
     def test_pattern_mismatch(self):
-        with pytest.raises(PatternMismatchError):
-            classify_cyclic(ct(2, -1, 1, 1, 0))
-        with pytest.raises(PatternMismatchError):
-            classify_cyclic(ct(1, "1/2", 1, 1, 0))
+        # |b| != a and |c| != a are outside the family's hypotheses
+        for args in [(2, -1, 1, 1, 0), (1, "1/2", 1, 1, 0)]:
+            assert classify_cyclic(ct(*args)) == DECLINED
+
+    def test_nonpositive_a_declines(self):
+        assert classify_cyclic(ct(0, 0, 0, 1, 0)) == DECLINED
+        assert classify_cyclic(ct(-1, -1, 1, -1, "7/12")) == DECLINED
 
 
 class TestClosedLiftedInterval:
@@ -193,7 +201,54 @@ class TestClassifyRelaxed:
         assert fv.verdict.kind is Kind.UNDETERMINED
 
     def test_pattern_mismatch(self):
-        with pytest.raises(PatternMismatchError):
-            classify_relaxed(RelaxedCyclicTernary.of(1, 1, 1, 1, 0, 0, 0))
-        with pytest.raises(PatternMismatchError):
-            classify_relaxed(RelaxedCyclicTernary.of(1, -1, 1, 2, 0, 0, 0))
+        # c != -b and d != a are outside the relaxed rule's hypotheses
+        for args in [(1, 1, 1, 1, 0, 0, 0), (1, -1, 1, 2, 0, 0, 0)]:
+            assert classify_relaxed(RelaxedCyclicTernary.of(*args)) == DECLINED
+
+    def test_nonpositive_a_declines(self):
+        rt = RelaxedCyclicTernary.of(-1, 1, -1, -1, "1/4", "1/4", "1/4")
+        assert classify_relaxed(rt) == DECLINED
+
+
+# every classify_cyclic / classify_relaxed input above, decisive or not
+CYCLIC_CASES = [
+    (1, -1, 1, 1, "-7/12"),
+    (1, -1, 1, 1, "-1/6"),
+    (1, -1, 1, 1, "-5/36"),
+    (1, -1, 1, 2, "-1/4"),
+    (1, 1, 1, 1, "-7/12"),
+    (1, -1, -1, 1, "-7/12"),
+    (1, -1, 1, 1, -1),
+    (1, -1, 1, 2, "-7/12"),
+    (1, -1, 1, 1, 0),
+    (1, 1, 1, 1, "-1/6"),
+    (2, -1, 1, 1, 0),
+    (1, "1/2", 1, 1, 0),
+]
+RELAXED_CASES = [
+    (1, -1, 1, 1, "-1/4", "-1/4", "-1/4"),
+    (1, -1, 1, 1, "-1/2", "-1/3", "-1/3"),
+    (1, -1, 1, 1, "-27/100", "-1/5", "-1/5"),
+    (1, -1, 1, 1, "-1/4", "-1/5", "-1/6"),
+    (1, -1, 1, 1, "-13/24", "-1/6", "-1/6"),
+    (1, 1, 1, 1, 0, 0, 0),
+    (1, -1, 1, 2, 0, 0, 0),
+]
+
+
+@pytest.mark.parametrize("lam", [Fraction(2), Fraction(1, 3), Fraction(7, 2), Fraction(1, 10**4)])
+class TestScaleFree:
+    """PD and PSD are invariant under positive scaling, and so are the
+    classifiers: a scaled input gets the same kind, rule and witness."""
+
+    def test_cyclic(self, lam):
+        for args in CYCLIC_CASES:
+            c = ct(*args)
+            scaled = CyclicTernary(*(lam * v for v in astuple(c)))
+            assert classify_cyclic(scaled) == classify_cyclic(c)
+
+    def test_relaxed(self, lam):
+        for args in RELAXED_CASES:
+            rt = RelaxedCyclicTernary.of(*args)
+            scaled = RelaxedCyclicTernary(*(lam * v for v in astuple(rt)))
+            assert classify_relaxed(scaled) == classify_relaxed(rt)

@@ -141,10 +141,30 @@ class TestPipeline:
         stages = [s["stage"] for s in rep["trace"]]
         assert stages == ["prefilter", "family"]
 
-    def test_rescale_stage(self):
+    def test_scaled_family_input(self):
+        # a = 2: the family rules read the orbit values divided by a
         rep = quartpd.classify(CyclicTernary.of(2, -2, 2, 2, "-1/3"), self.CFG, False, False)
         assert rep["verdict"]["kind"] == "positive-definite"
-        assert any(s.get("stage") == "rescale" for s in rep["trace"])
+        assert [s["stage"] for s in rep["trace"]] == ["prefilter", "family"]
+        assert rep["trace"][-1]["kind"] == "positive-definite"
+
+    @pytest.mark.parametrize(
+        "parsed",
+        [
+            SymmetricTensor4(1, {(1, 1, 1, 1): 1}),
+            BinaryQuartic.of(1, 0, "-1/3", 0, 1),
+            CyclicTernary.of(2, -2, 2, 2, "-1/3"),
+            CyclicTernary.of(0, 0, 0, 1, 0),  # the family rules decline a = 0
+            SymmetricTensor4(4, {(i, i, i, i): 1 for i in range(1, 5)}),
+            CyclicTernary.of(1, -1, 1, 1, 0),  # decided by the oracle
+        ],
+    )
+    def test_every_trace_entry_has_stage_and_kind(self, parsed):
+        rep = quartpd.classify(parsed, self.CFG)
+        assert rep["trace"]
+        for step in rep["trace"]:
+            assert isinstance(step["stage"], str)
+            assert Kind(step["kind"])
 
     def test_oracle_only_agrees_with_analytic(self):
         for parsed in (
@@ -191,7 +211,7 @@ class TestPipeline:
         [
             (["binary", "-1", "0", "1", "0", "1"], "prefilter"),  # negative diagonal
             ([{(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1, (1, 1, 1, 2): 5}], "prefilter"),
-            (["cyclic", "2", "-2", "2", "2", "-1/3"], "family"),  # after a rescale
+            (["cyclic", "2", "-2", "2", "2", "-1/3"], "family"),  # a scaled family input
             (["binary", "1", "0", "-1/3", "0", "1"], "analytic"),
             (["cyclic", "1", "-1", "1", "1", "0"], "oracle"),
         ],
@@ -203,8 +223,7 @@ class TestPipeline:
         cli_report = json.loads(res.output)
         parsed = load(args[0]) if len(args) == 1 else parse_shorthand(args[0], args[1:])
         report = quartpd.classify(parsed, self.CFG)
-        undecided = (None, "undetermined")
-        assert next(s["stage"] for s in report["trace"] if s.get("kind") not in undecided) == stage
+        assert next(s["stage"] for s in report["trace"] if s["kind"] != "undetermined") == stage
         cli_report.pop("timings")
         report.pop("timings")
         assert report == cli_report
@@ -237,9 +256,7 @@ class TestCli:
         assert "positive-definite" in res.output
 
     def test_check_psd_exit_1(self, runner):
-        res = runner.invoke(
-            main, ["check", "binary", "1", "0", "-1/3", "0", "1", "--psd"]
-        )
+        res = runner.invoke(main, ["check", "binary", "1", "0", "-1/3", "0", "1"])
         assert res.exit_code == 1
         assert "positive-semidefinite-not-definite" in res.output
 

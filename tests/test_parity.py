@@ -1,0 +1,66 @@
+"""``tools/parity.py --compare`` on small synthetic records: what it lets
+through and what it fails."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+PARITY = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
+
+# binary shorthand with max(1, max |t|) = 1000
+KEY = json.dumps(["check", "binary", "1000", "0", "1", "0", "1", "--json"])
+
+
+@pytest.fixture(scope="module")
+def parity():
+    path = list(sys.path)
+    spec = importlib.util.spec_from_file_location("parity", PARITY)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path  # the tool puts src and perfbench first
+    return module
+
+
+def record(margin=0.5, witness=(0.6, 0.8), stages=("prefilter", "oracle"), code=0):
+    report = {
+        "trace": [{"stage": s, "kind": "positive-definite"} for s in stages],
+        "verdict": {
+            "kind": "positive-definite",
+            "margin": margin,
+            "positivity_witness": list(witness),
+        },
+    }
+    return {KEY: [code, json.dumps(report, indent=2, sort_keys=True), ""]}
+
+
+def test_identical_records_pass(parity, capsys):
+    assert parity.compare(record(), record()) == 0
+    assert "0 with differing output" in capsys.readouterr().out
+
+
+def test_margin_tolerance_scales_with_the_largest_entry(parity, capsys):
+    # tolerance 1e-12 * 1000 = 1e-9
+    assert parity.compare(record(margin=0.5), record(margin=0.5 + 5e-10)) == 0
+    assert "value floats differing: 1" in capsys.readouterr().out
+    assert parity.compare(record(margin=0.5), record(margin=0.5 + 2e-9)) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_positivity_witness_is_only_counted(parity, capsys):
+    assert parity.compare(record(), record(witness=(0.8, 0.6))) == 0
+    assert "point floats differing: 2 (not failing)" in capsys.readouterr().out
+
+
+def test_trace_length_fails(parity, capsys):
+    assert parity.compare(record(), record(stages=("prefilter",))) == 1
+    assert "length 2 != 1" in capsys.readouterr().out
+
+
+def test_exit_code_fails(parity, capsys):
+    assert parity.compare(record(), record(code=1)) == 1
+    assert "exit code or stderr" in capsys.readouterr().out
