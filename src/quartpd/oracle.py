@@ -10,11 +10,14 @@ g = 4 (Tx^3 - Tx^4 x) and the Riemannian Hessian Hr = P (12 Tx^2) P -
 4 Tx^4 P.  Where Hr is positive definite on the tangent plane, the
 direction d is the Newton direction, the tangent solution of Hr d = -g,
 which converges quadratically near a nondegenerate minimum; elsewhere (near
-a saddle or a maximum) it is the projected gradient -g.  The trial point
-x + step d is renormalized onto the sphere.
+a saddle or a maximum) it is the tangent solution of |Hr| d = -g, with
+each tangent eigenvalue of Hr replaced by its absolute value, a descent
+direction that leaves a saddle along its negative curvature in a few
+steps where -g barely moves.  The trial point x + step d is renormalized
+onto the sphere.
 
 Each candidate carries one step per kind of direction: it starts at 1 for
-Newton and 0.1 for the gradient, doubles (up to 1) after a success and
+Newton and 0.1 for |Hr|, doubles (up to 1) after a success and
 halves on each failed rung, and a candidate whose step falls below 1e-18
 has stalled and stops.  Carrying the Newton step over, rather than starting
 every iteration at 1, matters: a step that cannot lower the form halves
@@ -44,14 +47,16 @@ are built with the grid and cached with it.  The refine needs Tx^2
 for the Hessian: it is the sum over p of q_p H_p, with H_p the fold weight
 of the quadratic monomial p times the matrix t_{.,.,i_p,j_p}; then Tx^3 is
 Tx^2 x, for the gradient, and Tx^4 is Tx^3 . x.  The ladder's identity
-with one halving at a time needs every row of these contractions to come
-out the same whatever other rows share its batch; ``einsum`` gives that,
-while a BLAS ``@`` takes another kernel for a one-row batch and changes the
-last bits.  The grid values only rank grid points (the starting points,
-the positivity witness), so they use ``@``.  The kernel holds T / 2^shift, a
-power of two that keeps tensors with entries near float range in range;
-the grid values and the refine stay at that scale, and only the values
-returned are scaled back.
+with one halving at a time needs every row of these contractions (and of
+``_decrease``) to come out the same whatever other rows share its batch;
+``einsum`` on C-contiguous operands gives that, while a BLAS ``@`` takes
+another kernel for a one-row batch and changes the last bits, and
+``einsum`` sums the rows of a column-major operand in another order.  The
+grid values only rank grid points (the starting points, the positivity
+witness), so they use ``@``.  The kernel holds T / 2^shift, a power of two
+that keeps tensors with entries near float range in range; the grid values
+and the refine stay at that scale, and only the values returned are scaled
+back.
 
 A sphere minimum above the classification margin classifies the form as
 positive definite, one below minus the margin as indefinite; a value
@@ -270,36 +275,26 @@ def _decrease(K: _Kernel, X: np.ndarray, f: np.ndarray, Y: np.ndarray) -> np.nda
     D = Y - X
     dq = D[:, i] * Y[:, j] + X[:, i] * D[:, j]
     qsum = Y[:, i] * Y[:, j] + X[:, i] * X[:, j]
-    df = np.einsum("pm,pm->p", (dq[:, :, None] * K.gram).sum(axis=1), qsum)
+    # the columns picked by i and j come out column-major for more than one
+    # row, and einsum sums such rows in another order than a lone row
+    dqS = np.ascontiguousarray((dq[:, :, None] * K.gram).sum(axis=1))
+    df = np.einsum("pm,pm->p", dqS, np.ascontiguousarray(qsum))
     xx = np.einsum("pi,pi->p", X, X)
     yy = np.einsum("pi,pi->p", Y, Y)
     return df * (xx * xx) - f * np.einsum("pi,pi->p", D, X + Y) * (xx + yy)
 
 
-def _newton_directions(X: np.ndarray, vals: np.ndarray, g: np.ndarray, hess: np.ndarray):
-    """The search direction at each row of X, given Tx^4, the Riemannian
-    gradient g and Tx^2 there.
+def _tangent_system(M: np.ndarray, xx: np.ndarray):
+    """M + s x x^T for tangent matrices M (M x = 0), with s the mean tangent
+    eigenvalue (the trace of M over n - 1), its adjugate and determinant,
+    and whether it is positive definite (read from its leading minors).
 
-    Where the Riemannian Hessian Hr is positive definite on the tangent
-    plane, d solves (Hr + s x x^T) d = -g with s the mean tangent
-    eigenvalue (the trace of Hr over n - 1): x is an eigenvector of that
-    matrix, so d is tangent, and s keeps the system's scale.  Elsewhere
-    d = -g.  The 2x2 or 3x3 system is solved by its adjugate, and
-    definiteness read from its leading minors.  Returns d and the mask of
-    the Newton rows.
-    """
+    x is an eigenvector of the sum, so the solution of (M + s x x^T) d = -g
+    for a tangent g is tangent, and s keeps the system's scale."""
     import numpy as np
 
-    n = X.shape[1]
-    xx = X[:, :, None] * X[:, None, :]
-    P = np.eye(n) - xx
-    Hr = P @ (12.0 * hess) @ P - (4.0 * vals)[:, None, None] * P
-    trace = np.einsum("pii->p", Hr)
-    B = Hr + (trace / (n - 1))[:, None, None] * xx
-    # the adjugate and the determinant multiply up to n entries: one power
-    # of two per row brings B near 1 and leaves d the same to the bit
-    e = -np.frexp(np.abs(B).max(axis=(1, 2)))[1]
-    B = np.ldexp(B, e[:, None, None])
+    n = M.shape[1]
+    B = M + (np.einsum("pii->p", M) / (n - 1))[:, None, None] * xx
     if n == 2:
         adj = np.einsum("pii->p", B)[:, None, None] * np.eye(2) - B
     else:
@@ -309,10 +304,50 @@ def _newton_directions(X: np.ndarray, vals: np.ndarray, g: np.ndarray, hess: np.
         cof = B[:, u[:, None], u] * B[:, v[:, None], v] - B[:, u[:, None], v] * B[:, v[:, None], u]
         adj = cof.transpose(0, 2, 1)
     det = np.einsum("pi,pi->p", B[:, 0], adj[:, :, 0])
-    newton = (B[:, 0, 0] > 0) & (adj[:, -1, -1] > 0) & (det > 0)
+    return adj, det, (B[:, 0, 0] > 0) & (adj[:, -1, -1] > 0) & (det > 0)
+
+
+def _newton_directions(X: np.ndarray, vals: np.ndarray, g: np.ndarray, hess: np.ndarray):
+    """The search direction at each row of X, given Tx^4, the Riemannian
+    gradient g and Tx^2 there.
+
+    Where the Riemannian Hessian Hr is positive definite on the tangent
+    plane, d is the Newton direction, the tangent solution of Hr d = -g.
+    Elsewhere it is the tangent solution of |Hr| d = -g, with |Hr| the
+    Hessian with each tangent eigenvalue replaced by its absolute value: a
+    descent direction that leaves a saddle along its negative curvature
+    (Nocedal and Wright, Numerical Optimization, 2nd ed., 2006, sec. 3.4).
+    Hr x = 0, so the tangent eigenvalues have the product e2 = (tr(Hr)^2 -
+    tr(Hr^2)) / 2, and |Hr| = (Hr^2 + |e2| P) / (|l1| + |l2|) with
+    |l1| + |l2| = sqrt(tr(Hr^2) + 2 |e2|); for n = 2 it is |l| P.  Where
+    |Hr| is singular too, d = -g.  Each system is solved by its adjugate
+    (``_tangent_system``).  Returns d and the mask of the Newton rows.
+    """
+    import numpy as np
+
+    xx = X[:, :, None] * X[:, None, :]
+    P = np.eye(X.shape[1]) - xx
+    Hr = P @ (12.0 * hess) @ P - (4.0 * vals)[:, None, None] * P
+    # the adjugate and the determinant multiply up to n entries, and |Hr|
+    # squares Hr: one power of two per row brings Hr near 1 and leaves d
+    # the same to the bit
+    e = -np.frexp(np.abs(Hr).max(axis=(1, 2)))[1]
+    Hr = np.ldexp(Hr, e[:, None, None])
+    adj, det, newton = _tangent_system(Hr, xx)
     d = -g
-    num = np.einsum("pij,pj->pi", adj, np.ldexp(d, e[:, None]))
-    np.divide(num, det[:, None], out=d, where=newton[:, None])
+    solved, rhs = newton.copy(), np.ldexp(d, e[:, None])
+    off = np.flatnonzero(~newton)
+    if off.size:
+        # solve with the numerator of |Hr| and the right side times its
+        # denominator, which is 0 only where Hr is
+        H = Hr[off]
+        H2 = np.einsum("pij,pjk->pik", H, H)
+        sq = np.einsum("pii->p", H2)
+        e2 = np.abs(np.einsum("pii->p", H) ** 2 - sq) / 2
+        adj[off], det[off], solved[off] = _tangent_system(H2 + e2[:, None, None] * P[off], xx[off])
+        rhs[off] *= np.sqrt(sq + 2.0 * e2)[:, None]
+    num = np.einsum("pij,pj->pi", adj, rhs)
+    np.divide(num, det[:, None], out=d, where=solved[:, None])
     return d, newton
 
 
