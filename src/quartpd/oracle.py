@@ -17,18 +17,17 @@ steps where -g barely moves.  The trial point x + step d is renormalized
 onto the sphere.
 
 Each candidate carries one step per kind of direction: it starts at 1 for
-Newton and 0.1 for |Hr|, doubles (up to 1) after a success and
-halves on each failed rung, and a candidate whose step falls below 1e-18
-has stalled and stops.  Carrying the Newton step over, rather than starting
+Newton and 0.1 for |Hr|.  Backtracking is the Armijo loop (Nocedal and
+Wright, Numerical Optimization, 2nd ed., 2006, alg. 3.1), run for all
+candidates together: each pass tries the current step of every candidate
+that has not yet moved in the iteration, and the trial point y passes when
+f(y) - f(x) < 1e-4 step (g . d), with f = Tx^4 / |x|^4 the form on the
+sphere.  A candidate that passes takes y and doubles its step (up to 1);
+one that fails halves its step and is tried again in the next pass, and
+one whose step falls below 1e-18 has stalled and stops.  An iteration
+makes at most 40 passes.  Carrying the step over, rather than starting
 every iteration at 1, matters: a step that cannot lower the form halves
 until it stalls, where a restart at 1 would try it again every iteration.
-Backtracking is a ladder: the trial steps s, s/2, s/4, ... of every active
-candidate are evaluated together in a few batched passes (4, then 12, then
-24 rungs), and each candidate takes its first rung y that passes the Armijo
-test f(y) - f(x) < 1e-4 step (g . d), with f = Tx^4 / |x|^4 the form on
-the sphere.  The direction is fixed for the iteration and halving is exact
-in binary floating point, so this gives bit for bit the iterates of trying
-one halving at a time.
 
 The Armijo test does not subtract two float values of the form: a Newton
 step from a gradient near 1e-8 lowers f by about 1e-17, below one ulp of
@@ -36,7 +35,7 @@ f, where the difference of the rounded values has no sign, and a test on
 it would fail such steps until the candidate stalls above ``grad_tol``.
 ``_decrease`` computes the change itself from the step y - x (times
 |x|^4 |y|^4, which is 1 to rounding), so it keeps its digits down to the
-smallest step the ladder tries.
+smallest step the backtracking tries.
 
 The form is evaluated through its monomials, from coefficients built once
 per tensor (``_kernel``).  A quartic form is a quadratic form in its
@@ -46,17 +45,17 @@ representation of Choi, Lam and Reznick), so the grid values cost a
 are built with the grid and cached with it.  The refine needs Tx^2
 for the Hessian: it is the sum over p of q_p H_p, with H_p the fold weight
 of the quadratic monomial p times the matrix t_{.,.,i_p,j_p}; then Tx^3 is
-Tx^2 x, for the gradient, and Tx^4 is Tx^3 . x.  The ladder's identity
-with one halving at a time needs every row of these contractions (and of
-``_decrease``) to come out the same whatever other rows share its batch;
-``einsum`` on C-contiguous operands gives that, while a BLAS ``@`` takes
-another kernel for a one-row batch and changes the last bits, and
-``einsum`` sums the rows of a column-major operand in another order.  The
-grid values only rank grid points (the starting points, the positivity
-witness), so they use ``@``.  The kernel holds T / 2^shift, a power of two
-that keeps tensors with entries near float range in range; the grid values
-and the refine stay at that scale, and only the values returned are scaled
-back.
+Tx^2 x, for the gradient, and Tx^4 is Tx^3 . x.  A candidate's iterates
+do not depend on which candidates share its pass only if every row of
+these contractions (and of ``_decrease``) comes out the same whatever
+other rows share its batch; ``einsum`` on C-contiguous operands gives
+that, while a BLAS ``@`` takes another kernel for a one-row batch and
+changes the last bits, and ``einsum`` sums the rows of a column-major
+operand in another order.  The grid values only rank grid points (the
+starting points, the positivity witness), so they use ``@``.  The kernel
+holds T / 2^shift, a power of two that keeps tensors with entries near
+float range in range; the grid values and the refine stay at that scale,
+and only the values returned are scaled back.
 
 A sphere minimum above the classification margin classifies the form as
 positive definite, one below minus the margin as indefinite; a value
@@ -84,9 +83,8 @@ if TYPE_CHECKING:
 
 _GOLDEN = (1 + math.sqrt(5)) / 2
 
-# rungs of the backtracking ladder evaluated per batch: most candidates
-# pass in the first, and the sum is the cap of 40 halvings per iteration
-_RUNG_BATCHES = (4, 12, 24)
+# the most trial steps a candidate takes per iteration, halving after each
+_MAX_HALVINGS = 40
 
 # the dimensions the oracle samples; every caller gates on this one set
 ORACLE_DIMS = (2, 3)
@@ -247,7 +245,7 @@ def _forms_and_cubics(K: _Kernel, X: np.ndarray):
     as Tx^2 x and Tx^4 as Tx^3 . x.
 
     Every row gets the same bits whatever other rows share its batch (the
-    refine ladder relies on it), which ``einsum`` gives and ``@`` does not.
+    refine relies on it), which ``einsum`` gives and ``@`` does not.
     """
     import numpy as np
 
@@ -355,13 +353,13 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
     """Safeguarded Newton descent with per-candidate backtracking on the
     sphere, at the kernel's scale (see the module docstring).
 
-    Each iteration tries the steps s, s/2, s/4, ... (at most 40 halvings,
-    none below 1e-18) from the candidate's step s for its direction's kind
-    and takes the first that passes Armijo; the rungs of all active
-    candidates are evaluated together, in batches of _RUNG_BATCHES rungs.  A
-    candidate whose rungs all fail with the next step below 1e-18 has
-    stalled and stops.  Returns refined points, values (divided by 2^shift)
-    and the iteration count of the longest running candidate.
+    Each pass of an iteration tries one step for every candidate that has
+    not yet moved: a candidate that passes Armijo takes the trial point and
+    doubles its step (up to 1), one that fails halves it, and one whose
+    step falls below 1e-18 has stalled and stops.  After _MAX_HALVINGS
+    passes the candidates still pending keep their point for the
+    iteration.  Returns refined points, values (divided by 2^shift) and the
+    iteration count of the longest running candidate.
     """
     import numpy as np
 
@@ -386,30 +384,19 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
         kind = newton.astype(int)
         s = step[rows, kind]
         pending = np.arange(len(rows))  # positions in rows
-        for width in _RUNG_BATCHES:
+        for _ in range(_MAX_HALVINGS):
             if pending.size == 0:
                 break
-            # halving is exact, so rung j is s * 2**-j to the last bit
-            steps = np.ldexp(s[pending, None], -np.arange(width))
             at = rows[pending]
-            trial = X[at, None] + steps[..., None] * d[pending, None]
-            trial = trial.reshape(-1, X.shape[1])
+            trial = X[at] + s[pending, None] * d[pending]
             trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
-            base = np.repeat(at, width)
-            drop = _decrease(K, X[base], vals[base], trial).reshape(steps.shape)
-            # a rung below 1e-18 is never tried; valid rungs are a prefix
-            valid = steps >= 1e-18
-            ok = (drop < 1e-4 * steps * slope[pending, None]) & valid
-            hit = ok.any(axis=1)
-            first = ok.argmax(axis=1)[hit]
-            take = np.flatnonzero(hit) * width + first
-            good = at[hit]
-            X[good] = trial[take]
-            # only the rungs taken need the form and its derivatives
-            vals[good], cub[good], hess[good] = _forms_and_cubics(K, trial[take])
-            s[pending[hit]] = np.minimum(steps[hit, first] * 2.0, 1.0)
-            missed = pending[~hit]
-            s[missed] = np.ldexp(s[missed], -valid[~hit].sum(axis=1))
+            ok = _decrease(K, X[at], vals[at], trial) < 1e-4 * s[pending] * slope[pending]
+            good = at[ok]
+            X[good] = trial[ok]
+            vals[good], cub[good], hess[good] = _forms_and_cubics(K, trial[ok])
+            s[pending[ok]] = np.minimum(s[pending[ok]] * 2.0, 1.0)
+            missed = pending[~ok]
+            s[missed] *= 0.5
             stalled = s[missed] < 1e-18
             active[rows[missed[stalled]]] = False
             pending = missed[~stalled]

@@ -261,7 +261,7 @@ REFINE_CONFIGS = {
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("name", list(REFINE_CONFIGS))
 def test_refine_ladder_matches_sequential_reference(dim, name):
-    # the batched ladder gives the sequential iterates to the bit; under the
+    # the refine gives the reference's iterates to the bit; under the
     # default config its best value is never above the gradient loop's
     cfg = REFINE_CONFIGS[name]
     rng = random.Random(f"{dim}:{name}")
@@ -501,8 +501,8 @@ def test_newton_direction_solves_the_tangent_system(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_refine_contraction_is_row_independent(dim):
     # each row of _forms_and_cubics and of _decrease has the same bits alone
-    # and in any batch; the ladder's identity with one halving at a time
-    # rests on it
+    # and in any batch, so a candidate's iterates do not depend on which
+    # candidates share its pass
     rng = np.random.default_rng(dim)
     T = rand_tensor(random.Random(f"rows:{dim}"), dim)
     K = oracle._kernel(T)
