@@ -16,18 +16,18 @@ direction that leaves a saddle along its negative curvature in a few
 steps where -g barely moves.  The trial point x + step d is renormalized
 onto the sphere.
 
-Each candidate carries one step per kind of direction: it starts at 1 for
-Newton and 0.1 for |Hr|.  Backtracking is the Armijo loop (Nocedal and
-Wright, Numerical Optimization, 2nd ed., 2006, alg. 3.1), run for all
-candidates together: each pass tries the current step of every candidate
-that has not yet moved in the iteration, and the trial point y passes when
-f(y) - f(x) < 1e-4 step (g . d), with f = Tx^4 / |x|^4 the form on the
-sphere.  A candidate that passes takes y and doubles its step (up to 1);
-one that fails halves its step and is tried again in the next pass, and
-one whose step falls below 1e-18 has stalled and stops.  An iteration
-makes at most 40 passes.  Carrying the step over, rather than starting
-every iteration at 1, matters: a step that cannot lower the form halves
-until it stalls, where a restart at 1 would try it again every iteration.
+Each candidate carries one step, which starts at 1.  Backtracking is the
+Armijo loop (Nocedal and Wright, Numerical Optimization, 2nd ed., 2006,
+alg. 3.1), run for all candidates together: each pass tries the current
+step of every candidate that has not yet moved in the iteration, and the
+trial point y passes when f(y) - f(x) < 1e-4 step (g . d), with
+f = Tx^4 / |x|^4 the form on the sphere.  A candidate that passes takes y
+and doubles its step (up to 1); one that fails halves its step and is
+tried again in the next pass, and one whose step falls below 1e-18 has
+stalled and stops.  An iteration makes at most 40 passes.  Carrying the
+step over, rather than starting every iteration at 1, matters: a step that
+cannot lower the form halves until it stalls, where a restart at 1 would
+try it again every iteration.
 
 The Armijo test does not subtract two float values of the form: a Newton
 step from a gradient near 1e-8 lowers f by about 1e-17, below one ulp of
@@ -365,8 +365,7 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
 
     X = X0 / np.linalg.norm(X0, axis=1, keepdims=True)
     vals, cub, hess = _forms_and_cubics(K, X)
-    # per candidate, the step of the gradient (column 0) and Newton (1) directions
-    step = np.tile([0.1, 1.0], (len(X), 1))
+    step = np.ones(len(X))
     active = np.ones(len(X), dtype=bool)
     grad_tol = math.ldexp(cfg.grad_tol, -K.shift)
     iters = 0
@@ -379,10 +378,9 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
             break
         iters = it + 1
         rows = np.flatnonzero(active)
-        d, newton = _newton_directions(X[rows], vals[rows], gt[rows], hess[rows])
+        d, _ = _newton_directions(X[rows], vals[rows], gt[rows], hess[rows])
         slope = np.einsum("pi,pi->p", gt[rows], d)
-        kind = newton.astype(int)
-        s = step[rows, kind]
+        s = step[rows]
         pending = np.arange(len(rows))  # positions in rows
         for _ in range(_MAX_HALVINGS):
             if pending.size == 0:
@@ -400,7 +398,7 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
             stalled = s[missed] < 1e-18
             active[rows[missed[stalled]]] = False
             pending = missed[~stalled]
-        step[rows, kind] = s
+        step[rows] = s
     return X, vals, iters
 
 

@@ -202,12 +202,11 @@ def _gradient_reference(K, X0, cfg, stats):
 
 def _newton_reference(K, X0, cfg, stats):
     """The refine of ``_refine_batch`` with one numpy pass per halving
-    round: Newton or gradient directions from ``_newton_directions``, each
-    kind with its own step per candidate.  ``stats`` as in
-    ``_gradient_reference``."""
+    round: directions from ``_newton_directions`` and one step per
+    candidate.  ``stats`` as in ``_gradient_reference``."""
     X = X0 / np.linalg.norm(X0, axis=1, keepdims=True)
     vals, cub, hess = oracle._forms_and_cubics(K, X)
-    step = np.tile([0.1, 1.0], (len(X), 1))
+    step = np.ones(len(X))
     active = np.ones(len(X), dtype=bool)
     grad_tol = math.ldexp(cfg.grad_tol, -K.shift)
     iters = 0
@@ -220,15 +219,15 @@ def _newton_reference(K, X0, cfg, stats):
             break
         iters = it + 1
         rows = np.flatnonzero(active)
-        d, slope, kind = np.zeros_like(X), np.zeros(len(X)), np.zeros(len(X), dtype=int)
-        d[rows], kind[rows] = oracle._newton_directions(X[rows], vals[rows], gt[rows], hess[rows])
+        d, slope = np.zeros_like(X), np.zeros(len(X))
+        d[rows], _ = oracle._newton_directions(X[rows], vals[rows], gt[rows], hess[rows])
         slope[rows] = np.einsum("pi,pi->p", gt[rows], d[rows])
         moved = np.zeros(len(X), dtype=bool)
         for _ in range(40):
             sel = np.flatnonzero(active & ~moved)
             if not sel.size:
                 break
-            s = step[sel, kind[sel]]
+            s = step[sel]
             trial = X[sel] + s[:, None] * d[sel]
             trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
             tvals, tcub, thess = oracle._forms_and_cubics(K, trial)
@@ -239,10 +238,10 @@ def _newton_reference(K, X0, cfg, stats):
             cub[good] = tcub[ok]
             hess[good] = thess[ok]
             moved[good] = True
-            step[good, kind[good]] = np.minimum(s[ok] * 2.0, 1.0)
+            step[good] = np.minimum(s[ok] * 2.0, 1.0)
             bad = sel[~ok]
-            step[bad, kind[bad]] = s[~ok] * 0.5
-            stuck = bad[step[bad, kind[bad]] < 1e-18]
+            step[bad] = s[~ok] * 0.5
+            stuck = bad[step[bad] < 1e-18]
             active[stuck] = False
             moved[stuck] = True
             stats["stalled"] += len(stuck)
