@@ -8,7 +8,6 @@ over them, and a verification harness for ternary quartic inequalities.
 from .binary import (
     BinaryQuartic,
     DiscriminantParts,
-    check_normalized_pm1,
     classify as classify_binary,
     discriminant_parts,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "Verdict",
     "WeightedInequality",
     "builtin_catalog",
-    "check_normalized_pm1",
     "classify",
     "classify_binary",
     "classify_cyclic",

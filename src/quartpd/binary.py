@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .quadext import QuadExt, _sign
 from .verdict import Kind, Verdict, as_fraction
@@ -279,15 +279,6 @@ def _negative_point(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
     return _simplest_between(left[1] if left else None, right[0] if right else None)
 
 
-def _witness(q: BinaryQuartic) -> Tuple[Fraction, Fraction]:
-    """(t, 1) with q(t, 1) < 0, for a form that takes a negative value with
-    x2 != 0, which every indefinite form with a0 >= 0 does."""
-    t = _negative_point((q.a0, 4 * q.a1, 6 * q.a2, 4 * q.a3, q.a4))
-    if t is None:
-        raise ArithmeticError(f"q(t, 1) >= 0 for every t, yet {q} was found indefinite")
-    return (t, Fraction(1))
-
-
 # -- public entry points -------------------------------------------------
 
 
@@ -297,10 +288,11 @@ def classify(q: BinaryQuartic) -> Verdict:
         return Verdict(Kind.INDEFINITE, "negative-diagonal", witness=(Fraction(1), Fraction(0)))
     if a4 < 0:
         return Verdict(Kind.INDEFINITE, "negative-diagonal", witness=(Fraction(0), Fraction(1)))
+    coeffs = (a0, 4 * a1, 6 * a2, 4 * a3, a4)  # of q(t, 1)
     if a0 == 0 or a4 == 0:
         # q(x1, 0) = a0*x1^4 >= 0 and q = x2^4 * q(x1/x2, 1) otherwise, so q
         # is PSD iff q(t, 1) >= 0 for all t; it vanishes on an axis, so never PD
-        t = _negative_point((a0, 4 * a1, 6 * a2, 4 * a3, a4))
+        t = _negative_point(coeffs)
         if t is not None:
             return Verdict(Kind.INDEFINITE, "zero-diagonal", witness=(t, Fraction(1)))
         zero = (Fraction(1), Fraction(0)) if a0 == 0 else (Fraction(0), Fraction(1))
@@ -308,28 +300,8 @@ def classify(q: BinaryQuartic) -> Verdict:
     verdict = _criterion(_cleared(q))
     if verdict is not None:
         return verdict
-    return Verdict(Kind.INDEFINITE, "criterion-failed", witness=_witness(q))
-
-
-def check_normalized_pm1(q: BinaryQuartic) -> Verdict:
-    """Fast path for unit diagonals: a0 = a4 = 1, |a1| <= 1, |a3| <= 1 and
-    either a2 = 1 or all entries of modulus 1.
-
-    With a2 = 1 the criterion collapses to comparing 27*(a3-a1)^4 against
-    64*(1-a1*a3)^3; with a2 = -1 the form is never PSD.  Any other form is
-    undetermined here.
-    """
-    a0, a1, a2, a3, a4 = q
-    unit = a0 == 1 and a4 == 1 and abs(a1) <= 1 and abs(a3) <= 1
-    pm1_case = abs(a1) == 1 and abs(a3) == 1 and abs(a2) == 1
-    if not (unit and (a2 == 1 or pm1_case)):
-        return Verdict(Kind.UNDETERMINED, "outside-fast-path")
-    if a2 == -1:
-        return Verdict(Kind.INDEFINITE, "fast-path", witness=_witness(q))
-    lhs = 27 * (a3 - a1) ** 4
-    rhs = 64 * (1 - a1 * a3) ** 3
-    if lhs < rhs:
-        return Verdict(Kind.POSITIVE_DEFINITE, "fast-path")
-    if lhs == rhs:
-        return Verdict(Kind.PSD_NOT_PD, "fast-path")
-    return Verdict(Kind.INDEFINITE, "fast-path", witness=_witness(q))
+    # an indefinite form with a0 > 0 takes a negative value with x2 != 0
+    t = _negative_point(coeffs)
+    if t is None:
+        raise ArithmeticError(f"q(t, 1) >= 0 for every t, yet {q} was found indefinite")
+    return Verdict(Kind.INDEFINITE, "criterion-failed", witness=(t, Fraction(1)))

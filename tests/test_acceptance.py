@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from quartpd.binary import BinaryQuartic, check_normalized_pm1, classify
+from quartpd.binary import BinaryQuartic, classify
 from quartpd.cyclic import CyclicTernary, classify_cyclic, embed
 from quartpd.inequalities import builtin_catalog, exact_spot_check, verify
 from quartpd.oracle import OracleConfig, sphere_minimize, zero_set_probe
@@ -118,19 +118,17 @@ def test_binary_analytic_vs_oracle(report):
 
 def test_unit_diagonal_fast_path_boundary(report):
     report["label"] = (
-        "unit-diagonal fast path: (1,-1,1,1,1) PD via 432 < 512, "
+        "unit-diagonal closed form: (1,-1,1,1,1) PD via 432 < 512, "
         "(1,1,1,1,1) PSD-not-PD via 0 <= 0"
     )
     q = BinaryQuartic.of(1, -1, 1, 1, 1)
     assert 27 * (q.a3 - q.a1) ** 4 == 432
     assert 64 * (1 - q.a1 * q.a3) ** 3 == 512
-    assert check_normalized_pm1(q).kind is Kind.POSITIVE_DEFINITE
     assert classify(q).kind is Kind.POSITIVE_DEFINITE
 
     q = BinaryQuartic.of(1, 1, 1, 1, 1)
     assert 27 * (q.a3 - q.a1) ** 4 == 0
     assert 64 * (1 - q.a1 * q.a3) ** 3 == 0
-    assert check_normalized_pm1(q).kind is Kind.PSD_NOT_PD
     assert classify(q).kind is Kind.PSD_NOT_PD
     report["ok"] = True
 

@@ -9,12 +9,11 @@ from quartpd.binary import (
     _cleared,
     _negative_point,
     _radical_bound,
-    check_normalized_pm1,
     classify,
     discriminant_parts,
 )
 from quartpd.quadext import QuadExt
-from quartpd.verdict import Kind, Verdict
+from quartpd.verdict import Kind
 
 from conftest import rand_fraction
 
@@ -121,35 +120,40 @@ class TestPrefilter:
                 assert q.value((1, 0)) == 0
 
 
+def closed_form_kind(q):
+    """The kind of a unit-diagonal form (1, a1, 1, a3, 1) with |a1|, |a3| <= 1,
+    where the criterion collapses to comparing 27 (a3 - a1)^4 against
+    64 (1 - a1 a3)^3."""
+    lhs, rhs = 27 * (q.a3 - q.a1) ** 4, 64 * (1 - q.a1 * q.a3) ** 3
+    if lhs < rhs:
+        return Kind.POSITIVE_DEFINITE
+    return Kind.PSD_NOT_PD if lhs == rhs else Kind.INDEFINITE
+
+
 class TestFastPath:
+    # unit-diagonal forms, where a closed form decides
     def test_zero_cubics(self):
-        assert check_normalized_pm1(bq(1, 0, 1, 0, 1)).kind is Kind.POSITIVE_DEFINITE
+        assert classify(bq(1, 0, 1, 0, 1)).kind is Kind.POSITIVE_DEFINITE
 
     def test_opposite_cubics_pd(self):
-        v = check_normalized_pm1(bq(1, -1, 1, 1, 1))
+        v = classify(bq(1, -1, 1, 1, 1))
         assert v.kind is Kind.POSITIVE_DEFINITE
         assert 27 * (1 - (-1)) ** 4 == 432 < 512 == 64 * (1 - (-1) * 1) ** 3
 
     def test_equal_cubics_psd_only(self):
-        v = check_normalized_pm1(bq(1, 1, 1, 1, 1))
+        v = classify(bq(1, 1, 1, 1, 1))
         assert v.kind is Kind.PSD_NOT_PD
 
     def test_negative_middle_not_psd(self):
-        v = check_normalized_pm1(bq(1, 1, -1, 1, 1))
+        v = classify(bq(1, 1, -1, 1, 1))
         assert v.kind is Kind.INDEFINITE
-
-    def test_precondition_violation(self):
-        # a non-unit diagonal, and a2 != 1 outside the all-modulus-1 case
-        declined = Verdict(Kind.UNDETERMINED, "outside-fast-path")
-        assert check_normalized_pm1(bq(2, 0, 1, 0, 1)) == declined
-        assert check_normalized_pm1(bq(1, 0, "1/2", 0, 1)) == declined
 
     def test_consistency_with_general_path(self, rng):
         for _ in range(1000):
             a1 = rand_fraction(rng, -1, 1)
             a3 = rand_fraction(rng, -1, 1)
             q = bq(1, a1, 1, a3, 1)
-            assert check_normalized_pm1(q).kind is classify(q).kind
+            assert closed_form_kind(q) is classify(q).kind
 
 
 class TestProperties:
@@ -380,14 +384,14 @@ class TestExactWitness:
         for a1 in (-1, "-1/2", 0, "1/3", 1):
             for a3 in (-1, "-2/3", 0, "1/2", 1):
                 q = bq(1, a1, 1, a3, 1)
-                v = check_normalized_pm1(q)
+                v = classify(q)
                 assert v.kind is reference_kind(q)
                 if v.kind is Kind.INDEFINITE:
                     assert q.value(v.witness) < 0
         for a1 in (-1, 1):
             for a3 in (-1, 1):
                 q = bq(1, a1, -1, a3, 1)
-                v = check_normalized_pm1(q)
+                v = classify(q)
                 assert v.kind is Kind.INDEFINITE
                 assert q.value(v.witness) < 0
 
