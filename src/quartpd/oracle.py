@@ -380,25 +380,23 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
         rows = np.flatnonzero(active)
         d, _ = _newton_directions(X[rows], vals[rows], gt[rows], hess[rows])
         slope = np.einsum("pi,pi->p", gt[rows], d)
-        s = step[rows]
         pending = np.arange(len(rows))  # positions in rows
         for _ in range(_MAX_HALVINGS):
             if pending.size == 0:
                 break
             at = rows[pending]
-            trial = X[at] + s[pending, None] * d[pending]
+            s = step[at]
+            trial = X[at] + s[:, None] * d[pending]
             trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
-            ok = _decrease(K, X[at], vals[at], trial) < 1e-4 * s[pending] * slope[pending]
+            ok = _decrease(K, X[at], vals[at], trial) < 1e-4 * s * slope[pending]
             good = at[ok]
             X[good] = trial[ok]
             vals[good], cub[good], hess[good] = _forms_and_cubics(K, trial[ok])
-            s[pending[ok]] = np.minimum(s[pending[ok]] * 2.0, 1.0)
-            missed = pending[~ok]
-            s[missed] *= 0.5
-            stalled = s[missed] < 1e-18
-            active[rows[missed[stalled]]] = False
-            pending = missed[~stalled]
-        step[rows] = s
+            step[at] = np.where(ok, np.minimum(2.0 * s, 1.0), 0.5 * s)
+            # a step that passed is at least 2e-18, so only failed ones stall
+            stalled = step[at] < 1e-18
+            active[at[stalled]] = False
+            pending = pending[~(ok | stalled)]
     return X, vals, iters
 
 
