@@ -1,20 +1,26 @@
 """Command-line front end: argument parsing, printing and exit codes around
 :func:`quartpd.classify`.
 
+``quartpd COMMAND [INPUTS]... [OPTIONS]`` with COMMAND one of ``check``,
+``minimize`` and ``inequalities``.  Each command has a table of flags,
+given as ``--flag value``, ``--flag=value`` or, for a switch, ``--flag``; an
+option's value is the next token whatever it starts with.  Every token
+that does not start with ``--`` is an input, so negative numbers and
+fractions such as ``-1/2`` need no quoting, and every token after ``--``
+is an input.  ``--help`` prints the commands, or a command's flags.
+
 Exit codes: 0 positive definite, 1 positive semidefinite, not definite,
-2 indefinite, 3 undetermined, 64 input error (also a bad option or usage),
-70 internal error (an unexpected exception, reported in one line).
+2 indefinite, 3 undetermined, 64 input error (also a bad option or usage,
+reported in one line), 70 internal error (an unexpected exception,
+reported in one line), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 import time
-from typing import NoReturn, Tuple
-
-import click
+from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Sequence
 
 from .inequalities import builtin_catalog, verify
 from .oracle import ORACLE_DIMS, ConfigError, OracleConfig, sphere_minimize, zero_set_probe
@@ -30,95 +36,40 @@ _EXIT = {
 }
 EXIT_INPUT_ERROR = 64
 EXIT_INTERNAL_ERROR = 70  # EX_SOFTWARE; 1 would read as a PSD verdict
-
-# the OracleConfig field each oracle flag sets
-_FLAGS = {"grid_points": "--grid", "seed": "--seed", "classify_margin": "--margin"}
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 def _input_error(message) -> NoReturn:
-    click.echo(f"input error: {message}", err=True)
+    print(f"input error: {message}", file=sys.stderr)
     sys.exit(EXIT_INPUT_ERROR)
 
 
-def _parse_inputs(inputs: Tuple[str, ...]):
+def _parse_inputs(inputs: List[str]):
     try:
         if not inputs:
             raise InputError("input: a file path or a '<family> c1 .. c5' shorthand expected")
         if len(inputs) == 1:
             return load(inputs[0])
-        return parse_shorthand(inputs[0], list(inputs[1:]))
+        return parse_shorthand(inputs[0], inputs[1:])
     except InputError as exc:
         _input_error(exc)
 
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
         return
     v = report["verdict"]
     for step in report["trace"]:
-        click.echo(f"  [{step['stage']}] {step['kind']} ({step['rule']})")
-    click.echo(f"verdict: {v['kind']} ({v['rule']})")
+        print(f"  [{step['stage']}] {step['kind']} ({step['rule']})")
+    print(f"verdict: {v['kind']} ({v['rule']})")
     if v.get("witness"):
-        click.echo(f"witness: ({', '.join(v['witness'])})")
+        print(f"witness: ({', '.join(v['witness'])})")
     if v.get("margin") is not None:
-        click.echo(f"margin: {v['margin']:.3e}")
+        print(f"margin: {v['margin']:.3e}")
 
 
-def _oracle_options(fn):
-    """The shared oracle flags, handed to the command as one ``cfg``."""
-
-    @functools.wraps(fn)
-    def cmd(grid, seed, margin, **kwargs):
-        try:
-            cfg = OracleConfig(grid_points=grid, seed=seed, classify_margin=margin)
-        except ConfigError as exc:
-            _input_error(f"{_FLAGS[exc.field]} {exc.requirement}")
-        return fn(cfg=cfg, **kwargs)
-
-    cmd = click.option("--grid", type=int, default=None, help="grid point count")(cmd)
-    cmd = click.option("--seed", type=int, default=0, help="jitter seed")(cmd)
-    cmd = click.option("--margin", type=float, default=1e-8, help="classification margin")(cmd)
-    return click.option("--json", "as_json", is_flag=True, help="machine-readable output")(cmd)
-
-
-class _Group(click.Group):
-    """A command group whose usage errors (unknown option, bad option value,
-    unknown command) exit with the input-error code instead of click's 2,
-    which is the code of an indefinite verdict, and whose unexpected
-    exceptions exit with the internal-error code instead of a traceback."""
-
-    def make_context(self, *args, **kwargs):
-        try:
-            return super().make_context(*args, **kwargs)
-        except click.UsageError as exc:
-            exc.exit_code = EXIT_INPUT_ERROR
-            raise
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            exc.exit_code = EXIT_INPUT_ERROR
-            raise
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise  # click's own control flow (Exit and Abort are RuntimeErrors)
-        except Exception as exc:
-            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(EXIT_INTERNAL_ERROR)
-
-
-@click.group(cls=_Group)
-def main() -> None:
-    """Positive definiteness checks for 4th-order symmetric tensors."""
-
-
-@main.command(context_settings={"ignore_unknown_options": True})
-@click.argument("inputs", nargs=-1)
-@click.option("--oracle-only", is_flag=True)
-@click.option("--analytic-only", is_flag=True)
-@_oracle_options
-def check(inputs, oracle_only, analytic_only, cfg, as_json):
+def _check(inputs, cfg, as_json=False, oracle_only=False, analytic_only=False) -> NoReturn:
     """Classify a tensor given as a JSON file or a '<family> c1 ...' shorthand."""
     if oracle_only and analytic_only:
         _input_error("--oracle-only and --analytic-only exclude each other")
@@ -127,10 +78,7 @@ def check(inputs, oracle_only, analytic_only, cfg, as_json):
     sys.exit(_EXIT[Kind(report["verdict"]["kind"])])
 
 
-@main.command(context_settings={"ignore_unknown_options": True})
-@click.argument("inputs", nargs=-1)
-@_oracle_options
-def minimize(inputs, cfg, as_json):
+def _minimize(inputs, cfg, as_json=False) -> NoReturn:
     """Minimize the form over the unit sphere and probe its zero set."""
     parsed = _parse_inputs(inputs)
     T = to_tensor(parsed)
@@ -155,23 +103,20 @@ def minimize(inputs, cfg, as_json):
         "timings": {"total_s": elapsed},
     }
     if as_json:
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        click.echo(f"min {res.min_value:.6f} at ({', '.join(f'{v:.6f}' for v in res.minimizer)})")
+        print(f"min {res.min_value:.6f} at ({', '.join(f'{v:.6f}' for v in res.minimizer)})")
         if degenerate:
-            click.echo("zero set: entire sphere (degenerate zero tensor)")
+            print("zero set: entire sphere (degenerate zero tensor)")
         elif zeros:
             for z in zeros:
-                click.echo(f"zero: ({', '.join(f'{v:.6f}' for v in z)})")
+                print(f"zero: ({', '.join(f'{v:.6f}' for v in z)})")
         else:
-            click.echo("zero set: empty")
+            print("zero set: empty")
     sys.exit(0)
 
 
-@main.command()
-@click.option("--only", default=None, help="run a single catalog label, e.g. 19u or 19-14-14")
-@_oracle_options
-def inequalities(only, cfg, as_json):
+def _inequalities(inputs, cfg, as_json=False, only=None) -> NoReturn:
     """Verify the built-in catalog of ternary quartic inequalities."""
     catalog = builtin_catalog()
     if only is not None:
@@ -181,14 +126,161 @@ def inequalities(only, cfg, as_json):
     reports = [verify(ineq, cfg).to_dict() for ineq in catalog]
     ok = all(r["as_expected"] for r in reports)
     if as_json:
-        click.echo(json.dumps({"schema": 1, "ok": ok, "reports": reports}, indent=2, sort_keys=True))
+        print(json.dumps({"schema": 1, "ok": ok, "reports": reports}, indent=2, sort_keys=True))
     else:
         for r in reports:
             status = "HOLDS" if r["holds"] else "FAILS"
             expect = " (expected)" if r["as_expected"] else " (UNEXPECTED)"
-            click.echo(f"{r['label']:>12}  {status:<6} min={r['sphere_min']: .3e}{expect}")
-        click.echo("ok" if ok else "MISMATCH")
+            print(f"{r['label']:>12}  {status:<6} min={r['sphere_min']: .3e}{expect}")
+        print("ok" if ok else "MISMATCH")
     sys.exit(0 if ok else 1)
+
+
+class _Flag(NamedTuple):
+    """A flag that is not given leaves the keyword's or the field's default."""
+
+    dest: str  # the command's keyword, or for an oracle flag the OracleConfig field
+    convert: Optional[Callable[[str], object]]  # None for a switch, which takes no value
+    help: str
+
+
+class _Command(NamedTuple):
+    run: Callable[..., NoReturn]  # run(inputs, cfg, **values of the flags given)
+    takes_inputs: bool
+    flags: Dict[str, _Flag]
+
+
+_ORACLE_FLAGS = {
+    "--grid": _Flag("grid_points", int, "grid point count"),
+    "--seed": _Flag("seed", int, "jitter seed"),
+    "--margin": _Flag("classify_margin", float, "classification margin"),
+}
+_JSON_FLAG = {"--json": _Flag("as_json", None, "machine-readable output")}
+
+_COMMANDS = {
+    "check": _Command(
+        _check,
+        True,
+        {
+            "--oracle-only": _Flag("oracle_only", None, "run the sphere oracle stage alone"),
+            "--analytic-only": _Flag("analytic_only", None, "run the exact stages alone"),
+            **_JSON_FLAG,
+            **_ORACLE_FLAGS,
+        },
+    ),
+    "minimize": _Command(_minimize, True, {**_JSON_FLAG, **_ORACLE_FLAGS}),
+    "inequalities": _Command(
+        _inequalities,
+        False,
+        {
+            "--only": _Flag("only", str, "run a single catalog label, e.g. 19u or 19-14-14"),
+            **_JSON_FLAG,
+            **_ORACLE_FLAGS,
+        },
+    ),
+}
+
+
+def _rows(rows) -> str:
+    width = max(len(name) for name, _ in rows) + 2
+    return "\n".join(f"  {name:<{width}}{text}".rstrip() for name, text in rows)
+
+
+def _help(prog: str, name: Optional[str]) -> str:
+    if name is None:
+        commands = [(n, c.run.__doc__) for n, c in _COMMANDS.items()]
+        return (
+            f"Usage: {prog} COMMAND [INPUTS]... [OPTIONS]\n\n"
+            "  Positive definiteness checks for 4th-order symmetric tensors.\n\n"
+            f"Commands:\n{_rows(commands)}\n\n"
+            f"Run '{prog} COMMAND --help' for the options of a command."
+        )
+    command = _COMMANDS[name]
+    options = [
+        (flag if f.convert is None else f"{flag} {f.convert.__name__.upper()}", f.help)
+        for flag, f in command.flags.items()
+    ]
+    options.append(("--help", "show this message and exit"))
+    inputs = " [INPUTS]..." if command.takes_inputs else ""
+    return (
+        f"Usage: {prog} {name}{inputs} [OPTIONS]\n\n  {command.run.__doc__}\n\n"
+        f"Options:\n{_rows(options)}"
+    )
+
+
+def _parse(prog: str, name: str, args: Sequence[str]):
+    """The inputs, and the value of each flag given, of command ``name``."""
+    flags = _COMMANDS[name].flags
+    inputs: List[str] = []
+    values = {}
+    tokens = iter(args)
+    for token in tokens:
+        if token == "--":
+            inputs.extend(tokens)
+        elif not token.startswith("--"):
+            inputs.append(token)
+        elif token == "--help":
+            print(_help(prog, name))
+            sys.exit(0)
+        else:
+            flag_name, eq, raw = token.partition("=")
+            flag = flags.get(flag_name)
+            if flag is None:
+                _input_error(f"no such option: {flag_name}")
+            if flag.convert is None:
+                if eq:
+                    _input_error(f"{token}: {flag_name} takes no value")
+                values[flag.dest] = True
+                continue
+            if not eq:
+                raw = next(tokens, None)
+                if raw is None:
+                    _input_error(f"{flag_name} requires a value")
+            try:
+                values[flag.dest] = flag.convert(raw)
+            except ValueError:
+                _input_error(f"{flag_name}: invalid {flag.convert.__name__} value {raw!r}")
+    return inputs, values
+
+
+def _dispatch(argv: List[str], prog: str) -> NoReturn:
+    name = argv[0] if argv else None
+    if name == "--help":
+        print(_help(prog, None))
+        sys.exit(0)
+    if name not in _COMMANDS:
+        if name is None:
+            _input_error(f"a command is expected: {', '.join(_COMMANDS)}; see '{prog} --help'")
+        _input_error(f"no such {'option' if name.startswith('--') else 'command'}: {name}")
+    command = _COMMANDS[name]
+    inputs, values = _parse(prog, name, argv[1:])
+    if inputs and not command.takes_inputs:
+        _input_error(f"unexpected argument: {inputs[0]}")
+    oracle = {f.dest: values.pop(f.dest) for f in _ORACLE_FLAGS.values() if f.dest in values}
+    try:
+        cfg = OracleConfig(**oracle)
+    except ConfigError as exc:
+        flag = next(n for n, f in _ORACLE_FLAGS.items() if f.dest == exc.field)
+        _input_error(f"{flag} {exc.requirement}")
+    command.run(inputs, cfg, **values)
+
+
+def main(args: Optional[Sequence[str]] = None, prog_name: str = "quartpd") -> NoReturn:
+    """Run one command line (``sys.argv[1:]`` by default); always ends in
+    ``SystemExit`` with the exit code of the module docstring."""
+    try:
+        _dispatch(list(sys.argv[1:] if args is None else args), prog_name)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        sys.exit(EXIT_INTERRUPTED)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INTERNAL_ERROR)
+
+
+# ``main.main(args=[...], prog_name=...)``, the spelling of a click group, is
+# how perfbench/child.py and tools/parity.py call the CLI in-process.
+main.main = main
 
 
 if __name__ == "__main__":

@@ -6,11 +6,20 @@ the first decisive stage's verdict.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
+
+# CPython's built-in digest, as its own ``random`` takes sha512:
+# ``import hashlib`` loads OpenSSL, several megabytes for one digest a call.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import binary as binmod
 from .cyclic import CyclicTernary, classify_cyclic, classify_relaxed, detect
@@ -88,7 +97,7 @@ def classify(
         raise ValueError("oracle_only and analytic_only exclude each other")
     T = to_tensor(parsed)
     desc = describe(parsed)
-    digest = hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()
+    digest = sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()
     trace: List[dict] = []
     final: Optional[Verdict] = None
     timings = {}

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,3 +42,48 @@ def rand_tensor(rng: random.Random, n: int, **kw) -> SymmetricTensor4:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+class _Tee(io.StringIO):
+    """A stream that also copies what it is given to ``mixed``."""
+
+    def __init__(self, mixed):
+        super().__init__()
+        self.mixed = mixed
+
+    def write(self, s):
+        self.mixed.write(s)
+        return super().write(s)
+
+
+class CliRunner:
+    """Runs a command line in-process and captures what it prints."""
+
+    def invoke(self, main, args):
+        """Call ``main.main(args)``; the result has ``exit_code``, ``output``
+        (stdout and stderr in the order they were written), ``stdout``,
+        ``stderr`` and ``exception``: the ``SystemExit`` of a nonzero code, or
+        any other exception that escaped, which counts as exit code 1."""
+        output = io.StringIO()
+        out, err = _Tee(output), _Tee(output)
+        code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main.main(args=list(args), prog_name="quartpd")
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+                exception = exc if code != 0 else None
+            except Exception as exc:
+                code, exception = 1, exc
+        return SimpleNamespace(
+            exit_code=code,
+            output=output.getvalue(),
+            stdout=out.getvalue(),
+            stderr=err.getvalue(),
+            exception=exception,
+        )
+
+
+@pytest.fixture
+def runner():
+    return CliRunner()

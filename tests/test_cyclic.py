@@ -3,7 +3,6 @@ from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from quartpd.cli import main
 from quartpd.cyclic import (
@@ -165,8 +164,8 @@ class TestClosedLiftedInterval:
         assert res.min_value > 1e-8
 
     @pytest.mark.parametrize("args", [["1", "-1", "1", "2"], ["1", "1", "-1", "101/100"]])
-    def test_cli_exit_0(self, args):
-        res = CliRunner().invoke(main, ["check", "cyclic", *args, "-7/12"])
+    def test_cli_exit_0(self, runner, args):
+        res = runner.invoke(main, ["check", "cyclic", *args, "-7/12"])
         assert res.exit_code == 0
         assert "positive-definite (pd-interval-lifted-offdiag)" in res.output
 

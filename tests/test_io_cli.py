@@ -7,7 +7,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import quartpd
 from quartpd import binary, cli, tensorio
@@ -20,9 +19,8 @@ from quartpd.tensorio import InputError, load, parse_document, parse_shorthand, 
 from quartpd.verdict import Kind, as_fraction
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
+_SRC = str(Path(quartpd.__file__).parents[1])
+_SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")])}
 
 
 class TestParsing:
@@ -229,17 +227,27 @@ class TestPipeline:
         assert report == cli_report
 
     def test_library_call_loads_neither_numpy_nor_click(self):
-        code = (
-            "import sys, quartpd; "
-            "quartpd.classify(quartpd.BinaryQuartic.of(1, 0, 1, 0, 1)); "
-            "print(sorted(m for m in ('numpy', 'click') if m in sys.modules))"
+        # numpy, click and OpenSSL's _hashlib are each megabytes that a
+        # binary decision, through the library or the CLI, does not need
+        loaded = "print(sorted(m for m in ('numpy', 'click', '_hashlib') if m in sys.modules))"
+        library = (
+            "import sys, quartpd\n"
+            "quartpd.classify(quartpd.BinaryQuartic.of(1, 0, 1, 0, 1))\n" + loaded
         )
-        src = str(Path(quartpd.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        shell = (
+            "import contextlib, io, sys\n"
+            "from quartpd.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        main.main(['check', 'binary', '1', '0', '1', '0', '1', '--json'])\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, exc.code\n" + loaded
         )
-        assert out.stdout.strip() == "[]"
+        for code in (library, shell):
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=_SRC_ENV, check=True
+            )
+            assert out.stdout.strip() == "[]"
 
 
 def write_tensor(tmp_path, dim, entries):
@@ -346,16 +354,56 @@ class TestCli:
             ["check", "binary", "1", "0", "1", "0", "1", "--oracle-only", "--seed", "-1"],
             ["minimize", "binary", "1", "0", "1", "0", "1", "--seed", "-1"],
             ["inequalities", "--only", "19u", "--seed", "-2"],
+            ["check", "binary", "1", "0", "1", "0", "1", "--bogus"],
+            ["check", "binary", "1", "0", "1", "0", "1", "--grid"],
+            ["check", "binary", "1", "0", "1", "0", "1", "--json=1"],
+            ["bogus"],
+            ["inequalities", "extra"],
         ],
     )
     def test_option_and_usage_errors_exit_64(self, runner, args):
         res = runner.invoke(main, args)
         assert res.exit_code == 64
         assert isinstance(res.exception, SystemExit)
-        assert "input error:" in res.output or "Error:" in res.output
-        # the offending flag is the last option of each argv, and is named
-        flag = next(a for a in reversed(args) if a.startswith("--"))
+        assert res.output.startswith("input error:") and res.output.count("\n") == 1
+        # the offending flag is the last option of each argv, or else its
+        # last argument, and is named
+        flag = next((a for a in reversed(args) if a.startswith("--")), args[-1])
         assert flag in res.output
+
+    @pytest.mark.parametrize(
+        "args, rule",
+        [
+            (["binary", "-1/2", "0", "1", "0", "1"], "negative-diagonal t1111"),
+            (["binary", "-3", "0", "1", "0", "1"], "negative-diagonal t1111"),
+            (["binary", "1", "0", "1", "0", "-1e-3"], "negative-diagonal t2222"),
+            (["--", "binary", "1", "0", "-1", "0", "1"], "principal-subtensor(1,2):criterion-failed"),
+        ],
+    )
+    def test_negative_numbers_are_inputs(self, runner, args, rule):
+        res = runner.invoke(main, ["check", *args])
+        assert res.exit_code == 2, res.output
+        assert f"verdict: indefinite ({rule})" in res.output
+
+    @pytest.mark.parametrize(
+        "args, code, expected",
+        [
+            (["check", "cyclic", "1", "-1", "1", "1", "-1/6"], 0, "positive-definite"),
+            (["check", "cyclic", "1", "1", "1", "1", "-7/12"], 2, "witness: (1, 1, -5)"),
+            (["--help"], 0, "inequalities"),
+            (["check", "--help"], 0, "--oracle-only"),
+            (["check", "binary", "1", "0", "1", "0", "1", "--grid", "abc"], 64, "input error: --grid"),
+        ],
+    )
+    def test_module_entry_point(self, args, code, expected):
+        out = subprocess.run(
+            [sys.executable, "-m", "quartpd.cli", *args], capture_output=True, text=True, env=_SRC_ENV
+        )
+        assert out.returncode == code, out.stderr
+        assert expected in out.stdout + out.stderr
+        if args[-1] == "--help":
+            flags = cli._COMMANDS[args[0]].flags if len(args) == 2 else cli._COMMANDS
+            assert all(flag in out.stdout for flag in flags)
 
 
 class TestDimensions:
@@ -505,3 +553,14 @@ def test_unexpected_exception_exits_70(runner, monkeypatch):
     assert res.exit_code == 70
     assert isinstance(res.exception, SystemExit)
     assert res.output == "internal error: RuntimeError: stage blew up\n"
+
+
+def test_interrupt_exits_130(runner, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("quartpd.cli.classify", interrupted)
+    res = runner.invoke(main, ["check", "binary", "1", "0", "1", "0", "1"])
+    assert res.exit_code == 130
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == res.stderr == "interrupted\n"
