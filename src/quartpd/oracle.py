@@ -33,29 +33,31 @@ The Armijo test does not subtract two float values of the form: a Newton
 step from a gradient near 1e-8 lowers f by about 1e-17, below one ulp of
 f, where the difference of the rounded values has no sign, and a test on
 it would fail such steps until the candidate stalls above ``grad_tol``.
-``_decrease`` computes the change itself from the step y - x (times
-|x|^4 |y|^4, which is 1 to rounding), so it keeps its digits down to the
-smallest step the backtracking tries.
+``_decrease`` computes the change itself from the step d = y - x and the
+forms the refine holds at both points: T is symmetric, so
+Ty^4 - Tx^4 = d . (Tx^3 + Ty^3 + (Tx^2) y + (Ty^2) x).  It keeps its
+digits down to the smallest step the backtracking tries.
 
-The form is evaluated through its monomials, from coefficients built once
-per tensor (``_kernel``).  A quartic form is a quadratic form in its
-quadratic monomials, Tx^4 = q^T S q with q = (x_i x_j)_{i <= j} (the Gram
-representation of Choi, Lam and Reznick), so the grid values cost a
-6x6 (n=3) or 3x3 (n=2) matrix product per point; each grid's monomials q
-are built with the grid and cached with it.  The refine needs Tx^2
-for the Hessian: it is the sum over p of q_p H_p, with H_p the fold weight
-of the quadratic monomial p times the matrix t_{.,.,i_p,j_p}; then Tx^3 is
-Tx^2 x, for the gradient, and Tx^4 is Tx^3 . x.  A candidate's iterates
-do not depend on which candidates share its pass only if every row of
-these contractions (and of ``_decrease``) comes out the same whatever
-other rows share its batch; ``einsum`` on C-contiguous operands gives
-that, while a BLAS ``@`` takes another kernel for a one-row batch and
-changes the last bits, and ``einsum`` sums the rows of a column-major
-operand in another order.  The grid values only rank grid points (the
-starting points, the positivity witness), so they use ``@``.  The kernel
-holds T / 2^shift, a power of two that keeps tensors with entries near
-float range in range; the grid values and the refine stay at that scale,
-and only the values returned are scaled back.
+The form is evaluated through its monomials, from coefficients that
+``_kernel`` reads off T's stored entries.  A quartic form is a quadratic
+form in its quadratic monomials, Tx^4 = q^T S q with q = (x_i x_j)_{i <= j}
+(the Gram representation of Choi, Lam and Reznick), so the grid values
+cost a 6x6 (n=3) or 3x3 (n=2) matrix product per point; each grid's
+monomials are cached with it, one row per monomial and one column per
+point.  The refine needs Tx^2 for the Hessian: it is the sum over p of
+q_p H_p, with H_p the fold weight of the quadratic monomial p times the
+matrix t_{.,.,i_p,j_p}; then Tx^3 is Tx^2 x, for the gradient, and Tx^4
+is Tx^3 . x.  A candidate's iterates do not depend on which candidates
+share its pass only if every row of these contractions (and of
+``_decrease``) comes out the same whatever other rows share its batch;
+``einsum`` on C-contiguous operands gives that, while a BLAS ``@`` takes
+another kernel for a one-row batch and changes the last bits, and
+``einsum`` sums the rows of a column-major operand in another order.  The
+grid values only rank grid points (the starting points, the positivity
+witness), so they use ``@``.  The kernel holds T / 2^shift, a power of two
+that keeps tensors with entries near float range in range; the grid
+values and the refine stay at that scale, and only the values returned
+are scaled back.
 
 A sphere minimum above the classification margin classifies the form as
 positive definite, one below minus the margin as indefinite; a value
@@ -72,7 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .tensor import SymmetricTensor4
+from .tensor import SymmetricTensor4, canonical_index, canonical_indices
 from .verdict import Kind, Verdict
 
 if TYPE_CHECKING:
@@ -166,10 +168,11 @@ def _grid(dim: int, n_points: int, seed: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _cached_grid(dim: int, n_points: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``_grid`` and its quadratic monomials, built once per argument triple
-    and shared read-only."""
+    """``_grid`` and its quadratic monomials, one row per monomial and one
+    column per point, built once per argument triple and shared read-only."""
     X = _grid(dim, n_points, seed)
-    Q = X[:, _monomials(dim)[0]].prod(axis=2)
+    i, j = _monomials(dim)[0].T
+    Q = X.T[i] * X.T[j]  # C-contiguous: the gathers run along the first axis
     X.flags.writeable = Q.flags.writeable = False
     return X, Q
 
@@ -188,36 +191,47 @@ class _Kernel:
 @functools.lru_cache(maxsize=None)
 def _monomials(dim: int):
     """The index pairs (i, j), i <= j, of the quadratic monomials in dim
-    variables, and the number of index orders each stands for (1 or 2)."""
+    variables and the number of index orders each stands for (1 or 2); for
+    ``_kernel``, each index's position in ``canonical_indices(dim)``, and
+    that of the index of each coefficient (p, r) of S and (p, k, l) of H."""
     import numpy as np
 
     pairs = np.array(list(itertools.combinations_with_replacement(range(dim), 2)))
     fold = np.where(pairs[:, 0] == pairs[:, 1], 1.0, 2.0)
-    pairs.flags.writeable = fold.flags.writeable = False
-    return pairs, fold
+    slot = {idx: s for s, idx in enumerate(canonical_indices(dim))}
+    kl = list(itertools.product(range(1, dim + 1), repeat=2))  # those with k <= l: ``pairs`` + 1
+    hessian_at = np.array([[slot[canonical_index(p + r)] for r in kl] for p in kl if p[0] <= p[1]])
+    gram_at = hessian_at[:, pairs[:, 0] * dim + pairs[:, 1]]  # the columns (k, l) = (i_r, j_r)
+    for a in (pairs, fold, gram_at, hessian_at):
+        a.flags.writeable = False
+    return pairs, fold, slot, gram_at, hessian_at
 
 
 @functools.lru_cache(maxsize=1)
 def _kernel(T: SymmetricTensor4) -> _Kernel:
-    """The monomial kernel of T, built from ``T.dense()`` (which raises
-    ``OverflowError`` naming an entry beyond float range).  Cached for the
-    last tensor, so that the calls of one ``classify_numeric`` (or one
-    catalog entry) share a single build."""
+    """The monomial kernel of T, built from its canonical entries.  Raises
+    ``OverflowError`` naming the first entry, in ``T.entries()`` order,
+    beyond float range.  Cached for the last tensor, so that the calls of
+    one ``classify_numeric`` (or one catalog entry) share a single build."""
     import numpy as np
 
-    pairs, fold = _monomials(T.dim)
-    Td = T.dense()
+    pairs, fold, slot, gram_at, hessian_at = _monomials(T.dim)
+    t = np.zeros(len(slot))
+    for idx, v in T.entries().items():
+        try:
+            t[slot[idx]] = float(v)
+        except OverflowError:
+            raise OverflowError(f"t{''.join(map(str, idx))} is beyond float range") from None
     # S and H hold up to 4|t|, and Tx^4 on the sphere reaches n^2 max|t|:
     # entries near float range are scaled down by a power of two, which is
     # exact, so that no coefficient or value overflows
-    top = float(np.abs(Td).max())
+    top = float(np.abs(t).max())
     shift = math.frexp(top)[1] if top > 2.0**1000 else 0
-    Td = np.ldexp(Td, -shift)
-    i, j = pairs.T
+    t = np.ldexp(t, -shift)
     # q^T S q runs over unordered pairs: fold weights restore the orders
-    gram = fold[:, None] * Td[i, j][:, i, j] * fold
+    gram = fold[:, None] * t[gram_at] * fold
     # (Tx^2)_{kl} = sum over pairs p of q_p fold_p t_{i_p,j_p,k,l}
-    hessian = fold[:, None] * Td[i, j].reshape(len(pairs), -1)
+    hessian = fold[:, None] * t[hessian_at]
     gram.flags.writeable = hessian.flags.writeable = False  # shared by the cache
     return _Kernel(pairs, gram, hessian, shift)
 
@@ -231,12 +245,12 @@ def _unscale(K: _Kernel, v):
 
 
 def _values(K: _Kernel, Q: np.ndarray) -> np.ndarray:
-    """Tx^4 / 2^shift as q^T S q, for the rows q of Q, the quadratic
-    monomials of the points.  Uses BLAS, so a row's last bits may depend
+    """Tx^4 / 2^shift as q^T S q, for the columns q of Q, the quadratic
+    monomials of the points.  Uses BLAS, so a point's last bits may depend
     on its batch: fit for ranking grid points only."""
     import numpy as np
 
-    return np.einsum("pi,pi->p", Q @ K.gram, Q)
+    return np.einsum("ip,ip->p", K.gram @ Q, Q)
 
 
 def _forms_and_cubics(K: _Kernel, X: np.ndarray):
@@ -256,27 +270,25 @@ def _forms_and_cubics(K: _Kernel, X: np.ndarray):
     return np.einsum("pi,pi->p", C, X), C, H
 
 
-def _decrease(K: _Kernel, X: np.ndarray, f: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _decrease(X: np.ndarray, x_forms, Y: np.ndarray, y_forms) -> np.ndarray:
     """(Ty^4 |x|^4 - Tx^4 |y|^4) / 2^shift for the rows x of X and y of Y,
-    given f = Tx^4 / 2^shift at X: the change of the form on the sphere,
+    given the forms (Tx^4, Tx^3, Tx^2) / 2^shift of both from
+    ``_forms_and_cubics``: the change of the form on the sphere,
     Tx^4 / |x|^4, times |x|^4 |y|^4.
 
     It is computed from the step d = y - x, so that it keeps its digits
-    where the values themselves agree to the last bit: with dq = q(y) - q(x)
-    = (d_i y_j + x_i d_j)_p, Ty^4 - Tx^4 = dq^T S (q(y) + q(x)), and
+    where the values themselves agree to the last bit: T is symmetric, so
+    Ty^4 - Tx^4 = d . (Tx^3 + Ty^3 + (Tx^2) y + (Ty^2) x), and
     |x|^4 - |y|^4 = -(d . (x + y)) (|x|^2 + |y|^2).  Every row gets the same
     bits whatever other rows share its batch, as in ``_forms_and_cubics``.
     """
     import numpy as np
 
-    i, j = K.pairs.T
+    f, cx, hx = x_forms
+    _, cy, hy = y_forms
     D = Y - X
-    dq = D[:, i] * Y[:, j] + X[:, i] * D[:, j]
-    qsum = Y[:, i] * Y[:, j] + X[:, i] * X[:, j]
-    # the columns picked by i and j come out column-major for more than one
-    # row, and einsum sums such rows in another order than a lone row
-    dqS = np.ascontiguousarray((dq[:, :, None] * K.gram).sum(axis=1))
-    df = np.einsum("pm,pm->p", dqS, np.ascontiguousarray(qsum))
+    dc = cx + cy + np.einsum("pij,pj->pi", hx, Y) + np.einsum("pij,pj->pi", hy, X)
+    df = np.einsum("pi,pi->p", D, dc)
     xx = np.einsum("pi,pi->p", X, X)
     yy = np.einsum("pi,pi->p", Y, Y)
     return df * (xx * xx) - f * np.einsum("pi,pi->p", D, X + Y) * (xx + yy)
@@ -388,10 +400,12 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
             s = step[at]
             trial = X[at] + s[:, None] * d[pending]
             trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
-            ok = _decrease(K, X[at], vals[at], trial) < 1e-4 * s * slope[pending]
+            forms = _forms_and_cubics(K, trial)
+            held = vals[at], cub[at], hess[at]
+            ok = _decrease(X[at], held, trial, forms) < 1e-4 * s * slope[pending]
             good = at[ok]
             X[good] = trial[ok]
-            vals[good], cub[good], hess[good] = _forms_and_cubics(K, trial[ok])
+            vals[good], cub[good], hess[good] = (a[ok] for a in forms)
             step[at] = np.where(ok, np.minimum(2.0 * s, 1.0), 0.5 * s)
             # a step that passed is at least 2e-18, so only failed ones stall
             stalled = step[at] < 1e-18

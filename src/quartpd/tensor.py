@@ -48,7 +48,7 @@ class SymmetricTensor4:
     order resolve to the canonical slot.
     """
 
-    __slots__ = ("dim", "_entries")
+    __slots__ = ("dim", "_entries", "_hash")
 
     def __init__(self, dim: int, entries: Mapping[Sequence[int], object]):
         if dim < 1:
@@ -63,6 +63,7 @@ class SymmetricTensor4:
                 canon[cidx] = v
         self.dim = dim
         self._entries = canon
+        self._hash = None
 
     def __getitem__(self, idx: Sequence[int]) -> Fraction:
         return self._entries.get(canonical_index(idx), Fraction(0))
@@ -79,7 +80,9 @@ class SymmetricTensor4:
         return self.dim == other.dim and self._entries == other._entries
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self._entries.items())))
+        if self._hash is None:  # the tensor is immutable: hash it once
+            self._hash = hash((self.dim, frozenset(self._entries.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"SymmetricTensor4(dim={self.dim}, nnz={len(self._entries)})"
@@ -92,15 +95,17 @@ class SymmetricTensor4:
         return tuple(x)
 
     def evaluate_form(self, x: Sequence) -> Fraction:
-        """Tx^4 = sum over all n^4 tuples of t_ijkl x_i x_j x_k x_l."""
-        x = self._check_vector(x)
+        """Tx^4 = sum over all n^4 tuples of t_ijkl x_i x_j x_k x_l, summed in
+        integers over the common denominators D of x and E of T."""
+        ratios = [v.as_integer_ratio() for v in self._check_vector(x)]
+        D = math.lcm(*(d for _, d in ratios))
+        a = [n * (D // d) for n, d in ratios]
+        E = math.lcm(*(t.denominator for t in self._entries.values()))
         total = 0
-        for idx, t in self._entries.items():
-            prod = t * multiplicity(idx)
-            for i in idx:
-                prod = prod * x[i - 1]
-            total += prod
-        return total
+        for (i, j, k, l), t in self._entries.items():
+            b = t.numerator * (E // t.denominator) * multiplicity((i, j, k, l))
+            total += b * a[i - 1] * a[j - 1] * a[k - 1] * a[l - 1]
+        return Fraction(total, E * D**4)
 
     def evaluate_mixed(self, x: Sequence, k: int, y: Sequence) -> Fraction:
         """Tx^k y^(4-k): k slots hold x, the remaining 4-k hold y."""
@@ -136,25 +141,6 @@ class SymmetricTensor4:
         return SymmetricTensor4(
             self.dim, {idx: c * v for idx, v in self._entries.items()}
         )
-
-    def dense(self):
-        """Dense float array (0-indexed) for the numeric oracle.
-
-        Raises ``OverflowError`` naming the first entry a float cannot hold.
-        """
-        import numpy as np
-
-        n = self.dim
-        out = np.zeros((n, n, n, n))
-        for idx, v in self._entries.items():
-            try:
-                fv = float(v)
-            except OverflowError:
-                name = "t" + "".join(map(str, idx))
-                raise OverflowError(f"{name} is beyond float range") from None
-            for perm in set(itertools.permutations(idx)):
-                out[tuple(i - 1 for i in perm)] = fv
-        return out
 
 
 def diag_ones(dim: int) -> SymmetricTensor4:

@@ -19,7 +19,7 @@ from quartpd.oracle import (
 from quartpd.tensor import SymmetricTensor4, diag_ones, multiplicity
 from quartpd.verdict import Kind
 
-from conftest import rand_tensor
+from conftest import dense_reference, rand_tensor
 
 BOUNDARY = embed(CyclicTernary.of(1, -1, 1, 1, "-7/12"))
 INDEF = embed(CyclicTernary.of(1, 1, 1, 1, "-7/12"))
@@ -231,7 +231,8 @@ def _newton_reference(K, X0, cfg, stats):
             trial = X[sel] + s[:, None] * d[sel]
             trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
             tvals, tcub, thess = oracle._forms_and_cubics(K, trial)
-            ok = oracle._decrease(K, X[sel], vals[sel], trial) < 1e-4 * s * slope[sel]
+            held = vals[sel], cub[sel], hess[sel]
+            ok = oracle._decrease(X[sel], held, trial, (tvals, tcub, thess)) < 1e-4 * s * slope[sel]
             good = sel[ok]
             X[good] = trial[ok]
             vals[good] = tvals[ok]
@@ -329,7 +330,8 @@ def test_decrease_keeps_its_sign_at_small_steps():
         x = np.array(sphere_minimize(T).minimizer)
         x = x + 1e-9 * np.random.default_rng(T.dim).normal(size=T.dim)
         X = (x / np.linalg.norm(x))[None]
-        vals, cub, _ = oracle._forms_and_cubics(K, X)
+        forms = oracle._forms_and_cubics(K, X)
+        vals, cub, _ = forms
         g = 4.0 * cub[0] - 4.0 * vals[0] * X[0]
         d = -g / np.linalg.norm(g)
         abs_sum = float(sum(abs(v) * multiplicity(idx) for idx, v in T.entries().items()))
@@ -340,7 +342,7 @@ def test_decrease_keeps_its_sign_at_small_steps():
             Y = Y / np.linalg.norm(Y)
             yf = [Fraction(float(v)) for v in Y[0]]
             exact = T.evaluate_form(yf) * xx**2 - fx * sum(v * v for v in yf) ** 2
-            got = oracle._decrease(K, X, vals, Y)[0]
+            got = oracle._decrease(X, forms, Y, oracle._forms_and_cubics(K, Y))[0]
             tol = 1e-14 * abs_sum * float(np.linalg.norm(Y - X))
             assert abs(Fraction(float(got)) - exact) <= tol, (T, e)
             assert np.sign(got) == np.sign(exact) != 0, (T, e)
@@ -393,6 +395,12 @@ def test_sample_grid_is_cached_read_only(T):
         _, again, _ = oracle._sample(T, m, 0)
         assert np.array_equal(again, grid)
     assert oracle._sample(T, n, 0)[1] is X
+    # the cache is the grid and its quadratic monomials, no more: 9 float64
+    # values per point in dim 3 (every benchmark child holds one)
+    X, Q = oracle._cached_grid(T.dim, n, 0)
+    assert X.base is None and Q.base is None and Q.flags.c_contiguous
+    assert X.dtype == Q.dtype == np.float64
+    assert X.size + Q.size <= (T.dim + T.dim * (T.dim + 1) // 2) * n <= 9 * n
 
 
 def _exact_cubic(T, x):
@@ -415,7 +423,7 @@ def test_kernel_matches_exact_evaluation(dim):
         T = rand_tensor(rng, dim, lo=-10 ** (case % 4), hi=10 ** (case % 4))
         K = oracle._kernel(T)
         X = np.random.default_rng(case).normal(size=(25, dim)) * (0.5 + case % 3)
-        grid_vals = oracle._values(K, X[:, K.pairs].prod(axis=2))
+        grid_vals = oracle._values(K, X[:, K.pairs].prod(axis=2).T)
         vals, cub, _ = oracle._forms_and_cubics(K, X)
         abs_sum = sum(abs(v) * multiplicity(idx) for idx, v in T.entries().items())
         for p, row in enumerate(X):
@@ -453,6 +461,54 @@ def test_kernel_hessian_matches_exact_evaluation(dim, scale):
         for got_row, want_row in zip(hess, _exact_hessian(T, x)):
             for got, want in zip(got_row, want_row):
                 assert abs(Fraction(float(got)) * 2**K.shift - want) <= tol
+
+
+def _reference_kernel(T):
+    """S, H and the shift built from the dense tensor ``dense_reference(T)``:
+    the reference for ``_kernel``, which reads T's entries directly."""
+    pairs, fold = oracle._monomials(T.dim)[:2]
+    Td = dense_reference(T)
+    top = float(np.abs(Td).max())
+    shift = math.frexp(top)[1] if top > 2.0**1000 else 0
+    Td = np.ldexp(Td, -shift)
+    i, j = pairs.T
+    gram = fold[:, None] * Td[i, j][:, i, j] * fold
+    hessian = fold[:, None] * Td[i, j].reshape(len(pairs), -1)
+    return gram, hessian, shift
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scale", [1, 2**1010])
+def test_kernel_matches_dense_reference(dim, scale):
+    # the kernel built from the stored entries has the bits of the one
+    # built from the dense tensor, full and sparse, near float range too
+    rng = random.Random(f"dense:{dim}")
+    tensors = [SymmetricTensor4(dim, {}), diag_ones(dim)]
+    for case in range(10):
+        T = rand_tensor(rng, dim, lo=-10 ** (case % 4), hi=10 ** (case % 4))
+        if case % 2:
+            T = SymmetricTensor4(dim, {i: v for i, v in T.entries().items() if rng.random() < 0.4})
+        tensors.append(T)
+    for T in tensors:
+        K = oracle._kernel(T.scale(Fraction(scale)))
+        gram, hessian, shift = _reference_kernel(T.scale(Fraction(scale)))
+        assert K.shift == shift
+        assert np.array_equal(K.gram, gram)
+        assert np.array_equal(K.hessian, hessian)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_kernel_names_the_first_entry_beyond_float_range(order):
+    # the first huge entry in T.entries() order, not in index order
+    entries = [((2, 3, 3, 3), 1), ((3, 2, 2, 2), -(10**400)), ((1, 1, 1, 1), 10**400),
+               ((1, 2, 2, 3), 10**500), ((2, 2, 3, 3), "1/3")]
+    T = SymmetricTensor4(3, dict(entries[::order]))
+    with pytest.raises(OverflowError) as want:
+        dense_reference(T)
+    with pytest.raises(OverflowError) as got:
+        oracle._kernel(T)
+    first = "t2223" if order == 1 else "t1223"
+    assert str(got.value) == str(want.value) == f"{first} is beyond float range"
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -510,7 +566,8 @@ def test_refine_contraction_is_row_independent(dim):
 
     def contractions(rows):
         forms = oracle._forms_and_cubics(K, X[rows])
-        return (*forms, oracle._decrease(K, X[rows], forms[0], Y[rows]))
+        y_forms = oracle._forms_and_cubics(K, Y[rows])
+        return (*forms, oracle._decrease(X[rows], forms, Y[rows], y_forms))
 
     full = contractions(np.arange(len(X)))
     for p in range(len(X)):
@@ -534,7 +591,7 @@ def test_kernel_entries_near_float_range(dim):
     K, Kbig = oracle._kernel(T), oracle._kernel(big)
     for got, want in zip(oracle._forms_and_cubics(Kbig, X), oracle._forms_and_cubics(K, X)):
         assert np.array_equal(got, np.ldexp(want, 1000 - Kbig.shift))
-    Q = X[:, K.pairs].prod(axis=2)
+    Q = X[:, K.pairs].prod(axis=2).T
     want = np.ldexp(oracle._values(K, Q), 1000 - Kbig.shift)
     assert np.array_equal(oracle._values(Kbig, Q), want)
     # 4 t1122 overflows a float, the form's values do not; the

@@ -41,6 +41,15 @@ def test_permuted_lookup():
     assert T[(1, 1, 1, 1)] == 0
 
 
+def test_hash_follows_equality():
+    # the hash is computed once and kept: equal tensors, entered in another
+    # order or index order, still hash alike, and zero entries are not stored
+    a = SymmetricTensor4(3, {(1, 2, 2, 3): Fraction(5, 7), (3, 3, 3, 3): 1, (1, 1, 1, 1): 0})
+    b = SymmetricTensor4(3, {(3, 3, 3, 3): Fraction(1), (3, 2, 1, 2): Fraction(10, 14)})
+    assert a == b and hash(a) == hash(b) == hash(a)
+    assert len({a, b, a.scale(2)}) == 2
+
+
 def test_evaluate_form_diag_ones():
     assert diag_ones(3).evaluate_form((1, 1, 1)) == 3
 
