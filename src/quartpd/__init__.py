@@ -5,12 +5,7 @@ a numeric sphere-minimization oracle, the staged pipeline ``classify``
 over them, and a verification harness for ternary quartic inequalities.
 """
 
-from .binary import (
-    BinaryQuartic,
-    DiscriminantParts,
-    classify as classify_binary,
-    discriminant_parts,
-)
+from .binary import BinaryQuartic, classify as classify_binary
 from .cyclic import (
     CyclicTernary,
     FamilyVerdict,
@@ -35,13 +30,12 @@ from .oracle import (
 )
 from .pipeline import classify
 from .quadext import QuadExt
-from .tensor import SymmetricTensor4, diag_ones, multiplicity, rank_one
+from .tensor import SymmetricTensor4, diag_ones, multiplicity
 from .verdict import Kind, Verdict
 
 __all__ = [
     "BinaryQuartic",
     "CyclicTernary",
-    "DiscriminantParts",
     "FamilyVerdict",
     "InequalityReport",
     "Kind",
@@ -59,11 +53,9 @@ __all__ = [
     "classify_numeric",
     "classify_relaxed",
     "diag_ones",
-    "discriminant_parts",
     "embed",
     "exact_spot_check",
     "multiplicity",
-    "rank_one",
     "sphere_minimize",
     "verify",
     "zero_set_probe",

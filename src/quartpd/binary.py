@@ -72,18 +72,13 @@ class BinaryQuartic:
         )
 
 
-@dataclass(frozen=True)
-class DiscriminantParts:
-    eta: Fraction
-    chi: Fraction
-    delta_sign: int  # sign of eta^3 - 27*chi^2
-
-
-def discriminant_parts(q: BinaryQuartic) -> DiscriminantParts:
+def _eta_chi(q: Sequence) -> tuple:
+    """The invariants eta and chi of a binary quartic's coefficients; the
+    discriminant is eta^3 - 27*chi^2."""
     a0, a1, a2, a3, a4 = q
     eta = a0 * a4 - 4 * a1 * a3 + 3 * a2 * a2
     chi = a0 * a2 * a4 + 2 * a1 * a2 * a3 - a2**3 - a0 * a3 * a3 - a1 * a1 * a4
-    return DiscriminantParts(eta, chi, _sign(eta**3 - 27 * chi * chi))
+    return eta, chi
 
 
 # -- the radical criterion (positive diagonals only) ---------------------
@@ -111,7 +106,8 @@ def _criterion(q: Sequence[int]) -> Optional[Verdict]:
     """
     a0, a1, a2, a3, a4 = q
     s = a0 * a4
-    delta_sign = discriminant_parts(q).delta_sign
+    eta, chi = _eta_chi(q)
+    delta_sign = _sign(eta**3 - 27 * chi * chi)
     if delta_sign < 0:
         return None
     upper = QuadExt(a2, -1, s).sign()

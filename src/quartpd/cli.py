@@ -279,7 +279,7 @@ def main(args: Optional[Sequence[str]] = None, prog_name: str = "quartpd") -> No
 
 
 # ``main.main(args=[...], prog_name=...)``, the spelling of a click group, is
-# how perfbench/child.py and tools/parity.py call the CLI in-process.
+# how perfbench/child.py, its only remaining caller, calls the CLI in-process.
 main.main = main
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict, as_fraction
@@ -88,14 +88,6 @@ class FamilyVerdict:
     """The verdict of a family classifier."""
 
     verdict: Verdict
-
-    @property
-    def rule(self) -> str:
-        return self.verdict.rule
-
-    @property
-    def witness(self) -> Optional[Tuple[Fraction, ...]]:
-        return self.verdict.witness
 
 
 def embed(ct: Union[CyclicTernary, RelaxedCyclicTernary]) -> SymmetricTensor4:

@@ -14,7 +14,8 @@ a saddle or a maximum) it is the tangent solution of |Hr| d = -g, with
 each tangent eigenvalue of Hr replaced by its absolute value, a descent
 direction that leaves a saddle along its negative curvature in a few
 steps where -g barely moves.  The trial point x + step d is renormalized
-onto the sphere.
+onto the sphere.  A candidate stops where |g| is at most grad_tol max |t|,
+a tolerance relative to the tensor's scale.
 
 Each candidate carries one step, which starts at 1.  Backtracking is the
 Armijo loop (Nocedal and Wright, Numerical Optimization, 2nd ed., 2006,
@@ -38,8 +39,11 @@ forms the refine holds at both points: T is symmetric, so
 Ty^4 - Tx^4 = d . (Tx^3 + Ty^3 + (Tx^2) y + (Ty^2) x).  It keeps its
 digits down to the smallest step the backtracking tries.
 
-The form is evaluated through its monomials, from coefficients that
-``_kernel`` reads off T's stored entries.  A quartic form is a quadratic
+Each call samples once: ``_sample`` reads the kernel, the form's
+coefficients, off T's stored entries and takes the form's values on the
+grid, and ``classify_numeric`` takes both the refined minimum and its
+positivity witness, the grid point of largest value, from that sample.
+The form is evaluated through its monomials.  A quartic form is a quadratic
 form in its quadratic monomials, Tx^4 = q^T S q with q = (x_i x_j)_{i <= j}
 (the Gram representation of Choi, Lam and Reznick), so the grid values
 cost a 6x6 (n=3) or 3x3 (n=2) matrix product per point; each grid's
@@ -108,7 +112,7 @@ class ConfigError(ValueError):
 class OracleConfig:
     grid_points: Optional[int] = None  # defaults: 4096 (n=2), 20000 (n=3)
     refine_max_iters: int = 500
-    grad_tol: float = 1e-10
+    grad_tol: float = 1e-10  # the refine stops below grad_tol * max |t|
     classify_margin: float = 1e-8
     seed: int = 0
     refine_top_k: int = 50
@@ -186,6 +190,7 @@ class _Kernel:
     gram: np.ndarray  # (n(n+1)/2, n(n+1)/2)
     hessian: np.ndarray  # (n(n+1)/2, n*n)
     shift: int  # S and H hold T / 2^shift, and so do the values computed from them
+    top: float  # max |t| / 2^shift, the scale of the refine's gradient tolerance
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,12 +212,10 @@ def _monomials(dim: int):
     return pairs, fold, slot, gram_at, hessian_at
 
 
-@functools.lru_cache(maxsize=1)
 def _kernel(T: SymmetricTensor4) -> _Kernel:
     """The monomial kernel of T, built from its canonical entries.  Raises
     ``OverflowError`` naming the first entry, in ``T.entries()`` order,
-    beyond float range.  Cached for the last tensor, so that the calls of
-    one ``classify_numeric`` (or one catalog entry) share a single build."""
+    beyond float range."""
     import numpy as np
 
     pairs, fold, slot, gram_at, hessian_at = _monomials(T.dim)
@@ -232,8 +235,7 @@ def _kernel(T: SymmetricTensor4) -> _Kernel:
     gram = fold[:, None] * t[gram_at] * fold
     # (Tx^2)_{kl} = sum over pairs p of q_p fold_p t_{i_p,j_p,k,l}
     hessian = fold[:, None] * t[hessian_at]
-    gram.flags.writeable = hessian.flags.writeable = False  # shared by the cache
-    return _Kernel(pairs, gram, hessian, shift)
+    return _Kernel(pairs, gram, hessian, shift, math.ldexp(top, -shift))
 
 
 def _unscale(K: _Kernel, v):
@@ -379,7 +381,7 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
     vals, cub, hess = _forms_and_cubics(K, X)
     step = np.ones(len(X))
     active = np.ones(len(X), dtype=bool)
-    grad_tol = math.ldexp(cfg.grad_tol, -K.shift)
+    grad_tol = cfg.grad_tol * K.top  # relative: the same stop at every scale of T
     iters = 0
     for it in range(cfg.refine_max_iters):
         grad = 4.0 * cub
@@ -441,10 +443,10 @@ def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")[:k]
 
 
-def sphere_minimize(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> OracleResult:
+def _minimum(K: _Kernel, X: np.ndarray, vals: np.ndarray, cfg: OracleConfig) -> OracleResult:
+    """The refined minimum of a ``_sample`` and its classification."""
     import numpy as np
 
-    K, X, vals = _sample(T, cfg.effective_grid(T.dim), cfg.seed)
     refined, rvals, iters = _polish(K, X, vals, min(cfg.refine_top_k, len(X)), cfg)
     best = int(np.lexsort((*(refined.T[::-1]), rvals))[0])
     min_value = float(_unscale(K, rvals[best]))
@@ -456,6 +458,10 @@ def sphere_minimize(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> 
     else:
         classification = Kind.UNDETERMINED
     return OracleResult(min_value, tuple(float(v) for v in minimizer), classification, iters)
+
+
+def sphere_minimize(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> OracleResult:
+    return _minimum(*_sample(T, cfg.effective_grid(T.dim), cfg.seed), cfg)
 
 
 def _exact_negative(T: SymmetricTensor4, point) -> Optional[tuple]:
@@ -472,12 +478,18 @@ def classify_numeric(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) ->
 
     Indefinite witnesses are re-verified in exact rational arithmetic; if
     the exact check fails the verdict degrades to UNDETERMINED, under the
-    rule ``oracle-boundary`` like every minimum inside the margin.  A
-    positivity witness (some direction with a clearly positive value) is
-    recorded when one exists.
+    rule ``oracle-boundary`` like every minimum inside the margin.  The
+    grid point of largest value is recorded as a positivity witness when
+    that value is clearly positive.
     """
-    res = sphere_minimize(T, cfg)
-    pos = _positivity_witness(T, cfg)
+    import numpy as np
+
+    K, X, vals = _sample(T, cfg.effective_grid(T.dim), cfg.seed)
+    res = _minimum(K, X, vals, cfg)
+    top = int(np.argmax(vals))
+    pos = None
+    if _unscale(K, vals[top]) > cfg.classify_margin:
+        pos = tuple(float(v) for v in _canonical_sign(X[top]))
     kind, witness = res.classification, None
     if kind is Kind.INDEFINITE:
         witness = _exact_negative(T, res.minimizer)
@@ -485,17 +497,6 @@ def classify_numeric(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) ->
             kind = Kind.UNDETERMINED
     rule = "oracle-boundary" if kind is Kind.UNDETERMINED else "oracle-sphere-minimum"
     return Verdict(kind, rule, witness=witness, margin=res.min_value, positivity_witness=pos)
-
-
-def _positivity_witness(T: SymmetricTensor4, cfg: OracleConfig) -> Optional[tuple]:
-    """Some grid direction with a clearly positive form value, if any."""
-    import numpy as np
-
-    K, X, vals = _sample(T, min(cfg.effective_grid(T.dim), 512), cfg.seed)
-    i = int(np.argmax(vals))
-    if _unscale(K, vals[i]) > cfg.classify_margin:
-        return tuple(float(v) for v in _canonical_sign(X[i]))
-    return None
 
 
 def zero_set_probe(

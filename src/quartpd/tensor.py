@@ -48,7 +48,7 @@ class SymmetricTensor4:
     order resolve to the canonical slot.
     """
 
-    __slots__ = ("dim", "_entries", "_hash")
+    __slots__ = ("dim", "_entries")
 
     def __init__(self, dim: int, entries: Mapping[Sequence[int], object]):
         if dim < 1:
@@ -63,7 +63,6 @@ class SymmetricTensor4:
                 canon[cidx] = v
         self.dim = dim
         self._entries = canon
-        self._hash = None
 
     def __getitem__(self, idx: Sequence[int]) -> Fraction:
         return self._entries.get(canonical_index(idx), Fraction(0))
@@ -80,24 +79,17 @@ class SymmetricTensor4:
         return self.dim == other.dim and self._entries == other._entries
 
     def __hash__(self):
-        if self._hash is None:  # the tensor is immutable: hash it once
-            self._hash = hash((self.dim, frozenset(self._entries.items())))
-        return self._hash
+        return hash((self.dim, frozenset(self._entries.items())))
 
     def __repr__(self) -> str:
         return f"SymmetricTensor4(dim={self.dim}, nnz={len(self._entries)})"
 
-    # -- algebra ---------------------------------------------------------
-
-    def _check_vector(self, x: Sequence) -> tuple:
-        if len(x) != self.dim:
-            raise ValueError(f"vector length {len(x)} != tensor dim {self.dim}")
-        return tuple(x)
-
     def evaluate_form(self, x: Sequence) -> Fraction:
         """Tx^4 = sum over all n^4 tuples of t_ijkl x_i x_j x_k x_l, summed in
         integers over the common denominators D of x and E of T."""
-        ratios = [v.as_integer_ratio() for v in self._check_vector(x)]
+        if len(x) != self.dim:
+            raise ValueError(f"vector length {len(x)} != tensor dim {self.dim}")
+        ratios = [v.as_integer_ratio() for v in x]
         D = math.lcm(*(d for _, d in ratios))
         a = [n * (D // d) for n, d in ratios]
         E = math.lcm(*(t.denominator for t in self._entries.values()))
@@ -106,35 +98,6 @@ class SymmetricTensor4:
             b = t.numerator * (E // t.denominator) * multiplicity((i, j, k, l))
             total += b * a[i - 1] * a[j - 1] * a[k - 1] * a[l - 1]
         return Fraction(total, E * D**4)
-
-    def evaluate_mixed(self, x: Sequence, k: int, y: Sequence) -> Fraction:
-        """Tx^k y^(4-k): k slots hold x, the remaining 4-k hold y."""
-        if not 0 <= k <= 4:
-            raise ValueError(f"slot count k must be in 0..4, got {k}")
-        x = self._check_vector(x)
-        y = self._check_vector(y)
-        total = 0
-        for idx in itertools.product(range(1, self.dim + 1), repeat=4):
-            t = self[idx]
-            if t:
-                p = t
-                for pos, i in enumerate(idx):
-                    p = p * (x[i - 1] if pos < k else y[i - 1])
-                total += p
-        return total
-
-    def inner_product(self, other: "SymmetricTensor4") -> Fraction:
-        """Full n^4 sum of entrywise products."""
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        keys = set(self._entries) & set(other._entries)
-        return sum(
-            (self._entries[k] * other._entries[k] * multiplicity(k) for k in keys),
-            Fraction(0),
-        )
-
-    def frobenius_norm_squared(self) -> Fraction:
-        return self.inner_product(self)
 
     def scale(self, c) -> "SymmetricTensor4":
         c = as_fraction(c)
@@ -146,14 +109,4 @@ class SymmetricTensor4:
 def diag_ones(dim: int) -> SymmetricTensor4:
     """t_iiii = 1, everything else zero: the sum-of-fourth-powers form."""
     return SymmetricTensor4(dim, {(i, i, i, i): 1 for i in range(1, dim + 1)})
-
-
-def rank_one(x: Sequence) -> SymmetricTensor4:
-    """x^(x)4, the 4-fold outer product of x with itself."""
-    xs = tuple(as_fraction(v) for v in x)
-    n = len(xs)
-    entries = {}
-    for idx in canonical_indices(n):
-        entries[idx] = xs[idx[0] - 1] * xs[idx[1] - 1] * xs[idx[2] - 1] * xs[idx[3] - 1]
-    return SymmetricTensor4(n, entries)
 

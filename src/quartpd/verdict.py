@@ -36,10 +36,6 @@ class Verdict:
     margin: Optional[float] = None
     positivity_witness: Optional[tuple] = None
 
-    @property
-    def is_psd(self) -> bool:
-        return self.kind in (Kind.POSITIVE_DEFINITE, Kind.PSD_NOT_PD)
-
     def to_dict(self) -> dict:
         return {
             "kind": str(self.kind),

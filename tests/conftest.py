@@ -1,26 +1,40 @@
 import contextlib
 import io
 import itertools
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from quartpd.tensor import SymmetricTensor4
+from quartpd.tensor import SymmetricTensor4, canonical_indices, multiplicity
 
 
-def dense_form_reference(T: SymmetricTensor4, x):
-    """Brute-force n^4 loop; the independent oracle for all exact values."""
+def dense_form_reference(T: SymmetricTensor4, x, k=4, y=None):
+    """Brute-force n^4 loop; the independent oracle for all exact values.
+    Gives Tx^k y^(4-k), the first k slots holding x and the rest y."""
     total = Fraction(0)
     for idx in itertools.product(range(1, T.dim + 1), repeat=4):
         t = T[idx]
         if t:
             p = t
-            for i in idx:
-                p = p * Fraction(x[i - 1])
+            for pos, i in enumerate(idx):
+                p = p * Fraction((x if pos < k else y)[i - 1])
             total += p
     return total
+
+
+def rank_one_reference(x) -> SymmetricTensor4:
+    """x^(x)4, the 4-fold outer product of x with itself."""
+    entries = {idx: math.prod(Fraction(x[i - 1]) for i in idx) for idx in canonical_indices(len(x))}
+    return SymmetricTensor4(len(x), entries)
+
+
+def inner_product_reference(S: SymmetricTensor4, T: SymmetricTensor4):
+    """<S, T>, the n^4 sum of entrywise products, over the canonical slots
+    weighted by their multiplicity."""
+    return sum((S[idx] * T[idx] * multiplicity(idx) for idx in canonical_indices(S.dim)), Fraction(0))
 
 
 def dense_reference(T: SymmetricTensor4):
@@ -79,7 +93,7 @@ class CliRunner:
     """Runs a command line in-process and captures what it prints."""
 
     def invoke(self, main, args):
-        """Call ``main.main(args)``; the result has ``exit_code``, ``output``
+        """Call ``main(args)``; the result has ``exit_code``, ``output``
         (stdout and stderr in the order they were written), ``stdout``,
         ``stderr`` and ``exception``: the ``SystemExit`` of a nonzero code, or
         any other exception that escaped, which counts as exit code 1."""
@@ -88,7 +102,7 @@ class CliRunner:
         code, exception = 0, None
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                main.main(args=list(args), prog_name="quartpd")
+                main(list(args), "quartpd")
             except SystemExit as exc:
                 code = 0 if exc.code is None else exc.code
                 exception = exc if code != 0 else None

@@ -17,10 +17,16 @@ from quartpd.binary import BinaryQuartic, classify
 from quartpd.cyclic import CyclicTernary, classify_cyclic, embed
 from quartpd.inequalities import builtin_catalog, exact_spot_check, verify
 from quartpd.oracle import OracleConfig, sphere_minimize, zero_set_probe
-from quartpd.tensor import rank_one
 from quartpd.verdict import Kind
 
-from conftest import rand_fraction, rand_tensor, rand_vector
+from conftest import (
+    dense_form_reference,
+    inner_product_reference,
+    rand_fraction,
+    rand_tensor,
+    rand_vector,
+    rank_one_reference,
+)
 
 _N_PROPERTY = 1000
 
@@ -184,19 +190,20 @@ def test_property_suites(report):
         T = rand_tensor(rng, 2)
         x, y = rand_vector(rng, 2), rand_vector(rng, 2)
         lhs = T.evaluate_form([a + b for a, b in zip(x, y)])
-        rhs = sum(math.comb(4, k) * T.evaluate_mixed(x, k, y) for k in range(5))
+        rhs = sum(math.comb(4, k) * dense_form_reference(T, x, k, y) for k in range(5))
         assert lhs == rhs
 
     # <T, x^(x)4> equals Tx^4
     for _ in range(_N_PROPERTY):
         T = rand_tensor(rng, 3)
         x = rand_vector(rng, 3)
-        assert T.inner_product(rank_one(x)) == T.evaluate_form(x)
+        assert inner_product_reference(T, rank_one_reference(x)) == T.evaluate_form(x)
 
     # Frobenius norm of a rank-one power: ||x^(x)4||_F = (sum x_i^2)^2
     for _ in range(_N_PROPERTY):
         x = rand_vector(rng, 3)
-        assert rank_one(x).frobenius_norm_squared() == sum(v * v for v in x) ** 4
+        R = rank_one_reference(x)
+        assert inner_product_reference(R, R) == sum(v * v for v in x) ** 4
 
     # cyclic embeds are invariant under coordinate rotation
     for _ in range(_N_PROPERTY):

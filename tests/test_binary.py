@@ -8,11 +8,11 @@ from quartpd.binary import (
     BinaryQuartic,
     _cleared,
     _negative_point,
+    _eta_chi,
     _radical_bound,
     classify,
-    discriminant_parts,
 )
-from quartpd.quadext import QuadExt
+from quartpd.quadext import QuadExt, _sign
 from quartpd.verdict import Kind
 
 from conftest import rand_fraction
@@ -22,20 +22,21 @@ def bq(*coeffs):
     return BinaryQuartic.of(*coeffs)
 
 
+def discriminant_parts(q):
+    """eta, chi and the sign of the discriminant eta^3 - 27*chi^2."""
+    eta, chi = _eta_chi(q)
+    return eta, chi, _sign(eta**3 - 27 * chi * chi)
+
+
 class TestDiscriminantParts:
     def test_diagonal(self):
-        p = discriminant_parts(bq(1, 0, 0, 0, 1))
-        assert (p.eta, p.chi, p.delta_sign) == (1, 0, 1)
+        assert discriminant_parts(bq(1, 0, 0, 0, 1)) == (1, 0, 1)
 
     def test_boundary(self):
-        p = discriminant_parts(bq(1, 0, "-1/3", 0, 1))
-        assert p.eta == Fraction(4, 3)
-        assert p.chi == Fraction(-8, 27)
-        assert p.delta_sign == 0
+        assert discriminant_parts(bq(1, 0, "-1/3", 0, 1)) == (Fraction(4, 3), Fraction(-8, 27), 0)
 
     def test_pd_instance(self):
-        p = discriminant_parts(bq(1, -1, 1, 1, 1))
-        assert (p.eta, p.chi, p.delta_sign) == (8, -4, 1)
+        assert discriminant_parts(bq(1, -1, 1, 1, 1)) == (8, -4, 1)
 
 
 class TestClassify:
@@ -161,11 +162,12 @@ class TestProperties:
         return BinaryQuartic(*(rand_fraction(rng) for _ in range(5)))
 
     def test_pd_implies_psd(self, rng):
+        # and more: a PD form is positive at every nonzero sample point
         for _ in range(2000):
             q = self._random_quartic(rng)
-            v = classify(q)
-            if v.kind is Kind.POSITIVE_DEFINITE:
-                assert v.is_psd
+            if classify(q).kind is Kind.POSITIVE_DEFINITE:
+                assert q.value((1, 0)) > 0
+                assert all(q.value((Fraction(num, 2), 1)) > 0 for num in range(-6, 7))
 
     def test_scaling_invariance(self, rng):
         for _ in range(500):
@@ -198,8 +200,7 @@ class TestProperties:
         # a PSD verdict must never contradict an exact negative sample value
         for _ in range(500):
             q = self._random_quartic(rng)
-            v = classify(q)
-            if v.is_psd:
+            if classify(q).kind in (Kind.POSITIVE_DEFINITE, Kind.PSD_NOT_PD):
                 for num in range(-12, 13):
                     assert q.value((Fraction(num, 4), 1)) >= 0
                     assert q.value((1, Fraction(num, 4))) >= 0

@@ -88,44 +88,44 @@ class TestClassifyCyclic:
     def test_boundary_psd(self):
         fv = classify_cyclic(ct(1, -1, 1, 1, "-7/12"))
         assert fv.verdict.kind is Kind.PSD_NOT_PD
-        assert embed(ct(1, -1, 1, 1, "-7/12")).evaluate_form(fv.witness) == 0
+        assert embed(ct(1, -1, 1, 1, "-7/12")).evaluate_form(fv.verdict.witness) == 0
 
     def test_pd_interval(self):
         fv = classify_cyclic(ct(1, -1, 1, 1, "-1/6"))
         assert fv.verdict.kind is Kind.POSITIVE_DEFINITE
-        assert fv.rule == "pd-interval"
+        assert fv.verdict.rule == "pd-interval"
 
     def test_pd_interval_extended(self):
         fv = classify_cyclic(ct(1, -1, 1, 1, "-5/36"))
         assert fv.verdict.kind is Kind.POSITIVE_DEFINITE
-        assert fv.rule == "pd-interval-extended"
+        assert fv.verdict.rule == "pd-interval-extended"
 
     def test_pd_interval_lifted(self):
         fv = classify_cyclic(ct(1, -1, 1, 2, "-1/4"))
         assert fv.verdict.kind is Kind.POSITIVE_DEFINITE
-        assert fv.rule == "pd-interval-lifted-offdiag"
+        assert fv.verdict.rule == "pd-interval-lifted-offdiag"
 
     def test_boundary_indefinite_matched_signs(self):
         fv = classify_cyclic(ct(1, 1, 1, 1, "-7/12"))
         assert fv.verdict.kind is Kind.INDEFINITE
-        assert fv.witness == (1, 1, -5)
-        assert embed(ct(1, 1, 1, 1, "-7/12")).evaluate_form(fv.witness) == -204
+        assert fv.verdict.witness == (1, 1, -5)
+        assert embed(ct(1, 1, 1, 1, "-7/12")).evaluate_form(fv.verdict.witness) == -204
 
     def test_boundary_indefinite_negative_signs(self):
         fv = classify_cyclic(ct(1, -1, -1, 1, "-7/12"))
         assert fv.verdict.kind is Kind.INDEFINITE
-        assert fv.witness == (1, 1, 1)
-        assert embed(ct(1, -1, -1, 1, "-7/12")).evaluate_form(fv.witness) == -24
+        assert fv.verdict.witness == (1, 1, 1)
+        assert embed(ct(1, -1, -1, 1, "-7/12")).evaluate_form(fv.verdict.witness) == -24
 
     def test_below_necessity_bound(self):
         fv = classify_cyclic(ct(1, -1, 1, 1, -1))
         assert fv.verdict.kind is Kind.INDEFINITE
-        assert embed(ct(1, -1, 1, 1, -1)).evaluate_form(fv.witness) < 0
+        assert embed(ct(1, -1, 1, 1, -1)).evaluate_form(fv.verdict.witness) < 0
 
     def test_closed_interval_psd_with_lifted_offdiag(self):
         fv = classify_cyclic(ct(1, -1, 1, 2, "-7/12"))
         assert fv.verdict.kind is Kind.POSITIVE_DEFINITE
-        assert fv.rule == "pd-interval-lifted-offdiag"
+        assert fv.verdict.rule == "pd-interval-lifted-offdiag"
 
     def test_outside_family_undetermined(self):
         assert classify_cyclic(ct(1, -1, 1, 1, 0)).verdict.kind is Kind.UNDETERMINED
@@ -180,7 +180,7 @@ class TestClassifyRelaxed:
         rt = RelaxedCyclicTernary.of(1, -1, 1, 1, "-1/2", "-1/3", "-1/3")
         fv = classify_relaxed(rt)
         assert fv.verdict.kind is Kind.POSITIVE_DEFINITE
-        assert fv.rule == "pd-lower-band"
+        assert fv.verdict.rule == "pd-lower-band"
 
     def test_widened_upper_band(self):
         # -0.27 lies below -1/4 but inside [-5/18, -1/6]: only the widened
@@ -188,11 +188,11 @@ class TestClassifyRelaxed:
         rt = RelaxedCyclicTernary.of(1, -1, 1, 1, "-27/100", "-1/5", "-1/5")
         fv = classify_relaxed(rt)
         assert fv.verdict.kind is Kind.POSITIVE_DEFINITE
-        assert fv.rule == "pd-upper-band-widened"
+        assert fv.verdict.rule == "pd-upper-band-widened"
 
     def test_upper_band(self):
         rt = RelaxedCyclicTernary.of(1, -1, 1, 1, "-1/4", "-1/5", "-1/6")
-        assert classify_relaxed(rt).rule == "pd-upper-band"
+        assert classify_relaxed(rt).verdict.rule == "pd-upper-band"
 
     def test_mixed_across_split_undetermined(self):
         rt = RelaxedCyclicTernary.of(1, -1, 1, 1, "-13/24", "-1/6", "-1/6")

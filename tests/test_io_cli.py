@@ -239,7 +239,7 @@ class TestPipeline:
             "from quartpd.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    try:\n"
-            "        main.main(['check', 'binary', '1', '0', '1', '0', '1', '--json'])\n"
+            "        main(['check', 'binary', '1', '0', '1', '0', '1', '--json'])\n"
             "    except SystemExit as exc:\n"
             "        assert exc.code == 0, exc.code\n" + loaded
         )

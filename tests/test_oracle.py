@@ -86,6 +86,26 @@ def test_classify_indefinite_with_exact_witness():
     assert v.positivity_witness is not None
 
 
+def test_classify_numeric_samples_once(monkeypatch):
+    # one kernel and one grid serve both the minimum and the positivity
+    # witness; the grid is cached, so a fresh (dim, grid, seed) builds it
+    calls = {"kernel": 0, "grid": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "_kernel", counted("kernel", oracle._kernel))
+    monkeypatch.setattr(oracle, "_grid", counted("grid", oracle._grid))
+    for T, seed, has_witness in ((SymmetricTensor4(3, {}), 90101, False), (INDEF, 90102, True)):
+        calls.update(kernel=0, grid=0)
+        v = classify_numeric(T, OracleConfig(grid_points=2999, seed=seed))
+        assert calls["kernel"] == 1 and calls["grid"] <= 1
+        assert (v.positivity_witness is not None) is has_witness
+
+
 def test_zero_set_empty_for_pd():
     assert zero_set_probe(diag_ones(3)) == []
 
@@ -125,6 +145,14 @@ def test_homogeneity_of_minimum():
     a = sphere_minimize(INDEF)
     b = sphere_minimize(INDEF.scale(Fraction(7, 3)))
     assert b.min_value == pytest.approx(7 / 3 * a.min_value, rel=1e-9)
+
+
+def test_refine_tolerance_is_relative_to_the_scale():
+    # grad_tol scales with max |t|: a form of scale 1e-12, whose gradients
+    # all lie below 1e-10, is still refined to its minimum 1e-12 / 3
+    res = sphere_minimize(diag_ones(3).scale(Fraction(1, 10**12)))
+    assert res.iterations_used >= 1
+    assert abs(res.min_value - 1e-12 / 3) <= 1e-12 * 1e-12 / 3
 
 
 def test_unsupported_dimension():
@@ -208,7 +236,7 @@ def _newton_reference(K, X0, cfg, stats):
     vals, cub, hess = oracle._forms_and_cubics(K, X)
     step = np.ones(len(X))
     active = np.ones(len(X), dtype=bool)
-    grad_tol = math.ldexp(cfg.grad_tol, -K.shift)
+    grad_tol = cfg.grad_tol * K.top
     iters = 0
     for it in range(cfg.refine_max_iters):
         grad = 4.0 * cub
@@ -361,7 +389,7 @@ def test_catalog_candidates_all_converge(q):
     grad = 4.0 * oracle._forms_and_cubics(K, R)[1]
     g = grad - np.einsum("pi,pi->p", grad, R)[:, None] * R  # as in the refine
     assert len(R) == cfg.refine_top_k
-    assert np.sqrt(np.einsum("pi,pi->p", g, g)).max() <= math.ldexp(cfg.grad_tol, -K.shift)
+    assert np.sqrt(np.einsum("pi,pi->p", g, g)).max() <= cfg.grad_tol * K.top
 
 
 def test_top_k_matches_stable_argsort():

@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartpd.cyclic import CyclicTernary, embed
-from quartpd.tensor import (
-    SymmetricTensor4,
-    diag_ones,
-    multiplicity,
-    rank_one,
-)
+from quartpd.tensor import SymmetricTensor4, diag_ones, multiplicity
 
 from conftest import dense_form_reference, rand_fraction, rand_tensor, rand_vector
 
@@ -42,8 +37,8 @@ def test_permuted_lookup():
 
 
 def test_hash_follows_equality():
-    # the hash is computed once and kept: equal tensors, entered in another
-    # order or index order, still hash alike, and zero entries are not stored
+    # equal tensors, entered in another order or index order, hash alike,
+    # and zero entries are not stored
     a = SymmetricTensor4(3, {(1, 2, 2, 3): Fraction(5, 7), (3, 3, 3, 3): 1, (1, 1, 1, 1): 0})
     b = SymmetricTensor4(3, {(3, 3, 3, 3): Fraction(1), (3, 2, 1, 2): Fraction(10, 14)})
     assert a == b and hash(a) == hash(b) == hash(a)
@@ -72,41 +67,6 @@ def test_evaluate_form_matches_dense_reference(rng):
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         diag_ones(3).evaluate_form((1, 1))
-    with pytest.raises(ValueError):
-        diag_ones(2).inner_product(diag_ones(3))
-
-
-def test_mixed_collapses_to_form(rng):
-    T = rand_tensor(rng, 3)
-    x = rand_vector(rng, 3)
-    y = rand_vector(rng, 3)
-    assert T.evaluate_mixed(x, 4, y) == T.evaluate_form(x)
-    assert T.evaluate_mixed(x, 0, y) == T.evaluate_form(y)
-
-
-def test_mixed_diag_ones_orthogonal():
-    assert diag_ones(2).evaluate_mixed((1, 0), 2, (0, 1)) == 0
-
-
-def test_mixed_k_out_of_range():
-    with pytest.raises(ValueError):
-        diag_ones(2).evaluate_mixed((1, 0), 5, (0, 1))
-
-
-def test_inner_product_examples(rng):
-    d3 = diag_ones(3)
-    assert d3.inner_product(d3) == 3
-    T = rand_tensor(rng, 3)
-    x = rand_vector(rng, 3)
-    assert T.inner_product(rank_one(x)) == T.evaluate_form(x)
-
-
-def test_frobenius():
-    assert SymmetricTensor4(3, {}).frobenius_norm_squared() == 0
-    assert diag_ones(3).frobenius_norm_squared() == 3
-    x = (Fraction(1, 2), Fraction(-2), Fraction(3))
-    norm_sq = sum(v * v for v in x) ** 4
-    assert rank_one(x).frobenius_norm_squared() == norm_sq
 
 
 @given(
@@ -123,11 +83,11 @@ def test_binomial_expansion(alpha, beta, seed):
     y = rand_vector(rng, n)
     z = tuple(alpha * xi + beta * yi for xi, yi in zip(x, y))
     expansion = (
-        alpha**4 * T.evaluate_mixed(x, 4, y)
-        + 4 * alpha**3 * beta * T.evaluate_mixed(x, 3, y)
-        + 6 * alpha**2 * beta**2 * T.evaluate_mixed(x, 2, y)
-        + 4 * alpha * beta**3 * T.evaluate_mixed(x, 1, y)
-        + beta**4 * T.evaluate_mixed(x, 0, y)
+        alpha**4 * dense_form_reference(T, x, 4, y)
+        + 4 * alpha**3 * beta * dense_form_reference(T, x, 3, y)
+        + 6 * alpha**2 * beta**2 * dense_form_reference(T, x, 2, y)
+        + 4 * alpha * beta**3 * dense_form_reference(T, x, 1, y)
+        + beta**4 * dense_form_reference(T, x, 0, y)
     )
     assert T.evaluate_form(z) == expansion
 

@@ -52,7 +52,7 @@ def _run(argv):
     code = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            cli_main.main(args=list(argv), prog_name="quartpd")
+            cli_main(list(argv), "quartpd")
         except SystemExit as exc:
             code = 0 if exc.code is None else exc.code
     return code, out.getvalue(), err.getvalue()
