@@ -381,7 +381,7 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
     vals, cub, hess = _forms_and_cubics(K, X)
     step = np.ones(len(X))
     active = np.ones(len(X), dtype=bool)
-    grad_tol = cfg.grad_tol * K.top  # relative: the same stop at every scale of T
+    grad_tol = cfg.grad_tol * K.top
     iters = 0
     for it in range(cfg.refine_max_iters):
         grad = 4.0 * cub

@@ -109,4 +109,3 @@ class SymmetricTensor4:
 def diag_ones(dim: int) -> SymmetricTensor4:
     """t_iiii = 1, everything else zero: the sum-of-fourth-powers form."""
     return SymmetricTensor4(dim, {(i, i, i, i): 1 for i in range(1, dim + 1)})
-
