@@ -14,8 +14,10 @@ a saddle or a maximum) it is the tangent solution of |Hr| d = -g, with
 each tangent eigenvalue of Hr replaced by its absolute value, a descent
 direction that leaves a saddle along its negative curvature in a few
 steps where -g barely moves.  The trial point x + step d is renormalized
-onto the sphere.  A candidate stops where |g| is at most grad_tol max |t|,
-a tolerance relative to the tensor's scale.
+onto the sphere.  A candidate stops where |g| is at most
+grad_tol min(1, max |t|): relative to the tensor's scale below 1, so that
+small forms are refined too, and absolute above it, where a looser stop
+would leave a degenerate minimum above the absolute ``classify_margin``.
 
 Each candidate carries one step, which starts at 1.  Backtracking is the
 Armijo loop (Nocedal and Wright, Numerical Optimization, 2nd ed., 2006,
@@ -112,7 +114,7 @@ class ConfigError(ValueError):
 class OracleConfig:
     grid_points: Optional[int] = None  # defaults: 4096 (n=2), 20000 (n=3)
     refine_max_iters: int = 500
-    grad_tol: float = 1e-10  # the refine stops below grad_tol * max |t|
+    grad_tol: float = 1e-10  # the refine stops below grad_tol * min(1, max |t|)
     classify_margin: float = 1e-8
     seed: int = 0
     refine_top_k: int = 50
@@ -190,7 +192,7 @@ class _Kernel:
     gram: np.ndarray  # (n(n+1)/2, n(n+1)/2)
     hessian: np.ndarray  # (n(n+1)/2, n*n)
     shift: int  # S and H hold T / 2^shift, and so do the values computed from them
-    top: float  # max |t| / 2^shift, the scale of the refine's gradient tolerance
+    tol_scale: float  # min(1, max |t|) / 2^shift: the refine stops below grad_tol times this
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,7 +237,7 @@ def _kernel(T: SymmetricTensor4) -> _Kernel:
     gram = fold[:, None] * t[gram_at] * fold
     # (Tx^2)_{kl} = sum over pairs p of q_p fold_p t_{i_p,j_p,k,l}
     hessian = fold[:, None] * t[hessian_at]
-    return _Kernel(pairs, gram, hessian, shift, math.ldexp(top, -shift))
+    return _Kernel(pairs, gram, hessian, shift, math.ldexp(min(top, 1.0), -shift))
 
 
 def _unscale(K: _Kernel, v):
@@ -381,7 +383,7 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
     vals, cub, hess = _forms_and_cubics(K, X)
     step = np.ones(len(X))
     active = np.ones(len(X), dtype=bool)
-    grad_tol = cfg.grad_tol * K.top
+    grad_tol = cfg.grad_tol * K.tol_scale
     iters = 0
     for it in range(cfg.refine_max_iters):
         grad = 4.0 * cub

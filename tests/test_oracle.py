@@ -148,11 +148,21 @@ def test_homogeneity_of_minimum():
 
 
 def test_refine_tolerance_is_relative_to_the_scale():
-    # grad_tol scales with max |t|: a form of scale 1e-12, whose gradients
+    # below scale 1, grad_tol scales with max |t|: a form of scale 1e-12, whose gradients
     # all lie below 1e-10, is still refined to its minimum 1e-12 / 3
     res = sphere_minimize(diag_ones(3).scale(Fraction(1, 10**12)))
     assert res.iterations_used >= 1
     assert abs(res.min_value - 1e-12 / 3) <= 1e-12 * 1e-12 / 3
+
+
+def test_large_degenerate_form_is_not_positive_definite():
+    # 1e9 (x1^4 + (x2^2 - x3^2)^2) vanishes at (0, 1, 1), where it grows only
+    # like x1^4: above scale 1 the refine's stop stays absolute, so the
+    # minimum it reaches lies inside the absolute classify_margin
+    c = 10**9
+    T = SymmetricTensor4(3, {(1, 1, 1, 1): c, (2, 2, 2, 2): c, (3, 3, 3, 3): c, (2, 2, 3, 3): Fraction(-c, 3)})
+    assert classify_numeric(T).kind is Kind.UNDETERMINED
+    assert any(abs(abs(y) - abs(z)) < 1e-3 and abs(x) < 1e-3 for x, y, z in zero_set_probe(T))
 
 
 def test_unsupported_dimension():
@@ -236,7 +246,7 @@ def _newton_reference(K, X0, cfg, stats):
     vals, cub, hess = oracle._forms_and_cubics(K, X)
     step = np.ones(len(X))
     active = np.ones(len(X), dtype=bool)
-    grad_tol = cfg.grad_tol * K.top
+    grad_tol = cfg.grad_tol * K.tol_scale
     iters = 0
     for it in range(cfg.refine_max_iters):
         grad = 4.0 * cub
@@ -389,7 +399,7 @@ def test_catalog_candidates_all_converge(q):
     grad = 4.0 * oracle._forms_and_cubics(K, R)[1]
     g = grad - np.einsum("pi,pi->p", grad, R)[:, None] * R  # as in the refine
     assert len(R) == cfg.refine_top_k
-    assert np.sqrt(np.einsum("pi,pi->p", g, g)).max() <= cfg.grad_tol * K.top
+    assert np.sqrt(np.einsum("pi,pi->p", g, g)).max() <= cfg.grad_tol * K.tol_scale
 
 
 def test_top_k_matches_stable_argsort():
