@@ -14,10 +14,8 @@ a saddle or a maximum) it is the tangent solution of |Hr| d = -g, with
 each tangent eigenvalue of Hr replaced by its absolute value, a descent
 direction that leaves a saddle along its negative curvature in a few
 steps where -g barely moves.  The trial point x + step d is renormalized
-onto the sphere.  A candidate stops where |g| is at most
-grad_tol min(1, max |t|): relative to the tensor's scale below 1, so that
-small forms are refined too, and absolute above it, where a looser stop
-would leave a degenerate minimum above the absolute ``classify_margin``.
+onto the sphere.  A candidate stops where |g| is at most grad_tol at the
+kernel's scale (below).
 
 Each candidate carries one step, which starts at 1.  Backtracking is the
 Armijo loop (Nocedal and Wright, Numerical Optimization, 2nd ed., 2006,
@@ -60,15 +58,23 @@ share its pass only if every row of these contractions (and of
 another kernel for a one-row batch and changes the last bits, and
 ``einsum`` sums the rows of a column-major operand in another order.  The
 grid values only rank grid points (the starting points, the positivity
-witness), so they use ``@``.  The kernel holds T / 2^shift, a power of two
-that keeps tensors with entries near float range in range; the grid
-values and the refine stay at that scale, and only the values returned
-are scaled back.
+witness), so they use ``@``.
+
+The kernel holds T / 2^shift, with the power of two chosen so that its
+largest |entry| lies in [1, 2).  Scaling by a power of two is exact, so a
+form and its multiples by powers of two run the same iterates to the bit.
+The grid values, the refine's stop and the classification margin all
+apply at that scale; only the values returned are scaled back.  A value's
+rounding error is at most about 32 u L, with u the unit roundoff and L <=
+81 max |t| the sum of |t| over all index orders (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., 2002, sec. 3.1): about 3e-13
+of max |t|, far below the default margin of 1e-8 of it.
 
 A sphere minimum above the classification margin classifies the form as
 positive definite, one below minus the margin as indefinite; a value
 inside the margin is UNDETERMINED (the boundary case) and left to the
-exact analytic modules.
+exact analytic modules.  ``classify_numeric`` reports INDEFINITE only with
+an exactly checked witness, which it looks for at any negative minimum.
 """
 
 from __future__ import annotations
@@ -114,7 +120,8 @@ class ConfigError(ValueError):
 class OracleConfig:
     grid_points: Optional[int] = None  # defaults: 4096 (n=2), 20000 (n=3)
     refine_max_iters: int = 500
-    grad_tol: float = 1e-10  # the refine stops below grad_tol * min(1, max |t|)
+    # the refine's stop and the margin, both at the kernel's scale (max |t| in [1, 2))
+    grad_tol: float = 1e-10
     classify_margin: float = 1e-8
     seed: int = 0
     refine_top_k: int = 50
@@ -192,7 +199,6 @@ class _Kernel:
     gram: np.ndarray  # (n(n+1)/2, n(n+1)/2)
     hessian: np.ndarray  # (n(n+1)/2, n*n)
     shift: int  # S and H hold T / 2^shift, and so do the values computed from them
-    tol_scale: float  # min(1, max |t|) / 2^shift: the refine stops below grad_tol times this
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,25 +233,15 @@ def _kernel(T: SymmetricTensor4) -> _Kernel:
             t[slot[idx]] = float(v)
         except OverflowError:
             raise OverflowError(f"t{''.join(map(str, idx))} is beyond float range") from None
-    # S and H hold up to 4|t|, and Tx^4 on the sphere reaches n^2 max|t|:
-    # entries near float range are scaled down by a power of two, which is
-    # exact, so that no coefficient or value overflows
-    top = float(np.abs(t).max())
-    shift = math.frexp(top)[1] if top > 2.0**1000 else 0
+    # the power of two that brings max|t| into [1, 2): exact, and no
+    # coefficient (up to 4|t|) or value (up to n^2 max|t|) over- or underflows
+    shift = math.frexp(float(np.abs(t).max()))[1] - 1
     t = np.ldexp(t, -shift)
     # q^T S q runs over unordered pairs: fold weights restore the orders
     gram = fold[:, None] * t[gram_at] * fold
     # (Tx^2)_{kl} = sum over pairs p of q_p fold_p t_{i_p,j_p,k,l}
     hessian = fold[:, None] * t[hessian_at]
-    return _Kernel(pairs, gram, hessian, shift, math.ldexp(min(top, 1.0), -shift))
-
-
-def _unscale(K: _Kernel, v):
-    """Kernel-scale values back at the tensor's scale (beyond float range: inf)."""
-    import numpy as np
-
-    with np.errstate(over="ignore"):
-        return np.ldexp(v, K.shift)
+    return _Kernel(pairs, gram, hessian, shift)
 
 
 def _values(K: _Kernel, Q: np.ndarray) -> np.ndarray:
@@ -383,13 +379,12 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
     vals, cub, hess = _forms_and_cubics(K, X)
     step = np.ones(len(X))
     active = np.ones(len(X), dtype=bool)
-    grad_tol = cfg.grad_tol * K.tol_scale
     iters = 0
     for it in range(cfg.refine_max_iters):
         grad = 4.0 * cub
         gt = grad - (np.einsum("pi,pi->p", grad, X))[:, None] * X
         gnorm2 = np.einsum("pi,pi->p", gt, gt)
-        active = active & (np.sqrt(gnorm2) > grad_tol)
+        active = active & (np.sqrt(gnorm2) > cfg.grad_tol)
         if not active.any():
             break
         iters = it + 1
@@ -451,14 +446,15 @@ def _minimum(K: _Kernel, X: np.ndarray, vals: np.ndarray, cfg: OracleConfig) -> 
 
     refined, rvals, iters = _polish(K, X, vals, min(cfg.refine_top_k, len(X)), cfg)
     best = int(np.lexsort((*(refined.T[::-1]), rvals))[0])
-    min_value = float(_unscale(K, rvals[best]))
     minimizer = _canonical_sign(refined[best] / np.linalg.norm(refined[best]))
-    if min_value > cfg.classify_margin:
+    if rvals[best] > cfg.classify_margin:
         classification = Kind.POSITIVE_DEFINITE
-    elif min_value < -cfg.classify_margin:
+    elif rvals[best] < -cfg.classify_margin:
         classification = Kind.INDEFINITE
     else:
         classification = Kind.UNDETERMINED
+    with np.errstate(over="ignore"):  # beyond float range: inf
+        min_value = float(np.ldexp(rvals[best], K.shift))
     return OracleResult(min_value, tuple(float(v) for v in minimizer), classification, iters)
 
 
@@ -478,11 +474,12 @@ def _exact_negative(T: SymmetricTensor4, point) -> Optional[tuple]:
 def classify_numeric(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> Verdict:
     """The sphere minimum's classification as a verdict.
 
-    Indefinite witnesses are re-verified in exact rational arithmetic; if
-    the exact check fails the verdict degrades to UNDETERMINED, under the
-    rule ``oracle-boundary`` like every minimum inside the margin.  The
-    grid point of largest value is recorded as a positivity witness when
-    that value is clearly positive.
+    INDEFINITE rests only on an exact witness: any negative refined
+    minimum, inside the margin too, is rounded to a rational point and
+    checked in exact arithmetic.  A minimum above the margin is
+    POSITIVE_DEFINITE; every other one is UNDETERMINED, under the rule
+    ``oracle-boundary``.  The grid point of largest value is recorded as a
+    positivity witness when that value is clearly positive.
     """
     import numpy as np
 
@@ -490,13 +487,14 @@ def classify_numeric(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) ->
     res = _minimum(K, X, vals, cfg)
     top = int(np.argmax(vals))
     pos = None
-    if _unscale(K, vals[top]) > cfg.classify_margin:
+    if vals[top] > cfg.classify_margin:
         pos = tuple(float(v) for v in _canonical_sign(X[top]))
-    kind, witness = res.classification, None
-    if kind is Kind.INDEFINITE:
-        witness = _exact_negative(T, res.minimizer)
-        if witness is None:
-            kind = Kind.UNDETERMINED
+    witness = _exact_negative(T, res.minimizer) if res.min_value < 0 else None
+    kind = res.classification
+    if witness is not None:
+        kind = Kind.INDEFINITE
+    elif kind is Kind.INDEFINITE:
+        kind = Kind.UNDETERMINED
     rule = "oracle-boundary" if kind is Kind.UNDETERMINED else "oracle-sphere-minimum"
     return Verdict(kind, rule, witness=witness, margin=res.min_value, positivity_witness=pos)
 
@@ -516,7 +514,7 @@ def zero_set_probe(
     K, X, vals = _sample(T, cfg.effective_grid(T.dim), cfg.seed)
     k = min(max(cfg.refine_top_k, 200), len(X))
     refined, rvals, _ = _polish(K, X, np.abs(vals), k, cfg)
-    zeros = refined[np.abs(_unscale(K, rvals)) <= cfg.classify_margin]
+    zeros = refined[np.abs(rvals) <= cfg.classify_margin]
     zeros = zeros / np.linalg.norm(zeros, axis=1, keepdims=True)
     reps: List[int] = []
     for i, z in enumerate(zeros):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quartpd import oracle
+from quartpd import classify, oracle
 from quartpd.binary import BinaryQuartic
 from quartpd.cyclic import CyclicTernary, embed
 from quartpd.inequalities import builtin_catalog
@@ -148,21 +148,97 @@ def test_homogeneity_of_minimum():
 
 
 def test_refine_tolerance_is_relative_to_the_scale():
-    # below scale 1, grad_tol scales with max |t|: a form of scale 1e-12, whose gradients
-    # all lie below 1e-10, is still refined to its minimum 1e-12 / 3
+    # grad_tol applies at the kernel's scale, max |t| in [1, 2): a form of scale 1e-12,
+    # whose gradients all lie below 1e-10, is still refined to its minimum 1e-12 / 3
     res = sphere_minimize(diag_ones(3).scale(Fraction(1, 10**12)))
     assert res.iterations_used >= 1
     assert abs(res.min_value - 1e-12 / 3) <= 1e-12 * 1e-12 / 3
 
 
-def test_large_degenerate_form_is_not_positive_definite():
-    # 1e9 (x1^4 + (x2^2 - x3^2)^2) vanishes at (0, 1, 1), where it grows only
-    # like x1^4: above scale 1 the refine's stop stays absolute, so the
-    # minimum it reaches lies inside the absolute classify_margin
-    c = 10**9
+@pytest.mark.parametrize("e", [-1000, -600, 40, 600, 900])
+def test_power_of_two_scales_run_the_same_refine(e):
+    # the kernel's power-of-two shift is exact: the refine takes the scale-1
+    # iterates to the bit, with no underflow or overflow at either end
+    base = sphere_minimize(diag_ones(3))
+    res = sphere_minimize(diag_ones(3).scale(Fraction(2) ** e))
+    assert res.min_value == math.ldexp(base.min_value, e)
+    assert res.minimizer == base.minimizer
+    assert res.iterations_used == base.iterations_used
+
+
+@pytest.mark.parametrize("T, kind", [
+    pytest.param(rand_tensor(random.Random("pow2"), 3), Kind.INDEFINITE, id="random"),
+    pytest.param(SADDLES, Kind.POSITIVE_DEFINITE, id="SADDLES"),
+])
+def test_power_of_two_scales_give_the_same_verdict(T, kind):
+    base = classify_numeric(T)
+    assert base.kind is kind
+    for e in (-700, -30, 30, 700):
+        v = classify_numeric(T.scale(Fraction(2) ** e))
+        assert (v.kind, v.rule, v.witness) == (base.kind, base.rule, base.witness), e
+        assert v.positivity_witness == base.positivity_witness, e
+        assert v.margin == math.ldexp(base.margin, e), e
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_small_scaled_form_is_positive_definite(k):
+    # the margin applies at the kernel's scale, so 1e-k (x1^4 + x2^4 + x3^4)
+    # is as clearly PD as x1^4 + x2^4 + x3^4
+    v = classify_numeric(diag_ones(3).scale(Fraction(1, 10**k)))
+    assert v.kind is Kind.POSITIVE_DEFINITE
+    assert v.margin == pytest.approx(10.0**-k / 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [10**9, 10**15, 10**30], ids=["1e9", "1e15", "1e30"])
+def test_large_degenerate_form_is_not_positive_definite(c):
+    # c (x1^4 + (x2^2 - x3^2)^2) vanishes at (0, 1, 1), where it grows only
+    # like x1^4: the refined minimum is a tiny fraction of max |t| and lies
+    # inside the margin, which applies at the kernel's scale
     T = SymmetricTensor4(3, {(1, 1, 1, 1): c, (2, 2, 2, 2): c, (3, 3, 3, 3): c, (2, 2, 3, 3): Fraction(-c, 3)})
     assert classify_numeric(T).kind is Kind.UNDETERMINED
     assert any(abs(abs(y) - abs(z)) < 1e-3 and abs(x) < 1e-3 for x, y, z in zero_set_probe(T))
+
+
+def _cross_form(p, K, c, skew):
+    """K |x × p|^2 |x|^2 + c |x|^4, minus x1 x2 x3 (x1 + x2 + x3) if skew,
+    as a ternary tensor: |x × p|^2 = |p|^2 |x|^2 - (p . x)^2."""
+    pp = sum(v * v for v in p)
+    cross = {(i, j): pp * (i == j) - p[i - 1] * p[j - 1] for i in (1, 2, 3) for j in (1, 2, 3)}
+    square = {(i, i): 1 for i in (1, 2, 3)}
+    coeffs = {}
+    for a, b, w in ((cross, square, K), (square, square, c)):
+        for (i, j), u in a.items():
+            for (k, l), v in b.items():
+                idx = tuple(sorted((i, j, k, l)))
+                coeffs[idx] = coeffs.get(idx, 0) + w * u * v
+    for idx in ((1, 1, 2, 3), (1, 2, 2, 3), (1, 2, 3, 3)) if skew else ():
+        coeffs[idx] -= 1
+    return SymmetricTensor4(3, {idx: Fraction(v) / multiplicity(idx) for idx, v in coeffs.items()})
+
+
+CROSS_POINTS = [(1, 4, 9), (2, 3, 5), (1, 2, 2), (3, 1, 7)]
+CROSS_IDS = ["-".join(map(str, p)) for p in CROSS_POINTS]
+
+
+@pytest.mark.parametrize("K", [10**14, 10**15, 10**16], ids=["1e14", "1e15", "1e16"])
+@pytest.mark.parametrize("p", CROSS_POINTS, ids=CROSS_IDS)
+def test_steep_valley_form_is_indefinite(p, K):
+    # with c = p1 p2 p3 (p1 + p2 + p3) / (2 |p|^4), f(p) = -p1 p2 p3 (p1 + p2 + p3) / 2;
+    # the negative region is a needle of width about 1e-8 around p, in a
+    # form of scale K: with an absolute margin, p = (1, 4, 9) at K = 1e14 ended PD
+    pp = sum(v * v for v in p)
+    T = _cross_form(p, K, Fraction(math.prod(p) * sum(p), 2 * pp * pp), skew=True)
+    verdict = classify(T)["verdict"]
+    assert verdict["kind"] == "indefinite"
+    assert T.evaluate_form([Fraction(w) for w in verdict["witness"]]) < 0
+
+
+@pytest.mark.parametrize("K", [10**15, 10**16], ids=["1e15", "1e16"])
+@pytest.mark.parametrize("p", CROSS_POINTS, ids=CROSS_IDS)
+def test_steep_valley_pd_form_is_never_indefinite(p, K):
+    # K |x × p|^2 |x|^2 + |x|^4 is PD, but its minimum, 1 at p / |p|, is
+    # 1e-18 to 1e-16 of max |t|: inside the margin, so it may end undetermined
+    assert classify(_cross_form(p, K, 1, skew=False))["verdict"]["kind"] != "indefinite"
 
 
 def test_unsupported_dimension():
@@ -246,13 +322,12 @@ def _newton_reference(K, X0, cfg, stats):
     vals, cub, hess = oracle._forms_and_cubics(K, X)
     step = np.ones(len(X))
     active = np.ones(len(X), dtype=bool)
-    grad_tol = cfg.grad_tol * K.tol_scale
     iters = 0
     for it in range(cfg.refine_max_iters):
         grad = 4.0 * cub
         gt = grad - (np.einsum("pi,pi->p", grad, X))[:, None] * X
         gnorm2 = np.einsum("pi,pi->p", gt, gt)
-        active = active & (np.sqrt(gnorm2) > grad_tol)
+        active = active & (np.sqrt(gnorm2) > cfg.grad_tol)
         if not active.any():
             break
         iters = it + 1
@@ -382,7 +457,7 @@ def test_decrease_keeps_its_sign_at_small_steps():
             exact = T.evaluate_form(yf) * xx**2 - fx * sum(v * v for v in yf) ** 2
             got = oracle._decrease(X, forms, Y, oracle._forms_and_cubics(K, Y))[0]
             tol = 1e-14 * abs_sum * float(np.linalg.norm(Y - X))
-            assert abs(Fraction(float(got)) - exact) <= tol, (T, e)
+            assert abs(Fraction(float(got)) * 2**K.shift - exact) <= tol, (T, e)
             assert np.sign(got) == np.sign(exact) != 0, (T, e)
             naive = oracle._forms_and_cubics(K, Y)[0][0] - vals[0]
             naive_wrong += bool(np.sign(naive) != np.sign(exact))
@@ -399,7 +474,7 @@ def test_catalog_candidates_all_converge(q):
     grad = 4.0 * oracle._forms_and_cubics(K, R)[1]
     g = grad - np.einsum("pi,pi->p", grad, R)[:, None] * R  # as in the refine
     assert len(R) == cfg.refine_top_k
-    assert np.sqrt(np.einsum("pi,pi->p", g, g)).max() <= cfg.grad_tol * K.tol_scale
+    assert np.sqrt(np.einsum("pi,pi->p", g, g)).max() <= cfg.grad_tol
 
 
 def test_top_k_matches_stable_argsort():
@@ -453,9 +528,9 @@ def _exact_cubic(T, x):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_kernel_matches_exact_evaluation(dim):
-    # the Gram-form grid values and the refine's Tx^4 and Tx^3 agree
-    # with Fraction evaluation at the float points, to 1e-12 of the scale
-    # sum |t| * |x|^k over all index orders
+    # the Gram-form grid values and the refine's Tx^4 and Tx^3, times
+    # 2^shift, agree with Fraction evaluation at the float points, to 1e-12
+    # of the scale sum |t| * |x|^k over all index orders
     rng = random.Random(f"kernel:{dim}")
     for case in range(20):
         T = rand_tensor(rng, dim, lo=-10 ** (case % 4), hi=10 ** (case % 4))
@@ -469,10 +544,10 @@ def test_kernel_matches_exact_evaluation(dim):
             norm = float(np.linalg.norm(row))
             exact = T.evaluate_form(x)
             tol = 1e-12 * float(abs_sum) * norm**4
-            assert abs(Fraction(float(grid_vals[p])) - exact) <= tol
-            assert abs(Fraction(float(vals[p])) - exact) <= tol
+            assert abs(Fraction(float(grid_vals[p])) * 2**K.shift - exact) <= tol
+            assert abs(Fraction(float(vals[p])) * 2**K.shift - exact) <= tol
             for got, want in zip(cub[p], _exact_cubic(T, x)):
-                assert abs(Fraction(float(got)) - want) <= 1e-12 * float(abs_sum) * norm**3
+                assert abs(Fraction(float(got)) * 2**K.shift - want) <= 1e-12 * float(abs_sum) * norm**3
 
 
 def _exact_hessian(T, x):
@@ -491,7 +566,7 @@ def test_kernel_hessian_matches_exact_evaluation(dim, scale):
     for case in range(20):
         T = rand_tensor(rng, dim, lo=-10 ** (case % 4), hi=10 ** (case % 4)).scale(Fraction(scale))
         K = oracle._kernel(T)
-        assert (K.shift > 0) == (scale > 1)
+        assert K.shift == math.frexp(max(abs(float(v)) for v in T.entries().values()))[1] - 1
         x = [Fraction(rng.randint(-16, 16), 8) for _ in range(dim)]
         hess = oracle._forms_and_cubics(K, np.array([x], dtype=float))[2][0]
         abs_sum = sum(abs(v) * multiplicity(idx) for idx, v in T.entries().items())
@@ -507,7 +582,7 @@ def _reference_kernel(T):
     pairs, fold = oracle._monomials(T.dim)[:2]
     Td = dense_reference(T)
     top = float(np.abs(Td).max())
-    shift = math.frexp(top)[1] if top > 2.0**1000 else 0
+    shift = math.frexp(top)[1] - 1
     Td = np.ldexp(Td, -shift)
     i, j = pairs.T
     gram = fold[:, None] * Td[i, j][:, i, j] * fold
@@ -628,9 +703,9 @@ def test_kernel_entries_near_float_range(dim):
     X = np.random.default_rng(dim).normal(size=(50, dim))
     K, Kbig = oracle._kernel(T), oracle._kernel(big)
     for got, want in zip(oracle._forms_and_cubics(Kbig, X), oracle._forms_and_cubics(K, X)):
-        assert np.array_equal(got, np.ldexp(want, 1000 - Kbig.shift))
+        assert np.array_equal(got, np.ldexp(want, 1000 + K.shift - Kbig.shift))
     Q = X[:, K.pairs].prod(axis=2).T
-    want = np.ldexp(oracle._values(K, Q), 1000 - Kbig.shift)
+    want = np.ldexp(oracle._values(K, Q), 1000 + K.shift - Kbig.shift)
     assert np.array_equal(oracle._values(Kbig, Q), want)
     # 4 t1122 overflows a float, the form's values do not; the
     # refine runs at the kernel's scale, so no step overflows either

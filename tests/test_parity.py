@@ -10,8 +10,9 @@ import pytest
 
 PARITY = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
 
-# binary shorthand with max(1, max |t|) = 1000
+# binary shorthand with max |t| = 1000, and one with max |t| = 1/1000
 KEY = json.dumps(["check", "binary", "1000", "0", "1", "0", "1", "--json"])
+SMALL_KEY = json.dumps(["check", "binary", "1/1000", "0", "1/1000", "0", "1/1000", "--json"])
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ def parity():
     return module
 
 
-def record(margin=0.5, witness=(0.6, 0.8), stages=("prefilter", "oracle"), code=0):
+def record(margin=0.5, witness=(0.6, 0.8), stages=("prefilter", "oracle"), code=0, key=KEY):
     report = {
         "trace": [{"stage": s, "kind": "positive-definite"} for s in stages],
         "verdict": {
@@ -35,7 +36,7 @@ def record(margin=0.5, witness=(0.6, 0.8), stages=("prefilter", "oracle"), code=
             "positivity_witness": list(witness),
         },
     }
-    return {KEY: [code, json.dumps(report, indent=2, sort_keys=True), ""]}
+    return {key: [code, json.dumps(report, indent=2, sort_keys=True), ""]}
 
 
 def test_identical_records_pass(parity, capsys):
@@ -49,6 +50,14 @@ def test_margin_tolerance_scales_with_the_largest_entry(parity, capsys):
     assert "value floats differing: 1" in capsys.readouterr().out
     assert parity.compare(record(margin=0.5), record(margin=0.5 + 2e-9)) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_margin_tolerance_shrinks_below_scale_one(parity, capsys):
+    # tolerance 1e-12 * 1e-3 = 1e-15: no floor at scale 1
+    small = dict(margin=5e-4, key=SMALL_KEY)
+    assert parity.compare(record(**small), record(margin=5e-4 + 5e-16, key=SMALL_KEY)) == 0
+    assert parity.compare(record(**small), record(margin=5e-4 + 5e-15, key=SMALL_KEY)) == 1
+    assert "tolerance 1e-15" in capsys.readouterr().out
 
 
 def test_positivity_witness_is_only_counted(parity, capsys):

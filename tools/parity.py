@@ -17,8 +17,8 @@ A change to the oracle's float arithmetic moves the last bits of its
 results, so ``--compare`` checks two recorded files at a tolerance.  It
 fails on a differing input set, exit code, stderr, or any field of a JSON
 report other than a float, and on a value float (``margin``,
-``sphere_min``) that differs by more than 1e-12 times max(1, max |t|) of
-the input's tensor.  Point floats (``minimizer``, ``min_point``,
+``sphere_min``) that differs by more than 1e-12 times max |t| of the
+input's tensor, the scale at which the oracle computes.  Point floats (``minimizer``, ``min_point``,
 ``equality_points``, ``positivity_witness``) may move to another of
 several tied minima, so their differences are counted and reported but do
 not fail the compare; any other float must be equal.  It prints a summary
@@ -87,7 +87,7 @@ def record(seeds, tmp: str) -> dict:
 
 
 def _max_entry(argv) -> float:
-    """max(1, max |t|) over the tensor of the input ``argv`` (as keyed)."""
+    """max |t| over the tensor of the input ``argv`` (as keyed)."""
     from quartpd.inequalities import builtin_catalog
     from quartpd.tensorio import parse_document, parse_shorthand, to_tensor
 
@@ -99,7 +99,7 @@ def _max_entry(argv) -> float:
     else:
         coeffs = [a for a in argv[2:] if not a.startswith("--")]
         T = to_tensor(parse_shorthand(argv[1], coeffs))
-    return max([1.0, *(abs(float(v)) for v in T.entries().values())])
+    return max((abs(float(v)) for v in T.entries().values()), default=0.0)
 
 
 def _float_diffs(a, b, field=None, path=""):
@@ -158,7 +158,7 @@ def compare(old: dict, new: dict) -> int:
         failures += [f"{key}: {f}" for f in _compare_one(key, old[key], new[key], stats)]
     print(f"{len(old.keys() & new.keys())} inputs in both files, {differing} with differing output")
     print(f"value floats differing: {stats['value_floats']}, largest difference "
-          f"{stats['max_value_diff']:.3g} ({stats['max_scaled_diff']:.3g} of max(1, max |t|))")
+          f"{stats['max_value_diff']:.3g} ({stats['max_scaled_diff']:.3g} of max |t|)")
     print(f"point floats differing: {stats['point_floats']} (not failing)")
     for f in failures:
         print(f"FAIL {f}")
