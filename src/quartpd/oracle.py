@@ -28,7 +28,12 @@ tried again in the next pass, and one whose step falls below 1e-18 has
 stalled and stops.  An iteration makes at most 40 passes.  Carrying the
 step over, rather than starting every iteration at 1, matters: a step that
 cannot lower the form halves until it stalls, where a restart at 1 would
-try it again every iteration.
+try it again every iteration.  An iteration in which every candidate is
+still active works on the refine's arrays in place, and takes the trial
+points whole when all of them pass on the first pass; only the other
+iterations gather and scatter rows.  That is bookkeeping only: each pass
+computes on the same rows as the gathered form would, so the iterates are
+the same to the bit.
 
 The Armijo test does not subtract two float values of the form: a Newton
 step from a gradient near 1e-8 lowers f by about 1e-17, below one ulp of
@@ -75,6 +80,12 @@ positive definite, one below minus the margin as indefinite; a value
 inside the margin is UNDETERMINED (the boundary case) and left to the
 exact analytic modules.  ``classify_numeric`` reports INDEFINITE only with
 an exactly checked witness, which it looks for at any negative minimum.
+
+``zero_set_probe`` refines the max(200, refine_top_k) grid points of
+smallest |Tx^4| and keeps those whose refined value lies inside the
+margin.  It clusters them greedily in refine order, one distance pass per
+cluster: the first zero not yet covered becomes the next representative
+and covers every zero within ``_CLUSTER_TOL`` of it.
 """
 
 from __future__ import annotations
@@ -294,6 +305,19 @@ def _decrease(X: np.ndarray, x_forms, Y: np.ndarray, y_forms) -> np.ndarray:
     return df * (xx * xx) - f * np.einsum("pi,pi->p", D, X + Y) * (xx + yy)
 
 
+@functools.lru_cache(maxsize=None)
+def _tangent_constants(n: int):
+    """The identity of order n and, for n = 3, the flat positions in a 3x3
+    matrix of the four factors of each cofactor (see ``_tangent_system``)."""
+    import numpy as np
+
+    u, v = np.array([[1, 2, 0], [2, 0, 1]])  # i + 1 and i + 2 (mod 3)
+    cofactor_at = np.stack([3 * r[:, None] + c for r, c in ((u, u), (v, v), (u, v), (v, u))])
+    eye = np.eye(n)
+    eye.flags.writeable = cofactor_at.flags.writeable = False
+    return eye, cofactor_at
+
+
 def _tangent_system(M: np.ndarray, xx: np.ndarray):
     """M + s x x^T for tangent matrices M (M x = 0), with s the mean tangent
     eigenvalue (the trace of M over n - 1), its adjugate and determinant,
@@ -304,15 +328,15 @@ def _tangent_system(M: np.ndarray, xx: np.ndarray):
     import numpy as np
 
     n = M.shape[1]
+    eye, cofactor_at = _tangent_constants(n)
     B = M + (np.einsum("pii->p", M) / (n - 1))[:, None, None] * xx
     if n == 2:
-        adj = np.einsum("pii->p", B)[:, None, None] * np.eye(2) - B
+        adj = np.einsum("pii->p", B)[:, None, None] * eye - B
     else:
         # cofactor (i, j) is B[i+1, j+1] B[i+2, j+2] - B[i+1, j+2] B[i+2, j+1],
         # indices mod 3; the adjugate is its transpose
-        u, v = np.array([[1, 2, 0], [2, 0, 1]])  # i + 1 and i + 2 (mod 3)
-        cof = B[:, u[:, None], u] * B[:, v[:, None], v] - B[:, u[:, None], v] * B[:, v[:, None], u]
-        adj = cof.transpose(0, 2, 1)
+        f = B.reshape(-1, 9)[:, cofactor_at]
+        adj = (f[:, 0] * f[:, 1] - f[:, 2] * f[:, 3]).transpose(0, 2, 1)
     det = np.einsum("pi,pi->p", B[:, 0], adj[:, :, 0])
     return adj, det, (B[:, 0, 0] > 0) & (adj[:, -1, -1] > 0) & (det > 0)
 
@@ -336,7 +360,7 @@ def _newton_directions(X: np.ndarray, vals: np.ndarray, g: np.ndarray, hess: np.
     import numpy as np
 
     xx = X[:, :, None] * X[:, None, :]
-    P = np.eye(X.shape[1]) - xx
+    P = _tangent_constants(X.shape[1])[0] - xx
     Hr = P @ (12.0 * hess) @ P - (4.0 * vals)[:, None, None] * P
     # the adjugate and the determinant multiply up to n entries, and |Hr|
     # squares Hr: one power of two per row brings Hr near 1 and leaves d
@@ -344,18 +368,19 @@ def _newton_directions(X: np.ndarray, vals: np.ndarray, g: np.ndarray, hess: np.
     e = -np.frexp(np.abs(Hr).max(axis=(1, 2)))[1]
     Hr = np.ldexp(Hr, e[:, None, None])
     adj, det, newton = _tangent_system(Hr, xx)
-    d = -g
-    solved, rhs = newton.copy(), np.ldexp(d, e[:, None])
+    rhs = np.ldexp(-g, e[:, None])
+    if newton.all():
+        return np.einsum("pij,pj->pi", adj, rhs) / det[:, None], newton
+    d, solved = -g, newton.copy()
     off = np.flatnonzero(~newton)
-    if off.size:
-        # solve with the numerator of |Hr| and the right side times its
-        # denominator, which is 0 only where Hr is
-        H = Hr[off]
-        H2 = np.einsum("pij,pjk->pik", H, H)
-        sq = np.einsum("pii->p", H2)
-        e2 = np.abs(np.einsum("pii->p", H) ** 2 - sq) / 2
-        adj[off], det[off], solved[off] = _tangent_system(H2 + e2[:, None, None] * P[off], xx[off])
-        rhs[off] *= np.sqrt(sq + 2.0 * e2)[:, None]
+    # solve with the numerator of |Hr| and the right side times its
+    # denominator, which is 0 only where Hr is
+    H = Hr[off]
+    H2 = np.einsum("pij,pjk->pik", H, H)
+    sq = np.einsum("pii->p", H2)
+    e2 = np.abs(np.einsum("pii->p", H) ** 2 - sq) / 2
+    adj[off], det[off], solved[off] = _tangent_system(H2 + e2[:, None, None] * P[off], xx[off])
+    rhs[off] *= np.sqrt(sq + 2.0 * e2)[:, None]
     num = np.einsum("pij,pj->pi", adj, rhs)
     np.divide(num, det[:, None], out=d, where=solved[:, None])
     return d, newton
@@ -371,7 +396,8 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
     step falls below 1e-18 has stalled and stops.  After _MAX_HALVINGS
     passes the candidates still pending keep their point for the
     iteration.  Returns refined points, values (divided by 2^shift) and the
-    iteration count of the longest running candidate.
+    iteration count of the longest running candidate.  An iteration in
+    which every candidate is active works in place (module docstring).
     """
     import numpy as np
 
@@ -388,20 +414,24 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
         if not active.any():
             break
         iters = it + 1
-        rows = np.flatnonzero(active)
-        d, _ = _newton_directions(X[rows], vals[rows], gt[rows], hess[rows])
-        slope = np.einsum("pi,pi->p", gt[rows], d)
-        pending = np.arange(len(rows))  # positions in rows
+        rows = at = np.flatnonzero(active)
+        whole = len(rows) == len(X)
+        if whole:  # x and s alias X and step: read before the first scatter only
+            x, held, g, s = X, (vals, cub, hess), gt, step
+        else:
+            x, held, g, s = X[rows], (vals[rows], cub[rows], hess[rows]), gt[rows], step[rows]
+        d, _ = _newton_directions(x, held[0], g, held[2])
+        slope = np.einsum("pi,pi->p", g, d)
+        pending, dp, sp = np.arange(len(rows)), d, slope  # positions in rows
         for _ in range(_MAX_HALVINGS):
-            if pending.size == 0:
-                break
-            at = rows[pending]
-            s = step[at]
-            trial = X[at] + s[:, None] * d[pending]
+            trial = x + s[:, None] * dp
             trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
             forms = _forms_and_cubics(K, trial)
-            held = vals[at], cub[at], hess[at]
-            ok = _decrease(X[at], held, trial, forms) < 1e-4 * s * slope[pending]
+            ok = _decrease(x, held, trial, forms) < 1e-4 * s * sp
+            if whole and ok.all():
+                X, (vals, cub, hess), step = trial, forms, np.minimum(2.0 * s, 1.0)
+                break
+            whole = False
             good = at[ok]
             X[good] = trial[ok]
             vals[good], cub[good], hess[good] = (a[ok] for a in forms)
@@ -410,6 +440,11 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
             stalled = step[at] < 1e-18
             active[at[stalled]] = False
             pending = pending[~(ok | stalled)]
+            if pending.size == 0:
+                break
+            at = rows[pending]
+            x, held, s = X[at], (vals[at], cub[at], hess[at]), step[at]
+            dp, sp = d[pending], slope[pending]
     return X, vals, iters
 
 
@@ -516,8 +551,20 @@ def zero_set_probe(
     refined, rvals, _ = _polish(K, X, np.abs(vals), k, cfg)
     zeros = refined[np.abs(rvals) <= cfg.classify_margin]
     zeros = zeros / np.linalg.norm(zeros, axis=1, keepdims=True)
+    return sorted(tuple(float(v) for v in zeros[i]) for i in _cluster_representatives(zeros))
+
+
+def _cluster_representatives(points: np.ndarray) -> List[int]:
+    """The representatives of the greedy clustering in row order (module
+    docstring): a row is one exactly when no earlier representative lies
+    within _CLUSTER_TOL of it."""
+    import numpy as np
+
+    covered = np.zeros(len(points), dtype=bool)
     reps: List[int] = []
-    for i, z in enumerate(zeros):
-        if not (np.linalg.norm(zeros[reps] - z, axis=1) <= _CLUSTER_TOL).any():
-            reps.append(i)
-    return sorted(tuple(float(v) for v in zeros[i]) for i in reps)
+    while not covered.all():
+        r = int(np.argmin(covered))
+        reps.append(r)
+        covered |= np.linalg.norm(points - points[r], axis=1) <= _CLUSTER_TOL
+        covered[r] = True  # a NaN row covers nothing, itself included
+    return reps

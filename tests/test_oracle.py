@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -130,6 +131,43 @@ def test_zero_set_binary_quartet():
     for z in zeros:
         assert abs(abs(z[0]) - expect) <= 1e-4
         assert abs(abs(z[1]) - expect) <= 1e-4
+
+
+def _cluster_reference(zeros):
+    """One pass per zero: a zero becomes a representative unless an
+    earlier representative lies within _CLUSTER_TOL of it."""
+    reps = []
+    for i, z in enumerate(zeros):
+        if not (np.linalg.norm(zeros[reps] - z, axis=1) <= oracle._CLUSTER_TOL).any():
+            reps.append(i)
+    return reps
+
+
+@pytest.mark.parametrize("T, clusters", [
+    pytest.param(next(q for q in builtin_catalog() if q.label == "19u").to_tensor(), 2, id="19u"),
+    pytest.param(SymmetricTensor4(3, {(1, 1, 1, 1): Fraction(1)}), 200, id="x1^4-circle"),
+    pytest.param(SymmetricTensor4(3, {}), 200, id="zero"),
+    pytest.param(BinaryQuartic.of(1, 0, "-1/3", 0, 1).to_tensor(), 4, id="binary-quartet"),
+])
+def test_zero_set_clusters_match_the_per_zero_reference(T, clusters):
+    cfg = OracleConfig()
+    K, X, vals = oracle._sample(T, cfg.effective_grid(T.dim), cfg.seed)
+    refined, rvals, _ = oracle._polish(K, X, np.abs(vals), min(200, len(X)), cfg)
+    zeros = refined[np.abs(rvals) <= cfg.classify_margin]
+    zeros = zeros / np.linalg.norm(zeros, axis=1, keepdims=True)
+    reps = _cluster_reference(zeros)
+    assert oracle._cluster_representatives(zeros) == reps
+    assert zero_set_probe(T, cfg) == sorted(tuple(float(v) for v in zeros[i]) for i in reps)
+    assert len(reps) == clusters
+
+
+def test_cluster_representatives_follow_row_order():
+    # a chain a - b - c: |a - b| and |b - c| within _CLUSTER_TOL, |a - c| not
+    tol = oracle._CLUSTER_TOL
+    a, b, c = ([0.0, 0.0, 1.0], [0.8 * tol, 0.0, 1.0], [1.6 * tol, 0.0, 1.0])
+    for rows, want in (([a, b, c], [0, 2]), ([b, a, c], [0]), ([a, c, b], [0, 1]), ([], [])):
+        points = np.array(rows).reshape(-1, 3)
+        assert oracle._cluster_representatives(points) == _cluster_reference(points) == want
 
 
 def test_determinism():
@@ -317,7 +355,9 @@ def _gradient_reference(K, X0, cfg, stats):
 def _newton_reference(K, X0, cfg, stats):
     """The refine of ``_refine_batch`` with one numpy pass per halving
     round: directions from ``_newton_directions`` and one step per
-    candidate.  ``stats`` as in ``_gradient_reference``."""
+    candidate.  ``stats`` as in ``_gradient_reference``; it also counts
+    iterations that some candidate sat out (``partial``) and iterations of
+    more than one pass (``multi_pass``)."""
     X = X0 / np.linalg.norm(X0, axis=1, keepdims=True)
     vals, cub, hess = oracle._forms_and_cubics(K, X)
     step = np.ones(len(X))
@@ -332,14 +372,16 @@ def _newton_reference(K, X0, cfg, stats):
             break
         iters = it + 1
         rows = np.flatnonzero(active)
+        stats["partial"] += len(rows) < len(X)
         d, slope = np.zeros_like(X), np.zeros(len(X))
         d[rows], _ = oracle._newton_directions(X[rows], vals[rows], gt[rows], hess[rows])
         slope[rows] = np.einsum("pi,pi->p", gt[rows], d[rows])
         moved = np.zeros(len(X), dtype=bool)
-        for _ in range(40):
+        for k in range(40):
             sel = np.flatnonzero(active & ~moved)
             if not sel.size:
                 break
+            stats["multi_pass"] += k == 1
             s = step[sel]
             trial = X[sel] + s[:, None] * d[sel]
             trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
@@ -378,7 +420,7 @@ def test_refine_ladder_matches_sequential_reference(dim, name):
     # default config its best value is never above the gradient loop's
     cfg = REFINE_CONFIGS[name]
     rng = random.Random(f"{dim}:{name}")
-    stats = {"stalled": 0, "all_rungs_failed": 0}
+    stats = {"stalled": 0, "all_rungs_failed": 0, "partial": 0, "multi_pass": 0}
     tensors = []
     for case in range(5):
         T = rand_tensor(rng, dim)
@@ -393,7 +435,8 @@ def test_refine_ladder_matches_sequential_reference(dim, name):
     for case, T in enumerate(tensors):
         scale = max(1.0, *(abs(float(v)) for v in T.entries().values()))
         K, X, vals = oracle._sample(T, cfg.effective_grid(dim), cfg.seed)
-        starts = [X[np.argsort(vals, kind="stable")[: cfg.refine_top_k]]]
+        order = np.argsort(vals, kind="stable")
+        starts = [X[order[: cfg.refine_top_k]]]
         starts.append(np.random.default_rng(case).normal(size=(7, dim)))
         for X0 in starts:
             got = oracle._refine_batch(K, X0, cfg)
@@ -405,6 +448,24 @@ def test_refine_ladder_matches_sequential_reference(dim, name):
                 spare = {"stalled": 0, "all_rungs_failed": 0}
                 gradient = _gradient_reference(K, X0, cfg, spare)
                 assert got[1].min() <= gradient[1].min() + 1e-12 * scale
+        # refined rows, mostly converged, among fresh grid rows: the
+        # iterations run on the arrays themselves and on gathered rows
+        mixed = np.concatenate([got[0][::2], X[order[cfg.refine_top_k:][:10]]])
+        got = oracle._refine_batch(K, mixed, cfg)
+        want = _newton_reference(K, mixed, cfg, stats)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+    # x1^2 x2^2, whose zero circles leave rows stuck for many iterations of
+    # several passes each (60 iterations bound the test's time)
+    T = SymmetricTensor4(dim, {(1, 1, 2, 2): Fraction(1, 6)})
+    capped = dataclasses.replace(cfg, refine_max_iters=min(cfg.refine_max_iters, 60))
+    K, X, vals = oracle._sample(T, cfg.effective_grid(dim), cfg.seed)
+    X0 = X[oracle._top_k(vals, cfg.refine_top_k)]
+    got = oracle._refine_batch(K, X0, capped)
+    want = _newton_reference(K, X0, capped, stats)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert stats["multi_pass"] > 0 and (stats["partial"] > 0 or cfg.refine_max_iters == 1)
     if name == "stall":
         assert stats["stalled"] > 0 and stats["all_rungs_failed"] > 0
 

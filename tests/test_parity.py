@@ -73,3 +73,31 @@ def test_trace_length_fails(parity, capsys):
 def test_exit_code_fails(parity, capsys):
     assert parity.compare(record(), record(code=1)) == 1
     assert "exit code or stderr" in capsys.readouterr().out
+
+
+# a minimize input keyed by its tensor document, with max |t| = 8
+MIN_KEY = json.dumps(["minimize", {"dim": 3, "entries": [
+    {"index": [1, 1, 1, 1], "value": "8"}, {"index": [2, 2, 2, 2], "value": "1"},
+    {"index": [3, 3, 3, 3], "value": "1"}]}, "--json"])
+
+
+def minimize_record(min_value=0.5, zero_set=((0.6, 0.8, 0.0),)):
+    report = {"min_value": min_value, "minimizer": [0.0, 0.6, 0.8], "iterations": 4,
+              "zero_set": [list(z) for z in zero_set], "degenerate": False}
+    return {MIN_KEY: [0, json.dumps(report, indent=2, sort_keys=True), ""]}
+
+
+def test_min_value_tolerance_scales_with_the_largest_entry(parity, capsys):
+    # tolerance 1e-12 * 8
+    assert parity.compare(minimize_record(), minimize_record(min_value=0.5 + 5e-12)) == 0
+    assert "value floats differing: 1" in capsys.readouterr().out
+    assert parity.compare(minimize_record(), minimize_record(min_value=0.5 + 2e-11)) == 1
+    assert "tolerance 8e-12" in capsys.readouterr().out
+
+
+def test_zero_set_points_are_only_counted(parity, capsys):
+    moved = minimize_record(zero_set=((0.8, 0.6, 0.0),))
+    assert parity.compare(minimize_record(), moved) == 0
+    assert "point floats differing: 2 (not failing)" in capsys.readouterr().out
+    assert parity.compare(minimize_record(), minimize_record(zero_set=())) == 1
+    assert "length 1 != 0" in capsys.readouterr().out

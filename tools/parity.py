@@ -5,8 +5,11 @@ Usage: python tools/parity.py SEED [SEED ...] > out.json
 
 For each seed and each workload of ``perfbench/gen.py`` it runs every
 distinct argv of ``generate(workload, seed)`` through ``quartpd.cli.main``
-in-process, importing the package from this checkout's ``src``.  Tensor-file
-inputs are written to a temporary directory, as the benchmark child does.
+in-process, importing the package from this checkout's ``src``, and also
+``minimize --json`` on every dim-3 tensor-file input of ``ternary-oracle``,
+so that the sphere minimum and the zero-set probe are compared on about
+100 forms per seed.  Tensor-file inputs are written to a temporary
+directory, as the benchmark child does.
 The output is one JSON object, keys sorted, mapping each input (its argv,
 with a tensor file's document in place of its path) to
 ``[exit code, stdout, stderr]``; a JSON report's ``timings`` are removed.
@@ -17,11 +20,12 @@ A change to the oracle's float arithmetic moves the last bits of its
 results, so ``--compare`` checks two recorded files at a tolerance.  It
 fails on a differing input set, exit code, stderr, or any field of a JSON
 report other than a float, and on a value float (``margin``,
-``sphere_min``) that differs by more than 1e-12 times max |t| of the
-input's tensor, the scale at which the oracle computes.  Point floats (``minimizer``, ``min_point``,
-``equality_points``, ``positivity_witness``) may move to another of
-several tied minima, so their differences are counted and reported but do
-not fail the compare; any other float must be equal.  It prints a summary
+``sphere_min``, ``min_value``) that differs by more than 1e-12 times max |t|
+of the input's tensor, the scale at which the oracle computes.  Point
+floats (``minimizer``, ``min_point``, ``equality_points``,
+``positivity_witness``, ``zero_set``) may move to another of several tied
+minima, so their differences are counted and reported but do not fail the
+compare; any other float must be equal.  It prints a summary
 and exits 0 when the files agree, 1 when they do not.
 """
 
@@ -43,8 +47,8 @@ from quartpd.cli import main as cli_main  # noqa: E402
 
 WORKLOADS = ("binary-mix", "ternary-oracle", "catalog")
 
-VALUE_FLOATS = ("margin", "sphere_min")
-POINT_FLOATS = ("minimizer", "min_point", "equality_points", "positivity_witness")
+VALUE_FLOATS = ("margin", "sphere_min", "min_value")
+POINT_FLOATS = ("minimizer", "min_point", "equality_points", "positivity_witness", "zero_set")
 
 
 def _run(argv):
@@ -73,16 +77,19 @@ def record(seeds, tmp: str) -> dict:
     for seed in seeds:
         for workload in WORKLOADS:
             for item in gen.generate(workload, seed):
-                argv = list(item["argv"])
-                key = json.dumps(argv if argv[1] is not None else [argv[0], item["doc"], *argv[2:]])
-                if key in results:
-                    continue
-                if argv[1] is None:
-                    argv[1] = os.path.join(tmp, "input.json")
-                    with open(argv[1], "w") as fh:
-                        json.dump(item["doc"], fh)
-                code, out, err = _run(argv)
-                results[key] = [code, _without_timings(out).replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")]
+                argvs = [list(item["argv"])]
+                if workload == "ternary-oracle" and argvs[0][1] is None and item["dim"] == 3:
+                    argvs.append(["minimize", None, "--json"])
+                for argv in argvs:
+                    key = json.dumps(argv if argv[1] is not None else [argv[0], item["doc"], *argv[2:]])
+                    if key in results:
+                        continue
+                    if argv[1] is None:
+                        argv[1] = os.path.join(tmp, "input.json")
+                        with open(argv[1], "w") as fh:
+                            json.dump(item["doc"], fh)
+                    code, out, err = _run(argv)
+                    results[key] = [code, _without_timings(out).replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")]
     return results
 
 
