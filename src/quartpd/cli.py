@@ -85,11 +85,8 @@ def _minimize(inputs, cfg, as_json=False) -> NoReturn:
     if T.dim not in ORACLE_DIMS:
         _input_error(f"dim: minimize supports dim 2 or 3, got {T.dim}")
     t0 = time.perf_counter()
-    try:
-        res = sphere_minimize(T, cfg)
-        zeros = zero_set_probe(T, cfg)
-    except OverflowError as exc:  # an entry the float oracle cannot take
-        _input_error(exc)
+    res = sphere_minimize(T, cfg)
+    zeros = zero_set_probe(T, cfg)
     elapsed = time.perf_counter() - t0
     degenerate = T.is_zero()
     report = {

@@ -9,11 +9,13 @@ with rational weights.  Uniform weight c means w1 = w2 = w3 = c.  The
 "exchanged" variant swaps each cubic monomial with its mirror
 (x1^3*x2 <-> x1*x2^3 and so on) simultaneously.
 
-Entries are verified, not proven: the numeric oracle's classification of
-the sphere minimum decides whether an entry holds (strict entries need
-positive definite, non-strict ones anything but indefinite), while every
-named counterexample point is certified in exact rational arithmetic and
-its exact value is carried in the report.
+Entries are verified, not proven: the oracle's verdict on the sphere
+minimum, by the rule ``check`` applies, decides whether an entry holds
+(strict entries need positive definite, non-strict ones anything but
+indefinite).  An indefinite verdict rests on an exactly checked witness,
+a positive definite one on the float minimum and its margin.  Every named
+counterexample point is certified in exact rational arithmetic and its
+exact value is carried in the report.
 """
 
 from __future__ import annotations
@@ -153,12 +155,13 @@ def exact_spot_check(ineq: WeightedInequality, x: Sequence) -> Fraction:
 def verify(ineq: WeightedInequality, cfg: OracleConfig = OracleConfig()) -> InequalityReport:
     T = ineq.to_tensor()
     res = sphere_minimize(T, cfg)
+    kind = res.verdict.kind
     # a minimum inside the margin is the boundary case: look for its zeros
-    equality_points = zero_set_probe(T, cfg) if res.classification is Kind.UNDETERMINED else []
+    equality_points = zero_set_probe(T, cfg) if kind is Kind.UNDETERMINED else []
     if ineq.strict:
-        holds = res.classification is Kind.POSITIVE_DEFINITE
+        holds = kind is Kind.POSITIVE_DEFINITE
     else:
-        holds = res.classification is not Kind.INDEFINITE
+        holds = kind is not Kind.INDEFINITE
     exact = None
     if ineq.expected_fail and ineq.fail_point is not None:
         # the float verdict must be backed by the exact counterexample

@@ -46,8 +46,8 @@ digits down to the smallest step the backtracking tries.
 
 Each call samples once: ``_sample`` reads the kernel, the form's
 coefficients, off T's stored entries and takes the form's values on the
-grid, and ``classify_numeric`` takes both the refined minimum and its
-positivity witness, the grid point of largest value, from that sample.
+grid; ``sphere_minimize`` refines the best of them into its minimum and
+verdict, and ``classify_numeric`` returns that verdict.
 The form is evaluated through its monomials.  A quartic form is a quadratic
 form in its quadratic monomials, Tx^4 = q^T S q with q = (x_i x_j)_{i <= j}
 (the Gram representation of Choi, Lam and Reznick), so the grid values
@@ -62,24 +62,29 @@ share its pass only if every row of these contractions (and of
 ``einsum`` on C-contiguous operands gives that, while a BLAS ``@`` takes
 another kernel for a one-row batch and changes the last bits, and
 ``einsum`` sums the rows of a column-major operand in another order.  The
-grid values only rank grid points (the starting points, the positivity
-witness), so they use ``@``.
+grid values only rank grid points (the starting points), so they use
+``@``.
 
-The kernel holds T / 2^shift, with the power of two chosen so that its
-largest |entry| lies in [1, 2).  Scaling by a power of two is exact, so a
+The kernel holds T / 2^shift with shift = floor(log2 max |t|), read off
+the bit lengths of the entries' numerators and denominators, and each
+t / 2^shift is one correctly rounded integer division: its largest |entry|
+rounds into [1, 2], and no entry passes through a float of its own, so
+none over- or underflows before the scaling, however far outside float
+range T lies.  Scaling by a power of two is exact, so a
 form and its multiples by powers of two run the same iterates to the bit.
 The grid values, the refine's stop and the classification margin all
-apply at that scale; only the values returned are scaled back.  A value's
-rounding error is at most about 32 u L, with u the unit roundoff and L <=
-81 max |t| the sum of |t| over all index orders (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., 2002, sec. 3.1): about 3e-13
-of max |t|, far below the default margin of 1e-8 of it.
+apply at that scale; only the values returned are scaled back, and one
+outside float range reads inf or 0.0.  A value's rounding error is at
+most about 32 u L, with u the unit roundoff and L <= 81 max |t| the sum
+of |t| over all index orders (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 2002, sec. 3.1): about 3e-13 of max |t|, far below
+the default margin of 1e-8 of it.
 
-A sphere minimum above the classification margin classifies the form as
-positive definite, one below minus the margin as indefinite; a value
-inside the margin is UNDETERMINED (the boundary case) and left to the
-exact analytic modules.  ``classify_numeric`` reports INDEFINITE only with
-an exactly checked witness, which it looks for at any negative minimum.
+``_minimum`` is the one place where a sphere minimum becomes a verdict.
+INDEFINITE rests only on an exactly checked witness, which it looks for
+at any negative refined minimum, inside the margin too; a minimum above
+the classification margin is POSITIVE_DEFINITE, and every other one is
+UNDETERMINED (the boundary case), left to the exact analytic modules.
 
 ``zero_set_probe`` refines the max(200, refine_top_k) grid points of
 smallest |Tx^4| and keeps those whose refined value lies inside the
@@ -161,7 +166,7 @@ class OracleConfig:
 class OracleResult:
     min_value: float
     minimizer: Tuple[float, ...]  # unit norm, first nonzero coordinate positive
-    classification: Kind  # POSITIVE_DEFINITE, INDEFINITE or UNDETERMINED
+    verdict: Verdict  # the oracle's one verdict rule (see ``_minimum``)
     iterations_used: int
 
 
@@ -232,27 +237,30 @@ def _monomials(dim: int):
 
 
 def _kernel(T: SymmetricTensor4) -> _Kernel:
-    """The monomial kernel of T, built from its canonical entries.  Raises
-    ``OverflowError`` naming the first entry, in ``T.entries()`` order,
-    beyond float range."""
+    """The monomial kernel of T, built from its canonical entries."""
     import numpy as np
 
     pairs, fold, slot, gram_at, hessian_at = _monomials(T.dim)
+    ratios = {slot[idx]: v.as_integer_ratio() for idx, v in T.entries().items()}
+    # floor(log2 max|t|), exact whatever the entries' range: no coefficient
+    # (up to 4|t| / 2^shift) or value (up to n^2 max|t| / 2^shift) overflows
+    shift = max((_floor_log2(n, d) for n, d in ratios.values()), default=-1)
     t = np.zeros(len(slot))
-    for idx, v in T.entries().items():
-        try:
-            t[slot[idx]] = float(v)
-        except OverflowError:
-            raise OverflowError(f"t{''.join(map(str, idx))} is beyond float range") from None
-    # the power of two that brings max|t| into [1, 2): exact, and no
-    # coefficient (up to 4|t|) or value (up to n^2 max|t|) over- or underflows
-    shift = math.frexp(float(np.abs(t).max()))[1] - 1
-    t = np.ldexp(t, -shift)
+    for s, (n, d) in ratios.items():  # t / 2^shift, one correctly rounded division
+        t[s] = n / (d << shift) if shift >= 0 else (n << -shift) / d
     # q^T S q runs over unordered pairs: fold weights restore the orders
     gram = fold[:, None] * t[gram_at] * fold
     # (Tx^2)_{kl} = sum over pairs p of q_p fold_p t_{i_p,j_p,k,l}
     hessian = fold[:, None] * t[hessian_at]
     return _Kernel(pairs, gram, hessian, shift)
+
+
+def _floor_log2(n: int, d: int) -> int:
+    """floor(log2 |n/d|) for n != 0 < d: with a and b the bit lengths of |n|
+    and d, |n/d| lies in (2^(a-b-1), 2^(a-b+1))."""
+    n = abs(n)
+    e = n.bit_length() - d.bit_length()
+    return e - (n < d << e if e >= 0 else n << -e < d)
 
 
 def _values(K: _Kernel, Q: np.ndarray) -> np.ndarray:
@@ -475,28 +483,6 @@ def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")[:k]
 
 
-def _minimum(K: _Kernel, X: np.ndarray, vals: np.ndarray, cfg: OracleConfig) -> OracleResult:
-    """The refined minimum of a ``_sample`` and its classification."""
-    import numpy as np
-
-    refined, rvals, iters = _polish(K, X, vals, min(cfg.refine_top_k, len(X)), cfg)
-    best = int(np.lexsort((*(refined.T[::-1]), rvals))[0])
-    minimizer = _canonical_sign(refined[best] / np.linalg.norm(refined[best]))
-    if rvals[best] > cfg.classify_margin:
-        classification = Kind.POSITIVE_DEFINITE
-    elif rvals[best] < -cfg.classify_margin:
-        classification = Kind.INDEFINITE
-    else:
-        classification = Kind.UNDETERMINED
-    with np.errstate(over="ignore"):  # beyond float range: inf
-        min_value = float(np.ldexp(rvals[best], K.shift))
-    return OracleResult(min_value, tuple(float(v) for v in minimizer), classification, iters)
-
-
-def sphere_minimize(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> OracleResult:
-    return _minimum(*_sample(T, cfg.effective_grid(T.dim), cfg.seed), cfg)
-
-
 def _exact_negative(T: SymmetricTensor4, point) -> Optional[tuple]:
     """Rational rounding of a float witness, verified in exact arithmetic."""
     for den in (10**3, 10**6):
@@ -506,32 +492,37 @@ def _exact_negative(T: SymmetricTensor4, point) -> Optional[tuple]:
     return None
 
 
-def classify_numeric(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> Verdict:
-    """The sphere minimum's classification as a verdict.
-
-    INDEFINITE rests only on an exact witness: any negative refined
-    minimum, inside the margin too, is rounded to a rational point and
-    checked in exact arithmetic.  A minimum above the margin is
-    POSITIVE_DEFINITE; every other one is UNDETERMINED, under the rule
-    ``oracle-boundary``.  The grid point of largest value is recorded as a
-    positivity witness when that value is clearly positive.
-    """
+def _minimum(T: SymmetricTensor4, K: _Kernel, X: np.ndarray, vals: np.ndarray, cfg: OracleConfig):
+    """The refined minimum of a ``_sample`` of T and its verdict, whose
+    margin is the minimum (module docstring).  A negative minimum is
+    rounded to a rational point, which is the witness if T is negative
+    there in exact arithmetic."""
     import numpy as np
 
-    K, X, vals = _sample(T, cfg.effective_grid(T.dim), cfg.seed)
-    res = _minimum(K, X, vals, cfg)
-    top = int(np.argmax(vals))
-    pos = None
-    if vals[top] > cfg.classify_margin:
-        pos = tuple(float(v) for v in _canonical_sign(X[top]))
-    witness = _exact_negative(T, res.minimizer) if res.min_value < 0 else None
-    kind = res.classification
+    refined, rvals, iters = _polish(K, X, vals, min(cfg.refine_top_k, len(X)), cfg)
+    best = int(np.lexsort((*(refined.T[::-1]), rvals))[0])
+    x = _canonical_sign(refined[best] / np.linalg.norm(refined[best]))
+    minimizer = tuple(float(v) for v in x)
+    with np.errstate(over="ignore"):  # beyond float range: inf, and 0.0 below it
+        min_value = float(np.ldexp(rvals[best], K.shift))
+    witness = _exact_negative(T, minimizer) if rvals[best] < 0 else None
     if witness is not None:
         kind = Kind.INDEFINITE
-    elif kind is Kind.INDEFINITE:
+    elif rvals[best] > cfg.classify_margin:
+        kind = Kind.POSITIVE_DEFINITE
+    else:
         kind = Kind.UNDETERMINED
     rule = "oracle-boundary" if kind is Kind.UNDETERMINED else "oracle-sphere-minimum"
-    return Verdict(kind, rule, witness=witness, margin=res.min_value, positivity_witness=pos)
+    return OracleResult(min_value, minimizer, Verdict(kind, rule, witness, min_value), iters)
+
+
+def sphere_minimize(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> OracleResult:
+    return _minimum(T, *_sample(T, cfg.effective_grid(T.dim), cfg.seed), cfg)
+
+
+def classify_numeric(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> Verdict:
+    """The verdict of ``sphere_minimize``: the pipeline's oracle stage."""
+    return sphere_minimize(T, cfg).verdict
 
 
 def zero_set_probe(

@@ -89,10 +89,9 @@ def classify(
     """Run the pipeline on a parsed input and return the schema-1 report:
     the input and its digest, one trace entry per stage run, the final
     verdict and stage timings.  The prefilter decides dim 1 outright; the
-    oracle covers dims 2 and 3 only, so dim >= 4 can end undetermined, as
-    does a tensor with an entry beyond float range that no exact stage
-    decides.  ``oracle_only`` and ``analytic_only`` each skip the other
-    stages; setting both raises ``ValueError``, since no stage would run."""
+    oracle covers dims 2 and 3 only, so dim >= 4 can end undetermined.
+    ``oracle_only`` and ``analytic_only`` each skip the other stages;
+    setting both raises ``ValueError``, since no stage would run."""
     if oracle_only and analytic_only:
         raise ValueError("oracle_only and analytic_only exclude each other")
     T = to_tensor(parsed)
@@ -120,11 +119,7 @@ def classify(
         timings["analytic_s"] = time.perf_counter() - t0
     if final is None and not analytic_only and T.dim in ORACLE_DIMS:
         t0 = time.perf_counter()
-        try:
-            verdict = classify_numeric(T, cfg)
-        except OverflowError as exc:  # an entry the float oracle cannot take
-            verdict = Verdict(Kind.UNDETERMINED, f"oracle-skipped: {exc}")
-        record("oracle", verdict)
+        record("oracle", classify_numeric(T, cfg))
         timings["oracle_s"] = time.perf_counter() - t0
     if final is None:
         final = Verdict(Kind.UNDETERMINED, "no-decisive-stage")

@@ -34,7 +34,6 @@ class Verdict:
     rule: str
     witness: Optional[tuple] = None
     margin: Optional[float] = None
-    positivity_witness: Optional[tuple] = None
 
     def to_dict(self) -> dict:
         return {
@@ -42,11 +41,6 @@ class Verdict:
             "rule": self.rule,
             "witness": [str(w) for w in self.witness] if self.witness else None,
             "margin": self.margin,
-            "positivity_witness": (
-                [float(w) for w in self.positivity_witness]
-                if self.positivity_witness
-                else None
-            ),
         }
 
 

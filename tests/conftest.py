@@ -39,18 +39,14 @@ def inner_product_reference(S: SymmetricTensor4, T: SymmetricTensor4):
 
 def dense_reference(T: SymmetricTensor4):
     """The dense float array (0-indexed) of T, each stored entry written to
-    every permutation of its index; raises ``OverflowError`` naming the
-    first entry, in ``T.entries()`` order, that a float cannot hold.  The
-    reference for the oracle's kernel, which is built from the entries."""
+    every permutation of its index.  The reference for the oracle's kernel,
+    which is built from the entries."""
     import numpy as np
 
     n = T.dim
     out = np.zeros((n, n, n, n))
     for idx, v in T.entries().items():
-        try:
-            fv = float(v)
-        except OverflowError:
-            raise OverflowError(f"t{''.join(map(str, idx))} is beyond float range") from None
+        fv = float(v)
         for perm in set(itertools.permutations(idx)):
             out[tuple(i - 1 for i in perm)] = fv
     return out

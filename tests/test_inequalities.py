@@ -10,7 +10,8 @@ from quartpd.inequalities import (
     exact_spot_check,
     verify,
 )
-from quartpd.oracle import OracleConfig
+from quartpd.oracle import OracleConfig, classify_numeric
+from quartpd.verdict import Kind
 
 from conftest import rand_fraction, rand_vector
 
@@ -101,6 +102,15 @@ class TestVerify:
     def test_all_catalog_as_expected(self):
         for q in builtin_catalog():
             assert verify(q).as_expected, q.label
+
+    @pytest.mark.parametrize("q", builtin_catalog(), ids=lambda q: q.label)
+    def test_holds_follows_the_check_verdict(self, q):
+        # verify decides by the verdict check's oracle stage gives: strict
+        # entries need PD, non-strict ones anything but INDEFINITE, which
+        # only an exactly checked witness gives
+        kind = classify_numeric(q.to_tensor()).kind
+        want = kind is Kind.POSITIVE_DEFINITE if q.strict else kind is not Kind.INDEFINITE
+        assert verify(q).holds is want
 
 
 class TestProperties:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -482,39 +483,55 @@ class TestDimensions:
 
 
 class TestBeyondFloatRange:
-    """Exact stages take any rational; the float oracle cannot take an entry
-    a float cannot hold, and says so instead of crashing."""
+    """The oracle takes its kernel's scale from the exact entries, so it
+    decides a tensor beyond or below float range as it decides its
+    power-of-two multiples; only the values it reports saturate, to inf or
+    0.0."""
 
     HUGE = 10**400
 
-    def tensor_file(self, tmp_path):
-        # passes the prefilter, has no cyclic pattern: only the oracle is left
-        path = tmp_path / "huge.json"
-        entries = {(1, 1, 1, 1): self.HUGE, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1, (1, 1, 2, 3): 1}
+    def tensor_file(self, tmp_path, entries):
+        path = tmp_path / "t.json"
         path.write_text(json.dumps({
             "dim": 3, "entries": [{"index": list(i), "value": v} for i, v in entries.items()]
         }))
         return str(path)
 
-    def test_check_ends_undetermined(self, runner, tmp_path):
-        res = runner.invoke(main, ["check", self.tensor_file(tmp_path), "--json"])
+    @pytest.mark.parametrize("value, margin", [("1e400", math.inf), ("1e-400", 0.0)])
+    def test_scaled_sum_of_fourth_powers_is_positive_definite(self, runner, tmp_path, value, margin):
+        path = self.tensor_file(tmp_path, {(i, i, i, i): value for i in (1, 2, 3)})
+        for flags in ([], ["--oracle-only"]):
+            res = runner.invoke(main, ["check", path, "--json", *flags])
+            assert res.exit_code == 0
+            verdict = json.loads(res.output)["verdict"]
+            assert (verdict["kind"], verdict["rule"]) == ("positive-definite", "oracle-sphere-minimum")
+            assert verdict["margin"] == margin
+        assert runner.invoke(main, ["minimize", path]).exit_code == 0
+
+    def test_huge_indefinite_form_has_an_exact_witness(self, runner, tmp_path):
+        # 10^400 (x1^4 + x2^4 + x3^4 - 12 x1^2 x2 x3), -9 10^400 at (1, 1, 1)
+        entries = {(1, 1, 1, 1): self.HUGE, (2, 2, 2, 2): self.HUGE, (3, 3, 3, 3): self.HUGE,
+                   (1, 1, 2, 3): -self.HUGE}
+        path = self.tensor_file(tmp_path, entries)
+        for flags in ([], ["--oracle-only"]):
+            res = runner.invoke(main, ["check", path, "--json", *flags])
+            assert res.exit_code == 2
+            verdict = json.loads(res.output)["verdict"]
+            assert verdict["kind"] == "indefinite"
+            assert load(path).evaluate_form([Fraction(w) for w in verdict["witness"]]) < 0
+        assert runner.invoke(main, ["minimize", path]).exit_code == 0
+
+    def test_mixed_scales_end_at_the_boundary(self, runner, tmp_path):
+        # passes the prefilter, has no cyclic pattern: only the oracle is left,
+        # and at the kernel's scale, max|t| = 10^400, the entries 1 vanish
+        entries = {(1, 1, 1, 1): self.HUGE, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1, (1, 1, 2, 3): 1}
+        path = self.tensor_file(tmp_path, entries)
+        res = runner.invoke(main, ["check", path, "--json"])
         assert res.exit_code == 3
         doc = json.loads(res.output)
-        assert doc["verdict"]["kind"] == "undetermined"
         assert doc["trace"][-1]["stage"] == "oracle"
-        assert doc["trace"][-1]["rule"] == "oracle-skipped: t1111 is beyond float range"
-
-    def test_oracle_only_binary_ends_undetermined(self, runner):
-        res = runner.invoke(
-            main, ["check", "binary", "1", "0", str(self.HUGE), "0", "-1", "--oracle-only"]
-        )
-        assert res.exit_code == 3
-        assert "oracle-skipped: t1122 is beyond float range" in res.output
-
-    def test_minimize_is_an_input_error(self, runner, tmp_path):
-        res = runner.invoke(main, ["minimize", self.tensor_file(tmp_path)])
-        assert res.exit_code == 64
-        assert "input error: t1111 is beyond float range" in res.output
+        assert (doc["verdict"]["kind"], doc["trace"][-1]["rule"]) == ("undetermined", "oracle-boundary")
+        assert runner.invoke(main, ["minimize", path]).exit_code == 0
 
 
 def test_entries_near_float_range_check_without_warnings(runner, tmp_path):

@@ -43,7 +43,7 @@ def test_diag_ones_minimum():
     assert sorted(abs(v) for v in res.minimizer) == pytest.approx(
         [1 / math.sqrt(3)] * 3, abs=1e-6
     )
-    assert res.classification is Kind.POSITIVE_DEFINITE
+    assert res.verdict.kind is Kind.POSITIVE_DEFINITE
 
 
 def test_minimizer_contract():
@@ -60,7 +60,7 @@ def test_minimizer_contract():
 def test_boundary_tensor():
     res = sphere_minimize(BOUNDARY)
     assert abs(res.min_value) <= 1e-8
-    assert res.classification is Kind.UNDETERMINED
+    assert res.verdict.kind is Kind.UNDETERMINED
 
 
 def test_indefinite_witness_bound():
@@ -77,19 +77,39 @@ def test_classify_zero_tensor():
     v = classify_numeric(SymmetricTensor4(3, {}))
     assert v.kind is Kind.UNDETERMINED
     assert v.rule == "oracle-boundary"
-    assert v.positivity_witness is None
 
 
 def test_classify_indefinite_with_exact_witness():
     v = classify_numeric(INDEF)
     assert v.kind is Kind.INDEFINITE
     assert INDEF.evaluate_form(v.witness) < 0
-    assert v.positivity_witness is not None
+
+
+@pytest.mark.parametrize("T", [diag_ones(3), INDEF, BOUNDARY], ids=["PD", "INDEF", "BOUNDARY"])
+def test_classify_numeric_is_the_minimum_verdict(T):
+    res = sphere_minimize(T)
+    assert res.verdict == classify_numeric(T)
+    assert res.verdict.margin == res.min_value
+
+
+def test_every_indefinite_minimum_has_an_exact_witness():
+    rng = random.Random("one-rule")
+    tensors = [rand_tensor(rng, dim) for dim in (2, 3) for _ in range(15)]
+    tensors += [q.to_tensor() for q in builtin_catalog()]
+    indefinite = 0
+    for T in tensors:
+        v = sphere_minimize(T, OracleConfig(grid_points=2000)).verdict
+        if v.kind is Kind.INDEFINITE:
+            indefinite += 1
+            assert T.evaluate_form(v.witness) < 0
+        else:
+            assert v.witness is None
+    assert indefinite >= 10
 
 
 def test_classify_numeric_samples_once(monkeypatch):
-    # one kernel and one grid serve both the minimum and the positivity
-    # witness; the grid is cached, so a fresh (dim, grid, seed) builds it
+    # one kernel and one grid per call; the grid is cached, so a fresh
+    # (dim, grid, seed) builds it
     calls = {"kernel": 0, "grid": 0}
 
     def counted(name, fn):
@@ -100,11 +120,10 @@ def test_classify_numeric_samples_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "_kernel", counted("kernel", oracle._kernel))
     monkeypatch.setattr(oracle, "_grid", counted("grid", oracle._grid))
-    for T, seed, has_witness in ((SymmetricTensor4(3, {}), 90101, False), (INDEF, 90102, True)):
+    for T, seed in ((SymmetricTensor4(3, {}), 90101), (INDEF, 90102)):
         calls.update(kernel=0, grid=0)
-        v = classify_numeric(T, OracleConfig(grid_points=2999, seed=seed))
+        classify_numeric(T, OracleConfig(grid_points=2999, seed=seed))
         assert calls["kernel"] == 1 and calls["grid"] <= 1
-        assert (v.positivity_witness is not None) is has_witness
 
 
 def test_zero_set_empty_for_pd():
@@ -193,15 +212,20 @@ def test_refine_tolerance_is_relative_to_the_scale():
     assert abs(res.min_value - 1e-12 / 3) <= 1e-12 * 1e-12 / 3
 
 
-@pytest.mark.parametrize("e", [-1000, -600, 40, 600, 900])
+@pytest.mark.parametrize("e", [-1500, -1000, -600, 40, 600, 900, 1500])
 def test_power_of_two_scales_run_the_same_refine(e):
     # the kernel's power-of-two shift is exact: the refine takes the scale-1
-    # iterates to the bit, with no underflow or overflow at either end
+    # iterates to the bit, with no underflow or overflow at either end, and
+    # beyond float range too, where only the minimum returned saturates
     base = sphere_minimize(diag_ones(3))
     res = sphere_minimize(diag_ones(3).scale(Fraction(2) ** e))
-    assert res.min_value == math.ldexp(base.min_value, e)
+    if e < 1024:
+        assert res.min_value == math.ldexp(base.min_value, e)  # 0.0 at 2^-1500
+    else:
+        assert res.min_value == math.inf  # where math.ldexp raises
     assert res.minimizer == base.minimizer
     assert res.iterations_used == base.iterations_used
+    assert (res.verdict.kind, res.verdict.rule) == (base.verdict.kind, base.verdict.rule)
 
 
 @pytest.mark.parametrize("T, kind", [
@@ -209,13 +233,19 @@ def test_power_of_two_scales_run_the_same_refine(e):
     pytest.param(SADDLES, Kind.POSITIVE_DEFINITE, id="SADDLES"),
 ])
 def test_power_of_two_scales_give_the_same_verdict(T, kind):
-    base = classify_numeric(T)
+    base_res = sphere_minimize(T)
+    base = base_res.verdict
     assert base.kind is kind
-    for e in (-700, -30, 30, 700):
-        v = classify_numeric(T.scale(Fraction(2) ** e))
+    for e in (-1500, -700, -30, 30, 700, 1500):
+        res = sphere_minimize(T.scale(Fraction(2) ** e))
+        v = res.verdict
         assert (v.kind, v.rule, v.witness) == (base.kind, base.rule, base.witness), e
-        assert v.positivity_witness == base.positivity_witness, e
-        assert v.margin == math.ldexp(base.margin, e), e
+        assert res.minimizer == base_res.minimizer, e
+        assert res.iterations_used == base_res.iterations_used, e
+        if abs(e) < 1024:
+            assert v.margin == math.ldexp(base.margin, e), e
+        else:  # beyond float range the margin saturates
+            assert v.margin == (math.copysign(math.inf, base.margin) if e > 0 else 0.0), e
 
 
 @pytest.mark.parametrize("k", [10, 12])
@@ -486,7 +516,7 @@ def test_saddle_rows_leave_their_saddles():
     # steps; the gradient fallback ran them to the 500-iteration cap
     res = sphere_minimize(SADDLES)
     assert res.iterations_used <= 30
-    assert res.classification is Kind.POSITIVE_DEFINITE
+    assert res.verdict.kind is Kind.POSITIVE_DEFINITE
     assert res.min_value <= 0.04999998426763269 + 1e-12
 
 
@@ -671,18 +701,29 @@ def test_kernel_matches_dense_reference(dim, scale):
         assert np.array_equal(K.hessian, hessian)
 
 
-@pytest.mark.parametrize("order", [1, -1])
-def test_kernel_names_the_first_entry_beyond_float_range(order):
-    # the first huge entry in T.entries() order, not in index order
-    entries = [((2, 3, 3, 3), 1), ((3, 2, 2, 2), -(10**400)), ((1, 1, 1, 1), 10**400),
-               ((1, 2, 2, 3), 10**500), ((2, 2, 3, 3), "1/3")]
-    T = SymmetricTensor4(3, dict(entries[::order]))
-    with pytest.raises(OverflowError) as want:
-        dense_reference(T)
-    with pytest.raises(OverflowError) as got:
-        oracle._kernel(T)
-    first = "t2223" if order == 1 else "t1223"
-    assert str(got.value) == str(want.value) == f"{first} is beyond float range"
+@pytest.mark.parametrize("k", [-1500, 1500])
+def test_kernel_scale_is_exact_beyond_float_range(k):
+    # the shift, floor(log2 max|t|), comes from the exact entries, and each
+    # coefficient from one rounding of t / 2^shift: 2^k T, whose entries no
+    # float holds, has T's coefficients to the bit and T's shift plus k
+    rng = random.Random(f"beyond:{k}")
+    tensors = [diag_ones(2), *(rand_tensor(rng, dim) for dim in (2, 3, 3))]
+    tensors += [q.to_tensor() for q in builtin_catalog() if q.label in ("19-14-14", "41/3u")]
+    for T in tensors:
+        K, Kk = oracle._kernel(T), oracle._kernel(T.scale(Fraction(2) ** k))
+        top = max(abs(v) for v in T.entries().values())
+        assert Fraction(2) ** K.shift <= top < Fraction(2) ** (K.shift + 1)
+        assert Kk.shift == K.shift + k
+        assert np.array_equal(Kk.gram, K.gram) and np.array_equal(Kk.hessian, K.hessian)
+    assert oracle._kernel(SymmetricTensor4(3, {})).shift == -1  # frexp(0.0)[1] - 1
+
+
+def test_floor_log2_at_powers_of_two():
+    for e in (-70, -1, 0, 1, 70):
+        for r in (Fraction(2) ** e, Fraction(2) ** e * Fraction(99, 100), Fraction(2) ** e * Fraction(3, 2)):
+            for q in (r, -r):
+                want = e - (abs(q) < Fraction(2) ** e)
+                assert oracle._floor_log2(q.numerator, q.denominator) == want, q
 
 
 @pytest.mark.parametrize("dim", [2, 3])

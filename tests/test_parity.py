@@ -27,13 +27,13 @@ def parity():
     return module
 
 
-def record(margin=0.5, witness=(0.6, 0.8), stages=("prefilter", "oracle"), code=0, key=KEY):
+def record(margin=0.5, minimizer=(0.6, 0.8), stages=("prefilter", "oracle"), code=0, key=KEY):
     report = {
         "trace": [{"stage": s, "kind": "positive-definite"} for s in stages],
         "verdict": {
             "kind": "positive-definite",
             "margin": margin,
-            "positivity_witness": list(witness),
+            "minimizer": list(minimizer),
         },
     }
     return {key: [code, json.dumps(report, indent=2, sort_keys=True), ""]}
@@ -60,8 +60,8 @@ def test_margin_tolerance_shrinks_below_scale_one(parity, capsys):
     assert "tolerance 1e-15" in capsys.readouterr().out
 
 
-def test_positivity_witness_is_only_counted(parity, capsys):
-    assert parity.compare(record(), record(witness=(0.8, 0.6))) == 0
+def test_minimizer_is_only_counted(parity, capsys):
+    assert parity.compare(record(), record(minimizer=(0.8, 0.6))) == 0
     assert "point floats differing: 2 (not failing)" in capsys.readouterr().out
 
 

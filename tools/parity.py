@@ -22,11 +22,11 @@ fails on a differing input set, exit code, stderr, or any field of a JSON
 report other than a float, and on a value float (``margin``,
 ``sphere_min``, ``min_value``) that differs by more than 1e-12 times max |t|
 of the input's tensor, the scale at which the oracle computes.  Point
-floats (``minimizer``, ``min_point``, ``equality_points``,
-``positivity_witness``, ``zero_set``) may move to another of several tied
-minima, so their differences are counted and reported but do not fail the
-compare; any other float must be equal.  It prints a summary
-and exits 0 when the files agree, 1 when they do not.
+floats (``minimizer``, ``min_point``, ``equality_points``, ``zero_set``)
+may move to another of several tied minima, so their differences are
+counted and reported but do not fail the compare; any other float must be
+equal.  It prints a summary and exits 0 when the files agree, 1 when they
+do not.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from quartpd.cli import main as cli_main  # noqa: E402
 WORKLOADS = ("binary-mix", "ternary-oracle", "catalog")
 
 VALUE_FLOATS = ("margin", "sphere_min", "min_value")
-POINT_FLOATS = ("minimizer", "min_point", "equality_points", "positivity_witness", "zero_set")
+POINT_FLOATS = ("minimizer", "min_point", "equality_points", "zero_set")
 
 
 def _run(argv):
