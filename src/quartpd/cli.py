@@ -8,6 +8,9 @@ option's value is the next token whatever it starts with.  Every token
 that does not start with ``--`` is an input, so negative numbers and
 fractions such as ``-1/2`` need no quoting, and every token after ``--``
 is an input.  ``--help`` prints the commands, or a command's flags.
+``--json`` reports are strict RFC 8259 JSON: a value beyond float range,
+which JSON has no number for, is written as the string ``"inf"`` or
+``"-inf"``.
 
 Exit codes: 0 positive definite, 1 positive semidefinite, not definite,
 2 indefinite, 3 undetermined, 64 input error (also a bad option or usage,
@@ -18,6 +21,7 @@ reported in one line), 130 interrupted (Ctrl-C).
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Sequence
@@ -55,9 +59,30 @@ def _parse_inputs(inputs: List[str]):
         _input_error(exc)
 
 
+def _strict(value):
+    """``value`` with each float outside float range (or NaN) replaced by
+    its name, ``"inf"``, ``"-inf"`` or ``"nan"``, which RFC 8259 JSON can
+    hold where it has no number for them."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def _print_json(report: dict) -> None:
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # inf or NaN, which JSON has no number for: rare, so not looked for first
+        text = json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False)
+    print(text)
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json(report)
         return
     v = report["verdict"]
     for step in report["trace"]:
@@ -100,7 +125,7 @@ def _minimize(inputs, cfg, as_json=False) -> NoReturn:
         "timings": {"total_s": elapsed},
     }
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json(report)
     else:
         print(f"min {res.min_value:.6f} at ({', '.join(f'{v:.6f}' for v in res.minimizer)})")
         if degenerate:
@@ -123,7 +148,7 @@ def _inequalities(inputs, cfg, as_json=False, only=None) -> NoReturn:
     reports = [verify(ineq, cfg).to_dict() for ineq in catalog]
     ok = all(r["as_expected"] for r in reports)
     if as_json:
-        print(json.dumps({"schema": 1, "ok": ok, "reports": reports}, indent=2, sort_keys=True))
+        _print_json({"schema": 1, "ok": ok, "reports": reports})
     else:
         for r in reports:
             status = "HOLDS" if r["holds"] else "FAILS"

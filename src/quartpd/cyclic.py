@@ -14,6 +14,13 @@ the analytically settled cases: the -7/12 boundary, the PD interval
 necessity bound below -7/12.  Everything outside the settled cases defers
 to the numeric oracle.
 
+-5/36 is the settled endpoint of the interval, not the sharp one: with
+b = -1, c = 1 and d = 1 the form stays PD a little beyond it.  The PD
+endpoint lies in (-0.1385, -0.138): an exact Bernstein-subdivision check,
+not part of this package, certifies e = -277/2000 PD, and at e = -69/500
+the form is -16815/268435456 at (1, 7/32, -31/128).  Forms with e
+between -5/36 and that endpoint end ``outside-settled-family``.
+
 A relaxed variant allows the three e-slots to differ; it is PD whenever
 all three lie in (-7/12, -5/18] or all three lie in [-5/18, -1/6].
 

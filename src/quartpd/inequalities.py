@@ -9,25 +9,32 @@ with rational weights.  Uniform weight c means w1 = w2 = w3 = c.  The
 "exchanged" variant swaps each cubic monomial with its mirror
 (x1^3*x2 <-> x1*x2^3 and so on) simultaneously.
 
-Entries are verified, not proven: the oracle's verdict on the sphere
-minimum, by the rule ``check`` applies, decides whether an entry holds
-(strict entries need positive definite, non-strict ones anything but
-indefinite).  An indefinite verdict rests on an exactly checked witness,
-a positive definite one on the float minimum and its margin.  Every named
-counterexample point is certified in exact rational arithmetic and its
-exact value is carried in the report.
+Each entry is decided by the pipeline's stages, as ``check`` decides its
+tensor: the exact prefilter, then the cyclic family rules, and where no
+exact stage decides, the oracle's verdict on the sphere minimum.  A strict
+entry holds when the final verdict is positive definite, a non-strict one
+when it is positive definite or semidefinite.  So an entry is exact unless
+the oracle decided it: an oracle INDEFINITE rests on an exactly checked
+witness, an oracle PD on the float minimum and its margin.  Each report
+names the deciding stage and its verdict.  The sphere minimum is reported
+for every entry, and the zero set is probed where the final verdict is
+semidefinite or undetermined.  Every named counterexample point is
+certified in exact rational arithmetic and its exact value is carried in
+the report.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .cyclic import RelaxedCyclicTernary, embed
 from .oracle import OracleConfig, sphere_minimize, zero_set_probe
+from .pipeline import decide, exact_stages
 from .tensor import SymmetricTensor4
-from .verdict import Kind, as_fraction, as_fraction_vector
+from .verdict import Kind, Verdict, as_fraction, as_fraction_vector
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,8 @@ class InequalityReport:
     holds: bool
     expected_fail: bool
     as_expected: bool
+    stage: Optional[str]  # the deciding stage, None when no stage decides
+    verdict: Verdict  # the final verdict, the deciding stage's
     exact_counterexample_value: Optional[Fraction] = None  # P at the fail point
 
     def to_dict(self) -> dict:
@@ -107,6 +116,8 @@ class InequalityReport:
             "holds": self.holds,
             "expected_fail": self.expected_fail,
             "as_expected": self.as_expected,
+            "stage": self.stage,
+            "verdict": self.verdict.to_dict(),
         }
         if self.exact_counterexample_value is not None:
             d["exact_counterexample_value"] = str(self.exact_counterexample_value)
@@ -117,34 +128,33 @@ _FAIL_POINT_A = (Fraction(-6, 5), Fraction(5), Fraction(1))  # (-1.2, 5, 1)
 _FAIL_POINT_B = (Fraction(-47, 5), Fraction(-2), Fraction(23, 10))  # (-9.4, -2, 2.3)
 
 
+_CATALOG: Tuple[WeightedInequality, ...] = (
+    WeightedInequality.uniform(19, strict=False),
+    WeightedInequality.uniform(14, strict=True),
+    WeightedInequality.uniform(15, strict=True),
+    WeightedInequality.uniform(16, strict=True),
+    WeightedInequality.uniform(17, strict=True),
+    WeightedInequality.uniform(18, strict=True),
+    WeightedInequality.uniform(Fraction(41, 3), strict=True),
+    WeightedInequality.triple(19, 17, 15),
+    WeightedInequality.triple(19, 16, 15),
+    WeightedInequality.triple(15, 14, 14),
+    WeightedInequality.triple(15, 16, 14),
+    WeightedInequality.triple(17, 15, 18),
+    WeightedInequality.triple(Fraction(46, 3), 14, 14),
+    *(
+        WeightedInequality.triple(w1, 14, 14, expected_fail=True, fail_point=_FAIL_POINT_A)
+        for w1 in (19, 18, 17, 16)
+    ),
+    WeightedInequality.triple(
+        Fraction(41, 3), 15, 15, expected_fail=True, fail_point=_FAIL_POINT_B
+    ),
+)
+
+
 def builtin_catalog() -> List[WeightedInequality]:
-    cat: List[WeightedInequality] = [
-        WeightedInequality.uniform(19, strict=False),
-        WeightedInequality.uniform(14, strict=True),
-        WeightedInequality.uniform(15, strict=True),
-        WeightedInequality.uniform(16, strict=True),
-        WeightedInequality.uniform(17, strict=True),
-        WeightedInequality.uniform(18, strict=True),
-        WeightedInequality.uniform(Fraction(41, 3), strict=True),
-        WeightedInequality.triple(19, 17, 15),
-        WeightedInequality.triple(19, 16, 15),
-        WeightedInequality.triple(15, 14, 14),
-        WeightedInequality.triple(15, 16, 14),
-        WeightedInequality.triple(17, 15, 18),
-        WeightedInequality.triple(Fraction(46, 3), 14, 14),
-    ]
-    for w1 in (19, 18, 17, 16):
-        cat.append(
-            WeightedInequality.triple(
-                w1, 14, 14, expected_fail=True, fail_point=_FAIL_POINT_A
-            )
-        )
-    cat.append(
-        WeightedInequality.triple(
-            Fraction(41, 3), 15, 15, expected_fail=True, fail_point=_FAIL_POINT_B
-        )
-    )
-    return cat
+    """The catalog's entries, built once at import; they are frozen."""
+    return list(_CATALOG)
 
 
 def exact_spot_check(ineq: WeightedInequality, x: Sequence) -> Fraction:
@@ -155,16 +165,19 @@ def exact_spot_check(ineq: WeightedInequality, x: Sequence) -> Fraction:
 def verify(ineq: WeightedInequality, cfg: OracleConfig = OracleConfig()) -> InequalityReport:
     T = ineq.to_tensor()
     res = sphere_minimize(T, cfg)
-    kind = res.verdict.kind
-    # a minimum inside the margin is the boundary case: look for its zeros
-    equality_points = zero_set_probe(T, cfg) if kind is Kind.UNDETERMINED else []
+    # the exact stages decide first; the oracle stage's verdict is the minimum's
+    decision = decide(itertools.chain(exact_stages(T), [("oracle", res.verdict)]))
+    kind = decision.verdict.kind
+    # a semidefinite or undecided form may touch zero: look for its zeros
+    boundary = kind in (Kind.PSD_NOT_PD, Kind.UNDETERMINED)
+    equality_points = zero_set_probe(T, cfg) if boundary else []
     if ineq.strict:
         holds = kind is Kind.POSITIVE_DEFINITE
     else:
-        holds = kind is not Kind.INDEFINITE
+        holds = kind in (Kind.POSITIVE_DEFINITE, Kind.PSD_NOT_PD)
     exact = None
     if ineq.expected_fail and ineq.fail_point is not None:
-        # the float verdict must be backed by the exact counterexample
+        # the verdict must be backed by the exact counterexample
         exact = exact_spot_check(ineq, ineq.fail_point)
         holds = holds and not exact < 0
     as_expected = holds != ineq.expected_fail
@@ -176,5 +189,7 @@ def verify(ineq: WeightedInequality, cfg: OracleConfig = OracleConfig()) -> Ineq
         holds=holds,
         expected_fail=ineq.expected_fail,
         as_expected=as_expected,
+        stage=decision.stage,
+        verdict=decision.verdict,
         exact_counterexample_value=exact,
     )

@@ -1,7 +1,8 @@
 """Classification as a staged pipeline: an exact necessary-condition
 prefilter, then family rules for cyclic patterns, then the exact binary
-criterion, and finally the numeric sphere oracle.  The final verdict is
-the first decisive stage's verdict.
+criterion, and finally the numeric sphere oracle.  The stages run in that
+order up to the first decisive one, whose verdict is final (``decide``);
+``classify`` and the inequality harness both decide that way.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 # CPython's built-in digest, as its own ``random`` takes sha512:
 # ``import hashlib`` loads OpenSSL, several megabytes for one digest a call.
@@ -80,54 +81,86 @@ def _stage_family(T: SymmetricTensor4) -> Verdict:
     return classifier(ct).verdict
 
 
+Stage = Tuple[str, Verdict]  # a stage's name and its verdict
+
+
+class Decision(NamedTuple):
+    trace: List[Stage]  # every stage run, in order; a decisive one ends it
+    stage: Optional[str]  # the deciding stage, None when no stage decides
+    verdict: Verdict  # its verdict, else undetermined ``no-decisive-stage``
+
+
+def decide(stages: Iterable[Stage]) -> Decision:
+    """Run ``stages``, computed lazily in pipeline order, up to the first
+    decisive one: the one place where a stage's verdict becomes final."""
+    trace: List[Stage] = []
+    for stage, verdict in stages:
+        trace.append((stage, verdict))
+        if verdict.kind is not Kind.UNDETERMINED:
+            return Decision(trace, stage, verdict)
+    return Decision(trace, None, Verdict(Kind.UNDETERMINED, "no-decisive-stage"))
+
+
+def exact_stages(T: SymmetricTensor4) -> Iterator[Stage]:
+    """The exact stages on T, each computed when the one before it is
+    consumed: the prefilter, which decides dim 1 outright, then the family
+    rules for dim 3 or the exact binary criterion for dim 2."""
+    verdict, binaries = _stage_prefilter(T)
+    yield "prefilter", verdict
+    if T.dim == 3:
+        yield "family", _stage_family(T)
+    elif T.dim == 2:
+        # the exact binary criterion, already run on the (1,2) binary
+        yield "analytic", binaries[(1, 2)]
+
+
+def run_stages(
+    T: SymmetricTensor4,
+    cfg: OracleConfig = OracleConfig(),
+    oracle_only: bool = False,
+    analytic_only: bool = False,
+) -> Tuple[Decision, Dict[str, float]]:
+    """The pipeline's decision on a tensor, and the wall time of the exact
+    stages (``analytic_s``) and of the oracle (``oracle_s``), each when it
+    ran.  The oracle covers dims 2 and 3 only, so dim >= 4 can end
+    undetermined.  ``oracle_only`` and ``analytic_only`` each skip the
+    other stages; setting both raises ``ValueError``, since no stage would
+    run."""
+    if oracle_only and analytic_only:
+        raise ValueError("oracle_only and analytic_only exclude each other")
+    timings: Dict[str, float] = {}
+
+    def stages() -> Iterator[Stage]:
+        if not oracle_only:
+            t0 = time.perf_counter()
+            for stage in exact_stages(T):
+                timings["analytic_s"] = time.perf_counter() - t0
+                yield stage
+        if not analytic_only and T.dim in ORACLE_DIMS:
+            t0 = time.perf_counter()
+            verdict = classify_numeric(T, cfg)
+            timings["oracle_s"] = time.perf_counter() - t0
+            yield "oracle", verdict
+
+    return decide(stages()), timings
+
+
 def classify(
     parsed: ParsedInput,
     cfg: OracleConfig = OracleConfig(),
     oracle_only: bool = False,
     analytic_only: bool = False,
 ) -> dict:
-    """Run the pipeline on a parsed input and return the schema-1 report:
-    the input and its digest, one trace entry per stage run, the final
-    verdict and stage timings.  The prefilter decides dim 1 outright; the
-    oracle covers dims 2 and 3 only, so dim >= 4 can end undetermined.
-    ``oracle_only`` and ``analytic_only`` each skip the other stages;
-    setting both raises ``ValueError``, since no stage would run."""
-    if oracle_only and analytic_only:
-        raise ValueError("oracle_only and analytic_only exclude each other")
-    T = to_tensor(parsed)
+    """``run_stages`` on a parsed input, as the schema-1 report: the input
+    and its digest, one trace entry per stage run, the final verdict and
+    the stage timings."""
+    decision, timings = run_stages(to_tensor(parsed), cfg, oracle_only, analytic_only)
     desc = describe(parsed)
-    digest = sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()
-    trace: List[dict] = []
-    final: Optional[Verdict] = None
-    timings = {}
-
-    def record(stage: str, verdict: Verdict):
-        nonlocal final
-        trace.append({"stage": stage, **verdict.to_dict()})
-        if final is None and verdict.kind is not Kind.UNDETERMINED:
-            final = verdict
-
-    if not oracle_only:
-        t0 = time.perf_counter()
-        verdict, binaries = _stage_prefilter(T)
-        record("prefilter", verdict)
-        if final is None and T.dim == 3:
-            record("family", _stage_family(T))
-        if final is None and T.dim == 2:
-            # the exact binary criterion, already run on the (1,2) binary
-            record("analytic", binaries[(1, 2)])
-        timings["analytic_s"] = time.perf_counter() - t0
-    if final is None and not analytic_only and T.dim in ORACLE_DIMS:
-        t0 = time.perf_counter()
-        record("oracle", classify_numeric(T, cfg))
-        timings["oracle_s"] = time.perf_counter() - t0
-    if final is None:
-        final = Verdict(Kind.UNDETERMINED, "no-decisive-stage")
     return {
         "schema": 1,
         "input": desc,
-        "digest": digest,
-        "trace": trace,
-        "verdict": final.to_dict(),
+        "digest": sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest(),
+        "trace": [{"stage": stage, **verdict.to_dict()} for stage, verdict in decision.trace],
+        "verdict": decision.verdict.to_dict(),
         "timings": timings,
     }

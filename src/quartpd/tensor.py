@@ -19,6 +19,8 @@ Index4 = Tuple[int, int, int, int]
 
 _FOUR_FACTORIAL = 24
 
+_ZERO = Fraction(0)  # what a missing slot reads; Fractions are immutable, so one serves all
+
 
 def canonical_index(idx: Sequence[int]) -> Index4:
     if len(idx) != 4:
@@ -65,7 +67,7 @@ class SymmetricTensor4:
         self._entries = canon
 
     def __getitem__(self, idx: Sequence[int]) -> Fraction:
-        return self._entries.get(canonical_index(idx), Fraction(0))
+        return self._entries.get(canonical_index(idx), _ZERO)
 
     def entries(self) -> Dict[Index4, Fraction]:
         return dict(self._entries)

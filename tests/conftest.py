@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -66,6 +67,16 @@ def rand_tensor(rng: random.Random, n: int, **kw) -> SymmetricTensor4:
     for idx in itertools.combinations_with_replacement(range(1, n + 1), 4):
         entries[idx] = rand_fraction(rng, **kw)
     return SymmetricTensor4(n, entries)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses the ``Infinity``, ``-Infinity`` and
+    ``NaN`` tokens Python writes by default, as RFC 8259 parsers do."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 @pytest.fixture

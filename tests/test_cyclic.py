@@ -133,6 +133,14 @@ class TestClassifyCyclic:
             classify_cyclic(ct(1, 1, 1, 1, "-1/6")).verdict.kind is Kind.UNDETERMINED
         )
 
+    def test_settled_endpoint_is_not_sharp(self):
+        # -69/500 lies just past -5/36 = -0.13888...: outside the settled
+        # interval, and indefinite there, at an exact rational point
+        c = ct(1, -1, 1, 1, "-69/500")
+        assert classify_cyclic(c).verdict.rule == "outside-settled-family"
+        x = (1, Fraction(7, 32), Fraction(-31, 128))
+        assert embed(c).evaluate_form(x) == Fraction(-16815, 268435456)
+
     def test_pattern_mismatch(self):
         # |b| != a and |c| != a are outside the family's hypotheses
         for args in [(2, -1, 1, 1, 0), (1, "1/2", 1, 1, 0)]:

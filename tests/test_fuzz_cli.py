@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from quartpd.cli import main
 
+from conftest import strict_json
+
 # json.dumps cannot write an integer beyond the int-string digit limit, so a
 # placeholder string stands for one and is spelled out after dumping
 _LONG = "@long-integer@"
@@ -89,4 +91,4 @@ def test_parse_check_ends_in_a_defined_exit_code(tmp_path, runner, doc):
     if res.exit_code == 64:
         assert res.output.startswith("input error:") and res.output.count("\n") == 1
     else:
-        assert json.loads(res.output)["verdict"]["kind"]
+        assert strict_json(res.output)["verdict"]["kind"]

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+import quartpd
+from quartpd import oracle
 from quartpd.inequalities import (
     WeightedInequality,
     builtin_catalog,
     exact_spot_check,
     verify,
 )
-from quartpd.oracle import OracleConfig, classify_numeric
+from quartpd.oracle import OracleConfig
 from quartpd.verdict import Kind
 
 from conftest import rand_fraction, rand_vector
@@ -105,12 +107,47 @@ class TestVerify:
 
     @pytest.mark.parametrize("q", builtin_catalog(), ids=lambda q: q.label)
     def test_holds_follows_the_check_verdict(self, q):
-        # verify decides by the verdict check's oracle stage gives: strict
-        # entries need PD, non-strict ones anything but INDEFINITE, which
-        # only an exactly checked witness gives
-        kind = classify_numeric(q.to_tensor()).kind
-        want = kind is Kind.POSITIVE_DEFINITE if q.strict else kind is not Kind.INDEFINITE
+        # verify decides by the verdict check gives: strict entries need
+        # PD, non-strict ones PD or PSD-not-PD
+        kind = Kind(quartpd.classify(q.to_tensor())["verdict"]["kind"])
+        if q.strict:
+            want = kind is Kind.POSITIVE_DEFINITE
+        else:
+            want = kind in (Kind.POSITIVE_DEFINITE, Kind.PSD_NOT_PD)
         assert verify(q).holds is want
+
+    def test_entries_are_decided_by_the_pipeline_stages(self):
+        # the family rules decide 10 entries exactly, the oracle the other 8
+        family = {"14u", "15u", "16u", "17u", "18u", "41/3u", "15-14-14", "17-15-18", "46/3-14-14", "19u"}
+        for q in builtin_catalog():
+            report = quartpd.classify(q.to_tensor())
+            d = verify(q).to_dict()
+            assert d["stage"] == report["trace"][-1]["stage"], q.label
+            assert d["verdict"] == report["verdict"], q.label
+            assert d["stage"] == ("family" if q.label in family else "oracle"), q.label
+            if d["stage"] == "family" and q.label != "19u":
+                assert d["verdict"]["kind"] == "positive-definite", q.label
+        boundary = verify(by_label("19u"))
+        assert (boundary.verdict.kind, boundary.verdict.rule) == (Kind.PSD_NOT_PD, "boundary-alternating-signs")
+        assert boundary.verdict.witness == (1, 1, 1)
+
+    def test_one_oracle_sample_per_entry(self, monkeypatch):
+        # the oracle stage's verdict is the sphere minimum's: one kernel per
+        # entry, and one more on 19u for its zero-set probe
+        calls = 0
+        kernel = oracle._kernel
+
+        def counted(T):
+            nonlocal calls
+            calls += 1
+            return kernel(T)
+
+        monkeypatch.setattr(oracle, "_kernel", counted)
+        cfg = OracleConfig(grid_points=500)
+        for q in builtin_catalog():
+            calls = 0
+            verify(q, cfg)
+            assert calls == (2 if q.label == "19u" else 1), q.label
 
 
 class TestProperties:

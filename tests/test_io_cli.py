@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -18,6 +17,8 @@ from quartpd.oracle import OracleConfig
 from quartpd.tensor import SymmetricTensor4
 from quartpd.tensorio import InputError, load, parse_document, parse_shorthand, to_tensor
 from quartpd.verdict import Kind, as_fraction
+
+from conftest import strict_json
 
 
 _SRC = str(Path(quartpd.__file__).parents[1])
@@ -497,16 +498,27 @@ class TestBeyondFloatRange:
         }))
         return str(path)
 
-    @pytest.mark.parametrize("value, margin", [("1e400", math.inf), ("1e-400", 0.0)])
+    # a margin beyond float range is written as the string "inf", since
+    # RFC 8259 JSON has no number for it
+    @pytest.mark.parametrize("value, margin", [("1e400", "inf"), ("1e-400", 0.0)])
     def test_scaled_sum_of_fourth_powers_is_positive_definite(self, runner, tmp_path, value, margin):
         path = self.tensor_file(tmp_path, {(i, i, i, i): value for i in (1, 2, 3)})
         for flags in ([], ["--oracle-only"]):
             res = runner.invoke(main, ["check", path, "--json", *flags])
             assert res.exit_code == 0
-            verdict = json.loads(res.output)["verdict"]
+            verdict = strict_json(res.output)["verdict"]
             assert (verdict["kind"], verdict["rule"]) == ("positive-definite", "oracle-sphere-minimum")
             assert verdict["margin"] == margin
         assert runner.invoke(main, ["minimize", path]).exit_code == 0
+
+    @pytest.mark.parametrize("value, minimum", [("1e400", "inf"), ("-1e400", "-inf"), ("1e-400", 0.0)])
+    def test_json_reports_are_strict_beyond_float_range(self, runner, tmp_path, value, minimum):
+        path = self.tensor_file(tmp_path, {(i, i, i, i): value for i in (1, 2, 3)})
+        res = runner.invoke(main, ["check", path, "--json", "--oracle-only"])
+        assert strict_json(res.output)["verdict"]["margin"] == minimum
+        res = runner.invoke(main, ["minimize", path, "--json"])
+        assert res.exit_code == 0
+        assert strict_json(res.output)["min_value"] == minimum
 
     def test_huge_indefinite_form_has_an_exact_witness(self, runner, tmp_path):
         # 10^400 (x1^4 + x2^4 + x3^4 - 12 x1^2 x2 x3), -9 10^400 at (1, 1, 1)
