@@ -11,7 +11,8 @@ with rational weights.  Uniform weight c means w1 = w2 = w3 = c.  The
 
 Each entry is decided by the pipeline's stages, as ``check`` decides its
 tensor: the exact prefilter, then the cyclic family rules, and where no
-exact stage decides, the oracle's verdict on the sphere minimum.  A strict
+exact stage decides, the oracle's verdict: an exact witness at its best
+grid point, or else the verdict of the sphere minimum.  A strict
 entry holds when the final verdict is positive definite, a non-strict one
 when it is positive definite or semidefinite.  So an entry is exact unless
 the oracle decided it: an oracle INDEFINITE rests on an exactly checked
@@ -25,14 +26,13 @@ the report.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .cyclic import RelaxedCyclicTernary, embed
-from .oracle import OracleConfig, sphere_minimize, zero_set_probe
-from .pipeline import decide, exact_stages
+from .oracle import OracleConfig, sample_verdict, sphere_minimize, sphere_sample, zero_set_probe
+from .pipeline import Stage, decide, exact_stages
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict, as_fraction, as_fraction_vector
 
@@ -164,9 +164,16 @@ def exact_spot_check(ineq: WeightedInequality, x: Sequence) -> Fraction:
 
 def verify(ineq: WeightedInequality, cfg: OracleConfig = OracleConfig()) -> InequalityReport:
     T = ineq.to_tensor()
-    res = sphere_minimize(T, cfg)
-    # the exact stages decide first; the oracle stage's verdict is the minimum's
-    decision = decide(itertools.chain(exact_stages(T), [("oracle", res.verdict)]))
+    sample = sphere_sample(T, cfg)
+    res = sphere_minimize(T, cfg, sample)
+
+    def stages() -> Iterator[Stage]:
+        # the exact stages decide first; the oracle's verdict is built only
+        # where they leave the entry undetermined
+        yield from exact_stages(T)
+        yield "oracle", sample_verdict(T, sample, cfg, res)
+
+    decision = decide(stages())
     kind = decision.verdict.kind
     # a semidefinite or undecided form may touch zero: look for its zeros
     boundary = kind in (Kind.PSD_NOT_PD, Kind.UNDETERMINED)

@@ -44,10 +44,11 @@ forms the refine holds at both points: T is symmetric, so
 Ty^4 - Tx^4 = d . (Tx^3 + Ty^3 + (Tx^2) y + (Ty^2) x).  It keeps its
 digits down to the smallest step the backtracking tries.
 
-Each call samples once: ``_sample`` reads the kernel, the form's
-coefficients, off T's stored entries and takes the form's values on the
-grid; ``sphere_minimize`` refines the best of them into its minimum and
-verdict, and ``classify_numeric`` returns that verdict.
+Each decision samples once: ``sphere_sample`` reads the kernel, the
+form's coefficients, off T's stored entries and takes the form's values on
+the grid; ``sphere_minimize`` refines the best of them into the minimum,
+and ``sample_verdict`` turns the sample, refined only where it has to be,
+into the verdict that ``classify_numeric`` returns.
 The form is evaluated through its monomials.  A quartic form is a quadratic
 form in its quadratic monomials, Tx^4 = q^T S q with q = (x_i x_j)_{i <= j}
 (the Gram representation of Choi, Lam and Reznick), so the grid values
@@ -62,8 +63,9 @@ share its pass only if every row of these contractions (and of
 ``einsum`` on C-contiguous operands gives that, while a BLAS ``@`` takes
 another kernel for a one-row batch and changes the last bits, and
 ``einsum`` sums the rows of a column-major operand in another order.  The
-grid values only rank grid points (the starting points), so they use
-``@``.
+grid values only rank grid points (the starting points), point to the
+grid witness, which is checked exactly, and give that verdict's margin, a
+float like any other; so they use ``@``.
 
 The kernel holds T / 2^shift with shift = floor(log2 max |t|), read off
 the bit lengths of the entries' numerators and denominators, and each
@@ -80,11 +82,16 @@ of |t| over all index orders (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., 2002, sec. 3.1): about 3e-13 of max |t|, far below
 the default margin of 1e-8 of it.
 
-``_minimum`` is the one place where a sphere minimum becomes a verdict.
+``sample_verdict`` is the one place where a sample becomes a verdict.
 INDEFINITE rests only on an exactly checked witness, which it looks for
-at any negative refined minimum, inside the margin too; a minimum above
-the classification margin is POSITIVE_DEFINITE, and every other one is
-UNDETERMINED (the boundary case), left to the exact analytic modules.
+first at the best grid point: where that point's rational rounding is
+negative in exact arithmetic, the verdict is INDEFINITE by rule
+``oracle-grid-witness``, its margin is the sampled minimum, and the refine
+does not run.  Otherwise the rule reads the refined minimum
+(``oracle-sphere-minimum``): a witness at any negative minimum, inside the
+margin too, is INDEFINITE; a minimum above the classification margin is
+POSITIVE_DEFINITE, and every other one is UNDETERMINED (``oracle-boundary``),
+left to the exact analytic modules; the margin is the refined minimum.
 
 ``zero_set_probe`` refines the max(200, refine_top_k) grid points of
 smallest |Tx^4| and keeps those whose refined value lies inside the
@@ -166,8 +173,10 @@ class OracleConfig:
 class OracleResult:
     min_value: float
     minimizer: Tuple[float, ...]  # unit norm, first nonzero coordinate positive
-    verdict: Verdict  # the oracle's one verdict rule (see ``_minimum``)
     iterations_used: int
+    # min_value / 2^shift, the minimum at the kernel's scale, where the margin
+    # applies; min_value itself reads inf or 0.0 outside float range
+    kernel_min: float
 
 
 def _canonical_sign(x: np.ndarray) -> np.ndarray:
@@ -266,7 +275,7 @@ def _floor_log2(n: int, d: int) -> int:
 def _values(K: _Kernel, Q: np.ndarray) -> np.ndarray:
     """Tx^4 / 2^shift as q^T S q, for the columns q of Q, the quadratic
     monomials of the points.  Uses BLAS, so a point's last bits may depend
-    on its batch: fit for ranking grid points only."""
+    on its batch: fit for ranking grid points, not for the refine."""
     import numpy as np
 
     return np.einsum("ip,ip->p", K.gram @ Q, Q)
@@ -456,12 +465,16 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
     return X, vals, iters
 
 
-def _sample(T: SymmetricTensor4, n_points: int, seed: int):
-    """The kernel, an n_points grid and the form's values on it."""
+Sample = Tuple[_Kernel, "np.ndarray", "np.ndarray"]  # kernel, grid points, values / 2^shift
+
+
+def sphere_sample(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> Sample:
+    """The kernel of T, cfg's grid and the form's values on it, divided by
+    2^shift: the one sample a decision takes (module docstring)."""
     if T.dim not in ORACLE_DIMS:
         raise ValueError(f"oracle supports dim 2 or 3, got {T.dim}")
     K = _kernel(T)
-    X, Q = _cached_grid(T.dim, n_points, seed)
+    X, Q = _cached_grid(T.dim, cfg.effective_grid(T.dim), cfg.seed)
     return K, X, _values(K, Q)
 
 
@@ -492,37 +505,66 @@ def _exact_negative(T: SymmetricTensor4, point) -> Optional[tuple]:
     return None
 
 
-def _minimum(T: SymmetricTensor4, K: _Kernel, X: np.ndarray, vals: np.ndarray, cfg: OracleConfig):
-    """The refined minimum of a ``_sample`` of T and its verdict, whose
-    margin is the minimum (module docstring).  A negative minimum is
-    rounded to a rational point, which is the witness if T is negative
-    there in exact arithmetic."""
+def _unscaled(value, shift: int) -> float:
+    """A value at the kernel's scale times 2^shift: inf beyond float range,
+    and 0.0 below it."""
+    try:
+        return math.ldexp(value, shift)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
+def sphere_minimize(
+    T: SymmetricTensor4, cfg: OracleConfig = OracleConfig(), sample: Optional[Sample] = None
+) -> OracleResult:
+    """The refined minimum of T on the unit sphere, from ``sample`` (a
+    ``sphere_sample`` of T under cfg) or else from a sample of its own."""
     import numpy as np
 
+    K, X, vals = sphere_sample(T, cfg) if sample is None else sample
     refined, rvals, iters = _polish(K, X, vals, min(cfg.refine_top_k, len(X)), cfg)
     best = int(np.lexsort((*(refined.T[::-1]), rvals))[0])
     x = _canonical_sign(refined[best] / np.linalg.norm(refined[best]))
     minimizer = tuple(float(v) for v in x)
-    with np.errstate(over="ignore"):  # beyond float range: inf, and 0.0 below it
-        min_value = float(np.ldexp(rvals[best], K.shift))
-    witness = _exact_negative(T, minimizer) if rvals[best] < 0 else None
+    return OracleResult(_unscaled(rvals[best], K.shift), minimizer, iters, float(rvals[best]))
+
+
+def sample_verdict(
+    T: SymmetricTensor4,
+    sample: Sample,
+    cfg: OracleConfig = OracleConfig(),
+    minimum: Optional[OracleResult] = None,
+) -> Verdict:
+    """The oracle's one verdict rule, on a ``sphere_sample`` of T (module
+    docstring).  The best grid point comes first: where it rounds to a
+    rational point at which T is negative in exact arithmetic, that point is
+    the witness of INDEFINITE (``oracle-grid-witness``) and the grid value
+    the margin, and nothing is refined.  Otherwise the verdict is the
+    refined minimum's, ``minimum`` or else ``sphere_minimize`` on the
+    sample, with the minimum as its margin."""
+    import numpy as np
+
+    K, X, vals = sample
+    g = int(np.argmin(vals))
+    if vals[g] < 0:
+        witness = _exact_negative(T, X[g])
+        if witness is not None:
+            return Verdict(Kind.INDEFINITE, "oracle-grid-witness", witness, _unscaled(vals[g], K.shift))
+    res = sphere_minimize(T, cfg, sample) if minimum is None else minimum
+    witness = _exact_negative(T, res.minimizer) if res.kernel_min < 0 else None
     if witness is not None:
         kind = Kind.INDEFINITE
-    elif rvals[best] > cfg.classify_margin:
+    elif res.kernel_min > cfg.classify_margin:
         kind = Kind.POSITIVE_DEFINITE
     else:
         kind = Kind.UNDETERMINED
     rule = "oracle-boundary" if kind is Kind.UNDETERMINED else "oracle-sphere-minimum"
-    return OracleResult(min_value, minimizer, Verdict(kind, rule, witness, min_value), iters)
-
-
-def sphere_minimize(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> OracleResult:
-    return _minimum(T, *_sample(T, cfg.effective_grid(T.dim), cfg.seed), cfg)
+    return Verdict(kind, rule, witness, res.min_value)
 
 
 def classify_numeric(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> Verdict:
-    """The verdict of ``sphere_minimize``: the pipeline's oracle stage."""
-    return sphere_minimize(T, cfg).verdict
+    """The pipeline's oracle stage: ``sample_verdict`` on one sample of T."""
+    return sample_verdict(T, sphere_sample(T, cfg), cfg)
 
 
 def zero_set_probe(
@@ -537,7 +579,7 @@ def zero_set_probe(
     """
     import numpy as np
 
-    K, X, vals = _sample(T, cfg.effective_grid(T.dim), cfg.seed)
+    K, X, vals = sphere_sample(T, cfg)
     k = min(max(cfg.refine_top_k, 200), len(X))
     refined, rvals, _ = _polish(K, X, np.abs(vals), k, cfg)
     zeros = refined[np.abs(rvals) <= cfg.classify_margin]

@@ -27,7 +27,11 @@ class Verdict:
 
     ``witness`` is a vector certifying the verdict: a point with strictly
     negative form value for INDEFINITE, or a nonzero root of the form for
-    PSD_NOT_PD.  ``margin`` is only set on numeric verdicts.
+    PSD_NOT_PD.  ``margin`` is only set on numeric verdicts: the sphere
+    minimum the oracle read.  The oracle looks for INDEFINITE first at its
+    best grid point, so for rule ``oracle-grid-witness`` the margin is the
+    sampled minimum, and for ``oracle-sphere-minimum`` and
+    ``oracle-boundary`` the refined one.
     """
 
     kind: Kind

@@ -150,6 +150,25 @@ class TestVerify:
             assert calls == (2 if q.label == "19u" else 1), q.label
 
 
+    def test_oracle_verdict_only_where_no_exact_stage_decides(self, monkeypatch):
+        # the family entries, 19u among them, never pay for a witness search
+        calls = []
+        search = oracle._exact_negative
+
+        def counted(T, point):
+            calls.append(point)
+            return search(T, point)
+
+        monkeypatch.setattr(oracle, "_exact_negative", counted)
+        for q in builtin_catalog():
+            calls.clear()
+            report = verify(q, OracleConfig(grid_points=500))
+            if report.stage == "family":
+                assert calls == [], q.label
+            elif q.expected_fail:
+                assert report.verdict.kind is Kind.INDEFINITE and calls, q.label
+
+
 class TestProperties:
     def test_exchange_variant_holds(self):
         # mirrored cubic monomials: the exchanged strict inequalities hold too

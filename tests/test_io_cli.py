@@ -335,6 +335,16 @@ class TestCli:
         assert res.exit_code == 0
         assert "degenerate" in res.output
 
+    def test_minimize_searches_no_witness(self, runner, monkeypatch):
+        # minimize reports the minimum and the zero set, and builds no verdict
+        def refused(*args):
+            raise AssertionError("a witness was searched")
+
+        monkeypatch.setattr("quartpd.oracle._exact_negative", refused)
+        res = runner.invoke(main, ["minimize", "cyclic", "1", "1", "1", "1", "-7/12", "--grid", "2000"])
+        assert res.exit_code == 0
+        assert res.output.startswith("min -")
+
     def test_inequalities_single(self, runner):
         res = runner.invoke(main, ["inequalities", "--only", "19-14-14", "--grid", "4000"])
         assert res.exit_code == 0
@@ -560,7 +570,7 @@ def test_entries_near_float_range_check_without_warnings(runner, tmp_path):
         res = runner.invoke(main, ["check", str(path), "--json"])
     assert (res.exit_code, res.stderr) == (2, "")
     verdict = json.loads(res.stdout)["verdict"]
-    assert (verdict["kind"], verdict["rule"]) == ("indefinite", "oracle-sphere-minimum")
+    assert (verdict["kind"], verdict["rule"]) == ("indefinite", "oracle-grid-witness")
     assert load(str(path)).evaluate_form([Fraction(w) for w in verdict["witness"]]) < 0
 
 

@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ def test_diag_ones_minimum():
     assert sorted(abs(v) for v in res.minimizer) == pytest.approx(
         [1 / math.sqrt(3)] * 3, abs=1e-6
     )
-    assert res.verdict.kind is Kind.POSITIVE_DEFINITE
+    assert classify_numeric(diag_ones(3)).kind is Kind.POSITIVE_DEFINITE
 
 
 def test_minimizer_contract():
@@ -60,7 +62,7 @@ def test_minimizer_contract():
 def test_boundary_tensor():
     res = sphere_minimize(BOUNDARY)
     assert abs(res.min_value) <= 1e-8
-    assert res.verdict.kind is Kind.UNDETERMINED
+    assert classify_numeric(BOUNDARY).kind is Kind.UNDETERMINED
 
 
 def test_indefinite_witness_bound():
@@ -85,11 +87,19 @@ def test_classify_indefinite_with_exact_witness():
     assert INDEF.evaluate_form(v.witness) < 0
 
 
-@pytest.mark.parametrize("T", [diag_ones(3), INDEF, BOUNDARY], ids=["PD", "INDEF", "BOUNDARY"])
-def test_classify_numeric_is_the_minimum_verdict(T):
+@pytest.mark.parametrize("T, rule", [
+    (diag_ones(3), "oracle-sphere-minimum"), (INDEF, "oracle-grid-witness"), (BOUNDARY, "oracle-boundary"),
+], ids=["PD", "INDEF", "BOUNDARY"])
+def test_classify_numeric_is_the_minimum_verdict(T, rule):
     res = sphere_minimize(T)
-    assert res.verdict == classify_numeric(T)
-    assert res.verdict.margin == res.min_value
+    v = classify_numeric(T)
+    assert v == oracle.sample_verdict(T, oracle.sphere_sample(T), minimum=res)
+    assert v.rule == rule
+    if rule == "oracle-grid-witness":  # the margin is the sampled minimum
+        K, _, vals = oracle.sphere_sample(T)
+        assert v.margin == math.ldexp(vals.min(), K.shift)
+    else:
+        assert v.margin == res.min_value
 
 
 def test_every_indefinite_minimum_has_an_exact_witness():
@@ -98,7 +108,7 @@ def test_every_indefinite_minimum_has_an_exact_witness():
     tensors += [q.to_tensor() for q in builtin_catalog()]
     indefinite = 0
     for T in tensors:
-        v = sphere_minimize(T, OracleConfig(grid_points=2000)).verdict
+        v = classify_numeric(T, OracleConfig(grid_points=2000))
         if v.kind is Kind.INDEFINITE:
             indefinite += 1
             assert T.evaluate_form(v.witness) < 0
@@ -170,7 +180,7 @@ def _cluster_reference(zeros):
 ])
 def test_zero_set_clusters_match_the_per_zero_reference(T, clusters):
     cfg = OracleConfig()
-    K, X, vals = oracle._sample(T, cfg.effective_grid(T.dim), cfg.seed)
+    K, X, vals = oracle.sphere_sample(T, cfg)
     refined, rvals, _ = oracle._polish(K, X, np.abs(vals), min(200, len(X)), cfg)
     zeros = refined[np.abs(rvals) <= cfg.classify_margin]
     zeros = zeros / np.linalg.norm(zeros, axis=1, keepdims=True)
@@ -225,7 +235,8 @@ def test_power_of_two_scales_run_the_same_refine(e):
         assert res.min_value == math.inf  # where math.ldexp raises
     assert res.minimizer == base.minimizer
     assert res.iterations_used == base.iterations_used
-    assert (res.verdict.kind, res.verdict.rule) == (base.verdict.kind, base.verdict.rule)
+    v, base_v = classify_numeric(diag_ones(3).scale(Fraction(2) ** e)), classify_numeric(diag_ones(3))
+    assert (v.kind, v.rule) == (base_v.kind, base_v.rule)
 
 
 @pytest.mark.parametrize("T, kind", [
@@ -234,11 +245,11 @@ def test_power_of_two_scales_run_the_same_refine(e):
 ])
 def test_power_of_two_scales_give_the_same_verdict(T, kind):
     base_res = sphere_minimize(T)
-    base = base_res.verdict
+    base = classify_numeric(T)
     assert base.kind is kind
     for e in (-1500, -700, -30, 30, 700, 1500):
         res = sphere_minimize(T.scale(Fraction(2) ** e))
-        v = res.verdict
+        v = classify_numeric(T.scale(Fraction(2) ** e))
         assert (v.kind, v.rule, v.witness) == (base.kind, base.rule, base.witness), e
         assert res.minimizer == base_res.minimizer, e
         assert res.iterations_used == base_res.iterations_used, e
@@ -307,6 +318,96 @@ def test_steep_valley_pd_form_is_never_indefinite(p, K):
     # K |x × p|^2 |x|^2 + |x|^4 is PD, but its minimum, 1 at p / |p|, is
     # 1e-18 to 1e-16 of max |t|: inside the margin, so it may end undetermined
     assert classify(_cross_form(p, K, 1, skew=False))["verdict"]["kind"] != "indefinite"
+
+
+def _refined_rule(T, cfg=OracleConfig()):
+    """The verdict of the refined minimum alone: with the grid values
+    replaced by their absolute values, the grid offers no witness."""
+    K, X, vals = oracle.sphere_sample(T, cfg)
+    return oracle.sample_verdict(T, (K, X, np.abs(vals)), cfg, minimum=sphere_minimize(T, cfg))
+
+
+def test_grid_witness_moves_only_undetermined_to_indefinite():
+    rng = random.Random("grid-witness")
+    tensors = [rand_tensor(rng, dim) for dim in (2, 3) for _ in range(15)]
+    tensors += [q.to_tensor() for q in builtin_catalog()]
+    for p in CROSS_POINTS:
+        pp = sum(v * v for v in p)
+        c = Fraction(math.prod(p) * sum(p), 2 * pp * pp)
+        tensors += [_cross_form(p, K, c, skew=True) for K in (10**14, 10**15, 10**16)]
+        tensors += [_cross_form(p, K, 1, skew=False) for K in (10**15, 10**16)]
+    rules = set()
+    for T in tensors:
+        new, old = classify_numeric(T), _refined_rule(T)
+        rules.add(new.rule)
+        assert new.kind is old.kind or (old.kind, new.kind) == (Kind.UNDETERMINED, Kind.INDEFINITE)
+        if new.kind is Kind.INDEFINITE:
+            assert T.evaluate_form(new.witness) < 0
+    # the steep valleys' negative needles lie between grid points: the refine finds them
+    assert rules == {"oracle-grid-witness", "oracle-sphere-minimum", "oracle-boundary"}
+
+
+@pytest.fixture
+def no_refine(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the refine ran")
+
+    monkeypatch.setattr(oracle, "_refine_batch", refused)
+
+
+def _ternary_oracle_indefinite(seed):
+    """The general indefinite tensors of the benchmark's ternary-oracle
+    workload under ``seed`` (perfbench/gen.py)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    items = gen.generate("ternary-oracle", seed)
+    return [SymmetricTensor4(3, it["tensor"]) for it in items if it["stratum"] == "general_indefinite"]
+
+
+def test_grid_witness_needs_no_refine(no_refine):
+    # the best grid point already rounds to an exact witness on INDEF, on
+    # the catalog's expected failures and on the benchmark's indefinite forms
+    tensors = [INDEF, *(q.to_tensor() for q in builtin_catalog() if q.expected_fail)]
+    tensors += _ternary_oracle_indefinite(101)
+    assert len(tensors) == 1 + 5 + 40
+    for T in tensors:
+        v = classify_numeric(T)
+        assert (v.kind, v.rule) == (Kind.INDEFINITE, "oracle-grid-witness")
+        assert T.evaluate_form(v.witness) < 0
+
+
+def test_grid_value_without_witness_falls_back_to_the_refine(monkeypatch):
+    # a negative grid value where a PSD form is >= 0 rounds to no witness:
+    # the refined rule decides, and never INDEFINITE
+    values = oracle._values
+
+    def forced(K, Q):
+        vals = values(K, Q).copy()
+        vals[123] = -1.0
+        return vals
+
+    monkeypatch.setattr(oracle, "_values", forced)
+    for T, kind in ((diag_ones(3), Kind.POSITIVE_DEFINITE), (BOUNDARY, Kind.UNDETERMINED)):
+        assert oracle.sphere_sample(T)[2].min() == -1.0
+        v = classify_numeric(T)
+        assert v.kind is kind
+        assert v.rule in ("oracle-sphere-minimum", "oracle-boundary")
+
+
+@pytest.mark.parametrize("e", [-1500, -600, 600, 1500])
+def test_power_of_two_scales_give_the_same_grid_witness(e, no_refine):
+    base = classify_numeric(INDEF)
+    v = classify_numeric(INDEF.scale(Fraction(2) ** e))
+    assert (v.kind, v.rule, v.witness) == (Kind.INDEFINITE, "oracle-grid-witness", base.witness)
+    K, _, vals = oracle.sphere_sample(INDEF)
+    assert base.margin == math.ldexp(vals.min(), K.shift) < 0
+    if abs(e) < 1024:
+        assert v.margin == math.ldexp(base.margin, e)
+    else:  # beyond float range the margin saturates
+        assert v.margin == (-math.inf if e > 0 else 0.0)
 
 
 def test_unsupported_dimension():
@@ -464,7 +565,7 @@ def test_refine_ladder_matches_sequential_reference(dim, name):
         tensors.append(SADDLES)
     for case, T in enumerate(tensors):
         scale = max(1.0, *(abs(float(v)) for v in T.entries().values()))
-        K, X, vals = oracle._sample(T, cfg.effective_grid(dim), cfg.seed)
+        K, X, vals = oracle.sphere_sample(T, cfg)
         order = np.argsort(vals, kind="stable")
         starts = [X[order[: cfg.refine_top_k]]]
         starts.append(np.random.default_rng(case).normal(size=(7, dim)))
@@ -489,7 +590,7 @@ def test_refine_ladder_matches_sequential_reference(dim, name):
     # several passes each (60 iterations bound the test's time)
     T = SymmetricTensor4(dim, {(1, 1, 2, 2): Fraction(1, 6)})
     capped = dataclasses.replace(cfg, refine_max_iters=min(cfg.refine_max_iters, 60))
-    K, X, vals = oracle._sample(T, cfg.effective_grid(dim), cfg.seed)
+    K, X, vals = oracle.sphere_sample(T, cfg)
     X0 = X[oracle._top_k(vals, cfg.refine_top_k)]
     got = oracle._refine_batch(K, X0, capped)
     want = _newton_reference(K, X0, capped, stats)
@@ -516,7 +617,7 @@ def test_saddle_rows_leave_their_saddles():
     # steps; the gradient fallback ran them to the 500-iteration cap
     res = sphere_minimize(SADDLES)
     assert res.iterations_used <= 30
-    assert res.verdict.kind is Kind.POSITIVE_DEFINITE
+    assert classify_numeric(SADDLES).kind is Kind.POSITIVE_DEFINITE
     assert res.min_value <= 0.04999998426763269 + 1e-12
 
 
@@ -560,7 +661,7 @@ def test_catalog_candidates_all_converge(q):
     # every refined candidate reaches grad_tol: none stalls on a decrease
     # below the values' rounding
     T, cfg = q.to_tensor(), OracleConfig()
-    K, X, vals = oracle._sample(T, cfg.effective_grid(T.dim), cfg.seed)
+    K, X, vals = oracle.sphere_sample(T, cfg)
     R, _, _ = oracle._polish(K, X, vals, cfg.refine_top_k, cfg)
     grad = 4.0 * oracle._forms_and_cubics(K, R)[1]
     g = grad - np.einsum("pi,pi->p", grad, R)[:, None] * R  # as in the refine
@@ -587,7 +688,7 @@ def test_top_k_matches_stable_argsort():
 def test_sample_grid_is_cached_read_only(T):
     n = OracleConfig().effective_grid(T.dim)
     fresh = {m: oracle._grid(T.dim, m, 0) for m in (n, 512)}
-    _, X, _ = oracle._sample(T, n, 0)
+    _, X, _ = oracle.sphere_sample(T, OracleConfig(grid_points=n))
     assert not X.flags.writeable
     assert np.array_equal(X, fresh[n])
     with pytest.raises(ValueError):
@@ -596,9 +697,9 @@ def test_sample_grid_is_cached_read_only(T):
     zero_set_probe(T)
     classify_numeric(T)
     for m, grid in fresh.items():
-        _, again, _ = oracle._sample(T, m, 0)
+        _, again, _ = oracle.sphere_sample(T, OracleConfig(grid_points=m))
         assert np.array_equal(again, grid)
-    assert oracle._sample(T, n, 0)[1] is X
+    assert oracle.sphere_sample(T, OracleConfig(grid_points=n))[1] is X
     # the cache is the grid and its quadratic monomials, no more: 9 float64
     # values per point in dim 3 (every benchmark child holds one)
     X, Q = oracle._cached_grid(T.dim, n, 0)

@@ -101,3 +101,29 @@ def test_zero_set_points_are_only_counted(parity, capsys):
     assert "point floats differing: 2 (not failing)" in capsys.readouterr().out
     assert parity.compare(minimize_record(), minimize_record(zero_set=())) == 1
     assert "length 1 != 0" in capsys.readouterr().out
+
+
+def indefinite_report(rule, witness, margin):
+    verdict = {"kind": "indefinite", "rule": rule, "witness": list(witness), "margin": margin}
+    passed = {"stage": "prefilter", "kind": "undetermined", "rule": "prefilter-passed"}
+    return json.dumps({"trace": [passed, {"stage": "oracle", **verdict}], "verdict": verdict})
+
+
+def catalog_report(holds):
+    verdict = {"kind": "positive-semidefinite-not-definite", "rule": "boundary-alternating-signs"}
+    return json.dumps({"reports": [{"holds": holds, "verdict": verdict}]})
+
+
+def test_failures_are_grouped_by_class(parity, capsys):
+    # a class is the command, the path without list indices and the rules
+    old = {k: [2, indefinite_report("oracle-sphere-minimum", ("1", "-1"), -0.5), ""] for k in (KEY, SMALL_KEY)}
+    new = {k: [2, indefinite_report("oracle-grid-witness", ("1", "-2"), -0.25), ""] for k in (KEY, SMALL_KEY)}
+    ineq = json.dumps(["inequalities", "--only", "19u", "--json"])
+    old[ineq], new[ineq] = [0, catalog_report(True), ""], [0, catalog_report(False), ""]
+    assert parity.compare(old, new) == 1
+    out = capsys.readouterr().out
+    for field in ("trace/rule", "trace/witness", "trace/margin", "verdict/rule", "verdict/witness", "verdict/margin"):
+        assert f"FAIL check /{field} [oracle-sphere-minimum -> oracle-grid-witness]: 2 inputs\n" in out
+    assert "FAIL inequalities /reports/holds [boundary-alternating-signs -> boundary-alternating-signs]: 1 inputs\n" in out
+    assert out.count("FAIL") == 7
+    assert out.endswith("13 failures in 7 classes\n")

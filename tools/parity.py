@@ -25,8 +25,12 @@ of the input's tensor, the scale at which the oracle computes.  Point
 floats (``minimizer``, ``min_point``, ``equality_points``, ``zero_set``)
 may move to another of several tied minima, so their differences are
 counted and reported but do not fail the compare; any other float must be
-equal.  It prints a summary and exits 0 when the files agree, 1 when they
-do not.
+equal.  Every differing field of a report is compared, not only the first.
+Failures are grouped by class: the command, the field's path with list
+indices dropped (``/trace/rule``), and the rule of the verdict that holds
+the field (or else of the report's verdict), old -> new.  It prints a
+summary, then per class the number of inputs that fail in it and one
+example, and exits 0 when the files agree, 1 when they do not.
 """
 
 from __future__ import annotations
@@ -109,68 +113,98 @@ def _max_entry(argv) -> float:
     return max((abs(float(v)) for v in T.entries().values()), default=0.0)
 
 
-def _float_diffs(a, b, field=None, path=""):
-    """(path, field, a, b) for each float that differs between two parsed
-    reports; raises ValueError at the first other difference."""
-    if isinstance(a, float) and isinstance(b, float):
-        return [] if a == b else [(path, field, a, b)]
+def _diffs(a, b, field=None, path=""):
+    """(path, field, a, b) for each leaf of two parsed reports that differs;
+    a differing type, key set or list length is one difference at its path."""
     if type(a) is not type(b):
-        raise ValueError(f"{path}: {a!r} != {b!r}")
-    if isinstance(a, dict):
-        if a.keys() != b.keys():
-            raise ValueError(f"{path}: keys {sorted(a)} != {sorted(b)}")
-        return [d for k in sorted(a) for d in _float_diffs(a[k], b[k], k, f"{path}/{k}")]
-    if isinstance(a, list):
-        if len(a) != len(b):
-            raise ValueError(f"{path}: length {len(a)} != {len(b)}")
+        return [(path, field, a, b)]
+    if isinstance(a, dict) and a.keys() == b.keys():
+        return [d for k in sorted(a) for d in _diffs(a[k], b[k], k, f"{path}/{k}")]
+    if isinstance(a, list) and len(a) == len(b):
         pairs = enumerate(zip(a, b))
-        return [d for i, (x, y) in pairs for d in _float_diffs(x, y, field, f"{path}/{i}")]
-    if a != b:
-        raise ValueError(f"{path}: {a!r} != {b!r}")
-    return []
+        return [d for i, (x, y) in pairs for d in _diffs(x, y, field, f"{path}/{i}")]
+    return [] if a == b else [(path, field, a, b)]
+
+
+def _describe(path, a, b) -> str:
+    if type(a) is type(b) is dict:
+        return f"{path}: keys {sorted(a)} != {sorted(b)}"
+    if type(a) is type(b) is list:
+        return f"{path}: length {len(a)} != {len(b)}"
+    return f"{path}: {a!r} != {b!r}"
+
+
+def _rule(report, path: str):
+    """The rule of the innermost verdict along ``path`` in a parsed report:
+    of the innermost dict on it that has a ``rule``, or a ``verdict`` with
+    one; None if there is none."""
+    nodes = [report]
+    for part in path.split("/")[1:]:
+        nodes.append(nodes[-1][int(part)] if isinstance(nodes[-1], list) else nodes[-1][part])
+    for node in reversed(nodes):
+        if isinstance(node, dict):
+            verdict = node if "rule" in node else node.get("verdict")
+            if isinstance(verdict, dict) and "rule" in verdict:
+                return verdict["rule"]
+    return None
+
+
+def _class(key, path, old, new) -> str:
+    """A failure's class: command, path without list indices, old -> new rule."""
+    fields = "/".join(p for p in path.split("/") if not p.isdigit()) or "/"
+    return f"{json.loads(key)[0]} {fields} [{_rule(old, path)} -> {_rule(new, path)}]"
 
 
 def _compare_one(key, old, new, stats) -> list:
-    """The failures of one input; updates the float statistics in ``stats``."""
+    """The failures of one input, as (class, message); updates the float
+    statistics in ``stats``."""
     if old[0] != new[0] or old[2] != new[2]:
-        return [f"exit code or stderr: {old[0]} {old[2]!r} != {new[0]} {new[2]!r}"]
+        message = f"exit code or stderr: {old[0]} {old[2]!r} != {new[0]} {new[2]!r}"
+        return [(f"{json.loads(key)[0]} exit code or stderr", message)]
     if old[1] == new[1]:
         return []
     try:
-        diffs = _float_diffs(json.loads(old[1]), json.loads(new[1]))
-    except ValueError as exc:
-        return [f"stdout: {exc}"]
+        a, b = json.loads(old[1]), json.loads(new[1])
+    except ValueError:
+        return [(f"{json.loads(key)[0]} stdout", "stdout: not JSON, and differs")]
     failures, scale = [], None
-    for path, field, a, b in diffs:
-        if field in POINT_FLOATS:
+    for path, field, x, y in _diffs(a, b):
+        if type(x) is type(y) is float and field in POINT_FLOATS:
             stats["point_floats"] += 1
-        elif field in VALUE_FLOATS:
+            continue
+        message = _describe(path, x, y)
+        if type(x) is type(y) is float and field in VALUE_FLOATS:
             scale = scale or _max_entry(json.loads(key))
             stats["value_floats"] += 1
-            stats["max_value_diff"] = max(stats["max_value_diff"], abs(a - b))
-            stats["max_scaled_diff"] = max(stats["max_scaled_diff"], abs(a - b) / scale)
-            if abs(a - b) > 1e-12 * scale:
-                failures.append(f"{path}: {a!r} != {b!r} (tolerance {1e-12 * scale:.3g})")
-        else:
-            failures.append(f"{path}: {a!r} != {b!r}")
+            stats["max_value_diff"] = max(stats["max_value_diff"], abs(x - y))
+            stats["max_scaled_diff"] = max(stats["max_scaled_diff"], abs(x - y) / scale)
+            if abs(x - y) <= 1e-12 * scale:
+                continue
+            message += f" (tolerance {1e-12 * scale:.3g})"
+        failures.append((_class(key, path, a, b), message))
     return failures
 
 
 def compare(old: dict, new: dict) -> int:
-    failures = [f"input only in one file: {k}" for k in sorted(old.keys() ^ new.keys())]
+    found = [(k, "input only in one file", "only in one file") for k in sorted(old.keys() ^ new.keys())]
     stats = {"point_floats": 0, "value_floats": 0, "max_value_diff": 0.0, "max_scaled_diff": 0.0}
     differing = 0
     for key in sorted(old.keys() & new.keys()):
         differing += old[key] != new[key]
-        failures += [f"{key}: {f}" for f in _compare_one(key, old[key], new[key], stats)]
+        found += [(key, cls, message) for cls, message in _compare_one(key, old[key], new[key], stats)]
+    classes = {}  # class -> (its inputs, the first failure in it)
+    for key, cls, message in found:
+        short = key if len(key) <= 120 else key[:117] + "..."
+        classes.setdefault(cls, (set(), f"{short}: {message}"))[0].add(key)
     print(f"{len(old.keys() & new.keys())} inputs in both files, {differing} with differing output")
     print(f"value floats differing: {stats['value_floats']}, largest difference "
           f"{stats['max_value_diff']:.3g} ({stats['max_scaled_diff']:.3g} of max |t|)")
     print(f"point floats differing: {stats['point_floats']} (not failing)")
-    for f in failures:
-        print(f"FAIL {f}")
-    print("agree within tolerance" if not failures else f"{len(failures)} failures")
-    return 1 if failures else 0
+    for cls, (inputs, example) in sorted(classes.items(), key=lambda c: (-len(c[1][0]), c[0])):
+        print(f"FAIL {cls}: {len(inputs)} inputs")
+        print(f"  e.g. {example}")
+    print(f"{len(found)} failures in {len(classes)} classes" if found else "agree within tolerance")
+    return 1 if found else 0
 
 
 def main(args) -> int:
