@@ -27,7 +27,8 @@ import time
 from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Sequence
 
 from .inequalities import builtin_catalog, verify
-from .oracle import ORACLE_DIMS, ConfigError, OracleConfig, sphere_minimize, zero_set_probe
+from .oracle import ORACLE_DIMS, ConfigError, OracleConfig
+from .oracle import sphere_minimize, sphere_sample, zero_set_probe
 from .pipeline import classify
 from .tensorio import InputError, describe, load, parse_shorthand, to_tensor
 from .verdict import Kind
@@ -110,8 +111,9 @@ def _minimize(inputs, cfg, as_json=False) -> NoReturn:
     if T.dim not in ORACLE_DIMS:
         _input_error(f"dim: minimize supports dim 2 or 3, got {T.dim}")
     t0 = time.perf_counter()
-    res = sphere_minimize(T, cfg)
-    zeros = zero_set_probe(T, cfg)
+    sample = sphere_sample(T, cfg)  # one sample for the minimum and the zero set
+    res = sphere_minimize(T, cfg, sample)
+    zeros = zero_set_probe(T, cfg, sample)
     elapsed = time.perf_counter() - t0
     degenerate = T.is_zero()
     report = {

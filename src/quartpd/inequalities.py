@@ -47,9 +47,9 @@ class WeightedInequality:
     fail_point: Optional[Tuple[Fraction, Fraction, Fraction]] = None
 
     @classmethod
-    def uniform(cls, c, strict: bool, label: Optional[str] = None, **kw):
+    def uniform(cls, c, strict: bool):
         c = as_fraction(c)
-        return cls(label or f"{c}u", (c, c, c), strict, **kw)
+        return cls(f"{c}u", (c, c, c), strict)
 
     @classmethod
     def triple(cls, w1, w2, w3, strict: bool = True, **kw):
@@ -177,7 +177,7 @@ def verify(ineq: WeightedInequality, cfg: OracleConfig = OracleConfig()) -> Ineq
     kind = decision.verdict.kind
     # a semidefinite or undecided form may touch zero: look for its zeros
     boundary = kind in (Kind.PSD_NOT_PD, Kind.UNDETERMINED)
-    equality_points = zero_set_probe(T, cfg) if boundary else []
+    equality_points = zero_set_probe(T, cfg, sample) if boundary else []
     if ineq.strict:
         holds = kind is Kind.POSITIVE_DEFINITE
     else:

@@ -14,8 +14,8 @@ a saddle or a maximum) it is the tangent solution of |Hr| d = -g, with
 each tangent eigenvalue of Hr replaced by its absolute value, a descent
 direction that leaves a saddle along its negative curvature in a few
 steps where -g barely moves.  The trial point x + step d is renormalized
-onto the sphere.  A candidate stops where |g| is at most grad_tol at the
-kernel's scale (below).
+onto the sphere.  A candidate stops where |g| is at most ``_GRAD_TOL``
+(1e-10, a fixed constant) at the kernel's scale (below).
 
 Each candidate carries one step, which starts at 1.  Backtracking is the
 Armijo loop (Nocedal and Wright, Numerical Optimization, 2nd ed., 2006,
@@ -38,17 +38,21 @@ the same to the bit.
 The Armijo test does not subtract two float values of the form: a Newton
 step from a gradient near 1e-8 lowers f by about 1e-17, below one ulp of
 f, where the difference of the rounded values has no sign, and a test on
-it would fail such steps until the candidate stalls above ``grad_tol``.
+it would fail such steps until the candidate stalls above ``_GRAD_TOL``.
 ``_decrease`` computes the change itself from the step d = y - x and the
 forms the refine holds at both points: T is symmetric, so
 Ty^4 - Tx^4 = d . (Tx^3 + Ty^3 + (Tx^2) y + (Ty^2) x).  It keeps its
 digits down to the smallest step the backtracking tries.
 
-Each decision samples once: ``sphere_sample`` reads the kernel, the
+Each command samples once: ``sphere_sample`` reads the kernel, the
 form's coefficients, off T's stored entries and takes the form's values on
 the grid; ``sphere_minimize`` refines the best of them into the minimum,
-and ``sample_verdict`` turns the sample, refined only where it has to be,
-into the verdict that ``classify_numeric`` returns.
+``zero_set_probe`` those nearest zero into the zero set, and
+``sample_verdict`` turns the sample, refined only where it has to be, into
+the verdict that ``classify_numeric`` returns.  Each of them takes the
+caller's sample, so ``minimize`` and the inequality harness pass one
+sample to all the calls they make.  A grid holds at most ``_MAX_GRID``
+points, since its arrays grow in proportion to it.
 The form is evaluated through its monomials.  A quartic form is a quadratic
 form in its quadratic monomials, Tx^4 = q^T S q with q = (x_i x_j)_{i <= j}
 (the Gram representation of Choi, Lam and Reznick), so the grid values
@@ -123,6 +127,14 @@ _GOLDEN = (1 + math.sqrt(5)) / 2
 # the most trial steps a candidate takes per iteration, halving after each
 _MAX_HALVINGS = 40
 
+# the refine stops a candidate where its Riemannian gradient is at most
+# this, at the kernel's scale (max |t| in [1, 2))
+_GRAD_TOL = 1e-10
+
+# the largest grid_points, 50 times the dim-3 default: a grid's arrays grow
+# in proportion to it
+_MAX_GRID = 10**6
+
 # the dimensions the oracle samples; every caller gates on this one set
 ORACLE_DIMS = (2, 3)
 
@@ -143,8 +155,7 @@ class ConfigError(ValueError):
 class OracleConfig:
     grid_points: Optional[int] = None  # defaults: 4096 (n=2), 20000 (n=3)
     refine_max_iters: int = 500
-    # the refine's stop and the margin, both at the kernel's scale (max |t| in [1, 2))
-    grad_tol: float = 1e-10
+    # the margin, at the kernel's scale (max |t| in [1, 2))
     classify_margin: float = 1e-8
     seed: int = 0
     refine_top_k: int = 50
@@ -152,10 +163,10 @@ class OracleConfig:
     def __post_init__(self):
         if self.grid_points is not None and self.grid_points <= 0:
             raise ConfigError("grid_points", "must be positive")
+        if self.grid_points is not None and self.grid_points > _MAX_GRID:
+            raise ConfigError("grid_points", f"must be at most {_MAX_GRID}")
         if self.refine_max_iters <= 0:
             raise ConfigError("refine_max_iters", "must be positive")
-        if self.grad_tol <= 0:
-            raise ConfigError("grad_tol", "must be positive")
         if not 0 < self.classify_margin < 1:
             raise ConfigError("classify_margin", "must lie in (0, 1)")
         if self.seed < 0:
@@ -427,7 +438,7 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
         grad = 4.0 * cub
         gt = grad - (np.einsum("pi,pi->p", grad, X))[:, None] * X
         gnorm2 = np.einsum("pi,pi->p", gt, gt)
-        active = active & (np.sqrt(gnorm2) > cfg.grad_tol)
+        active = active & (np.sqrt(gnorm2) > _GRAD_TOL)
         if not active.any():
             break
         iters = it + 1
@@ -470,7 +481,7 @@ Sample = Tuple[_Kernel, "np.ndarray", "np.ndarray"]  # kernel, grid points, valu
 
 def sphere_sample(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> Sample:
     """The kernel of T, cfg's grid and the form's values on it, divided by
-    2^shift: the one sample a decision takes (module docstring)."""
+    2^shift: the one sample a command takes (module docstring)."""
     if T.dim not in ORACLE_DIMS:
         raise ValueError(f"oracle supports dim 2 or 3, got {T.dim}")
     K = _kernel(T)
@@ -568,9 +579,11 @@ def classify_numeric(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) ->
 
 
 def zero_set_probe(
-    T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()
+    T: SymmetricTensor4, cfg: OracleConfig = OracleConfig(), sample: Optional[Sample] = None
 ) -> List[Tuple[float, ...]]:
-    """Refined sphere points where |Tx^4| falls inside the margin.
+    """Refined sphere points where |Tx^4| falls inside the margin, from
+    ``sample`` (a ``sphere_sample`` of T under cfg) or else from a sample of
+    its own.
 
     A point within _CLUSTER_TOL of a kept representative joins its cluster;
     one representative per cluster is returned, sorted lexicographically.
@@ -579,7 +592,7 @@ def zero_set_probe(
     """
     import numpy as np
 
-    K, X, vals = sphere_sample(T, cfg)
+    K, X, vals = sphere_sample(T, cfg) if sample is None else sample
     k = min(max(cfg.refine_top_k, 200), len(X))
     refined, rvals, _ = _polish(K, X, np.abs(vals), k, cfg)
     zeros = refined[np.abs(rvals) <= cfg.classify_margin]

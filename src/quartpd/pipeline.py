@@ -2,7 +2,8 @@
 prefilter, then family rules for cyclic patterns, then the exact binary
 criterion, and finally the numeric sphere oracle.  The stages run in that
 order up to the first decisive one, whose verdict is final (``decide``);
-``classify`` and the inequality harness both decide that way.
+``classify`` and the inequality harness both decide that way, and
+``classify`` times the exact stages and the oracle as they run.
 """
 
 from __future__ import annotations
@@ -36,41 +37,42 @@ def _principal_binary(T: SymmetricTensor4, i: int, j: int) -> binmod.BinaryQuart
     )
 
 
-def _stage_prefilter(T: SymmetricTensor4) -> Tuple[Verdict, Dict[Tuple[int, int], Verdict]]:
+def _stage_prefilter(T: SymmetricTensor4) -> Tuple[Verdict, Optional[Verdict]]:
     """Exact principal-subtensor screen: semidefiniteness is inherited by
     principal subtensors, so any indefinite 2-dim restriction refutes it.
 
     Reads only the stored entries.  Once no diagonal is negative, a pair
     (i, j) with none of t_iiij, t_iijj and t_ijjj stored restricts to
     t_iiii*x^4 + t_jjjj*y^4, which cannot refute, so only the other pairs
-    are classified, in lexicographic order.  Also returns the verdict of
-    every principal binary it classified; for dim 2 the (1,2) binary is the
-    whole form, which the analytic stage reuses, so it is always classified.
+    are classified, in lexicographic order.  For dim 2 the (1,2) binary is
+    the whole form, whose verdict the analytic stage reuses: it is always
+    classified once no diagonal is negative, and its verdict is returned
+    when the prefilter passes (else None).
     """
     stored = T.entries()
-    binaries: Dict[Tuple[int, int], Verdict] = {}
     negative = [idx[0] for idx, v in stored.items() if idx[0] == idx[3] and v < 0]
     if negative:
         i = min(negative)
         w = tuple(Fraction(int(k == i)) for k in range(1, T.dim + 1))
-        return Verdict(Kind.INDEFINITE, f"negative-diagonal t{i}{i}{i}{i}", witness=w), binaries
+        return Verdict(Kind.INDEFINITE, f"negative-diagonal t{i}{i}{i}{i}", witness=w), None
     if T.dim == 1:  # the form is t1111 * x^4
         if T[(1, 1, 1, 1)] > 0:
-            return Verdict(Kind.POSITIVE_DEFINITE, "positive-diagonal t1111"), binaries
-        return Verdict(Kind.PSD_NOT_PD, "zero-diagonal t1111", witness=(Fraction(1),)), binaries
+            return Verdict(Kind.POSITIVE_DEFINITE, "positive-diagonal t1111"), None
+        return Verdict(Kind.PSD_NOT_PD, "zero-diagonal t1111", witness=(Fraction(1),)), None
     pairs = {(idx[0], idx[3]) for idx in stored if len(set(idx)) == 2}
     if T.dim == 2:
         pairs.add((1, 2))
     for i, j in sorted(pairs):
-        v = binaries[(i, j)] = binmod.classify(_principal_binary(T, i, j))
+        v = binmod.classify(_principal_binary(T, i, j))
         if v.kind is Kind.INDEFINITE:
             w = [Fraction(0)] * T.dim
             w[i - 1], w[j - 1] = v.witness
             verdict = Verdict(
                 Kind.INDEFINITE, f"principal-subtensor({i},{j}):{v.rule}", witness=tuple(w)
             )
-            return verdict, binaries
-    return Verdict(Kind.UNDETERMINED, "prefilter-passed"), binaries
+            return verdict, None
+    # for dim 2 the loop ran once, on the (1,2) binary
+    return Verdict(Kind.UNDETERMINED, "prefilter-passed"), v if T.dim == 2 else None
 
 
 def _stage_family(T: SymmetricTensor4) -> Verdict:
@@ -105,29 +107,31 @@ def exact_stages(T: SymmetricTensor4) -> Iterator[Stage]:
     """The exact stages on T, each computed when the one before it is
     consumed: the prefilter, which decides dim 1 outright, then the family
     rules for dim 3 or the exact binary criterion for dim 2."""
-    verdict, binaries = _stage_prefilter(T)
+    verdict, whole = _stage_prefilter(T)
     yield "prefilter", verdict
     if T.dim == 3:
         yield "family", _stage_family(T)
     elif T.dim == 2:
         # the exact binary criterion, already run on the (1,2) binary
-        yield "analytic", binaries[(1, 2)]
+        yield "analytic", whole
 
 
-def run_stages(
-    T: SymmetricTensor4,
+def classify(
+    parsed: ParsedInput,
     cfg: OracleConfig = OracleConfig(),
     oracle_only: bool = False,
     analytic_only: bool = False,
-) -> Tuple[Decision, Dict[str, float]]:
-    """The pipeline's decision on a tensor, and the wall time of the exact
-    stages (``analytic_s``) and of the oracle (``oracle_s``), each when it
-    ran.  The oracle covers dims 2 and 3 only, so dim >= 4 can end
-    undetermined.  ``oracle_only`` and ``analytic_only`` each skip the
-    other stages; setting both raises ``ValueError``, since no stage would
-    run."""
+) -> dict:
+    """The pipeline's decision on a parsed input, as the schema-1 report:
+    the input and its digest, one trace entry per stage run, the final
+    verdict, and the wall time of the exact stages (``analytic_s``) and of
+    the oracle (``oracle_s``), each when it ran.  The oracle covers dims 2
+    and 3 only, so dim >= 4 can end undetermined.  ``oracle_only`` and
+    ``analytic_only`` each skip the other stages; setting both raises
+    ``ValueError``, since no stage would run."""
     if oracle_only and analytic_only:
         raise ValueError("oracle_only and analytic_only exclude each other")
+    T = to_tensor(parsed)
     timings: Dict[str, float] = {}
 
     def stages() -> Iterator[Stage]:
@@ -142,19 +146,7 @@ def run_stages(
             timings["oracle_s"] = time.perf_counter() - t0
             yield "oracle", verdict
 
-    return decide(stages()), timings
-
-
-def classify(
-    parsed: ParsedInput,
-    cfg: OracleConfig = OracleConfig(),
-    oracle_only: bool = False,
-    analytic_only: bool = False,
-) -> dict:
-    """``run_stages`` on a parsed input, as the schema-1 report: the input
-    and its digest, one trace entry per stage run, the final verdict and
-    the stage timings."""
-    decision, timings = run_stages(to_tensor(parsed), cfg, oracle_only, analytic_only)
+    decision = decide(stages())
     desc = describe(parsed)
     return {
         "schema": 1,

@@ -132,8 +132,8 @@ class TestVerify:
         assert boundary.verdict.witness == (1, 1, 1)
 
     def test_one_oracle_sample_per_entry(self, monkeypatch):
-        # the oracle stage's verdict is the sphere minimum's: one kernel per
-        # entry, and one more on 19u for its zero-set probe
+        # the sphere minimum, the oracle's verdict and 19u's zero-set probe
+        # all read one sample: one kernel per entry
         calls = 0
         kernel = oracle._kernel
 
@@ -147,7 +147,7 @@ class TestVerify:
         for q in builtin_catalog():
             calls = 0
             verify(q, cfg)
-            assert calls == (2 if q.label == "19u" else 1), q.label
+            assert calls == 1, q.label
 
 
     def test_oracle_verdict_only_where_no_exact_stage_decides(self, monkeypatch):

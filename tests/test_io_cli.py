@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quartpd
-from quartpd import binary, cli, tensorio
+from quartpd import binary, cli, oracle, tensorio
 from quartpd.binary import BinaryQuartic
 from quartpd.cli import main
 from quartpd.cyclic import CyclicTernary, RelaxedCyclicTernary, embed
@@ -344,6 +344,43 @@ class TestCli:
         res = runner.invoke(main, ["minimize", "cyclic", "1", "1", "1", "1", "-7/12", "--grid", "2000"])
         assert res.exit_code == 0
         assert res.output.startswith("min -")
+
+    @pytest.mark.parametrize("args, n_zeros", [
+        (["binary", "1", "0", "1", "0", "1"], 0),
+        (["binary", "1", "0", "-1/3", "0", "1"], 4),  # (x1^2 - x2^2)^2
+        (["cyclic", "1", "0", "0", "0", "0"], 0),
+        (["cyclic", "1", "-1", "1", "1", "-7/12"], 2),  # the cyclic boundary form
+    ])
+    def test_minimize_samples_once(self, runner, monkeypatch, args, n_zeros):
+        # one kernel per call, and the report holds what sphere_minimize and
+        # zero_set_probe give, each on a sample of its own
+        cfg = OracleConfig(grid_points=3000)
+        T = to_tensor(parse_shorthand(args[0], args[1:]))
+        res, zeros = oracle.sphere_minimize(T, cfg), oracle.zero_set_probe(T, cfg)
+        calls = []
+        kernel = oracle._kernel
+        monkeypatch.setattr(oracle, "_kernel", lambda T: calls.append(T) or kernel(T))
+        out = runner.invoke(main, ["minimize", *args, "--grid", "3000", "--json"])
+        assert out.exit_code == 0 and len(calls) == 1
+        doc = strict_json(out.stdout)
+        assert (doc["min_value"], doc["minimizer"]) == (res.min_value, list(res.minimizer))
+        assert doc["iterations"] == res.iterations_used
+        assert doc["zero_set"] == [list(z) for z in zeros] and len(zeros) == n_zeros
+
+    @pytest.mark.parametrize("args", [
+        ["check", "binary", "1", "0", "1", "0", "1"],
+        ["minimize", "binary", "1", "0", "1", "0", "1"],
+        ["inequalities", "--only", "19u"],
+    ])
+    def test_grid_above_the_bound_is_an_input_error(self, runner, monkeypatch, args):
+        # rejected with the config, before any grid is built
+        def refused(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(oracle, "_grid", refused)
+        res = runner.invoke(main, [*args, "--grid", "1000001"])
+        assert res.exit_code == 64 and isinstance(res.exception, SystemExit)
+        assert res.output == "input error: --grid must be at most 1000000\n"
 
     def test_inequalities_single(self, runner):
         res = runner.invoke(main, ["inequalities", "--only", "19-14-14", "--grid", "4000"])

@@ -162,6 +162,17 @@ def test_zero_set_binary_quartet():
         assert abs(abs(z[1]) - expect) <= 1e-4
 
 
+def test_zero_set_probe_reads_the_given_sample():
+    # the caller's sample gives the probe's own result to the bit
+    rng = random.Random("probe-sample")
+    tensors = [q.to_tensor() for q in builtin_catalog()]
+    tensors += [rand_tensor(rng, dim) for dim in (2, 3) for _ in range(6)]
+    tensors += [BOUNDARY, BinaryQuartic.of(1, 0, "-1/3", 0, 1).to_tensor()]
+    cfg = OracleConfig()
+    for T in tensors:
+        assert zero_set_probe(T, cfg, oracle.sphere_sample(T, cfg)) == zero_set_probe(T, cfg), T
+
+
 def _cluster_reference(zeros):
     """One pass per zero: a zero becomes a representative unless an
     earlier representative lies within _CLUSTER_TOL of it."""
@@ -215,7 +226,7 @@ def test_homogeneity_of_minimum():
 
 
 def test_refine_tolerance_is_relative_to_the_scale():
-    # grad_tol applies at the kernel's scale, max |t| in [1, 2): a form of scale 1e-12,
+    # _GRAD_TOL applies at the kernel's scale, max |t| in [1, 2): a form of scale 1e-12,
     # whose gradients all lie below 1e-10, is still refined to its minimum 1e-12 / 3
     res = sphere_minimize(diag_ones(3).scale(Fraction(1, 10**12)))
     assert res.iterations_used >= 1
@@ -420,6 +431,11 @@ def test_config_validation():
         OracleConfig(grid_points=0)
     with pytest.raises(ValueError):
         OracleConfig(classify_margin=2.0)
+    # the grid's arrays grow with it: at most 10^6 points
+    assert OracleConfig(grid_points=10**6).grid_points == 10**6
+    with pytest.raises(ConfigError) as exc:
+        OracleConfig(grid_points=10**6 + 1)
+    assert (exc.value.field, exc.value.requirement) == ("grid_points", "must be at most 1000000")
 
 
 def test_refine_top_k_must_be_positive():
@@ -453,7 +469,7 @@ def _gradient_reference(K, X0, cfg, stats):
         grad = 4.0 * cub
         gt = grad - (np.einsum("pi,pi->p", grad, X))[:, None] * X
         gnorm2 = np.einsum("pi,pi->p", gt, gt)
-        active = active & (np.sqrt(gnorm2) > cfg.grad_tol)
+        active = active & (np.sqrt(gnorm2) > oracle._GRAD_TOL)
         if not active.any():
             break
         iters = it + 1
@@ -498,7 +514,7 @@ def _newton_reference(K, X0, cfg, stats):
         grad = 4.0 * cub
         gt = grad - (np.einsum("pi,pi->p", grad, X))[:, None] * X
         gnorm2 = np.einsum("pi,pi->p", gt, gt)
-        active = active & (np.sqrt(gnorm2) > cfg.grad_tol)
+        active = active & (np.sqrt(gnorm2) > oracle._GRAD_TOL)
         if not active.any():
             break
         iters = it + 1
@@ -539,17 +555,19 @@ def _newton_reference(K, X0, cfg, stats):
 REFINE_CONFIGS = {
     "default": OracleConfig(),
     "one-iteration": OracleConfig(refine_max_iters=1),
-    "stall": OracleConfig(grad_tol=1e-300),  # converged candidates stall
+    "stall": OracleConfig(),  # with _GRAD_TOL at 1e-300, converged candidates stall
     "top-k-covers-grid": OracleConfig(grid_points=40, refine_top_k=64, seed=3),
 }
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("name", list(REFINE_CONFIGS))
-def test_refine_ladder_matches_sequential_reference(dim, name):
+def test_refine_ladder_matches_sequential_reference(dim, name, monkeypatch):
     # the refine gives the reference's iterates to the bit; under the
     # default config its best value is never above the gradient loop's
     cfg = REFINE_CONFIGS[name]
+    if name == "stall":
+        monkeypatch.setattr(oracle, "_GRAD_TOL", 1e-300)
     rng = random.Random(f"{dim}:{name}")
     stats = {"stalled": 0, "all_rungs_failed": 0, "partial": 0, "multi_pass": 0}
     tensors = []
@@ -658,7 +676,7 @@ def test_decrease_keeps_its_sign_at_small_steps():
 
 @pytest.mark.parametrize("q", builtin_catalog(), ids=lambda q: q.label)
 def test_catalog_candidates_all_converge(q):
-    # every refined candidate reaches grad_tol: none stalls on a decrease
+    # every refined candidate reaches _GRAD_TOL: none stalls on a decrease
     # below the values' rounding
     T, cfg = q.to_tensor(), OracleConfig()
     K, X, vals = oracle.sphere_sample(T, cfg)
@@ -666,7 +684,7 @@ def test_catalog_candidates_all_converge(q):
     grad = 4.0 * oracle._forms_and_cubics(K, R)[1]
     g = grad - np.einsum("pi,pi->p", grad, R)[:, None] * R  # as in the refine
     assert len(R) == cfg.refine_top_k
-    assert np.sqrt(np.einsum("pi,pi->p", g, g)).max() <= cfg.grad_tol
+    assert np.sqrt(np.einsum("pi,pi->p", g, g)).max() <= oracle._GRAD_TOL
 
 
 def test_top_k_matches_stable_argsort():

@@ -127,3 +127,24 @@ def test_failures_are_grouped_by_class(parity, capsys):
     assert "FAIL inequalities /reports/holds [boundary-alternating-signs -> boundary-alternating-signs]: 1 inputs\n" in out
     assert out.count("FAIL") == 7
     assert out.endswith("13 failures in 7 classes\n")
+
+
+def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch, tmp_path):
+    # minimize runs on each dim-3 tensor file of ternary-oracle, on every
+    # binary-mix input labelled psd_not_pd and on each catalog tensor,
+    # written as a tensor file
+    from quartpd.inequalities import builtin_catalog
+    from quartpd.tensorio import parse_document, to_tensor
+
+    monkeypatch.setattr(parity, "_run", lambda argv: (0, "", ""))
+    keys = [json.loads(k) for k in parity.record([101], str(tmp_path))]
+    docs = [k[1] for k in keys if k[0] == "minimize" and isinstance(k[1], dict)]
+    ternary = [item["doc"] for item in parity.gen.generate("ternary-oracle", 101)
+               if item["argv"][1] is None and item["dim"] == 3]
+    assert all(doc in docs for doc in ternary) and len(ternary) == 80
+    tensors = [to_tensor(parse_document(doc)).entries() for doc in docs]
+    assert all(q.to_tensor().entries() in tensors for q in builtin_catalog())
+    binary = {tuple(k) for k in keys if k[0] == "minimize" and k[1] == "binary"}
+    boundary = [item["argv"] for item in parity.gen.generate("binary-mix", 101) if item["label"] == "psd_not_pd"]
+    assert binary == {("minimize", *argv[1:]) for argv in boundary} and len(boundary) == 236
+    assert all(argv[-1] == "--json" for argv in binary)

@@ -5,11 +5,14 @@ Usage: python tools/parity.py SEED [SEED ...] > out.json
 
 For each seed and each workload of ``perfbench/gen.py`` it runs every
 distinct argv of ``generate(workload, seed)`` through ``quartpd.cli.main``
-in-process, importing the package from this checkout's ``src``, and also
-``minimize --json`` on every dim-3 tensor-file input of ``ternary-oracle``,
-so that the sphere minimum and the zero-set probe are compared on about
-100 forms per seed.  Tensor-file inputs are written to a temporary
-directory, as the benchmark child does.
+in-process, importing the package from this checkout's ``src``.  It also
+runs ``minimize --json`` on every dim-3 tensor-file input of
+``ternary-oracle`` (80 per seed, which rarely have zeros), on every
+``binary-mix`` input labelled ``psd_not_pd`` (forms with zeros) and on the
+18 catalog tensors written as tensor files, so that the sphere minimum and
+the zero-set probe are compared in dims 2 and 3, with zeros and without.
+Tensor-file inputs are written to a temporary directory, as the benchmark
+child does.
 The output is one JSON object, keys sorted, mapping each input (its argv,
 with a tensor file's document in place of its path) to
 ``[exit code, stdout, stderr]``; a JSON report's ``timings`` are removed.
@@ -76,24 +79,49 @@ def _without_timings(stdout: str) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
+def _catalog_docs():
+    """The catalog's tensors as tensor-file documents."""
+    from quartpd.inequalities import builtin_catalog
+
+    return [
+        {"dim": 3, "entries": [{"index": list(idx), "value": str(v)} for idx, v in sorted(T.entries().items())]}
+        for T in (q.to_tensor() for q in builtin_catalog())
+    ]
+
+
+def inputs(seed):
+    """(argv, doc) for each input recorded for ``seed``, repeats included;
+    argv[1] is None for a tensor-file input, whose document is doc."""
+    for workload in WORKLOADS:
+        for item in gen.generate(workload, seed):
+            argv, doc = list(item["argv"]), item.get("doc")
+            yield argv, doc
+            if workload == "ternary-oracle" and argv[1] is None and item["dim"] == 3:
+                yield ["minimize", None, "--json"], doc
+            elif workload == "binary-mix" and item["label"] == "psd_not_pd":
+                yield ["minimize", *argv[1:]], None
+    for doc in _catalog_docs():
+        yield ["minimize", None, "--json"], doc
+
+
+def key(argv, doc) -> str:
+    """An input's key: its argv, with a tensor file's document in place of its path."""
+    return json.dumps(argv if argv[1] is not None else [argv[0], doc, *argv[2:]])
+
+
 def record(seeds, tmp: str) -> dict:
     results = {}
     for seed in seeds:
-        for workload in WORKLOADS:
-            for item in gen.generate(workload, seed):
-                argvs = [list(item["argv"])]
-                if workload == "ternary-oracle" and argvs[0][1] is None and item["dim"] == 3:
-                    argvs.append(["minimize", None, "--json"])
-                for argv in argvs:
-                    key = json.dumps(argv if argv[1] is not None else [argv[0], item["doc"], *argv[2:]])
-                    if key in results:
-                        continue
-                    if argv[1] is None:
-                        argv[1] = os.path.join(tmp, "input.json")
-                        with open(argv[1], "w") as fh:
-                            json.dump(item["doc"], fh)
-                    code, out, err = _run(argv)
-                    results[key] = [code, _without_timings(out).replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")]
+        for argv, doc in inputs(seed):
+            k = key(argv, doc)
+            if k in results:
+                continue
+            if argv[1] is None:
+                argv = [argv[0], os.path.join(tmp, "input.json"), *argv[2:]]
+                with open(argv[1], "w") as fh:
+                    json.dump(doc, fh)
+            code, out, err = _run(argv)
+            results[k] = [code, _without_timings(out).replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")]
     return results
 
 
