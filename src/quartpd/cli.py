@@ -1,5 +1,6 @@
 """Command-line front end: argument parsing, printing and exit codes around
-:func:`quartpd.classify`.
+:func:`quartpd.classify`, whose stages ``check`` runs in their one order
+(``pipeline.stages``); ``check --analytic-only`` stops before the oracle.
 
 ``quartpd COMMAND [INPUTS]... [OPTIONS]`` with COMMAND one of ``check``,
 ``minimize`` and ``inequalities``.  Each command has a table of flags,
@@ -95,11 +96,9 @@ def _emit(report: dict, as_json: bool) -> None:
         print(f"margin: {v['margin']:.3e}")
 
 
-def _check(inputs, cfg, as_json=False, oracle_only=False, analytic_only=False) -> NoReturn:
+def _check(inputs, cfg, as_json=False, analytic_only=False) -> NoReturn:
     """Classify a tensor given as a JSON file or a '<family> c1 ...' shorthand."""
-    if oracle_only and analytic_only:
-        _input_error("--oracle-only and --analytic-only exclude each other")
-    report = classify(_parse_inputs(inputs), cfg, oracle_only, analytic_only)
+    report = classify(_parse_inputs(inputs), cfg, analytic_only=analytic_only)
     _emit(report, as_json)
     sys.exit(_EXIT[Kind(report["verdict"]["kind"])])
 
@@ -186,7 +185,6 @@ _COMMANDS = {
         _check,
         True,
         {
-            "--oracle-only": _Flag("oracle_only", None, "run the sphere oracle stage alone"),
             "--analytic-only": _Flag("analytic_only", None, "run the exact stages alone"),
             **_JSON_FLAG,
             **_ORACLE_FLAGS,

@@ -9,10 +9,11 @@ with rational weights.  Uniform weight c means w1 = w2 = w3 = c.  The
 "exchanged" variant swaps each cubic monomial with its mirror
 (x1^3*x2 <-> x1*x2^3 and so on) simultaneously.
 
-Each entry is decided by the pipeline's stages, as ``check`` decides its
-tensor: the exact prefilter, then the cyclic family rules, and where no
-exact stage decides, the oracle's verdict: an exact witness at its best
-grid point, or else the verdict of the sphere minimum.  A strict
+Each entry is decided by the pipeline's stages (``pipeline.stages``), as
+``check`` decides its tensor: the exact prefilter, then the cyclic family
+rules, and where no exact stage decides, the oracle's verdict on the
+entry's one sphere sample: an exact witness at its best grid point, or
+else the verdict of the sphere minimum.  A strict
 entry holds when the final verdict is positive definite, a non-strict one
 when it is positive definite or semidefinite.  So an entry is exact unless
 the oracle decided it: an oracle INDEFINITE rests on an exactly checked
@@ -28,11 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .cyclic import RelaxedCyclicTernary, embed
 from .oracle import OracleConfig, sample_verdict, sphere_minimize, sphere_sample, zero_set_probe
-from .pipeline import Stage, decide, exact_stages
+from .pipeline import decide, stages
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict, as_fraction, as_fraction_vector
 
@@ -52,10 +53,10 @@ class WeightedInequality:
         return cls(f"{c}u", (c, c, c), strict)
 
     @classmethod
-    def triple(cls, w1, w2, w3, strict: bool = True, **kw):
-        w = tuple(as_fraction(v) for v in (w1, w2, w3))
-        label = "-".join(str(v) for v in w)
-        return cls(label, w, strict, **kw)  # type: ignore[arg-type]
+    def triple(cls, w1, w2, w3, **kw):
+        """A strict entry with weights (w1, w2, w3)."""
+        w = (as_fraction(w1), as_fraction(w2), as_fraction(w3))
+        return cls("-".join(str(v) for v in w), w, True, **kw)
 
     def value(self, x: Sequence) -> Fraction:
         """Exact P(x) for rational x."""
@@ -166,14 +167,9 @@ def verify(ineq: WeightedInequality, cfg: OracleConfig = OracleConfig()) -> Ineq
     T = ineq.to_tensor()
     sample = sphere_sample(T, cfg)
     res = sphere_minimize(T, cfg, sample)
-
-    def stages() -> Iterator[Stage]:
-        # the exact stages decide first; the oracle's verdict is built only
-        # where they leave the entry undetermined
-        yield from exact_stages(T)
-        yield "oracle", sample_verdict(T, sample, cfg, res)
-
-    decision = decide(stages())
+    # the oracle's verdict is built only where the exact stages leave the
+    # entry undetermined
+    decision = decide(stages(T, lambda: sample_verdict(T, sample, cfg, res)))
     kind = decision.verdict.kind
     # a semidefinite or undecided form may touch zero: look for its zeros
     boundary = kind in (Kind.PSD_NOT_PD, Kind.UNDETERMINED)

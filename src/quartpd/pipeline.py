@@ -1,9 +1,11 @@
 """Classification as a staged pipeline: an exact necessary-condition
 prefilter, then family rules for cyclic patterns, then the exact binary
-criterion, and finally the numeric sphere oracle.  The stages run in that
-order up to the first decisive one, whose verdict is final (``decide``);
-``classify`` and the inequality harness both decide that way, and
-``classify`` times the exact stages and the oracle as they run.
+criterion, and finally the numeric sphere oracle.  ``stages`` is the one
+place that order is written; it computes each stage when the one before it
+has been consumed, and ``decide`` consumes them up to the first decisive
+one, whose verdict is final.  ``classify`` and the inequality harness both
+decide that way, each passing its own oracle stage, and ``classify`` times
+the exact stages and the oracle as they run.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 # CPython's built-in digest, as its own ``random`` takes sha512:
 # ``import hashlib`` loads OpenSSL, several megabytes for one digest a call.
@@ -37,42 +39,8 @@ def _principal_binary(T: SymmetricTensor4, i: int, j: int) -> binmod.BinaryQuart
     )
 
 
-def _stage_prefilter(T: SymmetricTensor4) -> Tuple[Verdict, Optional[Verdict]]:
-    """Exact principal-subtensor screen: semidefiniteness is inherited by
-    principal subtensors, so any indefinite 2-dim restriction refutes it.
-
-    Reads only the stored entries.  Once no diagonal is negative, a pair
-    (i, j) with none of t_iiij, t_iijj and t_ijjj stored restricts to
-    t_iiii*x^4 + t_jjjj*y^4, which cannot refute, so only the other pairs
-    are classified, in lexicographic order.  For dim 2 the (1,2) binary is
-    the whole form, whose verdict the analytic stage reuses: it is always
-    classified once no diagonal is negative, and its verdict is returned
-    when the prefilter passes (else None).
-    """
-    stored = T.entries()
-    negative = [idx[0] for idx, v in stored.items() if idx[0] == idx[3] and v < 0]
-    if negative:
-        i = min(negative)
-        w = tuple(Fraction(int(k == i)) for k in range(1, T.dim + 1))
-        return Verdict(Kind.INDEFINITE, f"negative-diagonal t{i}{i}{i}{i}", witness=w), None
-    if T.dim == 1:  # the form is t1111 * x^4
-        if T[(1, 1, 1, 1)] > 0:
-            return Verdict(Kind.POSITIVE_DEFINITE, "positive-diagonal t1111"), None
-        return Verdict(Kind.PSD_NOT_PD, "zero-diagonal t1111", witness=(Fraction(1),)), None
-    pairs = {(idx[0], idx[3]) for idx in stored if len(set(idx)) == 2}
-    if T.dim == 2:
-        pairs.add((1, 2))
-    for i, j in sorted(pairs):
-        v = binmod.classify(_principal_binary(T, i, j))
-        if v.kind is Kind.INDEFINITE:
-            w = [Fraction(0)] * T.dim
-            w[i - 1], w[j - 1] = v.witness
-            verdict = Verdict(
-                Kind.INDEFINITE, f"principal-subtensor({i},{j}):{v.rule}", witness=tuple(w)
-            )
-            return verdict, None
-    # for dim 2 the loop ran once, on the (1,2) binary
-    return Verdict(Kind.UNDETERMINED, "prefilter-passed"), v if T.dim == 2 else None
+def _unit(dim: int, i: int) -> Tuple[Fraction, ...]:
+    return tuple(Fraction(int(k == i)) for k in range(1, dim + 1))
 
 
 def _stage_family(T: SymmetricTensor4) -> Verdict:
@@ -84,6 +52,57 @@ def _stage_family(T: SymmetricTensor4) -> Verdict:
 
 
 Stage = Tuple[str, Verdict]  # a stage's name and its verdict
+
+
+def stages(T: SymmetricTensor4, oracle: Optional[Callable[[], Verdict]] = None) -> Iterator[Stage]:
+    """The pipeline's stages on T, in order, each computed when the one
+    before it has been consumed, so that ``decide`` runs none past the
+    first decisive one.
+
+    The prefilter is an exact principal-subtensor screen: semidefiniteness
+    is inherited by principal subtensors, so any indefinite 2-dim
+    restriction refutes it.  It decides the zero form (PSD-not-PD, witness
+    e1) and dim 1 outright, and reads only the stored entries: once no
+    diagonal is negative, a pair (i, j) with none of t_iiij, t_iijj and
+    t_ijjj stored restricts to t_iiii*x^4 + t_jjjj*y^4, which cannot
+    refute, so only the other pairs are classified, in lexicographic
+    order.  For dim 2 the (1,2) binary is the whole form, so the prefilter
+    always classifies it and the analytic stage, the exact binary
+    criterion, is its verdict.  The family rules follow for dim 3, and
+    then, for the dims in ``ORACLE_DIMS``, the oracle stage's verdict
+    ``oracle()``, unless ``oracle`` is None.
+    """
+    stored = T.entries()
+    if not stored:  # the zero form vanishes everywhere
+        yield "prefilter", Verdict(Kind.PSD_NOT_PD, "zero-form", witness=_unit(T.dim, 1))
+        return
+    negative = [idx[0] for idx, v in stored.items() if idx[0] == idx[3] and v < 0]
+    if negative:
+        i = min(negative)
+        rule = f"negative-diagonal t{i}{i}{i}{i}"
+        yield "prefilter", Verdict(Kind.INDEFINITE, rule, witness=_unit(T.dim, i))
+        return
+    if T.dim == 1:  # the form is t1111 * x^4, with t1111 > 0
+        yield "prefilter", Verdict(Kind.POSITIVE_DEFINITE, "positive-diagonal t1111")
+        return
+    pairs = {(idx[0], idx[3]) for idx in stored if len(set(idx)) == 2}
+    if T.dim == 2:
+        pairs.add((1, 2))
+    for i, j in sorted(pairs):
+        binary = binmod.classify(_principal_binary(T, i, j))
+        if binary.kind is Kind.INDEFINITE:
+            w = [Fraction(0)] * T.dim
+            w[i - 1], w[j - 1] = binary.witness
+            rule = f"principal-subtensor({i},{j}):{binary.rule}"
+            yield "prefilter", Verdict(Kind.INDEFINITE, rule, witness=tuple(w))
+            return
+    yield "prefilter", Verdict(Kind.UNDETERMINED, "prefilter-passed")
+    if T.dim == 2:  # the loop ran once, on the (1,2) binary
+        yield "analytic", binary
+    elif T.dim == 3:
+        yield "family", _stage_family(T)
+    if oracle is not None and T.dim in ORACLE_DIMS:
+        yield "oracle", oracle()
 
 
 class Decision(NamedTuple):
@@ -103,50 +122,27 @@ def decide(stages: Iterable[Stage]) -> Decision:
     return Decision(trace, None, Verdict(Kind.UNDETERMINED, "no-decisive-stage"))
 
 
-def exact_stages(T: SymmetricTensor4) -> Iterator[Stage]:
-    """The exact stages on T, each computed when the one before it is
-    consumed: the prefilter, which decides dim 1 outright, then the family
-    rules for dim 3 or the exact binary criterion for dim 2."""
-    verdict, whole = _stage_prefilter(T)
-    yield "prefilter", verdict
-    if T.dim == 3:
-        yield "family", _stage_family(T)
-    elif T.dim == 2:
-        # the exact binary criterion, already run on the (1,2) binary
-        yield "analytic", whole
-
-
 def classify(
-    parsed: ParsedInput,
-    cfg: OracleConfig = OracleConfig(),
-    oracle_only: bool = False,
-    analytic_only: bool = False,
+    parsed: ParsedInput, cfg: OracleConfig = OracleConfig(), *, analytic_only: bool = False
 ) -> dict:
     """The pipeline's decision on a parsed input, as the schema-1 report:
     the input and its digest, one trace entry per stage run, the final
-    verdict, and the wall time of the exact stages (``analytic_s``) and of
-    the oracle (``oracle_s``), each when it ran.  The oracle covers dims 2
-    and 3 only, so dim >= 4 can end undetermined.  ``oracle_only`` and
-    ``analytic_only`` each skip the other stages; setting both raises
-    ``ValueError``, since no stage would run."""
-    if oracle_only and analytic_only:
-        raise ValueError("oracle_only and analytic_only exclude each other")
+    verdict, and the wall time of the exact stages (``analytic_s``) and,
+    when it ran, of the oracle (``oracle_s``).  The oracle covers dims 2
+    and 3 only, so dim >= 4 can end undetermined; ``analytic_only`` runs
+    the exact stages alone."""
     T = to_tensor(parsed)
     timings: Dict[str, float] = {}
 
-    def stages() -> Iterator[Stage]:
-        if not oracle_only:
-            t0 = time.perf_counter()
-            for stage in exact_stages(T):
-                timings["analytic_s"] = time.perf_counter() - t0
-                yield stage
-        if not analytic_only and T.dim in ORACLE_DIMS:
-            t0 = time.perf_counter()
-            verdict = classify_numeric(T, cfg)
-            timings["oracle_s"] = time.perf_counter() - t0
-            yield "oracle", verdict
+    def oracle() -> Verdict:
+        t0 = time.perf_counter()
+        verdict = classify_numeric(T, cfg)
+        timings["oracle_s"] = time.perf_counter() - t0
+        return verdict
 
-    decision = decide(stages())
+    t0 = time.perf_counter()
+    decision = decide(stages(T, None if analytic_only else oracle))
+    timings["analytic_s"] = time.perf_counter() - t0 - timings.get("oracle_s", 0.0)
     desc = describe(parsed)
     return {
         "schema": 1,

@@ -9,14 +9,14 @@ from pathlib import Path
 import pytest
 
 import quartpd
-from quartpd import binary, cli, oracle, tensorio
+from quartpd import binary, cli, oracle, pipeline, tensorio
 from quartpd.binary import BinaryQuartic
 from quartpd.cli import main
 from quartpd.cyclic import CyclicTernary, RelaxedCyclicTernary, embed
 from quartpd.oracle import OracleConfig
 from quartpd.tensor import SymmetricTensor4
 from quartpd.tensorio import InputError, load, parse_document, parse_shorthand, to_tensor
-from quartpd.verdict import Kind, as_fraction
+from quartpd.verdict import Kind, Verdict, as_fraction
 
 from conftest import strict_json
 
@@ -134,16 +134,14 @@ class TestPipeline:
     CFG = OracleConfig(grid_points=2000)
 
     def test_family_stage_decides(self):
-        rep = quartpd.classify(
-            CyclicTernary.of(1, -1, 1, 1, "-1/6"), self.CFG, False, False
-        )
+        rep = quartpd.classify(CyclicTernary.of(1, -1, 1, 1, "-1/6"), self.CFG)
         assert rep["verdict"]["kind"] == "positive-definite"
         stages = [s["stage"] for s in rep["trace"]]
         assert stages == ["prefilter", "family"]
 
     def test_scaled_family_input(self):
         # a = 2: the family rules read the orbit values divided by a
-        rep = quartpd.classify(CyclicTernary.of(2, -2, 2, 2, "-1/3"), self.CFG, False, False)
+        rep = quartpd.classify(CyclicTernary.of(2, -2, 2, 2, "-1/3"), self.CFG)
         assert rep["verdict"]["kind"] == "positive-definite"
         assert [s["stage"] for s in rep["trace"]] == ["prefilter", "family"]
         assert rep["trace"][-1]["kind"] == "positive-definite"
@@ -167,41 +165,72 @@ class TestPipeline:
             assert Kind(step["kind"])
 
     def test_oracle_only_agrees_with_analytic(self):
+        # the oracle alone, classify_numeric, agrees with the pipeline's
+        # exact verdict wherever its margin is clear of zero
         for parsed in (
             CyclicTernary.of(1, -1, 1, 1, "-1/6"),
             BinaryQuartic.of(1, -1, 1, 1, 1),
             CyclicTernary.of(1, 1, 1, 1, "-7/12"),
         ):
-            a = quartpd.classify(parsed, self.CFG, False, False)
-            b = quartpd.classify(parsed, self.CFG, True, False)
-            margin = b["verdict"]["margin"]
-            if margin is not None and abs(margin) > 1e-6:
-                assert a["verdict"]["kind"] == b["verdict"]["kind"]
+            a = quartpd.classify(parsed, self.CFG)
+            assert a["trace"][-1]["stage"] != "oracle"
+            b = quartpd.classify_numeric(to_tensor(parsed), self.CFG)
+            if b.margin is not None and abs(b.margin) > 1e-6:
+                assert a["verdict"]["kind"] == str(b.kind)
 
-    def test_both_stage_flags_are_a_usage_error(self, runner):
-        with pytest.raises(ValueError, match="oracle_only and analytic_only"):
-            quartpd.classify(BinaryQuartic.of(1, 0, 1, 0, 1), oracle_only=True, analytic_only=True)
-        res = runner.invoke(
-            main, ["check", "binary", "1", "0", "1", "0", "1", "--oracle-only", "--analytic-only"]
-        )
+    def test_oracle_only_is_gone(self, runner):
+        # the stage order has no switch: --oracle-only is an unknown option,
+        # and analytic_only is keyword-only, so an old positional
+        # (oracle_only, analytic_only) call fails rather than run other stages
+        res = runner.invoke(main, ["check", "binary", "1", "0", "1", "0", "1", "--oracle-only"])
         assert res.exit_code == 64
-        assert res.output.startswith("input error:")
-        assert "--oracle-only" in res.output and "--analytic-only" in res.output
+        assert res.output == "input error: no such option: --oracle-only\n"
+        with pytest.raises(TypeError):
+            quartpd.classify(BinaryQuartic.of(1, 0, 1, 0, 1), self.CFG, True)
+
+    @pytest.mark.parametrize(
+        "T, calls",
+        [
+            (embed(CyclicTernary.of(1, -1, 1, 1, "-1/6")), 0),  # PD by the family rules
+            (to_tensor(BinaryQuartic.of(1, 0, "-1/3", 0, 1)), 0),  # the binary criterion
+            (SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
+                                  (1, 1, 1, 2): 5}), 0),  # refuted by the prefilter
+            (SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
+                                  (1, 1, 2, 3): Fraction(1, 10)}), 1),  # no exact stage decides
+            (embed(CyclicTernary.of(1, -1, 1, 1, 0)), 1),  # outside the family hypotheses
+            (SymmetricTensor4(1, {(1, 1, 1, 1): 1}), 0),
+            (SymmetricTensor4(4, {(i, i, i, i): 1 for i in range(1, 5)}), 0),
+        ],
+        ids=["family", "binary", "prefilter", "general", "cyclic", "dim1", "dim4"],
+    )
+    def test_stages_run_the_oracle_once_where_no_exact_stage_decides(self, T, calls):
+        made = []
+
+        def oracle():
+            made.append(T)
+            return Verdict(Kind.UNDETERMINED, "stub")
+
+        with_oracle = pipeline.decide(pipeline.stages(T, oracle))
+        assert len(made) == calls
+        assert [s for s, _ in with_oracle.trace].count("oracle") == calls
+        # with no oracle the trace is the same up to the oracle stage
+        exact = pipeline.decide(pipeline.stages(T)).trace
+        assert exact == with_oracle.trace[: len(with_oracle.trace) - calls]
 
     def test_analytic_only_undetermined(self):
-        rep = quartpd.classify(CyclicTernary.of(1, -1, 1, 1, 0), self.CFG, False, True)
+        rep = quartpd.classify(CyclicTernary.of(1, -1, 1, 1, 0), self.CFG, analytic_only=True)
         assert rep["verdict"]["kind"] == "undetermined"
 
     def test_prefilter_catches_bad_subtensor(self):
         T = SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
                                  (1, 1, 1, 2): 5})
-        rep = quartpd.classify(T, self.CFG, False, False)
+        rep = quartpd.classify(T, self.CFG)
         assert rep["verdict"]["kind"] == "indefinite"
         assert rep["trace"][0]["stage"] == "prefilter"
 
     def test_determinism(self):
-        a = quartpd.classify(CyclicTernary.of(1, 1, -1, "3/2", 0), self.CFG, False, False)
-        b = quartpd.classify(CyclicTernary.of(1, 1, -1, "3/2", 0), self.CFG, False, False)
+        a = quartpd.classify(CyclicTernary.of(1, 1, -1, "3/2", 0), self.CFG)
+        b = quartpd.classify(CyclicTernary.of(1, 1, -1, "3/2", 0), self.CFG)
         a.pop("timings")
         b.pop("timings")
         assert a == b
@@ -400,7 +429,7 @@ class TestCli:
             ["check", "binary", "1", "0", "1", "0", "1", "--grid", "abc"],
             ["inequalities", "--bogus"],
             ["check", "binary", "1", "0", "1", "0", "1", "--margin", "nan"],
-            ["check", "binary", "1", "0", "1", "0", "1", "--oracle-only", "--seed", "-1"],
+            ["check", "binary", "1", "0", "1", "0", "1", "--seed", "-1"],
             ["minimize", "binary", "1", "0", "1", "0", "1", "--seed", "-1"],
             ["inequalities", "--only", "19u", "--seed", "-2"],
             ["check", "binary", "1", "0", "1", "0", "1", "--bogus"],
@@ -440,7 +469,7 @@ class TestCli:
             (["check", "cyclic", "1", "-1", "1", "1", "-1/6"], 0, "positive-definite"),
             (["check", "cyclic", "1", "1", "1", "1", "-7/12"], 2, "witness: (1, 1, -5)"),
             (["--help"], 0, "inequalities"),
-            (["check", "--help"], 0, "--oracle-only"),
+            (["check", "--help"], 0, "--analytic-only"),
             (["check", "binary", "1", "0", "1", "0", "1", "--grid", "abc"], 64, "input error: --grid"),
         ],
     )
@@ -470,10 +499,23 @@ class TestDimensions:
             assert doc["verdict"]["witness"] == witness
             assert [s["stage"] for s in doc["trace"]] == ["prefilter"]
 
-    def test_dim1_oracle_only_undetermined(self, runner, tmp_path):
-        path = write_tensor(tmp_path, 1, {(1, 1, 1, 1): 1})
-        res = runner.invoke(main, ["check", path, "--oracle-only"])
-        assert res.exit_code == 3
+    @pytest.mark.parametrize(
+        "args",
+        [1, 2, 3, 4, ["binary", *"00000"], ["cyclic", *"00000"], ["relaxed", *"0000000"]],
+        ids=["dim1", "dim2", "dim3", "dim4", "binary", "cyclic", "relaxed"],
+    )
+    def test_zero_form_is_psd_not_pd_in_every_dim(self, runner, tmp_path, args):
+        # the zero form vanishes everywhere: the prefilter decides it exactly
+        if isinstance(args, int):
+            args = [write_tensor(tmp_path, args, {})]
+        res = runner.invoke(main, ["check", *args, "--json"])
+        assert res.exit_code == 1
+        doc = json.loads(res.output)
+        assert [s["stage"] for s in doc["trace"]] == ["prefilter"]
+        assert doc["verdict"]["rule"] == "zero-form"
+        parsed = load(args[0]) if len(args) == 1 else parse_shorthand(args[0], args[1:])
+        witness = [Fraction(w) for w in doc["verdict"]["witness"]]
+        assert any(witness) and to_tensor(parsed).evaluate_form(witness) == 0
 
     def test_dim4_skips_the_oracle(self, runner, tmp_path):
         path = write_tensor(tmp_path, 4, {(i, i, i, i): 1 for i in range(1, 5)})
@@ -537,6 +579,9 @@ class TestBeyondFloatRange:
     0.0."""
 
     HUGE = 10**400
+    # 10^400 (x1^4 + x2^4 + x3^4 - 12 x1^2 x2 x3), -9 10^400 at (1, 1, 1)
+    HUGE_INDEFINITE = {(1, 1, 1, 1): HUGE, (2, 2, 2, 2): HUGE, (3, 3, 3, 3): HUGE,
+                       (1, 1, 2, 3): -HUGE}
 
     def tensor_file(self, tmp_path, entries):
         path = tmp_path / "t.json"
@@ -546,38 +591,44 @@ class TestBeyondFloatRange:
         return str(path)
 
     # a margin beyond float range is written as the string "inf", since
-    # RFC 8259 JSON has no number for it
+    # RFC 8259 JSON has no number for it; the family rules decline
+    # b = 0, so the oracle decides 10^+-400 sum x_i^4
     @pytest.mark.parametrize("value, margin", [("1e400", "inf"), ("1e-400", 0.0)])
     def test_scaled_sum_of_fourth_powers_is_positive_definite(self, runner, tmp_path, value, margin):
         path = self.tensor_file(tmp_path, {(i, i, i, i): value for i in (1, 2, 3)})
-        for flags in ([], ["--oracle-only"]):
-            res = runner.invoke(main, ["check", path, "--json", *flags])
-            assert res.exit_code == 0
-            verdict = strict_json(res.output)["verdict"]
-            assert (verdict["kind"], verdict["rule"]) == ("positive-definite", "oracle-sphere-minimum")
-            assert verdict["margin"] == margin
+        res = runner.invoke(main, ["check", path, "--json"])
+        assert res.exit_code == 0
+        doc = strict_json(res.output)
+        assert [s["stage"] for s in doc["trace"]] == ["prefilter", "family", "oracle"]
+        verdict = doc["verdict"]
+        assert (verdict["kind"], verdict["rule"]) == ("positive-definite", "oracle-sphere-minimum")
+        assert verdict["margin"] == margin
         assert runner.invoke(main, ["minimize", path]).exit_code == 0
 
     @pytest.mark.parametrize("value, minimum", [("1e400", "inf"), ("-1e400", "-inf"), ("1e-400", 0.0)])
     def test_json_reports_are_strict_beyond_float_range(self, runner, tmp_path, value, minimum):
-        path = self.tensor_file(tmp_path, {(i, i, i, i): value for i in (1, 2, 3)})
-        res = runner.invoke(main, ["check", path, "--json", "--oracle-only"])
-        assert strict_json(res.output)["verdict"]["margin"] == minimum
-        res = runner.invoke(main, ["minimize", path, "--json"])
+        entries = {(i, i, i, i): value for i in (1, 2, 3)}
+        # the prefilter refutes -10^400 sum x_i^4 before the oracle runs, so
+        # the oracle's -inf margin is read on the huge indefinite form
+        checked = self.HUGE_INDEFINITE if value == "-1e400" else entries
+        res = runner.invoke(main, ["check", self.tensor_file(tmp_path, checked), "--json"])
+        doc = strict_json(res.output)
+        assert doc["trace"][-1]["stage"] == "oracle"
+        assert doc["verdict"]["margin"] == minimum
+        res = runner.invoke(main, ["minimize", self.tensor_file(tmp_path, entries), "--json"])
         assert res.exit_code == 0
         assert strict_json(res.output)["min_value"] == minimum
 
     def test_huge_indefinite_form_has_an_exact_witness(self, runner, tmp_path):
-        # 10^400 (x1^4 + x2^4 + x3^4 - 12 x1^2 x2 x3), -9 10^400 at (1, 1, 1)
-        entries = {(1, 1, 1, 1): self.HUGE, (2, 2, 2, 2): self.HUGE, (3, 3, 3, 3): self.HUGE,
-                   (1, 1, 2, 3): -self.HUGE}
-        path = self.tensor_file(tmp_path, entries)
-        for flags in ([], ["--oracle-only"]):
-            res = runner.invoke(main, ["check", path, "--json", *flags])
-            assert res.exit_code == 2
-            verdict = json.loads(res.output)["verdict"]
-            assert verdict["kind"] == "indefinite"
-            assert load(path).evaluate_form([Fraction(w) for w in verdict["witness"]]) < 0
+        path = self.tensor_file(tmp_path, self.HUGE_INDEFINITE)
+        res = runner.invoke(main, ["check", path, "--json"])
+        assert res.exit_code == 2
+        doc = strict_json(res.output)
+        assert [s["stage"] for s in doc["trace"]] == ["prefilter", "family", "oracle"]
+        verdict = doc["verdict"]
+        assert (verdict["kind"], verdict["rule"]) == ("indefinite", "oracle-grid-witness")
+        assert verdict["margin"] == "-inf"
+        assert load(path).evaluate_form([Fraction(w) for w in verdict["witness"]]) < 0
         assert runner.invoke(main, ["minimize", path]).exit_code == 0
 
     def test_mixed_scales_end_at_the_boundary(self, runner, tmp_path):

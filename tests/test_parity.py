@@ -148,3 +148,16 @@ def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch
     boundary = [item["argv"] for item in parity.gen.generate("binary-mix", 101) if item["label"] == "psd_not_pd"]
     assert binary == {("minimize", *argv[1:]) for argv in boundary} and len(boundary) == 236
     assert all(argv[-1] == "--json" for argv in binary)
+
+
+def test_every_check_input_is_also_run_analytic_only(parity, monkeypatch, tmp_path):
+    # each distinct check input is recorded twice: through every stage, and
+    # with --analytic-only through the exact stages alone
+    monkeypatch.setattr(parity, "_run", lambda argv: (0, "", ""))
+    checks = [json.loads(k) for k in parity.record([101], str(tmp_path)) if json.loads(k)[0] == "check"]
+    plain = [k for k in checks if "--analytic-only" not in k]
+    analytic = [k for k in checks if "--analytic-only" in k]
+    assert sorted(analytic, key=json.dumps) == sorted(([*k, "--analytic-only"] for k in plain), key=json.dumps)
+    distinct = {parity.key(item["argv"], item.get("doc")) for w in ("binary-mix", "ternary-oracle")
+                for item in parity.gen.generate(w, 101)}
+    assert len(plain) == len(distinct) and all(k[-2:] == ["--json", "--analytic-only"] for k in analytic)

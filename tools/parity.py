@@ -6,7 +6,9 @@ Usage: python tools/parity.py SEED [SEED ...] > out.json
 For each seed and each workload of ``perfbench/gen.py`` it runs every
 distinct argv of ``generate(workload, seed)`` through ``quartpd.cli.main``
 in-process, importing the package from this checkout's ``src``.  It also
-runs ``minimize --json`` on every dim-3 tensor-file input of
+runs every ``check`` input again with ``--analytic-only``, so that the
+pipeline's stages are compared without the oracle stage as well as with
+it, and ``minimize --json`` on every dim-3 tensor-file input of
 ``ternary-oracle`` (80 per seed, which rarely have zeros), on every
 ``binary-mix`` input labelled ``psd_not_pd`` (forms with zeros) and on the
 18 catalog tensors written as tensor files, so that the sphere minimum and
@@ -96,6 +98,8 @@ def inputs(seed):
         for item in gen.generate(workload, seed):
             argv, doc = list(item["argv"]), item.get("doc")
             yield argv, doc
+            if argv[0] == "check":
+                yield [*argv, "--analytic-only"], doc
             if workload == "ternary-oracle" and argv[1] is None and item["dim"] == 3:
                 yield ["minimize", None, "--json"], doc
             elif workload == "binary-mix" and item["label"] == "psd_not_pd":
