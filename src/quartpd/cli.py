@@ -176,7 +176,6 @@ class _Command(NamedTuple):
 _ORACLE_FLAGS = {
     "--grid": _Flag("grid_points", int, "grid point count"),
     "--seed": _Flag("seed", int, "jitter seed"),
-    "--margin": _Flag("classify_margin", float, "classification margin, times max|t| floored to 2^k"),
 }
 _JSON_FLAG = {"--json": _Flag("as_json", None, "machine-readable output")}
 

@@ -28,12 +28,13 @@ tried again in the next pass, and one whose step falls below 1e-18 has
 stalled and stops.  An iteration makes at most 40 passes.  Carrying the
 step over, rather than starting every iteration at 1, matters: a step that
 cannot lower the form halves until it stalls, where a restart at 1 would
-try it again every iteration.  An iteration in which every candidate is
-still active works on the refine's arrays in place, and takes the trial
-points whole when all of them pass on the first pass; only the other
-iterations gather and scatter rows.  That is bookkeeping only: each pass
-computes on the same rows as the gathered form would, so the iterates are
-the same to the bit.
+try it again every iteration.  The refine holds every candidate in its
+arrays throughout, under two masks: ``active`` (not yet converged or
+stalled) and ``pending`` (not yet moved in this iteration).  Each
+iteration computes the direction of every row, and each pass tries a step
+on every row and copies the trial point in where the row is pending and
+passes; when every candidate passes on the first pass, it takes the trial
+arrays whole.  A converged or stalled row is computed on but never moves.
 
 The Armijo test does not subtract two float values of the form: a Newton
 step from a gradient near 1e-8 lowers f by about 1e-17, below one ulp of
@@ -62,14 +63,16 @@ point.  The refine needs Tx^2 for the Hessian: it is the sum over p of
 q_p H_p, with H_p the fold weight of the quadratic monomial p times the
 matrix t_{.,.,i_p,j_p}; then Tx^3 is Tx^2 x, for the gradient, and Tx^4
 is Tx^3 . x.  A candidate's iterates do not depend on which candidates
-share its pass only if every row of these contractions (and of
-``_decrease``) comes out the same whatever other rows share its batch;
-``einsum`` on C-contiguous operands gives that, while a BLAS ``@`` takes
-another kernel for a one-row batch and changes the last bits, and
-``einsum`` sums the rows of a column-major operand in another order.  The
-grid values only rank grid points (the starting points), point to the
-grid witness, which is checked exactly, and give that verdict's margin, a
-float like any other; so they use ``@``.
+share its pass only if every row of these contractions, of ``_decrease``
+and of ``_newton_directions`` comes out the same whatever other rows share
+its batch; ``einsum`` on C-contiguous operands gives that, while a BLAS
+``@`` takes another kernel for a one-row batch and changes the last bits,
+and ``einsum`` sums the rows of a column-major operand in another order.
+The tangent system's determinant is a row sum of products for the same
+reason: ``einsum`` over its strided operands takes other bits for a
+one-row batch.  The grid values only rank grid points (the starting
+points), point to the grid witness, which is checked exactly, and give
+that verdict's margin, a float like any other; so they use ``@``.
 
 The kernel holds T / 2^shift with shift = floor(log2 max |t|), read off
 the bit lengths of the entries' numerators and denominators, and each
@@ -84,7 +87,7 @@ outside float range reads inf or 0.0.  A value's rounding error is at
 most about 32 u L, with u the unit roundoff and L <= 81 max |t| the sum
 of |t| over all index orders (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., 2002, sec. 3.1): about 3e-13 of max |t|, far below
-the default margin of 1e-8 of it.
+the margin ``_MARGIN`` (1e-8, a fixed constant) of it.
 
 ``sample_verdict`` is the one place where a sample becomes a verdict.
 INDEFINITE rests only on an exactly checked witness, which it looks for
@@ -93,15 +96,16 @@ negative in exact arithmetic, the verdict is INDEFINITE by rule
 ``oracle-grid-witness``, its margin is the sampled minimum, and the refine
 does not run.  Otherwise the rule reads the refined minimum
 (``oracle-sphere-minimum``): a witness at any negative minimum, inside the
-margin too, is INDEFINITE; a minimum above the classification margin is
-POSITIVE_DEFINITE, and every other one is UNDETERMINED (``oracle-boundary``),
-left to the exact analytic modules; the margin is the refined minimum.
+margin too, is INDEFINITE; a minimum above the classification margin
+``_MARGIN`` is POSITIVE_DEFINITE, and every other one is UNDETERMINED
+(``oracle-boundary``), left to the exact analytic modules; the margin is
+the refined minimum.
 
 ``zero_set_probe`` refines the max(200, refine_top_k) grid points of
-smallest |Tx^4| and keeps those whose refined value lies inside the
-margin.  It clusters them greedily in refine order, one distance pass per
-cluster: the first zero not yet covered becomes the next representative
-and covers every zero within ``_CLUSTER_TOL`` of it.
+smallest |Tx^4| and keeps those whose refined |Tx^4| is at most
+``_MARGIN``.  It clusters them greedily in refine order, one distance pass
+per cluster: the first zero not yet covered becomes the next
+representative and covers every zero within ``_CLUSTER_TOL`` of it.
 """
 
 from __future__ import annotations
@@ -131,6 +135,10 @@ _MAX_HALVINGS = 40
 # this, at the kernel's scale (max |t| in [1, 2))
 _GRAD_TOL = 1e-10
 
+# the classification margin, at the kernel's scale: a refined minimum above
+# it is PD, and a refined |Tx^4| at most it is a zero
+_MARGIN = 1e-8
+
 # the largest grid_points, 50 times the dim-3 default: a grid's arrays grow
 # in proportion to it
 _MAX_GRID = 10**6
@@ -155,8 +163,6 @@ class ConfigError(ValueError):
 class OracleConfig:
     grid_points: Optional[int] = None  # defaults: 4096 (n=2), 20000 (n=3)
     refine_max_iters: int = 500
-    # the margin, at the kernel's scale (max |t| in [1, 2))
-    classify_margin: float = 1e-8
     seed: int = 0
     refine_top_k: int = 50
 
@@ -167,8 +173,6 @@ class OracleConfig:
             raise ConfigError("grid_points", f"must be at most {_MAX_GRID}")
         if self.refine_max_iters <= 0:
             raise ConfigError("refine_max_iters", "must be positive")
-        if not 0 < self.classify_margin < 1:
-            raise ConfigError("classify_margin", "must lie in (0, 1)")
         if self.seed < 0:
             raise ConfigError("seed", "must be nonnegative")
         if self.refine_top_k <= 0:
@@ -365,7 +369,7 @@ def _tangent_system(M: np.ndarray, xx: np.ndarray):
         # indices mod 3; the adjugate is its transpose
         f = B.reshape(-1, 9)[:, cofactor_at]
         adj = (f[:, 0] * f[:, 1] - f[:, 2] * f[:, 3]).transpose(0, 2, 1)
-    det = np.einsum("pi,pi->p", B[:, 0], adj[:, :, 0])
+    det = (B[:, 0] * adj[:, :, 0]).sum(axis=1)
     return adj, det, (B[:, 0, 0] > 0) & (adj[:, -1, -1] > 0) & (det > 0)
 
 
@@ -418,14 +422,14 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
     """Safeguarded Newton descent with per-candidate backtracking on the
     sphere, at the kernel's scale (see the module docstring).
 
-    Each pass of an iteration tries one step for every candidate that has
-    not yet moved: a candidate that passes Armijo takes the trial point and
-    doubles its step (up to 1), one that fails halves it, and one whose
-    step falls below 1e-18 has stalled and stops.  After _MAX_HALVINGS
-    passes the candidates still pending keep their point for the
-    iteration.  Returns refined points, values (divided by 2^shift) and the
-    iteration count of the longest running candidate.  An iteration in
-    which every candidate is active works in place (module docstring).
+    Each pass of an iteration tries one step on every row and moves the
+    pending ones that pass (module docstring): a candidate that passes
+    Armijo takes the trial point and doubles its step (up to 1), one that
+    fails halves it, and one whose step falls below 1e-18 has stalled and
+    stops.  After _MAX_HALVINGS passes the candidates still pending keep
+    their point for the iteration.  Returns refined points, values
+    (divided by 2^shift) and the iteration count of the longest running
+    candidate.
     """
     import numpy as np
 
@@ -437,42 +441,30 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
     for it in range(cfg.refine_max_iters):
         grad = 4.0 * cub
         gt = grad - (np.einsum("pi,pi->p", grad, X))[:, None] * X
-        gnorm2 = np.einsum("pi,pi->p", gt, gt)
-        active = active & (np.sqrt(gnorm2) > _GRAD_TOL)
+        active &= np.sqrt(np.einsum("pi,pi->p", gt, gt)) > _GRAD_TOL
         if not active.any():
             break
         iters = it + 1
-        rows = at = np.flatnonzero(active)
-        whole = len(rows) == len(X)
-        if whole:  # x and s alias X and step: read before the first scatter only
-            x, held, g, s = X, (vals, cub, hess), gt, step
-        else:
-            x, held, g, s = X[rows], (vals[rows], cub[rows], hess[rows]), gt[rows], step[rows]
-        d, _ = _newton_directions(x, held[0], g, held[2])
-        slope = np.einsum("pi,pi->p", g, d)
-        pending, dp, sp = np.arange(len(rows)), d, slope  # positions in rows
+        d, _ = _newton_directions(X, vals, gt, hess)
+        slope = np.einsum("pi,pi->p", gt, d)
+        pending = active.copy()
         for _ in range(_MAX_HALVINGS):
-            trial = x + s[:, None] * dp
-            trial = trial / np.linalg.norm(trial, axis=1, keepdims=True)
+            trial = X + step[:, None] * d
+            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
             forms = _forms_and_cubics(K, trial)
-            ok = _decrease(x, held, trial, forms) < 1e-4 * s * sp
-            if whole and ok.all():
-                X, (vals, cub, hess), step = trial, forms, np.minimum(2.0 * s, 1.0)
+            ok = pending & (_decrease(X, (vals, cub, hess), trial, forms) < 1e-4 * step * slope)
+            if ok.all():
+                X, (vals, cub, hess), step = trial, forms, np.minimum(2.0 * step, 1.0)
                 break
-            whole = False
-            good = at[ok]
-            X[good] = trial[ok]
-            vals[good], cub[good], hess[good] = (a[ok] for a in forms)
-            step[at] = np.where(ok, np.minimum(2.0 * s, 1.0), 0.5 * s)
-            # a step that passed is at least 2e-18, so only failed ones stall
-            stalled = step[at] < 1e-18
-            active[at[stalled]] = False
-            pending = pending[~(ok | stalled)]
-            if pending.size == 0:
+            for held, new in zip((X, vals, cub, hess), (trial, *forms)):
+                np.copyto(held, new, where=ok.reshape(ok.shape + (1,) * (new.ndim - 1)))
+            failed = pending & ~ok
+            step = np.where(ok, np.minimum(2.0 * step, 1.0), np.where(failed, 0.5 * step, step))
+            stalled = failed & (step < 1e-18)
+            active &= ~stalled
+            pending = failed & ~stalled
+            if not pending.any():
                 break
-            at = rows[pending]
-            x, held, s = X[at], (vals[at], cub[at], hess[at]), step[at]
-            dp, sp = d[pending], slope[pending]
     return X, vals, iters
 
 
@@ -487,11 +479,6 @@ def sphere_sample(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> Sa
     K = _kernel(T)
     X, Q = _cached_grid(T.dim, cfg.effective_grid(T.dim), cfg.seed)
     return K, X, _values(K, Q)
-
-
-def _polish(K: _Kernel, X: np.ndarray, keys: np.ndarray, k: int, cfg: OracleConfig):
-    """Refine the k grid points with the smallest keys (ties by grid order)."""
-    return _refine_batch(K, X[_top_k(keys, k)], cfg)
 
 
 def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
@@ -533,7 +520,7 @@ def sphere_minimize(
     import numpy as np
 
     K, X, vals = sphere_sample(T, cfg) if sample is None else sample
-    refined, rvals, iters = _polish(K, X, vals, min(cfg.refine_top_k, len(X)), cfg)
+    refined, rvals, iters = _refine_batch(K, X[_top_k(vals, cfg.refine_top_k)], cfg)
     best = int(np.lexsort((*(refined.T[::-1]), rvals))[0])
     x = _canonical_sign(refined[best] / np.linalg.norm(refined[best]))
     minimizer = tuple(float(v) for v in x)
@@ -565,7 +552,7 @@ def sample_verdict(
     witness = _exact_negative(T, res.minimizer) if res.kernel_min < 0 else None
     if witness is not None:
         kind = Kind.INDEFINITE
-    elif res.kernel_min > cfg.classify_margin:
+    elif res.kernel_min > _MARGIN:
         kind = Kind.POSITIVE_DEFINITE
     else:
         kind = Kind.UNDETERMINED
@@ -581,7 +568,7 @@ def classify_numeric(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) ->
 def zero_set_probe(
     T: SymmetricTensor4, cfg: OracleConfig = OracleConfig(), sample: Optional[Sample] = None
 ) -> List[Tuple[float, ...]]:
-    """Refined sphere points where |Tx^4| falls inside the margin, from
+    """Refined sphere points where |Tx^4| is at most ``_MARGIN``, from
     ``sample`` (a ``sphere_sample`` of T under cfg) or else from a sample of
     its own.
 
@@ -593,9 +580,8 @@ def zero_set_probe(
     import numpy as np
 
     K, X, vals = sphere_sample(T, cfg) if sample is None else sample
-    k = min(max(cfg.refine_top_k, 200), len(X))
-    refined, rvals, _ = _polish(K, X, np.abs(vals), k, cfg)
-    zeros = refined[np.abs(rvals) <= cfg.classify_margin]
+    refined, rvals, _ = _refine_batch(K, X[_top_k(np.abs(vals), max(cfg.refine_top_k, 200))], cfg)
+    zeros = refined[np.abs(rvals) <= _MARGIN]
     zeros = zeros / np.linalg.norm(zeros, axis=1, keepdims=True)
     return sorted(tuple(float(v) for v in zeros[i]) for i in _cluster_representatives(zeros))
 

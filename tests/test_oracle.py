@@ -189,11 +189,12 @@ def _cluster_reference(zeros):
     pytest.param(SymmetricTensor4(3, {}), 200, id="zero"),
     pytest.param(BinaryQuartic.of(1, 0, "-1/3", 0, 1).to_tensor(), 4, id="binary-quartet"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_zero_set_clusters_match_the_per_zero_reference(T, clusters):
     cfg = OracleConfig()
     K, X, vals = oracle.sphere_sample(T, cfg)
-    refined, rvals, _ = oracle._polish(K, X, np.abs(vals), min(200, len(X)), cfg)
-    zeros = refined[np.abs(rvals) <= cfg.classify_margin]
+    refined, rvals, _ = oracle._refine_batch(K, X[oracle._top_k(np.abs(vals), 200)], cfg)
+    zeros = refined[np.abs(rvals) <= oracle._MARGIN]
     zeros = zeros / np.linalg.norm(zeros, axis=1, keepdims=True)
     reps = _cluster_reference(zeros)
     assert oracle._cluster_representatives(zeros) == reps
@@ -429,8 +430,6 @@ def test_unsupported_dimension():
 def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(grid_points=0)
-    with pytest.raises(ValueError):
-        OracleConfig(classify_margin=2.0)
     # the grid's arrays grow with it: at most 10^6 points
     assert OracleConfig(grid_points=10**6).grid_points == 10**6
     with pytest.raises(ConfigError) as exc:
@@ -562,6 +561,7 @@ REFINE_CONFIGS = {
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("name", list(REFINE_CONFIGS))
+@pytest.mark.filterwarnings("error")
 def test_refine_ladder_matches_sequential_reference(dim, name, monkeypatch):
     # the refine gives the reference's iterates to the bit; under the
     # default config its best value is never above the gradient loop's
@@ -598,7 +598,7 @@ def test_refine_ladder_matches_sequential_reference(dim, name, monkeypatch):
                 gradient = _gradient_reference(K, X0, cfg, spare)
                 assert got[1].min() <= gradient[1].min() + 1e-12 * scale
         # refined rows, mostly converged, among fresh grid rows: the
-        # iterations run on the arrays themselves and on gathered rows
+        # converged rows run through every direction and pass unmoved
         mixed = np.concatenate([got[0][::2], X[order[cfg.refine_top_k:][:10]]])
         got = oracle._refine_batch(K, mixed, cfg)
         want = _newton_reference(K, mixed, cfg, stats)
@@ -680,7 +680,7 @@ def test_catalog_candidates_all_converge(q):
     # below the values' rounding
     T, cfg = q.to_tensor(), OracleConfig()
     K, X, vals = oracle.sphere_sample(T, cfg)
-    R, _, _ = oracle._polish(K, X, vals, cfg.refine_top_k, cfg)
+    R, _, _ = oracle._refine_batch(K, X[oracle._top_k(vals, cfg.refine_top_k)], cfg)
     grad = 4.0 * oracle._forms_and_cubics(K, R)[1]
     g = grad - np.einsum("pi,pi->p", grad, R)[:, None] * R  # as in the refine
     assert len(R) == cfg.refine_top_k
@@ -889,19 +889,25 @@ def test_newton_direction_solves_the_tangent_system(dim):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_refine_contraction_is_row_independent(dim):
-    # each row of _forms_and_cubics and of _decrease has the same bits alone
-    # and in any batch, so a candidate's iterates do not depend on which
-    # candidates share its pass
+    # each row of _forms_and_cubics, of _decrease and of _newton_directions
+    # has the same bits alone and in any batch, so a candidate's iterates do
+    # not depend on which candidates share its pass
     rng = np.random.default_rng(dim)
     T = rand_tensor(random.Random(f"rows:{dim}"), dim)
     K = oracle._kernel(T)
     X = rng.normal(size=(1200, dim))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
     Y = X + rng.normal(size=X.shape) * 10.0 ** rng.integers(-12, 0, (len(X), 1))
 
     def contractions(rows):
         forms = oracle._forms_and_cubics(K, X[rows])
         y_forms = oracle._forms_and_cubics(K, Y[rows])
-        return (*forms, oracle._decrease(X[rows], forms, Y[rows], y_forms))
+        vals, cub, hess = forms
+        g = 4.0 * cub
+        for _ in range(2):  # projected twice, as in the direction test above
+            g = g - np.einsum("pi,pi->p", g, X[rows])[:, None] * X[rows]
+        d, newton = oracle._newton_directions(X[rows], vals, g, hess)
+        return (*forms, oracle._decrease(X[rows], forms, Y[rows], y_forms), d, newton)
 
     full = contractions(np.arange(len(X)))
     for p in range(len(X)):

@@ -4,6 +4,7 @@ through and what it fails."""
 import importlib.util
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -131,8 +132,9 @@ def test_failures_are_grouped_by_class(parity, capsys):
 
 def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch, tmp_path):
     # minimize runs on each dim-3 tensor file of ternary-oracle, on every
-    # binary-mix input labelled psd_not_pd and on each catalog tensor,
-    # written as a tensor file
+    # binary-mix input labelled psd_not_pd, on each catalog tensor and on
+    # four dim-3 forms with zeros, written as tensor files
+    from quartpd.cyclic import CyclicTernary, embed
     from quartpd.inequalities import builtin_catalog
     from quartpd.tensorio import parse_document, to_tensor
 
@@ -144,6 +146,15 @@ def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch
     assert all(doc in docs for doc in ternary) and len(ternary) == 80
     tensors = [to_tensor(parse_document(doc)).entries() for doc in docs]
     assert all(q.to_tensor().entries() in tensors for q in builtin_catalog())
+    one, sixth = Fraction(1), Fraction(1, 6)
+    with_zeros = [
+        {(1, 1, 2, 2): sixth},  # x1^2 x2^2
+        {(1, 1, 1, 1): one, (1, 1, 2, 2): 2 * sixth, (2, 2, 2, 2): one},  # (x1^2 + x2^2)^2
+        {(1, 1, 2, 2): sixth, (3, 3, 3, 3): one},  # x1^2 x2^2 + x3^4
+        embed(CyclicTernary.of(1, 1, -1, 1, "-7/12")).entries(),  # the cyclic boundary form
+    ]
+    assert all(entries in tensors for entries in with_zeros)
+    assert len(docs) == len(ternary) + len(builtin_catalog()) + len(with_zeros)
     binary = {tuple(k) for k in keys if k[0] == "minimize" and k[1] == "binary"}
     boundary = [item["argv"] for item in parity.gen.generate("binary-mix", 101) if item["label"] == "psd_not_pd"]
     assert binary == {("minimize", *argv[1:]) for argv in boundary} and len(boundary) == 236

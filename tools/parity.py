@@ -10,9 +10,11 @@ runs every ``check`` input again with ``--analytic-only``, so that the
 pipeline's stages are compared without the oracle stage as well as with
 it, and ``minimize --json`` on every dim-3 tensor-file input of
 ``ternary-oracle`` (80 per seed, which rarely have zeros), on every
-``binary-mix`` input labelled ``psd_not_pd`` (forms with zeros) and on the
-18 catalog tensors written as tensor files, so that the sphere minimum and
-the zero-set probe are compared in dims 2 and 3, with zeros and without.
+``binary-mix`` input labelled ``psd_not_pd`` (forms with zeros), on the
+18 catalog tensors written as tensor files and on four dim-3 tensor files
+with zeros (x1^2 x2^2, (x1^2 + x2^2)^2, x1^2 x2^2 + x3^4 and the cyclic
+boundary form (1, 1, -1, 1, -7/12)), so that the sphere minimum and the
+zero-set probe are compared in dims 2 and 3, with zeros and without.
 Tensor-file inputs are written to a temporary directory, as the benchmark
 child does.
 The output is one JSON object, keys sorted, mapping each input (its argv,
@@ -46,6 +48,7 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "perfbench")]
@@ -81,14 +84,34 @@ def _without_timings(stdout: str) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
+def _doc(T) -> dict:
+    """The tensor-file document of the tensor T."""
+    return {"dim": T.dim, "entries": [{"index": list(idx), "value": str(v)} for idx, v in sorted(T.entries().items())]}
+
+
 def _catalog_docs():
     """The catalog's tensors as tensor-file documents."""
     from quartpd.inequalities import builtin_catalog
 
-    return [
-        {"dim": 3, "entries": [{"index": list(idx), "value": str(v)} for idx, v in sorted(T.entries().items())]}
-        for T in (q.to_tensor() for q in builtin_catalog())
-    ]
+    return [_doc(q.to_tensor()) for q in builtin_catalog()]
+
+
+def _zero_docs():
+    """Four dim-3 forms with zeros as tensor-file documents, where the
+    zero-set probe refines the most converged candidates: x1^2 x2^2, whose
+    refine crawls along its circles of zeros to the iteration cap,
+    (x1^2 + x2^2)^2, x1^2 x2^2 + x3^4 and the cyclic boundary form."""
+    from quartpd.cyclic import CyclicTernary, embed
+    from quartpd.tensor import SymmetricTensor4
+
+    one, sixth = Fraction(1), Fraction(1, 6)
+    forms = (
+        {(1, 1, 2, 2): sixth},  # x1^2 x2^2
+        {(1, 1, 1, 1): one, (1, 1, 2, 2): 2 * sixth, (2, 2, 2, 2): one},  # (x1^2 + x2^2)^2
+        {(1, 1, 2, 2): sixth, (3, 3, 3, 3): one},  # x1^2 x2^2 + x3^4
+    )
+    tensors = [*(SymmetricTensor4(3, f) for f in forms), embed(CyclicTernary.of(1, 1, -1, 1, "-7/12"))]
+    return [_doc(T) for T in tensors]
 
 
 def inputs(seed):
@@ -104,7 +127,7 @@ def inputs(seed):
                 yield ["minimize", None, "--json"], doc
             elif workload == "binary-mix" and item["label"] == "psd_not_pd":
                 yield ["minimize", *argv[1:]], None
-    for doc in _catalog_docs():
+    for doc in _catalog_docs() + _zero_docs():
         yield ["minimize", None, "--json"], doc
 
 
