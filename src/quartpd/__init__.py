@@ -2,7 +2,9 @@
 
 Exact analytic criteria for binary quartics and a cyclic ternary family,
 a numeric sphere-minimization oracle, the staged pipeline ``classify``
-over them, and a verification harness for ternary quartic inequalities.
+over them, whose ``Decision`` names the deciding stage, its verdict and
+each stage's wall time, and a verification harness for ternary quartic
+inequalities.
 """
 
 from .binary import BinaryQuartic, classify as classify_binary
@@ -28,7 +30,7 @@ from .oracle import (
     sphere_minimize,
     zero_set_probe,
 )
-from .pipeline import classify
+from .pipeline import Decision, classify
 from .quadext import QuadExt
 from .tensor import SymmetricTensor4, diag_ones, multiplicity
 from .verdict import Kind, Verdict
@@ -36,6 +38,7 @@ from .verdict import Kind, Verdict
 __all__ = [
     "BinaryQuartic",
     "CyclicTernary",
+    "Decision",
     "FamilyVerdict",
     "InequalityReport",
     "Kind",

@@ -1,6 +1,7 @@
-"""Command-line front end: argument parsing, printing and exit codes around
-:func:`quartpd.classify`, whose stages ``check`` runs in their one order
-(``pipeline.stages``); ``check --analytic-only`` stops before the oracle.
+"""Command-line front end: argument parsing, reports and exit codes around
+the library.  ``check`` runs :func:`quartpd.classify`, whose stages run in
+their one order (``pipeline.stages``), and writes its ``Decision`` as the
+report; ``check --analytic-only`` stops before the oracle.
 
 ``quartpd COMMAND [INPUTS]... [OPTIONS]`` with COMMAND one of ``check``,
 ``minimize`` and ``inequalities``.  Each command has a table of flags,
@@ -16,13 +17,15 @@ which JSON has no number for, is written as the string ``"inf"`` or
 Exit codes: 0 positive definite, 1 positive semidefinite, not definite,
 2 indefinite, 3 undetermined, 64 input error (also a bad option or usage,
 reported in one line), 70 internal error (an unexpected exception,
-reported in one line), 130 interrupted (Ctrl-C).
+reported in one line), 130 interrupted (Ctrl-C), 141 stdout closed (the
+reader is gone, as for ``| head``; nothing is reported).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Sequence
@@ -34,6 +37,16 @@ from .pipeline import classify
 from .tensorio import InputError, describe, load, parse_shorthand, to_tensor
 from .verdict import Kind
 
+# CPython's built-in digest, as its own ``random`` takes sha512:
+# ``import hashlib`` loads OpenSSL, several megabytes for one digest a call.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
+
 _EXIT = {
     Kind.POSITIVE_DEFINITE: 0,
     Kind.PSD_NOT_PD: 1,
@@ -43,6 +56,7 @@ _EXIT = {
 EXIT_INPUT_ERROR = 64
 EXIT_INTERNAL_ERROR = 70  # EX_SOFTWARE; 1 would read as a PSD verdict
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _input_error(message) -> NoReturn:
@@ -82,25 +96,34 @@ def _print_json(report: dict) -> None:
     print(text)
 
 
-def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        _print_json(report)
-        return
-    v = report["verdict"]
-    for step in report["trace"]:
-        print(f"  [{step['stage']}] {step['kind']} ({step['rule']})")
-    print(f"verdict: {v['kind']} ({v['rule']})")
-    if v.get("witness"):
-        print(f"witness: ({', '.join(v['witness'])})")
-    if v.get("margin") is not None:
-        print(f"margin: {v['margin']:.3e}")
-
-
 def _check(inputs, cfg, as_json=False, analytic_only=False) -> NoReturn:
     """Classify a tensor given as a JSON file or a '<family> c1 ...' shorthand."""
-    report = classify(_parse_inputs(inputs), cfg, analytic_only=analytic_only)
-    _emit(report, as_json)
-    sys.exit(_EXIT[Kind(report["verdict"]["kind"])])
+    parsed = _parse_inputs(inputs)
+    decision = classify(to_tensor(parsed), cfg, analytic_only=analytic_only)
+    v = decision.verdict
+    if as_json:
+        desc = describe(parsed)
+        timings = {"analytic_s": sum(t for s, t in decision.seconds.items() if s != "oracle")}
+        if "oracle" in decision.seconds:
+            timings["oracle_s"] = decision.seconds["oracle"]
+        report = {
+            "schema": 1,
+            "input": desc,
+            "digest": sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest(),
+            "trace": [{"stage": stage, **verdict.to_dict()} for stage, verdict in decision.trace],
+            "verdict": v.to_dict(),
+            "timings": timings,
+        }
+        _print_json(report)
+    else:
+        for stage, verdict in decision.trace:
+            print(f"  [{stage}] {verdict.kind} ({verdict.rule})")
+        print(f"verdict: {v.kind} ({v.rule})")
+        if v.witness:
+            print(f"witness: ({', '.join(map(str, v.witness))})")
+        if v.margin is not None:
+            print(f"margin: {v.margin:.3e}")
+    sys.exit(_EXIT[v.kind])
 
 
 def _minimize(inputs, cfg, as_json=False) -> NoReturn:
@@ -294,6 +317,11 @@ def main(args: Optional[Sequence[str]] = None, prog_name: str = "quartpd") -> No
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         sys.exit(EXIT_INTERRUPTED)
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered for stdout, which
+        # Python flushes at exit, to devnull, so that flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(EXIT_INTERNAL_ERROR)

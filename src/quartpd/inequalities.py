@@ -35,7 +35,7 @@ from .cyclic import RelaxedCyclicTernary, embed
 from .oracle import OracleConfig, sample_verdict, sphere_minimize, sphere_sample, zero_set_probe
 from .pipeline import decide, stages
 from .tensor import SymmetricTensor4
-from .verdict import Kind, Verdict, as_fraction, as_fraction_vector
+from .verdict import Kind, Verdict, as_fraction
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class WeightedInequality:
 
     def value(self, x: Sequence) -> Fraction:
         """Exact P(x) for rational x."""
-        x1, x2, x3 = as_fraction_vector(x)
+        x1, x2, x3 = (as_fraction(v) for v in x)
         w1, w2, w3 = self.weights
         cubics = (
             x1 * x2**3 + x1**3 * x3 + x2 * x3**3

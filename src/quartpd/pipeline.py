@@ -3,33 +3,21 @@ prefilter, then family rules for cyclic patterns, then the exact binary
 criterion, and finally the numeric sphere oracle.  ``stages`` is the one
 place that order is written; it computes each stage when the one before it
 has been consumed, and ``decide`` consumes them up to the first decisive
-one, whose verdict is final.  ``classify`` and the inequality harness both
-decide that way, each passing its own oracle stage, and ``classify`` times
-the exact stages and the oracle as they run.
+one, whose verdict is final, and times each stage it runs.  ``classify``
+and the inequality harness both decide that way, each passing its own
+oracle stage; the CLI writes ``classify``'s ``Decision`` as its report.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
-
-# CPython's built-in digest, as its own ``random`` takes sha512:
-# ``import hashlib`` loads OpenSSL, several megabytes for one digest a call.
-try:
-    from _sha2 import sha256  # 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # 3.10, 3.11
-    except ImportError:
-        from hashlib import sha256
 
 from . import binary as binmod
 from .cyclic import CyclicTernary, classify_cyclic, classify_relaxed, detect
 from .oracle import ORACLE_DIMS, OracleConfig, classify_numeric
 from .tensor import SymmetricTensor4
-from .tensorio import ParsedInput, describe, to_tensor
 from .verdict import Kind, Verdict
 
 
@@ -109,46 +97,30 @@ class Decision(NamedTuple):
     trace: List[Stage]  # every stage run, in order; a decisive one ends it
     stage: Optional[str]  # the deciding stage, None when no stage decides
     verdict: Verdict  # its verdict, else undetermined ``no-decisive-stage``
+    seconds: Dict[str, float]  # each stage run -> its wall time in seconds
 
 
 def decide(stages: Iterable[Stage]) -> Decision:
     """Run ``stages``, computed lazily in pipeline order, up to the first
-    decisive one: the one place where a stage's verdict becomes final."""
+    decisive one: the one place where a stage's verdict becomes final, and
+    where a stage is timed, from the end of the stage before it."""
     trace: List[Stage] = []
+    seconds: Dict[str, float] = {}
+    t0 = time.perf_counter()
     for stage, verdict in stages:
+        t1 = time.perf_counter()
+        seconds[stage], t0 = t1 - t0, t1
         trace.append((stage, verdict))
         if verdict.kind is not Kind.UNDETERMINED:
-            return Decision(trace, stage, verdict)
-    return Decision(trace, None, Verdict(Kind.UNDETERMINED, "no-decisive-stage"))
+            return Decision(trace, stage, verdict, seconds)
+    return Decision(trace, None, Verdict(Kind.UNDETERMINED, "no-decisive-stage"), seconds)
 
 
 def classify(
-    parsed: ParsedInput, cfg: OracleConfig = OracleConfig(), *, analytic_only: bool = False
-) -> dict:
-    """The pipeline's decision on a parsed input, as the schema-1 report:
-    the input and its digest, one trace entry per stage run, the final
-    verdict, and the wall time of the exact stages (``analytic_s``) and,
-    when it ran, of the oracle (``oracle_s``).  The oracle covers dims 2
-    and 3 only, so dim >= 4 can end undetermined; ``analytic_only`` runs
-    the exact stages alone."""
-    T = to_tensor(parsed)
-    timings: Dict[str, float] = {}
-
-    def oracle() -> Verdict:
-        t0 = time.perf_counter()
-        verdict = classify_numeric(T, cfg)
-        timings["oracle_s"] = time.perf_counter() - t0
-        return verdict
-
-    t0 = time.perf_counter()
-    decision = decide(stages(T, None if analytic_only else oracle))
-    timings["analytic_s"] = time.perf_counter() - t0 - timings.get("oracle_s", 0.0)
-    desc = describe(parsed)
-    return {
-        "schema": 1,
-        "input": desc,
-        "digest": sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest(),
-        "trace": [{"stage": stage, **verdict.to_dict()} for stage, verdict in decision.trace],
-        "verdict": decision.verdict.to_dict(),
-        "timings": timings,
-    }
+    T: SymmetricTensor4, cfg: OracleConfig = OracleConfig(), *, analytic_only: bool = False
+) -> Decision:
+    """The pipeline's decision on T: the stages run, the deciding one and
+    its verdict, and each stage's wall time.  The oracle covers dims 2 and
+    3 only, so dim >= 4 can end undetermined; ``analytic_only`` runs the
+    exact stages alone."""
+    return decide(stages(T, None if analytic_only else lambda: classify_numeric(T, cfg)))

@@ -7,7 +7,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 
 class Kind(Enum):
@@ -85,7 +85,3 @@ def as_fraction(value) -> Fraction:
         _check_digits(value)
         return Fraction(value)
     raise TypeError(f"exact scalar expected, got {type(value).__name__}: {value!r}")
-
-
-def as_fraction_vector(xs: Sequence) -> tuple:
-    return tuple(as_fraction(x) for x in xs)

@@ -109,7 +109,7 @@ class TestVerify:
     def test_holds_follows_the_check_verdict(self, q):
         # verify decides by the verdict check gives: strict entries need
         # PD, non-strict ones PD or PSD-not-PD
-        kind = Kind(quartpd.classify(q.to_tensor())["verdict"]["kind"])
+        kind = quartpd.classify(q.to_tensor()).verdict.kind
         if q.strict:
             want = kind is Kind.POSITIVE_DEFINITE
         else:
@@ -120,13 +120,13 @@ class TestVerify:
         # the family rules decide 10 entries exactly, the oracle the other 8
         family = {"14u", "15u", "16u", "17u", "18u", "41/3u", "15-14-14", "17-15-18", "46/3-14-14", "19u"}
         for q in builtin_catalog():
-            report = quartpd.classify(q.to_tensor())
-            d = verify(q).to_dict()
-            assert d["stage"] == report["trace"][-1]["stage"], q.label
-            assert d["verdict"] == report["verdict"], q.label
-            assert d["stage"] == ("family" if q.label in family else "oracle"), q.label
-            if d["stage"] == "family" and q.label != "19u":
-                assert d["verdict"]["kind"] == "positive-definite", q.label
+            decision = quartpd.classify(q.to_tensor())
+            report = verify(q)
+            assert report.stage == decision.trace[-1][0], q.label
+            assert report.verdict == decision.verdict, q.label
+            assert report.stage == ("family" if q.label in family else "oracle"), q.label
+            if report.stage == "family" and q.label != "19u":
+                assert report.verdict.kind is Kind.POSITIVE_DEFINITE, q.label
         boundary = verify(by_label("19u"))
         assert (boundary.verdict.kind, boundary.verdict.rule) == (Kind.PSD_NOT_PD, "boundary-alternating-signs")
         assert boundary.verdict.witness == (1, 1, 1)

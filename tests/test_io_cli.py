@@ -134,17 +134,17 @@ class TestPipeline:
     CFG = OracleConfig(grid_points=2000)
 
     def test_family_stage_decides(self):
-        rep = quartpd.classify(CyclicTernary.of(1, -1, 1, 1, "-1/6"), self.CFG)
-        assert rep["verdict"]["kind"] == "positive-definite"
-        stages = [s["stage"] for s in rep["trace"]]
+        rep = quartpd.classify(embed(CyclicTernary.of(1, -1, 1, 1, "-1/6")), self.CFG)
+        assert rep.verdict.kind is Kind.POSITIVE_DEFINITE
+        stages = [stage for stage, _ in rep.trace]
         assert stages == ["prefilter", "family"]
 
     def test_scaled_family_input(self):
         # a = 2: the family rules read the orbit values divided by a
-        rep = quartpd.classify(CyclicTernary.of(2, -2, 2, 2, "-1/3"), self.CFG)
-        assert rep["verdict"]["kind"] == "positive-definite"
-        assert [s["stage"] for s in rep["trace"]] == ["prefilter", "family"]
-        assert rep["trace"][-1]["kind"] == "positive-definite"
+        rep = quartpd.classify(embed(CyclicTernary.of(2, -2, 2, 2, "-1/3")), self.CFG)
+        assert rep.verdict.kind is Kind.POSITIVE_DEFINITE
+        assert [stage for stage, _ in rep.trace] == ["prefilter", "family"]
+        assert rep.trace[-1][1].kind is Kind.POSITIVE_DEFINITE
 
     @pytest.mark.parametrize(
         "parsed",
@@ -158,11 +158,14 @@ class TestPipeline:
         ],
     )
     def test_every_trace_entry_has_stage_and_kind(self, parsed):
-        rep = quartpd.classify(parsed, self.CFG)
-        assert rep["trace"]
-        for step in rep["trace"]:
-            assert isinstance(step["stage"], str)
-            assert Kind(step["kind"])
+        rep = quartpd.classify(to_tensor(parsed), self.CFG)
+        assert rep.trace
+        for stage, verdict in rep.trace:
+            assert isinstance(stage, str)
+            assert isinstance(verdict.kind, Kind)
+        # decide times each stage it runs, and only those
+        assert list(rep.seconds) == [stage for stage, _ in rep.trace]
+        assert all(s >= 0 for s in rep.seconds.values())
 
     def test_oracle_only_agrees_with_analytic(self):
         # the oracle alone, classify_numeric, agrees with the pipeline's
@@ -172,11 +175,11 @@ class TestPipeline:
             BinaryQuartic.of(1, -1, 1, 1, 1),
             CyclicTernary.of(1, 1, 1, 1, "-7/12"),
         ):
-            a = quartpd.classify(parsed, self.CFG)
-            assert a["trace"][-1]["stage"] != "oracle"
+            a = quartpd.classify(to_tensor(parsed), self.CFG)
+            assert a.trace[-1][0] != "oracle"
             b = quartpd.classify_numeric(to_tensor(parsed), self.CFG)
             if b.margin is not None and abs(b.margin) > 1e-6:
-                assert a["verdict"]["kind"] == str(b.kind)
+                assert a.verdict.kind is b.kind
 
     def test_oracle_only_is_gone(self, runner):
         # the stage order has no switch: --oracle-only is an unknown option,
@@ -186,7 +189,7 @@ class TestPipeline:
         assert res.exit_code == 64
         assert res.output == "input error: no such option: --oracle-only\n"
         with pytest.raises(TypeError):
-            quartpd.classify(BinaryQuartic.of(1, 0, 1, 0, 1), self.CFG, True)
+            quartpd.classify(to_tensor(BinaryQuartic.of(1, 0, 1, 0, 1)), self.CFG, True)
 
     @pytest.mark.parametrize(
         "T, calls",
@@ -218,22 +221,20 @@ class TestPipeline:
         assert exact == with_oracle.trace[: len(with_oracle.trace) - calls]
 
     def test_analytic_only_undetermined(self):
-        rep = quartpd.classify(CyclicTernary.of(1, -1, 1, 1, 0), self.CFG, analytic_only=True)
-        assert rep["verdict"]["kind"] == "undetermined"
+        rep = quartpd.classify(embed(CyclicTernary.of(1, -1, 1, 1, 0)), self.CFG, analytic_only=True)
+        assert rep.verdict.kind is Kind.UNDETERMINED
 
     def test_prefilter_catches_bad_subtensor(self):
         T = SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
                                  (1, 1, 1, 2): 5})
         rep = quartpd.classify(T, self.CFG)
-        assert rep["verdict"]["kind"] == "indefinite"
-        assert rep["trace"][0]["stage"] == "prefilter"
+        assert rep.verdict.kind is Kind.INDEFINITE
+        assert rep.trace[0][0] == "prefilter"
 
     def test_determinism(self):
-        a = quartpd.classify(CyclicTernary.of(1, 1, -1, "3/2", 0), self.CFG)
-        b = quartpd.classify(CyclicTernary.of(1, 1, -1, "3/2", 0), self.CFG)
-        a.pop("timings")
-        b.pop("timings")
-        assert a == b
+        a = quartpd.classify(embed(CyclicTernary.of(1, 1, -1, "3/2", 0)), self.CFG)
+        b = quartpd.classify(embed(CyclicTernary.of(1, 1, -1, "3/2", 0)), self.CFG)
+        assert a._replace(seconds=None) == b._replace(seconds=None)
 
     @pytest.mark.parametrize(
         "args, stage",
@@ -251,11 +252,32 @@ class TestPipeline:
         res = runner.invoke(main, ["check", *args, "--json", "--grid", "2000"])
         cli_report = json.loads(res.output)
         parsed = load(args[0]) if len(args) == 1 else parse_shorthand(args[0], args[1:])
-        report = quartpd.classify(parsed, self.CFG)
-        assert next(s["stage"] for s in report["trace"] if s["kind"] != "undetermined") == stage
-        cli_report.pop("timings")
-        report.pop("timings")
-        assert report == cli_report
+        decision = quartpd.classify(to_tensor(parsed), self.CFG)
+        assert decision.stage == stage
+        assert cli_report["input"] == tensorio.describe(parsed)
+        assert cli_report["trace"] == [{"stage": s, **v.to_dict()} for s, v in decision.trace]
+        assert cli_report["verdict"] == decision.verdict.to_dict()
+
+    @pytest.mark.parametrize(
+        "args, stages",
+        [
+            (["binary", "-1", "0", "1", "0", "1"], ["prefilter"]),
+            (["cyclic", "2", "-2", "2", "2", "-1/3"], ["prefilter", "family"]),
+            (["binary", "1", "0", "-1/3", "0", "1"], ["prefilter", "analytic"]),
+            (["cyclic", "1", "-1", "1", "1", "0"], ["prefilter", "family", "oracle"]),
+            (["cyclic", "1", "-1", "1", "1", "0", "--analytic-only"], ["prefilter", "family"]),
+        ],
+        ids=["prefilter", "family", "analytic", "oracle", "analytic-only"],
+    )
+    def test_report_timings(self, runner, args, stages):
+        # analytic_s always, oracle_s exactly when the oracle stage ran
+        res = runner.invoke(main, ["check", *args, "--json", "--grid", "2000"])
+        report = json.loads(res.output)
+        assert [step["stage"] for step in report["trace"]] == stages
+        timings = report["timings"]
+        keys = {"analytic_s", "oracle_s"} if "oracle" in stages else {"analytic_s"}
+        assert set(timings) == keys
+        assert all(isinstance(t, float) and t >= 0 for t in timings.values())
 
     def test_library_call_loads_neither_numpy_nor_click(self):
         # numpy, click and OpenSSL's _hashlib are each megabytes that a
@@ -263,7 +285,7 @@ class TestPipeline:
         loaded = "print(sorted(m for m in ('numpy', 'click', '_hashlib') if m in sys.modules))"
         library = (
             "import sys, quartpd\n"
-            "quartpd.classify(quartpd.BinaryQuartic.of(1, 0, 1, 0, 1))\n" + loaded
+            "quartpd.classify(quartpd.BinaryQuartic.of(1, 0, 1, 0, 1).to_tensor())\n" + loaded
         )
         shell = (
             "import contextlib, io, sys\n"
@@ -545,8 +567,8 @@ class TestDimensions:
         entries.update({(2, 2, 7, 7): 1, (3, 9, 9, 9): Fraction(1, 10)})
         rep = quartpd.classify(SymmetricTensor4(40, entries))
         assert len(calls) == 2  # one per pair with a stored entry; all 780 before
-        assert rep["trace"][0]["rule"] == "prefilter-passed"
-        assert rep["verdict"]["rule"] == "no-decisive-stage"
+        assert rep.trace[0][1].rule == "prefilter-passed"
+        assert rep.verdict.rule == "no-decisive-stage"
 
     def test_dim_bound(self, runner, tmp_path):
         bound = tensorio.MAX_DIM
@@ -691,3 +713,25 @@ def test_interrupt_exits_130(runner, monkeypatch):
     assert res.exit_code == 130
     assert isinstance(res.exception, SystemExit)
     assert res.output == res.stderr == "interrupted\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "binary", "1", "0", "1", "0", "1", "--json"],
+        ["minimize", "binary", "1", "0", "1", "0", "1"],
+        ["inequalities", "--only", "14u"],
+    ],
+    ids=["check", "minimize", "inequalities"],
+)
+def test_closed_stdout_exits_141(args):
+    # the reader is gone before the report is written, as for `| head -c 10`
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "quartpd.cli", *args], stdout=write, stderr=subprocess.PIPE, env=_SRC_ENV
+        )
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (141, b"")

@@ -319,9 +319,9 @@ def test_steep_valley_form_is_indefinite(p, K):
     # form of scale K: with an absolute margin, p = (1, 4, 9) at K = 1e14 ended PD
     pp = sum(v * v for v in p)
     T = _cross_form(p, K, Fraction(math.prod(p) * sum(p), 2 * pp * pp), skew=True)
-    verdict = classify(T)["verdict"]
-    assert verdict["kind"] == "indefinite"
-    assert T.evaluate_form([Fraction(w) for w in verdict["witness"]]) < 0
+    verdict = classify(T).verdict
+    assert verdict.kind is Kind.INDEFINITE
+    assert T.evaluate_form(verdict.witness) < 0
 
 
 @pytest.mark.parametrize("K", [10**15, 10**16], ids=["1e15", "1e16"])
@@ -329,7 +329,7 @@ def test_steep_valley_form_is_indefinite(p, K):
 def test_steep_valley_pd_form_is_never_indefinite(p, K):
     # K |x × p|^2 |x|^2 + |x|^4 is PD, but its minimum, 1 at p / |p|, is
     # 1e-18 to 1e-16 of max |t|: inside the margin, so it may end undetermined
-    assert classify(_cross_form(p, K, 1, skew=False))["verdict"]["kind"] != "indefinite"
+    assert classify(_cross_form(p, K, 1, skew=False)).verdict.kind is not Kind.INDEFINITE
 
 
 def _refined_rule(T, cfg=OracleConfig()):

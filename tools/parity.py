@@ -56,6 +56,7 @@ sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "perfbench")]
 import gen  # noqa: E402  (perfbench/gen.py)
 
 from quartpd.cli import main as cli_main  # noqa: E402
+from quartpd.tensorio import describe  # noqa: E402
 
 WORKLOADS = ("binary-mix", "ternary-oracle", "catalog")
 
@@ -84,16 +85,11 @@ def _without_timings(stdout: str) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _doc(T) -> dict:
-    """The tensor-file document of the tensor T."""
-    return {"dim": T.dim, "entries": [{"index": list(idx), "value": str(v)} for idx, v in sorted(T.entries().items())]}
-
-
 def _catalog_docs():
     """The catalog's tensors as tensor-file documents."""
     from quartpd.inequalities import builtin_catalog
 
-    return [_doc(q.to_tensor()) for q in builtin_catalog()]
+    return [describe(q.to_tensor()) for q in builtin_catalog()]
 
 
 def _zero_docs():
@@ -111,7 +107,7 @@ def _zero_docs():
         {(1, 1, 2, 2): sixth, (3, 3, 3, 3): one},  # x1^2 x2^2 + x3^4
     )
     tensors = [*(SymmetricTensor4(3, f) for f in forms), embed(CyclicTernary.of(1, 1, -1, 1, "-7/12"))]
-    return [_doc(T) for T in tensors]
+    return [describe(T) for T in tensors]
 
 
 def inputs(seed):
