@@ -4,12 +4,14 @@ their one order (``pipeline.stages``), and writes its ``Decision`` as the
 report; ``check --analytic-only`` stops before the oracle.
 
 ``quartpd COMMAND [INPUTS]... [OPTIONS]`` with COMMAND one of ``check``,
-``minimize`` and ``inequalities``.  Each command has a table of flags,
-given as ``--flag value``, ``--flag=value`` or, for a switch, ``--flag``; an
-option's value is the next token whatever it starts with.  Every token
-that does not start with ``--`` is an input, so negative numbers and
-fractions such as ``-1/2`` need no quoting, and every token after ``--``
-is an input.  ``--help`` prints the commands, or a command's flags.
+``minimize`` and ``inequalities``.  Each command has a table of flags:
+switches, given as ``--flag``, and ``inequalities``' ``--only LABEL``,
+given as ``--only LABEL`` or ``--only=LABEL``, whose value is the next
+token whatever it starts with.  Every token that does not start with
+``--`` is an input, so negative numbers and fractions such as ``-1/2``
+need no quoting, and every token after ``--`` is an input.  ``--help``
+prints the commands, or a command's flags.  The oracle has no flags:
+every command runs it with the library's defaults.
 ``--json`` reports are strict RFC 8259 JSON: a value beyond float range,
 which JSON has no number for, is written as the string ``"inf"`` or
 ``"-inf"``.
@@ -31,8 +33,7 @@ import time
 from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Sequence
 
 from .inequalities import builtin_catalog, verify
-from .oracle import ORACLE_DIMS, ConfigError, OracleConfig
-from .oracle import sphere_minimize, sphere_sample, zero_set_probe
+from .oracle import ORACLE_DIMS, sphere_minimize, sphere_sample, zero_set_probe
 from .pipeline import classify
 from .tensorio import InputError, describe, load, parse_shorthand, to_tensor
 from .verdict import Kind
@@ -67,7 +68,7 @@ def _input_error(message) -> NoReturn:
 def _parse_inputs(inputs: List[str]):
     try:
         if not inputs:
-            raise InputError("input: a file path or a '<family> c1 .. c5' shorthand expected")
+            raise InputError("input: a file path or a '<family> <coefficients>' shorthand expected")
         if len(inputs) == 1:
             return load(inputs[0])
         return parse_shorthand(inputs[0], inputs[1:])
@@ -96,10 +97,10 @@ def _print_json(report: dict) -> None:
     print(text)
 
 
-def _check(inputs, cfg, as_json=False, analytic_only=False) -> NoReturn:
-    """Classify a tensor given as a JSON file or a '<family> c1 ...' shorthand."""
+def _check(inputs, as_json=False, analytic_only=False) -> NoReturn:
+    """Classify a tensor given as a JSON file or a '<family> <coefficients>' shorthand."""
     parsed = _parse_inputs(inputs)
-    decision = classify(to_tensor(parsed), cfg, analytic_only=analytic_only)
+    decision = classify(to_tensor(parsed), analytic_only=analytic_only)
     v = decision.verdict
     if as_json:
         desc = describe(parsed)
@@ -126,16 +127,16 @@ def _check(inputs, cfg, as_json=False, analytic_only=False) -> NoReturn:
     sys.exit(_EXIT[v.kind])
 
 
-def _minimize(inputs, cfg, as_json=False) -> NoReturn:
+def _minimize(inputs, as_json=False) -> NoReturn:
     """Minimize the form over the unit sphere and probe its zero set."""
     parsed = _parse_inputs(inputs)
     T = to_tensor(parsed)
     if T.dim not in ORACLE_DIMS:
         _input_error(f"dim: minimize supports dim 2 or 3, got {T.dim}")
     t0 = time.perf_counter()
-    sample = sphere_sample(T, cfg)  # one sample for the minimum and the zero set
-    res = sphere_minimize(T, cfg, sample)
-    zeros = zero_set_probe(T, cfg, sample)
+    sample = sphere_sample(T)  # one sample for the minimum and the zero set
+    res = sphere_minimize(T, sample=sample)
+    zeros = zero_set_probe(T, sample=sample)
     elapsed = time.perf_counter() - t0
     degenerate = T.is_zero()
     report = {
@@ -162,64 +163,58 @@ def _minimize(inputs, cfg, as_json=False) -> NoReturn:
     sys.exit(0)
 
 
-def _inequalities(inputs, cfg, as_json=False, only=None) -> NoReturn:
+def _inequalities(inputs, as_json=False, only=None) -> NoReturn:
     """Verify the built-in catalog of ternary quartic inequalities."""
     catalog = builtin_catalog()
     if only is not None:
         catalog = [q for q in catalog if q.label == only]
         if not catalog:
             _input_error(f"--only: unknown label {only!r}")
-    reports = [verify(ineq, cfg).to_dict() for ineq in catalog]
-    ok = all(r["as_expected"] for r in reports)
+    reports = [verify(ineq) for ineq in catalog]
+    ok = all(r.as_expected for r in reports)
     if as_json:
-        _print_json({"schema": 1, "ok": ok, "reports": reports})
+        _print_json({"schema": 1, "ok": ok, "reports": [r.to_dict() for r in reports]})
     else:
         for r in reports:
-            status = "HOLDS" if r["holds"] else "FAILS"
-            expect = " (expected)" if r["as_expected"] else " (UNEXPECTED)"
-            print(f"{r['label']:>12}  {status:<6} min={r['sphere_min']: .3e}{expect}")
+            status = "HOLDS" if r.holds else "FAILS"
+            expect = " (expected)" if r.as_expected else " (UNEXPECTED)"
+            print(f"{r.label:>12}  {status:<6} min={r.sphere_min: .3e}{expect}")
         print("ok" if ok else "MISMATCH")
     sys.exit(0 if ok else 1)
 
 
 class _Flag(NamedTuple):
-    """A flag that is not given leaves the keyword's or the field's default."""
+    """A flag that is not given leaves the keyword's default."""
 
-    dest: str  # the command's keyword, or for an oracle flag the OracleConfig field
-    convert: Optional[Callable[[str], object]]  # None for a switch, which takes no value
+    dest: str  # the command's keyword
+    takes_value: bool  # a string value, or else a switch
     help: str
 
 
 class _Command(NamedTuple):
-    run: Callable[..., NoReturn]  # run(inputs, cfg, **values of the flags given)
+    run: Callable[..., NoReturn]  # run(inputs, **values of the flags given)
     takes_inputs: bool
     flags: Dict[str, _Flag]
 
 
-_ORACLE_FLAGS = {
-    "--grid": _Flag("grid_points", int, "grid point count"),
-    "--seed": _Flag("seed", int, "jitter seed"),
-}
-_JSON_FLAG = {"--json": _Flag("as_json", None, "machine-readable output")}
+_JSON_FLAG = {"--json": _Flag("as_json", False, "machine-readable output")}
 
 _COMMANDS = {
     "check": _Command(
         _check,
         True,
         {
-            "--analytic-only": _Flag("analytic_only", None, "run the exact stages alone"),
+            "--analytic-only": _Flag("analytic_only", False, "run the exact stages alone"),
             **_JSON_FLAG,
-            **_ORACLE_FLAGS,
         },
     ),
-    "minimize": _Command(_minimize, True, {**_JSON_FLAG, **_ORACLE_FLAGS}),
+    "minimize": _Command(_minimize, True, _JSON_FLAG),
     "inequalities": _Command(
         _inequalities,
         False,
         {
-            "--only": _Flag("only", str, "run a single catalog label, e.g. 19u or 19-14-14"),
+            "--only": _Flag("only", True, "run a single catalog label, e.g. 19u or 19-14-14"),
             **_JSON_FLAG,
-            **_ORACLE_FLAGS,
         },
     ),
 }
@@ -241,7 +236,7 @@ def _help(prog: str, name: Optional[str]) -> str:
         )
     command = _COMMANDS[name]
     options = [
-        (flag if f.convert is None else f"{flag} {f.convert.__name__.upper()}", f.help)
+        (f"{flag} LABEL" if f.takes_value else flag, f.help)
         for flag, f in command.flags.items()
     ]
     options.append(("--help", "show this message and exit"))
@@ -271,7 +266,7 @@ def _parse(prog: str, name: str, args: Sequence[str]):
             flag = flags.get(flag_name)
             if flag is None:
                 _input_error(f"no such option: {flag_name}")
-            if flag.convert is None:
+            if not flag.takes_value:
                 if eq:
                     _input_error(f"{token}: {flag_name} takes no value")
                 values[flag.dest] = True
@@ -280,10 +275,7 @@ def _parse(prog: str, name: str, args: Sequence[str]):
                 raw = next(tokens, None)
                 if raw is None:
                     _input_error(f"{flag_name} requires a value")
-            try:
-                values[flag.dest] = flag.convert(raw)
-            except ValueError:
-                _input_error(f"{flag_name}: invalid {flag.convert.__name__} value {raw!r}")
+            values[flag.dest] = raw
     return inputs, values
 
 
@@ -300,13 +292,7 @@ def _dispatch(argv: List[str], prog: str) -> NoReturn:
     inputs, values = _parse(prog, name, argv[1:])
     if inputs and not command.takes_inputs:
         _input_error(f"unexpected argument: {inputs[0]}")
-    oracle = {f.dest: values.pop(f.dest) for f in _ORACLE_FLAGS.values() if f.dest in values}
-    try:
-        cfg = OracleConfig(**oracle)
-    except ConfigError as exc:
-        flag = next(n for n, f in _ORACLE_FLAGS.items() if f.dest == exc.field)
-        _input_error(f"{flag} {exc.requirement}")
-    command.run(inputs, cfg, **values)
+    command.run(inputs, **values)
 
 
 def main(args: Optional[Sequence[str]] = None, prog_name: str = "quartpd") -> NoReturn:

@@ -150,15 +150,6 @@ ORACLE_DIMS = (2, 3)
 _CLUSTER_TOL = 1e-4
 
 
-class ConfigError(ValueError):
-    """An out-of-range ``OracleConfig`` value; ``field`` names the field."""
-
-    def __init__(self, field: str, requirement: str):
-        super().__init__(f"{field} {requirement}")
-        self.field = field
-        self.requirement = requirement
-
-
 @dataclass(frozen=True)
 class OracleConfig:
     grid_points: Optional[int] = None  # defaults: 4096 (n=2), 20000 (n=3)
@@ -168,15 +159,15 @@ class OracleConfig:
 
     def __post_init__(self):
         if self.grid_points is not None and self.grid_points <= 0:
-            raise ConfigError("grid_points", "must be positive")
+            raise ValueError("grid_points must be positive")
         if self.grid_points is not None and self.grid_points > _MAX_GRID:
-            raise ConfigError("grid_points", f"must be at most {_MAX_GRID}")
+            raise ValueError(f"grid_points must be at most {_MAX_GRID}")
         if self.refine_max_iters <= 0:
-            raise ConfigError("refine_max_iters", "must be positive")
+            raise ValueError("refine_max_iters must be positive")
         if self.seed < 0:
-            raise ConfigError("seed", "must be nonnegative")
+            raise ValueError("seed must be nonnegative")
         if self.refine_top_k <= 0:
-            raise ConfigError("refine_top_k", "must be positive")
+            raise ValueError("refine_top_k must be positive")
 
     def effective_grid(self, dim: int) -> int:
         if self.grid_points is not None:

@@ -85,7 +85,7 @@ documents = st.one_of(well_formed, tensor_docs, family_docs, scalars, st.lists(s
 def test_parse_check_ends_in_a_defined_exit_code(tmp_path, runner, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc).replace(json.dumps(_LONG), "7" * 5000))
-    res = runner.invoke(main, ["check", str(path), "--json", "--grid", "64"])
+    res = runner.invoke(main, ["check", str(path), "--json"])
     assert res.exception is None or isinstance(res.exception, SystemExit), res.output
     assert res.exit_code in (0, 1, 2, 3, 64), res.output
     if res.exit_code == 64:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -131,17 +132,15 @@ class TestParsing:
 
 
 class TestPipeline:
-    CFG = OracleConfig(grid_points=2000)
-
     def test_family_stage_decides(self):
-        rep = quartpd.classify(embed(CyclicTernary.of(1, -1, 1, 1, "-1/6")), self.CFG)
+        rep = quartpd.classify(embed(CyclicTernary.of(1, -1, 1, 1, "-1/6")))
         assert rep.verdict.kind is Kind.POSITIVE_DEFINITE
         stages = [stage for stage, _ in rep.trace]
         assert stages == ["prefilter", "family"]
 
     def test_scaled_family_input(self):
         # a = 2: the family rules read the orbit values divided by a
-        rep = quartpd.classify(embed(CyclicTernary.of(2, -2, 2, 2, "-1/3")), self.CFG)
+        rep = quartpd.classify(embed(CyclicTernary.of(2, -2, 2, 2, "-1/3")))
         assert rep.verdict.kind is Kind.POSITIVE_DEFINITE
         assert [stage for stage, _ in rep.trace] == ["prefilter", "family"]
         assert rep.trace[-1][1].kind is Kind.POSITIVE_DEFINITE
@@ -158,7 +157,7 @@ class TestPipeline:
         ],
     )
     def test_every_trace_entry_has_stage_and_kind(self, parsed):
-        rep = quartpd.classify(to_tensor(parsed), self.CFG)
+        rep = quartpd.classify(to_tensor(parsed))
         assert rep.trace
         for stage, verdict in rep.trace:
             assert isinstance(stage, str)
@@ -175,9 +174,9 @@ class TestPipeline:
             BinaryQuartic.of(1, -1, 1, 1, 1),
             CyclicTernary.of(1, 1, 1, 1, "-7/12"),
         ):
-            a = quartpd.classify(to_tensor(parsed), self.CFG)
+            a = quartpd.classify(to_tensor(parsed))
             assert a.trace[-1][0] != "oracle"
-            b = quartpd.classify_numeric(to_tensor(parsed), self.CFG)
+            b = quartpd.classify_numeric(to_tensor(parsed))
             if b.margin is not None and abs(b.margin) > 1e-6:
                 assert a.verdict.kind is b.kind
 
@@ -189,7 +188,7 @@ class TestPipeline:
         assert res.exit_code == 64
         assert res.output == "input error: no such option: --oracle-only\n"
         with pytest.raises(TypeError):
-            quartpd.classify(to_tensor(BinaryQuartic.of(1, 0, 1, 0, 1)), self.CFG, True)
+            quartpd.classify(to_tensor(BinaryQuartic.of(1, 0, 1, 0, 1)), OracleConfig(), True)
 
     @pytest.mark.parametrize(
         "T, calls",
@@ -221,19 +220,19 @@ class TestPipeline:
         assert exact == with_oracle.trace[: len(with_oracle.trace) - calls]
 
     def test_analytic_only_undetermined(self):
-        rep = quartpd.classify(embed(CyclicTernary.of(1, -1, 1, 1, 0)), self.CFG, analytic_only=True)
+        rep = quartpd.classify(embed(CyclicTernary.of(1, -1, 1, 1, 0)), analytic_only=True)
         assert rep.verdict.kind is Kind.UNDETERMINED
 
     def test_prefilter_catches_bad_subtensor(self):
         T = SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
                                  (1, 1, 1, 2): 5})
-        rep = quartpd.classify(T, self.CFG)
+        rep = quartpd.classify(T)
         assert rep.verdict.kind is Kind.INDEFINITE
         assert rep.trace[0][0] == "prefilter"
 
     def test_determinism(self):
-        a = quartpd.classify(embed(CyclicTernary.of(1, 1, -1, "3/2", 0)), self.CFG)
-        b = quartpd.classify(embed(CyclicTernary.of(1, 1, -1, "3/2", 0)), self.CFG)
+        a = quartpd.classify(embed(CyclicTernary.of(1, 1, -1, "3/2", 0)))
+        b = quartpd.classify(embed(CyclicTernary.of(1, 1, -1, "3/2", 0)))
         assert a._replace(seconds=None) == b._replace(seconds=None)
 
     @pytest.mark.parametrize(
@@ -249,10 +248,10 @@ class TestPipeline:
     def test_classify_matches_cli_report(self, runner, tmp_path, args, stage):
         if isinstance(args[0], dict):
             args = [write_tensor(tmp_path, 3, args[0])]
-        res = runner.invoke(main, ["check", *args, "--json", "--grid", "2000"])
+        res = runner.invoke(main, ["check", *args, "--json"])
         cli_report = json.loads(res.output)
         parsed = load(args[0]) if len(args) == 1 else parse_shorthand(args[0], args[1:])
-        decision = quartpd.classify(to_tensor(parsed), self.CFG)
+        decision = quartpd.classify(to_tensor(parsed))
         assert decision.stage == stage
         assert cli_report["input"] == tensorio.describe(parsed)
         assert cli_report["trace"] == [{"stage": s, **v.to_dict()} for s, v in decision.trace]
@@ -271,7 +270,7 @@ class TestPipeline:
     )
     def test_report_timings(self, runner, args, stages):
         # analytic_s always, oracle_s exactly when the oracle stage ran
-        res = runner.invoke(main, ["check", *args, "--json", "--grid", "2000"])
+        res = runner.invoke(main, ["check", *args, "--json"])
         report = json.loads(res.output)
         assert [step["stage"] for step in report["trace"]] == stages
         timings = report["timings"]
@@ -342,7 +341,7 @@ class TestCli:
     def test_check_json_schema(self, runner):
         res = runner.invoke(
             main,
-            ["check", "cyclic", "1", "-1", "1", "1", "-1/6", "--json", "--grid", "2000"],
+            ["check", "cyclic", "1", "-1", "1", "1", "-1/6", "--json"],
         )
         doc = json.loads(res.output)
         assert doc["schema"] == 1
@@ -365,7 +364,7 @@ class TestCli:
         assert res.exit_code == 0
 
     def test_json_determinism(self, runner):
-        args = ["check", "cyclic", "1", "1", "1", "1", "-1/2", "--json", "--grid", "2000"]
+        args = ["check", "cyclic", "1", "1", "1", "1", "-1/2", "--json"]
         outs = []
         for _ in range(2):
             res = runner.invoke(main, args)
@@ -375,14 +374,14 @@ class TestCli:
         assert outs[0] == outs[1]
 
     def test_minimize(self, runner):
-        res = runner.invoke(main, ["minimize", "cyclic", "1", "0", "0", "0", "0", "--grid", "2000"])
+        res = runner.invoke(main, ["minimize", "cyclic", "1", "0", "0", "0", "0"])
         assert res.exit_code == 0
         assert "min 0.333333" in res.output
 
     def test_minimize_zero_tensor_degenerate(self, runner, tmp_path):
         p = tmp_path / "zero.json"
         p.write_text(json.dumps({"dim": 3, "entries": []}))
-        res = runner.invoke(main, ["minimize", str(p), "--grid", "1000"])
+        res = runner.invoke(main, ["minimize", str(p)])
         assert res.exit_code == 0
         assert "degenerate" in res.output
 
@@ -392,7 +391,7 @@ class TestCli:
             raise AssertionError("a witness was searched")
 
         monkeypatch.setattr("quartpd.oracle._exact_negative", refused)
-        res = runner.invoke(main, ["minimize", "cyclic", "1", "1", "1", "1", "-7/12", "--grid", "2000"])
+        res = runner.invoke(main, ["minimize", "cyclic", "1", "1", "1", "1", "-7/12"])
         assert res.exit_code == 0
         assert res.output.startswith("min -")
 
@@ -405,42 +404,55 @@ class TestCli:
     def test_minimize_samples_once(self, runner, monkeypatch, args, n_zeros):
         # one kernel per call, and the report holds what sphere_minimize and
         # zero_set_probe give, each on a sample of its own
-        cfg = OracleConfig(grid_points=3000)
         T = to_tensor(parse_shorthand(args[0], args[1:]))
-        res, zeros = oracle.sphere_minimize(T, cfg), oracle.zero_set_probe(T, cfg)
+        res, zeros = oracle.sphere_minimize(T), oracle.zero_set_probe(T)
         calls = []
         kernel = oracle._kernel
         monkeypatch.setattr(oracle, "_kernel", lambda T: calls.append(T) or kernel(T))
-        out = runner.invoke(main, ["minimize", *args, "--grid", "3000", "--json"])
+        out = runner.invoke(main, ["minimize", *args, "--json"])
         assert out.exit_code == 0 and len(calls) == 1
         doc = strict_json(out.stdout)
         assert (doc["min_value"], doc["minimizer"]) == (res.min_value, list(res.minimizer))
         assert doc["iterations"] == res.iterations_used
         assert doc["zero_set"] == [list(z) for z in zeros] and len(zeros) == n_zeros
 
-    @pytest.mark.parametrize("args", [
-        ["check", "binary", "1", "0", "1", "0", "1"],
-        ["minimize", "binary", "1", "0", "1", "0", "1"],
-        ["inequalities", "--only", "19u"],
-    ])
-    def test_grid_above_the_bound_is_an_input_error(self, runner, monkeypatch, args):
-        # rejected with the config, before any grid is built
-        def refused(*args):
-            raise AssertionError("a grid was built")
-
-        monkeypatch.setattr(oracle, "_grid", refused)
-        res = runner.invoke(main, [*args, "--grid", "1000001"])
-        assert res.exit_code == 64 and isinstance(res.exception, SystemExit)
-        assert res.output == "input error: --grid must be at most 1000000\n"
-
     def test_inequalities_single(self, runner):
-        res = runner.invoke(main, ["inequalities", "--only", "19-14-14", "--grid", "4000"])
+        res = runner.invoke(main, ["inequalities", "--only", "19-14-14"])
         assert res.exit_code == 0
         assert "FAILS" in res.output and "expected" in res.output
 
     def test_inequalities_unknown_label(self, runner):
         res = runner.invoke(main, ["inequalities", "--only", "nope"])
         assert res.exit_code == 64
+
+    def test_only_takes_its_value_either_way(self, runner):
+        # --only is the one flag with a value: the next token, or after '='
+        spaced = runner.invoke(main, ["inequalities", "--only", "19u"])
+        joined = runner.invoke(main, ["inequalities", "--only=19u"])
+        assert spaced.exit_code == joined.exit_code == 0
+        assert joined.output == spaced.output and "19u" in joined.output
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--only"], "--only requires a value"),
+            # the value is the next token, whatever it starts with
+            (["--only", "--json"], "--only: unknown label '--json'"),
+        ],
+    )
+    def test_only_value_errors(self, runner, args, message):
+        res = runner.invoke(main, ["inequalities", *args])
+        assert res.exit_code == 64
+        assert res.output == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["check", "minimize"])
+    def test_no_inputs_is_an_input_error(self, runner, command):
+        # the message gives no coefficient count: relaxed takes 7, not 5
+        res = runner.invoke(main, [command, "--json"])
+        assert res.exit_code == 64
+        assert res.output == (
+            "input error: input: a file path or a '<family> <coefficients>' shorthand expected\n"
+        )
 
     @pytest.mark.parametrize(
         "args",
@@ -454,6 +466,7 @@ class TestCli:
             ["check", "binary", "1", "0", "1", "0", "1", "--seed", "-1"],
             ["minimize", "binary", "1", "0", "1", "0", "1", "--seed", "-1"],
             ["inequalities", "--only", "19u", "--seed", "-2"],
+            ["inequalities", "--grid", "64"],
             ["check", "binary", "1", "0", "1", "0", "1", "--bogus"],
             ["check", "binary", "1", "0", "1", "0", "1", "--grid"],
             ["check", "binary", "1", "0", "1", "0", "1", "--json=1"],
@@ -470,6 +483,9 @@ class TestCli:
         # last argument, and is named
         flag = next((a for a in reversed(args) if a.startswith("--")), args[-1])
         assert flag in res.output
+        if flag in ("--grid", "--seed", "--margin"):
+            # the oracle has no flags: each command runs its defaults
+            assert res.output == f"input error: no such option: {flag}\n"
 
     @pytest.mark.parametrize(
         "args, rule",
@@ -492,7 +508,11 @@ class TestCli:
             (["check", "cyclic", "1", "1", "1", "1", "-7/12"], 2, "witness: (1, 1, -5)"),
             (["--help"], 0, "inequalities"),
             (["check", "--help"], 0, "--analytic-only"),
-            (["check", "binary", "1", "0", "1", "0", "1", "--grid", "abc"], 64, "input error: --grid"),
+            (
+                ["check", "binary", "1", "0", "1", "0", "1", "--grid", "abc"],
+                64,
+                "input error: no such option: --grid",
+            ),
         ],
     )
     def test_module_entry_point(self, args, code, expected):
@@ -504,6 +524,17 @@ class TestCli:
         if args[-1] == "--help":
             flags = cli._COMMANDS[args[0]].flags if len(args) == 2 else cli._COMMANDS
             assert all(flag in out.stdout for flag in flags)
+
+
+def test_readme_names_the_cli_flags():
+    # every flag that README's CLI section names is one some command
+    # accepts, or --help, and every flag a command accepts is named there
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    accepted = {flag for command in cli._COMMANDS.values() for flag in command.flags}
+    assert named - {"--help"} <= accepted, named - accepted
+    assert accepted <= named, accepted - named
 
 
 class TestDimensions:

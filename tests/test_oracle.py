@@ -13,7 +13,6 @@ from quartpd.binary import BinaryQuartic
 from quartpd.cyclic import CyclicTernary, embed
 from quartpd.inequalities import builtin_catalog
 from quartpd.oracle import (
-    ConfigError,
     OracleConfig,
     classify_numeric,
     sphere_minimize,
@@ -428,20 +427,27 @@ def test_unsupported_dimension():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(grid_points=0)
+    # an out-of-range value is a plain ValueError that names the field
+    for field, value, requirement in (
+        ("grid_points", 0, "must be positive"),
+        ("refine_max_iters", 0, "must be positive"),
+        ("seed", -1, "must be nonnegative"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            OracleConfig(**{field: value})
+        assert str(exc.value) == f"{field} {requirement}"
     # the grid's arrays grow with it: at most 10^6 points
     assert OracleConfig(grid_points=10**6).grid_points == 10**6
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(ValueError) as exc:
         OracleConfig(grid_points=10**6 + 1)
-    assert (exc.value.field, exc.value.requirement) == ("grid_points", "must be at most 1000000")
+    assert str(exc.value) == "grid_points must be at most 1000000"
 
 
 def test_refine_top_k_must_be_positive():
     for k in (0, -3):
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(ValueError) as exc:
             OracleConfig(refine_top_k=k)
-        assert (exc.value.field, exc.value.requirement) == ("refine_top_k", "must be positive")
+        assert str(exc.value) == "refine_top_k must be positive"
     res = sphere_minimize(diag_ones(2), OracleConfig(refine_top_k=1, grid_points=64))
     assert res.min_value == pytest.approx(0.5, abs=1e-9)
 
