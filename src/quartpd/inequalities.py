@@ -11,18 +11,19 @@ with rational weights.  Uniform weight c means w1 = w2 = w3 = c.  The
 
 Each entry is decided by the pipeline's stages (``pipeline.stages``), as
 ``check`` decides its tensor: the exact prefilter, then the cyclic family
-rules, and where no exact stage decides, the oracle's verdict on the
-entry's one sphere sample: an exact witness at its best grid point, or
-else the verdict of the sphere minimum.  A strict
+rules, and where no exact stage decides, ``classify_numeric`` on the
+entry's one sphere sample, the oracle's default grid: an exact witness at
+its best grid point, or else the verdict of the sphere minimum.  A strict
 entry holds when the final verdict is positive definite, a non-strict one
 when it is positive definite or semidefinite.  So an entry is exact unless
 the oracle decided it: an oracle INDEFINITE rests on an exactly checked
 witness, an oracle PD on the float minimum and its margin.  Each report
 names the deciding stage and its verdict.  The sphere minimum is reported
 for every entry, and the zero set is probed where the final verdict is
-semidefinite or undetermined.  Every named counterexample point is
-certified in exact rational arithmetic and its exact value is carried in
-the report.
+semidefinite or undetermined.  An entry with a named counterexample point
+is expected to fail: its exact value there is carried in the report, and
+the entry is as expected only where it does not hold and that value is
+negative.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .cyclic import RelaxedCyclicTernary, embed
-from .oracle import OracleConfig, sample_verdict, sphere_minimize, sphere_sample, zero_set_probe
+from .oracle import classify_numeric, sphere_minimize, sphere_sample, zero_set_probe
 from .pipeline import decide, stages
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict, as_fraction
@@ -44,8 +45,12 @@ class WeightedInequality:
     weights: Tuple[Fraction, Fraction, Fraction]
     strict: bool
     exchanged: bool = False
-    expected_fail: bool = False
     fail_point: Optional[Tuple[Fraction, Fraction, Fraction]] = None
+
+    @property
+    def expected_fail(self) -> bool:
+        """An entry with a named counterexample point is expected to fail."""
+        return self.fail_point is not None
 
     @classmethod
     def uniform(cls, c, strict: bool):
@@ -144,12 +149,10 @@ _CATALOG: Tuple[WeightedInequality, ...] = (
     WeightedInequality.triple(17, 15, 18),
     WeightedInequality.triple(Fraction(46, 3), 14, 14),
     *(
-        WeightedInequality.triple(w1, 14, 14, expected_fail=True, fail_point=_FAIL_POINT_A)
+        WeightedInequality.triple(w1, 14, 14, fail_point=_FAIL_POINT_A)
         for w1 in (19, 18, 17, 16)
     ),
-    WeightedInequality.triple(
-        Fraction(41, 3), 15, 15, expected_fail=True, fail_point=_FAIL_POINT_B
-    ),
+    WeightedInequality.triple(Fraction(41, 3), 15, 15, fail_point=_FAIL_POINT_B),
 )
 
 
@@ -163,27 +166,26 @@ def exact_spot_check(ineq: WeightedInequality, x: Sequence) -> Fraction:
     return ineq.value(x)
 
 
-def verify(ineq: WeightedInequality, cfg: OracleConfig = OracleConfig()) -> InequalityReport:
+def verify(ineq: WeightedInequality) -> InequalityReport:
     T = ineq.to_tensor()
-    sample = sphere_sample(T, cfg)
-    res = sphere_minimize(T, cfg, sample)
+    sample = sphere_sample(T)
+    res = sphere_minimize(T, sample=sample)
     # the oracle's verdict is built only where the exact stages leave the
     # entry undetermined
-    decision = decide(stages(T, lambda: sample_verdict(T, sample, cfg, res)))
+    decision = decide(stages(T, lambda: classify_numeric(T, sample=sample, minimum=res)))
     kind = decision.verdict.kind
     # a semidefinite or undecided form may touch zero: look for its zeros
     boundary = kind in (Kind.PSD_NOT_PD, Kind.UNDETERMINED)
-    equality_points = zero_set_probe(T, cfg, sample) if boundary else []
+    equality_points = zero_set_probe(T, sample=sample) if boundary else []
     if ineq.strict:
         holds = kind is Kind.POSITIVE_DEFINITE
     else:
         holds = kind in (Kind.POSITIVE_DEFINITE, Kind.PSD_NOT_PD)
-    exact = None
-    if ineq.expected_fail and ineq.fail_point is not None:
-        # the verdict must be backed by the exact counterexample
+    exact, as_expected = None, holds
+    if ineq.expected_fail:
+        # a failure is as expected only where the named point refutes exactly
         exact = exact_spot_check(ineq, ineq.fail_point)
-        holds = holds and not exact < 0
-    as_expected = holds != ineq.expected_fail
+        as_expected = not holds and exact < 0
     return InequalityReport(
         label=ineq.label,
         sphere_min=res.min_value,

@@ -1,8 +1,9 @@
 """Floating-point certification by minimizing Tx^4 over the unit sphere.
 
 Candidates come from a deterministic low-discrepancy grid (uniform angles
-on the circle for n=2, a spherical Fibonacci lattice for n=3) with seeded
-jitter; a grid is built once per (dim, size, seed) and shared read-only.
+on the circle for n=2, a spherical Fibonacci lattice for n=3) with a
+jitter of fixed seed 0; a grid is built once per (dim, size) and shared
+read-only.
 The best candidates are polished by a safeguarded Riemannian Newton method
 (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds,
 2008, ch. 6).  At a unit x, with P = I - x x^T, the Riemannian gradient is
@@ -49,11 +50,13 @@ Each command samples once: ``sphere_sample`` reads the kernel, the
 form's coefficients, off T's stored entries and takes the form's values on
 the grid; ``sphere_minimize`` refines the best of them into the minimum,
 ``zero_set_probe`` those nearest zero into the zero set, and
-``sample_verdict`` turns the sample, refined only where it has to be, into
-the verdict that ``classify_numeric`` returns.  Each of them takes the
-caller's sample, so ``minimize`` and the inequality harness pass one
-sample to all the calls they make.  A grid holds at most ``_MAX_GRID``
-points, since its arrays grow in proportion to it.
+``classify_numeric`` turns the sample, refined only where it has to be,
+into the oracle's verdict.  Each of them takes the caller's sample, so
+``minimize`` and the inequality harness pass one sample to all the calls
+they make.  Only ``sphere_sample`` and ``sphere_minimize`` take an
+``OracleConfig`` (grid size, refine iterations and candidates); the
+verdict and the zero set run the defaults.  A grid holds at most
+``_MAX_GRID`` points, since its arrays grow in proportion to it.
 The form is evaluated through its monomials.  A quartic form is a quadratic
 form in its quadratic monomials, Tx^4 = q^T S q with q = (x_i x_j)_{i <= j}
 (the Gram representation of Choi, Lam and Reznick), so the grid values
@@ -89,7 +92,7 @@ of |t| over all index orders (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., 2002, sec. 3.1): about 3e-13 of max |t|, far below
 the margin ``_MARGIN`` (1e-8, a fixed constant) of it.
 
-``sample_verdict`` is the one place where a sample becomes a verdict.
+``classify_numeric`` is the one place where a sample becomes a verdict.
 INDEFINITE rests only on an exactly checked witness, which it looks for
 first at the best grid point: where that point's rational rounding is
 negative in exact arithmetic, the verdict is INDEFINITE by rule
@@ -101,11 +104,11 @@ margin too, is INDEFINITE; a minimum above the classification margin
 (``oracle-boundary``), left to the exact analytic modules; the margin is
 the refined minimum.
 
-``zero_set_probe`` refines the max(200, refine_top_k) grid points of
-smallest |Tx^4| and keeps those whose refined |Tx^4| is at most
-``_MARGIN``.  It clusters them greedily in refine order, one distance pass
-per cluster: the first zero not yet covered becomes the next
-representative and covers every zero within ``_CLUSTER_TOL`` of it.
+``zero_set_probe`` refines the 200 grid points of smallest |Tx^4| and
+keeps those whose refined |Tx^4| is at most ``_MARGIN``.  It clusters them
+greedily in refine order, one distance pass per cluster: the first zero
+not yet covered becomes the next representative and covers every zero
+within ``_CLUSTER_TOL`` of it.
 """
 
 from __future__ import annotations
@@ -118,6 +121,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .tensor import SymmetricTensor4, canonical_index, canonical_indices
+from .tensorio import _is_int
 from .verdict import Kind, Verdict
 
 if TYPE_CHECKING:
@@ -154,20 +158,19 @@ _CLUSTER_TOL = 1e-4
 class OracleConfig:
     grid_points: Optional[int] = None  # defaults: 4096 (n=2), 20000 (n=3)
     refine_max_iters: int = 500
-    seed: int = 0
     refine_top_k: int = 50
 
     def __post_init__(self):
-        if self.grid_points is not None and self.grid_points <= 0:
-            raise ValueError("grid_points must be positive")
+        for name in ("grid_points", "refine_max_iters", "refine_top_k"):
+            value = getattr(self, name)
+            if value is None and name == "grid_points":
+                continue
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.grid_points is not None and self.grid_points > _MAX_GRID:
             raise ValueError(f"grid_points must be at most {_MAX_GRID}")
-        if self.refine_max_iters <= 0:
-            raise ValueError("refine_max_iters must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.refine_top_k <= 0:
-            raise ValueError("refine_top_k must be positive")
 
     def effective_grid(self, dim: int) -> int:
         if self.grid_points is not None:
@@ -192,11 +195,11 @@ def _canonical_sign(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _grid(dim: int, n_points: int, seed: int) -> np.ndarray:
-    """The jittered sphere grid; deterministic in (dim, n_points, seed)."""
+def _grid(dim: int, n_points: int) -> np.ndarray:
+    """The jittered sphere grid; deterministic in (dim, n_points)."""
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     if dim == 2:
         theta = np.linspace(0.0, 2 * math.pi, n_points, endpoint=False)
         theta = theta + rng.uniform(-0.5, 0.5, n_points) * (2 * math.pi / n_points)
@@ -211,10 +214,10 @@ def _grid(dim: int, n_points: int, seed: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_grid(dim: int, n_points: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+def _cached_grid(dim: int, n_points: int) -> Tuple[np.ndarray, np.ndarray]:
     """``_grid`` and its quadratic monomials, one row per monomial and one
-    column per point, built once per argument triple and shared read-only."""
-    X = _grid(dim, n_points, seed)
+    column per point, built once per argument pair and shared read-only."""
+    X = _grid(dim, n_points)
     i, j = _monomials(dim)[0].T
     Q = X.T[i] * X.T[j]  # C-contiguous: the gathers run along the first axis
     X.flags.writeable = Q.flags.writeable = False
@@ -237,7 +240,7 @@ def _monomials(dim: int):
     """The index pairs (i, j), i <= j, of the quadratic monomials in dim
     variables and the number of index orders each stands for (1 or 2); for
     ``_kernel``, each index's position in ``canonical_indices(dim)``, and
-    that of the index of each coefficient (p, r) of S and (p, k, l) of H."""
+    that of the index of each coefficient (p, k, l) of H."""
     import numpy as np
 
     pairs = np.array(list(itertools.combinations_with_replacement(range(dim), 2)))
@@ -245,17 +248,16 @@ def _monomials(dim: int):
     slot = {idx: s for s, idx in enumerate(canonical_indices(dim))}
     kl = list(itertools.product(range(1, dim + 1), repeat=2))  # those with k <= l: ``pairs`` + 1
     hessian_at = np.array([[slot[canonical_index(p + r)] for r in kl] for p in kl if p[0] <= p[1]])
-    gram_at = hessian_at[:, pairs[:, 0] * dim + pairs[:, 1]]  # the columns (k, l) = (i_r, j_r)
-    for a in (pairs, fold, gram_at, hessian_at):
+    for a in (pairs, fold, hessian_at):
         a.flags.writeable = False
-    return pairs, fold, slot, gram_at, hessian_at
+    return pairs, fold, slot, hessian_at
 
 
 def _kernel(T: SymmetricTensor4) -> _Kernel:
     """The monomial kernel of T, built from its canonical entries."""
     import numpy as np
 
-    pairs, fold, slot, gram_at, hessian_at = _monomials(T.dim)
+    pairs, fold, slot, hessian_at = _monomials(T.dim)
     ratios = {slot[idx]: v.as_integer_ratio() for idx, v in T.entries().items()}
     # floor(log2 max|t|), exact whatever the entries' range: no coefficient
     # (up to 4|t| / 2^shift) or value (up to n^2 max|t| / 2^shift) overflows
@@ -263,10 +265,11 @@ def _kernel(T: SymmetricTensor4) -> _Kernel:
     t = np.zeros(len(slot))
     for s, (n, d) in ratios.items():  # t / 2^shift, one correctly rounded division
         t[s] = n / (d << shift) if shift >= 0 else (n << -shift) / d
-    # q^T S q runs over unordered pairs: fold weights restore the orders
-    gram = fold[:, None] * t[gram_at] * fold
     # (Tx^2)_{kl} = sum over pairs p of q_p fold_p t_{i_p,j_p,k,l}
     hessian = fold[:, None] * t[hessian_at]
+    # S is H at the columns (k, l) = (i_r, j_r): q^T S q runs over unordered
+    # pairs, and the fold weights restore the orders
+    gram = hessian[:, pairs[:, 0] * T.dim + pairs[:, 1]] * fold
     return _Kernel(pairs, gram, hessian, shift)
 
 
@@ -468,7 +471,7 @@ def sphere_sample(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> Sa
     if T.dim not in ORACLE_DIMS:
         raise ValueError(f"oracle supports dim 2 or 3, got {T.dim}")
     K = _kernel(T)
-    X, Q = _cached_grid(T.dim, cfg.effective_grid(T.dim), cfg.seed)
+    X, Q = _cached_grid(T.dim, cfg.effective_grid(T.dim))
     return K, X, _values(K, Q)
 
 
@@ -518,28 +521,26 @@ def sphere_minimize(
     return OracleResult(_unscaled(rvals[best], K.shift), minimizer, iters, float(rvals[best]))
 
 
-def sample_verdict(
-    T: SymmetricTensor4,
-    sample: Sample,
-    cfg: OracleConfig = OracleConfig(),
-    minimum: Optional[OracleResult] = None,
+def classify_numeric(
+    T: SymmetricTensor4, *, sample: Optional[Sample] = None, minimum: Optional[OracleResult] = None
 ) -> Verdict:
-    """The oracle's one verdict rule, on a ``sphere_sample`` of T (module
-    docstring).  The best grid point comes first: where it rounds to a
-    rational point at which T is negative in exact arithmetic, that point is
-    the witness of INDEFINITE (``oracle-grid-witness``) and the grid value
-    the margin, and nothing is refined.  Otherwise the verdict is the
-    refined minimum's, ``minimum`` or else ``sphere_minimize`` on the
-    sample, with the minimum as its margin."""
+    """The oracle's one verdict rule, on ``sample`` (a ``sphere_sample`` of
+    T) or else on a sample of its own (module docstring).  The best grid
+    point comes first: where it rounds to a rational point at which T is
+    negative in exact arithmetic, that point is the witness of INDEFINITE
+    (``oracle-grid-witness``) and the grid value the margin, and nothing is
+    refined.  Otherwise the verdict is the refined minimum's, ``minimum`` or
+    else ``sphere_minimize`` on the sample, with the minimum as its
+    margin."""
     import numpy as np
 
-    K, X, vals = sample
+    K, X, vals = sphere_sample(T) if sample is None else sample
     g = int(np.argmin(vals))
     if vals[g] < 0:
         witness = _exact_negative(T, X[g])
         if witness is not None:
             return Verdict(Kind.INDEFINITE, "oracle-grid-witness", witness, _unscaled(vals[g], K.shift))
-    res = sphere_minimize(T, cfg, sample) if minimum is None else minimum
+    res = sphere_minimize(T, sample=(K, X, vals)) if minimum is None else minimum
     witness = _exact_negative(T, res.minimizer) if res.kernel_min < 0 else None
     if witness is not None:
         kind = Kind.INDEFINITE
@@ -551,17 +552,9 @@ def sample_verdict(
     return Verdict(kind, rule, witness, res.min_value)
 
 
-def classify_numeric(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> Verdict:
-    """The pipeline's oracle stage: ``sample_verdict`` on one sample of T."""
-    return sample_verdict(T, sphere_sample(T, cfg), cfg)
-
-
-def zero_set_probe(
-    T: SymmetricTensor4, cfg: OracleConfig = OracleConfig(), sample: Optional[Sample] = None
-) -> List[Tuple[float, ...]]:
+def zero_set_probe(T: SymmetricTensor4, *, sample: Optional[Sample] = None) -> List[Tuple[float, ...]]:
     """Refined sphere points where |Tx^4| is at most ``_MARGIN``, from
-    ``sample`` (a ``sphere_sample`` of T under cfg) or else from a sample of
-    its own.
+    ``sample`` (a ``sphere_sample`` of T) or else from a sample of its own.
 
     A point within _CLUSTER_TOL of a kept representative joins its cluster;
     one representative per cluster is returned, sorted lexicographically.
@@ -570,8 +563,8 @@ def zero_set_probe(
     """
     import numpy as np
 
-    K, X, vals = sphere_sample(T, cfg) if sample is None else sample
-    refined, rvals, _ = _refine_batch(K, X[_top_k(np.abs(vals), max(cfg.refine_top_k, 200))], cfg)
+    K, X, vals = sphere_sample(T) if sample is None else sample
+    refined, rvals, _ = _refine_batch(K, X[_top_k(np.abs(vals), 200)], OracleConfig())
     zeros = refined[np.abs(rvals) <= _MARGIN]
     zeros = zeros / np.linalg.norm(zeros, axis=1, keepdims=True)
     return sorted(tuple(float(v) for v in zeros[i]) for i in _cluster_representatives(zeros))

@@ -4,8 +4,10 @@ criterion, and finally the numeric sphere oracle.  ``stages`` is the one
 place that order is written; it computes each stage when the one before it
 has been consumed, and ``decide`` consumes them up to the first decisive
 one, whose verdict is final, and times each stage it runs.  ``classify``
-and the inequality harness both decide that way, each passing its own
-oracle stage; the CLI writes ``classify``'s ``Decision`` as its report.
+and the inequality harness both decide that way, and both take the
+oracle's verdict from ``classify_numeric`` under its default grid: the
+harness passes the sample it already holds, ``classify`` lets the oracle
+take its own.  The CLI writes ``classify``'s ``Decision`` as its report.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optiona
 
 from . import binary as binmod
 from .cyclic import CyclicTernary, classify_cyclic, classify_relaxed, detect
-from .oracle import ORACLE_DIMS, OracleConfig, classify_numeric
+from .oracle import ORACLE_DIMS, classify_numeric
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict
 
@@ -116,11 +118,9 @@ def decide(stages: Iterable[Stage]) -> Decision:
     return Decision(trace, None, Verdict(Kind.UNDETERMINED, "no-decisive-stage"), seconds)
 
 
-def classify(
-    T: SymmetricTensor4, cfg: OracleConfig = OracleConfig(), *, analytic_only: bool = False
-) -> Decision:
+def classify(T: SymmetricTensor4, *, analytic_only: bool = False) -> Decision:
     """The pipeline's decision on T: the stages run, the deciding one and
     its verdict, and each stage's wall time.  The oracle covers dims 2 and
     3 only, so dim >= 4 can end undetermined; ``analytic_only`` runs the
     exact stages alone."""
-    return decide(stages(T, None if analytic_only else lambda: classify_numeric(T, cfg)))
+    return decide(stages(T, None if analytic_only else lambda: classify_numeric(T)))

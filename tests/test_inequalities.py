@@ -12,8 +12,8 @@ from quartpd.inequalities import (
     exact_spot_check,
     verify,
 )
-from quartpd.oracle import OracleConfig
-from quartpd.verdict import Kind
+from quartpd import inequalities
+from quartpd.verdict import Kind, Verdict
 
 from conftest import rand_fraction, rand_vector
 
@@ -90,11 +90,9 @@ class TestVerify:
         assert rep.sphere_min < -1e-8
 
     def test_report_carries_exact_counterexample_value(self):
-        # the value is exact and needs no oracle precision: a small grid will do
-        cfg = OracleConfig(grid_points=500)
         carried = set()
         for q in builtin_catalog():
-            d = verify(q, cfg).to_dict()
+            d = verify(q).to_dict()
             if "exact_counterexample_value" in d:
                 assert d["exact_counterexample_value"] == str(q.value(q.fail_point))
                 carried.add(q.label)
@@ -143,10 +141,9 @@ class TestVerify:
             return kernel(T)
 
         monkeypatch.setattr(oracle, "_kernel", counted)
-        cfg = OracleConfig(grid_points=500)
         for q in builtin_catalog():
             calls = 0
-            verify(q, cfg)
+            verify(q)
             assert calls == 1, q.label
 
 
@@ -162,11 +159,34 @@ class TestVerify:
         monkeypatch.setattr(oracle, "_exact_negative", counted)
         for q in builtin_catalog():
             calls.clear()
-            report = verify(q, OracleConfig(grid_points=500))
+            report = verify(q)
             if report.stage == "family":
                 assert calls == [], q.label
             elif q.expected_fail:
                 assert report.verdict.kind is Kind.INDEFINITE and calls, q.label
+
+
+    def test_holds_follows_the_verdict_alone(self, monkeypatch):
+        # an expected failure is as expected only where the verdict does not
+        # hold and the named point refutes exactly; the point never
+        # overrides the verdict
+        q = by_label("19-14-14")
+        assert q.expected_fail and q.value(q.fail_point) < 0
+        rep = verify(q)
+        assert (rep.verdict.kind, rep.holds, rep.as_expected) == (Kind.INDEFINITE, False, True)
+        pd = Verdict(Kind.POSITIVE_DEFINITE, "oracle-sphere-minimum", margin=1.0)
+        with monkeypatch.context() as m:
+            m.setattr(inequalities, "classify_numeric", lambda T, **kw: pd)
+            rep = verify(q)
+        assert (rep.stage, rep.verdict, rep.holds, rep.as_expected) == ("oracle", pd, True, False)
+        assert rep.exact_counterexample_value == q.value(q.fail_point)
+        # a named point where P is positive backs no failure, whatever the verdict
+        for label in ("19-14-14", "14u"):
+            base = by_label(label)
+            named = WeightedInequality(label, base.weights, True, fail_point=(1, 1, 1))
+            assert named.expected_fail and named.value((1, 1, 1)) > 0
+            rep = verify(named)
+            assert rep.holds is (label == "14u") and not rep.as_expected, label
 
 
 class TestProperties:

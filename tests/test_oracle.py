@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import random
 import sys
@@ -11,7 +12,7 @@ import pytest
 from quartpd import classify, oracle
 from quartpd.binary import BinaryQuartic
 from quartpd.cyclic import CyclicTernary, embed
-from quartpd.inequalities import builtin_catalog
+from quartpd.inequalities import builtin_catalog, verify
 from quartpd.oracle import (
     OracleConfig,
     classify_numeric,
@@ -92,7 +93,7 @@ def test_classify_indefinite_with_exact_witness():
 def test_classify_numeric_is_the_minimum_verdict(T, rule):
     res = sphere_minimize(T)
     v = classify_numeric(T)
-    assert v == oracle.sample_verdict(T, oracle.sphere_sample(T), minimum=res)
+    assert v == classify_numeric(T, sample=oracle.sphere_sample(T), minimum=res)
     assert v.rule == rule
     if rule == "oracle-grid-witness":  # the margin is the sampled minimum
         K, _, vals = oracle.sphere_sample(T)
@@ -107,7 +108,7 @@ def test_every_indefinite_minimum_has_an_exact_witness():
     tensors += [q.to_tensor() for q in builtin_catalog()]
     indefinite = 0
     for T in tensors:
-        v = classify_numeric(T, OracleConfig(grid_points=2000))
+        v = classify_numeric(T, sample=oracle.sphere_sample(T, OracleConfig(grid_points=2000)))
         if v.kind is Kind.INDEFINITE:
             indefinite += 1
             assert T.evaluate_form(v.witness) < 0
@@ -118,7 +119,7 @@ def test_every_indefinite_minimum_has_an_exact_witness():
 
 def test_classify_numeric_samples_once(monkeypatch):
     # one kernel and one grid per call; the grid is cached, so a fresh
-    # (dim, grid, seed) builds it
+    # (dim, grid size) builds it, and a given sample is read, not retaken
     calls = {"kernel": 0, "grid": 0}
 
     def counted(name, fn):
@@ -129,9 +130,12 @@ def test_classify_numeric_samples_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "_kernel", counted("kernel", oracle._kernel))
     monkeypatch.setattr(oracle, "_grid", counted("grid", oracle._grid))
-    for T, seed in ((SymmetricTensor4(3, {}), 90101), (INDEF, 90102)):
+    for T, n in ((SymmetricTensor4(3, {}), 2999), (INDEF, 3001)):
         calls.update(kernel=0, grid=0)
-        classify_numeric(T, OracleConfig(grid_points=2999, seed=seed))
+        classify_numeric(T, sample=oracle.sphere_sample(T, OracleConfig(grid_points=n)))
+        assert calls == {"kernel": 1, "grid": 1}
+        calls.update(kernel=0, grid=0)
+        classify_numeric(T)
         assert calls["kernel"] == 1 and calls["grid"] <= 1
 
 
@@ -167,9 +171,8 @@ def test_zero_set_probe_reads_the_given_sample():
     tensors = [q.to_tensor() for q in builtin_catalog()]
     tensors += [rand_tensor(rng, dim) for dim in (2, 3) for _ in range(6)]
     tensors += [BOUNDARY, BinaryQuartic.of(1, 0, "-1/3", 0, 1).to_tensor()]
-    cfg = OracleConfig()
     for T in tensors:
-        assert zero_set_probe(T, cfg, oracle.sphere_sample(T, cfg)) == zero_set_probe(T, cfg), T
+        assert zero_set_probe(T, sample=oracle.sphere_sample(T)) == zero_set_probe(T), T
 
 
 def _cluster_reference(zeros):
@@ -197,7 +200,7 @@ def test_zero_set_clusters_match_the_per_zero_reference(T, clusters):
     zeros = zeros / np.linalg.norm(zeros, axis=1, keepdims=True)
     reps = _cluster_reference(zeros)
     assert oracle._cluster_representatives(zeros) == reps
-    assert zero_set_probe(T, cfg) == sorted(tuple(float(v) for v in zeros[i]) for i in reps)
+    assert zero_set_probe(T) == sorted(tuple(float(v) for v in zeros[i]) for i in reps)
     assert len(reps) == clusters
 
 
@@ -211,11 +214,11 @@ def test_cluster_representatives_follow_row_order():
 
 
 def test_determinism():
-    cfg = OracleConfig(seed=7)
-    a = sphere_minimize(INDEF, cfg)
-    b = sphere_minimize(INDEF, cfg)
-    assert a == b
-    c = sphere_minimize(INDEF, OracleConfig(seed=8))
+    # a grid size gives the same result on every call; another size
+    # refines to the same minimum
+    a, c = (sphere_minimize(INDEF, OracleConfig(grid_points=n)) for n in (20000, 7001))
+    assert sphere_minimize(INDEF, OracleConfig(grid_points=20000)) == a
+    assert sphere_minimize(INDEF, OracleConfig(grid_points=7001)) == c
     assert c.min_value == pytest.approx(a.min_value, abs=1e-9)
 
 
@@ -331,11 +334,11 @@ def test_steep_valley_pd_form_is_never_indefinite(p, K):
     assert classify(_cross_form(p, K, 1, skew=False)).verdict.kind is not Kind.INDEFINITE
 
 
-def _refined_rule(T, cfg=OracleConfig()):
+def _refined_rule(T):
     """The verdict of the refined minimum alone: with the grid values
     replaced by their absolute values, the grid offers no witness."""
-    K, X, vals = oracle.sphere_sample(T, cfg)
-    return oracle.sample_verdict(T, (K, X, np.abs(vals)), cfg, minimum=sphere_minimize(T, cfg))
+    K, X, vals = oracle.sphere_sample(T)
+    return classify_numeric(T, sample=(K, X, np.abs(vals)), minimum=sphere_minimize(T))
 
 
 def test_grid_witness_moves_only_undetermined_to_indefinite():
@@ -427,11 +430,17 @@ def test_unsupported_dimension():
 
 
 def test_config_validation():
-    # an out-of-range value is a plain ValueError that names the field
+    # an out-of-range or non-integer value is a plain ValueError that names
+    # the field; a bool is no integer here (True would be a 1-point grid)
     for field, value, requirement in (
         ("grid_points", 0, "must be positive"),
         ("refine_max_iters", 0, "must be positive"),
-        ("seed", -1, "must be nonnegative"),
+        ("grid_points", True, "must be an integer"),
+        ("grid_points", 10.0, "must be an integer"),
+        ("refine_max_iters", 2.5, "must be an integer"),
+        ("refine_max_iters", False, "must be an integer"),
+        ("refine_top_k", 2.5, "must be an integer"),
+        ("refine_top_k", "50", "must be an integer"),
     ):
         with pytest.raises(ValueError) as exc:
             OracleConfig(**{field: value})
@@ -441,6 +450,22 @@ def test_config_validation():
     with pytest.raises(ValueError) as exc:
         OracleConfig(grid_points=10**6 + 1)
     assert str(exc.value) == "grid_points must be at most 1000000"
+
+
+def test_only_the_sample_and_the_minimum_take_a_config():
+    # the config is the grid size and the refine's two bounds; the verdict,
+    # the catalog and the zero set run the defaults and take none
+    names = [f.name for f in dataclasses.fields(OracleConfig)]
+    assert names == ["grid_points", "refine_max_iters", "refine_top_k"]
+    assert not hasattr(oracle, "sample_verdict")
+    T, q = diag_ones(3), builtin_catalog()[0]
+    for fn, arg in ((classify, T), (verify, q), (classify_numeric, T), (zero_set_probe, T)):
+        params = inspect.signature(fn).parameters.values()
+        assert all("OracleConfig" not in str(p.annotation) for p in params), fn.__name__
+        with pytest.raises(TypeError):
+            fn(arg, OracleConfig())
+    for fn in (oracle.sphere_sample, sphere_minimize):
+        assert list(inspect.signature(fn).parameters)[:2] == ["T", "cfg"]
 
 
 def test_refine_top_k_must_be_positive():
@@ -561,7 +586,7 @@ REFINE_CONFIGS = {
     "default": OracleConfig(),
     "one-iteration": OracleConfig(refine_max_iters=1),
     "stall": OracleConfig(),  # with _GRAD_TOL at 1e-300, converged candidates stall
-    "top-k-covers-grid": OracleConfig(grid_points=40, refine_top_k=64, seed=3),
+    "top-k-covers-grid": OracleConfig(grid_points=40, refine_top_k=64),
 }
 
 
@@ -711,7 +736,7 @@ def test_top_k_matches_stable_argsort():
 @pytest.mark.parametrize("T", [INDEF, BinaryQuartic.of(1, 0, "-1/3", 0, 1).to_tensor()])
 def test_sample_grid_is_cached_read_only(T):
     n = OracleConfig().effective_grid(T.dim)
-    fresh = {m: oracle._grid(T.dim, m, 0) for m in (n, 512)}
+    fresh = {m: oracle._grid(T.dim, m) for m in (n, 512)}
     _, X, _ = oracle.sphere_sample(T, OracleConfig(grid_points=n))
     assert not X.flags.writeable
     assert np.array_equal(X, fresh[n])
@@ -726,7 +751,7 @@ def test_sample_grid_is_cached_read_only(T):
     assert oracle.sphere_sample(T, OracleConfig(grid_points=n))[1] is X
     # the cache is the grid and its quadratic monomials, no more: 9 float64
     # values per point in dim 3 (every benchmark child holds one)
-    X, Q = oracle._cached_grid(T.dim, n, 0)
+    X, Q = oracle._cached_grid(T.dim, n)
     assert X.base is None and Q.base is None and Q.flags.c_contiguous
     assert X.dtype == Q.dtype == np.float64
     assert X.size + Q.size <= (T.dim + T.dim * (T.dim + 1) // 2) * n <= 9 * n
