@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .quadext import QuadExt, _sign
+from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict, as_fraction
 
 
@@ -57,9 +58,7 @@ class BinaryQuartic:
     def __iter__(self):
         return iter((self.a0, self.a1, self.a2, self.a3, self.a4))
 
-    def to_tensor(self):
-        from .tensor import SymmetricTensor4
-
+    def to_tensor(self) -> SymmetricTensor4:
         return SymmetricTensor4(
             2,
             {

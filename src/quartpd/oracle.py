@@ -14,7 +14,8 @@ which converges quadratically near a nondegenerate minimum; elsewhere (near
 a saddle or a maximum) it is the tangent solution of |Hr| d = -g, with
 each tangent eigenvalue of Hr replaced by its absolute value, a descent
 direction that leaves a saddle along its negative curvature in a few
-steps where -g barely moves.  The trial point x + step d is renormalized
+steps where -g barely moves.  One closed form gives both directions
+(``_newton_directions``).  The trial point x + step d is renormalized
 onto the sphere.  A candidate stops where |g| is at most ``_GRAD_TOL``
 (1e-10, a fixed constant) at the kernel's scale (below).
 
@@ -71,11 +72,9 @@ and of ``_newton_directions`` comes out the same whatever other rows share
 its batch; ``einsum`` on C-contiguous operands gives that, while a BLAS
 ``@`` takes another kernel for a one-row batch and changes the last bits,
 and ``einsum`` sums the rows of a column-major operand in another order.
-The tangent system's determinant is a row sum of products for the same
-reason: ``einsum`` over its strided operands takes other bits for a
-one-row batch.  The grid values only rank grid points (the starting
-points), point to the grid witness, which is checked exactly, and give
-that verdict's margin, a float like any other; so they use ``@``.
+The grid values only rank grid points (the starting points), point to the
+grid witness, which is checked exactly, and give that verdict's margin, a
+float like any other; so they use ``@``.
 
 The kernel holds T / 2^shift with shift = floor(log2 max |t|), read off
 the bit lengths of the entries' numerators and denominators, and each
@@ -121,8 +120,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .tensor import SymmetricTensor4, canonical_index, canonical_indices
-from .tensorio import _is_int
-from .verdict import Kind, Verdict
+from .verdict import Kind, Verdict, _is_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -331,85 +329,45 @@ def _decrease(X: np.ndarray, x_forms, Y: np.ndarray, y_forms) -> np.ndarray:
     return df * (xx * xx) - f * np.einsum("pi,pi->p", D, X + Y) * (xx + yy)
 
 
-@functools.lru_cache(maxsize=None)
-def _tangent_constants(n: int):
-    """The identity of order n and, for n = 3, the flat positions in a 3x3
-    matrix of the four factors of each cofactor (see ``_tangent_system``)."""
-    import numpy as np
+def _newton_directions(X: np.ndarray, vals: np.ndarray, g: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """The search direction d = -|Hr|^-1 g at each row of X, given Tx^4,
+    the tangent Riemannian gradient g and Tx^2 there, with |Hr| the
+    Riemannian Hessian with each tangent eigenvalue replaced by its absolute
+    value.  Where Hr is positive definite on the tangent plane, |Hr| = Hr and
+    d is the Newton direction; elsewhere d is a descent direction that
+    leaves a saddle along its negative curvature (Nocedal and Wright,
+    Numerical Optimization, 2nd ed., 2006, sec. 3.4).
 
-    u, v = np.array([[1, 2, 0], [2, 0, 1]])  # i + 1 and i + 2 (mod 3)
-    cofactor_at = np.stack([3 * r[:, None] + c for r, c in ((u, u), (v, v), (u, v), (v, u))])
-    eye = np.eye(n)
-    eye.flags.writeable = cofactor_at.flags.writeable = False
-    return eye, cofactor_at
-
-
-def _tangent_system(M: np.ndarray, xx: np.ndarray):
-    """M + s x x^T for tangent matrices M (M x = 0), with s the mean tangent
-    eigenvalue (the trace of M over n - 1), its adjugate and determinant,
-    and whether it is positive definite (read from its leading minors).
-
-    x is an eigenvector of the sum, so the solution of (M + s x x^T) d = -g
-    for a tangent g is tangent, and s keeps the system's scale."""
-    import numpy as np
-
-    n = M.shape[1]
-    eye, cofactor_at = _tangent_constants(n)
-    B = M + (np.einsum("pii->p", M) / (n - 1))[:, None, None] * xx
-    if n == 2:
-        adj = np.einsum("pii->p", B)[:, None, None] * eye - B
-    else:
-        # cofactor (i, j) is B[i+1, j+1] B[i+2, j+2] - B[i+1, j+2] B[i+2, j+1],
-        # indices mod 3; the adjugate is its transpose
-        f = B.reshape(-1, 9)[:, cofactor_at]
-        adj = (f[:, 0] * f[:, 1] - f[:, 2] * f[:, 3]).transpose(0, 2, 1)
-    det = (B[:, 0] * adj[:, :, 0]).sum(axis=1)
-    return adj, det, (B[:, 0, 0] > 0) & (adj[:, -1, -1] > 0) & (det > 0)
-
-
-def _newton_directions(X: np.ndarray, vals: np.ndarray, g: np.ndarray, hess: np.ndarray):
-    """The search direction at each row of X, given Tx^4, the Riemannian
-    gradient g and Tx^2 there.
-
-    Where the Riemannian Hessian Hr is positive definite on the tangent
-    plane, d is the Newton direction, the tangent solution of Hr d = -g.
-    Elsewhere it is the tangent solution of |Hr| d = -g, with |Hr| the
-    Hessian with each tangent eigenvalue replaced by its absolute value: a
-    descent direction that leaves a saddle along its negative curvature
-    (Nocedal and Wright, Numerical Optimization, 2nd ed., 2006, sec. 3.4).
-    Hr x = 0, so the tangent eigenvalues have the product e2 = (tr(Hr)^2 -
-    tr(Hr^2)) / 2, and |Hr| = (Hr^2 + |e2| P) / (|l1| + |l2|) with
-    |l1| + |l2| = sqrt(tr(Hr^2) + 2 |e2|); for n = 2 it is |l| P.  Where
-    |Hr| is singular too, d = -g.  Each system is solved by its adjugate
-    (``_tangent_system``).  Returns d and the mask of the Newton rows.
+    Hr x = 0, so on the tangent plane, with t = tr Hr, s = tr Hr^2 and
+    e2 = (t^2 - s) / 2 the product of the two tangent eigenvalues,
+    |Hr| = (Hr^2 + |e2| P) / r with r = sqrt(s + 2 |e2|), and by
+    Cayley-Hamilton -|Hr|^-1 g = (Hr (Hr g) - (s + |e2|) g) / (r |e2|).
+    For n = 2 the tangent plane is a line and d = -g / |t|.  Where the
+    denominator is 0, |Hr| is singular and d = -g.
     """
     import numpy as np
 
-    xx = X[:, :, None] * X[:, None, :]
-    P = _tangent_constants(X.shape[1])[0] - xx
+    n = X.shape[1]
+    P = np.eye(n) - X[:, :, None] * X[:, None, :]
     Hr = P @ (12.0 * hess) @ P - (4.0 * vals)[:, None, None] * P
-    # the adjugate and the determinant multiply up to n entries, and |Hr|
-    # squares Hr: one power of two per row brings Hr near 1 and leaves d
-    # the same to the bit
+    # |Hr| squares Hr: one power of two per row, on Hr and g alike, brings
+    # Hr near 1 and leaves d the same to the bit
     e = -np.frexp(np.abs(Hr).max(axis=(1, 2)))[1]
     Hr = np.ldexp(Hr, e[:, None, None])
-    adj, det, newton = _tangent_system(Hr, xx)
-    rhs = np.ldexp(-g, e[:, None])
-    if newton.all():
-        return np.einsum("pij,pj->pi", adj, rhs) / det[:, None], newton
-    d, solved = -g, newton.copy()
-    off = np.flatnonzero(~newton)
-    # solve with the numerator of |Hr| and the right side times its
-    # denominator, which is 0 only where Hr is
-    H = Hr[off]
-    H2 = np.einsum("pij,pjk->pik", H, H)
-    sq = np.einsum("pii->p", H2)
-    e2 = np.abs(np.einsum("pii->p", H) ** 2 - sq) / 2
-    adj[off], det[off], solved[off] = _tangent_system(H2 + e2[:, None, None] * P[off], xx[off])
-    rhs[off] *= np.sqrt(sq + 2.0 * e2)[:, None]
-    num = np.einsum("pij,pj->pi", adj, rhs)
-    np.divide(num, det[:, None], out=d, where=solved[:, None])
-    return d, newton
+    rhs = np.ldexp(g, e[:, None])
+    t = np.einsum("pii->p", Hr)
+    if n == 2:
+        num, den = -rhs, np.abs(t)
+    else:
+        flat = Hr.reshape(len(Hr), -1)
+        s = np.einsum("pi,pi->p", flat, flat)
+        e2 = np.abs(t * t - s) / 2
+        Hg = np.einsum("pij,pj->pi", Hr, rhs)
+        num = np.einsum("pij,pj->pi", Hr, Hg) - (s + e2)[:, None] * rhs
+        den = np.sqrt(s + 2.0 * e2) * e2
+    d = -g
+    np.divide(num, den[:, None], out=d, where=den[:, None] > 0)
+    return d
 
 
 def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
@@ -439,7 +397,7 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
         if not active.any():
             break
         iters = it + 1
-        d, _ = _newton_directions(X, vals, gt, hess)
+        d = _newton_directions(X, vals, gt, hess)
         slope = np.einsum("pi,pi->p", gt, d)
         pending = active.copy()
         for _ in range(_MAX_HALVINGS):

@@ -26,7 +26,7 @@ from typing import Sequence, Union
 from .binary import BinaryQuartic
 from .cyclic import CyclicTernary, RelaxedCyclicTernary, embed
 from .tensor import SymmetricTensor4
-from .verdict import as_fraction
+from .verdict import _is_int, as_fraction
 
 ParsedInput = Union[BinaryQuartic, CyclicTernary, RelaxedCyclicTernary, SymmetricTensor4]
 
@@ -42,11 +42,6 @@ MAX_DIM = 10_000
 
 class InputError(ValueError):
     """Malformed input file or shorthand; message names the offending field."""
-
-
-def _is_int(v) -> bool:
-    """A JSON integer; JSON true and false load as bools, which are ints too."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def parse_shorthand(family: str, coeffs: Sequence[str]) -> ParsedInput:
@@ -116,6 +111,8 @@ def load(path: str) -> ParsedInput:
         raise InputError(f"document: invalid JSON ({exc})") from exc
     except ValueError as exc:  # not UTF-8, or an integer beyond the int-string digit limit
         raise InputError(f"document: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested beyond the interpreter's stack
+        raise InputError("document: nested too deeply") from exc
     return parse_document(doc)
 
 

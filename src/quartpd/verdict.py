@@ -68,6 +68,12 @@ def _check_digits(text: str) -> None:
         raise ValueError(f"decimal value exceeds the {limit}-digit limit")
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool: JSON true and false load as bools, which
+    Python counts as ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def as_fraction(value) -> Fraction:
     """Exact conversion of ints, Fractions and decimal/rational strings.
 
@@ -79,7 +85,7 @@ def as_fraction(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         _check_digits(value)

@@ -110,6 +110,19 @@ class TestParsing:
         assert res.exit_code == 64
         assert res.output.startswith("input error: document:")
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"dim": 2, "entries": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ], ids=["array", "entries"])
+    def test_json_nested_beyond_the_stack(self, runner, tmp_path, text):
+        p = tmp_path / "deep.json"
+        p.write_text(text)
+        with pytest.raises(InputError, match="document: nested too deeply"):
+            load(str(p))
+        res = runner.invoke(main, ["check", str(p)])
+        assert res.exit_code == 64
+        assert res.output == "input error: document: nested too deeply\n"
+
     def test_decimal_digit_limit(self, runner, tmp_path):
         # 10**4299 and its inverse have 4300 digits, the interpreter's limit
         assert as_fraction("1_0e4_298") == 10**4299

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import math
@@ -452,6 +453,14 @@ def test_config_validation():
     assert str(exc.value) == "grid_points must be at most 1000000"
 
 
+def test_oracle_imports_only_the_tensor_and_the_verdict():
+    # the config's integer check comes from verdict, not from the parser,
+    # which would pull in the binary and cyclic modules
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported == {"tensor", "verdict"}
+
+
 def test_only_the_sample_and_the_minimum_take_a_config():
     # the config is the grid size and the refine's two bounds; the verdict,
     # the catalog and the zero set run the defaults and take none
@@ -551,7 +560,7 @@ def _newton_reference(K, X0, cfg, stats):
         rows = np.flatnonzero(active)
         stats["partial"] += len(rows) < len(X)
         d, slope = np.zeros_like(X), np.zeros(len(X))
-        d[rows], _ = oracle._newton_directions(X[rows], vals[rows], gt[rows], hess[rows])
+        d[rows] = oracle._newton_directions(X[rows], vals[rows], gt[rows], hess[rows])
         slope[rows] = np.einsum("pi,pi->p", gt[rows], d[rows])
         moved = np.zeros(len(X), dtype=bool)
         for k in range(40):
@@ -878,10 +887,10 @@ def test_floor_log2_at_powers_of_two():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_newton_direction_solves_the_tangent_system(dim):
-    # a Newton row has a Riemannian Hessian Hr = P (12 Tx^2) P - 4 Tx^4 P
-    # positive definite on the tangent plane, and a tangent d with Hr d = -g;
-    # every other row has a tangent eigenvalue <= 0 and a tangent descent
-    # direction d with |Hr| d = -g, |Hr| from Hr's tangent eigenvectors
+    # d is tangent and solves |Hr| d = -g, with the Riemannian Hessian
+    # Hr = P (12 Tx^2) P - 4 Tx^4 P and |Hr| from Hr's tangent eigenvectors:
+    # the Newton direction Hr d = -g where Hr is positive definite on the
+    # tangent plane, and a descent direction on every row
     T = rand_tensor(random.Random(f"newton:{dim}"), dim)
     K = oracle._kernel(T)
     X = np.random.default_rng(dim).normal(size=(200, dim))
@@ -892,30 +901,43 @@ def test_newton_direction_solves_the_tangent_system(dim):
     # projected twice, so that g is tangent to its own rounding: near a
     # critical point one projection leaves x . g at the rounding of Tx^3
     g -= np.einsum("pi,pi->p", g, X)[:, None] * X
-    d, newton = oracle._newton_directions(X, vals, g, hess)
-    assert 0 < newton.sum() < len(X)
-    for x, Pi, f, H, gi, di, nt in zip(X, P, vals, hess, g, d, newton):
+    d = oracle._newton_directions(X, vals, g, hess)
+    definite = []
+    for x, Pi, f, H, gi, di in zip(X, P, vals, hess, g, d):
         Hr = Pi @ (12.0 * H) @ Pi - 4.0 * f * Pi
         tangent = np.linalg.svd(Pi)[0][:, : dim - 1]  # orthonormal basis of x's complement
         lam, vec = np.linalg.eigh(tangent.T @ Hr @ tangent)
         size = np.abs(lam).max()
-        if nt:
-            assert lam.min() > -1e-12 * size
-            system = Hr
-        else:
-            assert lam.min() <= 1e-12 * size
-            system = tangent @ vec @ np.diag(np.abs(lam)) @ vec.T @ tangent.T
-            assert gi @ di < 0
+        definite.append(lam.min() > 1e-12 * size)
+        system = tangent @ vec @ np.diag(np.abs(lam)) @ vec.T @ tangent.T
+        assert gi @ di < 0
         assert abs(x @ di) <= 1e-12 * np.linalg.norm(di)
         residual = np.linalg.norm(system @ di + gi)
         assert residual <= 1e-9 * (size * np.linalg.norm(di) + np.linalg.norm(gi))
-    # the direction does not depend on the form's scale, and its adjugate
-    # neither overflows nor underflows anywhere in float range
+    assert 0 < sum(definite) < len(X)
+    # the direction does not depend on the form's scale, and it neither
+    # overflows nor underflows anywhere in float range
     with np.errstate(all="raise"):
         for k in (-1000, -300, 300, 1000):
             scaled = (np.ldexp(a, k) for a in (vals, g, hess))
-            dk, nk = oracle._newton_directions(X, *scaled)
-            assert np.array_equal(nk, newton) and np.array_equal(dk, d)
+            assert np.array_equal(oracle._newton_directions(X, *scaled), d)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_newton_direction_is_minus_g_where_the_hessian_is_singular(dim):
+    # |Hr| singular on the tangent plane: Hr = 0, from Tx^2 = 0 and, at
+    # x = e_n, from 12 Tx^2 - 4 Tx^4 = 0 on the tangent plane; for n = 3
+    # also Hr = diag(1, 0, 0) at x = e3, with one tangent eigenvalue 0
+    x = np.eye(dim)[-1]
+    rows = [(np.zeros((dim, dim)), 0.0), (np.diag([1.0] * (dim - 1) + [3.0]), 3.0)]
+    if dim == 3:
+        rows.append((np.diag([1.0, 0.0, 0.0]), 0.0))
+    hess = np.array([h for h, _ in rows])
+    vals = np.array([f for _, f in rows])
+    X = np.tile(x, (len(rows), 1))
+    g = np.tile(np.arange(1.0, dim + 1) * (1 - x), (len(rows), 1))
+    with np.errstate(all="raise"):
+        assert np.array_equal(oracle._newton_directions(X, vals, g, hess), -g)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -937,8 +959,8 @@ def test_refine_contraction_is_row_independent(dim):
         g = 4.0 * cub
         for _ in range(2):  # projected twice, as in the direction test above
             g = g - np.einsum("pi,pi->p", g, X[rows])[:, None] * X[rows]
-        d, newton = oracle._newton_directions(X[rows], vals, g, hess)
-        return (*forms, oracle._decrease(X[rows], forms, Y[rows], y_forms), d, newton)
+        d = oracle._newton_directions(X[rows], vals, g, hess)
+        return (*forms, oracle._decrease(X[rows], forms, Y[rows], y_forms), d)
 
     full = contractions(np.arange(len(X)))
     for p in range(len(X)):
