@@ -1,6 +1,8 @@
 """Positive definiteness of 4th-order symmetric tensors (quartic forms).
 
 Exact analytic criteria for binary quartics and a cyclic ternary family,
+exact Bernstein subdivision for ternary quartics (``quartpd.bernstein``,
+loaded by the first dim-3 decision that reaches it, not by this package),
 a numeric sphere-minimization oracle, the staged pipeline ``classify``
 over them, whose ``Decision`` names the deciding stage, its verdict and
 each stage's wall time, and a verification harness for ternary quartic

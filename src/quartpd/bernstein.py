@@ -1,0 +1,159 @@
+"""Exact positivity of ternary quartic forms by Bernstein subdivision.
+
+Tx^4 is even and homogeneous, so T is positive definite exactly when the
+form is positive on each face x_k = 1 of the cube [-1, 1]^3: every x != 0
+is a positive multiple of a point on some face, up to sign.  On a face the
+other two coordinates (u, v) run over [-1, 1]^2, mapped to (s, t) in
+[0, 1]^2 by u = 2s - 1, and the form is written in the tensor Bernstein
+basis of degree 4 in s and in t: 25 coefficients (Garloff, LNCS 212, 1986;
+Munoz and Narkawicz, J. Automated Reasoning 51, 2013).  The form on a box
+lies between its least and greatest coefficient, and the four corner
+coefficients are its values at the box's corners.  So:
+
+- a box whose coefficients are all positive holds no zero of the form;
+- a negative corner coefficient is an exact, dyadic witness of INDEFINITE
+  (rule ``bernstein-corner``), which ``evaluate_form`` checks again before
+  it is returned;
+- any other box is split at its midpoint by de Casteljau's algorithm.
+
+Everything runs in integers, on the integer form E·Tx^4 of
+``SymmetricTensor4.integer_form``.  C(4, i) divides 12, so 12 times the
+Bernstein coefficients of u^a is an integer vector, and 144 times a face's
+coefficients is a sum of one fixed integer vector per monomial
+(``_BASIS``).  A split returns both halves times 16, so no division is
+made; a box is held as its coefficients and (face, i, j, depth), where the
+axis split at a depth alternates, s at even depths and t at odd ones.
+``Fraction`` appears only in a witness.  Signs, and so every verdict, are
+the same for every positive multiple of T.
+
+The search is depth-first, and of a box's two halves the one with the
+smaller least coefficient is searched first, so a negative region is
+reached in a few dozen boxes.  It ends:
+
+- PD (``bernstein-positive``) when every box of every face is positive;
+- INDEFINITE at the first negative corner;
+- undetermined (``bernstein-budget``) after ``BUDGET`` boxes, or
+  (``bernstein-depth``) at a box that needs a split beyond ``MAX_DEPTH``;
+- undetermined (``bernstein-zero``) when the only boxes left unresolved
+  have an exact zero of the form at a corner.  Such a box is split on to
+  ``ZERO_DEPTH``, where a negative region next to the zero shows up as a
+  negative corner, and is then set aside: a zero proves the form is not
+  PD, but not whether it is semidefinite.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb
+from typing import Dict, List, Tuple
+
+from .tensor import SymmetricTensor4
+from .verdict import Kind, Verdict
+
+BUDGET = 3000  # boxes examined, over all three faces
+MAX_DEPTH = 200  # splits of one box
+ZERO_DEPTH = 24  # splits of a box with an exact-zero corner before it is set aside
+
+_CORNERS = (0, 4, 20, 24)  # coefficient k*5 + l at (s, t) = (k/4, l/4)
+# the five lines of coefficients a split runs along: columns for s, rows for t
+_LINES = (
+    tuple(slice(l, 25, 5) for l in range(5)),
+    tuple(slice(5 * k, 5 * k + 5) for k in range(5)),
+)
+
+
+def _monomial_times_12(a: int) -> List[int]:
+    """12 times the degree-4 Bernstein coefficients of u^a, u = 2s - 1:
+    with u^a = sum_i p_i s^i, b_k = sum_i C(k, i) / C(4, i) p_i."""
+    p = [comb(a, i) * 2**i * (-1) ** (a - i) for i in range(a + 1)]
+    return [sum(comb(k, i) * (12 // comb(4, i)) * p[i] for i in range(min(k, a) + 1)) for k in range(5)]
+
+
+# (degree in u, degree in v) -> 144 times the tensor Bernstein coefficients of u^a v^b
+_BASIS: Dict[Tuple[int, int], List[int]] = {
+    (a, b): [x * y for x in _monomial_times_12(a) for y in _monomial_times_12(b)]
+    for a in range(5)
+    for b in range(5 - a)
+}
+
+
+def _faces(form: Dict[Tuple[int, ...], int]) -> List[List[int]]:
+    """144 times the Bernstein coefficients of the integer form (keyed by
+    canonical index) on the faces x1 = 1, x2 = 1 and x3 = 1, each with the
+    other two coordinates in index order as (u, v)."""
+    faces = [[0] * 25 for _ in range(3)]
+    for idx, c in form.items():
+        e1, e2, e3 = idx.count(1), idx.count(2), idx.count(3)
+        for k, degrees in enumerate(((e2, e3), (e1, e3), (e1, e2))):
+            faces[k] = [x + c * y for x, y in zip(faces[k], _BASIS[degrees])]
+    return faces
+
+
+def _halves(coeffs: List[int], axis: int) -> Tuple[List[int], List[int]]:
+    """The coefficients of the lower and the upper half of a box split at
+    the midpoint of ``axis`` (0 for s, 1 for t), both times 16: de
+    Casteljau's sums of neighbours, with no halving."""
+    lo, hi = [0] * 25, [0] * 25
+    for line in _LINES[axis]:
+        b0, b1, b2, b3, b4 = coeffs[line]
+        c0, c1, c2, c3 = b0 + b1, b1 + b2, b2 + b3, b3 + b4
+        d0, d1, d2 = c0 + c1, c1 + c2, c2 + c3
+        e0, e1 = d0 + d1, d1 + d2
+        f = e0 + e1
+        lo[line] = b0 << 4, c0 << 3, d0 << 2, e0 << 1, f
+        hi[line] = f, e1 << 1, d2 << 2, c3 << 3, b4 << 4
+    return lo, hi
+
+
+def _corner(k: int, i: int, j: int, depth: int, n: int) -> Tuple[Fraction, ...]:
+    """The point of face k (x_{k+1} = 1) at corner coefficient n of box
+    (i, j, depth)."""
+    ds, dt = (depth + 1) // 2, depth // 2  # splits along s and along t
+    s = Fraction(i + (n >= 20), 1 << ds)
+    t = Fraction(j + (n % 5 == 4), 1 << dt)
+    x = [2 * s - 1, 2 * t - 1]
+    x.insert(k, Fraction(1))
+    return tuple(x)
+
+
+def search(T: SymmetricTensor4) -> Tuple[Verdict, int]:
+    """The stage's verdict on the dim-3 tensor T (module docstring) and the
+    number of boxes it examined."""
+    if T.dim != 3:
+        raise ValueError(f"Bernstein subdivision covers dim 3, got {T.dim}")
+    stack = [(min(coeffs), coeffs, k, 0, 0, 0) for k, coeffs in enumerate(_faces(T.integer_form()[1]))]
+    stack.sort(reverse=True)  # the face with the least coefficient on top
+    boxes, zero = 0, False
+    while stack:
+        if boxes == BUDGET:
+            return Verdict(Kind.UNDETERMINED, "bernstein-budget"), boxes
+        least, coeffs, k, i, j, depth = stack.pop()
+        boxes += 1
+        if least > 0:
+            continue
+        corners = [coeffs[n] for n in _CORNERS]
+        if min(corners) < 0:
+            w = _corner(k, i, j, depth, _CORNERS[corners.index(min(corners))])
+            if not T.evaluate_form(w) < 0:
+                raise ArithmeticError(f"Bernstein corner {w} is not a witness")
+            return Verdict(Kind.INDEFINITE, "bernstein-corner", witness=w), boxes
+        if 0 in corners and depth >= ZERO_DEPTH:
+            zero = True
+            continue
+        if depth >= MAX_DEPTH:
+            return Verdict(Kind.UNDETERMINED, "bernstein-depth"), boxes
+        axis = depth & 1
+        lo, hi = _halves(coeffs, axis)
+        i, j = (2 * i, j) if axis == 0 else (i, 2 * j)
+        low = (min(lo), lo, k, i, j, depth + 1)
+        high = (min(hi), hi, k, i + 1 - axis, j + axis, depth + 1)
+        # the half with the smaller least coefficient is popped first
+        stack.extend((low, high) if high[0] <= low[0] else (high, low))
+    if zero:
+        return Verdict(Kind.UNDETERMINED, "bernstein-zero"), boxes
+    return Verdict(Kind.POSITIVE_DEFINITE, "bernstein-positive"), boxes
+
+
+def classify(T: SymmetricTensor4) -> Verdict:
+    """The exact-positivity stage's verdict on the dim-3 tensor T."""
+    return search(T)[0]

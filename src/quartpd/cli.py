@@ -1,7 +1,9 @@
 """Command-line front end: argument parsing, reports and exit codes around
 the library.  ``check`` runs :func:`quartpd.classify`, whose stages run in
 their one order (``pipeline.stages``), and writes its ``Decision`` as the
-report; ``check --analytic-only`` stops before the oracle.
+report; ``check --analytic-only`` stops before the oracle, after the exact
+stages, dim 3's Bernstein subdivision among them.  A dim-3 input that
+an exact stage decides never loads numpy.
 
 ``quartpd COMMAND [INPUTS]... [OPTIONS]`` with COMMAND one of ``check``,
 ``minimize`` and ``inequalities``.  Each command has a table of flags:

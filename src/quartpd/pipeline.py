@@ -1,13 +1,16 @@
 """Classification as a staged pipeline: an exact necessary-condition
 prefilter, then family rules for cyclic patterns, then the exact binary
-criterion, and finally the numeric sphere oracle.  ``stages`` is the one
-place that order is written; it computes each stage when the one before it
-has been consumed, and ``decide`` consumes them up to the first decisive
-one, whose verdict is final, and times each stage it runs.  ``classify``
-and the inequality harness both decide that way, and both take the
-oracle's verdict from ``classify_numeric`` under its default grid: the
-harness passes the sample it already holds, ``classify`` lets the oracle
-take its own.  The CLI writes ``classify``'s ``Decision`` as its report.
+criterion (dim 2) or exact Bernstein subdivision (dim 3, stage
+``exact-positivity``), and finally the numeric sphere oracle.  ``stages``
+is the one place that order is written; it computes each stage when the
+one before it has been consumed, and ``decide`` consumes them up to the
+first decisive one, whose verdict is final, and times each stage it runs.
+``classify`` and the inequality harness both decide that way, and both
+take the oracle's verdict from ``classify_numeric`` under its default
+grid: the harness passes the sample it already holds, and takes that
+verdict before the Bernstein stage, ``classify`` lets the oracle take its
+own sample after it.  The CLI writes ``classify``'s ``Decision`` as its
+report.
 """
 
 from __future__ import annotations
@@ -44,7 +47,15 @@ def _stage_family(T: SymmetricTensor4) -> Verdict:
 Stage = Tuple[str, Verdict]  # a stage's name and its verdict
 
 
-def stages(T: SymmetricTensor4, oracle: Optional[Callable[[], Verdict]] = None) -> Iterator[Stage]:
+def _stage_exact(T: SymmetricTensor4) -> Verdict:
+    from . import bernstein  # dim 3 only: a dim-2 decision never compiles it
+
+    return bernstein.classify(T)
+
+
+def stages(
+    T: SymmetricTensor4, oracle: Optional[Callable[[], Verdict]] = None, *, oracle_first: bool = False
+) -> Iterator[Stage]:
     """The pipeline's stages on T, in order, each computed when the one
     before it has been consumed, so that ``decide`` runs none past the
     first decisive one.
@@ -58,9 +69,13 @@ def stages(T: SymmetricTensor4, oracle: Optional[Callable[[], Verdict]] = None) 
     refute, so only the other pairs are classified, in lexicographic
     order.  For dim 2 the (1,2) binary is the whole form, so the prefilter
     always classifies it and the analytic stage, the exact binary
-    criterion, is its verdict.  The family rules follow for dim 3, and
-    then, for the dims in ``ORACLE_DIMS``, the oracle stage's verdict
-    ``oracle()``, unless ``oracle`` is None.
+    criterion, is its verdict.  For dim 3 the family rules follow, then
+    the Bernstein stage ``exact-positivity`` (``quartpd.bernstein``,
+    imported there, so no other dim loads it).  Last, for the dims in
+    ``ORACLE_DIMS``, comes the oracle stage's verdict ``oracle()``, unless
+    ``oracle`` is None; ``oracle_first`` moves it before the Bernstein
+    stage, for a caller that already holds the oracle's sample and minimum
+    (``inequalities.verify``).
     """
     stored = T.entries()
     if not stored:  # the zero form vanishes everywhere
@@ -87,12 +102,16 @@ def stages(T: SymmetricTensor4, oracle: Optional[Callable[[], Verdict]] = None) 
             yield "prefilter", Verdict(Kind.INDEFINITE, rule, witness=tuple(w))
             return
     yield "prefilter", Verdict(Kind.UNDETERMINED, "prefilter-passed")
+    later = []
     if T.dim == 2:  # the loop ran once, on the (1,2) binary
         yield "analytic", binary
     elif T.dim == 3:
         yield "family", _stage_family(T)
+        later.append(("exact-positivity", lambda: _stage_exact(T)))
     if oracle is not None and T.dim in ORACLE_DIMS:
-        yield "oracle", oracle()
+        later.insert(0 if oracle_first else len(later), ("oracle", oracle))
+    for stage, run in later:
+        yield stage, run()
 
 
 class Decision(NamedTuple):
@@ -122,5 +141,5 @@ def classify(T: SymmetricTensor4, *, analytic_only: bool = False) -> Decision:
     """The pipeline's decision on T: the stages run, the deciding one and
     its verdict, and each stage's wall time.  The oracle covers dims 2 and
     3 only, so dim >= 4 can end undetermined; ``analytic_only`` runs the
-    exact stages alone."""
+    exact stages alone, the Bernstein stage included."""
     return decide(stages(T, None if analytic_only else lambda: classify_numeric(T)))

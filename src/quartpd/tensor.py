@@ -50,7 +50,7 @@ class SymmetricTensor4:
     order resolve to the canonical slot.
     """
 
-    __slots__ = ("dim", "_entries")
+    __slots__ = ("dim", "_entries", "_form")
 
     def __init__(self, dim: int, entries: Mapping[Sequence[int], object]):
         if dim < 1:
@@ -65,6 +65,7 @@ class SymmetricTensor4:
                 canon[cidx] = v
         self.dim = dim
         self._entries = canon
+        self._form = None
 
     def __getitem__(self, idx: Sequence[int]) -> Fraction:
         return self._entries.get(canonical_index(idx), _ZERO)
@@ -86,19 +87,34 @@ class SymmetricTensor4:
     def __repr__(self) -> str:
         return f"SymmetricTensor4(dim={self.dim}, nnz={len(self._entries)})"
 
+    def integer_form(self) -> Tuple[int, Dict[Index4, int]]:
+        """(E, {canonical index: coefficient}) with E the lcm of the entries'
+        denominators and each coefficient that of the monomial
+        x_i x_j x_k x_l in E·Tx^4: the entry t_ijkl times E and times the
+        multiplicity of its index.  The canonical index names the monomial
+        as its exponent tuple does, in 4 ints whatever the dimension.
+        Computed on the first call and kept, since the tensor is immutable."""
+        if self._form is None:
+            E = math.lcm(*(t.denominator for t in self._entries.values()))
+            form = {
+                idx: t.numerator * (E // t.denominator) * multiplicity(idx)
+                for idx, t in self._entries.items()
+            }
+            self._form = (E, form)
+        return self._form
+
     def evaluate_form(self, x: Sequence) -> Fraction:
-        """Tx^4 = sum over all n^4 tuples of t_ijkl x_i x_j x_k x_l, summed in
-        integers over the common denominators D of x and E of T."""
+        """Tx^4, summed in integers over the common denominators D of x and
+        E of T: the integer form at D·x, divided by E·D^4."""
         if len(x) != self.dim:
             raise ValueError(f"vector length {len(x)} != tensor dim {self.dim}")
         ratios = [v.as_integer_ratio() for v in x]
         D = math.lcm(*(d for _, d in ratios))
         a = [n * (D // d) for n, d in ratios]
-        E = math.lcm(*(t.denominator for t in self._entries.values()))
+        E, form = self.integer_form()
         total = 0
-        for (i, j, k, l), t in self._entries.items():
-            b = t.numerator * (E // t.denominator) * multiplicity((i, j, k, l))
-            total += b * a[i - 1] * a[j - 1] * a[k - 1] * a[l - 1]
+        for (i, j, k, l), c in form.items():
+            total += c * a[i - 1] * a[j - 1] * a[k - 1] * a[l - 1]
         return Fraction(total, E * D**4)
 
     def scale(self, c) -> "SymmetricTensor4":

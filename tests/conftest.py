@@ -3,12 +3,15 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import quartpd
 from quartpd.tensor import SymmetricTensor4, canonical_indices, multiplicity
 
 
@@ -51,6 +54,46 @@ def dense_reference(T: SymmetricTensor4):
         for perm in set(itertools.permutations(idx)):
             out[tuple(i - 1 for i in perm)] = fv
     return out
+
+
+def cross_form(p, K, c, skew):
+    """K |x × p|^2 |x|^2 + c |x|^4, minus x1 x2 x3 (x1 + x2 + x3) if skew,
+    as a ternary tensor: |x × p|^2 = |p|^2 |x|^2 - (p . x)^2."""
+    pp = sum(v * v for v in p)
+    cross = {(i, j): pp * (i == j) - p[i - 1] * p[j - 1] for i in (1, 2, 3) for j in (1, 2, 3)}
+    square = {(i, i): 1 for i in (1, 2, 3)}
+    coeffs = {}
+    for a, b, w in ((cross, square, K), (square, square, c)):
+        for (i, j), u in a.items():
+            for (k, l), v in b.items():
+                idx = tuple(sorted((i, j, k, l)))
+                coeffs[idx] = coeffs.get(idx, 0) + w * u * v
+    for idx in ((1, 1, 2, 3), (1, 2, 2, 3), (1, 2, 3, 3)) if skew else ():
+        coeffs[idx] -= 1
+    return SymmetricTensor4(3, {idx: Fraction(v) / multiplicity(idx) for idx, v in coeffs.items()})
+
+
+def steep_valley(p, K):
+    """The skew cross form with c = p1 p2 p3 (p1 + p2 + p3) / (2 |p|^4), so
+    that f(p) = -p1 p2 p3 (p1 + p2 + p3) / 2: a negative needle of width
+    about K^(-1/2) around p in a form of scale K."""
+    pp = sum(v * v for v in p)
+    return cross_form(p, K, Fraction(math.prod(p) * sum(p), 2 * pp * pp), skew=True)
+
+
+CROSS_POINTS = [(1, 4, 9), (2, 3, 5), (1, 2, 2), (3, 1, 7)]
+CROSS_IDS = ["-".join(map(str, p)) for p in CROSS_POINTS]
+# a needle of width about 1e-50: deeper than the Bernstein stage's depth
+# cap, while the oracle's refined minimum rounds onto (2, 3, 5)
+DEEP_NEEDLE = steep_valley((2, 3, 5), 10**100)
+# x1^2 x2^2 + x3^4 is PSD with exact zeros at e1 and e2: the Bernstein stage
+# ends undetermined (bernstein-zero), so the oracle runs, and ends at its
+# boundary
+ZERO_CORNERS = {(1, 1, 2, 2): Fraction(1, 6), (3, 3, 3, 3): 1}
+
+# the environment of a subprocess that imports the quartpd these tests import
+_SRC = str(Path(quartpd.__file__).parents[1])
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")])}
 
 
 def rand_fraction(rng: random.Random, lo=-2, hi=2, max_den=8) -> Fraction:

@@ -1,0 +1,212 @@
+import random
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import quartpd
+from quartpd import bernstein
+from quartpd.cyclic import CyclicTernary, RelaxedCyclicTernary, classify_cyclic, classify_relaxed, embed
+from quartpd.inequalities import builtin_catalog
+from quartpd.tensor import SymmetricTensor4, diag_ones
+from quartpd.verdict import Kind, Verdict
+
+from conftest import CROSS_IDS, CROSS_POINTS, DEEP_NEEDLE, SRC_ENV, ZERO_CORNERS, cross_form, rand_tensor, steep_valley
+
+STRICT = [q for q in builtin_catalog() if q.strict and not q.expected_fail]
+FAILING = [q for q in builtin_catalog() if q.expected_fail]
+
+
+def _box_corners(k, i, j, depth):
+    """The four corners of box (i, j, depth) of face k, in coefficient order."""
+    return [bernstein._corner(k, i, j, depth, n) for n in bernstein._CORNERS]
+
+
+def test_face_corners_are_the_form_times_144_e(rng):
+    # the corner coefficients are 144 E f at the face's corners
+    for _ in range(20):
+        T = rand_tensor(rng, 3)
+        E, form = T.integer_form()
+        for k, coeffs in enumerate(bernstein._faces(form)):
+            for n, x in zip(bernstein._CORNERS, _box_corners(k, 0, 0, 0)):
+                assert coeffs[n] == 144 * E * T.evaluate_form(x)
+
+
+def test_halves_keep_the_corners_exact(rng):
+    # after d splits, each corner coefficient is 16^d 144 E f at the corner
+    T = rand_tensor(rng, 3)
+    E, form = T.integer_form()
+    for k, coeffs in enumerate(bernstein._faces(form)):
+        i = j = 0
+        for depth in range(7):
+            lo, hi = bernstein._halves(coeffs, depth & 1)
+            upper = rng.random() < 0.5
+            coeffs = hi if upper else lo
+            if depth & 1:
+                j = 2 * j + upper
+            else:
+                i = 2 * i + upper
+            scale = 16 ** (depth + 1) * 144 * E
+            for n, x in zip(bernstein._CORNERS, _box_corners(k, i, j, depth + 1)):
+                assert coeffs[n] == scale * T.evaluate_form(x)
+
+
+@pytest.mark.parametrize("q", STRICT, ids=lambda q: q.label)
+def test_strict_catalog_entries_are_exact_pd(q):
+    # through classify (the family rules or the Bernstein stage), and by the
+    # Bernstein stage alone
+    decision = quartpd.classify(q.to_tensor())
+    assert decision.stage in ("family", "exact-positivity")
+    assert decision.verdict.kind is Kind.POSITIVE_DEFINITE
+    assert bernstein.classify(q.to_tensor()) == Verdict(Kind.POSITIVE_DEFINITE, "bernstein-positive")
+
+
+@pytest.mark.parametrize("q", FAILING, ids=lambda q: q.label)
+def test_expected_failures_are_exact_indefinite(q):
+    # refuted at a dyadic corner in a few dozen boxes: the half with the
+    # smaller least coefficient is searched first
+    T = q.to_tensor()
+    decision = quartpd.classify(T)
+    assert (decision.stage, decision.verdict.kind) == ("exact-positivity", Kind.INDEFINITE)
+    assert decision.verdict.rule == "bernstein-corner"
+    assert T.evaluate_form(decision.verdict.witness) < 0
+    assert q.value(decision.verdict.witness) < 0
+    assert bernstein.search(T)[1] <= 64
+
+
+@pytest.mark.parametrize("K", [10**14, 10**15, 10**16], ids=["1e14", "1e15", "1e16"])
+@pytest.mark.parametrize("p", CROSS_POINTS, ids=CROSS_IDS)
+def test_steep_valleys_are_decided_exactly(p, K):
+    skew = steep_valley(p, K)
+    verdict = bernstein.classify(skew)
+    assert (verdict.kind, verdict.rule) == (Kind.INDEFINITE, "bernstein-corner")
+    assert skew.evaluate_form(verdict.witness) < 0
+    if K > 10**14:
+        assert bernstein.classify(cross_form(p, K, 1, skew=False)).kind is Kind.POSITIVE_DEFINITE
+
+
+@pytest.mark.parametrize("c", [Fraction(10**400), Fraction(1, 10**400), Fraction(1, 3)], ids=["1e400", "1e-400", "1/3"])
+def test_verdict_is_invariant_under_positive_scaling(rng, c):
+    # every sign, and so every verdict, box count and witness, is the same
+    tensors = [q.to_tensor() for q in builtin_catalog()[1:]]
+    tensors += [rand_tensor(rng, 3) for _ in range(5)]
+    tensors += [steep_valley((1, 4, 9), 10**14), SymmetricTensor4(3, ZERO_CORNERS)]
+    for T in tensors:
+        assert bernstein.search(T.scale(c)) == bernstein.search(T)
+
+
+def test_budget_ends_undetermined_and_the_oracle_decides():
+    # x1^2 x2^2 vanishes on two planes: zero corners without end
+    T = SymmetricTensor4(3, {(1, 1, 2, 2): Fraction(1, 6)})
+    assert bernstein.search(T) == (Verdict(Kind.UNDETERMINED, "bernstein-budget"), bernstein.BUDGET)
+    decision = quartpd.classify(T)
+    assert [s for s, _ in decision.trace][-2:] == ["exact-positivity", "oracle"]
+    assert decision.trace[-1] == ("oracle", decision.trace[-1][1])
+    assert decision.trace[-1][1].rule == "oracle-boundary"
+
+
+def test_depth_cap_ends_undetermined_and_the_oracle_decides():
+    # a needle of width about 1e-50 around (2, 3, 5), which no dyadic corner
+    # within 200 splits reaches; the oracle's minimizer rounds onto it
+    verdict, boxes = bernstein.search(DEEP_NEEDLE)
+    assert verdict == Verdict(Kind.UNDETERMINED, "bernstein-depth")
+    assert boxes <= 2 * bernstein.MAX_DEPTH
+    decision = quartpd.classify(DEEP_NEEDLE)
+    assert decision.stage == "oracle"
+    assert decision.verdict.kind is Kind.INDEFINITE
+    assert DEEP_NEEDLE.evaluate_form(decision.verdict.witness) < 0
+
+
+@pytest.mark.parametrize(
+    "T",
+    [
+        SymmetricTensor4(3, ZERO_CORNERS),
+        SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (1, 1, 2, 2): Fraction(1, 3)}),
+    ],
+    ids=["x1^2x2^2+x3^4", "(x1^2+x2^2)^2"],
+)
+def test_exact_zero_ends_undetermined(T):
+    # a zero at a dyadic corner proves "not PD" and nothing more
+    assert bernstein.classify(T) == Verdict(Kind.UNDETERMINED, "bernstein-zero")
+
+
+def test_a_corner_that_is_not_negative_is_never_returned(monkeypatch):
+    # the stage checks its witness with evaluate_form before returning it
+    T = embed(CyclicTernary.of(1, -1, 1, 1, 0))
+    monkeypatch.setattr(SymmetricTensor4, "evaluate_form", lambda self, x: Fraction(0))
+    with pytest.raises(ArithmeticError, match="not a witness"):
+        bernstein.classify(T)
+
+
+def test_dim_3_only():
+    with pytest.raises(ValueError, match="dim 3"):
+        bernstein.classify(diag_ones(2))
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(7, 2), Fraction(1, 10**6)])
+@pytest.mark.parametrize("b, c", [(1, -1), (-1, 1)])
+def test_alternating_boundary_is_never_pd(b, c, scale):
+    # the -7/12 boundary with alternating signs is PSD with the exact zero
+    # (1, 1, 1), a corner of every face
+    T = embed(CyclicTernary.of(1, b, c, 1, Fraction(-7, 12))).scale(scale)
+    assert bernstein.classify(T) == Verdict(Kind.UNDETERMINED, "bernstein-zero")
+
+
+def _family_draws(rng):
+    """Cyclic and relaxed tensors from the paper's bands and around them."""
+    lo, hi = Fraction(-7, 12), Fraction(-5, 36)
+
+    def near(a, b):
+        return a + (b - a) * Fraction(rng.randint(-200, 1200), 1000)
+
+    for _ in range(150):
+        b = rng.choice((1, -1))
+        c = -b if rng.random() < 0.8 else b
+        d = rng.choice((Fraction(1), Fraction(1), 1 + Fraction(rng.randint(1, 64), 32)))
+        yield CyclicTernary.of(1, b, c, d, lo if rng.random() < 0.1 else near(lo, hi))
+    for _ in range(150):
+        b = rng.choice((1, -1))
+        band = rng.choice(((lo, Fraction(-1, 4)), (Fraction(-1, 4), Fraction(-1, 6)), (Fraction(-5, 18), Fraction(-1, 6)), (lo, hi)))
+        yield RelaxedCyclicTernary.of(1, b, -b, 1, *(near(*band) for _ in range(3)))
+
+
+def test_bernstein_agrees_with_the_family_rules():
+    # wherever both decide, the kinds agree; a PSD-not-PD family verdict is
+    # never decided by the Bernstein stage
+    both = boundary = 0
+    for ct in _family_draws(random.Random("bernstein-family")):
+        rule = classify_cyclic if isinstance(ct, CyclicTernary) else classify_relaxed
+        family = rule(ct).verdict
+        exact = bernstein.classify(embed(ct))
+        if family.kind is Kind.PSD_NOT_PD:
+            assert exact == Verdict(Kind.UNDETERMINED, "bernstein-zero"), ct
+            boundary += 1
+        elif family.kind is not Kind.UNDETERMINED and exact.kind is not Kind.UNDETERMINED:
+            assert exact.kind is family.kind, ct
+            both += 1
+    assert both >= 150 and boundary >= 5
+
+
+def test_dim_3_check_never_loads_numpy_and_dim_2_never_loads_bernstein(tmp_path):
+    # the Bernstein stage decides both dim-3 files, so the oracle, and numpy
+    # with it, never loads; a dim-2 check never compiles the stage
+    pd = tmp_path / "pd.json"
+    pd.write_text('{"dim": 3, "entries": [{"index": [1, 1, 1, 1], "value": "1"}, '
+                  '{"index": [2, 2, 2, 2], "value": "1"}, {"index": [3, 3, 3, 3], "value": "1"}]}')
+    code = (
+        "import contextlib, io, sys\n"
+        "from quartpd.cli import main\n"
+        "def check(*args):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            main(['check', *args, '--json'])\n"
+        "        except SystemExit as exc:\n"
+        "            return exc.code\n"
+        "print('bernstein' in sys.modules.get('quartpd').__dict__, 'quartpd.bernstein' in sys.modules)\n"
+        "print(check('binary', '1', '0', '1', '0', '1'), 'quartpd.bernstein' in sys.modules)\n"
+        f"print(check({str(pd)!r}), check('cyclic', '1', '-1', '1', '1', '0'))\n"
+        "print('quartpd.bernstein' in sys.modules, 'numpy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV, check=True)
+    assert out.stdout.split("\n") == ["False False", "0 False", "0 2", "True False", ""]

@@ -115,16 +115,22 @@ class TestVerify:
         assert verify(q).holds is want
 
     def test_entries_are_decided_by_the_pipeline_stages(self):
-        # the family rules decide 10 entries exactly, the oracle the other 8
+        # the family rules decide 10 entries exactly; of the other 8, classify
+        # decides each by the exact Bernstein stage and verify by the oracle
+        # verdict it takes first from its held sample, and the two agree
         family = {"14u", "15u", "16u", "17u", "18u", "41/3u", "15-14-14", "17-15-18", "46/3-14-14", "19u"}
         for q in builtin_catalog():
             decision = quartpd.classify(q.to_tensor())
             report = verify(q)
-            assert report.stage == decision.trace[-1][0], q.label
-            assert report.verdict == decision.verdict, q.label
-            assert report.stage == ("family" if q.label in family else "oracle"), q.label
-            if report.stage == "family" and q.label != "19u":
-                assert report.verdict.kind is Kind.POSITIVE_DEFINITE, q.label
+            assert report.verdict.kind is decision.verdict.kind, q.label
+            if q.label in family:
+                assert report.stage == decision.stage == "family", q.label
+                assert report.verdict == decision.verdict, q.label
+                if q.label != "19u":
+                    assert report.verdict.kind is Kind.POSITIVE_DEFINITE, q.label
+            else:
+                assert decision.stage == "exact-positivity", q.label
+                assert report.stage == "oracle", q.label
         boundary = verify(by_label("19u"))
         assert (boundary.verdict.kind, boundary.verdict.rule) == (Kind.PSD_NOT_PD, "boundary-alternating-signs")
         assert boundary.verdict.witness == (1, 1, 1)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,11 +20,9 @@ from quartpd.tensor import SymmetricTensor4
 from quartpd.tensorio import InputError, load, parse_document, parse_shorthand, to_tensor
 from quartpd.verdict import Kind, Verdict, as_fraction
 
-from conftest import strict_json
+from conftest import DEEP_NEEDLE, SRC_ENV, ZERO_CORNERS, strict_json
 
 
-_SRC = str(Path(quartpd.__file__).parents[1])
-_SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")])}
 
 
 class TestParsing:
@@ -166,7 +165,7 @@ class TestPipeline:
             CyclicTernary.of(2, -2, 2, 2, "-1/3"),
             CyclicTernary.of(0, 0, 0, 1, 0),  # the family rules decline a = 0
             SymmetricTensor4(4, {(i, i, i, i): 1 for i in range(1, 5)}),
-            CyclicTernary.of(1, -1, 1, 1, 0),  # decided by the oracle
+            CyclicTernary.of(1, -1, 1, 1, 0),  # refuted by the Bernstein stage
         ],
     )
     def test_every_trace_entry_has_stage_and_kind(self, parsed):
@@ -211,12 +210,13 @@ class TestPipeline:
             (SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
                                   (1, 1, 1, 2): 5}), 0),  # refuted by the prefilter
             (SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
-                                  (1, 1, 2, 3): Fraction(1, 10)}), 1),  # no exact stage decides
-            (embed(CyclicTernary.of(1, -1, 1, 1, 0)), 1),  # outside the family hypotheses
+                                  (1, 1, 2, 3): Fraction(1, 10)}), 0),  # PD by the Bernstein stage
+            (embed(CyclicTernary.of(1, -1, 1, 1, 0)), 0),  # outside the family, refuted by Bernstein
             (SymmetricTensor4(1, {(1, 1, 1, 1): 1}), 0),
             (SymmetricTensor4(4, {(i, i, i, i): 1 for i in range(1, 5)}), 0),
+            (SymmetricTensor4(3, ZERO_CORNERS), 1),  # no exact stage decides
         ],
-        ids=["family", "binary", "prefilter", "general", "cyclic", "dim1", "dim4"],
+        ids=["family", "binary", "prefilter", "general", "cyclic", "dim1", "dim4", "zero-corner"],
     )
     def test_stages_run_the_oracle_once_where_no_exact_stage_decides(self, T, calls):
         made = []
@@ -232,9 +232,28 @@ class TestPipeline:
         exact = pipeline.decide(pipeline.stages(T)).trace
         assert exact == with_oracle.trace[: len(with_oracle.trace) - calls]
 
+    def test_oracle_first_runs_the_oracle_before_the_bernstein_stage(self):
+        # verify's order: its held oracle verdict first, then the exact stage
+        T = embed(CyclicTernary.of(1, -1, 1, 1, 0))
+        stub = Verdict(Kind.INDEFINITE, "stub", witness=(1, 1, 1))
+        first = pipeline.decide(pipeline.stages(T, lambda: stub, oracle_first=True))
+        assert [s for s, _ in first.trace] == ["prefilter", "family", "oracle"]
+        undecided = Verdict(Kind.UNDETERMINED, "stub")
+        then = pipeline.decide(pipeline.stages(T, lambda: undecided, oracle_first=True))
+        assert [s for s, _ in then.trace] == ["prefilter", "family", "oracle", "exact-positivity"]
+        assert then.verdict == pipeline.classify(T).verdict
+
     def test_analytic_only_undetermined(self):
-        rep = quartpd.classify(embed(CyclicTernary.of(1, -1, 1, 1, 0)), analytic_only=True)
+        # the exact stages alone: the Bernstein stage refutes the cyclic form
+        # outside the family, and leaves x1^2 x2^2 + x3^4, with its exact
+        # zeros, undetermined
+        T = embed(CyclicTernary.of(1, -1, 1, 1, 0))
+        rep = quartpd.classify(T, analytic_only=True)
+        assert (rep.stage, rep.verdict.kind) == ("exact-positivity", Kind.INDEFINITE)
+        assert T.evaluate_form(rep.verdict.witness) < 0
+        rep = quartpd.classify(SymmetricTensor4(3, ZERO_CORNERS), analytic_only=True)
         assert rep.verdict.kind is Kind.UNDETERMINED
+        assert rep.trace[-1] == ("exact-positivity", Verdict(Kind.UNDETERMINED, "bernstein-zero"))
 
     def test_prefilter_catches_bad_subtensor(self):
         T = SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
@@ -255,7 +274,8 @@ class TestPipeline:
             ([{(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1, (1, 1, 1, 2): 5}], "prefilter"),
             (["cyclic", "2", "-2", "2", "2", "-1/3"], "family"),  # a scaled family input
             (["binary", "1", "0", "-1/3", "0", "1"], "analytic"),
-            (["cyclic", "1", "-1", "1", "1", "0"], "oracle"),
+            ([DEEP_NEEDLE.entries()], "oracle"),  # past the Bernstein stage's depth cap
+            (["cyclic", "1", "-1", "1", "1", "0"], "exact-positivity"),
         ],
     )
     def test_classify_matches_cli_report(self, runner, tmp_path, args, stage):
@@ -276,13 +296,16 @@ class TestPipeline:
             (["binary", "-1", "0", "1", "0", "1"], ["prefilter"]),
             (["cyclic", "2", "-2", "2", "2", "-1/3"], ["prefilter", "family"]),
             (["binary", "1", "0", "-1/3", "0", "1"], ["prefilter", "analytic"]),
-            (["cyclic", "1", "-1", "1", "1", "0"], ["prefilter", "family", "oracle"]),
-            (["cyclic", "1", "-1", "1", "1", "0", "--analytic-only"], ["prefilter", "family"]),
+            (["cyclic", "1", "-1", "1", "1", "0"], ["prefilter", "family", "exact-positivity"]),
+            ([ZERO_CORNERS], ["prefilter", "family", "exact-positivity", "oracle"]),
+            ([ZERO_CORNERS, "--analytic-only"], ["prefilter", "family", "exact-positivity"]),
         ],
-        ids=["prefilter", "family", "analytic", "oracle", "analytic-only"],
+        ids=["prefilter", "family", "analytic", "exact-positivity", "oracle", "analytic-only"],
     )
-    def test_report_timings(self, runner, args, stages):
+    def test_report_timings(self, runner, tmp_path, args, stages):
         # analytic_s always, oracle_s exactly when the oracle stage ran
+        if isinstance(args[0], dict):
+            args = [write_tensor(tmp_path, 3, args[0]), *args[1:]]
         res = runner.invoke(main, ["check", *args, "--json"])
         report = json.loads(res.output)
         assert [step["stage"] for step in report["trace"]] == stages
@@ -310,7 +333,7 @@ class TestPipeline:
         )
         for code in (library, shell):
             out = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, env=_SRC_ENV, check=True
+                [sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV, check=True
             )
             assert out.stdout.strip() == "[]"
 
@@ -338,12 +361,11 @@ class TestCli:
         assert res.exit_code == 2
         assert "(1, 1, -5)" in res.output
 
-    def test_check_undetermined_exit_3(self, runner):
-        res = runner.invoke(
-            main,
-            ["check", "cyclic", "1", "-1", "1", "1", "0", "--analytic-only"],
-        )
+    def test_check_undetermined_exit_3(self, runner, tmp_path):
+        path = write_tensor(tmp_path, 3, ZERO_CORNERS)
+        res = runner.invoke(main, ["check", path, "--analytic-only"])
         assert res.exit_code == 3
+        assert "verdict: undetermined (no-decisive-stage)" in res.output
 
     def test_check_input_error_exit_64(self, runner):
         res = runner.invoke(main, ["check", "no-such-file.json"])
@@ -530,7 +552,7 @@ class TestCli:
     )
     def test_module_entry_point(self, args, code, expected):
         out = subprocess.run(
-            [sys.executable, "-m", "quartpd.cli", *args], capture_output=True, text=True, env=_SRC_ENV
+            [sys.executable, "-m", "quartpd.cli", *args], capture_output=True, text=True, env=SRC_ENV
         )
         assert out.returncode == code, out.stderr
         assert expected in out.stdout + out.stderr
@@ -639,10 +661,11 @@ class TestDimensions:
 
 
 class TestBeyondFloatRange:
-    """The oracle takes its kernel's scale from the exact entries, so it
-    decides a tensor beyond or below float range as it decides its
-    power-of-two multiples; only the values it reports saturate, to inf or
-    0.0."""
+    """The Bernstein stage decides dim-3 forms in integers, so a tensor
+    beyond or below float range is decided exactly, as its multiples are.
+    The oracle takes its kernel's scale from the exact entries, so it
+    decides such a tensor as it decides its power-of-two multiples; only
+    the values it reports saturate, to inf or 0.0."""
 
     HUGE = 10**400
     # 10^400 (x1^4 + x2^4 + x3^4 - 12 x1^2 x2 x3), -9 10^400 at (1, 1, 1)
@@ -656,76 +679,95 @@ class TestBeyondFloatRange:
         }))
         return str(path)
 
-    # a margin beyond float range is written as the string "inf", since
-    # RFC 8259 JSON has no number for it; the family rules decline
-    # b = 0, so the oracle decides 10^+-400 sum x_i^4
+    # the family rules decline b = 0, so the Bernstein stage decides
+    # 10^+-400 sum x_i^4; the oracle's margin on it lies beyond float range
     @pytest.mark.parametrize("value, margin", [("1e400", "inf"), ("1e-400", 0.0)])
     def test_scaled_sum_of_fourth_powers_is_positive_definite(self, runner, tmp_path, value, margin):
         path = self.tensor_file(tmp_path, {(i, i, i, i): value for i in (1, 2, 3)})
         res = runner.invoke(main, ["check", path, "--json"])
         assert res.exit_code == 0
         doc = strict_json(res.output)
-        assert [s["stage"] for s in doc["trace"]] == ["prefilter", "family", "oracle"]
+        assert [s["stage"] for s in doc["trace"]] == ["prefilter", "family", "exact-positivity"]
         verdict = doc["verdict"]
-        assert (verdict["kind"], verdict["rule"]) == ("positive-definite", "oracle-sphere-minimum")
-        assert verdict["margin"] == margin
+        assert (verdict["kind"], verdict["rule"], verdict["margin"]) == ("positive-definite", "bernstein-positive", None)
+        numeric = quartpd.classify_numeric(load(path))
+        assert (numeric.kind, numeric.rule) == (Kind.POSITIVE_DEFINITE, "oracle-sphere-minimum")
+        assert numeric.margin == float(margin)
         assert runner.invoke(main, ["minimize", path]).exit_code == 0
 
     @pytest.mark.parametrize("value, minimum", [("1e400", "inf"), ("-1e400", "-inf"), ("1e-400", 0.0)])
     def test_json_reports_are_strict_beyond_float_range(self, runner, tmp_path, value, minimum):
+        # a value beyond float range is written as the string "inf", since
+        # RFC 8259 JSON has no number for it
         entries = {(i, i, i, i): value for i in (1, 2, 3)}
-        # the prefilter refutes -10^400 sum x_i^4 before the oracle runs, so
-        # the oracle's -inf margin is read on the huge indefinite form
+        # the prefilter refutes -10^400 sum x_i^4, so the oracle's -inf
+        # margin is read on the huge indefinite form
         checked = self.HUGE_INDEFINITE if value == "-1e400" else entries
-        res = runner.invoke(main, ["check", self.tensor_file(tmp_path, checked), "--json"])
+        path = self.tensor_file(tmp_path, checked)
+        res = runner.invoke(main, ["check", path, "--json"])
         doc = strict_json(res.output)
-        assert doc["trace"][-1]["stage"] == "oracle"
-        assert doc["verdict"]["margin"] == minimum
+        assert doc["trace"][-1]["stage"] == "exact-positivity"
+        assert doc["verdict"]["margin"] is None
+        assert quartpd.classify_numeric(load(path)).margin == float(minimum)
         res = runner.invoke(main, ["minimize", self.tensor_file(tmp_path, entries), "--json"])
         assert res.exit_code == 0
         assert strict_json(res.output)["min_value"] == minimum
 
     def test_huge_indefinite_form_has_an_exact_witness(self, runner, tmp_path):
         path = self.tensor_file(tmp_path, self.HUGE_INDEFINITE)
+        T = load(path)
         res = runner.invoke(main, ["check", path, "--json"])
         assert res.exit_code == 2
         doc = strict_json(res.output)
-        assert [s["stage"] for s in doc["trace"]] == ["prefilter", "family", "oracle"]
+        assert [s["stage"] for s in doc["trace"]] == ["prefilter", "family", "exact-positivity"]
         verdict = doc["verdict"]
-        assert (verdict["kind"], verdict["rule"]) == ("indefinite", "oracle-grid-witness")
-        assert verdict["margin"] == "-inf"
-        assert load(path).evaluate_form([Fraction(w) for w in verdict["witness"]]) < 0
+        assert (verdict["kind"], verdict["rule"]) == ("indefinite", "bernstein-corner")
+        assert T.evaluate_form([Fraction(w) for w in verdict["witness"]]) < 0
+        # the oracle alone refutes it at its best grid point
+        numeric = quartpd.classify_numeric(T)
+        assert (numeric.kind, numeric.rule) == (Kind.INDEFINITE, "oracle-grid-witness")
+        assert numeric.margin == -math.inf
+        assert T.evaluate_form(numeric.witness) < 0
         assert runner.invoke(main, ["minimize", path]).exit_code == 0
 
     def test_mixed_scales_end_at_the_boundary(self, runner, tmp_path):
-        # passes the prefilter, has no cyclic pattern: only the oracle is left,
-        # and at the kernel's scale, max|t| = 10^400, the entries 1 vanish
+        # passes the prefilter and has no cyclic pattern; the Bernstein stage
+        # certifies it exactly, while the oracle alone, at its kernel's
+        # scale max|t| = 10^400, sees the entries 1 vanish and ends at its
+        # boundary
         entries = {(1, 1, 1, 1): self.HUGE, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1, (1, 1, 2, 3): 1}
         path = self.tensor_file(tmp_path, entries)
         res = runner.invoke(main, ["check", path, "--json"])
-        assert res.exit_code == 3
+        assert res.exit_code == 0
         doc = json.loads(res.output)
-        assert doc["trace"][-1]["stage"] == "oracle"
-        assert (doc["verdict"]["kind"], doc["trace"][-1]["rule"]) == ("undetermined", "oracle-boundary")
+        assert doc["trace"][-1]["stage"] == "exact-positivity"
+        assert doc["verdict"]["rule"] == "bernstein-positive"
+        numeric = quartpd.classify_numeric(load(path))
+        assert (numeric.kind, numeric.rule) == (Kind.UNDETERMINED, "oracle-boundary")
         assert runner.invoke(main, ["minimize", path]).exit_code == 0
 
 
 def test_entries_near_float_range_check_without_warnings(runner, tmp_path):
-    # the oracle ranks and refines at its kernel's power-of-two scale, so no
-    # step overflows: no numpy warning, and the witness is still exact
+    # check refutes exactly; the oracle ranks and refines at its kernel's
+    # power-of-two scale, so no step overflows: no numpy warning, and its
+    # witness is still exact
     path = tmp_path / "near.json"
     entries = {(1, 1, 1, 1): "1.7e308", (2, 2, 2, 2): "1.7e308", (3, 3, 3, 3): "1.7e308",
                (1, 2, 2, 3): "1e308"}
     path.write_text(json.dumps({
         "dim": 3, "entries": [{"index": list(i), "value": v} for i, v in entries.items()]
     }))
+    T = load(str(path))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = runner.invoke(main, ["check", str(path), "--json"])
+        numeric = quartpd.classify_numeric(T)
     assert (res.exit_code, res.stderr) == (2, "")
     verdict = json.loads(res.stdout)["verdict"]
-    assert (verdict["kind"], verdict["rule"]) == ("indefinite", "oracle-grid-witness")
-    assert load(str(path)).evaluate_form([Fraction(w) for w in verdict["witness"]]) < 0
+    assert (verdict["kind"], verdict["rule"]) == ("indefinite", "bernstein-corner")
+    assert T.evaluate_form([Fraction(w) for w in verdict["witness"]]) < 0
+    assert (numeric.kind, numeric.rule) == (Kind.INDEFINITE, "oracle-grid-witness")
+    assert T.evaluate_form(numeric.witness) < 0
 
 
 def test_every_kind_has_an_exit_code():
@@ -774,7 +816,7 @@ def test_closed_stdout_exits_141(args):
     os.close(read)
     try:
         out = subprocess.run(
-            [sys.executable, "-m", "quartpd.cli", *args], stdout=write, stderr=subprocess.PIPE, env=_SRC_ENV
+            [sys.executable, "-m", "quartpd.cli", *args], stdout=write, stderr=subprocess.PIPE, env=SRC_ENV
         )
     finally:
         os.close(write)

@@ -23,7 +23,7 @@ from quartpd.oracle import (
 from quartpd.tensor import SymmetricTensor4, diag_ones, multiplicity
 from quartpd.verdict import Kind
 
-from conftest import dense_reference, rand_tensor
+from conftest import CROSS_IDS, CROSS_POINTS, cross_form, dense_reference, rand_tensor, steep_valley
 
 BOUNDARY = embed(CyclicTernary.of(1, -1, 1, 1, "-7/12"))
 INDEF = embed(CyclicTernary.of(1, 1, 1, 1, "-7/12"))
@@ -293,36 +293,19 @@ def test_large_degenerate_form_is_not_positive_definite(c):
     assert any(abs(abs(y) - abs(z)) < 1e-3 and abs(x) < 1e-3 for x, y, z in zero_set_probe(T))
 
 
-def _cross_form(p, K, c, skew):
-    """K |x × p|^2 |x|^2 + c |x|^4, minus x1 x2 x3 (x1 + x2 + x3) if skew,
-    as a ternary tensor: |x × p|^2 = |p|^2 |x|^2 - (p . x)^2."""
-    pp = sum(v * v for v in p)
-    cross = {(i, j): pp * (i == j) - p[i - 1] * p[j - 1] for i in (1, 2, 3) for j in (1, 2, 3)}
-    square = {(i, i): 1 for i in (1, 2, 3)}
-    coeffs = {}
-    for a, b, w in ((cross, square, K), (square, square, c)):
-        for (i, j), u in a.items():
-            for (k, l), v in b.items():
-                idx = tuple(sorted((i, j, k, l)))
-                coeffs[idx] = coeffs.get(idx, 0) + w * u * v
-    for idx in ((1, 1, 2, 3), (1, 2, 2, 3), (1, 2, 3, 3)) if skew else ():
-        coeffs[idx] -= 1
-    return SymmetricTensor4(3, {idx: Fraction(v) / multiplicity(idx) for idx, v in coeffs.items()})
-
-
-CROSS_POINTS = [(1, 4, 9), (2, 3, 5), (1, 2, 2), (3, 1, 7)]
-CROSS_IDS = ["-".join(map(str, p)) for p in CROSS_POINTS]
-
-
 @pytest.mark.parametrize("K", [10**14, 10**15, 10**16], ids=["1e14", "1e15", "1e16"])
 @pytest.mark.parametrize("p", CROSS_POINTS, ids=CROSS_IDS)
 def test_steep_valley_form_is_indefinite(p, K):
-    # with c = p1 p2 p3 (p1 + p2 + p3) / (2 |p|^4), f(p) = -p1 p2 p3 (p1 + p2 + p3) / 2;
-    # the negative region is a needle of width about 1e-8 around p, in a
-    # form of scale K: with an absolute margin, p = (1, 4, 9) at K = 1e14 ended PD
-    pp = sum(v * v for v in p)
-    T = _cross_form(p, K, Fraction(math.prod(p) * sum(p), 2 * pp * pp), skew=True)
-    verdict = classify(T).verdict
+    # f(p) < 0 on a negative needle of width about 1e-8 around p, in a form
+    # of scale K: check refutes it exactly at a Bernstein corner, and the
+    # oracle alone finds the needle too (with an absolute margin,
+    # p = (1, 4, 9) at K = 1e14 ended PD)
+    T = steep_valley(p, K)
+    decision = classify(T)
+    assert (decision.stage, decision.verdict.rule) == ("exact-positivity", "bernstein-corner")
+    assert decision.verdict.kind is Kind.INDEFINITE
+    assert T.evaluate_form(decision.verdict.witness) < 0
+    verdict = classify_numeric(T)
     assert verdict.kind is Kind.INDEFINITE
     assert T.evaluate_form(verdict.witness) < 0
 
@@ -331,8 +314,11 @@ def test_steep_valley_form_is_indefinite(p, K):
 @pytest.mark.parametrize("p", CROSS_POINTS, ids=CROSS_IDS)
 def test_steep_valley_pd_form_is_never_indefinite(p, K):
     # K |x × p|^2 |x|^2 + |x|^4 is PD, but its minimum, 1 at p / |p|, is
-    # 1e-18 to 1e-16 of max |t|: inside the margin, so it may end undetermined
-    assert classify(_cross_form(p, K, 1, skew=False)).verdict.kind is not Kind.INDEFINITE
+    # 1e-18 to 1e-16 of max |t|: inside the oracle's margin, where it would
+    # end undetermined; the Bernstein stage certifies it exactly
+    decision = classify(cross_form(p, K, 1, skew=False))
+    assert decision.stage == "exact-positivity"
+    assert (decision.verdict.kind, decision.verdict.rule) == (Kind.POSITIVE_DEFINITE, "bernstein-positive")
 
 
 def _refined_rule(T):
@@ -347,10 +333,8 @@ def test_grid_witness_moves_only_undetermined_to_indefinite():
     tensors = [rand_tensor(rng, dim) for dim in (2, 3) for _ in range(15)]
     tensors += [q.to_tensor() for q in builtin_catalog()]
     for p in CROSS_POINTS:
-        pp = sum(v * v for v in p)
-        c = Fraction(math.prod(p) * sum(p), 2 * pp * pp)
-        tensors += [_cross_form(p, K, c, skew=True) for K in (10**14, 10**15, 10**16)]
-        tensors += [_cross_form(p, K, 1, skew=False) for K in (10**15, 10**16)]
+        tensors += [steep_valley(p, K) for K in (10**14, 10**15, 10**16)]
+        tensors += [cross_form(p, K, 1, skew=False) for K in (10**15, 10**16)]
     rules = set()
     for T in tensors:
         new, old = classify_numeric(T), _refined_rule(T)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -62,6 +63,23 @@ def test_evaluate_form_matches_dense_reference(rng):
         T = rand_tensor(rng, n)
         x = rand_vector(rng, n)
         assert T.evaluate_form(x) == dense_form_reference(T, x)
+
+
+def test_integer_form_is_the_form_times_the_lcm_of_denominators(rng):
+    # one integer per monomial, keyed by its canonical index, computed
+    # once: E Tx^4 at integer points
+    for _ in range(20):
+        n = rng.choice([2, 3, 4])
+        T = rand_tensor(rng, n)
+        E, form = T.integer_form()
+        assert E == math.lcm(*(v.denominator for v in T.entries().values()))
+        assert set(form) == set(T.entries()) and all(type(c) is int for c in form.values())
+        x = [rng.randint(-5, 5) for _ in range(n)]
+        assert sum(c * math.prod(x[i - 1] for i in idx) for idx, c in form.items()) == (
+            E * dense_form_reference(T, x)
+        )
+        assert T.integer_form() is T.integer_form()
+    assert SymmetricTensor4(3, {}).integer_form() == (1, {})
 
 
 def test_dimension_mismatch():
