@@ -3,11 +3,11 @@
 Exact analytic criteria for binary quartics and a cyclic ternary family,
 exact Bernstein subdivision for ternary quartics (``quartpd.bernstein``,
 loaded by the first dim-3 decision that reaches it, not by this package),
-a numeric sphere-minimization oracle that only refutes, with exactly
-checked witnesses (``quartpd.oracle.classify_numeric``), the staged
-pipeline ``classify`` over them, whose every decisive verdict is exact and
-whose ``Decision`` names the deciding stage, its verdict and each stage's
-wall time, and a verification harness for ternary quartic inequalities.
+the staged pipeline ``classify`` over them, whose every decisive verdict
+is exact and whose ``Decision`` names the deciding stage, its verdict and
+each stage's wall time, a numeric sphere-minimization oracle that reports
+the minimum and the zero set and decides no verdict, and a verification
+harness for ternary quartic inequalities.
 """
 
 from .binary import BinaryQuartic, classify as classify_binary

@@ -14,7 +14,15 @@ coefficients are its values at the box's corners.  So:
 - a negative corner coefficient is an exact, dyadic witness of INDEFINITE
   (rule ``bernstein-corner``), which ``evaluate_form`` checks again before
   it is returned;
-- any other box is split at its midpoint by de Casteljau's algorithm.
+- any other box is split at its midpoint by de Casteljau's algorithm, up
+  to ``MAX_DEPTH`` splits.  A box that would need one more is tried at its
+  simplest rational point instead: in each coordinate, the rational of
+  least denominator in the box's closed interval
+  (``binary._simplest_between``).  Where the form is negative there, in
+  exact arithmetic, that point is the witness (rule
+  ``bernstein-simplest``); otherwise the box is set aside.  A negative
+  needle around a point of small height, thinner than any box the budget
+  reaches, is refuted this way.
 
 Everything runs in integers, on the integer form E·Tx^4 of
 ``SymmetricTensor4.integer_form``.  C(4, i) divides 12, so 12 times the
@@ -31,9 +39,10 @@ smaller least coefficient is searched first, so a negative region is
 reached in a few dozen boxes.  It ends:
 
 - PD (``bernstein-positive``) when every box of every face is positive;
-- INDEFINITE at the first negative corner;
-- undetermined (``bernstein-budget``) after ``BUDGET`` boxes, or
-  (``bernstein-depth``) at a box that needs a split beyond ``MAX_DEPTH``;
+- INDEFINITE at the first negative corner or simplest point;
+- undetermined (``bernstein-budget``) after ``BUDGET`` boxes;
+- undetermined (``bernstein-depth``) when every other box is positive and
+  a box was set aside at ``MAX_DEPTH``;
 - undetermined (``bernstein-zero``) when the only boxes left unresolved
   have an exact zero of the form at a corner.  Such a box is split on to
   ``ZERO_DEPTH``, where a negative region next to the zero shows up as a
@@ -47,6 +56,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Tuple
 
+from .binary import _simplest_between
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict
 
@@ -123,7 +133,7 @@ def search(T: SymmetricTensor4) -> Tuple[Verdict, int]:
         raise ValueError(f"Bernstein subdivision covers dim 3, got {T.dim}")
     stack = [(min(coeffs), coeffs, k, 0, 0, 0) for k, coeffs in enumerate(_faces(T.integer_form()[1]))]
     stack.sort(reverse=True)  # the face with the least coefficient on top
-    boxes, zero = 0, False
+    boxes, zero, capped = 0, False, False
     while stack:
         if boxes == BUDGET:
             return Verdict(Kind.UNDETERMINED, "bernstein-budget"), boxes
@@ -141,7 +151,11 @@ def search(T: SymmetricTensor4) -> Tuple[Verdict, int]:
             zero = True
             continue
         if depth >= MAX_DEPTH:
-            return Verdict(Kind.UNDETERMINED, "bernstein-depth"), boxes
+            w = tuple(map(_simplest_between, _corner(k, i, j, depth, 0), _corner(k, i, j, depth, 24)))
+            if T.evaluate_form(w) < 0:
+                return Verdict(Kind.INDEFINITE, "bernstein-simplest", witness=w), boxes
+            capped = True
+            continue
         axis = depth & 1
         lo, hi = _halves(coeffs, axis)
         i, j = (2 * i, j) if axis == 0 else (i, 2 * j)
@@ -149,6 +163,8 @@ def search(T: SymmetricTensor4) -> Tuple[Verdict, int]:
         high = (min(hi), hi, k, i + 1 - axis, j + axis, depth + 1)
         # the half with the smaller least coefficient is popped first
         stack.extend((low, high) if high[0] <= low[0] else (high, low))
+    if capped:
+        return Verdict(Kind.UNDETERMINED, "bernstein-depth"), boxes
     if zero:
         return Verdict(Kind.UNDETERMINED, "bernstein-zero"), boxes
     return Verdict(Kind.POSITIVE_DEFINITE, "bernstein-positive"), boxes

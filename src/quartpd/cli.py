@@ -1,9 +1,9 @@
 """Command-line front end: argument parsing, reports and exit codes around
 the library.  ``check`` runs :func:`quartpd.classify`, whose stages run in
 their one order (``pipeline.stages``), and writes its ``Decision`` as the
-report, whose every decisive verdict is exact: the oracle runs last, for
-dim 3 only, and only refutes.  A dim-3 input that the stages before the
-oracle decide never loads numpy.
+report, whose every decisive verdict is exact.  No stage of ``check``
+samples the sphere, so it never loads numpy; ``minimize`` and
+``inequalities`` do, for the sphere minimum and the zero set.
 
 ``quartpd COMMAND [INPUTS]... [OPTIONS]`` with COMMAND one of ``check``,
 ``minimize`` and ``inequalities``.  Each command has a table of flags:
@@ -13,7 +13,7 @@ token whatever it starts with.  Every token that does not start with
 ``--`` is an input, so negative numbers and fractions such as ``-1/2``
 need no quoting, and every token after ``--`` is an input.  ``--help``
 prints the commands, or a command's flags.  The oracle has no flags:
-every command runs it with the library's defaults.
+``minimize`` and ``inequalities`` run it with the library's defaults.
 ``--json`` reports are strict RFC 8259 JSON: a value beyond float range,
 which JSON has no number for, is written as the string ``"inf"`` or
 ``"-inf"``.
@@ -106,16 +106,13 @@ def _check(inputs, as_json=False) -> NoReturn:
     v = decision.verdict
     if as_json:
         desc = describe(parsed)
-        timings = {"analytic_s": sum(t for s, t in decision.seconds.items() if s != "oracle")}
-        if "oracle" in decision.seconds:
-            timings["oracle_s"] = decision.seconds["oracle"]
         report = {
             "schema": 1,
             "input": desc,
             "digest": sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest(),
             "trace": [{"stage": stage, **verdict.to_dict()} for stage, verdict in decision.trace],
             "verdict": v.to_dict(),
-            "timings": timings,
+            "timings": {"analytic_s": sum(decision.seconds.values())},
         }
         _print_json(report)
     else:
@@ -124,8 +121,6 @@ def _check(inputs, as_json=False) -> NoReturn:
         print(f"verdict: {v.kind} ({v.rule})")
         if v.witness:
             print(f"witness: ({', '.join(map(str, v.witness))})")
-        if v.margin is not None:
-            print(f"margin: {v.margin:.3e}")
     sys.exit(_EXIT[v.kind])
 
 

@@ -12,8 +12,7 @@ For the normalized family (a = 1, |b| = |c| = 1) a decision ladder covers
 the analytically settled cases: the -7/12 boundary, the PD interval
 (-7/12, -5/36], closed at -7/12 once it is lifted to d > 1, and the
 necessity bound below -7/12.  Everything outside the settled cases defers
-to the pipeline's later stages: the exact Bernstein stage, then the
-oracle, which only refutes.
+to the pipeline's later stage, exact Bernstein subdivision.
 
 -5/36 is the settled endpoint of the interval, not the sharp one: with
 b = -1, c = 1 and d = 1 the form stays PD a little beyond it.  The PD

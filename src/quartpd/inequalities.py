@@ -9,20 +9,16 @@ with rational weights.  Uniform weight c means w1 = w2 = w3 = c.  The
 "exchanged" variant swaps each cubic monomial with its mirror
 (x1^3*x2 <-> x1*x2^3 and so on) simultaneously.
 
-Each entry is decided by the pipeline's stages (``pipeline.stages``): the
-exact prefilter, then the cyclic family rules, and where neither decides,
-``classify_numeric`` on the entry's one sphere sample, the oracle's
-default grid, which only refutes: an exact witness at its best grid point
-or at the refined minimizer, or else undetermined; the exact Bernstein
-stage runs only where the oracle ends undetermined, the reverse of
-``check``'s order (``verify`` says why).  Both orders reach the same
-verdict on every entry.  A strict entry holds when the final verdict is
-positive definite, a non-strict one when it is positive definite or
-semidefinite.  Every verdict is exact: an INDEFINITE rests on an exactly
-checked witness, and a PD on the family rules or the Bernstein stage.
-Each report names the deciding stage and its verdict.  The sphere minimum
-is reported for every entry, and the zero set is probed where the final
-verdict is semidefinite or undetermined.  An entry with a named
+Each entry is decided by ``pipeline.classify``, as ``check`` decides it:
+the exact prefilter, then the cyclic family rules, then the exact
+Bernstein stage.  A strict entry holds when the final verdict is positive
+definite, a non-strict one when it is positive definite or semidefinite.
+Every verdict is exact: an INDEFINITE rests on an exactly checked witness,
+and a PD on the family rules or the Bernstein stage.  Each report names
+the deciding stage and its verdict.  The sphere minimum, from the entry's
+one sphere sample on the oracle's default grid, is reported for every
+entry, and the zero set is probed on that sample where the final verdict
+is semidefinite or undetermined.  An entry with a named
 counterexample point is expected to fail: its exact value there is carried
 in the report, and the entry is as expected only where it does not hold
 and that value is negative.
@@ -35,8 +31,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .cyclic import RelaxedCyclicTernary, embed
-from .oracle import classify_numeric, sphere_minimize, sphere_sample, zero_set_probe
-from .pipeline import decide, stages
+from .oracle import sphere_minimize, sphere_sample, zero_set_probe
+from .pipeline import classify
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict, as_fraction
 
@@ -164,30 +160,11 @@ def builtin_catalog() -> List[WeightedInequality]:
 
 
 def verify(ineq: WeightedInequality) -> InequalityReport:
-    """Decide one entry and report it (module docstring).
-
-    The oracle's verdict comes before the Bernstein stage here: the report
-    needs the sample and the refined minimum anyway, so the verdict costs
-    only its witness check, 0.01-0.1 ms, where the Bernstein stage takes
-    0.45-0.9 ms (in-process, best of 7, on a 2-vCPU machine).  Of the 8
-    entries the family rules leave, the 5 expected failures are refuted
-    by ``oracle-grid-witness`` at no extra cost, and the oracle leaves the
-    other 3 (19-17-15, 19-16-15, 15-16-14) to ``bernstein-positive``.
-    Against an oracle that still decided those 3 as float PDs, over three
-    interleaved pairs of 8 s ``catalog`` benchmark runs at seed 101 on that
-    machine, keeping the oracle first read decisions/s 512/496/495 ->
-    473/482/484 and p90 latency 2.33/2.35/2.39 -> 2.69/2.57/2.56 ms, where
-    running the Bernstein stage first (as ``classify`` does) read 508/507/498
-    -> 458/465/459 and 2.23-2.33 -> 2.60-2.74 ms.
-    """
+    """Decide one entry and report it (module docstring)."""
     T = ineq.to_tensor()
-    sample = sphere_sample(T)
+    decision = classify(T)
+    sample = sphere_sample(T)  # one sample for the minimum and the zero set
     res = sphere_minimize(T, sample=sample)
-    # the oracle's verdict is built only where the prefilter and the family
-    # rules leave the entry undetermined
-    decision = decide(
-        stages(T, lambda: classify_numeric(T, sample=sample, minimum=res), oracle_first=True)
-    )
     kind = decision.verdict.kind
     # a semidefinite or undecided form may touch zero: look for its zeros
     boundary = kind in (Kind.PSD_NOT_PD, Kind.UNDETERMINED)

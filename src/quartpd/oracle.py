@@ -1,5 +1,7 @@
-"""Floating-point minimization of Tx^4 over the unit sphere, which refutes
-with exactly checked witnesses and certifies nothing else.
+"""Floating-point minimization of Tx^4 over the unit sphere and a probe of
+its zero set, for ``minimize`` and the inequality reports.  No verdict
+rests on them: every verdict comes from the exact stages of
+``quartpd.pipeline``.
 
 Candidates come from a deterministic low-discrepancy grid (uniform angles
 on the circle for n=2, a spherical Fibonacci lattice for n=3) with a
@@ -51,13 +53,11 @@ digits down to the smallest step the backtracking tries.
 Each command samples once: ``sphere_sample`` reads the kernel, the
 form's coefficients, off T's stored entries and takes the form's values on
 the grid; ``sphere_minimize`` refines the best of them into the minimum,
-``zero_set_probe`` those nearest zero into the zero set, and
-``classify_numeric`` turns the sample, refined only where it has to be,
-into the oracle's verdict.  Each of them takes the caller's sample, so
-``minimize`` and the inequality harness pass one sample to all the calls
-they make.  Only ``sphere_sample`` and ``sphere_minimize`` take an
-``OracleConfig`` (grid size, refine iterations and candidates); the
-verdict and the zero set run the defaults.  A grid holds at most
+``zero_set_probe`` those nearest zero into the zero set.  Both take the
+caller's sample, so ``minimize`` and the inequality harness pass one
+sample to both.  Only ``sphere_sample`` and ``sphere_minimize`` take an
+``OracleConfig`` (grid size, refine iterations and candidates); the zero
+set runs the defaults.  A grid holds at most
 ``_MAX_GRID`` points, since its arrays grow in proportion to it.
 The form is evaluated through its monomials.  A quartic form is a quadratic
 form in its quadratic monomials, Tx^4 = q^T S q with q = (x_i x_j)_{i <= j}
@@ -73,9 +73,8 @@ and of ``_newton_directions`` comes out the same whatever other rows share
 its batch; ``einsum`` on C-contiguous operands gives that, while a BLAS
 ``@`` takes another kernel for a one-row batch and changes the last bits,
 and ``einsum`` sums the rows of a column-major operand in another order.
-The grid values only rank grid points (the starting points), point to the
-grid witness, which is checked exactly, and give that verdict's margin, a
-float like any other; so they use ``@``.
+The grid values only rank grid points (the starting points), so they use
+``@``.
 
 The kernel holds T / 2^shift with shift = floor(log2 max |t|), read off
 the bit lengths of the entries' numerators and denominators, and each
@@ -93,18 +92,6 @@ Stability of Numerical Algorithms, 2nd ed., 2002, sec. 3.1): about 3e-13
 of max |t|, far below the zero threshold ``_MARGIN`` (1e-8, a fixed
 constant) of it.
 
-``classify_numeric`` is the one place where a sample becomes a verdict,
-and it only refutes: its verdict is INDEFINITE, resting on an exactly
-checked witness, or UNDETERMINED, never positive definite, so the float
-minimum decides nothing.  It looks for the witness first at the best grid
-point: where that point's rational rounding is negative in exact
-arithmetic, the verdict is INDEFINITE by rule ``oracle-grid-witness``, its
-margin is the sampled minimum, and the refine does not run.  Otherwise it
-looks at the refined minimizer wherever the refined minimum is not
-positive, however near zero (``oracle-sphere-minimum``); where no witness
-checks, the verdict is UNDETERMINED (``oracle-boundary``).  Either
-way the margin is the refined minimum.
-
 ``zero_set_probe`` refines the 200 grid points of smallest |Tx^4| and
 keeps those whose refined |Tx^4| is at most ``_MARGIN``.  It clusters them
 greedily in refine order, one distance pass per cluster: the first zero
@@ -118,17 +105,16 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .tensor import SymmetricTensor4, canonical_index, canonical_indices
-from .verdict import Kind, Verdict, _is_int
+from .verdict import _is_int
 
 if TYPE_CHECKING:
     import numpy as np
 
 # numpy is imported inside the functions that use it, so that importing the
-# package (and every decision the exact stages settle) leaves it unloaded.
+# package, and every decision, leaves it unloaded.
 
 _GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -446,15 +432,6 @@ def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")[:k]
 
 
-def _exact_negative(T: SymmetricTensor4, point) -> Optional[tuple]:
-    """Rational rounding of a float witness, verified in exact arithmetic."""
-    for den in (10**3, 10**6):
-        w = tuple(Fraction(float(v)).limit_denominator(den) for v in point)
-        if any(w) and T.evaluate_form(w) < 0:
-            return w
-    return None
-
-
 def _unscaled(value, shift: int) -> float:
     """A value at the kernel's scale times 2^shift: inf beyond float range,
     and 0.0 below it."""
@@ -477,34 +454,6 @@ def sphere_minimize(
     x = _canonical_sign(refined[best] / np.linalg.norm(refined[best]))
     minimizer = tuple(float(v) for v in x)
     return OracleResult(_unscaled(rvals[best], K.shift), minimizer, iters)
-
-
-def classify_numeric(
-    T: SymmetricTensor4, *, sample: Optional[Sample] = None, minimum: Optional[OracleResult] = None
-) -> Verdict:
-    """The oracle's one verdict rule, on ``sample`` (a ``sphere_sample`` of
-    T) or else on a sample of its own (module docstring): INDEFINITE with an
-    exactly checked witness, or else UNDETERMINED.  The best grid point
-    comes first: where it rounds to a rational point at which T is negative
-    in exact arithmetic, that point is the witness (``oracle-grid-witness``)
-    and the grid value the margin, and nothing is refined.  Otherwise the
-    refined minimum, ``minimum`` or else ``sphere_minimize`` on the sample,
-    is the margin, and its minimizer the witness tried where it is not
-    positive: ``ldexp`` keeps the sign of a minimum beyond float range,
-    -0.0 or -inf."""
-    import numpy as np
-
-    K, X, vals = sphere_sample(T) if sample is None else sample
-    g = int(np.argmin(vals))
-    if vals[g] < 0:
-        witness = _exact_negative(T, X[g])
-        if witness is not None:
-            return Verdict(Kind.INDEFINITE, "oracle-grid-witness", witness, _unscaled(vals[g], K.shift))
-    res = sphere_minimize(T, sample=(K, X, vals)) if minimum is None else minimum
-    witness = _exact_negative(T, res.minimizer) if res.min_value <= 0 else None
-    if witness is None:
-        return Verdict(Kind.UNDETERMINED, "oracle-boundary", margin=res.min_value)
-    return Verdict(Kind.INDEFINITE, "oracle-sphere-minimum", witness, res.min_value)
 
 
 def zero_set_probe(T: SymmetricTensor4, *, sample: Optional[Sample] = None) -> List[Tuple[float, ...]]:

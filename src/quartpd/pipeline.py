@@ -1,29 +1,24 @@
 """Classification as a staged pipeline: an exact necessary-condition
 prefilter, then family rules for cyclic patterns, then the exact binary
 criterion (dim 2) or exact Bernstein subdivision (dim 3, stage
-``exact-positivity``), and finally, for dim 3, the sphere oracle, which
-only refutes.  Every stage is exact: a decisive verdict is either proved
-by an exact criterion or carries an exactly checked witness.  ``stages``
-is the one place that order is written; it computes each stage when the
-one before it has been consumed, and ``decide`` consumes them up to the
-first decisive one, whose verdict is final, and times each stage it runs.
-``classify`` and the inequality harness both decide that way, and both
-take the oracle's verdict from ``classify_numeric`` under its default
-grid: the harness passes the sample it already holds, and takes that
-verdict before the Bernstein stage, ``classify`` lets the oracle take its
-own sample after it.  The CLI writes ``classify``'s ``Decision`` as its
-report.
+``exact-positivity``).  Every stage is exact: a decisive verdict is either
+proved by an exact criterion or carries an exactly checked witness, and no
+stage samples the sphere.  ``stages`` is the one place that order is
+written; it computes each stage when the one before it has been consumed,
+and ``decide`` consumes them up to the first decisive one, whose verdict is
+final, and times each stage it runs.  ``classify`` and the inequality
+harness both decide that way, and the CLI writes ``classify``'s
+``Decision`` as its report.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import binary as binmod
 from .cyclic import CyclicTernary, classify_cyclic, classify_relaxed, detect
-from .oracle import classify_numeric
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict
 
@@ -49,15 +44,7 @@ def _stage_family(T: SymmetricTensor4) -> Verdict:
 Stage = Tuple[str, Verdict]  # a stage's name and its verdict
 
 
-def _stage_exact(T: SymmetricTensor4) -> Verdict:
-    from . import bernstein  # dim 3 only: a dim-2 decision never compiles it
-
-    return bernstein.classify(T)
-
-
-def stages(
-    T: SymmetricTensor4, oracle: Callable[[], Verdict], *, oracle_first: bool = False
-) -> Iterator[Stage]:
+def stages(T: SymmetricTensor4) -> Iterator[Stage]:
     """The pipeline's stages on T, in order, each computed when the one
     before it has been consumed, so that ``decide`` runs none past the
     first decisive one.
@@ -73,12 +60,8 @@ def stages(
     always classifies it and the analytic stage, the exact binary
     criterion, is its verdict, and it always decides.  For dim 3 the
     family rules follow, then the Bernstein stage ``exact-positivity``
-    (``quartpd.bernstein``, imported there, so no other dim loads it), and
-    last the oracle stage's verdict ``oracle()``, which is INDEFINITE with
-    an exact witness or UNDETERMINED; ``oracle_first`` moves it before the
-    Bernstein stage, for a caller that already holds the oracle's sample
-    and minimum (``inequalities.verify``).  No stage decides dim >= 4 past
-    the prefilter.
+    (``quartpd.bernstein``, imported there, so no other dim loads it).  No
+    stage decides dim >= 4 past the prefilter.
     """
     stored = T.entries()
     if not stored:  # the zero form vanishes everywhere
@@ -109,9 +92,9 @@ def stages(
         yield "analytic", binary
     elif T.dim == 3:
         yield "family", _stage_family(T)
-        later = [("exact-positivity", lambda: _stage_exact(T)), ("oracle", oracle)]
-        for stage, run in later[::-1] if oracle_first else later:
-            yield stage, run()
+        from . import bernstein  # dim 3 only: a dim-2 decision never compiles it
+
+        yield "exact-positivity", bernstein.classify(T)
 
 
 class Decision(NamedTuple):
@@ -140,6 +123,6 @@ def decide(stages: Iterable[Stage]) -> Decision:
 def classify(T: SymmetricTensor4) -> Decision:
     """The pipeline's decision on T: the stages run, the deciding one and
     its verdict, and each stage's wall time.  Every decisive verdict is
-    exact; dim 3 can end undetermined where neither the Bernstein stage nor
-    the oracle decides, and dim >= 4 where the prefilter does not."""
-    return decide(stages(T, lambda: classify_numeric(T)))
+    exact; dim 3 can end undetermined where the Bernstein stage does not
+    decide, and dim >= 4 where the prefilter does not."""
+    return decide(stages(T))

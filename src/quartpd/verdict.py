@@ -23,28 +23,25 @@ class Kind(Enum):
 @dataclass(frozen=True)
 class Verdict:
     """A classification together with the rule that produced it; every
-    stage of the library, exact or numeric, reports one of these.
+    stage of the library reports one of these.
 
     ``witness`` is a vector certifying the verdict: a point with strictly
     negative form value for INDEFINITE, or a nonzero root of the form for
-    PSD_NOT_PD.  ``margin`` is only set on numeric verdicts: the sphere
-    minimum the oracle read.  The oracle looks for INDEFINITE first at its
-    best grid point, so for rule ``oracle-grid-witness`` the margin is the
-    sampled minimum, and for ``oracle-sphere-minimum`` and
-    ``oracle-boundary`` the refined one.
+    PSD_NOT_PD.
     """
 
     kind: Kind
     rule: str
     witness: Optional[tuple] = None
-    margin: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {
             "kind": str(self.kind),
             "rule": self.rule,
             "witness": [str(w) for w in self.witness] if self.witness else None,
-            "margin": self.margin,
+            # no verdict carries a margin; the key stays, always null, so
+            # that every schema-1 report keeps one set of keys
+            "margin": None,
         }
 
 

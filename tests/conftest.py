@@ -81,14 +81,44 @@ def steep_valley(p, K):
     return cross_form(p, K, Fraction(math.prod(p) * sum(p), 2 * pp * pp), skew=True)
 
 
+def sos_needles(rng: random.Random, count: int):
+    """``count`` forms q1^2 + q2^2 + q3^2 - 10^-60 (x1^4 + x2^4 + x3^4), each
+    with its point u: an integer point of [-4, 4]^3 with no zero
+    coordinate, and three
+    quadratic forms q_k(x) = x^T A x - (u^T A u / |u|^2) |x|^2, A a random
+    symmetric integer matrix, which all vanish at u.  So the form is -10^-60
+    sum u_i^4 < 0 at u, on a negative needle of width about 10^-30."""
+    forms = []
+    for _ in range(count):
+        u = (0, 0, 0)
+        while not all(u):
+            u = tuple(rng.randint(-4, 4) for _ in range(3))
+        uu = sum(v * v for v in u)
+        coeffs = {}
+        for _ in range(3):
+            A = {}
+            for i in (1, 2, 3):
+                for j in range(i, 4):
+                    A[i, j] = A[j, i] = rng.randint(-3, 3)
+            uAu = sum(A[i, j] * u[i - 1] * u[j - 1] for i in (1, 2, 3) for j in (1, 2, 3))
+            q = {(i, j): A[i, j] - Fraction(uAu, uu) * (i == j) for i in (1, 2, 3) for j in (1, 2, 3)}
+            for (i, j), a in q.items():
+                for (k, l), b in q.items():
+                    idx = tuple(sorted((i, j, k, l)))
+                    coeffs[idx] = coeffs.get(idx, 0) + a * b
+        for i in (1, 2, 3):
+            coeffs[i, i, i, i] -= Fraction(1, 10**60)
+        forms.append((SymmetricTensor4(3, {idx: v / multiplicity(idx) for idx, v in coeffs.items()}), u))
+    return forms
+
+
 CROSS_POINTS = [(1, 4, 9), (2, 3, 5), (1, 2, 2), (3, 1, 7)]
 CROSS_IDS = ["-".join(map(str, p)) for p in CROSS_POINTS]
 # a needle of width about 1e-50: deeper than the Bernstein stage's depth
-# cap, while the oracle's refined minimum rounds onto (2, 3, 5)
+# cap, where the box at the cap has (2/5, 3/5, 1) as its simplest point
 DEEP_NEEDLE = steep_valley((2, 3, 5), 10**100)
 # x1^2 x2^2 + x3^4 is PSD with exact zeros at e1 and e2: the Bernstein stage
-# ends undetermined (bernstein-zero), so the oracle runs, and ends at its
-# boundary
+# ends undetermined (bernstein-zero), and no stage decides
 ZERO_CORNERS = {(1, 1, 2, 2): Fraction(1, 6), (3, 3, 3, 3): 1}
 
 # the environment of a subprocess that imports the quartpd these tests import

@@ -1,18 +1,23 @@
+import ast
+import json
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import quartpd
-from quartpd import bernstein
+from quartpd import bernstein, pipeline
 from quartpd.cyclic import CyclicTernary, RelaxedCyclicTernary, classify_cyclic, classify_relaxed, embed
 from quartpd.inequalities import builtin_catalog
 from quartpd.tensor import SymmetricTensor4, diag_ones
 from quartpd.verdict import Kind, Verdict
 
-from conftest import CROSS_IDS, CROSS_POINTS, DEEP_NEEDLE, SRC_ENV, ZERO_CORNERS, cross_form, rand_tensor, steep_valley
+from conftest import (
+    CROSS_IDS, CROSS_POINTS, DEEP_NEEDLE, SRC_ENV, ZERO_CORNERS, cross_form, rand_tensor, sos_needles, steep_valley,
+)
 
 STRICT = [q for q in builtin_catalog() if q.strict and not q.expected_fail]
 FAILING = [q for q in builtin_catalog() if q.expected_fail]
@@ -96,26 +101,77 @@ def test_verdict_is_invariant_under_positive_scaling(rng, c):
         assert bernstein.search(T.scale(c)) == bernstein.search(T)
 
 
-def test_budget_ends_undetermined_and_the_oracle_decides():
-    # x1^2 x2^2 vanishes on two planes: zero corners without end
+def test_budget_ends_undetermined():
+    # x1^2 x2^2 vanishes on two planes: zero corners without end, and no
+    # stage after the Bernstein stage
     T = SymmetricTensor4(3, {(1, 1, 2, 2): Fraction(1, 6)})
     assert bernstein.search(T) == (Verdict(Kind.UNDETERMINED, "bernstein-budget"), bernstein.BUDGET)
     decision = quartpd.classify(T)
-    assert [s for s, _ in decision.trace][-2:] == ["exact-positivity", "oracle"]
-    assert decision.trace[-1] == ("oracle", decision.trace[-1][1])
-    assert decision.trace[-1][1].rule == "oracle-boundary"
+    assert decision.trace[-1] == ("exact-positivity", Verdict(Kind.UNDETERMINED, "bernstein-budget"))
+    assert (decision.stage, decision.verdict) == (None, Verdict(Kind.UNDETERMINED, "no-decisive-stage"))
 
 
-def test_depth_cap_ends_undetermined_and_the_oracle_decides():
+def test_depth_cap_tries_the_simplest_point():
     # a needle of width about 1e-50 around (2, 3, 5), which no dyadic corner
-    # within 200 splits reaches; the oracle's minimizer rounds onto it
+    # within 200 splits reaches: the box at the cap holds (2/5, 3/5, 1), its
+    # simplest rational point
     verdict, boxes = bernstein.search(DEEP_NEEDLE)
-    assert verdict == Verdict(Kind.UNDETERMINED, "bernstein-depth")
-    assert boxes <= 2 * bernstein.MAX_DEPTH
+    assert verdict == Verdict(Kind.INDEFINITE, "bernstein-simplest", witness=(Fraction(2, 5), Fraction(3, 5), 1))
+    assert DEEP_NEEDLE.evaluate_form(verdict.witness) < 0
+    assert boxes == bernstein.MAX_DEPTH + 1
     decision = quartpd.classify(DEEP_NEEDLE)
-    assert decision.stage == "oracle"
-    assert decision.verdict.kind is Kind.INDEFINITE
-    assert DEEP_NEEDLE.evaluate_form(decision.verdict.witness) < 0
+    assert (decision.stage, decision.verdict) == ("exact-positivity", verdict)
+
+
+# p in 1..9: steep_valley(p, K) has a negative needle of width about K^(-1/2)
+# around p; where no dyadic corner lies in it, the simplest point of the box
+# at the depth cap does
+_STEEP_PAST_THE_CAP = {
+    (8, 4, 4): "bernstein-corner", (8, 1, 3): "bernstein-corner", (8, 7, 9): "bernstein-simplest",
+    (7, 7, 5): "bernstein-simplest", (5, 2, 5): "bernstein-simplest", (4, 4, 8): "bernstein-corner",
+    (1, 6, 8): "bernstein-corner", (3, 4, 7): "bernstein-simplest", (1, 8, 3): "bernstein-corner",
+    (2, 2, 4): "bernstein-corner", (8, 6, 5): "bernstein-corner", (3, 6, 4): "bernstein-simplest",
+    (2, 3, 5): "bernstein-simplest",  # DEEP_NEEDLE at K = 1e100
+}
+
+
+@pytest.mark.parametrize("K", [10**100, 10**1000], ids=["1e100", "1e1000"])
+def test_steep_valleys_past_the_depth_cap_are_refuted(K):
+    # 12 points from a fixed seed and (2, 3, 5): every form ends exact
+    # INDEFINITE at the Bernstein stage, its witness checked again here
+    rng = random.Random("steep-valley-1e100")
+    points = [tuple(rng.randint(1, 9) for _ in range(3)) for _ in range(12)]
+    assert points + [(2, 3, 5)] == list(_STEEP_PAST_THE_CAP)
+    for p, rule in _STEEP_PAST_THE_CAP.items():
+        T = steep_valley(p, K)
+        decision = quartpd.classify(T)
+        v = decision.verdict
+        assert (decision.stage, v.kind, v.rule) == ("exact-positivity", Kind.INDEFINITE, rule), p
+        assert T.evaluate_form(v.witness) < 0, p
+        if rule == "bernstein-simplest":  # p itself, on the face of its largest coordinate
+            assert v.witness == tuple(Fraction(c, max(p)) for c in p), p
+
+
+def test_a_needle_at_a_point_of_large_height_ends_at_the_depth_cap():
+    # no box at the cap has (10^40 + 1, 3, 5) / (10^40 + 1) as its simplest
+    # point: every such box is set aside, and the search ends within budget
+    verdict, boxes = bernstein.search(steep_valley((10**40 + 1, 3, 5), 10**100))
+    assert verdict == Verdict(Kind.UNDETERMINED, "bernstein-depth")
+    assert boxes < bernstein.BUDGET
+
+
+def test_sos_needles_are_refuted():
+    # q1^2 + q2^2 + q3^2 - 10^-60 sum x_i^4 with the q_k vanishing at an
+    # integer point u: a needle of width about 1e-30 around u, refuted at a
+    # dyadic corner or at u's simplest point, each witness checked again
+    rules = []
+    for T, u in sos_needles(random.Random("sos-needles"), 40):
+        decision = quartpd.classify(T)
+        v = decision.verdict
+        assert (decision.stage, v.kind) == ("exact-positivity", Kind.INDEFINITE), u
+        assert T.evaluate_form(v.witness) < 0, u
+        rules.append(v.rule)
+    assert (rules.count("bernstein-corner"), rules.count("bernstein-simplest")) == (24, 16)
 
 
 @pytest.mark.parametrize(
@@ -189,11 +245,21 @@ def test_bernstein_agrees_with_the_family_rules():
 
 
 def test_dim_3_check_never_loads_numpy_and_dim_2_never_loads_bernstein(tmp_path):
-    # the Bernstein stage decides both dim-3 files, so the oracle, and numpy
-    # with it, never loads; a dim-2 check never compiles the stage
-    pd = tmp_path / "pd.json"
-    pd.write_text('{"dim": 3, "entries": [{"index": [1, 1, 1, 1], "value": "1"}, '
-                  '{"index": [2, 2, 2, 2], "value": "1"}, {"index": [3, 3, 3, 3], "value": "1"}]}')
+    # no stage of check samples the sphere, so numpy never loads, not even
+    # where the Bernstein stage ends undetermined (x1^2 x2^2 at its budget,
+    # (x1^2 + x2^2)^2 at an exact zero) or refutes at its depth cap
+    # (DEEP_NEEDLE); a dim-2 check never compiles the Bernstein stage
+    forms = [
+        {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1},
+        {(1, 1, 2, 2): Fraction(1, 6)},
+        {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (1, 1, 2, 2): Fraction(1, 3)},
+        DEEP_NEEDLE.entries(),
+    ]
+    paths = []
+    for n, entries in enumerate(forms):
+        path = tmp_path / f"t{n}.json"
+        path.write_text(json.dumps({"dim": 3, "entries": [{"index": list(i), "value": str(v)} for i, v in entries.items()]}))
+        paths.append(str(path))
     code = (
         "import contextlib, io, sys\n"
         "from quartpd.cli import main\n"
@@ -205,8 +271,16 @@ def test_dim_3_check_never_loads_numpy_and_dim_2_never_loads_bernstein(tmp_path)
         "            return exc.code\n"
         "print('bernstein' in sys.modules.get('quartpd').__dict__, 'quartpd.bernstein' in sys.modules)\n"
         "print(check('binary', '1', '0', '1', '0', '1'), 'quartpd.bernstein' in sys.modules)\n"
-        f"print(check({str(pd)!r}), check('cyclic', '1', '-1', '1', '1', '0'))\n"
+        "print(check('cyclic', '1', '-1', '1', '1', '0'), *(check(path) for path in sys.argv[1:]))\n"
         "print('quartpd.bernstein' in sys.modules, 'numpy' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV, check=True)
-    assert out.stdout.split("\n") == ["False False", "0 False", "0 2", "True False", ""]
+    out = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True, env=SRC_ENV, check=True)
+    assert out.stdout.split("\n") == ["False False", "0 False", "2 0 3 3 2", "True False", ""]
+
+
+def test_the_pipeline_imports_nothing_from_the_oracle():
+    tree = ast.parse(Path(pipeline.__file__).read_text())
+    modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    modules |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level for a in n.names}
+    modules |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    assert not {m for m in modules if m and "oracle" in m}

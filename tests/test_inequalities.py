@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 import quartpd
-from quartpd import oracle
+from quartpd import bernstein, oracle
 from quartpd.inequalities import (
     WeightedInequality,
     builtin_catalog,
     verify,
 )
 from quartpd import inequalities
+from quartpd.pipeline import Decision
 from quartpd.verdict import Kind, Verdict
 
 from conftest import rand_fraction, rand_vector
@@ -114,41 +115,40 @@ class TestVerify:
         assert verify(q).holds is want
 
     def test_entries_are_decided_by_the_pipeline_stages(self):
-        # the family rules decide 10 entries exactly; of the other 8, classify
-        # decides each by the exact Bernstein stage, and verify refutes the 5
-        # expected failures by the oracle verdict it takes first from its held
-        # sample, and leaves the other 3 to the Bernstein stage: the two agree
+        # verify decides as classify does: the family rules decide 10 entries
+        # exactly, and the Bernstein stage the other 8, refuting the 5
+        # expected failures at a dyadic corner
         family = {"14u", "15u", "16u", "17u", "18u", "41/3u", "15-14-14", "17-15-18", "46/3-14-14", "19u"}
         for q in builtin_catalog():
             decision = quartpd.classify(q.to_tensor())
             report = verify(q)
-            assert report.verdict.kind is decision.verdict.kind, q.label
+            assert (report.stage, report.verdict) == (decision.stage, decision.verdict), q.label
             if q.label in family:
-                assert report.stage == decision.stage == "family", q.label
-                assert report.verdict == decision.verdict, q.label
+                assert report.stage == "family", q.label
                 if q.label != "19u":
                     assert report.verdict.kind is Kind.POSITIVE_DEFINITE, q.label
             else:
-                assert decision.stage == "exact-positivity", q.label
-                assert report.stage == ("oracle" if q.expected_fail else "exact-positivity"), q.label
+                assert report.stage == "exact-positivity", q.label
+                if q.expected_fail:
+                    assert report.verdict.rule == "bernstein-corner", q.label
         boundary = verify(by_label("19u"))
         assert (boundary.verdict.kind, boundary.verdict.rule) == (Kind.PSD_NOT_PD, "boundary-alternating-signs")
         assert boundary.verdict.witness == (1, 1, 1)
 
     @pytest.mark.parametrize("label", ["19-17-15", "19-16-15", "15-16-14"])
     def test_entries_past_the_family_rules_are_exact_pds(self, label):
-        # the oracle only refutes: it leaves these PD entries undetermined,
-        # and the Bernstein stage certifies them exactly
+        # past the family rules, the Bernstein stage certifies these PD
+        # entries exactly; the report's margin key is null
         rep = verify(by_label(label))
         assert (rep.stage, rep.verdict.kind, rep.verdict.rule) == (
             "exact-positivity", Kind.POSITIVE_DEFINITE, "bernstein-positive"
         )
-        assert rep.verdict.margin is None and rep.holds and rep.as_expected
+        assert rep.verdict.to_dict()["margin"] is None and rep.holds and rep.as_expected
         assert rep.sphere_min > 1e-8
 
     def test_one_oracle_sample_per_entry(self, monkeypatch):
-        # the sphere minimum, the oracle's verdict and 19u's zero-set probe
-        # all read one sample: one kernel per entry
+        # the sphere minimum and 19u's zero-set probe read one sample: one
+        # kernel per entry
         calls = 0
         kernel = oracle._kernel
 
@@ -164,23 +164,21 @@ class TestVerify:
             assert calls == 1, q.label
 
 
-    def test_oracle_verdict_only_where_no_exact_stage_decides(self, monkeypatch):
-        # the family entries, 19u among them, never pay for a witness search
+    def test_bernstein_stage_only_where_the_family_rules_do_not_decide(self, monkeypatch):
+        # the family entries, 19u among them, never pay for the Bernstein
+        # search; every other entry runs it once
         calls = []
-        search = oracle._exact_negative
+        search = bernstein.classify
 
-        def counted(T, point):
-            calls.append(point)
-            return search(T, point)
+        def counted(T):
+            calls.append(T)
+            return search(T)
 
-        monkeypatch.setattr(oracle, "_exact_negative", counted)
+        monkeypatch.setattr(bernstein, "classify", counted)
         for q in builtin_catalog():
             calls.clear()
             report = verify(q)
-            if report.stage == "family":
-                assert calls == [], q.label
-            elif q.expected_fail:
-                assert report.verdict.kind is Kind.INDEFINITE and calls, q.label
+            assert len(calls) == (report.stage != "family"), q.label
 
 
     def test_holds_follows_the_verdict_alone(self, monkeypatch):
@@ -191,11 +189,11 @@ class TestVerify:
         assert q.expected_fail and q.value(q.fail_point) < 0
         rep = verify(q)
         assert (rep.verdict.kind, rep.holds, rep.as_expected) == (Kind.INDEFINITE, False, True)
-        pd = Verdict(Kind.POSITIVE_DEFINITE, "oracle-sphere-minimum", margin=1.0)
+        pd = Verdict(Kind.POSITIVE_DEFINITE, "stub")
         with monkeypatch.context() as m:
-            m.setattr(inequalities, "classify_numeric", lambda T, **kw: pd)
+            m.setattr(inequalities, "classify", lambda T: Decision([("stub", pd)], "stub", pd, {"stub": 0.0}))
             rep = verify(q)
-        assert (rep.stage, rep.verdict, rep.holds, rep.as_expected) == ("oracle", pd, True, False)
+        assert (rep.stage, rep.verdict, rep.holds, rep.as_expected) == ("stub", pd, True, False)
         assert rep.exact_counterexample_value == q.value(q.fail_point)
         # a named point where P is positive backs no failure, whatever the verdict
         for label in ("19-14-14", "14u"):

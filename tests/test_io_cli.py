@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import quartpd
-from quartpd import binary, cli, oracle, pipeline, tensorio
+from quartpd import bernstein, binary, cli, oracle, pipeline, tensorio
 from quartpd.binary import BinaryQuartic
 from quartpd.cli import main
 from quartpd.cyclic import CyclicTernary, RelaxedCyclicTernary, embed
@@ -179,20 +179,19 @@ class TestPipeline:
         assert all(s >= 0 for s in rep.seconds.values())
 
     def test_oracle_only_agrees_with_analytic(self):
-        # the oracle alone, classify_numeric, never contradicts the
-        # pipeline's exact verdict: it refutes where the pipeline does, and
-        # is undetermined on the PD forms, margin clear of zero or not
+        # the oracle's minimum alone never contradicts the pipeline's exact
+        # verdict: it is negative where the pipeline refutes, positive on
+        # the PD forms, and clear of zero either way
         for parsed in (
             CyclicTernary.of(1, -1, 1, 1, "-1/6"),
             BinaryQuartic.of(1, -1, 1, 1, 1),
             CyclicTernary.of(1, 1, 1, 1, "-7/12"),
         ):
             a = quartpd.classify(to_tensor(parsed))
-            assert a.trace[-1][0] != "oracle"
-            b = oracle.classify_numeric(to_tensor(parsed))
-            refuted = a.verdict.kind is Kind.INDEFINITE
-            assert b.kind is (Kind.INDEFINITE if refuted else Kind.UNDETERMINED)
-            assert abs(b.margin) > 1e-6
+            assert a.verdict.kind in (Kind.POSITIVE_DEFINITE, Kind.INDEFINITE)
+            minimum = oracle.sphere_minimize(to_tensor(parsed)).min_value
+            assert (minimum < 0) is (a.verdict.kind is Kind.INDEFINITE)
+            assert abs(minimum) > 1e-6
 
     def test_oracle_only_is_gone(self, runner):
         # the stage order has no switch: --oracle-only is an unknown option,
@@ -212,43 +211,36 @@ class TestPipeline:
             (SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
                                   (1, 1, 1, 2): 5}), 0),  # refuted by the prefilter
             (SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
-                                  (1, 1, 2, 3): Fraction(1, 10)}), 0),  # PD by the Bernstein stage
-            (embed(CyclicTernary.of(1, -1, 1, 1, 0)), 0),  # outside the family, refuted by Bernstein
+                                  (1, 1, 2, 3): Fraction(1, 10)}), 1),  # PD by the Bernstein stage
+            (embed(CyclicTernary.of(1, -1, 1, 1, 0)), 1),  # outside the family, refuted by Bernstein
             (SymmetricTensor4(1, {(1, 1, 1, 1): 1}), 0),
             (SymmetricTensor4(4, {(i, i, i, i): 1 for i in range(1, 5)}), 0),
-            (SymmetricTensor4(3, ZERO_CORNERS), 1),  # no exact stage decides
+            (SymmetricTensor4(3, ZERO_CORNERS), 1),  # the Bernstein stage ends undetermined
         ],
         ids=["family", "binary", "prefilter", "general", "cyclic", "dim1", "dim4", "zero-corner"],
     )
-    def test_stages_run_the_oracle_once_where_no_exact_stage_decides(self, T, calls):
+    def test_bernstein_runs_where_no_earlier_stage_decides(self, T, calls, monkeypatch):
+        # the stages are computed lazily: the Bernstein stage runs once,
+        # exactly where no earlier stage decides
         made = []
+        search = bernstein.classify
 
-        def oracle():
+        def counted(T):
             made.append(T)
-            return Verdict(Kind.UNDETERMINED, "stub")
+            return search(T)
 
-        trace = [s for s, _ in pipeline.decide(pipeline.stages(T, oracle)).trace]
+        monkeypatch.setattr(bernstein, "classify", counted)
+        trace = [s for s, _ in pipeline.decide(pipeline.stages(T)).trace]
         assert len(made) == calls
-        assert trace.count("oracle") == calls
-        # the oracle, where it runs, is the last stage, after the exact ones
-        assert calls == 0 or trace[-1] == "oracle"
-
-    def test_oracle_first_runs_the_oracle_before_the_bernstein_stage(self):
-        # verify's order: its held oracle verdict first, then the exact stage
-        T = embed(CyclicTernary.of(1, -1, 1, 1, 0))
-        stub = Verdict(Kind.INDEFINITE, "stub", witness=(1, 1, 1))
-        first = pipeline.decide(pipeline.stages(T, lambda: stub, oracle_first=True))
-        assert [s for s, _ in first.trace] == ["prefilter", "family", "oracle"]
-        undecided = Verdict(Kind.UNDETERMINED, "stub")
-        then = pipeline.decide(pipeline.stages(T, lambda: undecided, oracle_first=True))
-        assert [s for s, _ in then.trace] == ["prefilter", "family", "oracle", "exact-positivity"]
-        assert then.verdict == pipeline.classify(T).verdict
+        assert trace.count("exact-positivity") == calls
+        # where it runs, it is the last stage
+        assert calls == 0 or trace[-1] == "exact-positivity"
+        assert "oracle" not in trace
 
     def test_analytic_only_undetermined(self):
         # every stage is exact, so there is no analytic_only mode: the
-        # Bernstein stage refutes the cyclic form outside the family before
-        # the oracle runs, and leaves x1^2 x2^2 + x3^4, with its exact zeros,
-        # undetermined, as does the oracle, which only refutes
+        # Bernstein stage refutes the cyclic form outside the family, and
+        # leaves x1^2 x2^2 + x3^4, with its exact zeros, undetermined
         T = embed(CyclicTernary.of(1, -1, 1, 1, 0))
         with pytest.raises(TypeError):
             quartpd.classify(T, analytic_only=True)
@@ -256,9 +248,8 @@ class TestPipeline:
         assert (rep.stage, rep.verdict.kind) == ("exact-positivity", Kind.INDEFINITE)
         assert T.evaluate_form(rep.verdict.witness) < 0
         rep = quartpd.classify(SymmetricTensor4(3, ZERO_CORNERS))
-        assert rep.verdict.kind is Kind.UNDETERMINED
-        assert rep.trace[-2] == ("exact-positivity", Verdict(Kind.UNDETERMINED, "bernstein-zero"))
-        assert (rep.trace[-1][0], rep.trace[-1][1].rule) == ("oracle", "oracle-boundary")
+        assert (rep.stage, rep.verdict.kind) == (None, Kind.UNDETERMINED)
+        assert rep.trace[-1] == ("exact-positivity", Verdict(Kind.UNDETERMINED, "bernstein-zero"))
 
     def test_prefilter_catches_bad_subtensor(self):
         T = SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
@@ -279,7 +270,7 @@ class TestPipeline:
             ([{(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1, (1, 1, 1, 2): 5}], "prefilter"),
             (["cyclic", "2", "-2", "2", "2", "-1/3"], "family"),  # a scaled family input
             (["binary", "1", "0", "-1/3", "0", "1"], "analytic"),
-            ([DEEP_NEEDLE.entries()], "oracle"),  # past the Bernstein stage's depth cap
+            ([DEEP_NEEDLE.entries()], "exact-positivity"),  # refuted at the depth cap
             (["cyclic", "1", "-1", "1", "1", "0"], "exact-positivity"),
         ],
     )
@@ -302,20 +293,19 @@ class TestPipeline:
             (["cyclic", "2", "-2", "2", "2", "-1/3"], ["prefilter", "family"]),
             (["binary", "1", "0", "-1/3", "0", "1"], ["prefilter", "analytic"]),
             (["cyclic", "1", "-1", "1", "1", "0"], ["prefilter", "family", "exact-positivity"]),
-            ([ZERO_CORNERS], ["prefilter", "family", "exact-positivity", "oracle"]),
+            ([ZERO_CORNERS], ["prefilter", "family", "exact-positivity"]),
         ],
-        ids=["prefilter", "family", "analytic", "exact-positivity", "oracle"],
+        ids=["prefilter", "family", "analytic", "exact-positivity", "undetermined"],
     )
     def test_report_timings(self, runner, tmp_path, args, stages):
-        # analytic_s always, oracle_s exactly when the oracle stage ran
+        # analytic_s, the time of every stage run, and no other key
         if isinstance(args[0], dict):
             args = [write_tensor(tmp_path, 3, args[0]), *args[1:]]
         res = runner.invoke(main, ["check", *args, "--json"])
         report = json.loads(res.output)
         assert [step["stage"] for step in report["trace"]] == stages
         timings = report["timings"]
-        keys = {"analytic_s", "oracle_s"} if "oracle" in stages else {"analytic_s"}
-        assert set(timings) == keys
+        assert set(timings) == {"analytic_s"}
         assert all(isinstance(t, float) and t >= 0 for t in timings.values())
 
     def test_library_call_loads_neither_numpy_nor_click(self):
@@ -425,11 +415,12 @@ class TestCli:
         assert "degenerate" in res.output
 
     def test_minimize_searches_no_witness(self, runner, monkeypatch):
-        # minimize reports the minimum and the zero set, and builds no verdict
+        # minimize reports the minimum and the zero set, and runs no stage
         def refused(*args):
-            raise AssertionError("a witness was searched")
+            raise AssertionError("a stage ran")
 
-        monkeypatch.setattr("quartpd.oracle._exact_negative", refused)
+        monkeypatch.setattr(cli, "classify", refused)
+        monkeypatch.setattr(pipeline, "stages", refused)
         res = runner.invoke(main, ["minimize", "cyclic", "1", "1", "1", "1", "-7/12"])
         assert res.exit_code == 0
         assert res.output.startswith("min -")
@@ -670,9 +661,8 @@ class TestBeyondFloatRange:
     """The Bernstein stage decides dim-3 forms in integers, so a tensor
     beyond or below float range is decided exactly, as its multiples are.
     The oracle takes its kernel's scale from the exact entries, so it
-    refutes such a tensor, or leaves it undetermined, as it does its
-    power-of-two multiples; only the values it reports, the minimum and
-    the margin, saturate, to inf, -inf or 0.0."""
+    refines such a tensor as it does its power-of-two multiples; only the
+    minimum it reports saturates, to inf, -inf or 0.0."""
 
     HUGE = 10**400
     # 10^400 (x1^4 + x2^4 + x3^4 - 12 x1^2 x2 x3), -9 10^400 at (1, 1, 1)
@@ -687,10 +677,9 @@ class TestBeyondFloatRange:
         return str(path)
 
     # the family rules decline b = 0, so the Bernstein stage decides
-    # 10^+-400 sum x_i^4; the oracle leaves it undetermined, with a margin,
-    # its minimum, beyond float range
-    @pytest.mark.parametrize("value, margin", [("1e400", "inf"), ("1e-400", 0.0)])
-    def test_scaled_sum_of_fourth_powers_is_positive_definite(self, runner, tmp_path, value, margin):
+    # 10^+-400 sum x_i^4; the oracle's minimum lies beyond float range
+    @pytest.mark.parametrize("value, minimum", [("1e400", "inf"), ("1e-400", 0.0)])
+    def test_scaled_sum_of_fourth_powers_is_positive_definite(self, runner, tmp_path, value, minimum):
         path = self.tensor_file(tmp_path, {(i, i, i, i): value for i in (1, 2, 3)})
         res = runner.invoke(main, ["check", path, "--json"])
         assert res.exit_code == 0
@@ -698,9 +687,7 @@ class TestBeyondFloatRange:
         assert [s["stage"] for s in doc["trace"]] == ["prefilter", "family", "exact-positivity"]
         verdict = doc["verdict"]
         assert (verdict["kind"], verdict["rule"], verdict["margin"]) == ("positive-definite", "bernstein-positive", None)
-        numeric = oracle.classify_numeric(load(path))
-        assert (numeric.kind, numeric.rule) == (Kind.UNDETERMINED, "oracle-boundary")
-        assert numeric.margin == oracle.sphere_minimize(load(path)).min_value == float(margin)
+        assert oracle.sphere_minimize(load(path)).min_value == float(minimum)
         assert runner.invoke(main, ["minimize", path]).exit_code == 0
 
     @pytest.mark.parametrize("value, minimum", [("1e400", "inf"), ("-1e400", "-inf"), ("1e-400", 0.0)])
@@ -709,14 +696,14 @@ class TestBeyondFloatRange:
         # RFC 8259 JSON has no number for it
         entries = {(i, i, i, i): value for i in (1, 2, 3)}
         # the prefilter refutes -10^400 sum x_i^4, so the oracle's -inf
-        # margin is read on the huge indefinite form
+        # minimum is read on the huge indefinite form
         checked = self.HUGE_INDEFINITE if value == "-1e400" else entries
         path = self.tensor_file(tmp_path, checked)
         res = runner.invoke(main, ["check", path, "--json"])
         doc = strict_json(res.output)
         assert doc["trace"][-1]["stage"] == "exact-positivity"
         assert doc["verdict"]["margin"] is None
-        assert oracle.classify_numeric(load(path)).margin == float(minimum)
+        assert oracle.sphere_minimize(load(path)).min_value == float(minimum)
         res = runner.invoke(main, ["minimize", self.tensor_file(tmp_path, entries), "--json"])
         assert res.exit_code == 0
         assert strict_json(res.output)["min_value"] == minimum
@@ -731,18 +718,15 @@ class TestBeyondFloatRange:
         verdict = doc["verdict"]
         assert (verdict["kind"], verdict["rule"]) == ("indefinite", "bernstein-corner")
         assert T.evaluate_form([Fraction(w) for w in verdict["witness"]]) < 0
-        # the oracle alone refutes it at its best grid point
-        numeric = oracle.classify_numeric(T)
-        assert (numeric.kind, numeric.rule) == (Kind.INDEFINITE, "oracle-grid-witness")
-        assert numeric.margin == -math.inf
-        assert T.evaluate_form(numeric.witness) < 0
+        # the oracle's minimum is negative, beyond float range
+        assert oracle.sphere_minimize(T).min_value == -math.inf
         assert runner.invoke(main, ["minimize", path]).exit_code == 0
 
     def test_mixed_scales_end_at_the_boundary(self, runner, tmp_path):
         # passes the prefilter and has no cyclic pattern; the Bernstein stage
-        # certifies it exactly, while the oracle alone, at its kernel's
-        # scale max|t| = 10^400, sees the entries 1 vanish and ends at its
-        # boundary
+        # certifies it exactly, while the oracle, at its kernel's scale
+        # max|t| = 10^400, sees the entries 1 vanish and reads the circle
+        # x1 = 0 as zeros
         entries = {(1, 1, 1, 1): self.HUGE, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1, (1, 1, 2, 3): 1}
         path = self.tensor_file(tmp_path, entries)
         res = runner.invoke(main, ["check", path, "--json"])
@@ -750,15 +734,15 @@ class TestBeyondFloatRange:
         doc = json.loads(res.output)
         assert doc["trace"][-1]["stage"] == "exact-positivity"
         assert doc["verdict"]["rule"] == "bernstein-positive"
-        numeric = oracle.classify_numeric(load(path))
-        assert (numeric.kind, numeric.rule) == (Kind.UNDETERMINED, "oracle-boundary")
+        zeros = oracle.zero_set_probe(load(path))
+        assert zeros and all(abs(z[0]) < 1e-3 for z in zeros)
         assert runner.invoke(main, ["minimize", path]).exit_code == 0
 
 
 def test_entries_near_float_range_check_without_warnings(runner, tmp_path):
     # check refutes exactly; the oracle ranks and refines at its kernel's
     # power-of-two scale, so no step overflows: no numpy warning, and its
-    # witness is still exact
+    # minimum is negative
     path = tmp_path / "near.json"
     entries = {(1, 1, 1, 1): "1.7e308", (2, 2, 2, 2): "1.7e308", (3, 3, 3, 3): "1.7e308",
                (1, 2, 2, 3): "1e308"}
@@ -769,13 +753,12 @@ def test_entries_near_float_range_check_without_warnings(runner, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = runner.invoke(main, ["check", str(path), "--json"])
-        numeric = oracle.classify_numeric(T)
+        minimum = oracle.sphere_minimize(T).min_value
     assert (res.exit_code, res.stderr) == (2, "")
     verdict = json.loads(res.stdout)["verdict"]
     assert (verdict["kind"], verdict["rule"]) == ("indefinite", "bernstein-corner")
     assert T.evaluate_form([Fraction(w) for w in verdict["witness"]]) < 0
-    assert (numeric.kind, numeric.rule) == (Kind.INDEFINITE, "oracle-grid-witness")
-    assert T.evaluate_form(numeric.witness) < 0
+    assert minimum < 0
 
 
 def test_every_kind_has_an_exit_code():

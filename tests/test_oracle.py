@@ -3,7 +3,6 @@ import dataclasses
 import inspect
 import math
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,17 +13,12 @@ from quartpd import classify, oracle
 from quartpd.binary import BinaryQuartic
 from quartpd.cyclic import CyclicTernary, embed
 from quartpd.inequalities import builtin_catalog, verify
-from quartpd.oracle import (
-    OracleConfig,
-    classify_numeric,
-    sphere_minimize,
-    zero_set_probe,
-)
+from quartpd.oracle import OracleConfig, sphere_minimize, zero_set_probe
 from quartpd.tensor import SymmetricTensor4, diag_ones, multiplicity
-from quartpd.verdict import Kind, Verdict
+from quartpd.verdict import Kind
 
 from conftest import (
-    CROSS_IDS, CROSS_POINTS, DEEP_NEEDLE, cross_form, dense_reference, rand_tensor, steep_valley,
+    CROSS_IDS, CROSS_POINTS, cross_form, dense_reference, rand_tensor, steep_valley,
 )
 
 BOUNDARY = embed(CyclicTernary.of(1, -1, 1, 1, "-7/12"))
@@ -48,10 +42,6 @@ def test_diag_ones_minimum():
     assert sorted(abs(v) for v in res.minimizer) == pytest.approx(
         [1 / math.sqrt(3)] * 3, abs=1e-6
     )
-    # the oracle only refutes: a positive minimum leaves it undetermined,
-    # with the minimum as its margin
-    v = classify_numeric(diag_ones(3))
-    assert (v.kind, v.rule, v.margin) == (Kind.UNDETERMINED, "oracle-boundary", res.min_value)
 
 
 def test_minimizer_contract():
@@ -68,7 +58,7 @@ def test_minimizer_contract():
 def test_boundary_tensor():
     res = sphere_minimize(BOUNDARY)
     assert abs(res.min_value) <= 1e-8
-    assert classify_numeric(BOUNDARY).kind is Kind.UNDETERMINED
+    assert classify(BOUNDARY).verdict.kind is Kind.PSD_NOT_PD
 
 
 def test_indefinite_witness_bound():
@@ -78,108 +68,53 @@ def test_indefinite_witness_bound():
 
 
 def test_classify_diag_ones():
-    # the oracle leaves a PD form undetermined; an exact stage decides it
-    v = classify_numeric(diag_ones(3))
-    assert (v.kind, v.rule, v.witness) == (Kind.UNDETERMINED, "oracle-boundary", None)
+    # an exact stage decides the PD form, whose sphere minimum is 1/3
     decision = classify(diag_ones(3))
-    assert decision.verdict.kind is Kind.POSITIVE_DEFINITE and decision.stage != "oracle"
+    assert (decision.stage, decision.verdict.kind) == ("exact-positivity", Kind.POSITIVE_DEFINITE)
 
 
 def test_classify_zero_tensor():
-    v = classify_numeric(SymmetricTensor4(3, {}))
-    assert v.kind is Kind.UNDETERMINED
-    assert v.rule == "oracle-boundary"
+    # the zero form vanishes everywhere: semidefinite, with a root as witness
+    v = classify(SymmetricTensor4(3, {})).verdict
+    assert (v.kind, v.rule) == (Kind.PSD_NOT_PD, "zero-form")
+    assert SymmetricTensor4(3, {}).evaluate_form(v.witness) == 0 and any(v.witness)
 
 
 def test_classify_indefinite_with_exact_witness():
-    v = classify_numeric(INDEF)
+    v = classify(INDEF).verdict
     assert v.kind is Kind.INDEFINITE
     assert INDEF.evaluate_form(v.witness) < 0
 
 
-@pytest.mark.parametrize("T, rule", [
-    (diag_ones(3), "oracle-boundary"), (INDEF, "oracle-grid-witness"), (BOUNDARY, "oracle-boundary"),
-], ids=["PD", "INDEF", "BOUNDARY"])
-def test_classify_numeric_is_the_minimum_verdict(T, rule):
-    res = sphere_minimize(T)
-    v = classify_numeric(T)
-    assert v == classify_numeric(T, sample=oracle.sphere_sample(T), minimum=res)
-    assert v.rule == rule
-    if rule == "oracle-grid-witness":  # the margin is the sampled minimum
-        K, _, vals = oracle.sphere_sample(T)
-        assert v.margin == math.ldexp(vals.min(), K.shift)
-    else:
-        assert v.margin == res.min_value
-
-
-@pytest.mark.parametrize("T", [
-    pytest.param(diag_ones(3), id="diag_ones"),
-    pytest.param(SADDLES, id="SADDLES"),
-    *(pytest.param(diag_ones(3).scale(c), id=name) for c, name in (
-        (Fraction(10) ** 400, "1e400"), (Fraction(1, 10**400), "1e-400"),
-        (Fraction(2) ** 1000, "2^1000"), (Fraction(1, 2**1000), "2^-1000"),
-    )),
-])
-def test_classify_numeric_never_returns_positive_definite(T):
-    # the oracle only refutes: a PD form, at any scale, even beyond float
-    # range, ends undetermined with the refined minimum as its margin
-    v = classify_numeric(T)
-    assert (v.kind, v.rule, v.witness) == (Kind.UNDETERMINED, "oracle-boundary", None)
-    assert v.margin == sphere_minimize(T).min_value
-
-
 def test_the_oracle_builds_no_positive_definite_verdict():
+    # nor any verdict: it reports minima and zeros, and every verdict comes
+    # from the exact stages
     tree = ast.parse(Path(oracle.__file__).read_text())
-    assert "POSITIVE_DEFINITE" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-
-
-# p in 1..9: steep_valley(p, 1e100) has a negative needle of width about
-# 1e-50 around p, past the Bernstein stage's depth cap wherever its corners
-# miss it; the rule that decides each, None where none does
-_STEEP_1E100 = {
-    (8, 4, 4): "bernstein-corner", (8, 1, 3): "bernstein-corner", (8, 7, 9): None,
-    (7, 7, 5): "oracle-sphere-minimum", (5, 2, 5): "oracle-sphere-minimum", (4, 4, 8): "bernstein-corner",
-    (1, 6, 8): "bernstein-corner", (3, 4, 7): None, (1, 8, 3): "bernstein-corner",
-    (2, 2, 4): "bernstein-corner", (8, 6, 5): "bernstein-corner", (3, 6, 4): None,
-}
-
-
-def test_the_oracle_keeps_the_refutations_past_the_bernstein_depth():
-    # the oracle decides no PD, but it still refutes steep valleys whose
-    # needles the Bernstein stage cannot reach: deleting it would turn these
-    # INDEFINITE verdicts undetermined
-    rng = random.Random("steep-valley-1e100")
-    points = [tuple(rng.randint(1, 9) for _ in range(3)) for _ in range(12)]
-    assert points == list(_STEEP_1E100)
-    forms = [(steep_valley(p, 10**100), _STEEP_1E100[p]) for p in points]
-    forms.append((DEEP_NEEDLE, "oracle-sphere-minimum"))
-    for T, rule in forms:
-        decision = classify(T)
-        v = decision.verdict
-        if rule is None:  # the minimizer's rational rounding misses the needle: a known gap
-            assert (v.kind, decision.trace[-1][1].rule) == (Kind.UNDETERMINED, "oracle-boundary")
-            continue
-        stage = "exact-positivity" if rule.startswith("bernstein") else "oracle"
-        assert (decision.stage, v.kind, v.rule) == (stage, Kind.INDEFINITE, rule)
-        assert T.evaluate_form(v.witness) < 0
+    names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not names & {"POSITIVE_DEFINITE", "INDEFINITE", "Kind", "Verdict"}
+    assert not hasattr(oracle, "classify_numeric") and not hasattr(oracle, "_exact_negative")
 
 
 def test_every_indefinite_minimum_has_an_exact_witness():
+    # wherever the float minimum is negative, the exact stages refute the
+    # form with a checked witness: the oracle left no refutation behind.  A
+    # minimum within rounding of zero (-4e-16 at 19u's exact zero) is no
+    # refutation, so the minimum must lie below the oracle's zero threshold
     rng = random.Random("one-rule")
     tensors = [rand_tensor(rng, dim) for dim in (2, 3) for _ in range(15)]
     tensors += [q.to_tensor() for q in builtin_catalog()]
     indefinite = 0
     for T in tensors:
-        v = classify_numeric(T, sample=oracle.sphere_sample(T, OracleConfig(grid_points=2000)))
-        if v.kind is Kind.INDEFINITE:
+        if sphere_minimize(T).min_value < -oracle._MARGIN:
             indefinite += 1
+            v = classify(T).verdict
+            assert v.kind is Kind.INDEFINITE
             assert T.evaluate_form(v.witness) < 0
-        else:
-            assert v.witness is None
     assert indefinite >= 10
 
 
-def test_classify_numeric_samples_once(monkeypatch):
+def test_sphere_minimize_samples_once(monkeypatch):
     # one kernel and one grid per call; the grid is cached, so a fresh
     # (dim, grid size) builds it, and a given sample is read, not retaken
     calls = {"kernel": 0, "grid": 0}
@@ -194,10 +129,11 @@ def test_classify_numeric_samples_once(monkeypatch):
     monkeypatch.setattr(oracle, "_grid", counted("grid", oracle._grid))
     for T, n in ((SymmetricTensor4(3, {}), 2999), (INDEF, 3001)):
         calls.update(kernel=0, grid=0)
-        classify_numeric(T, sample=oracle.sphere_sample(T, OracleConfig(grid_points=n)))
+        cfg = OracleConfig(grid_points=n)
+        sphere_minimize(T, cfg, sample=oracle.sphere_sample(T, cfg))
         assert calls == {"kernel": 1, "grid": 1}
         calls.update(kernel=0, grid=0)
-        classify_numeric(T)
+        sphere_minimize(T)
         assert calls["kernel"] == 1 and calls["grid"] <= 1
 
 
@@ -311,49 +247,48 @@ def test_power_of_two_scales_run_the_same_refine(e):
         assert res.min_value == math.inf  # where math.ldexp raises
     assert res.minimizer == base.minimizer
     assert res.iterations_used == base.iterations_used
-    v, base_v = classify_numeric(diag_ones(3).scale(Fraction(2) ** e)), classify_numeric(diag_ones(3))
-    assert (v.kind, v.rule) == (base_v.kind, base_v.rule)
 
 
 @pytest.mark.parametrize("T, kind", [
     pytest.param(rand_tensor(random.Random("pow2"), 3), Kind.INDEFINITE, id="random"),
-    pytest.param(SADDLES, Kind.UNDETERMINED, id="SADDLES"),  # PD: the oracle only refutes
+    pytest.param(SADDLES, Kind.POSITIVE_DEFINITE, id="SADDLES"),
 ])
 def test_power_of_two_scales_give_the_same_verdict(T, kind):
+    # classify's verdict and witness, and the oracle's refine, are the same
+    # at every power-of-two scale; only the minimum returned scales, and
+    # saturates beyond float range
     base_res = sphere_minimize(T)
-    base = classify_numeric(T)
+    base = classify(T).verdict
     assert base.kind is kind
+    assert (base_res.min_value < 0) is (kind is Kind.INDEFINITE)
     for e in (-1500, -700, -30, 30, 700, 1500):
         res = sphere_minimize(T.scale(Fraction(2) ** e))
-        v = classify_numeric(T.scale(Fraction(2) ** e))
-        assert (v.kind, v.rule, v.witness) == (base.kind, base.rule, base.witness), e
+        assert classify(T.scale(Fraction(2) ** e)).verdict == base, e
         assert res.minimizer == base_res.minimizer, e
         assert res.iterations_used == base_res.iterations_used, e
         if abs(e) < 1024:
-            assert v.margin == math.ldexp(base.margin, e), e
-        else:  # beyond float range the margin saturates
-            assert v.margin == (math.copysign(math.inf, base.margin) if e > 0 else 0.0), e
+            assert res.min_value == math.ldexp(base_res.min_value, e), e
+        else:  # beyond float range the minimum saturates
+            assert res.min_value == (math.copysign(math.inf, base_res.min_value) if e > 0 else 0.0), e
 
 
 @pytest.mark.parametrize("k", [10, 12])
 def test_small_scaled_form_is_positive_definite(k):
     # 1e-k (x1^4 + x2^4 + x3^4) is as clearly PD as x1^4 + x2^4 + x3^4: an
-    # exact stage decides it, and the oracle, which only refutes, reads its
-    # minimum 1e-k / 3 as the margin of its undetermined verdict
+    # exact stage decides it, and the oracle reads its minimum 1e-k / 3
     T = diag_ones(3).scale(Fraction(1, 10**k))
     assert classify(T).verdict.kind is Kind.POSITIVE_DEFINITE
-    v = classify_numeric(T)
-    assert (v.kind, v.rule) == (Kind.UNDETERMINED, "oracle-boundary")
-    assert v.margin == sphere_minimize(T).min_value == pytest.approx(10.0**-k / 3, rel=1e-12)
+    assert sphere_minimize(T).min_value == pytest.approx(10.0**-k / 3, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [10**9, 10**15, 10**30], ids=["1e9", "1e15", "1e30"])
 def test_large_degenerate_form_is_not_positive_definite(c):
     # c (x1^4 + (x2^2 - x3^2)^2) vanishes at (0, 1, 1), where it grows only
-    # like x1^4: the refined minimum is a tiny fraction of max |t| and lies
-    # inside the margin, which applies at the kernel's scale
+    # like x1^4: the Bernstein stage finds the exact zero, and the refined
+    # minimum is a tiny fraction of max |t|, inside the zero threshold,
+    # which applies at the kernel's scale
     T = SymmetricTensor4(3, {(1, 1, 1, 1): c, (2, 2, 2, 2): c, (3, 3, 3, 3): c, (2, 2, 3, 3): Fraction(-c, 3)})
-    assert classify_numeric(T).kind is Kind.UNDETERMINED
+    assert classify(T).verdict.kind is not Kind.POSITIVE_DEFINITE
     assert any(abs(abs(y) - abs(z)) < 1e-3 and abs(x) < 1e-3 for x, y, z in zero_set_probe(T))
 
 
@@ -362,115 +297,25 @@ def test_large_degenerate_form_is_not_positive_definite(c):
 def test_steep_valley_form_is_indefinite(p, K):
     # f(p) < 0 on a negative needle of width about 1e-8 around p, in a form
     # of scale K: check refutes it exactly at a Bernstein corner, and the
-    # oracle alone finds the needle too (with an absolute margin,
-    # p = (1, 4, 9) at K = 1e14 ended PD)
+    # refine finds the needle too (with an absolute margin, p = (1, 4, 9) at
+    # K = 1e14 once ended PD)
     T = steep_valley(p, K)
     decision = classify(T)
     assert (decision.stage, decision.verdict.rule) == ("exact-positivity", "bernstein-corner")
     assert decision.verdict.kind is Kind.INDEFINITE
     assert T.evaluate_form(decision.verdict.witness) < 0
-    verdict = classify_numeric(T)
-    assert verdict.kind is Kind.INDEFINITE
-    assert T.evaluate_form(verdict.witness) < 0
+    assert sphere_minimize(T).min_value < 0
 
 
 @pytest.mark.parametrize("K", [10**15, 10**16], ids=["1e15", "1e16"])
 @pytest.mark.parametrize("p", CROSS_POINTS, ids=CROSS_IDS)
 def test_steep_valley_pd_form_is_never_indefinite(p, K):
     # K |x × p|^2 |x|^2 + |x|^4 is PD, but its minimum, 1 at p / |p|, is
-    # 1e-18 to 1e-16 of max |t|: inside the oracle's margin, where it would
-    # end undetermined; the Bernstein stage certifies it exactly
+    # 1e-18 to 1e-16 of max |t|: inside the oracle's zero threshold, where a
+    # float verdict could not tell; the Bernstein stage certifies it exactly
     decision = classify(cross_form(p, K, 1, skew=False))
     assert decision.stage == "exact-positivity"
     assert (decision.verdict.kind, decision.verdict.rule) == (Kind.POSITIVE_DEFINITE, "bernstein-positive")
-
-
-def _refined_rule(T):
-    """The verdict of the refined minimum alone: with the grid values
-    replaced by their absolute values, the grid offers no witness."""
-    K, X, vals = oracle.sphere_sample(T)
-    return classify_numeric(T, sample=(K, X, np.abs(vals)), minimum=sphere_minimize(T))
-
-
-def test_grid_witness_moves_only_undetermined_to_indefinite():
-    rng = random.Random("grid-witness")
-    tensors = [rand_tensor(rng, dim) for dim in (2, 3) for _ in range(15)]
-    tensors += [q.to_tensor() for q in builtin_catalog()]
-    for p in CROSS_POINTS:
-        tensors += [steep_valley(p, K) for K in (10**14, 10**15, 10**16)]
-        tensors += [cross_form(p, K, 1, skew=False) for K in (10**15, 10**16)]
-    rules = set()
-    for T in tensors:
-        new, old = classify_numeric(T), _refined_rule(T)
-        rules.add(new.rule)
-        assert new.kind is old.kind or (old.kind, new.kind) == (Kind.UNDETERMINED, Kind.INDEFINITE)
-        if new.kind is Kind.INDEFINITE:
-            assert T.evaluate_form(new.witness) < 0
-    # the steep valleys' negative needles lie between grid points: the refine finds them
-    assert rules == {"oracle-grid-witness", "oracle-sphere-minimum", "oracle-boundary"}
-
-
-@pytest.fixture
-def no_refine(monkeypatch):
-    def refused(*args):
-        raise AssertionError("the refine ran")
-
-    monkeypatch.setattr(oracle, "_refine_batch", refused)
-
-
-def _ternary_oracle_indefinite(seed):
-    """The general indefinite tensors of the benchmark's ternary-oracle
-    workload under ``seed`` (perfbench/gen.py)."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import gen
-    finally:
-        sys.path.pop(0)
-    items = gen.generate("ternary-oracle", seed)
-    return [SymmetricTensor4(3, it["tensor"]) for it in items if it["stratum"] == "general_indefinite"]
-
-
-def test_grid_witness_needs_no_refine(no_refine):
-    # the best grid point already rounds to an exact witness on INDEF, on
-    # the catalog's expected failures and on the benchmark's indefinite forms
-    tensors = [INDEF, *(q.to_tensor() for q in builtin_catalog() if q.expected_fail)]
-    tensors += _ternary_oracle_indefinite(101)
-    assert len(tensors) == 1 + 5 + 40
-    for T in tensors:
-        v = classify_numeric(T)
-        assert (v.kind, v.rule) == (Kind.INDEFINITE, "oracle-grid-witness")
-        assert T.evaluate_form(v.witness) < 0
-
-
-def test_grid_value_without_witness_falls_back_to_the_refine(monkeypatch):
-    # a negative grid value where a PSD form is >= 0 rounds to no witness:
-    # the refined minimum is the margin, and the verdict is undetermined
-    values = oracle._values
-
-    def forced(K, Q):
-        vals = values(K, Q).copy()
-        vals[123] = -1.0
-        return vals
-
-    monkeypatch.setattr(oracle, "_values", forced)
-    for T in (diag_ones(3), BOUNDARY):
-        assert oracle.sphere_sample(T)[2].min() == -1.0
-        v = classify_numeric(T)
-        assert (v.kind, v.rule, v.witness) == (Kind.UNDETERMINED, "oracle-boundary", None)
-        assert v.margin == sphere_minimize(T).min_value
-
-
-@pytest.mark.parametrize("e", [-1500, -600, 600, 1500])
-def test_power_of_two_scales_give_the_same_grid_witness(e, no_refine):
-    base = classify_numeric(INDEF)
-    v = classify_numeric(INDEF.scale(Fraction(2) ** e))
-    assert (v.kind, v.rule, v.witness) == (Kind.INDEFINITE, "oracle-grid-witness", base.witness)
-    K, _, vals = oracle.sphere_sample(INDEF)
-    assert base.margin == math.ldexp(vals.min(), K.shift) < 0
-    if abs(e) < 1024:
-        assert v.margin == math.ldexp(base.margin, e)
-    else:  # beyond float range the margin saturates
-        assert v.margin == (-math.inf if e > 0 else 0.0)
 
 
 def test_unsupported_dimension():
@@ -516,7 +361,7 @@ def test_only_the_sample_and_the_minimum_take_a_config():
     assert names == ["grid_points", "refine_max_iters", "refine_top_k"]
     assert not hasattr(oracle, "sample_verdict")
     T, q = diag_ones(3), builtin_catalog()[0]
-    for fn, arg in ((classify, T), (verify, q), (classify_numeric, T), (zero_set_probe, T)):
+    for fn, arg in ((classify, T), (verify, q), (zero_set_probe, T)):
         params = inspect.signature(fn).parameters.values()
         assert all("OracleConfig" not in str(p.annotation) for p in params), fn.__name__
         with pytest.raises(TypeError):
@@ -724,7 +569,6 @@ def test_saddle_rows_leave_their_saddles():
     res = sphere_minimize(SADDLES)
     assert res.iterations_used <= 30
     assert res.min_value <= 0.04999998426763269 + 1e-12
-    assert classify_numeric(SADDLES) == Verdict(Kind.UNDETERMINED, "oracle-boundary", margin=res.min_value)
     assert classify(SADDLES).verdict.kind is Kind.POSITIVE_DEFINITE
 
 
@@ -802,7 +646,6 @@ def test_sample_grid_is_cached_read_only(T):
         X[0, 0] = 2.0
     sphere_minimize(T)
     zero_set_probe(T)
-    classify_numeric(T)
     for m, grid in fresh.items():
         _, again, _ = oracle.sphere_sample(T, OracleConfig(grid_points=m))
         assert np.array_equal(again, grid)
@@ -1037,8 +880,11 @@ def test_kernel_entries_near_float_range(dim):
     want = np.ldexp(oracle._values(K, Q), 1000 + K.shift - Kbig.shift)
     assert np.array_equal(oracle._values(Kbig, Q), want)
     # 4 t1122 overflows a float, the form's values do not; the
-    # refine runs at the kernel's scale, so no step overflows either
-    near_max = {(1, 1, 1, 1): 10**308, (2, 2, 2, 2): 10**308, (1, 1, 2, 2): -9 * 10**307}
+    # refine runs at the kernel's scale, so no step overflows either, and
+    # it lands on the negative minimum the exact stages refute
+    T = SymmetricTensor4(dim, {(1, 1, 1, 1): 10**308, (2, 2, 2, 2): 10**308, (1, 1, 2, 2): -9 * 10**307})
     with np.errstate(all="raise"):
-        v = classify_numeric(SymmetricTensor4(dim, near_max))
-    assert v.kind is Kind.INDEFINITE and v.witness is not None
+        res = sphere_minimize(T)
+    assert -math.inf < res.min_value < 0
+    v = classify(T).verdict
+    assert v.kind is Kind.INDEFINITE and T.evaluate_form(v.witness) < 0
