@@ -32,7 +32,6 @@ from .oracle import (
     zero_set_probe,
 )
 from .pipeline import Decision, classify
-from .quadext import QuadExt
 from .tensor import SymmetricTensor4, diag_ones, multiplicity
 from .verdict import Kind, Verdict
 
@@ -45,7 +44,6 @@ __all__ = [
     "Kind",
     "OracleConfig",
     "OracleResult",
-    "QuadExt",
     "RelaxedCyclicTernary",
     "SymmetricTensor4",
     "Verdict",

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .quadext import QuadExt, _sign
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict, as_fraction
 
@@ -83,12 +82,30 @@ def _eta_chi(q: Sequence) -> tuple:
 # -- the radical criterion (positive diagonals only) ---------------------
 
 
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _sign_sqrt(p: int, q: int, s: int) -> int:
+    """The sign of p + q*sqrt(s) for s >= 0, by sign splitting and one
+    squaring: where p and q*sqrt(s) have opposite signs, the sign of
+    p^2 - q^2*s says which of the two is larger in modulus."""
+    sp, sq = _sign(p), _sign(q) if s else 0
+    if sp * sq >= 0:
+        return sp or sq
+    return sp * _sign(p * p - q * q * s)
+
+
 def _radical_bound(q: Sequence[int], s: int, sign: int) -> bool:
     """|a1*sqrt(a4) - sign*a3*sqrt(a0)| <= sqrt(6*a0*a2*a4 + sign*2*sqrt(s^3)),
-    both sides multiplied by sqrt(a0) > 0 so that they lie in Q[sqrt(s)]."""
+    both sides multiplied by sqrt(a0) > 0 so that they lie in Q[sqrt(s)]:
+    with L = lp + lq*sqrt(s) and R = rp + rq*sqrt(s), R >= 0 and R - L^2 >= 0."""
     a0, a1, a2, a3, a4 = q
-    lhs = QuadExt(-sign * a0 * a3, a1, s)
-    return lhs.abs_le_sqrt_of(QuadExt(6 * a0 * a2 * s, sign * 2 * a0 * s, s))
+    lp, lq = -sign * a0 * a3, a1
+    rp, rq = 6 * a0 * a2 * s, sign * 2 * a0 * s
+    if _sign_sqrt(rp, rq, s) < 0:
+        return False
+    return _sign_sqrt(rp - lp * lp - lq * lq * s, rq - 2 * lp * lq, s) >= 0
 
 
 def _criterion(q: Sequence[int]) -> Optional[Verdict]:
@@ -109,11 +126,11 @@ def _criterion(q: Sequence[int]) -> Optional[Verdict]:
     delta_sign = _sign(eta**3 - 27 * chi * chi)
     if delta_sign < 0:
         return None
-    upper = QuadExt(a2, -1, s).sign()
+    upper = _sign_sqrt(a2, -1, s)
     if delta_sign == 0:
         # boundary branch: double root of the resolvent, still definite
         slope_match = _sign(a1) == _sign(a3) and a1 * a1 * a4 == a3 * a3 * a0
-        middle = QuadExt(3 * a0 * a2 - 2 * a1 * a1, -a0, s).sign() == 0
+        middle = _sign_sqrt(3 * a0 * a2 - 2 * a1 * a1, -a0, s) == 0
         if slope_match and middle and upper < 0:
             return Verdict(Kind.POSITIVE_DEFINITE, "boundary-discriminant")
     if not _radical_bound(q, s, 1):
@@ -121,7 +138,7 @@ def _criterion(q: Sequence[int]) -> Optional[Verdict]:
     if upper <= 0:
         # the difference-radical bound's radicand is 2*a0*s*(3*a2 + sqrt(s))
         # with a0*s > 0, so once it holds -sqrt(s) <= 3*a2: case (i) is met
-        if delta_sign > 0 and QuadExt(3 * a2, 1, s).sign() > 0:
+        if delta_sign > 0 and _sign_sqrt(3 * a2, 1, s) > 0:
             return Verdict(Kind.POSITIVE_DEFINITE, "positive-discriminant(i)")
         return Verdict(Kind.PSD_NOT_PD, "nonnegative-discriminant(i)")
     if not _radical_bound(q, s, -1):

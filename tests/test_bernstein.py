@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import random
 import subprocess
@@ -207,6 +208,7 @@ def test_alternating_boundary_is_never_pd(b, c, scale):
     # (1, 1, 1), a corner of every face
     T = embed(CyclicTernary.of(1, b, c, 1, Fraction(-7, 12))).scale(scale)
     assert bernstein.classify(T) == Verdict(Kind.UNDETERMINED, "bernstein-zero")
+    assert T.evaluate_form((1, 1, 1)) == 0
 
 
 def _family_draws(rng):
@@ -227,21 +229,108 @@ def _family_draws(rng):
         yield RelaxedCyclicTernary.of(1, b, -b, 1, *(near(*band) for _ in range(3)))
 
 
-def test_bernstein_agrees_with_the_family_rules():
-    # wherever both decide, the kinds agree; a PSD-not-PD family verdict is
-    # never decided by the Bernstein stage
+def _compare_with_family(draws):
+    """The family rules' and the Bernstein stage's verdicts on ``draws``:
+    wherever both decide, the kinds agree, and a PSD-not-PD family verdict
+    is never decided by the stage.  Returns the number decided by both, the
+    number of boundary (PSD-not-PD) verdicts and the family rules that
+    decided."""
     both = boundary = 0
-    for ct in _family_draws(random.Random("bernstein-family")):
+    rules = set()
+    for ct in draws:
         rule = classify_cyclic if isinstance(ct, CyclicTernary) else classify_relaxed
         family = rule(ct).verdict
+        if family.kind is Kind.UNDETERMINED:
+            continue
+        rules.add(family.rule)
         exact = bernstein.classify(embed(ct))
         if family.kind is Kind.PSD_NOT_PD:
             assert exact == Verdict(Kind.UNDETERMINED, "bernstein-zero"), ct
             boundary += 1
-        elif family.kind is not Kind.UNDETERMINED and exact.kind is not Kind.UNDETERMINED:
+        elif exact.kind is not Kind.UNDETERMINED:
             assert exact.kind is family.kind, ct
             both += 1
+    return both, boundary, rules
+
+
+def test_bernstein_agrees_with_the_family_rules():
+    both, boundary, _ = _compare_with_family(_family_draws(random.Random("bernstein-family")))
     assert both >= 150 and boundary >= 5
+
+
+# -- the family rules as theorems -------------------------------------------
+#
+# Each family rule's tensor is affine in its e-parameters: e for the cyclic
+# rule, (e123, e223, e233) for the relaxed ones.  A point of a parameter box
+# is a convex combination of the box's corners, so its tensor is the same
+# combination of the corner tensors, and PD forms make a convex cone: a PSD
+# form plus a positive multiple of a PD one is PD.  So a rule holds on a box
+# when every corner it may reach is PD, or PSD with every point of the rule's
+# region putting positive weight on a PD corner.
+# - pd-upper-band-widened, on [-5/18, -1/6]^3, which holds pd-upper-band's
+#   [-1/4, -1/6]^3: all 8 corners PD.
+# - pd-lower-band, on (-7/12, -1/4]^3: the 7 corners other than (-7/12)^3 PD.
+#   (-7/12)^3 is the alternating boundary, PSD with the zero (1, 1, 1) by the
+#   boundary-alternating-signs rule (test_alternating_boundary_is_never_pd
+#   checks that zero), and every point of the half-open box puts weight on
+#   another corner.
+# - pd-interval and pd-interval-extended (d = 1, b*c = -1), on (-7/12, -5/36]:
+#   e = -5/36 PD and e = -7/12 that same PSD boundary.  With d > 1,
+#   pd-interval-lifted-offdiag follows as classify_cyclic's comment says.
+
+_LO = Fraction(-7, 12)
+_BAND_CORNERS = {
+    "upper-widened": list(itertools.product((Fraction(-5, 18), Fraction(-1, 6)), repeat=3)),
+    "lower": [es for es in itertools.product((_LO, Fraction(-1, 4)), repeat=3) if es != (_LO,) * 3],
+}
+_PD = Verdict(Kind.POSITIVE_DEFINITE, "bernstein-positive")
+
+
+@pytest.mark.parametrize("band", list(_BAND_CORNERS))
+@pytest.mark.parametrize("b", [1, -1])
+def test_relaxed_band_corners_are_pd(b, band):
+    for es in _BAND_CORNERS[band]:
+        rt = RelaxedCyclicTernary.of(1, b, -b, 1, *es)
+        assert bernstein.classify(embed(rt)) == _PD, es
+        if _LO not in es:  # the corners inside the rule's own region
+            assert classify_relaxed(rt).verdict.kind is Kind.POSITIVE_DEFINITE, es
+
+
+@pytest.mark.parametrize("b", [1, -1])
+def test_the_cyclic_interval_end_is_pd(b):
+    ct = CyclicTernary.of(1, b, -b, 1, Fraction(-5, 36))
+    assert classify_cyclic(ct).verdict == Verdict(Kind.POSITIVE_DEFINITE, "pd-interval-extended")
+    assert bernstein.classify(embed(ct)) == _PD
+
+
+def _family_sweep(rng, n):
+    """n tensors, cyclic and relaxed in turn, across the rules' hypotheses:
+    b = +-1, c = -b three times in four, d = 1 three times in four (cyclic),
+    and e-values on a 1/72 grid in [-2/3, -1/36] or at a rule's endpoint; a
+    relaxed draw takes its three e-values from one band."""
+    ends = [_LO, Fraction(-5, 18), Fraction(-1, 4), Fraction(-1, 6), Fraction(-5, 36)]
+    bands = [(-48, -18), (-18, -12), (-20, -12), (-48, -2)]  # in 72nds
+
+    def e(lo=-48, hi=-2):
+        return rng.choice(ends) if rng.random() < 0.2 else Fraction(rng.randint(lo, hi), 72)
+
+    for k in range(n):
+        b = rng.choice((1, -1))
+        if k % 2:
+            c = -b if rng.random() < 0.75 else b
+            d = 1 if rng.random() < 0.75 else 1 + Fraction(rng.randint(1, 16), 8)
+            yield CyclicTernary.of(1, b, c, d, e())
+        else:
+            band = rng.choice(bands)
+            yield RelaxedCyclicTernary.of(1, b, -b, 1, *(e(*band) for _ in range(3)))
+
+
+def test_family_rules_and_bernstein_agree_on_a_fixed_seed():
+    # a sweep that also lands on the rules' endpoints; 245 of the 400 draws
+    # are decided by a family rule, 236 of them by the Bernstein stage too
+    both, boundary, rules = _compare_with_family(_family_sweep(random.Random(34), 400))
+    assert len(rules) == 9  # every decisive rule of both classifiers
+    assert both >= 230 and boundary >= 5
 
 
 def test_dim_3_check_never_loads_numpy_and_dim_2_never_loads_bernstein(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,9 +11,10 @@ from quartpd.binary import (
     _negative_point,
     _eta_chi,
     _radical_bound,
+    _sign,
+    _sign_sqrt,
     classify,
 )
-from quartpd.quadext import QuadExt, _sign
 from quartpd.verdict import Kind
 
 from conftest import rand_fraction
@@ -37,6 +39,17 @@ class TestDiscriminantParts:
 
     def test_pd_instance(self):
         assert discriminant_parts(bq(1, -1, 1, 1, 1)) == (8, -4, 1)
+
+
+# rule -> a form it decides, and its kind (boundary-discriminant's form is
+# TestClassify.test_boundary_branch_pd's)
+CRITERION_CASES = {
+    "nonnegative-discriminant(i)": ((1, -1, 1, -1, 1), Kind.PSD_NOT_PD),  # (x1 - x2)^4
+    "positive-discriminant(i)": ((1, -1, 1, -1, 2), Kind.POSITIVE_DEFINITE),
+    "nonnegative-discriminant(ii)": ((1, -2, 3, -2, 1), Kind.PSD_NOT_PD),
+    "positive-discriminant(ii)": ((1, -2, 3, -2, 2), Kind.POSITIVE_DEFINITE),
+    "criterion-failed": ((1, -3, -3, -3, 1), Kind.INDEFINITE),
+}
 
 
 class TestClassify:
@@ -73,6 +86,67 @@ class TestClassify:
         v = classify(bq(-1, 0, 0, 0, 1))
         assert v.kind is Kind.INDEFINITE
         assert v.witness == (1, 0)
+
+    @pytest.mark.parametrize("rule", list(CRITERION_CASES))
+    def test_each_criterion_rule(self, rule):
+        # one named case per rule of _criterion, checked against the
+        # independent Sturm/gcd reference below as well
+        coeffs, kind = CRITERION_CASES[rule]
+        q = bq(*coeffs)
+        v = classify(q)
+        assert (v.kind, v.rule) == (kind, rule)
+        assert reference_kind(q) is kind
+        if kind is Kind.INDEFINITE:
+            assert q.value(v.witness) < 0
+
+
+def reference_sign_sqrt(p, q, s):
+    """The sign of p + q*sqrt(s) for integers p, q and s >= 0, from
+    m = isqrt(q^2 s): q*sqrt(s) is sign(q)*m when m^2 = q^2 s, and lies
+    strictly between sign(q)*m and sign(q)*(m + 1) otherwise."""
+    sigma = -1 if q < 0 else 1  # p + q*sqrt(s) = sigma*(sigma*p + sqrt(r))
+    p, r = sigma * p, q * q * s
+    m = math.isqrt(r)
+    v = p + m if m * m == r else (1 if p >= -m else -1)
+    return sigma * _sign(v)
+
+
+class TestSignSqrt:
+    def test_examples(self):
+        assert _sign_sqrt(-5, -1, 0) < 0
+        assert _sign_sqrt(3, -2, 2) > 0  # 3 > 2*sqrt(2) since 9 > 8
+        assert _sign_sqrt(2, -1, 4) == 0
+        assert _sign_sqrt(2, -2, 2) < 0
+        assert _sign_sqrt(-2, 1, 4) == 0
+        assert _sign_sqrt(0, -3, 5) < 0 and _sign_sqrt(0, 0, 5) == 0
+
+    @given(p=st.integers(-10**4, 10**4), q=st.integers(-10**4, 10**4), s=st.integers(0, 10**4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_float(self, p, q, s):
+        val = p + q * math.sqrt(s)
+        exact = _sign_sqrt(p, q, s)
+        if abs(val) > 1e-9:
+            assert exact == (1 if val > 0 else -1)
+        # x and x^2 = (p^2 + q^2 s) + 2pq*sqrt(s) vanish together
+        assert (exact == 0) == (_sign_sqrt(p * p + q * q * s, 2 * p * q, s) == 0)
+
+    def test_matches_integer_reference(self, rng):
+        # exact zeros p = -q*r at s = r^2, their neighbours p -+ 1, and
+        # inputs around 10^30, where floats cannot tell the sign
+        cases = []
+        for scale in (10, 10**6, 10**15):
+            for _ in range(300):
+                q, r = rng.randint(-scale, scale), rng.randint(0, scale)
+                cases += [(-q * r + k, q, r * r) for k in (-1, 0, 1)]
+                s = rng.randint(0, scale * scale)
+                m = math.isqrt(q * q * s)
+                cases += [(k * m + j, q, s) for k in (1, -1) for j in (-1, 0, 1)]
+        zeros = 0
+        for p, q, s in cases:
+            expected = reference_sign_sqrt(p, q, s)
+            assert _sign_sqrt(p, q, s) == expected, (p, q, s)
+            zeros += expected == 0
+        assert zeros >= 900
 
 
 def assert_zero_diagonal(q, expected):
@@ -188,7 +262,7 @@ class TestProperties:
             s = q[0] * q[4]
             if _radical_bound(q, s, 1):
                 held += 1
-                assert QuadExt(3 * q[2], 1, s).sign() >= 0
+                assert _sign_sqrt(3 * q[2], 1, s) >= 0
         assert held > 500
 
     def test_swap_symmetry(self, rng):

@@ -45,20 +45,13 @@ def test_identical_records_pass(parity, capsys):
     assert "0 with differing output" in capsys.readouterr().out
 
 
-def test_margin_tolerance_scales_with_the_largest_entry(parity, capsys):
-    # tolerance 1e-12 * 1000 = 1e-9
-    assert parity.compare(record(margin=0.5), record(margin=0.5 + 5e-10)) == 0
-    assert "value floats differing: 1" in capsys.readouterr().out
-    assert parity.compare(record(margin=0.5), record(margin=0.5 + 2e-9)) == 1
-    assert "FAIL" in capsys.readouterr().out
-
-
-def test_margin_tolerance_shrinks_below_scale_one(parity, capsys):
-    # tolerance 1e-12 * 1e-3 = 1e-15: no floor at scale 1
-    small = dict(margin=5e-4, key=SMALL_KEY)
-    assert parity.compare(record(**small), record(margin=5e-4 + 5e-16, key=SMALL_KEY)) == 0
-    assert parity.compare(record(**small), record(margin=5e-4 + 5e-15, key=SMALL_KEY)) == 1
-    assert "tolerance 1e-15" in capsys.readouterr().out
+def test_a_float_margin_compares_exactly(parity, capsys):
+    # every report writes margin as null; a float that comes back is not a
+    # value float, so it must be equal, within no tolerance
+    assert parity.compare(record(margin=0.5), record(margin=0.5 + 5e-10)) == 1
+    out = capsys.readouterr().out
+    assert "value floats differing: 0" in out
+    assert "FAIL check /verdict/margin" in out and "tolerance" not in out
 
 
 def test_minimizer_is_only_counted(parity, capsys):
@@ -82,10 +75,16 @@ MIN_KEY = json.dumps(["minimize", {"dim": 3, "entries": [
     {"index": [3, 3, 3, 3], "value": "1"}]}, "--json"])
 
 
-def minimize_record(min_value=0.5, zero_set=((0.6, 0.8, 0.0),)):
+# the same with max |t| = 1/1000
+SMALL_MIN_KEY = json.dumps(["minimize", {"dim": 3, "entries": [
+    {"index": [1, 1, 1, 1], "value": "1/1000"}, {"index": [2, 2, 2, 2], "value": "1/1000"},
+    {"index": [3, 3, 3, 3], "value": "1/1000"}]}, "--json"])
+
+
+def minimize_record(min_value=0.5, zero_set=((0.6, 0.8, 0.0),), key=MIN_KEY):
     report = {"min_value": min_value, "minimizer": [0.0, 0.6, 0.8], "iterations": 4,
               "zero_set": [list(z) for z in zero_set], "degenerate": False}
-    return {MIN_KEY: [0, json.dumps(report, indent=2, sort_keys=True), ""]}
+    return {key: [0, json.dumps(report, indent=2, sort_keys=True), ""]}
 
 
 def test_min_value_tolerance_scales_with_the_largest_entry(parity, capsys):
@@ -94,6 +93,14 @@ def test_min_value_tolerance_scales_with_the_largest_entry(parity, capsys):
     assert "value floats differing: 1" in capsys.readouterr().out
     assert parity.compare(minimize_record(), minimize_record(min_value=0.5 + 2e-11)) == 1
     assert "tolerance 8e-12" in capsys.readouterr().out
+
+
+def test_min_value_tolerance_shrinks_below_scale_one(parity, capsys):
+    # tolerance 1e-12 * 1e-3 = 1e-15: no floor at scale 1
+    old = minimize_record(min_value=5e-4, key=SMALL_MIN_KEY)
+    assert parity.compare(old, minimize_record(min_value=5e-4 + 5e-16, key=SMALL_MIN_KEY)) == 0
+    assert parity.compare(old, minimize_record(min_value=5e-4 + 5e-15, key=SMALL_MIN_KEY)) == 1
+    assert "tolerance 1e-15" in capsys.readouterr().out
 
 
 def test_zero_set_points_are_only_counted(parity, capsys):

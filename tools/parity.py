@@ -24,9 +24,9 @@ compare equal with ``cmp``.
 A change to the oracle's float arithmetic moves the last bits of its
 results, so ``--compare`` checks two recorded files at a tolerance.  It
 fails on a differing input set, exit code, stderr, or any field of a JSON
-report other than a float, and on a value float (``margin``,
-``sphere_min``, ``min_value``) that differs by more than 1e-12 times max |t|
-of the input's tensor, the scale at which the oracle computes.  Point
+report other than a float, and on a value float (``sphere_min``,
+``min_value``) that differs by more than 1e-12 times max |t| of the input's
+tensor, the scale at which the oracle computes.  Point
 floats (``minimizer``, ``min_point``, ``equality_points``, ``zero_set``)
 may move to another of several tied minima, so their differences are
 counted and reported but do not fail the compare; any other float must be
@@ -58,7 +58,7 @@ from quartpd.tensorio import describe  # noqa: E402
 
 WORKLOADS = ("binary-mix", "ternary-oracle", "catalog")
 
-VALUE_FLOATS = ("margin", "sphere_min", "min_value")
+VALUE_FLOATS = ("sphere_min", "min_value")
 POINT_FLOATS = ("minimizer", "min_point", "equality_points", "zero_set")
 
 
