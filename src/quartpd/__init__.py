@@ -11,14 +11,7 @@ harness for ternary quartic inequalities.
 """
 
 from .binary import BinaryQuartic, classify as classify_binary
-from .cyclic import (
-    CyclicTernary,
-    FamilyVerdict,
-    RelaxedCyclicTernary,
-    classify_cyclic,
-    classify_relaxed,
-    embed,
-)
+from .cyclic import CyclicTernary, RelaxedCyclicTernary, classify as classify_family, embed
 from .inequalities import (
     InequalityReport,
     WeightedInequality,
@@ -39,7 +32,6 @@ __all__ = [
     "BinaryQuartic",
     "CyclicTernary",
     "Decision",
-    "FamilyVerdict",
     "InequalityReport",
     "Kind",
     "OracleConfig",
@@ -51,8 +43,7 @@ __all__ = [
     "builtin_catalog",
     "classify",
     "classify_binary",
-    "classify_cyclic",
-    "classify_relaxed",
+    "classify_family",
     "diag_ones",
     "embed",
     "multiplicity",

@@ -1,4 +1,5 @@
-"""Classifiers for 4th-order 3-dimensional cyclic symmetric tensors.
+"""The family stage: rules for 4th-order 3-dimensional cyclic symmetric
+tensors.
 
 The cyclic family has five orbit parameters (a, b, c, d, e):
 
@@ -8,34 +9,42 @@ The cyclic family has five orbit parameters (a, b, c, d, e):
     d = t1122 = t1133 = t2233
     e = t1123 = t1223 = t1233
 
-For the normalized family (a = 1, |b| = |c| = 1) a decision ladder covers
-the analytically settled cases: the -7/12 boundary, the PD interval
+``classify(T)`` is the stage's one entry point.  It reads the orbit
+pattern from T, allowing the three e-slots to differ, and answers
+``no-cyclic-pattern`` when T has none.  When the three e-slots are equal
+it runs the cyclic ladder, and when they differ the relaxed bands.
+
+For the normalized family (a = 1, |b| = |c| = 1) the ladder covers the
+analytically settled cases: the -7/12 boundary, the PD interval
 (-7/12, -5/36], closed at -7/12 once it is lifted to d > 1, and the
-necessity bound below -7/12.  Everything outside the settled cases defers
-to the pipeline's later stage, exact Bernstein subdivision.
+necessity bound below -7/12.  Everything outside the settled cases ends
+``outside-settled-family`` and defers to the pipeline's later stage,
+exact Bernstein subdivision (``quartpd.bernstein``).
 
 -5/36 is the settled endpoint of the interval, not the sharp one: with
 b = -1, c = 1 and d = 1 the form stays PD a little beyond it.  The PD
-endpoint lies in (-0.1385, -0.138): an exact Bernstein-subdivision check,
-not part of this package, certifies e = -277/2000 PD, and at e = -69/500
-the form is -16815/268435456 at (1, 7/32, -31/128).  Forms with e
-between -5/36 and that endpoint end ``outside-settled-family``.
+endpoint lies in (-0.1385, -0.138): ``quartpd.bernstein`` certifies
+e = -277/2000 PD, and at e = -69/500 the form is -16815/268435456 at
+(1, 7/32, -31/128).  Forms with e between -5/36 and that endpoint end
+``outside-settled-family``, and the pipeline passes them on to the
+Bernstein stage.
 
-A relaxed variant allows the three e-slots to differ; it is PD whenever
-all three lie in (-7/12, -5/18] or all three lie in [-5/18, -1/6].
+The relaxed bands (the e-slots differ, d = a and c = -b): the form is PD
+whenever all three e's lie in (-7/12, -5/18] or all three lie in
+[-5/18, -1/6].
 
 The rules hold up to positive scaling, since a form and its positive
-multiples share their kind and their witnesses: both classifiers read the
-orbit values divided by a, for a > 0.  Outside their hypotheses (a <= 0,
-|b| != a or |c| != a, and for the relaxed rule d != a or c != -b) they
-return the undetermined verdict ``outside-family-hypotheses``.
+multiples share their kind and their witnesses: ``classify`` reads the
+orbit values divided by a, for a > 0.  Outside the hypotheses (a <= 0,
+|b| != a or |c| != a, and for the bands d != a or c != -b) it returns the
+undetermined verdict ``outside-family-hypotheses``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import List, Union
 
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict, as_fraction
@@ -90,13 +99,6 @@ class RelaxedCyclicTernary:
         return cls(*(as_fraction(v) for v in (a, b, c, d, e123, e223, e233)))
 
 
-@dataclass(frozen=True)
-class FamilyVerdict:
-    """The verdict of a family classifier."""
-
-    verdict: Verdict
-
-
 def embed(ct: Union[CyclicTernary, RelaxedCyclicTernary]) -> SymmetricTensor4:
     """Populate all 15 canonical entries of the n=3 tensor."""
     if isinstance(ct, CyclicTernary):
@@ -106,37 +108,41 @@ def embed(ct: Union[CyclicTernary, RelaxedCyclicTernary]) -> SymmetricTensor4:
     return SymmetricTensor4(3, entries)
 
 
-def detect(T: SymmetricTensor4) -> Optional[Union[CyclicTernary, RelaxedCyclicTernary]]:
-    """Recognize the cyclic orbit pattern in a dim-3 tensor, allowing the
-    three x1*x2*x3-type slots to differ (relaxed pattern)."""
+_NO_PATTERN = Verdict(Kind.UNDETERMINED, "no-cyclic-pattern")
+_OUTSIDE = Verdict(Kind.UNDETERMINED, "outside-family-hypotheses")
+
+
+def classify(T: SymmetricTensor4) -> Verdict:
+    """The family stage's verdict on T: ``no-cyclic-pattern`` unless T is a
+    dim-3 tensor with the cyclic orbit pattern (the three e-slots may
+    differ), else the cyclic ladder when its e-slots are equal and the
+    relaxed bands when they are not."""
     if T.dim != 3:
-        return None
+        return _NO_PATTERN
     orbits = [{T[idx] for idx in _ORBITS[name]} for name in "abcd"]
     if any(len(vs) != 1 for vs in orbits):
-        return None
-    vals = [vs.pop() for vs in orbits]
-    e = [T[idx] for idx in _ORBITS["e"]]
-    if e[0] == e[1] == e[2]:
-        return CyclicTernary(*vals, e[0])
-    return RelaxedCyclicTernary(*vals, *e)
-
-
-_OUTSIDE = FamilyVerdict(Verdict(Kind.UNDETERMINED, "outside-family-hypotheses"))
-
-
-def classify_cyclic(ct: CyclicTernary) -> FamilyVerdict:
-    a = ct.a
-    if a <= 0 or abs(ct.b) != a or abs(ct.c) != a:
+        return _NO_PATTERN
+    a, b, c, d = (vs.pop() for vs in orbits)
+    if a <= 0 or abs(b) != a or abs(c) != a:
         return _OUTSIDE
-    b, c, d, e = (v / a for v in (ct.b, ct.c, ct.d, ct.e))
-    ones = (Fraction(1), Fraction(1), Fraction(1))
+    b, c, d = b / a, c / a, d / a
+    es = [T[idx] / a for idx in _ORBITS["e"]]
+    if es[0] == es[1] == es[2]:
+        return _ladder(b, c, d, es[0])
+    if d != 1 or c != -b:
+        return _OUTSIDE
+    return _bands(es)
 
+
+def _ladder(b: Fraction, c: Fraction, d: Fraction, e: Fraction) -> Verdict:
+    """The cyclic rules on the orbit values divided by a, for |b| = |c| = 1."""
+    ones = (Fraction(1), Fraction(1), Fraction(1))
     if b * c == 1 and d == 1 and e == _LO:
         w = tuple(Fraction(v) for v in (1, 1, -5)) if b == 1 else ones
-        return FamilyVerdict(Verdict(Kind.INDEFINITE, "boundary-matched-signs", witness=w))
+        return Verdict(Kind.INDEFINITE, "boundary-matched-signs", witness=w)
     if b * c == -1 and d == 1 and e == _LO:
         # (1, 1, 1) is the direction of the form's zero
-        return FamilyVerdict(Verdict(Kind.PSD_NOT_PD, "boundary-alternating-signs", witness=ones))
+        return Verdict(Kind.PSD_NOT_PD, "boundary-alternating-signs", witness=ones)
     if b * c == -1 and d >= 1 and _LO <= e <= _PD_HI:
         # e = -7/12 has d > 1 here: d = 1 was caught by the boundary rung
         if d > 1:
@@ -149,17 +155,15 @@ def classify_cyclic(ct: CyclicTernary) -> FamilyVerdict:
             rule = "pd-interval"
         else:
             rule = "pd-interval-extended"
-        return FamilyVerdict(Verdict(Kind.POSITIVE_DEFINITE, rule))
+        return Verdict(Kind.POSITIVE_DEFINITE, rule)
     if e < _LO and d == 1 and b * c == -1:
-        return FamilyVerdict(Verdict(Kind.INDEFINITE, "necessity-bound", witness=ones))
-    return FamilyVerdict(Verdict(Kind.UNDETERMINED, "outside-settled-family"))
+        return Verdict(Kind.INDEFINITE, "necessity-bound", witness=ones)
+    return Verdict(Kind.UNDETERMINED, "outside-settled-family")
 
 
-def classify_relaxed(rt: RelaxedCyclicTernary) -> FamilyVerdict:
-    a = rt.a
-    if a <= 0 or rt.d != a or abs(rt.b) != a or rt.c != -rt.b:
-        return _OUTSIDE
-    es = (rt.e123 / a, rt.e223 / a, rt.e233 / a)
+def _bands(es: List[Fraction]) -> Verdict:
+    """The relaxed rules on the three e-values divided by a, for d = a and
+    c = -b."""
     # The PD region is a union of all-three-in-one-band conditions.  The
     # widened split point -5/18 strictly enlarges the upper band; its lower
     # band is contained in the original (-7/12, -1/4], so only three rules
@@ -172,5 +176,5 @@ def classify_relaxed(rt: RelaxedCyclicTernary) -> FamilyVerdict:
     elif all(_SPLIT <= e <= _PD_HI_CORE for e in es):
         rule = "pd-upper-band-widened"
     else:
-        return FamilyVerdict(Verdict(Kind.UNDETERMINED, "outside-bands"))
-    return FamilyVerdict(Verdict(Kind.POSITIVE_DEFINITE, rule))
+        return Verdict(Kind.UNDETERMINED, "outside-bands")
+    return Verdict(Kind.POSITIVE_DEFINITE, rule)

@@ -17,8 +17,7 @@ import time
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from . import binary as binmod
-from .cyclic import CyclicTernary, classify_cyclic, classify_relaxed, detect
+from . import binary as binmod, cyclic
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict
 
@@ -31,14 +30,6 @@ def _principal_binary(T: SymmetricTensor4, i: int, j: int) -> binmod.BinaryQuart
 
 def _unit(dim: int, i: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction(int(k == i)) for k in range(1, dim + 1))
-
-
-def _stage_family(T: SymmetricTensor4) -> Verdict:
-    ct = detect(T)
-    if ct is None:
-        return Verdict(Kind.UNDETERMINED, "no-cyclic-pattern")
-    classifier = classify_cyclic if isinstance(ct, CyclicTernary) else classify_relaxed
-    return classifier(ct).verdict
 
 
 Stage = Tuple[str, Verdict]  # a stage's name and its verdict
@@ -59,9 +50,11 @@ def stages(T: SymmetricTensor4) -> Iterator[Stage]:
     order.  For dim 2 the (1,2) binary is the whole form, so the prefilter
     always classifies it and the analytic stage, the exact binary
     criterion, is its verdict, and it always decides.  For dim 3 the
-    family rules follow, then the Bernstein stage ``exact-positivity``
-    (``quartpd.bernstein``, imported there, so no other dim loads it).  No
-    stage decides dim >= 4 past the prefilter.
+    family stage follows, one classifier (``cyclic.classify``) that reads
+    the orbit pattern and runs the cyclic ladder or the relaxed bands, then
+    the Bernstein stage ``exact-positivity`` (``quartpd.bernstein``,
+    imported there, so no other dim loads it).  Both take T and return a
+    ``Verdict``.  No stage decides dim >= 4 past the prefilter.
     """
     stored = T.entries()
     if not stored:  # the zero form vanishes everywhere
@@ -91,7 +84,7 @@ def stages(T: SymmetricTensor4) -> Iterator[Stage]:
     if T.dim == 2:  # the loop ran once, on the (1,2) binary
         yield "analytic", binary
     elif T.dim == 3:
-        yield "family", _stage_family(T)
+        yield "family", cyclic.classify(T)
         from . import bernstein  # dim 3 only: a dim-2 decision never compiles it
 
         yield "exact-positivity", bernstein.classify(T)

@@ -1,4 +1,5 @@
-"""Classification results shared by the analytic and numeric checkers."""
+"""The one verdict type, reported by every stage of the pipeline, and the
+exact conversion of input scalars."""
 
 from __future__ import annotations
 

@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 from quartpd.binary import BinaryQuartic, classify
-from quartpd.cyclic import CyclicTernary, classify_cyclic, embed
+from quartpd import cyclic
+from quartpd.cyclic import CyclicTernary, embed
 from quartpd.inequalities import builtin_catalog, verify
 from quartpd.oracle import OracleConfig, sphere_minimize, zero_set_probe
 from quartpd.verdict import Kind
@@ -88,10 +89,9 @@ def test_pd_interval_sweep(report):
     for _ in range(200):
         e = lo + span * Fraction(rng.randint(2, 1000), 1000)
         d = 1 + 2 * Fraction(rng.randint(0, 1000), 1000)
-        ct = CyclicTernary.of(1, -1, 1, d, e)
-        fv = classify_cyclic(ct)
-        assert fv.verdict.kind is Kind.POSITIVE_DEFINITE, (d, e)
-        res = sphere_minimize(embed(ct))
+        T = embed(CyclicTernary.of(1, -1, 1, d, e))
+        assert cyclic.classify(T).kind is Kind.POSITIVE_DEFINITE, (d, e)
+        res = sphere_minimize(T)
         assert res.min_value > 1e-8, (d, e, res.min_value)
     assert time.perf_counter() - t0 < 600
     report["ok"] = True
@@ -100,7 +100,7 @@ def test_pd_interval_sweep(report):
 def test_binary_analytic_vs_oracle(report):
     report["label"] = (
         "10^4 random binary quartics: exact criterion agrees with the oracle "
-        "wherever the oracle margin exceeds 1e-6"
+        "wherever the sphere minimum exceeds 1e-6 in modulus"
     )
     rng = random.Random(20240817)
     cfg = OracleConfig(grid_points=512, refine_top_k=12, refine_max_iters=200)
@@ -141,7 +141,7 @@ def test_unit_diagonal_fast_path_boundary(report):
 
 def test_inequality_catalog(report):
     report["label"] = (
-        "inequality catalog: strict entries hold with margin, the non-strict "
+        "inequality catalog: strict entries hold with sphere minimum > 1e-8, the non-strict "
         "entry touches zero on the symmetric line, expected failures certified "
         "by exact negative values"
     )

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import quartpd
-from quartpd import bernstein, pipeline
-from quartpd.cyclic import CyclicTernary, RelaxedCyclicTernary, classify_cyclic, classify_relaxed, embed
+from quartpd import bernstein, cyclic, pipeline
+from quartpd.cyclic import CyclicTernary, RelaxedCyclicTernary, embed
 from quartpd.inequalities import builtin_catalog
 from quartpd.tensor import SymmetricTensor4, diag_ones
 from quartpd.verdict import Kind, Verdict
@@ -230,7 +230,7 @@ def _family_draws(rng):
 
 
 def _compare_with_family(draws):
-    """The family rules' and the Bernstein stage's verdicts on ``draws``:
+    """The family stage's and the Bernstein stage's verdicts on ``draws``:
     wherever both decide, the kinds agree, and a PSD-not-PD family verdict
     is never decided by the stage.  Returns the number decided by both, the
     number of boundary (PSD-not-PD) verdicts and the family rules that
@@ -238,12 +238,12 @@ def _compare_with_family(draws):
     both = boundary = 0
     rules = set()
     for ct in draws:
-        rule = classify_cyclic if isinstance(ct, CyclicTernary) else classify_relaxed
-        family = rule(ct).verdict
+        T = embed(ct)
+        family = cyclic.classify(T)
         if family.kind is Kind.UNDETERMINED:
             continue
         rules.add(family.rule)
-        exact = bernstein.classify(embed(ct))
+        exact = bernstein.classify(T)
         if family.kind is Kind.PSD_NOT_PD:
             assert exact == Verdict(Kind.UNDETERMINED, "bernstein-zero"), ct
             boundary += 1
@@ -276,7 +276,7 @@ def test_bernstein_agrees_with_the_family_rules():
 #   another corner.
 # - pd-interval and pd-interval-extended (d = 1, b*c = -1), on (-7/12, -5/36]:
 #   e = -5/36 PD and e = -7/12 that same PSD boundary.  With d > 1,
-#   pd-interval-lifted-offdiag follows as classify_cyclic's comment says.
+#   pd-interval-lifted-offdiag follows as the cyclic ladder's comment says.
 
 _LO = Fraction(-7, 12)
 _BAND_CORNERS = {
@@ -290,16 +290,18 @@ _PD = Verdict(Kind.POSITIVE_DEFINITE, "bernstein-positive")
 @pytest.mark.parametrize("b", [1, -1])
 def test_relaxed_band_corners_are_pd(b, band):
     for es in _BAND_CORNERS[band]:
-        rt = RelaxedCyclicTernary.of(1, b, -b, 1, *es)
-        assert bernstein.classify(embed(rt)) == _PD, es
-        if _LO not in es:  # the corners inside the rule's own region
-            assert classify_relaxed(rt).verdict.kind is Kind.POSITIVE_DEFINITE, es
+        T = embed(RelaxedCyclicTernary.of(1, b, -b, 1, *es))
+        assert bernstein.classify(T) == _PD, es
+        # the corners inside the rule's own region; a corner with three
+        # equal e's reaches the cyclic ladder, as it does under check
+        if _LO not in es:
+            assert cyclic.classify(T).kind is Kind.POSITIVE_DEFINITE, es
 
 
 @pytest.mark.parametrize("b", [1, -1])
 def test_the_cyclic_interval_end_is_pd(b):
     ct = CyclicTernary.of(1, b, -b, 1, Fraction(-5, 36))
-    assert classify_cyclic(ct).verdict == Verdict(Kind.POSITIVE_DEFINITE, "pd-interval-extended")
+    assert cyclic.classify(embed(ct)) == Verdict(Kind.POSITIVE_DEFINITE, "pd-interval-extended")
     assert bernstein.classify(embed(ct)) == _PD
 
 

@@ -4,27 +4,27 @@ from fractions import Fraction
 
 import pytest
 
+import quartpd
+from quartpd import bernstein
 from quartpd.cli import main
-from quartpd.cyclic import (
-    CyclicTernary,
-    FamilyVerdict,
-    RelaxedCyclicTernary,
-    classify_cyclic,
-    classify_relaxed,
-    embed,
-)
+from quartpd.cyclic import CyclicTernary, RelaxedCyclicTernary, classify, embed
 from quartpd.oracle import sphere_minimize
-from quartpd.tensor import diag_ones
+from quartpd.tensor import SymmetricTensor4, diag_ones
 from quartpd.verdict import Kind, Verdict
 
 from conftest import dense_form_reference, rand_fraction, rand_vector
 
 
-DECLINED = FamilyVerdict(Verdict(Kind.UNDETERMINED, "outside-family-hypotheses"))
+DECLINED = Verdict(Kind.UNDETERMINED, "outside-family-hypotheses")
 
 
 def ct(a, b, c, d, e):
     return CyclicTernary.of(a, b, c, d, e)
+
+
+def family(x):
+    """The family stage's verdict on a cyclic or relaxed input."""
+    return classify(embed(x))
 
 
 class TestEmbed:
@@ -86,69 +86,79 @@ class TestNecessityBound:
 
 class TestClassifyCyclic:
     def test_boundary_psd(self):
-        fv = classify_cyclic(ct(1, -1, 1, 1, "-7/12"))
-        assert fv.verdict.kind is Kind.PSD_NOT_PD
-        assert embed(ct(1, -1, 1, 1, "-7/12")).evaluate_form(fv.verdict.witness) == 0
+        v = family(ct(1, -1, 1, 1, "-7/12"))
+        assert v.kind is Kind.PSD_NOT_PD
+        assert embed(ct(1, -1, 1, 1, "-7/12")).evaluate_form(v.witness) == 0
 
     def test_pd_interval(self):
-        fv = classify_cyclic(ct(1, -1, 1, 1, "-1/6"))
-        assert fv.verdict.kind is Kind.POSITIVE_DEFINITE
-        assert fv.verdict.rule == "pd-interval"
+        v = family(ct(1, -1, 1, 1, "-1/6"))
+        assert v.kind is Kind.POSITIVE_DEFINITE
+        assert v.rule == "pd-interval"
 
     def test_pd_interval_extended(self):
-        fv = classify_cyclic(ct(1, -1, 1, 1, "-5/36"))
-        assert fv.verdict.kind is Kind.POSITIVE_DEFINITE
-        assert fv.verdict.rule == "pd-interval-extended"
+        v = family(ct(1, -1, 1, 1, "-5/36"))
+        assert v.kind is Kind.POSITIVE_DEFINITE
+        assert v.rule == "pd-interval-extended"
 
     def test_pd_interval_lifted(self):
-        fv = classify_cyclic(ct(1, -1, 1, 2, "-1/4"))
-        assert fv.verdict.kind is Kind.POSITIVE_DEFINITE
-        assert fv.verdict.rule == "pd-interval-lifted-offdiag"
+        v = family(ct(1, -1, 1, 2, "-1/4"))
+        assert v.kind is Kind.POSITIVE_DEFINITE
+        assert v.rule == "pd-interval-lifted-offdiag"
 
     def test_boundary_indefinite_matched_signs(self):
-        fv = classify_cyclic(ct(1, 1, 1, 1, "-7/12"))
-        assert fv.verdict.kind is Kind.INDEFINITE
-        assert fv.verdict.witness == (1, 1, -5)
-        assert embed(ct(1, 1, 1, 1, "-7/12")).evaluate_form(fv.verdict.witness) == -204
+        v = family(ct(1, 1, 1, 1, "-7/12"))
+        assert v.kind is Kind.INDEFINITE
+        assert v.witness == (1, 1, -5)
+        assert embed(ct(1, 1, 1, 1, "-7/12")).evaluate_form(v.witness) == -204
 
     def test_boundary_indefinite_negative_signs(self):
-        fv = classify_cyclic(ct(1, -1, -1, 1, "-7/12"))
-        assert fv.verdict.kind is Kind.INDEFINITE
-        assert fv.verdict.witness == (1, 1, 1)
-        assert embed(ct(1, -1, -1, 1, "-7/12")).evaluate_form(fv.verdict.witness) == -24
+        v = family(ct(1, -1, -1, 1, "-7/12"))
+        assert v.kind is Kind.INDEFINITE
+        assert v.witness == (1, 1, 1)
+        assert embed(ct(1, -1, -1, 1, "-7/12")).evaluate_form(v.witness) == -24
 
     def test_below_necessity_bound(self):
-        fv = classify_cyclic(ct(1, -1, 1, 1, -1))
-        assert fv.verdict.kind is Kind.INDEFINITE
-        assert embed(ct(1, -1, 1, 1, -1)).evaluate_form(fv.verdict.witness) < 0
+        v = family(ct(1, -1, 1, 1, -1))
+        assert v.kind is Kind.INDEFINITE
+        assert embed(ct(1, -1, 1, 1, -1)).evaluate_form(v.witness) < 0
 
     def test_closed_interval_psd_with_lifted_offdiag(self):
-        fv = classify_cyclic(ct(1, -1, 1, 2, "-7/12"))
-        assert fv.verdict.kind is Kind.POSITIVE_DEFINITE
-        assert fv.verdict.rule == "pd-interval-lifted-offdiag"
+        v = family(ct(1, -1, 1, 2, "-7/12"))
+        assert v.kind is Kind.POSITIVE_DEFINITE
+        assert v.rule == "pd-interval-lifted-offdiag"
 
     def test_outside_family_undetermined(self):
-        assert classify_cyclic(ct(1, -1, 1, 1, 0)).verdict.kind is Kind.UNDETERMINED
-        assert (
-            classify_cyclic(ct(1, 1, 1, 1, "-1/6")).verdict.kind is Kind.UNDETERMINED
-        )
+        assert family(ct(1, -1, 1, 1, 0)).kind is Kind.UNDETERMINED
+        assert family(ct(1, 1, 1, 1, "-1/6")).kind is Kind.UNDETERMINED
 
     def test_settled_endpoint_is_not_sharp(self):
-        # -69/500 lies just past -5/36 = -0.13888...: outside the settled
-        # interval, and indefinite there, at an exact rational point
-        c = ct(1, -1, 1, 1, "-69/500")
-        assert classify_cyclic(c).verdict.rule == "outside-settled-family"
-        x = (1, Fraction(7, 32), Fraction(-31, 128))
-        assert embed(c).evaluate_form(x) == Fraction(-16815, 268435456)
+        # -277/2000 and -69/500 lie just past -5/36 = -0.13888...: outside
+        # the settled interval, where the Bernstein stage proves the first
+        # PD and refutes the second at an exact rational point, for both
+        # signs of b (b = 1 swaps x1 and x2)
+        for b, x in [(-1, (1, Fraction(7, 32), Fraction(-31, 128))), (1, (Fraction(7, 32), 1, Fraction(-31, 128)))]:
+            pd, indefinite = ct(1, b, -b, 1, "-277/2000"), ct(1, b, -b, 1, "-69/500")
+            assert family(pd).rule == family(indefinite).rule == "outside-settled-family"
+            assert bernstein.search(embed(pd))[0] == Verdict(Kind.POSITIVE_DEFINITE, "bernstein-positive")
+            assert bernstein.search(embed(indefinite))[0] == Verdict(Kind.INDEFINITE, "bernstein-corner", witness=x)
+            assert embed(indefinite).evaluate_form(x) == Fraction(-16815, 268435456)
 
     def test_pattern_mismatch(self):
         # |b| != a and |c| != a are outside the family's hypotheses
         for args in [(2, -1, 1, 1, 0), (1, "1/2", 1, 1, 0)]:
-            assert classify_cyclic(ct(*args)) == DECLINED
+            assert family(ct(*args)) == DECLINED
 
     def test_nonpositive_a_declines(self):
-        assert classify_cyclic(ct(0, 0, 0, 1, 0)) == DECLINED
-        assert classify_cyclic(ct(-1, -1, 1, -1, "7/12")) == DECLINED
+        assert family(ct(0, 0, 0, 1, 0)) == DECLINED
+        assert family(ct(-1, -1, 1, -1, "7/12")) == DECLINED
+
+    def test_no_pattern(self):
+        # a dim-3 tensor off the orbit pattern, and any other dim
+        off = embed(ct(1, -1, 1, 1, "-1/6")).entries()
+        off[(1, 1, 1, 2)] = Fraction(-1, 2)
+        for T in [SymmetricTensor4(3, off), diag_ones(2), diag_ones(4)]:
+            assert classify(T) == Verdict(Kind.UNDETERMINED, "no-cyclic-pattern")
+        assert quartpd.classify_family is classify
 
 
 class TestClosedLiftedInterval:
@@ -180,44 +190,46 @@ class TestClosedLiftedInterval:
 
 class TestClassifyRelaxed:
     def test_common_endpoint(self):
-        rt = RelaxedCyclicTernary.of(1, -1, 1, 1, "-1/4", "-1/4", "-1/4")
-        fv = classify_relaxed(rt)
-        assert fv.verdict.kind is Kind.POSITIVE_DEFINITE
+        # -1/4 closes the lower band and opens the upper one
+        for third, rule in [("-1/3", "pd-lower-band"), ("-1/5", "pd-upper-band")]:
+            rt = RelaxedCyclicTernary.of(1, -1, 1, 1, "-1/4", "-1/4", third)
+            assert family(rt) == Verdict(Kind.POSITIVE_DEFINITE, rule)
 
     def test_lower_band(self):
         rt = RelaxedCyclicTernary.of(1, -1, 1, 1, "-1/2", "-1/3", "-1/3")
-        fv = classify_relaxed(rt)
-        assert fv.verdict.kind is Kind.POSITIVE_DEFINITE
-        assert fv.verdict.rule == "pd-lower-band"
+        v = family(rt)
+        assert v.kind is Kind.POSITIVE_DEFINITE
+        assert v.rule == "pd-lower-band"
 
     def test_widened_upper_band(self):
         # -0.27 lies below -1/4 but inside [-5/18, -1/6]: only the widened
         # upper band covers the triple
         rt = RelaxedCyclicTernary.of(1, -1, 1, 1, "-27/100", "-1/5", "-1/5")
-        fv = classify_relaxed(rt)
-        assert fv.verdict.kind is Kind.POSITIVE_DEFINITE
-        assert fv.verdict.rule == "pd-upper-band-widened"
+        v = family(rt)
+        assert v.kind is Kind.POSITIVE_DEFINITE
+        assert v.rule == "pd-upper-band-widened"
 
     def test_upper_band(self):
         rt = RelaxedCyclicTernary.of(1, -1, 1, 1, "-1/4", "-1/5", "-1/6")
-        assert classify_relaxed(rt).verdict.rule == "pd-upper-band"
+        assert family(rt).rule == "pd-upper-band"
 
     def test_mixed_across_split_undetermined(self):
         rt = RelaxedCyclicTernary.of(1, -1, 1, 1, "-13/24", "-1/6", "-1/6")
-        fv = classify_relaxed(rt)
-        assert fv.verdict.kind is Kind.UNDETERMINED
+        assert family(rt) == Verdict(Kind.UNDETERMINED, "outside-bands")
 
     def test_pattern_mismatch(self):
         # c != -b and d != a are outside the relaxed rule's hypotheses
-        for args in [(1, 1, 1, 1, 0, 0, 0), (1, -1, 1, 2, 0, 0, 0)]:
-            assert classify_relaxed(RelaxedCyclicTernary.of(*args)) == DECLINED
+        for args in [(1, 1, 1, 1, 0, 0, "-1/4"), (1, -1, 1, 2, "-1/3", "-1/4", "-1/4")]:
+            assert family(RelaxedCyclicTernary.of(*args)) == DECLINED
+        # with three equal e's the same pattern is the cyclic ladder's
+        assert family(RelaxedCyclicTernary.of(1, 1, 1, 1, 0, 0, 0)).rule == "outside-settled-family"
 
     def test_nonpositive_a_declines(self):
-        rt = RelaxedCyclicTernary.of(-1, 1, -1, -1, "1/4", "1/4", "1/4")
-        assert classify_relaxed(rt) == DECLINED
+        rt = RelaxedCyclicTernary.of(-1, 1, -1, -1, "1/4", "1/5", "1/4")
+        assert family(rt) == DECLINED
 
 
-# every classify_cyclic / classify_relaxed input above, decisive or not
+# every cyclic and relaxed input of the two classes above, decisive or not
 CYCLIC_CASES = [
     (1, -1, 1, 1, "-7/12"),
     (1, -1, 1, 1, "-1/6"),
@@ -233,29 +245,31 @@ CYCLIC_CASES = [
     (1, "1/2", 1, 1, 0),
 ]
 RELAXED_CASES = [
-    (1, -1, 1, 1, "-1/4", "-1/4", "-1/4"),
+    (1, -1, 1, 1, "-1/4", "-1/4", "-1/3"),
+    (1, -1, 1, 1, "-1/4", "-1/4", "-1/5"),
     (1, -1, 1, 1, "-1/2", "-1/3", "-1/3"),
     (1, -1, 1, 1, "-27/100", "-1/5", "-1/5"),
     (1, -1, 1, 1, "-1/4", "-1/5", "-1/6"),
     (1, -1, 1, 1, "-13/24", "-1/6", "-1/6"),
+    (1, 1, 1, 1, 0, 0, "-1/4"),
+    (1, -1, 1, 2, "-1/3", "-1/4", "-1/4"),
     (1, 1, 1, 1, 0, 0, 0),
-    (1, -1, 1, 2, 0, 0, 0),
 ]
 
 
 @pytest.mark.parametrize("lam", [Fraction(2), Fraction(1, 3), Fraction(7, 2), Fraction(1, 10**4)])
 class TestScaleFree:
     """PD and PSD are invariant under positive scaling, and so are the
-    classifiers: a scaled input gets the same kind, rule and witness."""
+    family stage: a scaled input gets the same kind, rule and witness."""
 
     def test_cyclic(self, lam):
         for args in CYCLIC_CASES:
             c = ct(*args)
             scaled = CyclicTernary(*(lam * v for v in astuple(c)))
-            assert classify_cyclic(scaled) == classify_cyclic(c)
+            assert family(scaled) == family(c)
 
     def test_relaxed(self, lam):
         for args in RELAXED_CASES:
             rt = RelaxedCyclicTernary.of(*args)
             scaled = RelaxedCyclicTernary(*(lam * v for v in astuple(rt)))
-            assert classify_relaxed(scaled) == classify_relaxed(rt)
+            assert family(scaled) == family(rt)
