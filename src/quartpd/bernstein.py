@@ -28,9 +28,11 @@ Everything runs in integers, on the integer form E·Tx^4 of
 ``SymmetricTensor4.integer_form``.  C(4, i) divides 12, so 12 times the
 Bernstein coefficients of u^a is an integer vector, and 144 times a face's
 coefficients is a sum of one fixed integer vector per monomial
-(``_BASIS``).  A split returns both halves times 16, so no division is
-made; a box is held as its coefficients and (face, i, j, depth), where the
-axis split at a depth alternates, s at even depths and t at odd ones.
+(``_BASIS``), held per face as one integer matrix of 25 rows by 15
+monomials (``_ROWS``).  A split returns both halves times 16, so no
+division is made; a box is held as its coefficients and (face, i, j,
+depth), where the axis split at a depth alternates, s at even depths and
+t at odd ones.
 ``Fraction`` appears only in a witness.  Signs, and so every verdict, are
 the same for every positive multiple of T.
 
@@ -54,10 +56,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Dict, List, Tuple
 
 from .binary import _simplest_between
-from .tensor import SymmetricTensor4
+from .tensor import SymmetricTensor4, canonical_indices
 from .verdict import Kind, Verdict
 
 BUDGET = 3000  # boxes examined, over all three faces
@@ -87,16 +90,27 @@ _BASIS: Dict[Tuple[int, int], List[int]] = {
 }
 
 
+_MONOMIALS = tuple(canonical_indices(3))
+
+# face k (x_{k+1} = 1) -> its 25 rows: row n holds coefficient n of each
+# monomial's ``_BASIS`` vector, in ``_MONOMIALS`` order; a monomial's
+# degrees in (u, v) are its exponents of the other two coordinates, in
+# index order
+_ROWS = tuple(
+    tuple(zip(*(
+        _BASIS[tuple(idx.count(v) for v in (1, 2, 3) if v != k + 1)]
+        for idx in _MONOMIALS
+    )))
+    for k in range(3)
+)
+
+
 def _faces(form: Dict[Tuple[int, ...], int]) -> List[List[int]]:
     """144 times the Bernstein coefficients of the integer form (keyed by
-    canonical index) on the faces x1 = 1, x2 = 1 and x3 = 1, each with the
-    other two coordinates in index order as (u, v)."""
-    faces = [[0] * 25 for _ in range(3)]
-    for idx, c in form.items():
-        e1, e2, e3 = idx.count(1), idx.count(2), idx.count(3)
-        for k, degrees in enumerate(((e2, e3), (e1, e3), (e1, e2))):
-            faces[k] = [x + c * y for x, y in zip(faces[k], _BASIS[degrees])]
-    return faces
+    canonical index) on the faces x1 = 1, x2 = 1 and x3 = 1: each a row of
+    ``_ROWS`` times the form's coefficients."""
+    c = [form.get(idx, 0) for idx in _MONOMIALS]
+    return [[sum(map(mul, row, c)) for row in rows] for rows in _ROWS]
 
 
 def _halves(coeffs: List[int], axis: int) -> Tuple[List[int], List[int]]:

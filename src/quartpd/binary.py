@@ -16,16 +16,14 @@ real roots of q(t, 1) with a Sturm sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict, as_fraction
 
 
-@dataclass(frozen=True)
-class BinaryQuartic:
+class BinaryQuartic(NamedTuple):
     a0: Fraction
     a1: Fraction
     a2: Fraction
@@ -53,9 +51,6 @@ class BinaryQuartic:
     def scaled(self, c) -> "BinaryQuartic":
         c = as_fraction(c)
         return BinaryQuartic(*(c * a for a in self))
-
-    def __iter__(self):
-        return iter((self.a0, self.a1, self.a2, self.a3, self.a4))
 
     def to_tensor(self) -> SymmetricTensor4:
         return SymmetricTensor4(
@@ -291,6 +286,12 @@ def _negative_point(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
     return _simplest_between(left[1] if left else None, right[0] if right else None)
 
 
+def _negative_t(q: BinaryQuartic) -> Optional[Fraction]:
+    """A rational t with q(t, 1) < 0, or None when q(t, 1) >= 0 for every t."""
+    a0, a1, a2, a3, a4 = q
+    return _negative_point((a0, 4 * a1, 6 * a2, 4 * a3, a4))
+
+
 # -- public entry points -------------------------------------------------
 
 
@@ -300,11 +301,10 @@ def classify(q: BinaryQuartic) -> Verdict:
         return Verdict(Kind.INDEFINITE, "negative-diagonal", witness=(Fraction(1), Fraction(0)))
     if a4 < 0:
         return Verdict(Kind.INDEFINITE, "negative-diagonal", witness=(Fraction(0), Fraction(1)))
-    coeffs = (a0, 4 * a1, 6 * a2, 4 * a3, a4)  # of q(t, 1)
     if a0 == 0 or a4 == 0:
         # q(x1, 0) = a0*x1^4 >= 0 and q = x2^4 * q(x1/x2, 1) otherwise, so q
         # is PSD iff q(t, 1) >= 0 for all t; it vanishes on an axis, so never PD
-        t = _negative_point(coeffs)
+        t = _negative_t(q)
         if t is not None:
             return Verdict(Kind.INDEFINITE, "zero-diagonal", witness=(t, Fraction(1)))
         zero = (Fraction(1), Fraction(0)) if a0 == 0 else (Fraction(0), Fraction(1))
@@ -313,7 +313,7 @@ def classify(q: BinaryQuartic) -> Verdict:
     if verdict is not None:
         return verdict
     # an indefinite form with a0 > 0 takes a negative value with x2 != 0
-    t = _negative_point(coeffs)
+    t = _negative_t(q)
     if t is None:
         raise ArithmeticError(f"q(t, 1) >= 0 for every t, yet {q} was found indefinite")
     return Verdict(Kind.INDEFINITE, "criterion-failed", witness=(t, Fraction(1)))

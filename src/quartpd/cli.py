@@ -2,8 +2,9 @@
 the library.  ``check`` runs :func:`quartpd.classify`, whose stages run in
 their one order (``pipeline.stages``), and writes its ``Decision`` as the
 report, whose every decisive verdict is exact.  No stage of ``check``
-samples the sphere, so it never loads numpy; ``minimize`` and
-``inequalities`` do, for the sphere minimum and the zero set.
+samples the sphere, so it loads neither ``quartpd.oracle`` nor numpy;
+``minimize`` and ``inequalities`` import them, for the sphere minimum and
+the zero set.
 
 ``quartpd COMMAND [INPUTS]... [OPTIONS]`` with COMMAND one of ``check``,
 ``minimize`` and ``inequalities``.  Each command has a table of flags:
@@ -14,9 +15,9 @@ token whatever it starts with.  Every token that does not start with
 need no quoting, and every token after ``--`` is an input.  ``--help``
 prints the commands, or a command's flags.  The oracle has no flags:
 ``minimize`` and ``inequalities`` run it with the library's defaults.
-``--json`` reports are strict RFC 8259 JSON: a value beyond float range,
-which JSON has no number for, is written as the string ``"inf"`` or
-``"-inf"``.
+``--json`` reports are strict RFC 8259 JSON on one line (``python -m
+json.tool`` indents them): a value beyond float range, which JSON has no
+number for, is written as the string ``"inf"`` or ``"-inf"``.
 
 Exit codes: 0 positive definite, 1 positive semidefinite, not definite,
 2 indefinite, 3 undetermined, 64 input error (also a bad option or usage,
@@ -34,8 +35,6 @@ import sys
 import time
 from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Sequence
 
-from .inequalities import builtin_catalog, verify
-from .oracle import ORACLE_DIMS, sphere_minimize, sphere_sample, zero_set_probe
 from .pipeline import classify
 from .tensorio import InputError, describe, load, parse_shorthand, to_tensor
 from .verdict import Kind
@@ -92,10 +91,12 @@ def _strict(value):
 
 
 def _print_json(report: dict) -> None:
+    # one line: ``indent`` would take json's pure-Python encoder, several
+    # times slower than its C one on a dim-3 report
     try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
     except ValueError:  # inf or NaN, which JSON has no number for: rare, so not looked for first
-        text = json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(_strict(report), sort_keys=True, allow_nan=False)
     print(text)
 
 
@@ -126,6 +127,8 @@ def _check(inputs, as_json=False) -> NoReturn:
 
 def _minimize(inputs, as_json=False) -> NoReturn:
     """Minimize the form over the unit sphere and probe its zero set."""
+    from .oracle import ORACLE_DIMS, sphere_minimize, sphere_sample, zero_set_probe
+
     parsed = _parse_inputs(inputs)
     T = to_tensor(parsed)
     if T.dim not in ORACLE_DIMS:
@@ -162,6 +165,8 @@ def _minimize(inputs, as_json=False) -> NoReturn:
 
 def _inequalities(inputs, as_json=False, only=None) -> NoReturn:
     """Verify the built-in catalog of ternary quartic inequalities."""
+    from .inequalities import builtin_catalog, verify
+
     catalog = builtin_catalog()
     if only is not None:
         catalog = [q for q in catalog if q.label == only]

@@ -42,9 +42,8 @@ undetermined verdict ``outside-family-hypotheses``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Union
+from typing import List, NamedTuple, Union
 
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict, as_fraction
@@ -65,8 +64,7 @@ _ORBITS = {
 }
 
 
-@dataclass(frozen=True)
-class CyclicTernary:
+class CyclicTernary(NamedTuple):
     a: Fraction
     b: Fraction
     c: Fraction
@@ -81,8 +79,7 @@ class CyclicTernary:
         return RelaxedCyclicTernary(self.a, self.b, self.c, self.d, self.e, self.e, self.e)
 
 
-@dataclass(frozen=True)
-class RelaxedCyclicTernary:
+class RelaxedCyclicTernary(NamedTuple):
     """Cyclic pattern except that the three x1*x2*x3-type slots may differ:
     e123 = t1123, e223 = t1223, e233 = t1233."""
 
@@ -119,10 +116,9 @@ def classify(T: SymmetricTensor4) -> Verdict:
     relaxed bands when they are not."""
     if T.dim != 3:
         return _NO_PATTERN
-    orbits = [{T[idx] for idx in _ORBITS[name]} for name in "abcd"]
-    if any(len(vs) != 1 for vs in orbits):
+    a, b, c, d = values = [T[_ORBITS[name][0]] for name in "abcd"]
+    if any(T[idx] != v for v, name in zip(values, "abcd") for idx in _ORBITS[name][1:]):
         return _NO_PATTERN
-    a, b, c, d = (vs.pop() for vs in orbits)
     if a <= 0 or abs(b) != a or abs(c) != a:
         return _OUTSIDE
     b, c, d = b / a, c / a, d / a

@@ -19,7 +19,6 @@ A shorthand JSON form is also accepted:
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -31,9 +30,8 @@ from .verdict import _is_int, as_fraction
 ParsedInput = Union[BinaryQuartic, CyclicTernary, RelaxedCyclicTernary, SymmetricTensor4]
 
 
-# shorthand family name -> its class, whose fields are the coefficients in order
+# shorthand family name -> its class, a tuple of the coefficients in order
 _FAMILIES = {"binary": BinaryQuartic, "cyclic": CyclicTernary, "relaxed": RelaxedCyclicTernary}
-_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in _FAMILIES.values()}
 
 
 # the largest accepted dim: a refuting witness holds one entry per dimension
@@ -52,7 +50,7 @@ def parse_shorthand(family: str, coeffs: Sequence[str]) -> ParsedInput:
     cls = _FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise InputError(f"family: unknown family {family!r}")
-    arity = len(_FIELD_NAMES[cls])
+    arity = len(cls._fields)
     if len(vals) != arity:
         raise InputError(f"family {family!r} needs {arity} coefficients, got {len(vals)}")
     return cls(*vals)
@@ -127,8 +125,7 @@ def to_tensor(parsed: ParsedInput) -> SymmetricTensor4:
 def describe(parsed: ParsedInput) -> dict:
     for family, cls in _FAMILIES.items():
         if isinstance(parsed, cls):
-            coeffs = [str(getattr(parsed, name)) for name in _FIELD_NAMES[cls]]
-            return {"family": family, "coeffs": coeffs}
+            return {"family": family, "coeffs": [str(v) for v in parsed]}
     return {
         "dim": parsed.dim,
         "entries": [

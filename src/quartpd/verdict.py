@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class Kind(Enum):
@@ -21,8 +20,7 @@ class Kind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """A classification together with the rule that produced it; every
     stage of the library reports one of these.
 

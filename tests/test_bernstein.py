@@ -39,6 +39,25 @@ def test_face_corners_are_the_form_times_144_e(rng):
                 assert coeffs[n] == 144 * E * T.evaluate_form(x)
 
 
+def test_face_rows_match_the_per_monomial_sum():
+    # _faces' row table gives the sum of one _BASIS vector per monomial,
+    # the face's definition, on forms with coefficients of up to 300 digits
+    rng = random.Random(31)
+    for _ in range(200):
+        digits = rng.choice((1, 30, 300))
+        form = {
+            idx: rng.randint(-(10**digits), 10**digits)
+            for idx in itertools.combinations_with_replacement((1, 2, 3), 4)
+            if rng.random() < 0.8
+        }
+        faces = [[0] * 25 for _ in range(3)]
+        for idx, c in form.items():
+            e1, e2, e3 = idx.count(1), idx.count(2), idx.count(3)
+            for k, degrees in enumerate(((e2, e3), (e1, e3), (e1, e2))):
+                faces[k] = [x + c * y for x, y in zip(faces[k], bernstein._BASIS[degrees])]
+        assert bernstein._faces(form) == faces
+
+
 def test_halves_keep_the_corners_exact(rng):
     # after d splits, each corner coefficient is 16^d 144 E f at the corner
     T = rand_tensor(rng, 3)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -265,11 +264,11 @@ class TestScaleFree:
     def test_cyclic(self, lam):
         for args in CYCLIC_CASES:
             c = ct(*args)
-            scaled = CyclicTernary(*(lam * v for v in astuple(c)))
+            scaled = CyclicTernary(*(lam * v for v in c))
             assert family(scaled) == family(c)
 
     def test_relaxed(self, lam):
         for args in RELAXED_CASES:
             rt = RelaxedCyclicTernary.of(*args)
-            scaled = RelaxedCyclicTernary(*(lam * v for v in astuple(rt)))
+            scaled = RelaxedCyclicTernary(*(lam * v for v in rt))
             assert family(scaled) == family(rt)

@@ -310,20 +310,31 @@ class TestPipeline:
 
     def test_library_call_loads_neither_numpy_nor_click(self):
         # numpy, click and OpenSSL's _hashlib are each megabytes that a
-        # binary decision, through the library or the CLI, does not need
-        loaded = "print(sorted(m for m in ('numpy', 'click', '_hashlib') if m in sys.modules))"
+        # decision, through the library or the CLI, does not need; nor does
+        # it need dataclasses (which loads inspect, ast, dis and tokenize),
+        # the oracle or the inequality harness
+        unused = ("numpy", "click", "_hashlib", "dataclasses", "inspect", "quartpd.oracle", "quartpd.inequalities")
+        loaded = f"print(sorted(m for m in {unused!r} if m in sys.modules))"
         library = (
             "import sys, quartpd\n"
-            "quartpd.classify(quartpd.BinaryQuartic.of(1, 0, 1, 0, 1).to_tensor())\n" + loaded
+            "quartpd.classify(quartpd.BinaryQuartic.of(1, 0, 1, 0, 1).to_tensor())\n"
+            "quartpd.classify(quartpd.diag_ones(3))\n" + loaded + "\n"
+            # they and their names still resolve, loading on first use
+            "assert quartpd.oracle.sphere_minimize is quartpd.sphere_minimize\n"
+            "assert quartpd.OracleConfig is quartpd.oracle.OracleConfig\n"
+            "assert quartpd.verify is quartpd.inequalities.verify\n"
+            "assert not hasattr(quartpd, 'no_such_name')\n"
         )
         shell = (
             "import contextlib, io, sys\n"
             "from quartpd.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    try:\n"
-            "        main(['check', 'binary', '1', '0', '1', '0', '1', '--json'])\n"
-            "    except SystemExit as exc:\n"
-            "        assert exc.code == 0, exc.code\n" + loaded
+            # a positive-definite binary (exit 0) and an indefinite dim-3 tensor (exit 2)
+            "for args, want in ((['binary', '1', '0', '1', '0', '1'], 0), (['cyclic', '1', '-1', '1', '1', '0'], 2)):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            main(['check', *args, '--json'])\n"
+            "        except SystemExit as exc:\n"
+            "            assert exc.code == want, (args, exc.code)\n" + loaded
         )
         for code in (library, shell):
             out = subprocess.run(
@@ -445,6 +456,20 @@ class TestCli:
         assert (doc["min_value"], doc["minimizer"]) == (res.min_value, list(res.minimizer))
         assert doc["iterations"] == res.iterations_used
         assert doc["zero_set"] == [list(z) for z in zeros] and len(zeros) == n_zeros
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "cyclic", "1", "-1", "1", "1", "0"],
+            ["minimize", "binary", "1", "0", "-1", "0", "1"],
+            ["inequalities", "--only", "19u"],
+        ],
+        ids=["check", "minimize", "inequalities"],
+    )
+    def test_json_report_is_one_line(self, runner, args):
+        res = runner.invoke(main, [*args, "--json"])
+        assert res.stdout.count("\n") == 1 and res.stdout.endswith("\n")
+        assert isinstance(strict_json(res.stdout), dict)
 
     def test_inequalities_single(self, runner):
         res = runner.invoke(main, ["inequalities", "--only", "19-14-14"])
