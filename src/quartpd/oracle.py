@@ -5,8 +5,8 @@ rests on them: every verdict comes from the exact stages of
 
 Candidates come from a deterministic low-discrepancy grid (uniform angles
 on the circle for n=2, a spherical Fibonacci lattice for n=3) with a
-jitter of fixed seed 0; a grid is built once per (dim, size) and shared
-read-only.
+jitter drawn from the SplitMix64 sequence of seed 0 (``_uniform``); a grid
+is built once per (dim, size) and shared read-only.
 The best candidates are polished by a safeguarded Riemannian Newton method
 (Absil, Mahony and Sepulchre, Optimization Algorithms on Matrix Manifolds,
 2008, ch. 6).  At a unit x, with P = I - x x^T, the Riemannian gradient is
@@ -105,16 +105,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from .tensor import SymmetricTensor4, canonical_index, canonical_indices
 from .verdict import _is_int
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# numpy is imported inside the functions that use it, so that importing the
-# package, and every decision, leaves it unloaded.
 
 _GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -179,21 +175,34 @@ def _canonical_sign(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _grid(dim: int, n_points: int) -> np.ndarray:
-    """The jittered sphere grid; deterministic in (dim, n_points)."""
-    import numpy as np
+def _uniform(count: int) -> np.ndarray:
+    """The first ``count`` outputs of SplitMix64 from seed 0 (Steele, Lea and
+    Flood, Fast Splittable Pseudorandom Number Generators, OOPSLA 2014), each
+    mapped to [-1, 1) from its top 53 bits: the grid's jitter, exact integer
+    arithmetic up to one exact scaling, so the same on every platform."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-52 - 1.0
 
-    rng = np.random.default_rng(0)
+
+def _grid(dim: int, n_points: int) -> np.ndarray:
+    """The jittered sphere grid; deterministic in (dim, n_points).  In dim 2
+    each angle moves by up to half a step; in dim 3 each coordinate of the
+    lattice point moves by a uniform jitter of standard deviation
+    0.2 / sqrt(n_points) before the point is put back on the sphere."""
     if dim == 2:
         theta = np.linspace(0.0, 2 * math.pi, n_points, endpoint=False)
-        theta = theta + rng.uniform(-0.5, 0.5, n_points) * (2 * math.pi / n_points)
+        theta = theta + _uniform(n_points) * (math.pi / n_points)
         return np.stack([np.cos(theta), np.sin(theta)], axis=1)
     i = np.arange(n_points)
     z = 1.0 - 2.0 * (i + 0.5) / n_points
     phi = 2 * math.pi * i / _GOLDEN
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    pts = pts + rng.normal(0.0, 0.2 / math.sqrt(n_points), pts.shape)
+    # a uniform on [-a, a) has standard deviation a / sqrt(3)
+    pts = pts + _uniform(3 * n_points).reshape(n_points, 3) * (0.2 * math.sqrt(3 / n_points))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
@@ -225,8 +234,6 @@ def _monomials(dim: int):
     variables and the number of index orders each stands for (1 or 2); for
     ``_kernel``, each index's position in ``canonical_indices(dim)``, and
     that of the index of each coefficient (p, k, l) of H."""
-    import numpy as np
-
     pairs = np.array(list(itertools.combinations_with_replacement(range(dim), 2)))
     fold = np.where(pairs[:, 0] == pairs[:, 1], 1.0, 2.0)
     slot = {idx: s for s, idx in enumerate(canonical_indices(dim))}
@@ -239,8 +246,6 @@ def _monomials(dim: int):
 
 def _kernel(T: SymmetricTensor4) -> _Kernel:
     """The monomial kernel of T, built from its canonical entries."""
-    import numpy as np
-
     pairs, fold, slot, hessian_at = _monomials(T.dim)
     ratios = {slot[idx]: v.as_integer_ratio() for idx, v in T.entries().items()}
     # floor(log2 max|t|), exact whatever the entries' range: no coefficient
@@ -269,8 +274,6 @@ def _values(K: _Kernel, Q: np.ndarray) -> np.ndarray:
     """Tx^4 / 2^shift as q^T S q, for the columns q of Q, the quadratic
     monomials of the points.  Uses BLAS, so a point's last bits may depend
     on its batch: fit for ranking grid points, not for the refine."""
-    import numpy as np
-
     return np.einsum("ip,ip->p", K.gram @ Q, Q)
 
 
@@ -282,8 +285,6 @@ def _forms_and_cubics(K: _Kernel, X: np.ndarray):
     Every row gets the same bits whatever other rows share its batch (the
     refine relies on it), which ``einsum`` gives and ``@`` does not.
     """
-    import numpy as np
-
     n = X.shape[1]
     Q = X[:, K.pairs].prod(axis=2)
     H = np.einsum("pm,mi->pi", Q, K.hessian).reshape(-1, n, n)
@@ -303,8 +304,6 @@ def _decrease(X: np.ndarray, x_forms, Y: np.ndarray, y_forms) -> np.ndarray:
     |x|^4 - |y|^4 = -(d . (x + y)) (|x|^2 + |y|^2).  Every row gets the same
     bits whatever other rows share its batch, as in ``_forms_and_cubics``.
     """
-    import numpy as np
-
     f, cx, hx = x_forms
     _, cy, hy = y_forms
     D = Y - X
@@ -331,8 +330,6 @@ def _newton_directions(X: np.ndarray, vals: np.ndarray, g: np.ndarray, hess: np.
     For n = 2 the tangent plane is a line and d = -g / |t|.  Where the
     denominator is 0, |Hr| is singular and d = -g.
     """
-    import numpy as np
-
     n = X.shape[1]
     P = np.eye(n) - X[:, :, None] * X[:, None, :]
     Hr = P @ (12.0 * hess) @ P - (4.0 * vals)[:, None, None] * P
@@ -369,8 +366,6 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
     (divided by 2^shift) and the iteration count of the longest running
     candidate.
     """
-    import numpy as np
-
     X = X0 / np.linalg.norm(X0, axis=1, keepdims=True)
     vals, cub, hess = _forms_and_cubics(K, X)
     step = np.ones(len(X))
@@ -406,7 +401,7 @@ def _refine_batch(K: _Kernel, X0: np.ndarray, cfg: OracleConfig):
     return X, vals, iters
 
 
-Sample = Tuple[_Kernel, "np.ndarray", "np.ndarray"]  # kernel, grid points, values / 2^shift
+Sample = Tuple[_Kernel, np.ndarray, np.ndarray]  # kernel, grid points, values / 2^shift
 
 
 def sphere_sample(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> Sample:
@@ -422,8 +417,6 @@ def sphere_sample(T: SymmetricTensor4, cfg: OracleConfig = OracleConfig()) -> Sa
 def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
     """``np.argsort(keys, kind="stable")[:k]``, sorting only the keys at or
     below the k-th smallest (NaN sorts last, as in argsort)."""
-    import numpy as np
-
     if 0 < k < len(keys):
         kth = np.partition(keys, k - 1)[k - 1]
         if not np.isnan(kth):
@@ -446,8 +439,6 @@ def sphere_minimize(
 ) -> OracleResult:
     """The refined minimum of T on the unit sphere, from ``sample`` (a
     ``sphere_sample`` of T under cfg) or else from a sample of its own."""
-    import numpy as np
-
     K, X, vals = sphere_sample(T, cfg) if sample is None else sample
     refined, rvals, iters = _refine_batch(K, X[_top_k(vals, cfg.refine_top_k)], cfg)
     best = int(np.lexsort((*(refined.T[::-1]), rvals))[0])
@@ -465,8 +456,6 @@ def zero_set_probe(T: SymmetricTensor4, *, sample: Optional[Sample] = None) -> L
     Antipodal zeros appear as separate clusters (the form is even, so they
     come in pairs).
     """
-    import numpy as np
-
     K, X, vals = sphere_sample(T) if sample is None else sample
     refined, rvals, _ = _refine_batch(K, X[_top_k(np.abs(vals), 200)], OracleConfig())
     zeros = refined[np.abs(rvals) <= _MARGIN]
@@ -478,8 +467,6 @@ def _cluster_representatives(points: np.ndarray) -> List[int]:
     """The representatives of the greedy clustering in row order (module
     docstring): a row is one exactly when no earlier representative lies
     within _CLUSTER_TOL of it."""
-    import numpy as np
-
     covered = np.zeros(len(points), dtype=bool)
     reps: List[int] = []
     while not covered.all():

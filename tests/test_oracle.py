@@ -3,6 +3,8 @@ import dataclasses
 import inspect
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from quartpd.tensor import SymmetricTensor4, diag_ones, multiplicity
 from quartpd.verdict import Kind
 
 from conftest import (
-    CROSS_IDS, CROSS_POINTS, cross_form, dense_reference, rand_tensor, steep_valley,
+    CROSS_IDS, CROSS_POINTS, SRC_ENV, cross_form, dense_reference, rand_tensor, steep_valley,
 )
 
 BOUNDARY = embed(CyclicTernary.of(1, -1, 1, 1, "-7/12"))
@@ -352,6 +354,59 @@ def test_oracle_imports_only_the_tensor_and_the_verdict():
     tree = ast.parse(Path(oracle.__file__).read_text())
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
     assert imported == {"tensor", "verdict"}
+    # every caller of the oracle needs numpy: it is imported once, at module
+    # scope, and no function body imports it again
+    local = [
+        (fn.name, node.lineno)
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+    ]
+    assert local == []
+
+
+def test_the_oracle_path_never_loads_numpy_random():
+    # the grid's jitter is SplitMix64 in numpy integers: the catalog's sample,
+    # minimum and zero set, and minimize in dims 2 and 3, load numpy but not
+    # numpy.random, about 6 MB of resident memory
+    code = (
+        "import contextlib, io, sys\n"
+        "from quartpd.cli import main\n"
+        "for args in (['inequalities', '--only', '19u', '--json'],\n"
+        "             ['minimize', 'binary', '1', '0', '-1', '0', '1'],\n"
+        "             ['minimize', 'cyclic', '1', '-1', '1', '1', '-7/12']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            main(args)\n"
+        "        except SystemExit as exc:\n"
+        "            assert exc.code == 0, (args, exc.code)\n"
+        "print(sorted(m for m in ('numpy', 'numpy.random') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV, check=True)
+    assert out.stdout.strip() == "['numpy']"
+
+
+def _splitmix64(count):
+    """The first count outputs of SplitMix64 from seed 0, in Python ints."""
+    mask, state, out = 2**64 - 1, 0, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@pytest.mark.parametrize("count", [0, 1, 3 * 4096])
+def test_grid_jitter_is_splitmix64(count):
+    # integer arithmetic and one exact scaling: the same bits on every
+    # platform, unlike the grid points after cos and sin
+    u = oracle._uniform(count)
+    assert u.dtype == np.float64 and u.shape == (count,)
+    assert u.tolist() == [(z >> 11) / 2**52 - 1 for z in _splitmix64(count)]
+    assert ((-1 <= u) & (u < 1)).all()
 
 
 def test_only_the_sample_and_the_minimum_take_a_config():
