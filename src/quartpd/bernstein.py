@@ -29,10 +29,16 @@ Everything runs in integers, on the integer form E·Tx^4 of
 Bernstein coefficients of u^a is an integer vector, and 144 times a face's
 coefficients is a sum of one fixed integer vector per monomial
 (``_BASIS``), held per face as one integer matrix of 25 rows by 15
-monomials (``_ROWS``).  A split returns both halves times 16, so no
-division is made; a box is held as its coefficients and (face, i, j,
-depth), where the axis split at a depth alternates, s at even depths and
-t at odd ones.
+monomials (``_ROWS``).  The three faces' 75 coefficients are one product
+of big integers (Kronecker substitution): each monomial's column of the
+three matrices is packed into one integer as signed 64-bit lanes
+(``_PACKS``), the form's coefficients multiply and add the 15, and the
+lanes are read back as machine integers.  That holds every coefficient
+exactly when 144 times the sum of the form's |coefficients| is below 2^63;
+a wider form sums the rows of ``_ROWS``, to the same result.  A split
+returns both halves times 16, so no division is made; a box is held as
+its coefficients and (face, i, j, depth), where the axis split at a depth
+alternates, s at even depths and t at odd ones.
 ``Fraction`` appears only in a witness.  Signs, and so every verdict, are
 the same for every positive multiple of T.
 
@@ -54,6 +60,7 @@ reached in a few dozen boxes.  It ends:
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -105,11 +112,35 @@ _ROWS = tuple(
 )
 
 
+# the 75 face coefficients (face k's coefficient n at lane 25k + n) as
+# signed 64-bit lanes of one integer per monomial: the monomial's column of
+# ``_ROWS``, lane p at bits 64p.  Lanes run backwards on a big-endian host,
+# so that ``to_bytes(600, sys.byteorder)`` lists them in order either way.
+_LANES = 75
+_COLUMNS = tuple(zip(*(row for rows in _ROWS for row in rows)))
+_PACKS = tuple(
+    sum(x << 64 * p for p, x in enumerate(col if sys.byteorder == "little" else col[::-1]))
+    for col in _COLUMNS
+)
+_BIAS = sum(1 << 64 * p + 63 for p in range(_LANES))  # 2^63 in every lane
+_WIDTH = max(abs(x) for col in _COLUMNS for x in col)  # 144, reached in every column
+
+
 def _faces(form: Dict[Tuple[int, ...], int]) -> List[List[int]]:
     """144 times the Bernstein coefficients of the integer form (keyed by
     canonical index) on the faces x1 = 1, x2 = 1 and x3 = 1: each a row of
-    ``_ROWS`` times the form's coefficients."""
+    ``_ROWS`` times the form's coefficients.
+
+    Where ``_WIDTH`` times the sum of the form's |coefficients| is below
+    2^63, which bounds every face coefficient, the 75 are the lanes of one
+    sum of ``_PACKS``: adding 2^63 to each lane leaves it in [0, 2^64), so
+    no lane carries into the next, and flipping each lane's top bit then
+    leaves its two's complement, which ``memoryview.cast("q")`` reads."""
     c = [form.get(idx, 0) for idx in _MONOMIALS]
+    if _WIDTH * sum(map(abs, c)) < 1 << 63:
+        packed = (sum(map(mul, c, _PACKS)) + _BIAS) ^ _BIAS
+        lanes = memoryview(packed.to_bytes(8 * _LANES, sys.byteorder)).cast("q").tolist()
+        return [lanes[0:25], lanes[25:50], lanes[50:75]]
     return [[sum(map(mul, row, c)) for row in rows] for rows in _ROWS]
 
 

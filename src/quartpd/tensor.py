@@ -53,13 +53,14 @@ class SymmetricTensor4:
     __slots__ = ("dim", "_entries", "_form")
 
     def __init__(self, dim: int, entries: Mapping[Sequence[int], object]):
-        if dim < 1:
-            raise ValueError(f"dimension must be positive, got {dim}")
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"dimension must be a positive int, got {dim!r}")
         canon: Dict[Index4, Fraction] = {}
         for idx, val in entries.items():
             cidx = canonical_index(idx)
-            if any(i < 1 or i > dim for i in cidx):
-                raise ValueError(f"index {idx!r} out of range for dim {dim}")
+            a, b, c, d = cidx  # sorted, so a is the least and d the greatest
+            if not (type(a) is type(b) is type(c) is type(d) is int and 1 <= a and d <= dim):
+                raise ValueError(f"index {idx!r} is not 4 ints in 1..{dim}")
             v = as_fraction(val)
             if v != 0:
                 canon[cidx] = v

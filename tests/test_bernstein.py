@@ -40,16 +40,21 @@ def test_face_corners_are_the_form_times_144_e(rng):
 
 
 def test_face_rows_match_the_per_monomial_sum():
-    # _faces' row table gives the sum of one _BASIS vector per monomial,
-    # the face's definition, on forms with coefficients of up to 300 digits
+    # _faces gives the sum of one _BASIS vector per monomial, the face's
+    # definition, on forms with coefficients of up to 300 digits, on c x1^4
+    # whose lanes 144c reach 2^63 from below (packed product, both signs)
+    # and pass it (row table), and on the zero form
     rng = random.Random(31)
+    below, above = (2**63 - 1) // 144, 2**63 // 144 + 1
+    forms = [{(1, 1, 1, 1): c} for c in (below, -below, above, -above)] + [{}]
     for _ in range(200):
         digits = rng.choice((1, 30, 300))
-        form = {
+        forms.append({
             idx: rng.randint(-(10**digits), 10**digits)
             for idx in itertools.combinations_with_replacement((1, 2, 3), 4)
             if rng.random() < 0.8
-        }
+        })
+    for form in forms:
         faces = [[0] * 25 for _ in range(3)]
         for idx, c in form.items():
             e1, e2, e3 = idx.count(1), idx.count(2), idx.count(3)

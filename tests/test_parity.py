@@ -140,10 +140,12 @@ def test_failures_are_grouped_by_class(parity, capsys):
 def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch, tmp_path):
     # minimize runs on each dim-3 tensor file of ternary-oracle, on every
     # binary-mix input labelled psd_not_pd, on each catalog tensor and on
-    # four dim-3 forms with zeros, written as tensor files; each distinct
-    # check input is recorded once
+    # four dim-3 forms with zeros, written as tensor files; check runs on
+    # each distinct benchmark input once, and on those catalog and zero-set
+    # tensors and their multiples by 2^64
     from quartpd.cyclic import CyclicTernary, embed
     from quartpd.inequalities import builtin_catalog
+    from quartpd.tensor import SymmetricTensor4
     from quartpd.tensorio import parse_document, to_tensor
 
     monkeypatch.setattr(parity, "_run", lambda argv: (0, "", ""))
@@ -151,7 +153,8 @@ def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch
     keys = [json.loads(k) for k in recorded]
     distinct = {parity.key(item["argv"], item.get("doc")) for w in ("binary-mix", "ternary-oracle")
                 for item in parity.gen.generate(w, 101)}
-    assert {k for k in recorded if json.loads(k)[0] == "check"} == distinct
+    checks = {k for k in recorded if json.loads(k)[0] == "check"}
+    assert distinct <= checks
     docs = [k[1] for k in keys if k[0] == "minimize" and isinstance(k[1], dict)]
     ternary = [item["doc"] for item in parity.gen.generate("ternary-oracle", 101)
                if item["argv"][1] is None and item["dim"] == 3]
@@ -167,6 +170,9 @@ def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch
     ]
     assert all(entries in tensors for entries in with_zeros)
     assert len(docs) == len(ternary) + len(builtin_catalog()) + len(with_zeros)
+    fixed = [q.to_tensor() for q in builtin_catalog()] + [SymmetricTensor4(3, e) for e in with_zeros]
+    extra = {to_tensor(parse_document(json.loads(k)[1])) for k in checks - distinct}
+    assert extra == {T.scale(c) for T in fixed for c in (1, 2**64)} and len(checks - distinct) == 44
     binary = {tuple(k) for k in keys if k[0] == "minimize" and k[1] == "binary"}
     boundary = [item["argv"] for item in parity.gen.generate("binary-mix", 101) if item["label"] == "psd_not_pd"]
     assert binary == {("minimize", *argv[1:]) for argv in boundary} and len(boundary) == 236

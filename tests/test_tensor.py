@@ -87,6 +87,19 @@ def test_dimension_mismatch():
         diag_ones(3).evaluate_form((1, 1))
 
 
+@pytest.mark.parametrize("dim, idx", [
+    (3, (1, 1.5, 2, 3)),  # evaluate_form could not index x by it
+    (3, (True, 2, 2, 3)),  # describe would write JSON true
+    (3, (0, 1, 1, 1)),
+    (3, (1, 1, 1, 4)),
+    (True, (1, 1, 1, 1)),
+    (3.0, (1, 1, 1, 1)),
+])
+def test_an_index_or_dim_that_is_not_an_int_in_range_is_refused(dim, idx):
+    with pytest.raises(ValueError):
+        SymmetricTensor4(dim, {idx: -100})
+
+
 @given(
     alpha=fractions_st,
     beta=fractions_st,

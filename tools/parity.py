@@ -12,7 +12,11 @@ runs ``minimize --json`` on every dim-3 tensor-file input of
 18 catalog tensors written as tensor files and on four dim-3 tensor files
 with zeros (x1^2 x2^2, (x1^2 + x2^2)^2, x1^2 x2^2 + x3^4 and the cyclic
 boundary form (1, 1, -1, 1, -7/12)), so that the sphere minimum and the
-zero-set probe are compared in dims 2 and 3, with zeros and without.
+zero-set probe are compared in dims 2 and 3, with zeros and without.  It
+runs ``check --json`` on those 22 tensor files too, and on each of them
+scaled by 2^64, whose Bernstein face coefficients pass 2^63: the exact
+stage computes them by one packed-integer product below that bound and by
+its row table above it, so both ways are compared.
 Tensor-file inputs are written to a temporary directory, as the benchmark
 child does.
 The output is one JSON object, keys sorted, mapping each input (its argv,
@@ -83,18 +87,18 @@ def _without_timings(stdout: str) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _catalog_docs():
-    """The catalog's tensors as tensor-file documents."""
+def _catalog_tensors():
+    """The catalog's tensors."""
     from quartpd.inequalities import builtin_catalog
 
-    return [describe(q.to_tensor()) for q in builtin_catalog()]
+    return [q.to_tensor() for q in builtin_catalog()]
 
 
-def _zero_docs():
-    """Four dim-3 forms with zeros as tensor-file documents, where the
-    zero-set probe refines the most converged candidates: x1^2 x2^2, whose
-    refine crawls along its circles of zeros to the iteration cap,
-    (x1^2 + x2^2)^2, x1^2 x2^2 + x3^4 and the cyclic boundary form."""
+def _zero_tensors():
+    """Four dim-3 forms with zeros, where the zero-set probe refines the
+    most converged candidates: x1^2 x2^2, whose refine crawls along its
+    circles of zeros to the iteration cap, (x1^2 + x2^2)^2,
+    x1^2 x2^2 + x3^4 and the cyclic boundary form."""
     from quartpd.cyclic import CyclicTernary, embed
     from quartpd.tensor import SymmetricTensor4
 
@@ -104,8 +108,7 @@ def _zero_docs():
         {(1, 1, 1, 1): one, (1, 1, 2, 2): 2 * sixth, (2, 2, 2, 2): one},  # (x1^2 + x2^2)^2
         {(1, 1, 2, 2): sixth, (3, 3, 3, 3): one},  # x1^2 x2^2 + x3^4
     )
-    tensors = [*(SymmetricTensor4(3, f) for f in forms), embed(CyclicTernary.of(1, 1, -1, 1, "-7/12"))]
-    return [describe(T) for T in tensors]
+    return [*(SymmetricTensor4(3, f) for f in forms), embed(CyclicTernary.of(1, 1, -1, 1, "-7/12"))]
 
 
 def inputs(seed):
@@ -119,8 +122,10 @@ def inputs(seed):
                 yield ["minimize", None, "--json"], doc
             elif workload == "binary-mix" and item["label"] == "psd_not_pd":
                 yield ["minimize", *argv[1:]], None
-    for doc in _catalog_docs() + _zero_docs():
-        yield ["minimize", None, "--json"], doc
+    for T in _catalog_tensors() + _zero_tensors():
+        yield ["minimize", None, "--json"], describe(T)
+        yield ["check", None, "--json"], describe(T)
+        yield ["check", None, "--json"], describe(T.scale(2**64))
 
 
 def key(argv, doc) -> str:
