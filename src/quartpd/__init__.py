@@ -16,8 +16,8 @@ its names here, not with this package.
 
 import importlib
 
-from .binary import BinaryQuartic, classify as classify_binary
-from .cyclic import CyclicTernary, RelaxedCyclicTernary, classify as classify_family, embed
+from .binary import BinaryQuartic
+from .cyclic import embed
 from .pipeline import Decision, classify
 from .tensor import SymmetricTensor4, diag_ones, multiplicity
 from .verdict import Kind, Verdict
@@ -40,20 +40,16 @@ def __getattr__(name: str):
 
 __all__ = [
     "BinaryQuartic",
-    "CyclicTernary",
     "Decision",
     "InequalityReport",
     "Kind",
     "OracleConfig",
     "OracleResult",
-    "RelaxedCyclicTernary",
     "SymmetricTensor4",
     "Verdict",
     "WeightedInequality",
     "builtin_catalog",
     "classify",
-    "classify_binary",
-    "classify_family",
     "diag_ones",
     "embed",
     "multiplicity",

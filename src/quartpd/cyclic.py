@@ -9,6 +9,12 @@ The cyclic family has five orbit parameters (a, b, c, d, e):
     d = t1122 = t1133 = t2233
     e = t1123 = t1223 = t1233
 
+A relaxed form lets the three e-slots differ: e123 = t1123,
+e223 = t1223 and e233 = t1233.  ``embed(a, b, c, d, e)`` writes a cyclic
+form's orbit values into its tensor, and ``embed(a, b, c, d, e123, e223,
+e233)`` a relaxed form's; the values may be anything ``SymmetricTensor4``
+takes as an entry (ints, Fractions, rational or decimal strings).
+
 ``classify(T)`` is the stage's one entry point.  It reads the orbit
 pattern from T, allowing the three e-slots to differ, and answers
 ``no-cyclic-pattern`` when T has none.  When the three e-slots are equal
@@ -43,7 +49,7 @@ undetermined verdict ``outside-family-hypotheses``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Union
+from typing import List
 
 from .tensor import SymmetricTensor4
 from .verdict import Kind, Verdict, as_fraction
@@ -64,44 +70,16 @@ _ORBITS = {
 }
 
 
-class CyclicTernary(NamedTuple):
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    e: Fraction
-
-    @classmethod
-    def of(cls, a, b, c, d, e) -> "CyclicTernary":
-        return cls(*(as_fraction(v) for v in (a, b, c, d, e)))
-
-    def relaxed(self) -> "RelaxedCyclicTernary":
-        return RelaxedCyclicTernary(self.a, self.b, self.c, self.d, self.e, self.e, self.e)
-
-
-class RelaxedCyclicTernary(NamedTuple):
-    """Cyclic pattern except that the three x1*x2*x3-type slots may differ:
-    e123 = t1123, e223 = t1223, e233 = t1233."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    e123: Fraction
-    e223: Fraction
-    e233: Fraction
-
-    @classmethod
-    def of(cls, a, b, c, d, e123, e223, e233) -> "RelaxedCyclicTernary":
-        return cls(*(as_fraction(v) for v in (a, b, c, d, e123, e223, e233)))
-
-
-def embed(ct: Union[CyclicTernary, RelaxedCyclicTernary]) -> SymmetricTensor4:
-    """Populate all 15 canonical entries of the n=3 tensor."""
-    if isinstance(ct, CyclicTernary):
-        ct = ct.relaxed()
-    entries = {idx: getattr(ct, name) for name in "abcd" for idx in _ORBITS[name]}
-    entries.update(zip(_ORBITS["e"], (ct.e123, ct.e223, ct.e233)))
+def embed(a, b, c, d, *e) -> SymmetricTensor4:
+    """The n=3 tensor whose orbits hold a, b, c, d and either one e or the
+    three e123, e223, e233 (module docstring)."""
+    if len(e) not in (1, 3):
+        raise ValueError(f"embed takes one e or three (e123, e223, e233), got {len(e)}")
+    a, b, c, d, *e = map(as_fraction, (a, b, c, d, *e))  # once each, not once per slot
+    if len(e) == 1:
+        e *= 3
+    entries = {idx: v for v, name in zip((a, b, c, d), "abcd") for idx in _ORBITS[name]}
+    entries.update(zip(_ORBITS["e"], e))
     return SymmetricTensor4(3, entries)
 
 

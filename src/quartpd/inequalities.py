@@ -5,9 +5,7 @@ Each catalog entry is the polynomial
     P(x) = (x1+x2+x3)^4 - 8*(x1^3*x2 + x1*x3^3 + x2^3*x3)
            - x1*x2*x3*(w1*x1 + w2*x2 + w3*x3)
 
-with rational weights.  Uniform weight c means w1 = w2 = w3 = c.  The
-"exchanged" variant swaps each cubic monomial with its mirror
-(x1^3*x2 <-> x1*x2^3 and so on) simultaneously.
+with rational weights.  Uniform weight c means w1 = w2 = w3 = c.
 
 Each entry is decided by ``pipeline.classify``, as ``check`` decides it:
 the exact prefilter, then the cyclic family rules, then the exact
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .cyclic import RelaxedCyclicTernary, embed
+from .cyclic import embed
 from .oracle import sphere_minimize, sphere_sample, zero_set_probe
 from .pipeline import classify
 from .tensor import SymmetricTensor4
@@ -42,7 +40,6 @@ class WeightedInequality:
     label: str
     weights: Tuple[Fraction, Fraction, Fraction]
     strict: bool
-    exchanged: bool = False
     fail_point: Optional[Tuple[Fraction, Fraction, Fraction]] = None
 
     @property
@@ -65,14 +62,9 @@ class WeightedInequality:
         """Exact P(x) for rational x."""
         x1, x2, x3 = (as_fraction(v) for v in x)
         w1, w2, w3 = self.weights
-        cubics = (
-            x1 * x2**3 + x1**3 * x3 + x2 * x3**3
-            if self.exchanged
-            else x1**3 * x2 + x1 * x3**3 + x2**3 * x3
-        )
         return (
             (x1 + x2 + x3) ** 4
-            - 8 * cubics
+            - 8 * (x1**3 * x2 + x1 * x3**3 + x2**3 * x3)
             - x1 * x2 * x3 * (w1 * x1 + w2 * x2 + w3 * x3)
         )
 
@@ -83,19 +75,7 @@ class WeightedInequality:
         -8/4 = -2 on its slot; the weight term puts -w_i/12 on its
         x1*x2*x3-type slot.
         """
-        w1, w2, w3 = self.weights
-        b, c = (1, -1) if self.exchanged else (-1, 1)
-        return embed(
-            RelaxedCyclicTernary(
-                a=Fraction(1),
-                b=Fraction(b),
-                c=Fraction(c),
-                d=Fraction(1),
-                e123=1 - w1 / 12,
-                e223=1 - w2 / 12,
-                e233=1 - w3 / 12,
-            )
-        )
+        return embed(1, -1, 1, 1, *(1 - w / 12 for w in self.weights))
 
 
 @dataclass(frozen=True)

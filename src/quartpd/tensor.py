@@ -57,7 +57,10 @@ class SymmetricTensor4:
             raise ValueError(f"dimension must be a positive int, got {dim!r}")
         canon: Dict[Index4, Fraction] = {}
         for idx, val in entries.items():
-            cidx = canonical_index(idx)
+            try:
+                cidx = canonical_index(idx)
+            except TypeError:  # entries that sort cannot order, such as a str among ints
+                cidx = (None,) * 4
             a, b, c, d = cidx  # sorted, so a is the least and d the greatest
             if not (type(a) is type(b) is type(c) is type(d) is int and 1 <= a and d <= dim):
                 raise ValueError(f"index {idx!r} is not 4 ints in 1..{dim}")

@@ -14,24 +14,43 @@ A shorthand JSON form is also accepted:
     {"family": "cyclic", "coeffs": ["1", "-1", "1", "1", "-7/12"]}
     {"family": "binary", "coeffs": [...5 coefficients...]}
     {"family": "relaxed", "coeffs": [...7: a b c d e123 e223 e233...]}
+
+It parses to a ``Shorthand``, the family's name and its exact
+coefficients, and ``to_tensor`` builds its tensor: a binary quartic's
+a0..a4 (``quartpd.binary``), or a cyclic or relaxed form's orbit values
+(``cyclic.embed``).  ``describe`` writes either input as a document
+that parses back to it.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 from .binary import BinaryQuartic
-from .cyclic import CyclicTernary, RelaxedCyclicTernary, embed
+from .cyclic import embed
 from .tensor import SymmetricTensor4
 from .verdict import _is_int, as_fraction
 
-ParsedInput = Union[BinaryQuartic, CyclicTernary, RelaxedCyclicTernary, SymmetricTensor4]
+
+class Shorthand(NamedTuple):
+    """A '<family> <coefficients>' input: the family's name and its
+    coefficients, exact and in order."""
+
+    family: str
+    coeffs: Tuple[Fraction, ...]
 
 
-# shorthand family name -> its class, a tuple of the coefficients in order
-_FAMILIES = {"binary": BinaryQuartic, "cyclic": CyclicTernary, "relaxed": RelaxedCyclicTernary}
+ParsedInput = Union[Shorthand, SymmetricTensor4]
+
+
+def _binary(*coeffs: Fraction) -> SymmetricTensor4:
+    return BinaryQuartic(*coeffs).to_tensor()
+
+
+# shorthand family name -> (its number of coefficients, their tensor's builder)
+_FAMILIES = {"binary": (5, _binary), "cyclic": (5, embed), "relaxed": (7, embed)}
 
 
 # the largest accepted dim: a refuting witness holds one entry per dimension
@@ -42,18 +61,18 @@ class InputError(ValueError):
     """Malformed input file or shorthand; message names the offending field."""
 
 
-def parse_shorthand(family: str, coeffs: Sequence[str]) -> ParsedInput:
+def parse_shorthand(family: str, coeffs: Sequence[str]) -> Shorthand:
     try:
-        vals = [as_fraction(c) for c in coeffs]
+        vals = tuple([as_fraction(c) for c in coeffs])
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError(f"coefficient: {exc}") from exc
-    cls = _FAMILIES.get(family) if isinstance(family, str) else None
-    if cls is None:
+    spec = _FAMILIES.get(family) if isinstance(family, str) else None
+    if spec is None:
         raise InputError(f"family: unknown family {family!r}")
-    arity = len(cls._fields)
+    arity = spec[0]
     if len(vals) != arity:
         raise InputError(f"family {family!r} needs {arity} coefficients, got {len(vals)}")
-    return cls(*vals)
+    return Shorthand(family, vals)
 
 
 def parse_document(doc: dict) -> ParsedInput:
@@ -117,15 +136,12 @@ def load(path: str) -> ParsedInput:
 def to_tensor(parsed: ParsedInput) -> SymmetricTensor4:
     if isinstance(parsed, SymmetricTensor4):
         return parsed
-    if isinstance(parsed, BinaryQuartic):
-        return parsed.to_tensor()
-    return embed(parsed)
+    return _FAMILIES[parsed.family][1](*parsed.coeffs)
 
 
 def describe(parsed: ParsedInput) -> dict:
-    for family, cls in _FAMILIES.items():
-        if isinstance(parsed, cls):
-            return {"family": family, "coeffs": [str(v) for v in parsed]}
+    if isinstance(parsed, Shorthand):
+        return {"family": parsed.family, "coeffs": [str(v) for v in parsed.coeffs]}
     return {
         "dim": parsed.dim,
         "entries": [

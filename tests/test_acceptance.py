@@ -15,7 +15,7 @@ import pytest
 
 from quartpd.binary import BinaryQuartic, classify
 from quartpd import cyclic
-from quartpd.cyclic import CyclicTernary, embed
+from quartpd.cyclic import embed
 from quartpd.inequalities import builtin_catalog, verify
 from quartpd.oracle import OracleConfig, sphere_minimize, zero_set_probe
 from quartpd.verdict import Kind
@@ -45,14 +45,14 @@ def report(capsys, request):
 
 def test_exact_value_minus_204(report):
     report["label"] = "matched-sign boundary tensor evaluates to -204 at (1,1,-5)"
-    T = embed(CyclicTernary.of(1, 1, 1, 1, "-7/12"))
+    T = embed(1, 1, 1, 1, "-7/12")
     assert T.evaluate_form((1, 1, -5)) == -204
     report["ok"] = True
 
 
 def test_exact_value_minus_24(report):
     report["label"] = "negative-pair boundary tensor evaluates to -24 at (1,1,1)"
-    T = embed(CyclicTernary.of(1, -1, -1, 1, "-7/12"))
+    T = embed(1, -1, -1, 1, "-7/12")
     assert T.evaluate_form((1, 1, 1)) == -24
     report["ok"] = True
 
@@ -61,7 +61,7 @@ def test_boundary_tensor_zero_set(report):
     report["label"] = (
         "boundary tensor: |sphere min| <= 1e-8, zero set +-(1,1,1)/sqrt(3), < 5 s"
     )
-    T = embed(CyclicTernary.of(1, -1, 1, 1, "-7/12"))
+    T = embed(1, -1, 1, 1, "-7/12")
     t0 = time.perf_counter()
     res = sphere_minimize(T)
     zeros = zero_set_probe(T)
@@ -89,7 +89,7 @@ def test_pd_interval_sweep(report):
     for _ in range(200):
         e = lo + span * Fraction(rng.randint(2, 1000), 1000)
         d = 1 + 2 * Fraction(rng.randint(0, 1000), 1000)
-        T = embed(CyclicTernary.of(1, -1, 1, d, e))
+        T = embed(1, -1, 1, d, e)
         assert cyclic.classify(T).kind is Kind.POSITIVE_DEFINITE, (d, e)
         res = sphere_minimize(T)
         assert res.min_value > 1e-8, (d, e, res.min_value)
@@ -206,7 +206,7 @@ def test_property_suites(report):
 
     # cyclic embeds are invariant under coordinate rotation
     for _ in range(_N_PROPERTY):
-        T = embed(CyclicTernary.of(*(rand_fraction(rng) for _ in range(5))))
+        T = embed(*(rand_fraction(rng) for _ in range(5)))
         x = rand_vector(rng, 3)
         assert T.evaluate_form(x) == T.evaluate_form((x[1], x[2], x[0]))
 

@@ -11,7 +11,7 @@ import pytest
 
 import quartpd
 from quartpd import bernstein, cyclic, pipeline
-from quartpd.cyclic import CyclicTernary, RelaxedCyclicTernary, embed
+from quartpd.cyclic import embed
 from quartpd.inequalities import builtin_catalog
 from quartpd.tensor import SymmetricTensor4, diag_ones
 from quartpd.verdict import Kind, Verdict
@@ -214,7 +214,7 @@ def test_exact_zero_ends_undetermined(T):
 
 def test_a_corner_that_is_not_negative_is_never_returned(monkeypatch):
     # the stage checks its witness with evaluate_form before returning it
-    T = embed(CyclicTernary.of(1, -1, 1, 1, 0))
+    T = embed(1, -1, 1, 1, 0)
     monkeypatch.setattr(SymmetricTensor4, "evaluate_form", lambda self, x: Fraction(0))
     with pytest.raises(ArithmeticError, match="not a witness"):
         bernstein.classify(T)
@@ -230,13 +230,14 @@ def test_dim_3_only():
 def test_alternating_boundary_is_never_pd(b, c, scale):
     # the -7/12 boundary with alternating signs is PSD with the exact zero
     # (1, 1, 1), a corner of every face
-    T = embed(CyclicTernary.of(1, b, c, 1, Fraction(-7, 12))).scale(scale)
+    T = embed(1, b, c, 1, Fraction(-7, 12)).scale(scale)
     assert bernstein.classify(T) == Verdict(Kind.UNDETERMINED, "bernstein-zero")
     assert T.evaluate_form((1, 1, 1)) == 0
 
 
 def _family_draws(rng):
-    """Cyclic and relaxed tensors from the paper's bands and around them."""
+    """The orbit values of cyclic and relaxed tensors from the paper's bands
+    and around them."""
     lo, hi = Fraction(-7, 12), Fraction(-5, 36)
 
     def near(a, b):
@@ -246,15 +247,16 @@ def _family_draws(rng):
         b = rng.choice((1, -1))
         c = -b if rng.random() < 0.8 else b
         d = rng.choice((Fraction(1), Fraction(1), 1 + Fraction(rng.randint(1, 64), 32)))
-        yield CyclicTernary.of(1, b, c, d, lo if rng.random() < 0.1 else near(lo, hi))
+        yield (1, b, c, d, lo if rng.random() < 0.1 else near(lo, hi))
     for _ in range(150):
         b = rng.choice((1, -1))
         band = rng.choice(((lo, Fraction(-1, 4)), (Fraction(-1, 4), Fraction(-1, 6)), (Fraction(-5, 18), Fraction(-1, 6)), (lo, hi)))
-        yield RelaxedCyclicTernary.of(1, b, -b, 1, *(near(*band) for _ in range(3)))
+        yield (1, b, -b, 1, *(near(*band) for _ in range(3)))
 
 
 def _compare_with_family(draws):
-    """The family stage's and the Bernstein stage's verdicts on ``draws``:
+    """The family stage's and the Bernstein stage's verdicts on ``draws``,
+    each the orbit values of a cyclic or relaxed tensor:
     wherever both decide, the kinds agree, and a PSD-not-PD family verdict
     is never decided by the stage.  Returns the number decided by both, the
     number of boundary (PSD-not-PD) verdicts and the family rules that
@@ -262,7 +264,7 @@ def _compare_with_family(draws):
     both = boundary = 0
     rules = set()
     for ct in draws:
-        T = embed(ct)
+        T = embed(*ct)
         family = cyclic.classify(T)
         if family.kind is Kind.UNDETERMINED:
             continue
@@ -314,7 +316,7 @@ _PD = Verdict(Kind.POSITIVE_DEFINITE, "bernstein-positive")
 @pytest.mark.parametrize("b", [1, -1])
 def test_relaxed_band_corners_are_pd(b, band):
     for es in _BAND_CORNERS[band]:
-        T = embed(RelaxedCyclicTernary.of(1, b, -b, 1, *es))
+        T = embed(1, b, -b, 1, *es)
         assert bernstein.classify(T) == _PD, es
         # the corners inside the rule's own region; a corner with three
         # equal e's reaches the cyclic ladder, as it does under check
@@ -324,13 +326,13 @@ def test_relaxed_band_corners_are_pd(b, band):
 
 @pytest.mark.parametrize("b", [1, -1])
 def test_the_cyclic_interval_end_is_pd(b):
-    ct = CyclicTernary.of(1, b, -b, 1, Fraction(-5, 36))
-    assert cyclic.classify(embed(ct)) == Verdict(Kind.POSITIVE_DEFINITE, "pd-interval-extended")
-    assert bernstein.classify(embed(ct)) == _PD
+    T = embed(1, b, -b, 1, Fraction(-5, 36))
+    assert cyclic.classify(T) == Verdict(Kind.POSITIVE_DEFINITE, "pd-interval-extended")
+    assert bernstein.classify(T) == _PD
 
 
 def _family_sweep(rng, n):
-    """n tensors, cyclic and relaxed in turn, across the rules' hypotheses:
+    """The orbit values of n tensors, cyclic and relaxed in turn, across the rules' hypotheses:
     b = +-1, c = -b three times in four, d = 1 three times in four (cyclic),
     and e-values on a 1/72 grid in [-2/3, -1/36] or at a rule's endpoint; a
     relaxed draw takes its three e-values from one band."""
@@ -345,10 +347,10 @@ def _family_sweep(rng, n):
         if k % 2:
             c = -b if rng.random() < 0.75 else b
             d = 1 if rng.random() < 0.75 else 1 + Fraction(rng.randint(1, 16), 8)
-            yield CyclicTernary.of(1, b, c, d, e())
+            yield (1, b, c, d, e())
         else:
             band = rng.choice(bands)
-            yield RelaxedCyclicTernary.of(1, b, -b, 1, *(e(*band) for _ in range(3)))
+            yield (1, b, -b, 1, *(e(*band) for _ in range(3)))
 
 
 def test_family_rules_and_bernstein_agree_on_a_fixed_seed():

@@ -13,6 +13,7 @@ from quartpd.inequalities import (
 )
 from quartpd import inequalities
 from quartpd.pipeline import Decision
+from quartpd.tensor import SymmetricTensor4
 from quartpd.verdict import Kind, Verdict
 
 from conftest import rand_fraction, rand_vector
@@ -22,6 +23,22 @@ def by_label(label):
     matches = [q for q in builtin_catalog() if q.label == label]
     assert len(matches) == 1, label
     return matches[0]
+
+
+def reversed_coordinates(T):
+    # the tensor of x -> form(x3, x2, x1)
+    return SymmetricTensor4(3, {tuple(4 - i for i in idx): v for idx, v in T.entries().items()})
+
+
+def mirrored_cubics(weights, x):
+    # an entry's polynomial with every cubic monomial mirrored
+    w1, w2, w3 = weights
+    x1, x2, x3 = x
+    return (
+        (x1 + x2 + x3) ** 4
+        - 8 * (x1 * x2**3 + x1**3 * x3 + x2 * x3**3)
+        - x1 * x2 * x3 * (w1 * x1 + w2 * x2 + w3 * x3)
+    )
 
 
 class TestCatalog:
@@ -205,23 +222,26 @@ class TestVerify:
 
 
 class TestProperties:
-    def test_exchange_variant_holds(self):
-        # mirrored cubic monomials: the exchanged strict inequalities hold too
+    def test_exchange_variant_holds(self, rng):
+        # mirroring every cubic monomial (x1^3 x2 <-> x1 x2^3 and so on) gives
+        # the entry with reversed weights at reversed coordinates, so the
+        # exchanged strict inequalities hold too
         for label in ("14u", "17u", "19-17-15"):
-            base = by_label(label)
-            ex = WeightedInequality(
-                base.label + "x", base.weights, base.strict, exchanged=True
-            )
-            rep = verify(ex)
-            assert rep.holds, label
+            w1, w2, w3 = by_label(label).weights
+            ex = reversed_coordinates(WeightedInequality(label, (w3, w2, w1), True).to_tensor())
+            for _ in range(20):
+                x = rand_vector(rng, 3)
+                assert ex.evaluate_form(x) == mirrored_cubics((w1, w2, w3), x)
+            assert quartpd.classify(ex).verdict.kind is Kind.POSITIVE_DEFINITE, label
 
     def test_exchange_equals_reflected_argument(self, rng):
         # swapping the cubic set equals evaluating at reversed coordinates
         base = by_label("19-17-15")
-        ex = WeightedInequality("x", base.weights[::-1], True, exchanged=True)
+        ex = reversed_coordinates(base.to_tensor())
         for _ in range(50):
             x = rand_vector(rng, 3)
-            assert base.value(x) == ex.value(x[::-1])
+            assert base.value(x) == mirrored_cubics(base.weights[::-1], x[::-1])
+            assert base.value(x) == ex.evaluate_form(x[::-1])
 
     def test_monotone_in_uniform_weight(self, rng):
         # larger uniform weight only subtracts more where the weight term

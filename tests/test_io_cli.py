@@ -14,7 +14,7 @@ import quartpd
 from quartpd import bernstein, binary, cli, oracle, pipeline, tensorio
 from quartpd.binary import BinaryQuartic
 from quartpd.cli import main
-from quartpd.cyclic import CyclicTernary, RelaxedCyclicTernary, embed
+from quartpd.cyclic import embed
 from quartpd.oracle import OracleConfig
 from quartpd.tensor import SymmetricTensor4
 from quartpd.tensorio import InputError, load, parse_document, parse_shorthand, to_tensor
@@ -46,12 +46,25 @@ class TestParsing:
         assert T[(1, 1, 1, 1)] == Fraction(-6, 5)
 
     def test_shorthand(self):
+        # a shorthand parses to its family's name and exact coefficients
         q = parse_shorthand("binary", ["1", "0", "-1/3", "0", "1"])
-        assert isinstance(q, BinaryQuartic)
+        assert q == tensorio.Shorthand("binary", (1, 0, Fraction(-1, 3), 0, 1))
         ct = parse_shorthand("cyclic", ["1", "-1", "1", "1", "-1/6"])
-        assert isinstance(ct, CyclicTernary)
-        rt = parse_shorthand("relaxed", ["1", "-1", "1", "1", "-1/4", "-1/4", "-1/4"])
-        assert isinstance(rt, RelaxedCyclicTernary)
+        assert ct == tensorio.Shorthand("cyclic", (1, -1, 1, 1, Fraction(-1, 6)))
+        rt = parse_shorthand("relaxed", ["1", "-1", "1", "1", "-1/4", "-1/4", "-1.25"])
+        assert rt == tensorio.Shorthand("relaxed", (1, -1, 1, 1, Fraction(-1, 4), Fraction(-1, 4), Fraction(-5, 4)))
+        assert all(type(v) is Fraction for v in q.coeffs + ct.coeffs + rt.coeffs)
+
+    @pytest.mark.parametrize("family, coeffs", [
+        ("binary", "1 0 -1/3 0 1.5"),
+        ("cyclic", "1 -1 1 1 -1/6"),
+        ("relaxed", "1 -1 1 1 -1/4 -1/5 -1/6"),
+    ])
+    def test_shorthand_round_trips_through_describe(self, family, coeffs):
+        parsed = parse_shorthand(family, coeffs.split())
+        doc = tensorio.describe(parsed)
+        assert doc == {"family": family, "coeffs": [str(v) for v in parsed.coeffs]}
+        assert parse_shorthand(doc["family"], doc["coeffs"]) == parse_document(doc) == parsed
 
     def test_errors_name_field(self):
         with pytest.raises(InputError, match="dim"):
@@ -138,21 +151,31 @@ class TestParsing:
             assert res.exit_code == 64
             assert res.output.startswith("input error: coefficient:")
 
-    def test_to_tensor_roundtrip(self):
-        ct = CyclicTernary.of(1, -1, 1, 1, "-1/6")
-        assert to_tensor(ct) == embed(ct)
+    def test_to_tensor_roundtrip(self, runner, monkeypatch):
+        # each family's tensor is the one check decides
+        decided = []
+        monkeypatch.setattr(cli, "classify", lambda T: decided.append(T) or pipeline.classify(T))
+        binary_T = SymmetricTensor4(2, {(1, 1, 1, 1): 1, (1, 1, 2, 2): Fraction(-1, 3), (2, 2, 2, 2): 1})
+        for family, coeffs, T in [
+            ("binary", "1 0 -1/3 0 1", binary_T),
+            ("cyclic", "1 -1 1 1 -1/6", embed(1, -1, 1, 1, "-1/6")),
+            ("relaxed", "1 -1 1 1 -1/4 -1/5 -1/6", embed(1, -1, 1, 1, "-1/4", "-1/5", "-1/6")),
+        ]:
+            assert to_tensor(parse_shorthand(family, coeffs.split())) == T
+            runner.invoke(main, ["check", family, *coeffs.split()])
+            assert decided.pop() == T and not decided
 
 
 class TestPipeline:
     def test_family_stage_decides(self):
-        rep = quartpd.classify(embed(CyclicTernary.of(1, -1, 1, 1, "-1/6")))
+        rep = quartpd.classify(embed(1, -1, 1, 1, "-1/6"))
         assert rep.verdict.kind is Kind.POSITIVE_DEFINITE
         stages = [stage for stage, _ in rep.trace]
         assert stages == ["prefilter", "family"]
 
     def test_scaled_family_input(self):
         # a = 2: the family rules read the orbit values divided by a
-        rep = quartpd.classify(embed(CyclicTernary.of(2, -2, 2, 2, "-1/3")))
+        rep = quartpd.classify(embed(2, -2, 2, 2, "-1/3"))
         assert rep.verdict.kind is Kind.POSITIVE_DEFINITE
         assert [stage for stage, _ in rep.trace] == ["prefilter", "family"]
         assert rep.trace[-1][1].kind is Kind.POSITIVE_DEFINITE
@@ -161,11 +184,11 @@ class TestPipeline:
         "parsed",
         [
             SymmetricTensor4(1, {(1, 1, 1, 1): 1}),
-            BinaryQuartic.of(1, 0, "-1/3", 0, 1),
-            CyclicTernary.of(2, -2, 2, 2, "-1/3"),
-            CyclicTernary.of(0, 0, 0, 1, 0),  # the family rules decline a = 0
+            parse_shorthand("binary", "1 0 -1/3 0 1".split()),
+            parse_shorthand("cyclic", "2 -2 2 2 -1/3".split()),
+            parse_shorthand("cyclic", "0 0 0 1 0".split()),  # the family rules decline a = 0
             SymmetricTensor4(4, {(i, i, i, i): 1 for i in range(1, 5)}),
-            CyclicTernary.of(1, -1, 1, 1, 0),  # refuted by the Bernstein stage
+            parse_shorthand("cyclic", "1 -1 1 1 0".split()),  # refuted by the Bernstein stage
         ],
     )
     def test_every_trace_entry_has_stage_and_kind(self, parsed):
@@ -183,9 +206,9 @@ class TestPipeline:
         # verdict: it is negative where the pipeline refutes, positive on
         # the PD forms, and clear of zero either way
         for parsed in (
-            CyclicTernary.of(1, -1, 1, 1, "-1/6"),
-            BinaryQuartic.of(1, -1, 1, 1, 1),
-            CyclicTernary.of(1, 1, 1, 1, "-7/12"),
+            parse_shorthand("cyclic", "1 -1 1 1 -1/6".split()),
+            parse_shorthand("binary", "1 -1 1 1 1".split()),
+            parse_shorthand("cyclic", "1 1 1 1 -7/12".split()),
         ):
             a = quartpd.classify(to_tensor(parsed))
             assert a.verdict.kind in (Kind.POSITIVE_DEFINITE, Kind.INDEFINITE)
@@ -201,18 +224,18 @@ class TestPipeline:
         assert res.exit_code == 64
         assert res.output == "input error: no such option: --oracle-only\n"
         with pytest.raises(TypeError):
-            quartpd.classify(to_tensor(BinaryQuartic.of(1, 0, 1, 0, 1)), OracleConfig(), True)
+            quartpd.classify(BinaryQuartic.of(1, 0, 1, 0, 1).to_tensor(), OracleConfig(), True)
 
     @pytest.mark.parametrize(
         "T, calls",
         [
-            (embed(CyclicTernary.of(1, -1, 1, 1, "-1/6")), 0),  # PD by the family rules
-            (to_tensor(BinaryQuartic.of(1, 0, "-1/3", 0, 1)), 0),  # the binary criterion
+            (embed(1, -1, 1, 1, "-1/6"), 0),  # PD by the family rules
+            (BinaryQuartic.of(1, 0, "-1/3", 0, 1).to_tensor(), 0),  # the binary criterion
             (SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
                                   (1, 1, 1, 2): 5}), 0),  # refuted by the prefilter
             (SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
                                   (1, 1, 2, 3): Fraction(1, 10)}), 1),  # PD by the Bernstein stage
-            (embed(CyclicTernary.of(1, -1, 1, 1, 0)), 1),  # outside the family, refuted by Bernstein
+            (embed(1, -1, 1, 1, 0), 1),  # outside the family, refuted by Bernstein
             (SymmetricTensor4(1, {(1, 1, 1, 1): 1}), 0),
             (SymmetricTensor4(4, {(i, i, i, i): 1 for i in range(1, 5)}), 0),
             (SymmetricTensor4(3, ZERO_CORNERS), 1),  # the Bernstein stage ends undetermined
@@ -241,7 +264,7 @@ class TestPipeline:
         # every stage is exact, so there is no analytic_only mode: the
         # Bernstein stage refutes the cyclic form outside the family, and
         # leaves x1^2 x2^2 + x3^4, with its exact zeros, undetermined
-        T = embed(CyclicTernary.of(1, -1, 1, 1, 0))
+        T = embed(1, -1, 1, 1, 0)
         with pytest.raises(TypeError):
             quartpd.classify(T, analytic_only=True)
         rep = quartpd.classify(T)
@@ -259,8 +282,8 @@ class TestPipeline:
         assert rep.trace[0][0] == "prefilter"
 
     def test_determinism(self):
-        a = quartpd.classify(embed(CyclicTernary.of(1, 1, -1, "3/2", 0)))
-        b = quartpd.classify(embed(CyclicTernary.of(1, 1, -1, "3/2", 0)))
+        a = quartpd.classify(embed(1, 1, -1, "3/2", 0))
+        b = quartpd.classify(embed(1, 1, -1, "3/2", 0))
         assert a._replace(seconds=None) == b._replace(seconds=None)
 
     @pytest.mark.parametrize(

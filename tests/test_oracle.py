@@ -13,7 +13,7 @@ import pytest
 
 from quartpd import classify, oracle
 from quartpd.binary import BinaryQuartic
-from quartpd.cyclic import CyclicTernary, embed
+from quartpd.cyclic import embed
 from quartpd.inequalities import builtin_catalog, verify
 from quartpd.oracle import OracleConfig, sphere_minimize, zero_set_probe
 from quartpd.tensor import SymmetricTensor4, diag_ones, multiplicity
@@ -23,8 +23,8 @@ from conftest import (
     CROSS_IDS, CROSS_POINTS, SRC_ENV, cross_form, dense_reference, rand_tensor, steep_valley,
 )
 
-BOUNDARY = embed(CyclicTernary.of(1, -1, 1, 1, "-7/12"))
-INDEF = embed(CyclicTernary.of(1, 1, 1, 1, "-7/12"))
+BOUNDARY = embed(1, -1, 1, 1, "-7/12")
+INDEF = embed(1, 1, 1, 1, "-7/12")
 # a PD form of the benchmark's general pool whose grid points include two
 # near saddles, where the tangent Hessian has eigenvalues near -4e-4
 SADDLES = SymmetricTensor4(3, {
@@ -437,7 +437,7 @@ def test_refine_top_k_must_be_positive():
 def test_agreement_with_cyclic_rules():
     # PD family instances must certify numerically with a clear margin
     for e in ("-1/2", "-1/3", "-1/4", "-1/6", "-5/36"):
-        T = embed(CyclicTernary.of(1, -1, 1, 1, e))
+        T = embed(1, -1, 1, 1, e)
         res = sphere_minimize(T)
         assert res.min_value > 1e-8, e
 

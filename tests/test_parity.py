@@ -143,7 +143,7 @@ def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch
     # four dim-3 forms with zeros, written as tensor files; check runs on
     # each distinct benchmark input once, and on those catalog and zero-set
     # tensors and their multiples by 2^64
-    from quartpd.cyclic import CyclicTernary, embed
+    from quartpd.cyclic import embed
     from quartpd.inequalities import builtin_catalog
     from quartpd.tensor import SymmetricTensor4
     from quartpd.tensorio import parse_document, to_tensor
@@ -166,7 +166,7 @@ def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch
         {(1, 1, 2, 2): sixth},  # x1^2 x2^2
         {(1, 1, 1, 1): one, (1, 1, 2, 2): 2 * sixth, (2, 2, 2, 2): one},  # (x1^2 + x2^2)^2
         {(1, 1, 2, 2): sixth, (3, 3, 3, 3): one},  # x1^2 x2^2 + x3^4
-        embed(CyclicTernary.of(1, 1, -1, 1, "-7/12")).entries(),  # the cyclic boundary form
+        embed(1, 1, -1, 1, "-7/12").entries(),  # the cyclic boundary form
     ]
     assert all(entries in tensors for entries in with_zeros)
     assert len(docs) == len(ternary) + len(builtin_catalog()) + len(with_zeros)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartpd.cyclic import CyclicTernary, embed
+from quartpd.cyclic import embed
 from quartpd.tensor import SymmetricTensor4, diag_ones, multiplicity
 
 from conftest import dense_form_reference, rand_fraction, rand_tensor, rand_vector
@@ -51,9 +51,9 @@ def test_evaluate_form_diag_ones():
 
 
 def test_evaluate_form_paper_values():
-    case1 = embed(CyclicTernary.of(1, 1, 1, 1, "-7/12"))
+    case1 = embed(1, 1, 1, 1, "-7/12")
     assert case1.evaluate_form((1, 1, -5)) == -204
-    case2 = embed(CyclicTernary.of(1, -1, -1, 1, "-7/12"))
+    case2 = embed(1, -1, -1, 1, "-7/12")
     assert case2.evaluate_form((1, 1, 1)) == -24
 
 
@@ -94,6 +94,7 @@ def test_dimension_mismatch():
     (3, (1, 1, 1, 4)),
     (True, (1, 1, 1, 1)),
     (3.0, (1, 1, 1, 1)),
+    (3, ("a", 1, 1, 1)),  # sorting it would raise TypeError
 ])
 def test_an_index_or_dim_that_is_not_an_int_in_range_is_refused(dim, idx):
     with pytest.raises(ValueError):

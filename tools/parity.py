@@ -99,7 +99,7 @@ def _zero_tensors():
     most converged candidates: x1^2 x2^2, whose refine crawls along its
     circles of zeros to the iteration cap, (x1^2 + x2^2)^2,
     x1^2 x2^2 + x3^4 and the cyclic boundary form."""
-    from quartpd.cyclic import CyclicTernary, embed
+    from quartpd.cyclic import embed
     from quartpd.tensor import SymmetricTensor4
 
     one, sixth = Fraction(1), Fraction(1, 6)
@@ -108,7 +108,7 @@ def _zero_tensors():
         {(1, 1, 1, 1): one, (1, 1, 2, 2): 2 * sixth, (2, 2, 2, 2): one},  # (x1^2 + x2^2)^2
         {(1, 1, 2, 2): sixth, (3, 3, 3, 3): one},  # x1^2 x2^2 + x3^4
     )
-    return [*(SymmetricTensor4(3, f) for f in forms), embed(CyclicTernary.of(1, 1, -1, 1, "-7/12"))]
+    return [*(SymmetricTensor4(3, f) for f in forms), embed(1, 1, -1, 1, "-7/12")]
 
 
 def inputs(seed):
