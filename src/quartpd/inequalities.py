@@ -42,6 +42,10 @@ class WeightedInequality:
     strict: bool
     fail_point: Optional[Tuple[Fraction, Fraction, Fraction]] = None
 
+    def __post_init__(self):
+        # the weights, exact once: an int weight would make 1 - w/12 a float
+        object.__setattr__(self, "weights", tuple(map(as_fraction, self.weights)))
+
     @property
     def expected_fail(self) -> bool:
         """An entry with a named counterexample point is expected to fail."""

@@ -43,11 +43,25 @@ def canonical_indices(dim: int) -> Iterable[Index4]:
     return itertools.combinations_with_replacement(range(1, dim + 1), 4)
 
 
+# a canonical index's multiplicity by its equal-neighbour pattern (a==b, b==c, c==d);
+# dim 4 holds all eight patterns
+_MULTIPLICITY = {
+    (a == b, b == c, c == d): multiplicity((a, b, c, d)) for a, b, c, d in canonical_indices(4)
+}
+
+
 class SymmetricTensor4:
     """Immutable order-4 symmetric tensor of dimension ``dim``.
 
     Missing canonical slots read as zero; lookups with indices in any
     order resolve to the canonical slot.
+
+    ``entries`` maps an index (4 ints in 1..dim, in any order) to anything
+    ``as_fraction`` takes.  Input that is already canonical, sorted int
+    4-tuples with ``Fraction`` values as ``tensorio.parse_document`` builds
+    them, is checked but not converted again: per entry, three comparisons
+    find the index sorted, its four types and its range are checked, and
+    the value's type is tested.
     """
 
     __slots__ = ("dim", "_entries", "_form")
@@ -58,15 +72,19 @@ class SymmetricTensor4:
         canon: Dict[Index4, Fraction] = {}
         for idx, val in entries.items():
             try:
-                cidx = canonical_index(idx)
-            except TypeError:  # entries that sort cannot order, such as a str among ints
-                cidx = (None,) * 4
-            a, b, c, d = cidx  # sorted, so a is the least and d the greatest
+                a, b, c, d = cidx = idx
+                if not (type(idx) is tuple and a <= b <= c <= d):
+                    a, b, c, d = cidx = tuple(sorted(idx))
+            except TypeError:  # not a sequence, or entries that sort cannot order
+                a = b = c = d = None
+            except ValueError:  # not 4 entries
+                raise ValueError(f"order-4 index expected, got {idx!r}") from None
             if not (type(a) is type(b) is type(c) is type(d) is int and 1 <= a and d <= dim):
                 raise ValueError(f"index {idx!r} is not 4 ints in 1..{dim}")
-            v = as_fraction(val)
-            if v != 0:
-                canon[cidx] = v
+            if type(val) is not Fraction:
+                val = as_fraction(val)
+            if val:
+                canon[cidx] = val
         self.dim = dim
         self._entries = canon
         self._form = None
@@ -100,10 +118,10 @@ class SymmetricTensor4:
         Computed on the first call and kept, since the tensor is immutable."""
         if self._form is None:
             E = math.lcm(*(t.denominator for t in self._entries.values()))
-            form = {
-                idx: t.numerator * (E // t.denominator) * multiplicity(idx)
-                for idx, t in self._entries.items()
-            }
+            form = {}
+            for idx, t in self._entries.items():
+                a, b, c, d = idx
+                form[idx] = t.numerator * (E // t.denominator) * _MULTIPLICITY[a == b, b == c, c == d]
             self._form = (E, form)
         return self._form
 

@@ -7,7 +7,13 @@ The file format is a JSON document:
 
 Unlisted canonical indices are zero; indices may appear in any order and
 are canonicalized.  Values are rational strings ("p/q"), integers, or
-decimal strings expanded exactly in base 10.
+decimal strings expanded exactly in base 10.  Each entry is checked and
+converted once.  An index is 4 ints (not bools) in 1..dim.  A value string
+of the form ``-?[0-9]+(/[0-9]+)?`` ("-7", "007", "2/4") with a nonzero
+denominator, shorter than the interpreter's int-string digit limit,
+converts directly through ``int``; every other value, and every value
+error, goes through ``verdict.as_fraction``, so both ways give the same
+Fraction and the same error text.
 
 A shorthand JSON form is also accepted:
 
@@ -25,13 +31,15 @@ that parses back to it.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple, Union
 
 from .binary import BinaryQuartic
 from .cyclic import embed
 from .tensor import SymmetricTensor4
-from .verdict import _is_int, as_fraction
+from .verdict import _digit_limit, _is_int, as_fraction
 
 
 class Shorthand(NamedTuple):
@@ -55,6 +63,9 @@ _FAMILIES = {"binary": (5, _binary), "cyclic": (5, embed), "relaxed": (7, embed)
 
 # the largest accepted dim: a refuting witness holds one entry per dimension
 MAX_DIM = 10_000
+
+# an integer or "p/q" in ASCII digits: the value strings converted directly
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class InputError(ValueError):
@@ -93,21 +104,29 @@ def parse_document(doc: dict) -> ParsedInput:
     listed = doc.get("entries", [])
     if not isinstance(listed, list):
         raise InputError("entries: list expected")
+    limit = _digit_limit() or sys.maxsize  # 0: no limit
     entries = {}
     for i, ent in enumerate(listed):
         if not isinstance(ent, dict) or "index" not in ent or "value" not in ent:
             raise InputError(f"entries[{i}]: object with 'index' and 'value' expected")
         idx = ent["index"]
-        if (
-            not isinstance(idx, list)
-            or len(idx) != 4
-            or not all(_is_int(j) and 1 <= j <= dim for j in idx)
+        a, b, c, d = idx if isinstance(idx, list) and len(idx) == 4 else (None,) * 4
+        if not (
+            type(a) is type(b) is type(c) is type(d) is int  # exact: JSON true is a bool
+            and 1 <= a <= dim and 1 <= b <= dim and 1 <= c <= dim and 1 <= d <= dim
         ):
             raise InputError(f"entries[{i}].index: 4 indices in 1..{dim} expected")
-        try:
-            val = as_fraction(ent["value"])
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise InputError(f"entries[{i}].value: {exc}") from exc
+        val = ent["value"]
+        # a short "p" or "p/q" string converts directly (module docstring)
+        m = _RATIONAL.fullmatch(val) if type(val) is str and len(val) < limit else None
+        q = int(m[2] or 1) if m else 0  # 0: no such string, or a zero denominator
+        if q:
+            val = Fraction(int(m[1]), q)
+        else:
+            try:
+                val = as_fraction(val)
+            except (ValueError, ZeroDivisionError, TypeError) as exc:
+                raise InputError(f"entries[{i}].value: {exc}") from exc
         key = tuple(sorted(idx))
         if key in entries and entries[key] != val:
             raise InputError(f"entries[{i}].index: conflicting values for slot {key}")

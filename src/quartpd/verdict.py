@@ -48,12 +48,17 @@ class Verdict(NamedTuple):
 _DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
 
 
+def _digit_limit() -> int:
+    """The interpreter's int-string digit limit, 0 where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _check_digits(text: str) -> None:
     """Reject a decimal string whose numerator or denominator could have more
     digits than the interpreter converts to a string: such a value could not
     be printed, and a large exponent takes seconds to expand.  Digits in a
     "p/q" string are bounded by ``int`` itself."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     m = _DECIMAL.fullmatch(text)
     if not (limit and m):
         return

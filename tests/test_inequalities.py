@@ -54,6 +54,13 @@ class TestCatalog:
         assert q.expected_fail
         assert q.fail_point == (Fraction(-47, 5), -2, Fraction(23, 10))
 
+    def test_weights_are_exact_however_the_entry_is_built(self):
+        direct = WeightedInequality("x", (19, 14, 14), True)
+        assert direct.to_tensor() == WeightedInequality.triple(19, 14, 14).to_tensor()
+        assert all(type(w) is Fraction for w in direct.weights)
+        value = direct.value((Fraction(-6, 5), 5, 1))
+        assert type(value) is Fraction and value == by_label("19-14-14").value((Fraction(-6, 5), 5, 1))
+
     def test_labels_unique(self):
         labels = [q.label for q in builtin_catalog()]
         assert len(labels) == len(set(labels))

@@ -22,7 +22,7 @@ from quartpd.verdict import Kind, Verdict, as_fraction
 
 from conftest import DEEP_NEEDLE, SRC_ENV, ZERO_CORNERS, strict_json
 
-
+DIGIT_LIMIT = sys.get_int_max_str_digits()
 
 
 class TestParsing:
@@ -150,6 +150,29 @@ class TestParsing:
             res = runner.invoke(main, ["check", "binary", "1", "0", value, "0", "1"])
             assert res.exit_code == 64
             assert res.output.startswith("input error: coefficient:")
+
+    @pytest.mark.parametrize("value", [
+        "0", "-0", "007", "-7/2", "2/4", "-3/6", "1/0", "+1", " 1", "1_000", "1.25", "1e-3",
+        "\u0661",  # an Arabic-Indic digit one
+        "1/-2", "", "-",
+        *(  # digit strings about the int-string digit limit
+            pytest.param("7" * (DIGIT_LIMIT + n), id=f"limit{n:+d}-digits") for n in (-1, 0, 1)
+        ),
+        7, True, 1.5,  # a JSON int, true and a float
+    ])
+    def test_parse_converts_each_value_as_as_fraction_does(self, value):
+        # the direct int path and the as_fraction path agree on every value,
+        # in the Fraction or in the error text
+        doc = {"dim": 1, "entries": [{"index": [1, 1, 1, 1], "value": value}]}
+        try:
+            expected = as_fraction(value)
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            with pytest.raises(InputError) as raised:
+                parse_document(doc)
+            assert str(raised.value) == f"entries[0].value: {exc}"
+        else:
+            got = parse_document(doc)[1, 1, 1, 1]
+            assert got == expected and type(got) is Fraction
 
     def test_to_tensor_roundtrip(self, runner, monkeypatch):
         # each family's tensor is the one check decides

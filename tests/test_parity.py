@@ -141,8 +141,9 @@ def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch
     # minimize runs on each dim-3 tensor file of ternary-oracle, on every
     # binary-mix input labelled psd_not_pd, on each catalog tensor and on
     # four dim-3 forms with zeros, written as tensor files; check runs on
-    # each distinct benchmark input once, and on those catalog and zero-set
-    # tensors and their multiples by 2^64
+    # each distinct benchmark input once, on those catalog and zero-set
+    # tensors and their multiples by 2^64, and on tensor files whose entries
+    # take the parse's slower branches
     from quartpd.cyclic import embed
     from quartpd.inequalities import builtin_catalog
     from quartpd.tensor import SymmetricTensor4
@@ -171,8 +172,15 @@ def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch
     assert all(entries in tensors for entries in with_zeros)
     assert len(docs) == len(ternary) + len(builtin_catalog()) + len(with_zeros)
     fixed = [q.to_tensor() for q in builtin_catalog()] + [SymmetricTensor4(3, e) for e in with_zeros]
-    extra = {to_tensor(parse_document(json.loads(k)[1])) for k in checks - distinct}
-    assert extra == {T.scale(c) for T in fixed for c in (1, 2**64)} and len(checks - distinct) == 44
+    slow = parity._slow_path_documents()
+    extra = [json.loads(k)[1] for k in checks - distinct]
+    assert all(doc in extra for doc in slow) and len(extra) == 44 + len(slow)
+    scaled = {to_tensor(parse_document(doc)) for doc in extra if doc not in slow}
+    assert scaled == {T.scale(c) for T in fixed for c in (1, 2**64)}
+    indices = [e["index"] for doc in slow for e in doc["entries"]]
+    values = [e["value"] for doc in slow for e in doc["entries"]]
+    assert any(i != sorted(i) for i in indices) and "2/4" in values and 0 in values
+    assert any(type(v) is int for v in values) and any(isinstance(v, str) and "." in v for v in values)
     binary = {tuple(k) for k in keys if k[0] == "minimize" and k[1] == "binary"}
     boundary = [item["argv"] for item in parity.gen.generate("binary-mix", 101) if item["label"] == "psd_not_pd"]
     assert binary == {("minimize", *argv[1:]) for argv in boundary} and len(boundary) == 236

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quartpd import tensor
 from quartpd.cyclic import embed
-from quartpd.tensor import SymmetricTensor4, diag_ones, multiplicity
+from quartpd.tensor import SymmetricTensor4, canonical_indices, diag_ones, multiplicity
+from quartpd.tensorio import parse_document
 
 from conftest import dense_form_reference, rand_fraction, rand_tensor, rand_vector
 
@@ -21,6 +23,13 @@ def test_multiplicity_table():
     assert multiplicity((1, 1, 2, 2)) == 6
     assert multiplicity((1, 1, 2, 3)) == 12
     assert multiplicity((1, 2, 3, 4)) == 24
+
+
+def test_integer_form_multiplicities_are_multiplicity():
+    # integer_form reads each multiplicity off the index's equal-neighbour pattern
+    for dim in range(1, 6):
+        for a, b, c, d in canonical_indices(dim):
+            assert tensor._MULTIPLICITY[a == b, b == c, c == d] == multiplicity((a, b, c, d))
 
 
 def test_canonical_slot_count():
@@ -132,3 +141,39 @@ def test_homogeneity(lam, seed):
     x = rand_vector(rng, 3)
     assert T.evaluate_form(tuple(lam * v for v in x)) == lam**4 * T.evaluate_form(x)
 
+
+def spellings(v):
+    """Ways a tensor file may write the value v."""
+    p, q = v.numerator, v.denominator
+    out = [str(v), f"{3 * p}/{3 * q}", f"{p * 10**6 // q}e-6" if 10**6 % q == 0 else str(v)]
+    if q == 1:
+        out.append(p)  # a JSON int
+    if v == 0:
+        out += ["-0", "0/7", "0.0"]
+    return out
+
+
+@st.composite
+def documents(draw):
+    """A tensor file's document with permuted indices, repeated equal entries
+    and zero values, and the exact entries it denotes."""
+    dim = draw(st.integers(1, 4))
+    slots = draw(st.lists(st.sampled_from(list(canonical_indices(dim))), unique=True, max_size=12))
+    exact, listed = {}, []
+    for idx in slots:
+        v = draw(st.just(Fraction(0)) | st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)))
+        exact[idx] = v
+        for _ in range(draw(st.integers(1, 2))):
+            index = list(draw(st.permutations(idx)))
+            listed.append({"index": index, "value": draw(st.sampled_from(spellings(v)))})
+    return {"dim": dim, "entries": draw(st.permutations(listed))}, exact
+
+
+@given(documents())
+@settings(max_examples=150, deadline=None)
+def test_parse_document_builds_the_tensor_the_constructor_builds(drawn):
+    doc, exact = drawn
+    raw = {tuple(e["index"]): e["value"] for e in doc["entries"]}
+    T = parse_document(doc)
+    assert T == SymmetricTensor4(doc["dim"], raw) == SymmetricTensor4(doc["dim"], exact)
+    assert T.integer_form() == SymmetricTensor4(doc["dim"], raw).integer_form()

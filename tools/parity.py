@@ -16,7 +16,11 @@ zero-set probe are compared in dims 2 and 3, with zeros and without.  It
 runs ``check --json`` on those 22 tensor files too, and on each of them
 scaled by 2^64, whose Bernstein face coefficients pass 2^63: the exact
 stage computes them by one packed-integer product below that bound and by
-its row table above it, so both ways are compared.
+its row table above it, so both ways are compared.  It also runs
+``check --json`` on eight tensor files whose entries take the parse's
+slower branches (permuted indices, repeated equal entries, "2/4",
+decimals, JSON ints, zero values, and refused values and indices), so
+that both ways of converting a value are compared.
 Tensor-file inputs are written to a temporary directory, as the benchmark
 child does.
 The output is one JSON object, keys sorted, mapping each input (its argv,
@@ -111,6 +115,28 @@ def _zero_tensors():
     return [*(SymmetricTensor4(3, f) for f in forms), embed(1, 1, -1, 1, "-7/12")]
 
 
+def _slow_path_documents():
+    """Tensor files whose entries take the parse's slower branches, which the
+    benchmark's canonical, reduced inputs never take: permuted indices,
+    repeated equal entries, unreduced "2/4", decimals, JSON ints and zero
+    values, and four refused values or indices."""
+    def doc(dim, *entries):
+        return {"dim": dim, "entries": [{"index": i, "value": v} for i, v in entries]}
+
+    return [
+        doc(3, ([1, 1, 1, 1], 1), ([2, 2, 2, 2], 1), ([3, 3, 3, 3], 2), ([3, 2, 1, 1], "-1/12"),
+            ([2, 1, 3, 1], "-2/24"), ([3, 3, 1, 1], "2/4"), ([2, 3, 3, 2], 0)),
+        doc(3, ([1, 1, 1, 1], "1.25"), ([2, 2, 2, 2], "1e0"), ([3, 3, 3, 3], "0.75"),
+            ([1, 2, 2, 1], "-0.5"), ([2, 1, 1, 2], "-5e-1"), ([1, 2, 3, 3], "-0"), ([1, 1, 1, 2], "0/3")),
+        doc(2, ([2, 2, 2, 2], 1), ([1, 1, 1, 1], 1), ([2, 1, 2, 1], "-4/12"), ([1, 1, 2, 2], "-1/3")),
+        doc(3, ([1, 1, 1, 1], -1), ([3, 1, 2, 2], "007"), ([2, 2, 3, 1], " 7"), ([1, 2, 3, 2], "7.0")),
+        doc(2, ([1, 1, 1, 1], "1/0")),
+        doc(2, ([1, 1, 1, 1], "+1"), ([1, 1, 2, 2], "1/-2")),
+        doc(2, ([1, 1, 1, 1], "1"), ([True, 1, 1, 1], "1")),
+        doc(2, ([1, 1, 1, 1], 1.5)),
+    ]
+
+
 def inputs(seed):
     """(argv, doc) for each input recorded for ``seed``, repeats included;
     argv[1] is None for a tensor-file input, whose document is doc."""
@@ -126,6 +152,8 @@ def inputs(seed):
         yield ["minimize", None, "--json"], describe(T)
         yield ["check", None, "--json"], describe(T)
         yield ["check", None, "--json"], describe(T.scale(2**64))
+    for doc in _slow_path_documents():
+        yield ["check", None, "--json"], doc
 
 
 def key(argv, doc) -> str:
