@@ -1,8 +1,9 @@
 """Positive definiteness of 4th-order symmetric tensors (quartic forms).
 
 Exact analytic criteria for binary quartics and a cyclic ternary family,
-exact Bernstein subdivision for ternary quartics (``quartpd.bernstein``,
-loaded by the first dim-3 decision that reaches it, not by this package),
+exact Bernstein subdivision for quartic forms of dim 3 to 5
+(``quartpd.bernstein``, loaded by the first decision that reaches it, not
+by this package),
 the staged pipeline ``classify`` over them, whose every decisive verdict
 is exact and whose ``Decision`` names the deciding stage, its verdict and
 each stage's wall time, a numeric sphere-minimization oracle that reports

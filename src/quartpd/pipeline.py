@@ -1,6 +1,6 @@
 """Classification as a staged pipeline: an exact necessary-condition
 prefilter, then family rules for cyclic patterns, then the exact binary
-criterion (dim 2) or exact Bernstein subdivision (dim 3, stage
+criterion (dim 2) or exact Bernstein subdivision (dim >= 3, stage
 ``exact-positivity``).  Every stage is exact: a decisive verdict is either
 proved by an exact criterion or carries an exactly checked witness, and no
 stage samples the sphere.  ``stages`` is the one place that order is
@@ -49,12 +49,13 @@ def stages(T: SymmetricTensor4) -> Iterator[Stage]:
     refute, so only the other pairs are classified, in lexicographic
     order.  For dim 2 the (1,2) binary is the whole form, so the prefilter
     always classifies it and the analytic stage, the exact binary
-    criterion, is its verdict, and it always decides.  For dim 3 the
-    family stage follows, one classifier (``cyclic.classify``) that reads
-    the orbit pattern and runs the cyclic ladder or the relaxed bands, then
-    the Bernstein stage ``exact-positivity`` (``quartpd.bernstein``,
-    imported there, so no other dim loads it).  Both take T and return a
-    ``Verdict``.  No stage decides dim >= 4 past the prefilter.
+    criterion, is its verdict, and it always decides.  For dim >= 3 the
+    family stage follows, one classifier (``cyclic.classify``) that
+    reads the dim-3 orbit pattern and runs the cyclic ladder or the relaxed
+    bands, then the Bernstein stage ``exact-positivity``
+    (``quartpd.bernstein``, imported there, so a dim-2 decision never loads
+    it), which ends undetermined ``bernstein-dim`` above
+    ``bernstein.LARGEST_DIM``.  Both take T and return a ``Verdict``.
     """
     stored = T.entries()
     if not stored:  # the zero form vanishes everywhere
@@ -83,9 +84,9 @@ def stages(T: SymmetricTensor4) -> Iterator[Stage]:
     yield "prefilter", Verdict(Kind.UNDETERMINED, "prefilter-passed")
     if T.dim == 2:  # the loop ran once, on the (1,2) binary
         yield "analytic", binary
-    elif T.dim == 3:
+    else:
         yield "family", cyclic.classify(T)
-        from . import bernstein  # dim 3 only: a dim-2 decision never compiles it
+        from . import bernstein  # a dim-2 decision never compiles it
 
         yield "exact-positivity", bernstein.classify(T)
 
@@ -116,6 +117,6 @@ def decide(stages: Iterable[Stage]) -> Decision:
 def classify(T: SymmetricTensor4) -> Decision:
     """The pipeline's decision on T: the stages run, the deciding one and
     its verdict, and each stage's wall time.  Every decisive verdict is
-    exact; dim 3 can end undetermined where the Bernstein stage does not
-    decide, and dim >= 4 where the prefilter does not."""
+    exact; dim >= 3 can end undetermined where the Bernstein stage does not
+    decide, which above ``bernstein.LARGEST_DIM`` it never does."""
     return decide(stages(T))

@@ -112,6 +112,18 @@ def sos_needles(rng: random.Random, count: int):
     return forms
 
 
+def choi_lam(eps) -> SymmetricTensor4:
+    """x4^4 + x1^2 x2^2 + x2^2 x3^2 + x3^2 x1^2 - 4 x1 x2 x3 x4 + eps sum x_i^4.
+    At eps = 0 it is the Choi-Lam form (Math. Ann. 231, 1977): PSD but not
+    a sum of squares, with zeros at the +-1 points where x1 x2 x3 x4 = 1; so
+    it is PD for eps > 0 and indefinite for eps < 0."""
+    entries = {(1, 1, 2, 2): Fraction(1, 6), (2, 2, 3, 3): Fraction(1, 6), (1, 1, 3, 3): Fraction(1, 6)}
+    entries[1, 2, 3, 4] = Fraction(-1, 6)
+    for i in (1, 2, 3, 4):
+        entries[i, i, i, i] = eps + (i == 4)
+    return SymmetricTensor4(4, entries)
+
+
 CROSS_POINTS = [(1, 4, 9), (2, 3, 5), (1, 2, 2), (3, 1, 7)]
 CROSS_IDS = ["-".join(map(str, p)) for p in CROSS_POINTS]
 # a needle of width about 1e-50: deeper than the Bernstein stage's depth

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -10,76 +11,121 @@ from pathlib import Path
 import pytest
 
 import quartpd
-from quartpd import bernstein, cyclic, pipeline
+from quartpd import bernstein, binary, cyclic, pipeline
+from quartpd.binary import BinaryQuartic
 from quartpd.cyclic import embed
 from quartpd.inequalities import builtin_catalog
 from quartpd.tensor import SymmetricTensor4, diag_ones
 from quartpd.verdict import Kind, Verdict
 
 from conftest import (
-    CROSS_IDS, CROSS_POINTS, DEEP_NEEDLE, SRC_ENV, ZERO_CORNERS, cross_form, rand_tensor, sos_needles, steep_valley,
+    CROSS_IDS, CROSS_POINTS, DEEP_NEEDLE, SRC_ENV, ZERO_CORNERS, choi_lam, cross_form, rand_tensor, sos_needles, steep_valley,
 )
 
 STRICT = [q for q in builtin_catalog() if q.strict and not q.expected_fail]
 FAILING = [q for q in builtin_catalog() if q.expected_fail]
 
 
-def _box_corners(k, i, j, depth):
-    """The four corners of box (i, j, depth) of face k, in coefficient order."""
-    return [bernstein._corner(k, i, j, depth, n) for n in bernstein._CORNERS]
+DIMS = range(2, bernstein.LARGEST_DIM + 1)
+
+
+def _corners(dim, k, offsets, splits):
+    """The points of face k (x_{k+1} = 1) at the 2^m corners of the box
+    whose coordinate a runs over [offsets[a], offsets[a] + 1] / 2^splits[a],
+    in coefficient order: the first free coordinate is the most
+    significant."""
+    points = []
+    for upper in itertools.product((0, 1), repeat=dim - 1):
+        x = [2 * Fraction(o + u, 2**s) - 1 for o, u, s in zip(offsets, upper, splits)]
+        x.insert(k, Fraction(1))
+        points.append(tuple(x))
+    return points
 
 
 def test_face_corners_are_the_form_times_144_e(rng):
-    # the corner coefficients are 144 E f at the face's corners
-    for _ in range(20):
-        T = rand_tensor(rng, 3)
-        E, form = T.integer_form()
-        for k, coeffs in enumerate(bernstein._faces(form)):
-            for n, x in zip(bernstein._CORNERS, _box_corners(k, 0, 0, 0)):
-                assert coeffs[n] == 144 * E * T.evaluate_form(x)
+    # the corner coefficients are 12^m E f at the face's corners, m = n - 1
+    # (144 E f in dim 3), in every dim the stage runs in
+    for dim in DIMS:
+        m = dim - 1
+        tables = bernstein._tables(dim)
+        assert len(tables.corners) == 2**m and list(tables.corners) == sorted(tables.corners)
+        for _ in range(20 if dim < 5 else 5):
+            T = rand_tensor(rng, dim)
+            E, form = T.integer_form()
+            for k, coeffs in enumerate(bernstein._faces(form, dim)):
+                assert len(coeffs) == 5**m
+                for n, x in zip(tables.corners, _corners(dim, k, [0] * m, [0] * m)):
+                    assert coeffs[n] == 12**m * E * T.evaluate_form(x)
+
+
+def _univariate_times_12(a):
+    """12 times the degree-4 Bernstein coefficients of u^a on [-1, 1], from
+    the blossom: b_k is the mean of the products of a of the 4 arguments,
+    4 - k of which are -1 and k are 1."""
+    comb = math.comb
+    sums = [12 * sum(comb(k, j) * comb(4 - k, a - j) * (-1) ** (a - j) for j in range(a + 1)) for k in range(5)]
+    assert all(x % comb(4, a) == 0 for x in sums)
+    return [x // comb(4, a) for x in sums]
+
+
+def _kronecker_faces(form, dim):
+    """The n faces' coefficients of ``form`` as a sum, per monomial, of the
+    Kronecker product of its univariate vectors over the face's free
+    coordinates."""
+    vectors = {}
+    faces = [[0] * 5 ** (dim - 1) for _ in range(dim)]
+    for idx, c in form.items():
+        for k in range(dim):
+            degrees = tuple(idx.count(v) for v in range(1, dim + 1) if v != k + 1)
+            if degrees not in vectors:
+                axes = [_univariate_times_12(a) for a in degrees]
+                vectors[degrees] = [math.prod(row) for row in itertools.product(*axes)]
+            faces[k] = [x + c * y for x, y in zip(faces[k], vectors[degrees])]
+    return faces
 
 
 def test_face_rows_match_the_per_monomial_sum():
-    # _faces gives the sum of one _BASIS vector per monomial, the face's
-    # definition, on forms with coefficients of up to 300 digits, on c x1^4
-    # whose lanes 144c reach 2^63 from below (packed product, both signs)
-    # and pass it (row table), and on the zero form
+    # _faces gives the Kronecker-product sum, the faces' definition, in every
+    # dim: on forms with coefficients of up to 300 digits, on c x1^4 whose
+    # lanes 12^m c reach 2^63 from below (packed product, both signs) and
+    # pass it (row sums), and on the zero form
     rng = random.Random(31)
-    below, above = (2**63 - 1) // 144, 2**63 // 144 + 1
-    forms = [{(1, 1, 1, 1): c} for c in (below, -below, above, -above)] + [{}]
-    for _ in range(200):
-        digits = rng.choice((1, 30, 300))
-        forms.append({
-            idx: rng.randint(-(10**digits), 10**digits)
-            for idx in itertools.combinations_with_replacement((1, 2, 3), 4)
-            if rng.random() < 0.8
-        })
-    for form in forms:
-        faces = [[0] * 25 for _ in range(3)]
-        for idx, c in form.items():
-            e1, e2, e3 = idx.count(1), idx.count(2), idx.count(3)
-            for k, degrees in enumerate(((e2, e3), (e1, e3), (e1, e2))):
-                faces[k] = [x + c * y for x, y in zip(faces[k], bernstein._BASIS[degrees])]
-        assert bernstein._faces(form) == faces
+    for dim, count in zip(DIMS, (200, 200, 40, 10)):
+        width = 12 ** (dim - 1)
+        below, above = (2**63 - 1) // width, 2**63 // width + 1
+        assert width * below < 2**63 <= width * above
+        forms = [{(1, 1, 1, 1): c} for c in (below, -below, above, -above)] + [{}]
+        for _ in range(count):
+            digits = rng.choice((1, 30, 300))
+            forms.append({
+                idx: rng.randint(-(10**digits), 10**digits)
+                for idx in itertools.combinations_with_replacement(range(1, dim + 1), 4)
+                if rng.random() < 0.8
+            })
+        for form in forms:
+            assert bernstein._faces(form, dim) == _kronecker_faces(form, dim), (dim, form)
 
 
 def test_halves_keep_the_corners_exact(rng):
-    # after d splits, each corner coefficient is 16^d 144 E f at the corner
-    T = rand_tensor(rng, 3)
-    E, form = T.integer_form()
-    for k, coeffs in enumerate(bernstein._faces(form)):
-        i = j = 0
-        for depth in range(7):
-            lo, hi = bernstein._halves(coeffs, depth & 1)
-            upper = rng.random() < 0.5
-            coeffs = hi if upper else lo
-            if depth & 1:
-                j = 2 * j + upper
-            else:
-                i = 2 * i + upper
-            scale = 16 ** (depth + 1) * 144 * E
-            for n, x in zip(bernstein._CORNERS, _box_corners(k, i, j, depth + 1)):
-                assert coeffs[n] == scale * T.evaluate_form(x)
+    # after d splits, each corner coefficient is 16^d 12^m E f at the corner,
+    # splitting along every axis in turn, and the search's path names the box
+    for dim in DIMS:
+        m = dim - 1
+        tables = bernstein._tables(dim)
+        T = rand_tensor(rng, dim)
+        E, form = T.integer_form()
+        for k, coeffs in enumerate(bernstein._faces(form, dim)):
+            offsets, splits, path = [0] * m, [0] * m, 0
+            for depth in range(2 * m + 3):
+                axis = depth % m
+                lo, hi = bernstein._halves(coeffs, tables.lines[axis])
+                upper = rng.random() < 0.5
+                coeffs = hi if upper else lo
+                offsets[axis], splits[axis], path = 2 * offsets[axis] + upper, splits[axis] + 1, 2 * path + upper
+                scale = 16 ** (depth + 1) * 12**m * E
+                for n, x in zip(tables.corners, _corners(dim, k, offsets, splits)):
+                    assert bernstein._corner(dim, k, path, depth + 1, n) == x
+                    assert coeffs[n] == scale * T.evaluate_form(x)
 
 
 @pytest.mark.parametrize("q", STRICT, ids=lambda q: q.label)
@@ -122,6 +168,8 @@ def test_verdict_is_invariant_under_positive_scaling(rng, c):
     tensors = [q.to_tensor() for q in builtin_catalog()[1:]]
     tensors += [rand_tensor(rng, 3) for _ in range(5)]
     tensors += [steep_valley((1, 4, 9), 10**14), SymmetricTensor4(3, ZERO_CORNERS)]
+    tensors += [diag_ones(4), diag_ones(5), choi_lam(Fraction(1, 10)), choi_lam(Fraction(-1, 1000))]
+    tensors += [rand_tensor(rng, 4, lo=0), rand_tensor(rng, 5, lo=0)]
     for T in tensors:
         assert bernstein.search(T.scale(c)) == bernstein.search(T)
 
@@ -220,9 +268,124 @@ def test_a_corner_that_is_not_negative_is_never_returned(monkeypatch):
         bernstein.classify(T)
 
 
-def test_dim_3_only():
-    with pytest.raises(ValueError, match="dim 3"):
-        bernstein.classify(diag_ones(2))
+def test_a_dim_above_the_largest_ends_undetermined_without_tables(monkeypatch):
+    def unbuilt(dim):
+        raise AssertionError(f"tables built for dim {dim}")
+
+    monkeypatch.setattr(bernstein, "_tables", unbuilt)
+    dim = bernstein.LARGEST_DIM + 1
+    assert bernstein.search(diag_ones(dim)) == (Verdict(Kind.UNDETERMINED, "bernstein-dim"), 0)
+    decision = quartpd.classify(diag_ones(dim))
+    assert [stage for stage, _ in decision.trace] == ["prefilter", "family", "exact-positivity"]
+    assert decision.trace[-1][1] == Verdict(Kind.UNDETERMINED, "bernstein-dim")
+    assert decision.verdict == Verdict(Kind.UNDETERMINED, "no-decisive-stage")
+    with pytest.raises(ValueError, match="dim >= 2"):
+        bernstein.search(diag_ones(1))
+
+
+@pytest.mark.parametrize("dim, boxes", [(4, 60), (5, 155)])
+def test_sums_of_fourth_powers_are_pd(dim, boxes):
+    assert bernstein.search(diag_ones(dim)) == (Verdict(Kind.POSITIVE_DEFINITE, "bernstein-positive"), boxes)
+    decision = quartpd.classify(diag_ones(dim))
+    assert [stage for stage, _ in decision.trace] == ["prefilter", "family", "exact-positivity"]
+    assert decision.verdict == Verdict(Kind.POSITIVE_DEFINITE, "bernstein-positive")
+
+
+@pytest.mark.parametrize(
+    "eps, boxes",
+    [(1, 52), (Fraction(1, 10), 220), (Fraction(1, 100), 436), (Fraction(1, 1000), 772)],
+    ids=["1", "1/10", "1/100", "1/1000"],
+)
+def test_choi_lam_plus_a_positive_multiple_of_the_fourth_powers_is_pd(eps, boxes):
+    # at eps = 0 the form is PSD but not a sum of squares, and the sums of
+    # squares are a closed cone, so for small eps no Gram certificate exists:
+    # the boxes are the certificate
+    assert bernstein.search(choi_lam(eps)) == (Verdict(Kind.POSITIVE_DEFINITE, "bernstein-positive"), boxes)
+
+
+def test_choi_lam_minus_a_multiple_of_the_fourth_powers_is_refuted_at_its_zero():
+    T = choi_lam(Fraction(-1, 1000))
+    verdict, boxes = bernstein.search(T)
+    assert (verdict, boxes) == (Verdict(Kind.INDEFINITE, "bernstein-corner", witness=(1, -1, -1, 1)), 1)
+    assert T.evaluate_form(verdict.witness) == Fraction(-4, 1000)
+
+
+def test_choi_lam_itself_spends_the_budget():
+    # zeros at eight corners of the cube, with no negative region next to them
+    T = choi_lam(0)
+    assert bernstein.search(T) == (Verdict(Kind.UNDETERMINED, "bernstein-budget"), bernstein.BUDGET)
+    assert all(T.evaluate_form(x) == 0 for x in itertools.product((1, -1), repeat=4) if math.prod(x) == 1)
+
+
+@pytest.mark.parametrize(
+    "dim, off, count, pd_indefinite", [(4, Fraction(1, 8), 20, (9, 11)), (5, Fraction(1, 16), 10, (5, 5))], ids=["4", "5"]
+)
+def test_dims_4_and_5_are_decided_with_checked_witnesses(dim, off, count, pd_indefinite):
+    # diagonals in [1, 2] and the other entries in [-off, off], in steps of
+    # 1/8 of each: the prefilter passes them all, and the Bernstein stage
+    # decides each, PD or INDEFINITE at a witness checked here again
+    rng = random.Random(f"dim-{dim}")
+    kinds = []
+    for _ in range(count):
+        T = SymmetricTensor4(dim, {
+            idx: Fraction(rng.randint(8, 16), 8) if len(set(idx)) == 1 else off * Fraction(rng.randint(-8, 8), 8)
+            for idx in itertools.combinations_with_replacement(range(1, dim + 1), 4)
+        })
+        decision = quartpd.classify(T)
+        assert decision.stage == "exact-positivity"
+        if decision.verdict.kind is Kind.INDEFINITE:
+            assert T.evaluate_form(decision.verdict.witness) < 0
+        kinds.append(decision.verdict.kind)
+    assert (kinds.count(Kind.POSITIVE_DEFINITE), kinds.count(Kind.INDEFINITE)) == pd_indefinite
+
+
+def _binary_draws(rng):
+    """(label, a0..a4) of 2000 binaries with entries in [-2, 2] in steps of
+    1/1000 and a0, a4 >= 0; 100 squares (p x1^2 + q x1 x2 + r x2^2)^2 of
+    quadratics with a real zero, so PSD-not-PD; and 100 forms with a zero
+    diagonal entry."""
+    def entries():
+        return [Fraction(rng.randint(-2000, 2000), 1000) for _ in range(5)]
+
+    for _ in range(2000):
+        a = entries()
+        yield "random", [abs(a[0]), *a[1:4], abs(a[4])]
+    for _ in range(100):
+        p = q = r = 0
+        while not (p or q or r) or q * q < 4 * p * r:
+            p, q, r = (rng.randint(-3, 3) for _ in range(3))
+        yield "square", [p * p, Fraction(p * q, 2), Fraction(q * q + 2 * p * r, 6), Fraction(q * r, 2), r * r]
+    for _ in range(100):
+        a = entries()
+        a[0] = 0
+        if rng.random() < 0.5:
+            a[1] = 0
+        if rng.random() < 0.3:
+            a[4] = 0
+        if rng.random() < 0.5:
+            a.reverse()  # x1 and x2 exchanged
+        yield "zero-diagonal", [abs(a[0]), *a[1:4], abs(a[4])]
+
+
+def test_dim_2_bernstein_agrees_with_the_binary_criterion():
+    # an independent exact reference for the binary criterion: wherever the
+    # dim-2 Bernstein search decides, the kinds agree, and a PSD-not-PD
+    # binary never gets a Bernstein PD
+    counts = {}
+    for label, a in _binary_draws(random.Random("binary-differential")):
+        q = BinaryQuartic(*map(Fraction, a))
+        exact, (verdict, _) = binary.classify(q), bernstein.search(q.to_tensor())
+        if exact.kind is Kind.PSD_NOT_PD:
+            assert verdict.kind is Kind.UNDETERMINED, a
+        elif verdict.kind is not Kind.UNDETERMINED:
+            assert verdict.kind is exact.kind, a
+        key = (label, exact.kind, verdict.kind)
+        counts[key] = counts.get(key, 0) + 1
+    I, PD, PSD, U = Kind.INDEFINITE, Kind.POSITIVE_DEFINITE, Kind.PSD_NOT_PD, Kind.UNDETERMINED
+    assert counts == {
+        ("random", I, I): 1666, ("random", PD, PD): 334, ("square", PSD, U): 100,
+        ("zero-diagonal", I, I): 92, ("zero-diagonal", PSD, U): 8,
+    }
 
 
 @pytest.mark.parametrize("scale", [1, Fraction(7, 2), Fraction(1, 10**6)])
@@ -365,17 +528,20 @@ def test_dim_3_check_never_loads_numpy_and_dim_2_never_loads_bernstein(tmp_path)
     # no stage of check samples the sphere, so numpy never loads, not even
     # where the Bernstein stage ends undetermined (x1^2 x2^2 at its budget,
     # (x1^2 + x2^2)^2 at an exact zero) or refutes at its depth cap
-    # (DEEP_NEEDLE); a dim-2 check never compiles the Bernstein stage
+    # (DEEP_NEEDLE), nor in dim 4 (the sum of fourth powers, PD); a dim-2
+    # check never compiles the Bernstein stage
     forms = [
-        {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1},
-        {(1, 1, 2, 2): Fraction(1, 6)},
-        {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (1, 1, 2, 2): Fraction(1, 3)},
-        DEEP_NEEDLE.entries(),
+        diag_ones(3),
+        SymmetricTensor4(3, {(1, 1, 2, 2): Fraction(1, 6)}),
+        SymmetricTensor4(3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (1, 1, 2, 2): Fraction(1, 3)}),
+        DEEP_NEEDLE,
+        diag_ones(4),
     ]
     paths = []
-    for n, entries in enumerate(forms):
+    for n, T in enumerate(forms):
         path = tmp_path / f"t{n}.json"
-        path.write_text(json.dumps({"dim": 3, "entries": [{"index": list(i), "value": str(v)} for i, v in entries.items()]}))
+        entries = [{"index": list(i), "value": str(v)} for i, v in T.entries().items()]
+        path.write_text(json.dumps({"dim": T.dim, "entries": entries}))
         paths.append(str(path))
     code = (
         "import contextlib, io, sys\n"
@@ -392,7 +558,7 @@ def test_dim_3_check_never_loads_numpy_and_dim_2_never_loads_bernstein(tmp_path)
         "print('quartpd.bernstein' in sys.modules, 'numpy' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True, text=True, env=SRC_ENV, check=True)
-    assert out.stdout.split("\n") == ["False False", "0 False", "2 0 3 3 2", "True False", ""]
+    assert out.stdout.split("\n") == ["False False", "0 False", "2 0 3 3 2 0", "True False", ""]
 
 
 def test_the_pipeline_imports_nothing_from_the_oracle():

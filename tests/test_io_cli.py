@@ -260,7 +260,7 @@ class TestPipeline:
                                   (1, 1, 2, 3): Fraction(1, 10)}), 1),  # PD by the Bernstein stage
             (embed(1, -1, 1, 1, 0), 1),  # outside the family, refuted by Bernstein
             (SymmetricTensor4(1, {(1, 1, 1, 1): 1}), 0),
-            (SymmetricTensor4(4, {(i, i, i, i): 1 for i in range(1, 5)}), 0),
+            (SymmetricTensor4(4, {(i, i, i, i): 1 for i in range(1, 5)}), 1),  # PD by the Bernstein stage
             (SymmetricTensor4(3, ZERO_CORNERS), 1),  # the Bernstein stage ends undetermined
         ],
         ids=["family", "binary", "prefilter", "general", "cyclic", "dim1", "dim4", "zero-corner"],
@@ -674,12 +674,13 @@ class TestDimensions:
         assert any(witness) and to_tensor(parsed).evaluate_form(witness) == 0
 
     def test_dim4_skips_the_oracle(self, runner, tmp_path):
+        # the family rules decline dim 4, and the Bernstein stage decides it
         path = write_tensor(tmp_path, 4, {(i, i, i, i): 1 for i in range(1, 5)})
         res = runner.invoke(main, ["check", path, "--json"])
-        assert res.exit_code == 3
+        assert res.exit_code == 0
         doc = json.loads(res.output)
-        assert [s["stage"] for s in doc["trace"]] == ["prefilter"]
-        assert doc["verdict"]["rule"] == "no-decisive-stage"
+        assert [s["stage"] for s in doc["trace"]] == ["prefilter", "family", "exact-positivity"]
+        assert doc["verdict"]["rule"] == "bernstein-positive"
 
     def test_dim4_prefilter_still_refutes(self, runner, tmp_path):
         path = write_tensor(tmp_path, 4, {(i, i, i, i): 1 for i in range(1, 5)} | {(3, 3, 3, 4): 5})

@@ -142,12 +142,12 @@ def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch
     # binary-mix input labelled psd_not_pd, on each catalog tensor and on
     # four dim-3 forms with zeros, written as tensor files; check runs on
     # each distinct benchmark input once, on those catalog and zero-set
-    # tensors and their multiples by 2^64, and on tensor files whose entries
-    # take the parse's slower branches
+    # tensors and their multiples by 2^64, on six dim-4 and dim-5 tensors,
+    # and on tensor files whose entries take the parse's slower branches
     from quartpd.cyclic import embed
     from quartpd.inequalities import builtin_catalog
     from quartpd.tensor import SymmetricTensor4
-    from quartpd.tensorio import parse_document, to_tensor
+    from quartpd.tensorio import describe, parse_document, to_tensor
 
     monkeypatch.setattr(parity, "_run", lambda argv: (0, "", ""))
     recorded = parity.record([101], str(tmp_path))
@@ -173,9 +173,11 @@ def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch
     assert len(docs) == len(ternary) + len(builtin_catalog()) + len(with_zeros)
     fixed = [q.to_tensor() for q in builtin_catalog()] + [SymmetricTensor4(3, e) for e in with_zeros]
     slow = parity._slow_path_documents()
+    high = [describe(T) for T in parity._high_dim_tensors()]
     extra = [json.loads(k)[1] for k in checks - distinct]
-    assert all(doc in extra for doc in slow) and len(extra) == 44 + len(slow)
-    scaled = {to_tensor(parse_document(doc)) for doc in extra if doc not in slow}
+    assert all(doc in extra for doc in slow + high) and len(extra) == 44 + len(slow) + len(high)
+    assert {T.dim for T in parity._high_dim_tensors()} == {4, 5} and len(high) == 6
+    scaled = {to_tensor(parse_document(doc)) for doc in extra if doc not in slow + high}
     assert scaled == {T.scale(c) for T in fixed for c in (1, 2**64)}
     indices = [e["index"] for doc in slow for e in doc["entries"]]
     values = [e["value"] for doc in slow for e in doc["entries"]]

@@ -16,8 +16,9 @@ zero-set probe are compared in dims 2 and 3, with zeros and without.  It
 runs ``check --json`` on those 22 tensor files too, and on each of them
 scaled by 2^64, whose Bernstein face coefficients pass 2^63: the exact
 stage computes them by one packed-integer product below that bound and by
-its row table above it, so both ways are compared.  It also runs
-``check --json`` on eight tensor files whose entries take the parse's
+its row sums above it, so both ways are compared.  It runs ``check
+--json`` on six dim-4 and dim-5 tensor files, which the Bernstein stage
+decides (``_high_dim_tensors``), and on eight tensor files whose entries take the parse's
 slower branches (permuted indices, repeated equal entries, "2/4",
 decimals, JSON ints, zero values, and refused values and indices), so
 that both ways of converting a value are compared.
@@ -115,6 +116,33 @@ def _zero_tensors():
     return [*(SymmetricTensor4(3, f) for f in forms), embed(1, 1, -1, 1, "-7/12")]
 
 
+def _high_dim_tensors():
+    """Dim-4 and dim-5 tensors for ``check``: x1^4 + ... + xn^4 for n = 4
+    and 5; the Choi-Lam form
+    x4^4 + x1^2 x2^2 + x2^2 x3^2 + x3^2 x1^2 - 4 x1 x2 x3 x4 plus 1/1000
+    sum x_i^4 (PD), minus 1/1000 sum x_i^4 (negative diagonals, refuted by
+    the prefilter) and minus x4^4 / 1000 (indefinite at a zero of the
+    Choi-Lam form); and the dim-5 sum of fourth powers times 2^64, whose face
+    coefficients pass 2^63."""
+    from quartpd.tensor import SymmetricTensor4, diag_ones
+
+    def choi_lam(eps, eps4):
+        sixth = Fraction(1, 6)
+        entries = {(1, 1, 2, 2): sixth, (2, 2, 3, 3): sixth, (1, 1, 3, 3): sixth, (1, 2, 3, 4): -sixth}
+        entries.update({(i, i, i, i): eps + (eps4 if i == 4 else 0) for i in (1, 2, 3, 4)})
+        return SymmetricTensor4(4, entries)
+
+    thousandth = Fraction(1, 1000)
+    return [
+        diag_ones(4),
+        diag_ones(5),
+        choi_lam(thousandth, 1),
+        choi_lam(-thousandth, 1),
+        choi_lam(0, 1 - thousandth),
+        diag_ones(5).scale(2**64),
+    ]
+
+
 def _slow_path_documents():
     """Tensor files whose entries take the parse's slower branches, which the
     benchmark's canonical, reduced inputs never take: permuted indices,
@@ -152,6 +180,8 @@ def inputs(seed):
         yield ["minimize", None, "--json"], describe(T)
         yield ["check", None, "--json"], describe(T)
         yield ["check", None, "--json"], describe(T.scale(2**64))
+    for T in _high_dim_tensors():
+        yield ["check", None, "--json"], describe(T)
     for doc in _slow_path_documents():
         yield ["check", None, "--json"], doc
 
