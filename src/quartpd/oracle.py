@@ -110,7 +110,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .tensor import SymmetricTensor4, canonical_index, canonical_indices
-from .verdict import _is_int
 
 _GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -148,7 +147,7 @@ class OracleConfig:
             value = getattr(self, name)
             if value is None and name == "grid_points":
                 continue
-            if not _is_int(value):
+            if type(value) is not int:  # exact: a bool is not a count
                 raise ValueError(f"{name} must be an integer")
             if value <= 0:
                 raise ValueError(f"{name} must be positive")

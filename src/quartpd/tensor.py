@@ -50,6 +50,19 @@ _MULTIPLICITY = {
 }
 
 
+def _refuse_conflicts(entries: Mapping[Sequence[int], object], permuted: Sequence) -> None:
+    """Raise ``ValueError`` if two keys of ``entries`` name one slot with
+    unequal values.  ``permuted`` holds its keys that are not sorted tuples:
+    every other key names its own slot, so a conflict needs one of them."""
+    named: Dict[Index4, Fraction] = {}
+    for idx in permuted:
+        cidx = tuple(sorted(idx))
+        for key in (idx, cidx) if cidx in entries else (idx,):
+            val = as_fraction(entries[key])
+            if named.setdefault(cidx, val) != val:
+                raise ValueError(f"conflicting values for slot {cidx}")
+
+
 class SymmetricTensor4:
     """Immutable order-4 symmetric tensor of dimension ``dim``.
 
@@ -61,7 +74,9 @@ class SymmetricTensor4:
     4-tuples with ``Fraction`` values as ``tensorio.parse_document`` builds
     them, is checked but not converted again: per entry, three comparisons
     find the index sorted, its four types and its range are checked, and
-    the value's type is tested.
+    the value's type is tested.  Two indices that name one slot must give
+    it equal values ("1/2", "2/4" and "0.5" are equal), or ``ValueError``
+    names the slot.
     """
 
     __slots__ = ("dim", "_entries", "_form")
@@ -70,11 +85,13 @@ class SymmetricTensor4:
         if type(dim) is not int or dim < 1:
             raise ValueError(f"dimension must be a positive int, got {dim!r}")
         canon: Dict[Index4, Fraction] = {}
+        permuted = []  # the keys that are not sorted tuples: only they can share a slot
         for idx, val in entries.items():
             try:
                 a, b, c, d = cidx = idx
                 if not (type(idx) is tuple and a <= b <= c <= d):
                     a, b, c, d = cidx = tuple(sorted(idx))
+                    permuted.append(idx)
             except TypeError:  # not a sequence, or entries that sort cannot order
                 a = b = c = d = None
             except ValueError:  # not 4 entries
@@ -85,6 +102,8 @@ class SymmetricTensor4:
                 val = as_fraction(val)
             if val:
                 canon[cidx] = val
+        if permuted:
+            _refuse_conflicts(entries, permuted)
         self.dim = dim
         self._entries = canon
         self._form = None

@@ -8,12 +8,10 @@ The file format is a JSON document:
 Unlisted canonical indices are zero; indices may appear in any order and
 are canonicalized.  Values are rational strings ("p/q"), integers, or
 decimal strings expanded exactly in base 10.  Each entry is checked and
-converted once.  An index is 4 ints (not bools) in 1..dim.  A value string
-of the form ``-?[0-9]+(/[0-9]+)?`` ("-7", "007", "2/4") with a nonzero
-denominator, shorter than the interpreter's int-string digit limit,
-converts directly through ``int``; every other value, and every value
-error, goes through ``verdict.as_fraction``, so both ways give the same
-Fraction and the same error text.
+converted once.  An index is 4 ints (not bools) in 1..dim.  A value, like
+a shorthand's coefficient, converts through ``verdict.as_fraction``, the
+one converter, whose branch the value selects: a short "p" or "p/q"
+string goes directly through ``int``.
 
 A shorthand JSON form is also accepted:
 
@@ -31,15 +29,13 @@ that parses back to it.
 from __future__ import annotations
 
 import json
-import re
-import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple, Union
 
 from .binary import BinaryQuartic
 from .cyclic import embed
 from .tensor import SymmetricTensor4
-from .verdict import _digit_limit, _is_int, as_fraction
+from .verdict import as_fraction
 
 
 class Shorthand(NamedTuple):
@@ -63,9 +59,6 @@ _FAMILIES = {"binary": (5, _binary), "cyclic": (5, embed), "relaxed": (7, embed)
 
 # the largest accepted dim: a refuting witness holds one entry per dimension
 MAX_DIM = 10_000
-
-# an integer or "p/q" in ASCII digits: the value strings converted directly
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class InputError(ValueError):
@@ -97,14 +90,13 @@ def parse_document(doc: dict) -> ParsedInput:
     if "dim" not in doc:
         raise InputError("dim: missing")
     dim = doc["dim"]
-    if not _is_int(dim) or dim < 1:
+    if type(dim) is not int or dim < 1:  # exact: JSON true is a bool
         raise InputError(f"dim: positive integer expected, got {dim!r}")
     if dim > MAX_DIM:
         raise InputError(f"dim: at most {MAX_DIM} supported, got {dim}")
     listed = doc.get("entries", [])
     if not isinstance(listed, list):
         raise InputError("entries: list expected")
-    limit = _digit_limit() or sys.maxsize  # 0: no limit
     entries = {}
     for i, ent in enumerate(listed):
         if not isinstance(ent, dict) or "index" not in ent or "value" not in ent:
@@ -116,17 +108,10 @@ def parse_document(doc: dict) -> ParsedInput:
             and 1 <= a <= dim and 1 <= b <= dim and 1 <= c <= dim and 1 <= d <= dim
         ):
             raise InputError(f"entries[{i}].index: 4 indices in 1..{dim} expected")
-        val = ent["value"]
-        # a short "p" or "p/q" string converts directly (module docstring)
-        m = _RATIONAL.fullmatch(val) if type(val) is str and len(val) < limit else None
-        q = int(m[2] or 1) if m else 0  # 0: no such string, or a zero denominator
-        if q:
-            val = Fraction(int(m[1]), q)
-        else:
-            try:
-                val = as_fraction(val)
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
-                raise InputError(f"entries[{i}].value: {exc}") from exc
+        try:
+            val = as_fraction(ent["value"])
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise InputError(f"entries[{i}].value: {exc}") from exc
         key = tuple(sorted(idx))
         if key in entries and entries[key] != val:
             raise InputError(f"entries[{i}].index: conflicting values for slot {key}")

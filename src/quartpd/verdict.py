@@ -47,10 +47,8 @@ class Verdict(NamedTuple):
 # the digits and exponent of a decimal string ("-1.25e3"), as Fraction reads it
 _DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
 
-
-def _digit_limit() -> int:
-    """The interpreter's int-string digit limit, 0 where there is none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# an integer or "p/q" in ASCII digits: the strings ``int`` converts directly
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _check_digits(text: str) -> None:
@@ -58,7 +56,7 @@ def _check_digits(text: str) -> None:
     digits than the interpreter converts to a string: such a value could not
     be printed, and a large exponent takes seconds to expand.  Digits in a
     "p/q" string are bounded by ``int`` itself."""
-    limit = _digit_limit()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     m = _DECIMAL.fullmatch(text)
     if not (limit and m):
         return
@@ -69,26 +67,34 @@ def _check_digits(text: str) -> None:
         raise ValueError(f"decimal value exceeds the {limit}-digit limit")
 
 
-def _is_int(v) -> bool:
-    """An int that is not a bool: JSON true and false load as bools, which
-    Python counts as ints."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def as_fraction(value) -> Fraction:
-    """Exact conversion of ints, Fractions and decimal/rational strings.
+    """Exact conversion of ints, Fractions and decimal/rational strings: the
+    one converter of every input scalar.
 
     Decimal strings are expanded in base 10 ("-1.2" -> -6/5); binary floats
     are rejected so no rounding artifact can enter the exact path, and so are
-    booleans, which Python counts as ints.  A decimal string whose numerator
-    or denominator could exceed the int-string digit limit raises
-    ``ValueError`` before any expansion.
+    bools and other int subclasses (JSON true and false load as bools).  A
+    decimal string whose numerator or denominator could exceed the
+    int-string digit limit raises ``ValueError`` before any expansion.
+
+    The input selects the branch.  A string ``-?[0-9]+(/[0-9]+)?`` ("-7",
+    "007", "2/4") with a nonzero denominator and digits within the limit
+    converts directly through ``int``, to the Fraction that the other
+    branch would give; every other string, and every refused one, goes
+    through the limit check and ``Fraction``.  The limit is read at each
+    call, so ``sys.set_int_max_str_digits`` applies at run time.
     """
+    if isinstance(value, str):
+        m = _RATIONAL.fullmatch(value)
+        if m:
+            try:
+                return Fraction(int(m[1]), int(m[2] or 1))
+            except (ValueError, ZeroDivisionError):  # beyond the digit limit, or "p/0":
+                pass  # the branch below raises its error
+        _check_digits(value)
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if _is_int(value):
-        return Fraction(value)
-    if isinstance(value, str):
-        _check_digits(value)
+    if type(value) is int:
         return Fraction(value)
     raise TypeError(f"exact scalar expected, got {type(value).__name__}: {value!r}")

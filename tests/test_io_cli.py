@@ -18,7 +18,7 @@ from quartpd.cyclic import embed
 from quartpd.oracle import OracleConfig
 from quartpd.tensor import SymmetricTensor4
 from quartpd.tensorio import InputError, load, parse_document, parse_shorthand, to_tensor
-from quartpd.verdict import Kind, Verdict, as_fraction
+from quartpd.verdict import Kind, Verdict, _check_digits, as_fraction
 
 from conftest import DEEP_NEEDLE, SRC_ENV, ZERO_CORNERS, strict_json
 
@@ -161,18 +161,38 @@ class TestParsing:
         7, True, 1.5,  # a JSON int, true and a float
     ])
     def test_parse_converts_each_value_as_as_fraction_does(self, value):
-        # the direct int path and the as_fraction path agree on every value,
-        # in the Fraction or in the error text
+        # as_fraction's short "p/q" branch gives the Fraction or error text of
+        # the limit check and Fraction(text), and a shorthand and a document
+        # report the same value or error, at the default digit limit and at
+        # a lower one set at run time
+        def outcome(convert):
+            try:
+                return convert()
+            except (ValueError, ZeroDivisionError, TypeError) as exc:
+                return type(exc), str(exc)
+
+        def reference():
+            _check_digits(value)
+            return Fraction(value)
+
         doc = {"dim": 1, "entries": [{"index": [1, 1, 1, 1], "value": value}]}
         try:
-            expected = as_fraction(value)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            with pytest.raises(InputError) as raised:
-                parse_document(doc)
-            assert str(raised.value) == f"entries[0].value: {exc}"
-        else:
-            got = parse_document(doc)[1, 1, 1, 1]
-            assert got == expected and type(got) is Fraction
+            for limit in (DIGIT_LIMIT, 640):
+                sys.set_int_max_str_digits(limit)
+                expected = outcome(lambda: as_fraction(value))
+                if isinstance(value, str):
+                    assert expected == outcome(reference)
+                for parse, field in [
+                    (lambda: parse_shorthand("binary", [value] * 5).coeffs[0], "coefficient"),
+                    (lambda: parse_document(doc)[1, 1, 1, 1], "entries[0].value"),
+                ]:
+                    got = outcome(parse)
+                    if type(expected) is tuple:
+                        assert got == (InputError, f"{field}: {expected[1]}")
+                    else:
+                        assert got == expected and type(got) is Fraction
+        finally:
+            sys.set_int_max_str_digits(DIGIT_LIMIT)
 
     def test_to_tensor_roundtrip(self, runner, monkeypatch):
         # each family's tensor is the one check decides

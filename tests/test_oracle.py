@@ -348,12 +348,12 @@ def test_config_validation():
     assert str(exc.value) == "grid_points must be at most 1000000"
 
 
-def test_oracle_imports_only_the_tensor_and_the_verdict():
-    # the config's integer check comes from verdict, not from the parser,
-    # which would pull in the binary and cyclic modules
+def test_oracle_imports_only_the_tensor():
+    # the config checks its integers itself; the parser would pull in the
+    # binary and cyclic modules
     tree = ast.parse(Path(oracle.__file__).read_text())
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
-    assert imported == {"tensor", "verdict"}
+    assert imported == {"tensor"}
     # every caller of the oracle needs numpy: it is imported once, at module
     # scope, and no function body imports it again
     local = [

@@ -143,7 +143,8 @@ def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch
     # four dim-3 forms with zeros, written as tensor files; check runs on
     # each distinct benchmark input once, on those catalog and zero-set
     # tensors and their multiples by 2^64, on six dim-4 and dim-5 tensors,
-    # and on tensor files whose entries take the parse's slower branches
+    # on tensor files whose entries take the parse's slower branches, and on
+    # shorthands whose first coefficient takes each converter branch
     from quartpd.cyclic import embed
     from quartpd.inequalities import builtin_catalog
     from quartpd.tensor import SymmetricTensor4
@@ -174,7 +175,13 @@ def test_minimize_covers_the_catalog_and_the_binary_boundary(parity, monkeypatch
     fixed = [q.to_tensor() for q in builtin_catalog()] + [SymmetricTensor4(3, e) for e in with_zeros]
     slow = parity._slow_path_documents()
     high = [describe(T) for T in parity._high_dim_tensors()]
-    extra = [json.loads(k)[1] for k in checks - distinct]
+    extra = [json.loads(k)[1] for k in checks - distinct if isinstance(json.loads(k)[1], dict)]
+    shorthands = [json.loads(k) for k in checks - distinct if not isinstance(json.loads(k)[1], dict)]
+    assert sorted(shorthands) == sorted(parity._shorthand_inputs()) and len(shorthands) == 36
+    limit = sys.get_int_max_str_digits()
+    firsts = {argv[2] for argv in shorthands}
+    assert {"7" * (limit + n) for n in (-1, 0, 1)} | {"2/4", "1/0", "1/-2", "1.25"} <= firsts
+    assert {argv[1] for argv in shorthands} == {"binary", "cyclic", "relaxed"}
     assert all(doc in extra for doc in slow + high) and len(extra) == 44 + len(slow) + len(high)
     assert {T.dim for T in parity._high_dim_tensors()} == {4, 5} and len(high) == 6
     scaled = {to_tensor(parse_document(doc)) for doc in extra if doc not in slow + high}

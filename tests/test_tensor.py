@@ -110,6 +110,24 @@ def test_an_index_or_dim_that_is_not_an_int_in_range_is_refused(dim, idx):
         SymmetricTensor4(dim, {idx: -100})
 
 
+@pytest.mark.parametrize("entries", [
+    {(1, 1, 1, 2): 1, (2, 1, 1, 1): 2},
+    {(2, 1, 1, 1): 2, (1, 1, 1, 2): 1},  # the sorted key after the permuted one
+    {(1, 1, 1, 2): 1, (2, 1, 1, 1): 0},  # a zero conflicts before it is dropped
+    {(2, 1, 1, 1): 0, (1, 1, 1, 2): "1"},
+    {(2, 1, 1, 1): "1/2", (1, 2, 1, 1): "1/3"},  # two permuted keys
+])
+def test_conflicting_values_for_one_slot_are_refused(entries):
+    with pytest.raises(ValueError, match=r"^conflicting values for slot \(1, 1, 1, 2\)$"):
+        SymmetricTensor4(2, entries)
+
+
+def test_equal_spellings_of_one_slot_agree():
+    T = SymmetricTensor4(2, {(1, 1, 1, 2): "1/2", (2, 1, 1, 1): "2/4", (1, 2, 1, 1): "0.5"})
+    assert T.entries() == {(1, 1, 1, 2): Fraction(1, 2)}
+    assert SymmetricTensor4(2, {(2, 1, 1, 1): "-0", (1, 1, 1, 2): 0, (1, 2, 1, 1): "0/3"}).is_zero()
+
+
 @given(
     alpha=fractions_st,
     beta=fractions_st,

@@ -20,8 +20,13 @@ its row sums above it, so both ways are compared.  It runs ``check
 --json`` on six dim-4 and dim-5 tensor files, which the Bernstein stage
 decides (``_high_dim_tensors``), and on eight tensor files whose entries take the parse's
 slower branches (permuted indices, repeated equal entries, "2/4",
-decimals, JSON ints, zero values, and refused values and indices), so
-that both ways of converting a value are compared.
+decimals, JSON ints, zero values, and refused values and indices).  It
+runs ``check --json`` on binary, cyclic and relaxed shorthands whose first
+coefficient takes each branch of the one converter, ``as_fraction``
+(``_shorthand_inputs``): "007", "-0", "2/4", "+1", " 7", "1.25", "1e-3",
+the refused "1/0" and "1/-2", and digit strings one short of, at and one
+past the int-string digit limit; the benchmark's shorthands are all
+reduced "p/q" strings.
 Tensor-file inputs are written to a temporary directory, as the benchmark
 child does.
 The output is one JSON object, keys sorted, mapping each input (its argv,
@@ -165,6 +170,19 @@ def _slow_path_documents():
     ]
 
 
+def _shorthand_inputs():
+    """``check --json`` argvs of a binary, a cyclic and a relaxed shorthand
+    whose first coefficient takes each of ``as_fraction``'s branches and
+    refusals, the digit strings about the interpreter's digit limit among
+    them."""
+    limit = sys.get_int_max_str_digits()
+    values = ["007", "-0", "2/4", "+1", " 7", "1.25", "1e-3", "1/0", "1/-2",
+              *("7" * (limit + n) for n in (-1, 0, 1))]
+    bases = {"binary": ["0", "0", "0", "1"], "cyclic": ["-1", "1", "1", "-7/12"],
+             "relaxed": ["-1", "1", "1", "-1/4", "-1/5", "-1/6"]}
+    return [["check", family, v, *rest, "--json"] for family, rest in bases.items() for v in values]
+
+
 def inputs(seed):
     """(argv, doc) for each input recorded for ``seed``, repeats included;
     argv[1] is None for a tensor-file input, whose document is doc."""
@@ -184,6 +202,8 @@ def inputs(seed):
         yield ["check", None, "--json"], describe(T)
     for doc in _slow_path_documents():
         yield ["check", None, "--json"], doc
+    for argv in _shorthand_inputs():
+        yield argv, None
 
 
 def key(argv, doc) -> str:
